@@ -42,12 +42,12 @@ from .rates import (
     interaction_energy,
     phase_gate_duration,
     photon_scattering_time,
+    schedule_duration,
     survival_probability,
 )
 from .register import (
     BranchState,
     DenseState,
-    backend_crosscheck,
     ghz_reference,
     final_reference,
     init_register,
@@ -57,12 +57,7 @@ from .register import (
     state_fidelity,
     state_overlap,
 )
-from .trajectories import (
-    NoiseEvent,
-    TrajectoryOutcome,
-    sample_noisy_trajectory,
-    sample_trajectory_batch,
-)
+from .trajectories import sample_trajectory_batch
 from .estimator import (
     AtomNumberCurve,
     FringeScan,

@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -84,7 +83,7 @@ def _species_rows(bundle: PhysicsBundle) -> list[dict]:
     return rows
 
 
-def _cmd_feasibility(cfg: RunConfig, out_dir: Path, jobs: int) -> list[Path]:
+def _cmd_feasibility(cfg: RunConfig, out_dir: Path) -> list[Path]:
     bundle = resolve_physics(cfg)
     rows = _species_rows(bundle)
     report = bundle.requirement.feasibility
@@ -110,7 +109,7 @@ def _cmd_feasibility(cfg: RunConfig, out_dir: Path, jobs: int) -> list[Path]:
     return [path]
 
 
-def _cmd_schedule(cfg: RunConfig, out_dir: Path, jobs: int) -> list[Path]:
+def _cmd_schedule(cfg: RunConfig, out_dir: Path) -> list[Path]:
     bundle = resolve_physics(cfg)
     rows = [
         {"step_index": i, "kind": step.kind, "duration_s": step.duration, "site": step.site}
@@ -139,9 +138,10 @@ def _cmd_schedule(cfg: RunConfig, out_dir: Path, jobs: int) -> list[Path]:
     return [path]
 
 
-def _cmd_simulate(cfg: RunConfig, out_dir: Path, jobs: int) -> list[Path]:
-    n = cfg.protocol.n_atoms
-    t = cfg.protocol.ramsey_time_s
+def _cmd_simulate(cfg: RunConfig, out_dir: Path) -> list[Path]:
+    bundle = resolve_physics(cfg)
+    n = bundle.n_atoms
+    t = bundle.ramsey_time
     delta_omega = probe_detuning(cfg)
     delta_omega_head = cfg.run.delta_omega_head_rad_s
     chi = (n * delta_omega + delta_omega_head) * t
@@ -177,7 +177,7 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, jobs: int) -> list[Path]:
     return [path]
 
 
-def _cmd_scan(cfg: RunConfig, out_dir: Path, jobs: int) -> list[Path]:
+def _cmd_scan(cfg: RunConfig, out_dir: Path) -> list[Path]:
     bundle = resolve_physics(cfg)
     grid = detuning_grid(cfg)
     noisy = cfg.run.trajectories > 0
@@ -233,7 +233,7 @@ def _cmd_scan(cfg: RunConfig, out_dir: Path, jobs: int) -> list[Path]:
     return [path]
 
 
-def _cmd_optimize(cfg: RunConfig, out_dir: Path, jobs: int) -> list[Path]:
+def _cmd_optimize(cfg: RunConfig, out_dir: Path) -> list[Path]:
     bundle = resolve_physics(cfg)
     opt = cfg.optimize
     grid = sorted(
@@ -283,8 +283,7 @@ def _sweep_point(cfg: RunConfig, keys: list[str], values: tuple) -> RunConfig:
     return point
 
 
-def _evaluate_sweep_point(args) -> dict:
-    index, cfg_point, keys, values = args
+def _evaluate_sweep_point(index: int, cfg_point: RunConfig, keys: list[str], values: tuple) -> dict:
     bundle = resolve_physics(cfg_point)
     survival = survival_probability(bundle.schedule, bundle.n_atoms, bundle.decoherence)
     report = bundle.requirement.feasibility
@@ -306,20 +305,14 @@ def _evaluate_sweep_point(args) -> dict:
     return row
 
 
-def _cmd_sweep(cfg: RunConfig, out_dir: Path, jobs: int) -> list[Path]:
+def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> list[Path]:
     keys = list(cfg.sweep.keys())
     value_lists = [cfg.sweep[k] for k in keys]
     points = list(itertools.product(*value_lists)) if keys else [()]
-    tasks = [
-        (index, _sweep_point(cfg, keys, values), keys, values)
+    rows = [
+        _evaluate_sweep_point(index, _sweep_point(cfg, keys, values), keys, values)
         for index, values in enumerate(points)
     ]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_evaluate_sweep_point, tasks))
-    else:
-        rows = [_evaluate_sweep_point(task) for task in tasks]
-    rows.sort(key=lambda r: r["point_index"])
 
     meta = _base_metadata("sweep", cfg)
     meta.update({"swept_parameters": keys, "points": len(rows)})
@@ -339,12 +332,16 @@ _HANDLERS = {
 
 
 def run_command(command: str, cfg: RunConfig, out_dir, jobs: int = 1) -> list[Path]:
-    """Execute one named command against a parsed config; returns written files."""
+    """Execute one named command against a parsed config; returns written files.
+
+    ``jobs`` is accepted for compatibility and ignored: every command,
+    sweep included, runs serially.
+    """
     if command not in _HANDLERS:
         raise ClockSimError(f"unknown command {command!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _HANDLERS[command](cfg, out, jobs)
+    return _HANDLERS[command](cfg, out)
 
 
 def _load_config(ctx: click.Context) -> RunConfig:
@@ -360,13 +357,16 @@ def _invoke(ctx: click.Context, command: str):
     params = ctx.obj
     try:
         cfg = _load_config(ctx)
-        run_command(command, cfg, params["out"], jobs=params["jobs"])
+        run_command(command, cfg, params["out"])
     except ClockSimError as exc:
         blob = {"error": exc.code, "message": str(exc)}
         if hasattr(exc, "path"):
             blob["field"] = exc.path
         click.echo(json.dumps(blob), err=True)
         sys.exit(exc.exit_code)
+    except OSError as exc:
+        click.echo(json.dumps({"error": ClockSimError.code, "message": str(exc)}), err=True)
+        sys.exit(ClockSimError.exit_code)
 
 
 @click.group()
@@ -378,10 +378,11 @@ def _invoke(ctx: click.Context, command: str):
 @click.option("--backend", type=click.Choice(["dense", "branch"]), default=None,
               help="Override run.backend.")
 @click.option("--trajectories", type=int, default=None, help="Override run.trajectories.")
-@click.option("--jobs", type=int, default=1, help="Parallel workers for sweep points.")
+@click.option("--jobs", type=int, default=1, expose_value=False,
+              help="Accepted for compatibility; every command runs serially.")
 @click.version_option(version=__version__)
 @click.pass_context
-def main(ctx, config, out, seed, backend, trajectories, jobs):
+def main(ctx, config, out, seed, backend, trajectories):
     """Entangled-lattice-clock feasibility and simulation toolkit."""
     ctx.obj = {
         "config": config,
@@ -389,7 +390,6 @@ def main(ctx, config, out, seed, backend, trajectories, jobs):
         "seed": seed,
         "backend": backend,
         "trajectories": trajectories,
-        "jobs": jobs,
     }
 
 

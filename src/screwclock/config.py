@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -114,7 +115,12 @@ def _as_number(value, path: str, *, allow_none=False) -> float | None:
         return None
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              path, f"must be a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    _require(math.isfinite(number), path, f"must be finite, got {number}")
+    return number
 
 
 def _as_int(value, path: str) -> int:
@@ -343,10 +349,6 @@ def serialize_config(cfg: RunConfig) -> dict:
         "sweep": {k: list(v) for k, v in cfg.sweep.items()},
     }
     return out
-
-
-def config_json(cfg: RunConfig) -> str:
-    return json.dumps(serialize_config(cfg), indent=2, sort_keys=False) + "\n"
 
 
 def config_hash(cfg: RunConfig) -> str:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from .errors import DegenerateFringeError, ParameterError
-from .rates import DecoherenceParams, ProtocolSchedule, build_schedule, survival_probability
+from .rates import DecoherenceParams, ProtocolSchedule, schedule_duration
 from .register import run_protocol
 from .trajectories import sample_trajectory_batch
 
@@ -245,21 +245,20 @@ def optimize_atom_number(
     ns = sorted({int(n) for n in n_values})
     if not ns:
         raise ParameterError("n_values must be non-empty")
-    if ns[0] < 1:
-        raise ParameterError("atom numbers must be >= 1")
+    # One schedule validates the step times and N >= 1 for the whole grid.
+    ProtocolSchedule(ns[0], gate_time, transport_time, ramsey_time, pulse_time)
 
-    survivals, foms, gains = [], [], []
-    for n in ns:
-        schedule = build_schedule(n, gate_time, transport_time, ramsey_time, pulse_time)
-        c = survival_probability(schedule, n, params)
-        survivals.append(c)
-        foms.append(c * n)
-        gains.append(c * math.sqrt(n))
+    n = np.array(ns)
+    survival = np.exp(
+        -schedule_duration(n, gate_time, transport_time, ramsey_time, pulse_time)
+        * params.total_rate(n)
+    )
+    foms = survival * n
     best = int(np.argmax(foms))
     curve = AtomNumberCurve(
         n_atoms=tuple(ns),
-        survival=tuple(survivals),
-        figure_of_merit=tuple(foms),
-        gain_over_sql=tuple(gains),
+        survival=tuple(survival.tolist()),
+        figure_of_merit=tuple(foms.tolist()),
+        gain_over_sql=tuple((survival * np.sqrt(n)).tolist()),
     )
     return ns[best], curve

@@ -352,11 +352,11 @@ def trap_frequencies(
 
     Harmonic expansion at the minimum of a cos^2-form well of depth dU
     gives omega = (2 pi / lambda) sqrt(2 dU / M). The axial depth is the
-    numeric well depth at the configured displacement phase; the radial
+    closed-form well depth at the configured displacement phase; the radial
     depths come from the linearly polarized transverse lattices, which
     couple through the scalar polarizability only.
     """
-    axial_depth = well_depth(config, species, table)
+    axial_depth = well_depth_closed_form(config, species, table=table)
     scale = sum(abs(u) for u in sublattice_depths(config, species, table))
     if axial_depth <= 1e-9 * scale or scale == 0.0:
         raise UntrappedError(

@@ -62,9 +62,8 @@ def write_table(rows, path, *, columns=None, metadata: dict | None = None) -> Pa
         meta = dict(metadata)
         meta.setdefault("rows", len(rows))
         meta.setdefault("columns", columns)
-        with open(sidecar_path(path), "w") as handle:
-            json.dump(meta, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        text = json.dumps(meta, indent=2, sort_keys=True, allow_nan=False)
+        sidecar_path(path).write_text(text + "\n")
     return path
 
 

@@ -15,16 +15,6 @@ from .constants import CODATA, ConstantsTable
 from .errors import NoInteractionError, ParameterError, UntrappedError
 from .lattice import SpeciesOptics, au_to_si_polarizability, recoil_energy
 
-STEP_KINDS = (
-    "hadamard_all",
-    "head_pulse",
-    "transport",
-    "phase_gate",
-    "free_evolution",
-    "readout",
-)
-
-
 @dataclass(frozen=True)
 class DecoherenceParams:
     """Per-atom scattering lifetimes plus an optional aggregate loss rate.
@@ -61,21 +51,69 @@ class ScheduleStep:
     site: int | None = None  # lattice site for transport / phase_gate steps
 
 
+def schedule_duration(n_atoms, gate_time, transport_time, ramsey_time, pulse_time=0.0):
+    """Total duration of one interrogation: 2N (t_transport + t_gate) + T + 7 t_pulse.
+
+    Two passes of N transport and phase-gate steps around the Ramsey
+    period, plus seven fixed pulse slots (four clock pulses, two head
+    pulses and the readout). Every argument may be a numpy array.
+    """
+    return 2 * n_atoms * (transport_time + gate_time) + ramsey_time + 7 * pulse_time
+
+
 @dataclass(frozen=True)
 class ProtocolSchedule:
-    """Ordered timed steps of one full clock interrogation."""
+    """One full clock interrogation of N clock atoms, held as its five inputs.
 
-    steps: tuple[ScheduleStep, ...]
-    total_duration: float
-    ramsey_time: float
+    The step table is built only when :attr:`steps` is read; the total
+    duration comes from :func:`schedule_duration`.
+    """
+
+    n_atoms: int
+    gate_time: float        # s
+    transport_time: float   # s
+    ramsey_time: float      # s
+    pulse_time: float = 0.0  # s
 
     def __post_init__(self):
-        total = sum(step.duration for step in self.steps)
-        if not math.isclose(total, self.total_duration, rel_tol=1e-12, abs_tol=1e-30):
-            raise ParameterError("total_duration does not match the sum of step durations")
-        n_free = sum(1 for step in self.steps if step.kind == "free_evolution")
-        if n_free != 1:
-            raise ParameterError(f"schedule must contain exactly one free_evolution step, got {n_free}")
+        if self.n_atoms < 1:
+            raise ParameterError(f"n_atoms must be >= 1, got {self.n_atoms}")
+        for label in ("gate_time", "transport_time", "ramsey_time", "pulse_time"):
+            value = getattr(self, label)
+            if not value >= 0.0:
+                raise ParameterError(f"{label} must be >= 0, got {value}")
+
+    @property
+    def total_duration(self) -> float:
+        return schedule_duration(
+            self.n_atoms, self.gate_time, self.transport_time, self.ramsey_time, self.pulse_time
+        )
+
+    @property
+    def steps(self) -> tuple[ScheduleStep, ...]:
+        """Ordered timed steps.
+
+        Sequence: clock + head pi/2 pulses, a transport/phase-gate pass over
+        sites 0..N-1, a clock pulse closing the entangling stage, free
+        evolution, then the mirrored disentangling pass and readout.
+        """
+        pulse = self.pulse_time
+        gate_pass = []
+        for site in range(self.n_atoms):
+            gate_pass.append(ScheduleStep("transport", self.transport_time, site))
+            gate_pass.append(ScheduleStep("phase_gate", self.gate_time, site))
+        return (
+            ScheduleStep("hadamard_all", pulse),
+            ScheduleStep("head_pulse", pulse),
+            *gate_pass,
+            ScheduleStep("hadamard_all", pulse),
+            ScheduleStep("free_evolution", self.ramsey_time),
+            ScheduleStep("hadamard_all", pulse),
+            *gate_pass,
+            ScheduleStep("hadamard_all", pulse),
+            ScheduleStep("head_pulse", pulse),
+            ScheduleStep("readout", pulse),
+        )
 
 
 def photon_scattering_time(
@@ -169,45 +207,12 @@ def build_schedule(
     ramsey_time: float,
     pulse_time: float = 0.0,
 ) -> ProtocolSchedule:
-    """Assemble the timed step list for one interrogation of N clock atoms.
+    """The schedule of one interrogation of N clock atoms.
 
-    Sequence: clock + head pi/2 pulses, a transport/phase-gate pass over
-    sites 0..N-1, a clock pulse closing the entangling stage, free
-    evolution, then the mirrored disentangling pass and readout. Pulse
-    (and readout) durations default to zero; they are negligible against
-    the ms-scale transport stages.
+    Pulse (and readout) durations default to zero; they are negligible
+    against the ms-scale transport stages.
     """
-    if n_atoms < 1:
-        raise ParameterError(f"n_atoms must be >= 1, got {n_atoms}")
-    for label, value in (
-        ("gate_time", gate_time),
-        ("transport_time", transport_time),
-        ("ramsey_time", ramsey_time),
-        ("pulse_time", pulse_time),
-    ):
-        if value < 0.0:
-            raise ParameterError(f"{label} must be >= 0, got {value}")
-
-    steps: list[ScheduleStep] = []
-
-    def gate_pass():
-        for site in range(n_atoms):
-            steps.append(ScheduleStep("transport", transport_time, site))
-            steps.append(ScheduleStep("phase_gate", gate_time, site))
-
-    steps.append(ScheduleStep("hadamard_all", pulse_time))
-    steps.append(ScheduleStep("head_pulse", pulse_time))
-    gate_pass()
-    steps.append(ScheduleStep("hadamard_all", pulse_time))
-    steps.append(ScheduleStep("free_evolution", ramsey_time))
-    steps.append(ScheduleStep("hadamard_all", pulse_time))
-    gate_pass()
-    steps.append(ScheduleStep("hadamard_all", pulse_time))
-    steps.append(ScheduleStep("head_pulse", pulse_time))
-    steps.append(ScheduleStep("readout", pulse_time))
-
-    total = sum(step.duration for step in steps)
-    return ProtocolSchedule(steps=tuple(steps), total_duration=total, ramsey_time=ramsey_time)
+    return ProtocolSchedule(n_atoms, gate_time, transport_time, ramsey_time, pulse_time)
 
 
 def survival_probability(

@@ -305,28 +305,6 @@ def init_register(n_atoms: int, backend: str = "dense", dense_cap: int = DENSE_A
     raise ParameterError(f"unknown backend {backend!r}, expected 'dense' or 'branch'")
 
 
-def apply_clock_rotation(state: RegisterState, matrix) -> RegisterState:
-    """Apply one 2x2 unitary to every clock qubit."""
-    return state.apply_clock_rotation(matrix)
-
-
-def apply_head_rotation(state: RegisterState, matrix) -> RegisterState:
-    """Apply one 2x2 unitary to the head qubit."""
-    return state.apply_head_rotation(matrix)
-
-
-def apply_phase_gate(state: RegisterState, site: int) -> RegisterState:
-    """Conditional sign flip: |1_site>|up> -> -|1_site>|up>, all else fixed."""
-    return state.apply_phase_gate(site)
-
-
-def apply_free_evolution(
-    state: RegisterState, delta_omega: float, delta_omega_head: float, t: float
-) -> RegisterState:
-    """Detuning phases e^{i dw t} per raised clock qubit, e^{i dw' t} on head-up."""
-    return state.apply_free_evolution(delta_omega, delta_omega_head, t)
-
-
 def apply_gate(state: RegisterState, gate: tuple) -> RegisterState:
     """Dispatch one gate tuple onto a state (both backends)."""
     kind = gate[0]
@@ -484,63 +462,3 @@ def state_overlap(a: RegisterState, b: RegisterState) -> complex:
 def state_fidelity(a: RegisterState, b: RegisterState) -> float:
     """|<a|b>|^2."""
     return abs(state_overlap(a, b)) ** 2
-
-
-def random_gate_sequence(n_atoms: int, n_gates: int = 50, seed: int | None = None) -> list[tuple]:
-    """Random sequence from the supported gate set, for differential testing.
-
-    The gate mix is a shuffled fixed multiset so the number of phase gates
-    (which can split branches) is bounded and runtimes stay predictable.
-    """
-    rng = np.random.default_rng(seed)
-    n_phase = min(12, max(1, n_gates // 4))
-    n_free = max(1, n_gates // 8)
-    n_rot = n_gates - n_phase - n_free
-    kinds = ["phase_gate"] * n_phase + ["free_evolution"] * n_free
-    kinds += [("clock_rotation" if rng.random() < 0.5 else "head_rotation") for _ in range(n_rot)]
-    rng.shuffle(kinds)
-
-    def haar_unitary() -> np.ndarray:
-        z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        q, r = np.linalg.qr(z)
-        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-    gates: list[tuple] = []
-    for kind in kinds:
-        if kind == "phase_gate":
-            gates.append(("phase_gate", int(rng.integers(n_atoms))))
-        elif kind == "free_evolution":
-            gates.append(
-                ("free_evolution", float(rng.normal()), float(rng.normal()), float(rng.random()))
-            )
-        else:
-            gates.append((kind, haar_unitary()))
-    return gates
-
-
-def backend_crosscheck(
-    n_atoms: int,
-    gates: list[tuple] | None = None,
-    seed: int | None = None,
-    n_gates: int = 50,
-) -> float:
-    """Run one gate sequence on both backends; max |amplitude difference|.
-
-    Global phase is aligned on the largest dense amplitude before
-    comparing. With ``gates=None`` a random sequence is drawn from ``seed``.
-    """
-    if n_atoms > 12:
-        raise CapacityError("crosscheck is limited to dense-capable sizes (n_atoms <= 12)")
-    if gates is None:
-        gates = random_gate_sequence(n_atoms, n_gates=n_gates, seed=seed)
-    dense = init_register(n_atoms, "dense")
-    branch = init_register(n_atoms, "branch")
-    for gate in gates:
-        apply_gate(dense, gate)
-        apply_gate(branch, gate)
-    va = dense.to_vector()
-    vb = branch.to_vector()
-    ref = int(np.argmax(np.abs(va) + np.abs(vb)))
-    phase_a = va[ref] / abs(va[ref]) if va[ref] != 0 else 1.0
-    phase_b = vb[ref] / abs(vb[ref]) if vb[ref] != 0 else 1.0
-    return float(np.max(np.abs(va / phase_a - vb / phase_b)))

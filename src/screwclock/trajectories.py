@@ -8,98 +8,10 @@ noiseless readout probability or returns 1/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParameterError
 from .rates import DecoherenceParams, ProtocolSchedule
-from .register import run_protocol
-
-
-@dataclass(frozen=True)
-class NoiseEvent:
-    """One sampled scattering event; the effect is always total decoherence."""
-
-    time: float
-    target: int | str   # clock site index, "head", or "extra"
-    effect: str = "decohere_all"
-
-
-@dataclass(frozen=True)
-class TrajectoryOutcome:
-    p_up: float
-    scattered: bool
-    seed: int
-    event: NoiseEvent | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_up <= 1.0:
-            raise ParameterError(f"p_up out of range: {self.p_up}")
-
-
-def _draw_event(rng, n_atoms: int, params: DecoherenceParams, duration: float) -> NoiseEvent | None:
-    """First arrival of the total Poisson process, or None if past the schedule."""
-    rate = params.total_rate(n_atoms)
-    if rate <= 0.0:
-        return None
-    time = rng.exponential(1.0 / rate)
-    if time >= duration:
-        return None
-    # Attribute the event to one channel, weighted by its rate share.
-    u = rng.random() * rate
-    clock_rate = n_atoms / params.tau_scatter_clock
-    head_rate = 1.0 / params.tau_scatter_head
-    if u < clock_rate:
-        target: int | str = int(u / clock_rate * n_atoms) if n_atoms > 0 else "head"
-    elif u < clock_rate + head_rate:
-        target = "head"
-    else:
-        target = "extra"
-    return NoiseEvent(time=time, target=target)
-
-
-def noiseless_p_up(
-    n_atoms: int,
-    delta_omega: float = 0.0,
-    delta_omega_head: float = 0.0,
-    ramsey_time: float = 0.0,
-    backend: str = "branch",
-) -> float:
-    """Head-up probability of a noise-free protocol run."""
-    return run_protocol(
-        n_atoms,
-        backend=backend,
-        delta_omega=delta_omega,
-        delta_omega_head=delta_omega_head,
-        ramsey_time=ramsey_time,
-    ).p_up
-
-
-def sample_noisy_trajectory(
-    n_atoms: int,
-    schedule: ProtocolSchedule,
-    params: DecoherenceParams,
-    delta_omega: float = 0.0,
-    delta_omega_head: float = 0.0,
-    seed: int = 0,
-    p_up_noiseless: float | None = None,
-    backend: str = "branch",
-) -> TrajectoryOutcome:
-    """One stochastic protocol execution; deterministic for a given seed.
-
-    ``p_up_noiseless`` may be passed in to avoid re-running the register
-    simulation when sampling many trajectories at fixed detuning.
-    """
-    rng = np.random.default_rng(seed)
-    event = _draw_event(rng, n_atoms, params, schedule.total_duration)
-    if event is not None:
-        return TrajectoryOutcome(p_up=0.5, scattered=True, seed=seed, event=event)
-    if p_up_noiseless is None:
-        p_up_noiseless = noiseless_p_up(
-            n_atoms, delta_omega, delta_omega_head, schedule.ramsey_time, backend
-        )
-    return TrajectoryOutcome(p_up=p_up_noiseless, scattered=False, seed=seed)
 
 
 def sample_trajectory_batch(
@@ -112,9 +24,10 @@ def sample_trajectory_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized batch of trajectories: (p_up array, scattered bool array).
 
-    Statistically identical to repeated :func:`sample_noisy_trajectory`
-    (same exponential first-arrival test), drawn from one seeded stream.
-    ``seed`` may be an int or a sequence of ints.
+    A trajectory scatters when the first arrival of the total Poisson
+    event process falls inside the schedule; all first-arrival times are
+    drawn from one seeded stream. ``seed`` may be an int or a sequence of
+    ints.
     """
     if n_trajectories < 1:
         raise ParameterError("n_trajectories must be >= 1")

@@ -16,7 +16,6 @@ from screwclock import (
     CODATA,
     DecoherenceParams,
     analyze_fringe,
-    backend_crosscheck,
     build_schedule,
     fringe_scan,
     ghz_reference,
@@ -51,6 +50,7 @@ from conftest import (
     RHO_DOWN,
     RHO_UP,
     SR_MASS_AMU,
+    backend_crosscheck,
 )
 
 AMU = CODATA.atomic_mass_unit

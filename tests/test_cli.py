@@ -42,6 +42,10 @@ class TestWriteTable:
         with pytest.raises(ParameterError):
             write_table([{"a": 1}, {"b": 2}], tmp_path / "t.csv")
 
+    def test_non_finite_metadata_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_table([{"a": 1}], tmp_path / "t.csv", metadata={"x": math.inf})
+
     def test_metadata_sidecar_written(self, tmp_path):
         write_table([{"a": 1}], tmp_path / "t.csv", metadata={"seed": 7})
         meta = json.loads((tmp_path / "t.meta.json").read_text())
@@ -109,6 +113,18 @@ class TestSimulateCommand:
         blob = json.loads(result.stderr)
         assert blob["error"] == "config"
         assert blob["field"] == "protocol.n_atoms"
+
+    def test_no_interaction_exit_code(self, tmp_path):
+        cfg = _write_config(tmp_path, {"protocol": {"a_scatt_au": 0.0}})
+        result = _run(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"])
+        assert result.exit_code == 6
+        assert json.loads(result.stderr)["error"] == "no_interaction"
+
+    def test_infeasible_transport_exit_code(self, tmp_path):
+        cfg = _write_config(tmp_path, {"lattice": {"delta": 0.9}})
+        result = _run(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"])
+        assert result.exit_code == 4
+        assert json.loads(result.stderr)["error"] == "infeasible_transport"
 
     def test_checkpoints_have_unit_fidelity(self, tmp_path):
         cfg = _write_config(tmp_path, {
@@ -229,6 +245,31 @@ class TestDeterminismAndErrors:
         result = _run(["--config", str(cfg), "--out", str(tmp_path / "o"), "schedule"])
         assert result.exit_code == 6
         assert json.loads(result.stderr)["error"] == "no_interaction"
+
+    @pytest.mark.parametrize("section,key,token", [
+        ("lattice", "phi_rad", "NaN"),
+        ("protocol", "ramsey_time_s", "Infinity"),
+        ("protocol", "a_scatt_au", "NaN"),
+        ("noise", "extra_loss_rate_per_s", "1" + "0" * 400),
+    ])
+    def test_non_finite_config_value_exit_code(self, tmp_path, section, key, token):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(f'{{"{section}": {{"{key}": {token}}}}}')
+        result = _run(["--config", str(cfg), "--out", str(tmp_path / "o"), "schedule"])
+        assert result.exit_code == 2
+        blob = json.loads(result.stderr)
+        assert blob["error"] == "config"
+        assert blob["field"] == f"{section}.{key}"
+        assert not (tmp_path / "o").exists()
+
+    def test_unwritable_output_exit_code(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        result = _run(["--out", str(blocker / "o"), "feasibility"])
+        assert result.exit_code == 1
+        blob = json.loads(result.stderr)
+        assert blob["error"] == "error"
+        assert str(blocker) in blob["message"]
 
     def test_register_capacity_exit_code(self, tmp_path):
         cfg = _write_config(tmp_path, {

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,11 +13,14 @@ from screwclock import (
     build_schedule,
     fringe_scan,
     optimize_atom_number,
+    parse_config,
     phase_sensitivity,
     precision_report,
+    resolve_physics,
     sql_baseline,
     survival_probability,
 )
+from screwclock.cli import run_command
 
 
 def _grid(n, t, periods=2.0, points=81):
@@ -199,3 +203,25 @@ class TestOptimizeAtomNumber:
     def test_empty_range_rejected(self):
         with pytest.raises(ParameterError):
             optimize_atom_number(DecoherenceParams(1.0, 1.0), 0.0, 0.0, 0.1, [])
+
+    def test_default_optimum_matches_stationary_point(self, tmp_path):
+        # With duration a N + h and event rate k N + D0, d ln(C(N) N) / dN = 0
+        # gives 2 a k N^2 + (k h + a D0) N - 1 = 0.
+        bundle = resolve_physics(parse_config(None))
+        a = 2.0 * (bundle.transport_time + bundle.gate_time)
+        h = bundle.ramsey_time + 7.0 * bundle.pulse_time
+        params = bundle.decoherence
+        k = 1.0 / params.tau_scatter_clock
+        d0 = 1.0 / params.tau_scatter_head + params.extra_loss_rate
+        b = k * h + a * d0
+        root = (-b + math.sqrt(b * b + 8.0 * a * k)) / (4.0 * a * k)
+        assert root == pytest.approx(252.6, abs=0.05)
+        n_opt, _ = optimize_atom_number(
+            params, bundle.gate_time, bundle.transport_time, bundle.ramsey_time,
+            range(1, 2001), pulse_time=bundle.pulse_time,
+        )
+        assert abs(n_opt - root) <= 1.0
+
+        run_command("optimize", parse_config(None), tmp_path)
+        meta = json.loads((tmp_path / "optimize.meta.json").read_text())
+        assert meta["n_opt"] == 236

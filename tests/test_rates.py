@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from screwclock import (
     CODATA,
@@ -14,6 +16,7 @@ from screwclock import (
     overlap_depth,
     phase_gate_duration,
     photon_scattering_time,
+    schedule_duration,
     survival_probability,
     trap_frequencies,
 )
@@ -152,6 +155,32 @@ class TestBuildSchedule:
         for i in range(5):
             expected += [("transport", i), ("phase_gate", i)]
         assert pairs == expected + expected
+
+
+_TIMES = st.floats(min_value=0.0, max_value=1e3, allow_subnormal=False)
+
+
+class TestScheduleDuration:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 2000), _TIMES, _TIMES, _TIMES, _TIMES)
+    def test_closed_form_matches_summed_steps(self, n, gate, transport, ramsey, pulse):
+        schedule = build_schedule(n, gate, transport, ramsey, pulse)
+        assert len(schedule.steps) == 4 * n + 8
+        summed = sum(step.duration for step in schedule.steps)
+        assert math.isclose(summed, schedule.total_duration, rel_tol=1e-12, abs_tol=0.0)
+
+    def test_array_atom_numbers(self):
+        ns = np.array([1, 10, 100])
+        expected = [build_schedule(n, 2e-5, 1e-5, 0.5, 1e-7).total_duration for n in (1, 10, 100)]
+        assert schedule_duration(ns, 2e-5, 1e-5, 0.5, 1e-7).tolist() == expected
+
+    @pytest.mark.parametrize("field", ["gate_time", "transport_time", "ramsey_time", "pulse_time"])
+    @pytest.mark.parametrize("value", [-1e-6, math.nan])
+    def test_negative_or_nan_time_rejected(self, field, value):
+        times = {"gate_time": 1e-5, "transport_time": 1e-5, "ramsey_time": 0.1, "pulse_time": 0.0}
+        times[field] = value
+        with pytest.raises(ParameterError):
+            build_schedule(3, **times)
 
 
 class TestSurvivalProbability:

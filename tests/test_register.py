@@ -7,7 +7,6 @@ import pytest
 from screwclock import (
     CapacityError,
     ParameterError,
-    backend_crosscheck,
     final_reference,
     ghz_reference,
     init_register,
@@ -17,7 +16,9 @@ from screwclock import (
     state_fidelity,
     state_overlap,
 )
-from screwclock.register import HADAMARD, apply_gate, random_gate_sequence
+from screwclock.register import HADAMARD, apply_gate
+
+from conftest import backend_crosscheck, random_gate_sequence
 
 
 class TestInitRegister:

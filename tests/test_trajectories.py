@@ -6,7 +6,7 @@ import pytest
 from screwclock import (
     DecoherenceParams,
     build_schedule,
-    sample_noisy_trajectory,
+    run_protocol,
     sample_trajectory_batch,
     survival_probability,
 )
@@ -19,47 +19,30 @@ def _schedule(n, ramsey=0.01):
 def test_zero_rates_never_scatter():
     params = DecoherenceParams(math.inf, math.inf, 0.0)
     schedule = _schedule(4, ramsey=1.0)
-    out = sample_noisy_trajectory(4, schedule, params, delta_omega=0.3, seed=99)
-    assert not out.scattered
-    assert out.event is None
+    exact = run_protocol(4, backend="branch", delta_omega=0.3, ramsey_time=1.0).p_up
     chi = 4 * 0.3 * 1.0
-    assert out.p_up == pytest.approx(math.sin(chi / 2) ** 2, abs=1e-10)
+    assert exact == pytest.approx(math.sin(chi / 2) ** 2, abs=1e-10)
+    p_up, scattered = sample_trajectory_batch(4, schedule, params, 100, seed=99, p_up_noiseless=exact)
+    assert not scattered.any()
+    assert np.all(p_up == exact)
 
 
 def test_same_seed_same_outcome():
     params = DecoherenceParams(0.5, 1.0, 0.2)
     schedule = _schedule(10, ramsey=0.05)
-    a = sample_noisy_trajectory(10, schedule, params, seed=1234)
-    b = sample_noisy_trajectory(10, schedule, params, seed=1234)
-    assert a == b
+    a = sample_trajectory_batch(10, schedule, params, 200, seed=1234, p_up_noiseless=0.3)
+    b = sample_trajectory_batch(10, schedule, params, 200, seed=1234, p_up_noiseless=0.3)
+    assert a[1].any() and not a[1].all()
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[1], b[1])
 
 
 def test_scattered_trajectory_reads_half():
     params = DecoherenceParams(1e-6, 1e-6)  # certain scattering
     schedule = _schedule(5, ramsey=1.0)
-    out = sample_noisy_trajectory(5, schedule, params, seed=0)
-    assert out.scattered
-    assert out.p_up == 0.5
-    assert out.event is not None
-    assert 0.0 <= out.event.time < schedule.total_duration
-
-
-def test_event_targets_are_well_formed():
-    params = DecoherenceParams(1e-5, 1e-5, extra_loss_rate=1e4)
-    schedule = _schedule(6, ramsey=1.0)
-    seen = set()
-    for seed in range(200):
-        out = sample_noisy_trajectory(6, schedule, params, seed=seed)
-        if out.event is None:
-            continue
-        target = out.event.target
-        if isinstance(target, int):
-            assert 0 <= target < 6
-            seen.add("clock")
-        else:
-            assert target in ("head", "extra")
-            seen.add(target)
-    assert "clock" in seen and "head" in seen
+    p_up, scattered = sample_trajectory_batch(5, schedule, params, 100, seed=0, p_up_noiseless=0.9)
+    assert scattered.all()
+    assert np.all(p_up == 0.5)
 
 
 def test_scattered_fraction_matches_survival_formula():
