@@ -24,17 +24,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ClockSimError, ParameterError
 
 DENSE_ATOM_CAP = 14        # 2^15 amplitudes at the default cap
 BRANCH_PRUNE_TOL = 1e-14   # branches below this amplitude are dropped
 BRANCH_ALIGN_TOL = 1e-14   # head component treated as zero below this
 BRANCH_MERGE_MAX_RANK = 64  # skip O(rank^2 N) merging above this rank
+READOUT_TOL = 1e-9         # head probabilities may miss [0, 1] and sum 1 by this
 _UNITARY_TOL = 1e-12
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
-PROTOCOL_CHECKPOINTS = ("superposition", "entangled", "ghz", "evolved", "final")
+GATE_KINDS = ("clock_rotation", "head_rotation", "phase_gate", "phase_pass", "free_evolution")
+
+
+def _odd_sites(sites, n_atoms: int) -> np.ndarray:
+    """Sorted clock sites a pass flips: each one listed an odd number of times.
+
+    Phase gates commute and square to 1: two on one site cancel, in a pass as in sequence.
+    """
+    listed = np.asarray(sites, dtype=np.intp)
+    outside = listed[(listed < 0) | (listed >= n_atoms)]
+    if outside.size:
+        raise ParameterError(f"site {outside[0]} out of range for {n_atoms} atoms")
+    return np.flatnonzero(np.bincount(listed, minlength=n_atoms) & 1)
 
 
 def _check_unitary(matrix) -> np.ndarray:
@@ -92,13 +105,20 @@ class DenseState:
         return self
 
     def apply_phase_gate(self, site: int) -> "DenseState":
-        if not 0 <= site < self.n_atoms:
-            raise ParameterError(f"site {site} out of range for {self.n_atoms} atoms")
-        psi = self._tensor()
-        index = [slice(None)] * (self.n_atoms + 1)
-        index[0] = 1                      # head up
-        index[self.n_atoms - site] = 1    # clock bit raised
-        psi[tuple(index)] *= -1.0
+        return self.apply_phase_pass((site,))
+
+    def apply_phase_pass(self, sites) -> "DenseState":
+        """Phase gates from the head onto every listed clock site, as one sign mask.
+
+        The head-up amplitude of clock index p changes sign when p raises an
+        odd number of the flipped sites (see :func:`_odd_sites`).
+        """
+        flip = _odd_sites(sites, self.n_atoms)
+        clock = np.arange(2 ** self.n_atoms)
+        parity = np.zeros_like(clock)
+        for site in flip:
+            parity ^= clock >> site
+        self.amplitudes[2 ** self.n_atoms:][parity & 1 == 1] *= -1.0
         return self
 
     def apply_free_evolution(self, delta_omega: float, delta_omega_head: float, t: float) -> "DenseState":
@@ -170,52 +190,35 @@ class BranchState:
         return self
 
     def apply_phase_gate(self, site: int) -> "BranchState":
-        if not 0 <= site < self.n_atoms:
-            raise ParameterError(f"site {site} out of range for {self.n_atoms} atoms")
-        b = self._b
-        w_down = np.abs(b.head[:, 0])
-        w_up = np.abs(b.head[:, 1])
+        return self.apply_phase_pass((site,))
 
-        aligned_down = w_up <= BRANCH_ALIGN_TOL
-        aligned_up = w_down <= BRANCH_ALIGN_TOL
-        if np.all(aligned_down | aligned_up):
-            # No head superposition anywhere: apply Z in place, no splits.
-            b.clock[aligned_up, site, 1] *= -1.0
+    def apply_phase_pass(self, sites) -> "BranchState":
+        """Phase gates from the head onto every listed clock site, as one operation.
+
+        A branch whose head is superposed splits once into its head-down and
+        head-up parts, in branch order with the down part first; aligned
+        heads are re-pinned to the basis axis. Every head-up branch then
+        negates the |1> component of each flipped site (see :func:`_odd_sites`).
+        """
+        flip = _odd_sites(sites, self.n_atoms)
+        if flip.size == 0:
             return self
-
-        new_amps, new_clock, new_head = [], [], []
-        for i in range(b.amps.shape[0]):
-            if w_up[i] <= BRANCH_ALIGN_TOL:
-                # Head is down: gate acts as identity. Re-pin the factor to
-                # the basis axis so later gates see an aligned head.
-                amp = b.amps[i] * b.head[i, 0]
-                new_amps.append(amp)
-                new_clock.append(b.clock[i])
-                new_head.append([1.0, 0.0])
-            elif w_down[i] <= BRANCH_ALIGN_TOL:
-                amp = b.amps[i] * b.head[i, 1]
-                clock = b.clock[i].copy()
-                clock[site, 1] *= -1.0
-                new_amps.append(amp)
-                new_clock.append(clock)
-                new_head.append([0.0, 1.0])
-            else:
-                # Superposed head: split into head-basis-aligned branches.
-                new_amps.append(b.amps[i] * b.head[i, 0])
-                new_clock.append(b.clock[i])
-                new_head.append([1.0, 0.0])
-                clock = b.clock[i].copy()
-                clock[site, 1] *= -1.0
-                new_amps.append(b.amps[i] * b.head[i, 1])
-                new_clock.append(clock)
-                new_head.append([0.0, 1.0])
-
-        self._b = _Branches(
-            np.array(new_amps, dtype=complex),
-            np.array(new_clock, dtype=complex),
-            np.array(new_head, dtype=complex),
-        )
-        self._prune_and_merge()
+        b = self._b
+        down = np.abs(b.head[:, 1]) <= BRANCH_ALIGN_TOL
+        up = ~down & (np.abs(b.head[:, 0]) <= BRANCH_ALIGN_TOL)
+        split = not np.all(down | up)
+        if split:
+            parts = np.stack([~up, ~down], axis=1)  # per branch: (down part, up part)
+            rows, up_part = np.nonzero(parts)
+            b = self._b = _Branches(
+                (b.amps[:, None] * b.head)[parts],
+                b.clock[rows],
+                np.eye(2, dtype=complex)[up_part],
+            )
+            up = up_part == 1
+        b.clock[np.flatnonzero(up)[:, None], flip, 1] *= -1.0
+        if split:
+            self._prune_and_merge()
         return self
 
     def apply_free_evolution(self, delta_omega: float, delta_omega_head: float, t: float) -> "BranchState":
@@ -259,11 +262,16 @@ class BranchState:
         self._b = b
 
     def head_readout(self) -> tuple[float, float]:
+        """(p_down, p_up); rounding within READOUT_TOL is clamped, more raises."""
         b = self._b
         gram = np.einsum("inc,jnc->ijn", b.clock.conj(), b.clock).prod(axis=2)
         weighted = b.amps.conj()[:, None] * b.amps[None, :] * gram
         p_down = float(np.real(np.sum(weighted * (b.head.conj()[:, 0, None] * b.head[None, :, 0]))))
         p_up = float(np.real(np.sum(weighted * (b.head.conj()[:, 1, None] * b.head[None, :, 1]))))
+        drift = max(-p_down, -p_up, abs(p_down + p_up - 1.0))
+        if drift > READOUT_TOL:
+            raise ClockSimError(f"branch register norm drifted: head readout p_down={p_down!r}, "
+                                f"p_up={p_up!r} is {drift:.3e} away from a probability distribution")
         return min(max(p_down, 0.0), 1.0), min(max(p_up, 0.0), 1.0)
 
     def norm(self) -> float:
@@ -306,17 +314,11 @@ def init_register(n_atoms: int, backend: str = "dense", dense_cap: int = DENSE_A
 
 
 def apply_gate(state: RegisterState, gate: tuple) -> RegisterState:
-    """Dispatch one gate tuple onto a state (both backends)."""
-    kind = gate[0]
-    if kind == "clock_rotation":
-        return state.apply_clock_rotation(gate[1])
-    if kind == "head_rotation":
-        return state.apply_head_rotation(gate[1])
-    if kind == "phase_gate":
-        return state.apply_phase_gate(gate[1])
-    if kind == "free_evolution":
-        return state.apply_free_evolution(gate[1], gate[2], gate[3])
-    raise ParameterError(f"unknown gate kind {kind!r}")
+    """Apply one gate tuple ``(kind, *args)`` as ``state.apply_<kind>(*args)`` (both backends)."""
+    kind, *args = gate
+    if kind not in GATE_KINDS:
+        raise ParameterError(f"unknown gate kind {kind!r}")
+    return getattr(state, f"apply_{kind}")(*args)
 
 
 def protocol_gates(
@@ -327,22 +329,20 @@ def protocol_gates(
 ) -> list[tuple[str | None, tuple]]:
     """Full noiseless gate sequence, with checkpoint labels after stages.
 
-    A generalized pi/2 pulse is (H on all clocks, P_0..P_{N-1}, H on all
-    clocks, H on head); the first pulse takes the product state to the
-    GHZ state and the second one brings the Ramsey phase chi back onto
+    A generalized pi/2 pulse is (H on all clocks, the phase pass P_0..P_{N-1},
+    H on all clocks, H on head); the first pulse takes the product state to
+    the GHZ state and the second one brings the Ramsey phase chi back onto
     the head qubit alone.
     """
     seq: list[tuple[str | None, tuple]] = []
     seq.append((None, ("clock_rotation", HADAMARD)))
     seq.append(("superposition", ("head_rotation", HADAMARD)))
-    for site in range(n_atoms):
-        label = "entangled" if site == n_atoms - 1 else None
-        seq.append((label, ("phase_gate", site)))
+    every_site = np.arange(n_atoms)  # an array, so each pass skips a list-to-array copy
+    seq.append(("entangled", ("phase_pass", every_site)))
     seq.append(("ghz", ("clock_rotation", HADAMARD)))
     seq.append(("evolved", ("free_evolution", delta_omega, delta_omega_head, ramsey_time)))
     seq.append((None, ("clock_rotation", HADAMARD)))
-    for site in range(n_atoms):
-        seq.append((None, ("phase_gate", site)))
+    seq.append((None, ("phase_pass", every_site)))
     seq.append((None, ("clock_rotation", HADAMARD)))
     seq.append(("final", ("head_rotation", HADAMARD)))
     return seq

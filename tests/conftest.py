@@ -1,11 +1,14 @@
-"""Shared fixtures: the Sr/Al parameter set used across the suite, and the
-random-gate-sequence helpers behind the backend differential tests."""
+"""Shared fixtures: the Sr/Al parameter set used across the suite, the
+random-gate-sequence helpers behind the backend differential tests, and the
+per-site phase gate that the whole-pass gates are tested against."""
 
 import numpy as np
 import pytest
 
-from screwclock import CODATA, CapacityError, LatticeConfig, SpeciesOptics, init_register
-from screwclock.register import apply_gate
+from screwclock import (
+    CODATA, CapacityError, LatticeConfig, ParameterError, SpeciesOptics, init_register,
+)
+from screwclock.register import BRANCH_ALIGN_TOL, _Branches, apply_gate
 
 # Reference parameter set: Sr clock atoms with an Al head at the 389.9 nm
 # blue magic wavelength, misbalance delta = 1/4.
@@ -107,3 +110,58 @@ def backend_crosscheck(
     phase_a = va[ref] / abs(va[ref]) if va[ref] != 0 else 1.0
     phase_b = vb[ref] / abs(vb[ref]) if vb[ref] != 0 else 1.0
     return float(np.max(np.abs(va / phase_a - vb / phase_b)))
+
+
+def reference_phase_gate(state, site: int):
+    """One phase gate P_site on a branch state, a branch at a time.
+
+    The per-site reference for ``BranchState.apply_phase_pass``: a branch
+    whose head is superposed splits into its head-down part and its head-up
+    part (in that order), aligned heads are re-pinned to the basis axis, and
+    head-up branches negate the |1> component of ``site``.
+    """
+    if not 0 <= site < state.n_atoms:
+        raise ParameterError(f"site {site} out of range for {state.n_atoms} atoms")
+    b = state._b
+    w_down = np.abs(b.head[:, 0])
+    w_up = np.abs(b.head[:, 1])
+
+    aligned_down = w_up <= BRANCH_ALIGN_TOL
+    aligned_up = w_down <= BRANCH_ALIGN_TOL
+    if np.all(aligned_down | aligned_up):
+        # No head superposition anywhere: apply Z in place, no splits.
+        b.clock[aligned_up, site, 1] *= -1.0
+        return state
+
+    new_amps, new_clock, new_head = [], [], []
+    for i in range(b.amps.shape[0]):
+        if w_up[i] <= BRANCH_ALIGN_TOL:
+            # Head is down: gate acts as identity. Re-pin the factor to
+            # the basis axis so later gates see an aligned head.
+            new_amps.append(b.amps[i] * b.head[i, 0])
+            new_clock.append(b.clock[i])
+            new_head.append([1.0, 0.0])
+        elif w_down[i] <= BRANCH_ALIGN_TOL:
+            clock = b.clock[i].copy()
+            clock[site, 1] *= -1.0
+            new_amps.append(b.amps[i] * b.head[i, 1])
+            new_clock.append(clock)
+            new_head.append([0.0, 1.0])
+        else:
+            # Superposed head: split into head-basis-aligned branches.
+            new_amps.append(b.amps[i] * b.head[i, 0])
+            new_clock.append(b.clock[i])
+            new_head.append([1.0, 0.0])
+            clock = b.clock[i].copy()
+            clock[site, 1] *= -1.0
+            new_amps.append(b.amps[i] * b.head[i, 1])
+            new_clock.append(clock)
+            new_head.append([0.0, 1.0])
+
+    state._b = _Branches(
+        np.array(new_amps, dtype=complex),
+        np.array(new_clock, dtype=complex),
+        np.array(new_head, dtype=complex),
+    )
+    state._prune_and_merge()
+    return state

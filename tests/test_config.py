@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from screwclock import ConfigError, parse_config, serialize_config
-from screwclock.config import apply_override, config_hash
+from screwclock.config import BACKENDS, apply_override, config_hash
 
 
 class TestDefaults:
@@ -103,6 +105,25 @@ class TestRoundTrip:
         cfg = parse_config(None)
         text = json.dumps(serialize_config(cfg))
         assert parse_config(text) == cfg
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_atoms=st.integers(1, 10**9),
+        intensity=st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        phi=st.floats(allow_nan=False, allow_infinity=False),
+        delta=st.floats(-1.0, 1.0),
+        backend=st.sampled_from(BACKENDS),
+        seed=st.integers(0, 2**64),
+        trajectories=st.integers(0, 10**12),
+    )
+    def test_round_trip_property(self, n_atoms, intensity, phi, delta, backend, seed, trajectories):
+        cfg = parse_config({
+            "lattice": {"intensity_kW_cm2": intensity, "phi_rad": phi, "delta": delta},
+            "protocol": {"n_atoms": n_atoms},
+            "run": {"backend": backend, "seed": seed, "trajectories": trajectories},
+        })
+        assert parse_config(serialize_config(cfg)) == cfg
+        assert parse_config(json.dumps(serialize_config(cfg), allow_nan=False)) == cfg
 
 
 class TestOverrides:

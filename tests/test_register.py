@@ -3,9 +3,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from screwclock import (
     CapacityError,
+    ClockSimError,
     ParameterError,
     final_reference,
     ghz_reference,
@@ -18,7 +21,11 @@ from screwclock import (
 )
 from screwclock.register import HADAMARD, apply_gate
 
-from conftest import backend_crosscheck, random_gate_sequence
+from conftest import backend_crosscheck, random_gate_sequence, reference_phase_gate
+
+
+def _superposed(n, backend):
+    return init_register(n, backend).apply_clock_rotation(HADAMARD).apply_head_rotation(HADAMARD)
 
 
 class TestInitRegister:
@@ -132,6 +139,62 @@ class TestPhaseGate:
             init_register(3, "branch").apply_phase_gate(-1)
 
 
+class TestPhasePass:
+    @pytest.mark.parametrize("backend", ["dense", "branch"])
+    def test_duplicate_sites_cancel(self, backend):
+        once = _superposed(4, backend).apply_phase_pass((2,)).to_vector()
+        thrice_and_twice = _superposed(4, backend).apply_phase_pass((1, 2, 2, 1, 2)).to_vector()
+        np.testing.assert_allclose(thrice_and_twice, once, atol=1e-15)
+        twice = _superposed(4, backend).apply_phase_pass((3, 3)).to_vector()
+        np.testing.assert_allclose(twice, _superposed(4, backend).to_vector(), atol=1e-15)
+
+    @pytest.mark.parametrize("backend", ["dense", "branch"])
+    @pytest.mark.parametrize("sites", [(0, 4), (-1,), (2, 9, 1)])
+    def test_site_out_of_range(self, backend, sites):
+        with pytest.raises(ParameterError):
+            init_register(4, backend).apply_phase_pass(sites)
+
+    @pytest.mark.parametrize("backend", ["dense", "branch"])
+    def test_empty_pass_is_identity(self, backend):
+        state = _superposed(4, backend)
+        before = state.to_vector()
+        state.apply_phase_pass(())
+        assert np.array_equal(state.to_vector(), before)
+        if backend == "branch":
+            assert state.rank == 1
+
+    def test_unknown_gate_kind_rejected(self):
+        with pytest.raises(ParameterError):
+            apply_gate(init_register(2, "branch"), ("swap", 0, 1))
+
+    def test_protocol_applies_each_entangling_pass_as_one_gate(self):
+        seq = protocol_gates(5, 0.3, 0.1, 1.0)
+        passes = [(label, gate) for label, gate in seq if gate[0] == "phase_pass"]
+        assert [label for label, _ in passes] == ["entangled", None]
+        assert all(list(gate[1]) == list(range(5)) for _, gate in passes)
+        assert not any(gate[0] == "phase_gate" for _, gate in seq)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_pass_matches_sequential_reference_gates(self, data):
+        n = data.draw(st.integers(1, 7), label="n_atoms")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        prefix = random_gate_sequence(n, n_gates=25, seed=seed)[: data.draw(st.integers(0, 25))]
+        sites = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n), label="sites")
+        dense = init_register(n, "dense")
+        branch = init_register(n, "branch")
+        for gate in prefix:
+            apply_gate(dense, gate)
+            apply_gate(branch, gate)
+        reference = branch.copy()
+        for site in sites:
+            reference_phase_gate(reference, site)
+        branch.apply_phase_pass(sites)
+        dense.apply_phase_pass(sites)
+        assert np.abs(branch.to_vector() - reference.to_vector()).max() <= 1e-12
+        assert np.abs(dense.to_vector() - branch.to_vector()).max() <= 1e-9
+
+
 class TestFreeEvolution:
     def test_zero_time_is_identity(self):
         state = ghz_reference(4, "dense")
@@ -226,6 +289,19 @@ class TestHeadReadout:
         assert pu_b == pytest.approx(pu_d, abs=1e-10)
         assert pd_b == pytest.approx(pd_d, abs=1e-10)
 
+    # Scaled by 1.1: p_down = 1.21 outside [0, 1]; or 0.605 each, summing to 1.21.
+    @pytest.mark.parametrize("make", [init_register, ghz_reference])
+    def test_norm_drift_raises(self, make):
+        state = make(3, "branch")
+        state._b.amps = state._b.amps * 1.1
+        with pytest.raises(ClockSimError, match="drifted"):
+            state.head_readout()
+
+    def test_large_register_reads_within_tolerance(self):
+        n, dw, t = 10_000, 1e-2, 0.01  # chi = 1
+        _, p_up = run_protocol(n, "branch", dw, 0.0, t).final.head_readout()
+        assert p_up == pytest.approx(math.sin(0.5) ** 2, abs=1e-9)
+
 
 class TestFringeLaw:
     @pytest.mark.parametrize("n", [1, 2, 5, 10])
@@ -261,6 +337,16 @@ class TestBackendCrosscheck:
     @pytest.mark.parametrize("seed", range(10))
     def test_random_sequences(self, seed):
         assert backend_crosscheck(8, seed=seed) < 1e-9
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_sequences_with_phase_passes(self, seed):
+        n = 8
+        rng = np.random.default_rng(seed + 1000)
+        gates = random_gate_sequence(n, seed=seed)
+        for _ in range(4):
+            sites = tuple(int(s) for s in rng.integers(n, size=int(rng.integers(0, 2 * n))))
+            gates.insert(int(rng.integers(len(gates) + 1)), ("phase_pass", sites))
+        assert backend_crosscheck(n, gates=gates) < 1e-9
 
     def test_size_guard(self):
         with pytest.raises(CapacityError):
