@@ -57,7 +57,7 @@ from .register import (
     state_fidelity,
     state_overlap,
 )
-from .trajectories import sample_trajectory_batch
+from .trajectories import sample_scatter_count
 from .estimator import (
     AtomNumberCurve,
     FringeScan,

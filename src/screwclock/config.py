@@ -18,6 +18,7 @@ from .errors import ConfigError
 
 BACKENDS = ("dense", "branch")
 ROLES = ("clock", "head_up", "head_down")
+MAX_TRAJECTORIES = 2**63 - 1   # numpy draws binomial counts in int64
 
 KW_CM2_TO_W_M2 = 1e7
 
@@ -239,6 +240,8 @@ def _parse_run(data: dict, path: str) -> RunSection:
     _require(backend in BACKENDS, f"{path}.backend", f"must be one of {BACKENDS}")
     trajectories = _as_int(data.get("trajectories", d.trajectories), f"{path}.trajectories")
     _require(trajectories >= 0, f"{path}.trajectories", "must be >= 0")
+    _require(trajectories <= MAX_TRAJECTORIES, f"{path}.trajectories",
+             f"must be <= 2^63 - 1 = {MAX_TRAJECTORIES}, got {trajectories}")
     seed = _as_int(data.get("seed", d.seed), f"{path}.seed")
     _require(seed >= 0, f"{path}.seed", "must be >= 0")
     dmin = _as_number(data.get("detuning_min_rad_s", d.detuning_min_rad_s),

@@ -19,7 +19,7 @@ from scipy.optimize import OptimizeWarning, curve_fit
 from .errors import DegenerateFringeError, ParameterError
 from .rates import DecoherenceParams, ProtocolSchedule, schedule_duration
 from .register import run_protocol
-from .trajectories import sample_trajectory_batch
+from .trajectories import sample_scatter_count
 
 _FLAT_TOL = 1e-12
 
@@ -85,7 +85,8 @@ def fringe_scan(
 
     Noiseless scans return the exact per-point probability. With a noise
     model, each point is the mean over ``trajectories`` Monte Carlo
-    trajectories, sampled from a per-point substream of ``seed``.
+    trajectories, from one scatter count drawn on a per-point substream of
+    ``seed``.
     """
     grid = np.asarray(detunings, dtype=float)
     if grid.size == 0:
@@ -109,10 +110,9 @@ def fringe_scan(
         if noise is None:
             values[i] = exact
         else:
-            p_up, _ = sample_trajectory_batch(
-                n_atoms, schedule, noise, trajectories, seed=[seed, i], p_up_noiseless=exact
-            )
-            values[i] = p_up.mean()
+            # Mean of K halves and (n - K) noiseless values.
+            scattered = sample_scatter_count(n_atoms, schedule, noise, trajectories, seed=[seed, i])
+            values[i] = exact + (0.5 - exact) * (scattered / trajectories)
     return FringeScan(
         detunings=tuple(float(x) for x in grid),
         p_up=tuple(float(p) for p in values),

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import CapacityError, ClockSimError, ParameterError
 
 DENSE_ATOM_CAP = 14        # 2^15 amplitudes at the default cap
+DENSE_BLOCK_BITS = 3       # clock qubits per matrix product in a dense rotation
 BRANCH_PRUNE_TOL = 1e-14   # branches below this amplitude are dropped
 BRANCH_ALIGN_TOL = 1e-14   # head component treated as zero below this
 BRANCH_MERGE_MAX_RANK = 64  # skip O(rank^2 N) merging above this rank
@@ -87,21 +88,30 @@ class DenseState:
         # Axis 0 is the head; axis a in 1..N is clock bit j = N - a.
         return self.amplitudes.reshape([2] * (self.n_atoms + 1))
 
-    def _apply_on_axis(self, matrix: np.ndarray, axis: int):
-        psi = self._tensor()
-        psi = np.tensordot(matrix, psi, axes=([1], [axis]))
-        psi = np.moveaxis(psi, 0, axis)
-        self.amplitudes = np.ascontiguousarray(psi).reshape(-1)
-
     def apply_clock_rotation(self, matrix) -> "DenseState":
+        """Rotate every clock qubit, up to DENSE_BLOCK_BITS at a time.
+
+        Each step applies the k-fold Kronecker power of m to the k lowest
+        index bits and cycles them to the top of the index, in one matrix
+        product; once all N clock bits have cycled, the head bit is lowest
+        and one transpose puts it back.
+        """
         m = _check_unitary(matrix)
-        for axis in range(1, self.n_atoms + 1):
-            self._apply_on_axis(m, axis)
+        blocks = [m]
+        while len(blocks) < min(DENSE_BLOCK_BITS, self.n_atoms):
+            # np.kron(blocks[-1], m), without its per-call overhead
+            d = 2 * blocks[-1].shape[0]
+            blocks.append((blocks[-1][:, None, :, None] * m[None, :, None, :]).reshape(d, d))
+        a = self.amplitudes
+        for low in range(0, self.n_atoms, DENSE_BLOCK_BITS):
+            k = min(DENSE_BLOCK_BITS, self.n_atoms - low)
+            a = (blocks[k - 1] @ a.reshape(-1, 2 ** k).T).reshape(-1)
+        self.amplitudes = a.reshape(-1, 2).T.reshape(-1)
         return self
 
     def apply_head_rotation(self, matrix) -> "DenseState":
         m = _check_unitary(matrix)
-        self._apply_on_axis(m, 0)
+        self.amplitudes = (m @ self.amplitudes.reshape(2, -1)).reshape(-1)
         return self
 
     def apply_phase_gate(self, site: int) -> "DenseState":
@@ -181,7 +191,7 @@ class BranchState:
 
     def apply_clock_rotation(self, matrix) -> "BranchState":
         m = _check_unitary(matrix)
-        self._b.clock = np.einsum("ab,rnb->rna", m, self._b.clock)
+        self._b.clock = self._b.clock @ m.T
         return self
 
     def apply_head_rotation(self, matrix) -> "BranchState":

@@ -3,10 +3,14 @@
 A single scattering event anywhere in the register (any clock atom, the
 head, or the aggregate extra-loss channel) during the schedule is assumed
 to decohere the fringe completely, so a trajectory either reproduces the
-noiseless readout probability or returns 1/2.
+noiseless readout probability or returns 1/2. Trajectories are independent
+and scatter with the same probability, so a batch is summarized exactly by
+its scatter count, one binomial draw.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -14,29 +18,24 @@ from .errors import ParameterError
 from .rates import DecoherenceParams, ProtocolSchedule
 
 
-def sample_trajectory_batch(
+def sample_scatter_count(
     n_atoms: int,
     schedule: ProtocolSchedule,
     params: DecoherenceParams,
     n_trajectories: int,
     seed,
-    p_up_noiseless: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized batch of trajectories: (p_up array, scattered bool array).
+) -> int:
+    """Number of ``n_trajectories`` trajectories that scatter during the schedule.
 
-    A trajectory scatters when the first arrival of the total Poisson
-    event process falls inside the schedule; all first-arrival times are
-    drawn from one seeded stream. ``seed`` may be an int or a sequence of
-    ints.
+    A trajectory scatters when the first arrival of the total Poisson event
+    process falls inside the schedule, with probability
+    q = 1 - exp(-duration * rate); the count is one Binomial(n, q) draw from
+    ``default_rng(seed)``. ``seed`` may be an int or a sequence of ints.
     """
     if n_trajectories < 1:
         raise ParameterError("n_trajectories must be >= 1")
-    rng = np.random.default_rng(seed)
     rate = params.total_rate(n_atoms)
     if rate <= 0.0:
-        scattered = np.zeros(n_trajectories, dtype=bool)
-    else:
-        times = rng.exponential(1.0 / rate, size=n_trajectories)
-        scattered = times < schedule.total_duration
-    p_up = np.where(scattered, 0.5, p_up_noiseless)
-    return p_up, scattered
+        return 0
+    q = -math.expm1(-schedule.total_duration * rate)
+    return int(np.random.default_rng(seed).binomial(n_trajectories, q))

@@ -1,6 +1,7 @@
 """Shared fixtures: the Sr/Al parameter set used across the suite, the
 random-gate-sequence helpers behind the backend differential tests, and the
-per-site phase gate that the whole-pass gates are tested against."""
+slow reference paths the fast ones are tested against: the per-site phase
+gate, the per-axis dense rotation and the per-trajectory sampler."""
 
 import numpy as np
 import pytest
@@ -52,6 +53,13 @@ def reference_lattice():
                          phi=0.0, transverse_intensity=MIN_INTENSITY)
 
 
+def haar_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Haar-random 2x2 unitary."""
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
 def random_gate_sequence(n_atoms: int, n_gates: int = 50, seed: int | None = None) -> list[tuple]:
     """Random sequence from the supported gate set, for differential testing.
 
@@ -66,11 +74,6 @@ def random_gate_sequence(n_atoms: int, n_gates: int = 50, seed: int | None = Non
     kinds += [("clock_rotation" if rng.random() < 0.5 else "head_rotation") for _ in range(n_rot)]
     rng.shuffle(kinds)
 
-    def haar_unitary() -> np.ndarray:
-        z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        q, r = np.linalg.qr(z)
-        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
     gates: list[tuple] = []
     for kind in kinds:
         if kind == "phase_gate":
@@ -80,7 +83,7 @@ def random_gate_sequence(n_atoms: int, n_gates: int = 50, seed: int | None = Non
                 ("free_evolution", float(rng.normal()), float(rng.normal()), float(rng.random()))
             )
         else:
-            gates.append((kind, haar_unitary()))
+            gates.append((kind, haar_unitary(rng)))
     return gates
 
 
@@ -165,3 +168,31 @@ def reference_phase_gate(state, site: int):
     )
     state._prune_and_merge()
     return state
+
+
+def reference_axis_rotation(state, matrix, axis: int):
+    """Apply a 2x2 matrix to one axis of a dense state, one tensordot at a time.
+
+    The per-axis reference for ``DenseState.apply_clock_rotation`` and
+    ``apply_head_rotation``: axis 0 is the head, axis a in 1..N is clock
+    bit N - a.
+    """
+    psi = np.tensordot(np.asarray(matrix, dtype=complex), state._tensor(), axes=([1], [axis]))
+    state.amplitudes = np.ascontiguousarray(np.moveaxis(psi, 0, axis)).reshape(-1)
+    return state
+
+
+def reference_trajectory_batch(n_atoms, schedule, params, n_trajectories, seed, p_up_noiseless):
+    """Per-trajectory Monte Carlo batch: (p_up array, scattered bool array).
+
+    The reference for ``sample_scatter_count``: a trajectory scatters when
+    the first arrival of the total Poisson event process, one exponential
+    draw per trajectory, falls inside the schedule.
+    """
+    rng = np.random.default_rng(seed)
+    rate = params.total_rate(n_atoms)
+    if rate <= 0.0:
+        scattered = np.zeros(n_trajectories, dtype=bool)
+    else:
+        scattered = rng.exponential(1.0 / rate, size=n_trajectories) < schedule.total_duration
+    return np.where(scattered, 0.5, p_up_noiseless), scattered

@@ -28,7 +28,7 @@ from screwclock import (
     phase_sensitivity,
     photon_scattering_time,
     run_protocol,
-    sample_trajectory_batch,
+    sample_scatter_count,
     sql_baseline,
     state_fidelity,
     survival_probability,
@@ -162,10 +162,7 @@ def test_criterion_07_decoherence_consistency():
         for n, ramsey in ((10, 0.02), (100, 0.01), (1000, 0.001)):
             schedule = build_schedule(n, 17.58e-6, 10e-6, ramsey)
             expected = 1.0 - survival_probability(schedule, n, params)
-            _, scattered = sample_trajectory_batch(
-                n, schedule, params, n_traj, seed=[2718, n], p_up_noiseless=0.25
-            )
-            observed = scattered.mean()
+            observed = sample_scatter_count(n, schedule, params, n_traj, seed=[2718, n]) / n_traj
             sigma = math.sqrt(expected * (1 - expected) / n_traj)
             assert abs(observed - expected) < 3 * sigma, (
                 f"N={n}: {observed:.5f} vs {expected:.5f} (sigma {sigma:.1e})"

@@ -4,7 +4,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from screwclock import ParameterError, parse_config
+from screwclock import ParameterError, parse_config, resolve_physics, survival_probability
 from screwclock.cli import main, run_command
 from screwclock.output import read_table, write_table
 
@@ -213,6 +213,39 @@ class TestDeterminismAndErrors:
         _run(["--config", str(cfg), "--out", str(tmp_path / "a"), "scan"])
         _run(["--config", str(cfg), "--out", str(tmp_path / "b"), "scan"])
         assert (tmp_path / "a" / "scan.csv").read_bytes() == (tmp_path / "b" / "scan.csv").read_bytes()
+
+    def test_trillion_trajectory_scan_tracks_survival(self, tmp_path):
+        # One binomial draw per point: 10^12 trajectories cost no more memory
+        # than ten, and each mean sits within 5 sigma of S p + (1 - S) / 2.
+        trajectories = 10**12
+        doc = {"protocol": {"n_atoms": 4}, "run": {"backend": "dense"}}
+        cfg = _write_config(tmp_path, doc)
+        result = _run(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                       "--trajectories", str(trajectories), "scan"])
+        assert result.exit_code == 0
+        bundle = resolve_physics(parse_config(doc))
+        survival = survival_probability(bundle.schedule, 4, bundle.decoherence)
+        assert 0.0 < survival < 1.0
+        meta = json.loads((tmp_path / "o" / "scan.meta.json").read_text())
+        assert meta["trajectories_per_point"] == trajectories
+        rows = read_table(tmp_path / "o" / "scan.csv")
+        assert len(rows) == 101
+        for row in rows:
+            exact = math.sin(4 * float(row["detuning_rad_s"]) * bundle.ramsey_time / 2) ** 2
+            expected = survival * exact + (1.0 - survival) / 2.0
+            sigma = math.sqrt(survival * (1.0 - survival) / trajectories) * abs(exact - 0.5)
+            assert abs(float(row["p_up"]) - expected) <= 5 * sigma + 1e-12
+
+    def test_trajectories_beyond_int64_rejected(self, tmp_path):
+        too_many = 2**63
+        cfg = _write_config(tmp_path, {"run": {"trajectories": too_many}})
+        for args in (["--config", str(cfg)], ["--trajectories", str(too_many)]):
+            result = _run([*args, "--out", str(tmp_path / "o"), "scan"])
+            assert result.exit_code == 2
+            blob = json.loads(result.stderr)
+            assert blob["error"] == "config"
+            assert blob["field"] == "run.trajectories"
+        assert not (tmp_path / "o").exists()
 
     def test_negative_seed_rejected(self, tmp_path):
         cfg = _write_config(tmp_path, {"run": {"seed": -3}})

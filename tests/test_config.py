@@ -1,11 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from screwclock import ConfigError, parse_config, serialize_config
-from screwclock.config import BACKENDS, apply_override, config_hash
+from screwclock.config import BACKENDS, MAX_TRAJECTORIES, apply_override, config_hash
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "config.example.json"
 
 
 class TestDefaults:
@@ -23,6 +26,12 @@ class TestDefaults:
 
     def test_none_and_empty_dict_equivalent(self):
         assert parse_config(None) == parse_config({}) == parse_config("{}")
+
+    def test_example_config_is_the_defaults(self):
+        # The README's example file spells out every default.
+        example = parse_config(EXAMPLE_CONFIG)
+        assert example == parse_config(None)
+        assert json.loads(EXAMPLE_CONFIG.read_text()) == serialize_config(example)
 
 
 class TestValidation:
@@ -74,6 +83,16 @@ class TestValidation:
         ]
         with pytest.raises(ConfigError):
             parse_config({"species": species})
+
+    def test_trajectories_bounded_by_int64(self):
+        assert parse_config({"run": {"trajectories": MAX_TRAJECTORIES}}).run.trajectories == 2**63 - 1
+        for value in (MAX_TRAJECTORIES + 1, 10**30):
+            with pytest.raises(ConfigError) as excinfo:
+                parse_config({"run": {"trajectories": value}})
+            assert excinfo.value.path == "run.trajectories"
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config({"sweep": {"run.trajectories": [10, 2**63]}})
+        assert excinfo.value.path == "run.trajectories"
 
     def test_backend_choice(self):
         with pytest.raises(ConfigError) as excinfo:

@@ -21,11 +21,21 @@ from screwclock import (
 )
 from screwclock.register import HADAMARD, apply_gate
 
-from conftest import backend_crosscheck, random_gate_sequence, reference_phase_gate
+from conftest import (
+    backend_crosscheck, haar_unitary, random_gate_sequence, reference_axis_rotation,
+    reference_phase_gate,
+)
 
 
 def _superposed(n, backend):
     return init_register(n, backend).apply_clock_rotation(HADAMARD).apply_head_rotation(HADAMARD)
+
+
+def _random_dense(n, rng):
+    state = init_register(n, "dense")
+    vector = rng.normal(size=2 ** (n + 1)) + 1j * rng.normal(size=2 ** (n + 1))
+    state.amplitudes = vector / np.linalg.norm(vector)
+    return state
 
 
 class TestInitRegister:
@@ -79,6 +89,30 @@ class TestClockRotation:
         with pytest.raises(ParameterError):
             init_register(2, "branch").apply_clock_rotation([[1.0, 0.5], [0.0, 1.0]])
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 14), seed=st.integers(0, 2**32 - 1))
+    def test_dense_blocks_match_per_axis_reference(self, n, seed):
+        rng = np.random.default_rng(seed)
+        m = haar_unitary(rng)
+        state = _random_dense(n, rng)
+        reference = state.copy()
+        for axis in range(1, n + 1):
+            reference_axis_rotation(reference, m, axis)
+        state.apply_clock_rotation(m)
+        assert state.amplitudes.flags.c_contiguous
+        assert np.abs(state.amplitudes - reference.amplitudes).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_branch_matches_einsum_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        m = haar_unitary(rng)
+        state = _superposed(50, "branch")
+        state.apply_phase_pass(np.arange(0, 50, 3)).apply_clock_rotation(haar_unitary(rng))
+        expected = np.einsum("ab,rnb->rna", m, state._b.clock)
+        state.apply_clock_rotation(m)
+        assert state.rank == 2
+        assert np.abs(state._b.clock - expected).max() <= 1e-12
+
 
 class TestHeadRotation:
     def test_hadamard_on_down(self):
@@ -96,6 +130,15 @@ class TestHeadRotation:
     def test_backends_agree_on_random_states(self, seed):
         deviation = backend_crosscheck(6, seed=seed, n_gates=30)
         assert deviation < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 14])
+    def test_dense_matches_per_axis_reference(self, n):
+        rng = np.random.default_rng(n)
+        m = haar_unitary(rng)
+        state = _random_dense(n, rng)
+        reference = reference_axis_rotation(state.copy(), m, 0)
+        state.apply_head_rotation(m)
+        assert np.abs(state.amplitudes - reference.amplitudes).max() <= 1e-12
 
 
 class TestPhaseGate:
