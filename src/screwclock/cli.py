@@ -3,8 +3,7 @@
 Every command reads one JSON config (defaults apply where keys are
 omitted), writes CSV tables plus JSON metadata sidecars into the output
 directory, and exits nonzero with a machine-readable error blob on any
-physics or configuration error. Identical (config, seed) pairs produce
-byte-identical CSV bodies.
+failure. Identical (config, seed) pairs produce byte-identical CSV bodies.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .estimator import analyze_fringe, fringe_scan, optimize_atom_number, precis
 from .lattice import overlap_depth, trap_frequencies, well_depth_closed_form
 from .pipeline import PhysicsBundle, detuning_grid, probe_detuning, resolve_physics
 from .rates import photon_scattering_time, survival_probability
-from .register import protocol_references, run_protocol, state_fidelity
+from .register import BACKENDS, protocol_references, run_protocol, state_fidelity
 from .output import write_table
 
 COMMANDS = ("feasibility", "schedule", "simulate", "scan", "optimize", "sweep")
@@ -364,8 +363,9 @@ def _invoke(ctx: click.Context, command: str):
             blob["field"] = exc.path
         click.echo(json.dumps(blob), err=True)
         sys.exit(exc.exit_code)
-    except OSError as exc:
-        click.echo(json.dumps({"error": ClockSimError.code, "message": str(exc)}), err=True)
+    except Exception as exc:  # OS errors and any unexpected failure; name the exception class
+        message = f"{type(exc).__name__}: {exc}"
+        click.echo(json.dumps({"error": ClockSimError.code, "message": message}), err=True)
         sys.exit(ClockSimError.exit_code)
 
 
@@ -375,7 +375,7 @@ def _invoke(ctx: click.Context, command: str):
 @click.option("--out", type=click.Path(file_okay=False), default="out",
               help="Output directory for CSV tables and metadata sidecars.")
 @click.option("--seed", type=int, default=None, help="Override run.seed.")
-@click.option("--backend", type=click.Choice(["dense", "branch"]), default=None,
+@click.option("--backend", type=click.Choice(BACKENDS), default=None,
               help="Override run.backend.")
 @click.option("--trajectories", type=int, default=None, help="Override run.trajectories.")
 @click.option("--jobs", type=int, default=1, expose_value=False,

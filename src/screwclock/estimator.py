@@ -79,7 +79,6 @@ def fringe_scan(
     schedule: ProtocolSchedule | None = None,
     trajectories: int = 1,
     seed: int = 0,
-    dense_cap: int = 14,
 ) -> FringeScan:
     """Scan the readout probability over a detuning grid.
 
@@ -105,7 +104,6 @@ def fringe_scan(
             delta_omega=float(delta_omega),
             delta_omega_head=delta_omega_head,
             ramsey_time=ramsey_time,
-            dense_cap=dense_cap,
         ).p_up
         if noise is None:
             values[i] = exact

@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import CapacityError, ClockSimError, ParameterError
 
-DENSE_ATOM_CAP = 14        # 2^15 amplitudes at the default cap
+BACKENDS = ("dense", "branch")
+DENSE_ATOM_CAP = 14        # 2^15 amplitudes
 DENSE_BLOCK_BITS = 3       # clock qubits per matrix product in a dense rotation
 BRANCH_PRUNE_TOL = 1e-14   # branches below this amplitude are dropped
 BRANCH_ALIGN_TOL = 1e-14   # head component treated as zero below this
@@ -66,13 +67,13 @@ class DenseState:
 
     backend = "dense"
 
-    def __init__(self, n_atoms: int, cap: int = DENSE_ATOM_CAP):
+    def __init__(self, n_atoms: int):
         if n_atoms < 1:
             raise ParameterError(f"n_atoms must be >= 1, got {n_atoms}")
-        if n_atoms > cap:
+        if n_atoms > DENSE_ATOM_CAP:
             raise CapacityError(
-                f"dense backend capped at {cap} atoms "
-                f"({2 ** (cap + 1)} amplitudes); got n_atoms={n_atoms}"
+                f"dense backend capped at {DENSE_ATOM_CAP} atoms "
+                f"({2 ** (DENSE_ATOM_CAP + 1)} amplitudes); got n_atoms={n_atoms}"
             )
         self.n_atoms = n_atoms
         self.amplitudes = np.zeros(2 ** (n_atoms + 1), dtype=complex)
@@ -314,13 +315,13 @@ class BranchState:
 RegisterState = DenseState | BranchState
 
 
-def init_register(n_atoms: int, backend: str = "dense", dense_cap: int = DENSE_ATOM_CAP) -> RegisterState:
+def init_register(n_atoms: int, backend: str = "dense") -> RegisterState:
     """All-zeros clock register with the head down: |00...0>|down>."""
     if backend == "dense":
-        return DenseState(n_atoms, cap=dense_cap)
+        return DenseState(n_atoms)
     if backend == "branch":
         return BranchState(n_atoms)
-    raise ParameterError(f"unknown backend {backend!r}, expected 'dense' or 'branch'")
+    raise ParameterError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
 
 
 def apply_gate(state: RegisterState, gate: tuple) -> RegisterState:
@@ -374,10 +375,9 @@ def run_protocol(
     delta_omega: float = 0.0,
     delta_omega_head: float = 0.0,
     ramsey_time: float = 0.0,
-    dense_cap: int = DENSE_ATOM_CAP,
 ) -> ProtocolResult:
     """Run the noiseless protocol end to end, recording checkpoint states."""
-    state = init_register(n_atoms, backend, dense_cap=dense_cap)
+    state = init_register(n_atoms, backend)
     checkpoints: dict[str, RegisterState] = {}
     for label, gate in protocol_gates(n_atoms, delta_omega, delta_omega_head, ramsey_time):
         apply_gate(state, gate)
@@ -386,11 +386,11 @@ def run_protocol(
     return ProtocolResult(final=state, checkpoints=checkpoints)
 
 
-def ghz_reference(n_atoms: int, backend: str = "dense", dense_cap: int = DENSE_ATOM_CAP) -> RegisterState:
+def ghz_reference(n_atoms: int, backend: str = "dense") -> RegisterState:
     """(|0...0>|down> + |1...1>|up>) / sqrt(2)."""
     inv = 1.0 / math.sqrt(2.0)
     if backend == "dense":
-        state = DenseState(n_atoms, cap=dense_cap)
+        state = DenseState(n_atoms)
         state.amplitudes[:] = 0.0
         state.amplitudes[0] = inv
         state.amplitudes[2 ** (n_atoms + 1) - 1] = inv
@@ -404,14 +404,12 @@ def ghz_reference(n_atoms: int, backend: str = "dense", dense_cap: int = DENSE_A
     return state
 
 
-def final_reference(
-    n_atoms: int, chi: float, backend: str = "dense", dense_cap: int = DENSE_ATOM_CAP
-) -> RegisterState:
+def final_reference(n_atoms: int, chi: float, backend: str = "dense") -> RegisterState:
     """|0...0>{cos(chi/2)|down> - i sin(chi/2)|up>}, the ideal output."""
     a_down = math.cos(chi / 2.0)
     a_up = -1j * math.sin(chi / 2.0)
     if backend == "dense":
-        state = DenseState(n_atoms, cap=dense_cap)
+        state = DenseState(n_atoms)
         state.amplitudes[:] = 0.0
         state.amplitudes[0] = a_down
         state.amplitudes[2 ** n_atoms] = a_up

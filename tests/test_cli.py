@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -312,6 +313,19 @@ class TestDeterminismAndErrors:
         result = _run(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"])
         assert result.exit_code == 8
         assert json.loads(result.stderr)["error"] == "register_capacity"
+
+    @pytest.mark.parametrize("command,n_atoms", [
+        ("scan", 10**20),    # numpy refuses the dimension before allocating
+        ("scan", 10**400),   # beyond the float range
+        ("sweep", 10**400),
+    ])
+    def test_unexpected_failure_exit_code(self, tmp_path, command, n_atoms):
+        cfg = _write_config(tmp_path, {"protocol": {"n_atoms": n_atoms}})
+        result = _run(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+        assert result.exit_code == 1
+        blob = json.loads(result.stderr)
+        assert blob["error"] == "error"
+        assert re.match(r"\w+Error: .", blob["message"])
 
 
 class TestRunCommandLibrary:

@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -6,7 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from screwclock import ConfigError, parse_config, serialize_config
-from screwclock.config import BACKENDS, MAX_TRAJECTORIES, apply_override, config_hash
+from screwclock.config import (
+    BACKENDS,
+    MAX_TRAJECTORIES,
+    LatticeSection,
+    NoiseSection,
+    OptimizeSection,
+    ProtocolSection,
+    RunSection,
+    SpeciesEntry,
+    apply_override,
+    config_hash,
+)
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "config.example.json"
 
@@ -161,3 +174,72 @@ class TestOverrides:
         cfg = parse_config(None)
         with pytest.raises(ConfigError):
             apply_override(cfg, "lattice.bogus", 1.0)
+
+
+DEFAULT = parse_config(None)
+SECTIONS = {"lattice": LatticeSection, "protocol": ProtocolSection, "noise": NoiseSection,
+            "run": RunSection, "optimize": OptimizeSection}
+
+
+def _is_numeric(leaf) -> bool:
+    return leaf.type == "int" or "float" in leaf.type
+
+
+def _species_doc(leaf: str, value) -> dict:
+    species = serialize_config(DEFAULT)["species"]
+    species[0][leaf] = value
+    return {"species": species}
+
+
+NUMERIC_LEAVES = [
+    (f"{name}.{leaf.name}", lambda value, name=name, leaf=leaf.name: {name: {leaf: value}})
+    for name, cls in SECTIONS.items() for leaf in fields(cls) if _is_numeric(leaf)
+] + [
+    (f"species[0].{leaf.name}", lambda value, leaf=leaf.name: _species_doc(leaf, value))
+    for leaf in fields(SpeciesEntry) if _is_numeric(leaf)
+]
+
+
+class TestLeafTable:
+    @pytest.mark.parametrize("path,document", NUMERIC_LEAVES, ids=[p for p, _ in NUMERIC_LEAVES])
+    @pytest.mark.parametrize("value", [math.nan, "1.0", True], ids=["nan", "string", "bool"])
+    def test_numeric_leaf_rejects_non_numbers(self, path, document, value):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(document(value))
+        assert excinfo.value.path == path
+
+    def test_sweepable_leaves(self):
+        expected = {f"{name}.{leaf.name}" for name in ("lattice", "protocol", "noise")
+                    for leaf in fields(SECTIONS[name])} | {"run.seed", "run.trajectories"}
+        for name, cls in SECTIONS.items():
+            for leaf in fields(cls):
+                key = f"{name}.{leaf.name}"
+                document = {"sweep": {key: [getattr(getattr(DEFAULT, name), leaf.name)]}}
+                if key in expected:
+                    assert parse_config(document).sweep == {key: tuple(document["sweep"][key])}
+                else:
+                    with pytest.raises(ConfigError) as excinfo:
+                        parse_config(document)
+                    assert excinfo.value.path == f"sweep.{key}"
+
+    def test_override_runs_cross_field_rules(self):
+        with pytest.raises(ConfigError) as excinfo:
+            apply_override(DEFAULT, "optimize.n_min", 20000)
+        assert excinfo.value.path == "optimize.n_max"
+        with pytest.raises(ConfigError) as excinfo:
+            apply_override(DEFAULT, "run.detuning_max_rad_s", 1.0)
+        assert excinfo.value.path == "run.detuning_min_rad_s"
+
+    def test_override_keeps_other_sections_and_sweep(self):
+        cfg = parse_config({"sweep": {"protocol.n_atoms": [2, 4]}})
+        out = apply_override(cfg, "run.seed", 7)
+        assert out.run.seed == 7
+        assert out == replace(cfg, run=replace(cfg.run, seed=7))
+
+    def test_species_entry_missing_leaf_names_entry(self):
+        species = serialize_config(DEFAULT)["species"]
+        del species[0]["mass_amu"]
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config({"species": species})
+        assert excinfo.value.path == "species[0]"
+        assert "mass_amu" in str(excinfo.value)
