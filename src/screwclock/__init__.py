@@ -25,24 +25,21 @@ from .lattice import (
     LatticeConfig,
     SpeciesOptics,
     min_required_intensity,
-    optical_potential_curve,
     overlap_depth,
     recoil_energy,
     sublattice_depths,
     transport_feasibility,
     trap_frequencies,
-    well_depth,
     well_depth_closed_form,
 )
 from .rates import (
     DecoherenceParams,
     ProtocolSchedule,
-    ScheduleStep,
-    build_schedule,
     interaction_energy,
     phase_gate_duration,
     photon_scattering_time,
     schedule_duration,
+    schedule_steps,
     survival_probability,
 )
 from .register import (

@@ -31,7 +31,7 @@ from .errors import ClockSimError
 from .estimator import analyze_fringe, fringe_scan, optimize_atom_number, precision_report
 from .lattice import overlap_depth, trap_frequencies, well_depth_closed_form
 from .pipeline import PhysicsBundle, detuning_grid, probe_detuning, resolve_physics
-from .rates import photon_scattering_time, survival_probability
+from .rates import photon_scattering_time, schedule_steps, survival_probability
 from .register import BACKENDS, protocol_references, run_protocol, state_fidelity
 from .output import write_table
 
@@ -111,8 +111,8 @@ def _cmd_feasibility(cfg: RunConfig, out_dir: Path) -> list[Path]:
 def _cmd_schedule(cfg: RunConfig, out_dir: Path) -> list[Path]:
     bundle = resolve_physics(cfg)
     rows = [
-        {"step_index": i, "kind": step.kind, "duration_s": step.duration, "site": step.site}
-        for i, step in enumerate(bundle.schedule.steps)
+        {"step_index": i, "kind": kind, "duration_s": duration, "site": site}
+        for i, (kind, duration, site) in enumerate(schedule_steps(bundle.schedule))
     ]
     survival = survival_probability(bundle.schedule, bundle.n_atoms, bundle.decoherence)
     meta = _base_metadata("schedule", cfg)

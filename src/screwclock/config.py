@@ -19,6 +19,7 @@ from .lattice import ROLES
 from .register import BACKENDS
 
 MAX_TRAJECTORIES = 2**63 - 1   # numpy draws binomial counts in int64
+MAX_ATOMS = 2**53   # the largest N that every float expression of N holds exactly
 
 KW_CM2_TO_W_M2 = 1e7
 
@@ -74,6 +75,7 @@ def _one_of(choices):
 
 
 _POSITIVE = (lambda x: x > 0.0, "must be positive")
+_AT_MOST_MAX_ATOMS = (lambda n: n <= MAX_ATOMS, f"must be <= 2^53 = {MAX_ATOMS}, got {{}}")
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,7 @@ class LatticeSection:
 
 @dataclass(frozen=True)
 class ProtocolSection:
-    n_atoms: int = _leaf(_as_int, _at_least(1), default=100)
+    n_atoms: int = _leaf(_as_int, _at_least(1), _AT_MOST_MAX_ATOMS, default=100)
     ramsey_time_s: float = _leaf(_as_number, _at_least(0), default=0.01)
     a_scatt_au: float = _leaf(_as_number, default=100.0)
     transport_time_us: float = _leaf(_as_number, _at_least(0), default=10.0)
@@ -145,8 +147,8 @@ class RunSection:
 
 @dataclass(frozen=True)
 class OptimizeSection:
-    n_min: int = _leaf(_as_int, _at_least(1), default=1)
-    n_max: int = _leaf(_as_int, default=10000)
+    n_min: int = _leaf(_as_int, _at_least(1), _AT_MOST_MAX_ATOMS, default=1)
+    n_max: int = _leaf(_as_int, _AT_MOST_MAX_ATOMS, default=10000)
     n_points: int = _leaf(_as_int, _at_least(1), default=60)
 
     def __post_init__(self):
@@ -257,6 +259,8 @@ def parse_config(source: str | Path | dict | None = None) -> RunConfig:
         data: dict = {}
     elif isinstance(source, dict):
         data = source
+    elif not isinstance(source, (str, Path)):
+        raise ConfigError("<document>", f"must be text, a path or an object, not {type(source).__name__}")
     else:
         if isinstance(source, Path):
             text = source.read_text()
@@ -266,7 +270,7 @@ def parse_config(source: str | Path | dict | None = None) -> RunConfig:
             text = source
         try:
             data = json.loads(text) if text.strip() else {}
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed, or an integer past Python's digit limit
             raise ConfigError("<document>", f"malformed JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("<document>", "top level must be a JSON object")

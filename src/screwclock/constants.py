@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import constants as _sc
-
 from .errors import ParameterError
 
 
@@ -19,7 +17,7 @@ from .errors import ParameterError
 class ConstantsTable:
     """Bundle of fundamental constants used throughout the package.
 
-    Keeping the table explicit (instead of importing scipy.constants at
+    Keeping the table explicit (instead of module-level constants read at
     each call site) makes unit-consistency tests possible: a rescaled
     table must leave all dimensionless outputs unchanged.
     """
@@ -46,16 +44,18 @@ class ConstantsTable:
 
 
 def codata_table() -> ConstantsTable:
-    """CODATA-valued table, assembled from scipy.constants."""
-    a0 = _sc.physical_constants["Bohr radius"][0]
+    """CODATA 2022 values (Mohr, Newell, Taylor and Tiesinga), pinned as literals
+    so that output bytes do not depend on an installed library's constants
+    table. h, c and k are exact in the SI."""
+    eps0, a0 = 8.8541878188e-12, 5.29177210544e-11
     return ConstantsTable(
-        planck_reduced=_sc.hbar,
-        speed_of_light=_sc.c,
-        vacuum_permittivity=_sc.epsilon_0,
-        boltzmann=_sc.k,
-        atomic_mass_unit=_sc.atomic_mass,
+        planck_reduced=6.62607015e-34 / (2.0 * math.pi),
+        speed_of_light=299792458.0,
+        vacuum_permittivity=eps0,
+        boltzmann=1.380649e-23,
+        atomic_mass_unit=1.66053906892e-27,
         bohr_radius=a0,
-        polarizability_au_in_si=4.0 * math.pi * _sc.epsilon_0 * a0**3,
+        polarizability_au_in_si=4.0 * math.pi * eps0 * a0**3,
         length_au_in_si=a0,
     )
 

@@ -26,18 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .constants import CODATA, ConstantsTable, au_to_si_polarizability
 from .errors import InfeasibleTransportError, ParameterError, UntrappedError
 
 ROLES = ("clock", "head_up", "head_down")
-
-# Numeric depth extraction: grid resolution per lattice period and the
-# absolute phase tolerance of the golden-section refinement.
-DEPTH_GRID_POINTS = 4096
-GOLDEN_TOL = 1e-12 * math.pi
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -150,82 +142,6 @@ def sublattice_depths(
     u0p = -0.25 * e2p * alpha * (1.0 + species.rho)
     u0m = -0.25 * e2m * alpha * (1.0 - species.rho)
     return u0p, u0m
-
-
-def optical_potential_curve(
-    config: LatticeConfig,
-    species: SpeciesOptics,
-    z_grid,
-    table: ConstantsTable = CODATA,
-) -> np.ndarray:
-    """Evaluate U(z) on the given grid of axial positions (meters)."""
-    z = np.asarray(z_grid, dtype=float)
-    if z.size == 0:
-        raise ParameterError("z_grid must be non-empty")
-    u0p, u0m = sublattice_depths(config, species, table)
-    k = 2.0 * math.pi / config.lambda_m
-    return u0p * np.cos(k * z) ** 2 + u0m * np.cos(k * z - config.phi) ** 2
-
-
-def _golden_refine(func, a: float, b: float, tol: float = GOLDEN_TOL) -> float:
-    # Golden-section minimum of func on [a, b]; assumes a bracket from a
-    # dense grid. Deterministic, ~60 iterations for the default tol.
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = func(x1), func(x2)
-    for _ in range(200):
-        if b - a <= tol:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = func(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = func(x2)
-    return x1 if f1 <= f2 else x2
-
-
-def _extremum(func, z_grid: np.ndarray, values: np.ndarray, sign: float) -> float:
-    """Refine the min (sign=+1) or max (sign=-1) of a periodic sampled curve.
-
-    The bracket comes from the dense grid; the golden tolerance is relative
-    to the lattice period, in absolute position units.
-    """
-    idx = int(np.argmin(sign * values))
-    step = z_grid[1] - z_grid[0]
-    lo, hi = z_grid[idx] - step, z_grid[idx] + step
-    tol = GOLDEN_TOL / math.pi * len(z_grid) * step
-    z_star = _golden_refine(lambda z: sign * func(z), lo, hi, tol=tol)
-    return func(z_star)
-
-
-def well_depth(
-    config: LatticeConfig, species: SpeciesOptics, table: ConstantsTable = CODATA
-) -> float:
-    """Peak-to-peak depth max U - min U over one lattice period, numerically.
-
-    Samples the optical potential on a uniform 4096-point grid per period
-    (half a wavelength) and refines the bracketed extrema by golden
-    section. Returns 0 for a z-independent potential (washed-out lattice).
-    """
-    u0p, u0m = sublattice_depths(config, species, table)
-    scale = abs(u0p) + abs(u0m)
-    if scale == 0.0:
-        return 0.0
-    period = config.lambda_m / 2.0
-    z_grid = np.linspace(0.0, period, DEPTH_GRID_POINTS, endpoint=False)
-    values = optical_potential_curve(config, species, z_grid, table)
-    if np.ptp(values) < 1e-14 * scale:
-        return 0.0
-
-    def u_of_z(z: float) -> float:
-        return float(optical_potential_curve(config, species, [z], table)[0])
-
-    u_min = _extremum(u_of_z, z_grid, values, +1.0)
-    u_max = _extremum(u_of_z, z_grid, values, -1.0)
-    return u_max - u_min
 
 
 def well_depth_closed_form(

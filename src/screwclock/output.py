@@ -1,6 +1,6 @@
 """CSV table output with a JSON metadata sidecar.
 
-Floats are written with shortest round-trip precision (repr), so reading
+Floats are written with shortest round-trip precision (str), so reading
 the file back reproduces the values exactly. Metadata sidecars carry the
 config hash, seed, and tool version; they contain no timestamps so that
 identical runs produce identical bytes.
@@ -14,61 +14,52 @@ from pathlib import Path
 
 from .errors import ParameterError
 
+_CHUNK_ROWS = 4096  # rows formatted at a time, which bounds the memory of long tables
+
 
 def _format_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return str(value)  # shortest round-trip for floats, numpy scalars included
 
 
-def sidecar_path(path: Path) -> Path:
-    return path.with_name(path.stem + ".meta.json")
+def _format_column(values: list) -> list[str]:
+    """Format a column, each distinct value object once.
+
+    Keyed by identity, not equality: 1 == 1.0 == True and 0.0 == -0.0, yet
+    each writes differently. ``values`` keeps every object, so no id repeats.
+    """
+    ids = list(map(id, values))
+    text = {key: _format_cell(value) for key, value in dict(zip(ids, values)).items()}
+    return list(map(text.__getitem__, ids))
 
 
-def write_table(rows, path, *, columns=None, metadata: dict | None = None) -> Path:
+def write_table(rows: list[dict], path, *, metadata: dict | None = None) -> Path:
     """Write rows (dicts with one shared key set) as CSV plus a sidecar.
 
-    ``columns`` fixes the column order; it is required when ``rows`` is
-    empty (a header-only file is still written). Rows whose key set
-    deviates from the columns are rejected.
+    The first row fixes the column order; rows whose key set deviates
+    from it, and an empty row list, are rejected.
     """
     path = Path(path)
-    rows = list(rows)
-    if columns is None:
-        if not rows:
-            raise ParameterError("columns are required when writing an empty table")
-        columns = list(rows[0].keys())
-    else:
-        columns = list(columns)
-    column_set = set(columns)
+    if not rows:
+        raise ParameterError("cannot write a table without rows")
+    columns = list(rows[0])
     for i, row in enumerate(rows):
-        if set(row.keys()) != column_set:
-            raise ParameterError(
-                f"row {i} columns {sorted(row.keys())} do not match header {sorted(column_set)}"
-            )
+        if row.keys() != rows[0].keys():
+            raise ParameterError(f"row {i} columns {sorted(row)} do not match header {sorted(columns)}")
 
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(row[c]) for c in columns])
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            chunk = rows[start:start + _CHUNK_ROWS]
+            writer.writerows(zip(*(_format_column([row[c] for row in chunk]) for c in columns)))
 
     if metadata is not None:
-        meta = dict(metadata)
-        meta.setdefault("rows", len(rows))
-        meta.setdefault("columns", columns)
+        meta = {"rows": len(rows), "columns": columns, **metadata}
         text = json.dumps(meta, indent=2, sort_keys=True, allow_nan=False)
-        sidecar_path(path).write_text(text + "\n")
+        path.with_name(path.stem + ".meta.json").write_text(text + "\n")
     return path
-
-
-def read_table(path) -> list[dict[str, str]]:
-    """Read a CSV written by :func:`write_table` back as string-valued rows."""
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        return list(reader)

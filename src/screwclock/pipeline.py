@@ -25,7 +25,6 @@ from .lattice import (
 from .rates import (
     DecoherenceParams,
     ProtocolSchedule,
-    build_schedule,
     interaction_energy,
     phase_gate_duration,
     photon_scattering_time,
@@ -141,7 +140,7 @@ def resolve_physics(cfg: RunConfig, table: ConstantsTable = CODATA) -> PhysicsBu
 
     transport_time = cfg.protocol.transport_time_us * 1e-6
     pulse_time = cfg.protocol.pulse_time_us * 1e-6
-    schedule = build_schedule(
+    schedule = ProtocolSchedule(
         cfg.protocol.n_atoms, gate_time, transport_time,
         cfg.protocol.ramsey_time_s, pulse_time,
     )

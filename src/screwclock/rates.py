@@ -44,13 +44,6 @@ class DecoherenceParams:
         )
 
 
-@dataclass(frozen=True)
-class ScheduleStep:
-    kind: str
-    duration: float          # s
-    site: int | None = None  # lattice site for transport / phase_gate steps
-
-
 def schedule_duration(n_atoms, gate_time, transport_time, ramsey_time, pulse_time=0.0):
     """Total duration of one interrogation: 2N (t_transport + t_gate) + T + 7 t_pulse.
 
@@ -65,8 +58,8 @@ def schedule_duration(n_atoms, gate_time, transport_time, ramsey_time, pulse_tim
 class ProtocolSchedule:
     """One full clock interrogation of N clock atoms, held as its five inputs.
 
-    The step table is built only when :attr:`steps` is read; the total
-    duration comes from :func:`schedule_duration`.
+    Pulse and readout slots default to zero time, negligible against the
+    ms-scale transport stages; :func:`schedule_steps` lists the steps.
     """
 
     n_atoms: int
@@ -89,31 +82,22 @@ class ProtocolSchedule:
             self.n_atoms, self.gate_time, self.transport_time, self.ramsey_time, self.pulse_time
         )
 
-    @property
-    def steps(self) -> tuple[ScheduleStep, ...]:
-        """Ordered timed steps.
 
-        Sequence: clock + head pi/2 pulses, a transport/phase-gate pass over
-        sites 0..N-1, a clock pulse closing the entangling stage, free
-        evolution, then the mirrored disentangling pass and readout.
-        """
-        pulse = self.pulse_time
-        gate_pass = []
-        for site in range(self.n_atoms):
-            gate_pass.append(ScheduleStep("transport", self.transport_time, site))
-            gate_pass.append(ScheduleStep("phase_gate", self.gate_time, site))
-        return (
-            ScheduleStep("hadamard_all", pulse),
-            ScheduleStep("head_pulse", pulse),
-            *gate_pass,
-            ScheduleStep("hadamard_all", pulse),
-            ScheduleStep("free_evolution", self.ramsey_time),
-            ScheduleStep("hadamard_all", pulse),
-            *gate_pass,
-            ScheduleStep("hadamard_all", pulse),
-            ScheduleStep("head_pulse", pulse),
-            ScheduleStep("readout", pulse),
-        )
+def schedule_steps(schedule: ProtocolSchedule) -> list[tuple[str, float, int | None]]:
+    """The (kind, duration, site) steps of one interrogation, in order.
+
+    The pattern :func:`schedule_duration` sums: clock and head pulses, a
+    transport/phase-gate pass over sites 0..N-1, clock pulse, free
+    evolution, clock pulse, the same pass, clock pulse, head pulse, readout.
+    """
+    def slots(*kinds):
+        return [(kind, schedule.pulse_time, None) for kind in kinds]
+
+    stages = (("transport", schedule.transport_time), ("phase_gate", schedule.gate_time))
+    gate_pass = [(kind, t, site) for site in range(schedule.n_atoms) for kind, t in stages]
+    return (slots("hadamard_all", "head_pulse") + gate_pass + slots("hadamard_all")
+            + [("free_evolution", schedule.ramsey_time, None)] + slots("hadamard_all")
+            + gate_pass + slots("hadamard_all", "head_pulse", "readout"))
 
 
 def photon_scattering_time(
@@ -198,21 +182,6 @@ def phase_gate_duration(
     if target_phase < 0.0:
         raise ParameterError("target_phase must be >= 0")
     return target_phase * table.planck_reduced / abs(delta_e)
-
-
-def build_schedule(
-    n_atoms: int,
-    gate_time: float,
-    transport_time: float,
-    ramsey_time: float,
-    pulse_time: float = 0.0,
-) -> ProtocolSchedule:
-    """The schedule of one interrogation of N clock atoms.
-
-    Pulse (and readout) durations default to zero; they are negligible
-    against the ms-scale transport stages.
-    """
-    return ProtocolSchedule(n_atoms, gate_time, transport_time, ramsey_time, pulse_time)
 
 
 def survival_probability(

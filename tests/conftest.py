@@ -1,13 +1,18 @@
 """Shared fixtures: the Sr/Al parameter set used across the suite, the
 random-gate-sequence helpers behind the backend differential tests, and the
 slow reference paths the fast ones are tested against: the per-site phase
-gate, the per-axis dense rotation and the per-trajectory sampler."""
+gate, the per-axis dense rotation, the per-trajectory sampler, the numeric
+well depth, the expanded schedule step list and a CSV reader."""
+
+import csv
+import math
 
 import numpy as np
 import pytest
 
 from screwclock import (
-    CODATA, CapacityError, LatticeConfig, ParameterError, SpeciesOptics, init_register,
+    CODATA, CapacityError, ConstantsTable, LatticeConfig, ParameterError, SpeciesOptics,
+    init_register, sublattice_depths,
 )
 from screwclock.register import BRANCH_ALIGN_TOL, _Branches, apply_gate
 
@@ -196,3 +201,119 @@ def reference_trajectory_batch(n_atoms, schedule, params, n_trajectories, seed, 
     else:
         scattered = rng.exponential(1.0 / rate, size=n_trajectories) < schedule.total_duration
     return np.where(scattered, 0.5, p_up_noiseless), scattered
+
+
+def read_table(path) -> list[dict[str, str]]:
+    """Read a CSV written by ``output.write_table`` back as string-valued rows."""
+    with open(path, newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
+def reference_schedule_steps(schedule) -> list[tuple]:
+    """The schedule's steps expanded one at a time, as (kind, duration, site).
+
+    The reference for ``rates.schedule_steps``: clock + head pi/2 pulses, a
+    transport/phase-gate pass over sites 0..N-1, a clock pulse closing the
+    entangling stage, free evolution, then the mirrored disentangling pass
+    and readout.
+    """
+    pulse = schedule.pulse_time
+    gate_pass = []
+    for site in range(schedule.n_atoms):
+        gate_pass.append(("transport", schedule.transport_time, site))
+        gate_pass.append(("phase_gate", schedule.gate_time, site))
+    return [
+        ("hadamard_all", pulse, None),
+        ("head_pulse", pulse, None),
+        *gate_pass,
+        ("hadamard_all", pulse, None),
+        ("free_evolution", schedule.ramsey_time, None),
+        ("hadamard_all", pulse, None),
+        *gate_pass,
+        ("hadamard_all", pulse, None),
+        ("head_pulse", pulse, None),
+        ("readout", pulse, None),
+    ]
+
+
+# Numeric depth extraction: grid resolution per lattice period and the
+# absolute phase tolerance of the golden-section refinement.
+DEPTH_GRID_POINTS = 4096
+GOLDEN_TOL = 1e-12 * math.pi
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def optical_potential_curve(
+    config: LatticeConfig,
+    species: SpeciesOptics,
+    z_grid,
+    table: ConstantsTable = CODATA,
+) -> np.ndarray:
+    """Evaluate U(z) on the given grid of axial positions (meters)."""
+    z = np.asarray(z_grid, dtype=float)
+    if z.size == 0:
+        raise ParameterError("z_grid must be non-empty")
+    u0p, u0m = sublattice_depths(config, species, table)
+    k = 2.0 * math.pi / config.lambda_m
+    return u0p * np.cos(k * z) ** 2 + u0m * np.cos(k * z - config.phi) ** 2
+
+
+def _golden_refine(func, a: float, b: float, tol: float = GOLDEN_TOL) -> float:
+    # Golden-section minimum of func on [a, b]; assumes a bracket from a
+    # dense grid. Deterministic, ~60 iterations for the default tol.
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1, f2 = func(x1), func(x2)
+    for _ in range(200):
+        if b - a <= tol:
+            break
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INVPHI * (b - a)
+            f1 = func(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INVPHI * (b - a)
+            f2 = func(x2)
+    return x1 if f1 <= f2 else x2
+
+
+def _extremum(func, z_grid: np.ndarray, values: np.ndarray, sign: float) -> float:
+    """Refine the min (sign=+1) or max (sign=-1) of a periodic sampled curve.
+
+    The bracket comes from the dense grid; the golden tolerance is relative
+    to the lattice period, in absolute position units.
+    """
+    idx = int(np.argmin(sign * values))
+    step = z_grid[1] - z_grid[0]
+    lo, hi = z_grid[idx] - step, z_grid[idx] + step
+    tol = GOLDEN_TOL / math.pi * len(z_grid) * step
+    z_star = _golden_refine(lambda z: sign * func(z), lo, hi, tol=tol)
+    return func(z_star)
+
+
+def well_depth(
+    config: LatticeConfig, species: SpeciesOptics, table: ConstantsTable = CODATA
+) -> float:
+    """Peak-to-peak depth max U - min U over one lattice period, numerically.
+
+    Samples the optical potential on a uniform 4096-point grid per period
+    (half a wavelength) and refines the bracketed extrema by golden
+    section. Returns 0 for a z-independent potential (washed-out lattice).
+    """
+    u0p, u0m = sublattice_depths(config, species, table)
+    scale = abs(u0p) + abs(u0m)
+    if scale == 0.0:
+        return 0.0
+    period = config.lambda_m / 2.0
+    z_grid = np.linspace(0.0, period, DEPTH_GRID_POINTS, endpoint=False)
+    values = optical_potential_curve(config, species, z_grid, table)
+    if np.ptp(values) < 1e-14 * scale:
+        return 0.0
+
+    def u_of_z(z: float) -> float:
+        return float(optical_potential_curve(config, species, [z], table)[0])
+
+    u_min = _extremum(u_of_z, z_grid, values, +1.0)
+    u_max = _extremum(u_of_z, z_grid, values, -1.0)
+    return u_max - u_min

@@ -15,13 +15,12 @@ import pytest
 from screwclock import (
     CODATA,
     DecoherenceParams,
+    ProtocolSchedule,
     analyze_fringe,
-    build_schedule,
     fringe_scan,
     ghz_reference,
     interaction_energy,
     min_required_intensity,
-    optical_potential_curve,
     overlap_depth,
     parse_config,
     phase_gate_duration,
@@ -33,12 +32,10 @@ from screwclock import (
     state_fidelity,
     survival_probability,
     trap_frequencies,
-    well_depth,
     well_depth_closed_form,
 )
 from screwclock.cli import run_command
 from screwclock.lattice import LatticeConfig, SpeciesOptics, sublattice_depths
-from screwclock.output import read_table
 
 from conftest import (
     AL_MASS_AMU,
@@ -51,6 +48,9 @@ from conftest import (
     RHO_UP,
     SR_MASS_AMU,
     backend_crosscheck,
+    optical_potential_curve,
+    read_table,
+    well_depth,
 )
 
 AMU = CODATA.atomic_mass_unit
@@ -160,7 +160,7 @@ def test_criterion_07_decoherence_consistency():
         params = DecoherenceParams(9.586, 7.157)
         n_traj = 100_000
         for n, ramsey in ((10, 0.02), (100, 0.01), (1000, 0.001)):
-            schedule = build_schedule(n, 17.58e-6, 10e-6, ramsey)
+            schedule = ProtocolSchedule(n, 17.58e-6, 10e-6, ramsey)
             expected = 1.0 - survival_probability(schedule, n, params)
             observed = sample_scatter_count(n, schedule, params, n_traj, seed=[2718, n]) / n_traj
             sigma = math.sqrt(expected * (1 - expected) / n_traj)
@@ -171,7 +171,7 @@ def test_criterion_07_decoherence_consistency():
         # Fringe contrast under the pessimistic model estimates survival.
         n, t = 5, 0.1
         params = DecoherenceParams(1.0, 2.0)
-        schedule = build_schedule(n, 0.0, 0.0, t)
+        schedule = ProtocolSchedule(n, 0.0, 0.0, t)
         s = survival_probability(schedule, n, params)
         grid = np.linspace(0.0, 2 * 2 * math.pi / (n * t), 33)
         estimates = []

@@ -1,13 +1,18 @@
 import json
 import math
-import re
+import tempfile
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from screwclock import ParameterError, parse_config, resolve_physics, survival_probability
 from screwclock.cli import main, run_command
-from screwclock.output import read_table, write_table
+from screwclock.output import write_table
+
+from conftest import read_table, reference_schedule_steps
 
 
 def _write_config(tmp_path, data):
@@ -21,9 +26,31 @@ def _run(args):
 
 
 class TestWriteTable:
-    def test_empty_rows_header_only(self, tmp_path):
-        path = write_table([], tmp_path / "t.csv", columns=["a", "b"])
-        assert path.read_text() == "a,b\n"
+    def test_empty_rows_rejected(self, tmp_path):
+        with pytest.raises(ParameterError):
+            write_table([], tmp_path / "t.csv")
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_equal_values_of_different_types_format_apart(self, tmp_path):
+        # 1 == 1.0 == True, yet each keeps its own text.
+        values = [1, 1.0, True, None, 1, True]
+        path = write_table([{"v": v, "k": "x"} for v in values], tmp_path / "t.csv")
+        assert path.read_text().splitlines() == ["v,k", "1,x", "1.0,x", "true,x", ",x", "1,x", "true,x"]
+
+    def test_numpy_scalars_write_as_numbers(self, tmp_path):
+        path = write_table([{"x": np.float64(0.1), "n": np.int64(7)}], tmp_path / "t.csv")
+        assert path.read_text() == "x,n\n0.1,7\n"
+
+    def test_signed_zeros_and_nan_format_apart(self, tmp_path):
+        values = [0.0, -0.0, 0, False, math.nan, -0.0, 0.0]
+        path = write_table([{"v": v} for v in values], tmp_path / "t.csv")
+        assert path.read_text().split() == ["v", "0.0", "-0.0", "0", "false", "nan", "-0.0", "0.0"]
+
+    def test_long_table_written_whole(self, tmp_path):
+        # Longer than the writer's formatting chunks: every row, in order.
+        rows = [{"i": i, "x": i / 7} for i in range(10_001)]
+        back = read_table(write_table(rows, tmp_path / "t.csv"))
+        assert [(int(r["i"]), float(r["x"])) for r in back] == [(r["i"], r["x"]) for r in rows]
 
     def test_round_trip_exact(self, tmp_path):
         rows = [{"x": 0.1 + 0.2, "y": 1e-300, "z": -math.pi}]
@@ -145,7 +172,29 @@ class TestSimulateCommand:
         assert meta["p_up_ideal"] == pytest.approx(0.5, abs=1e-12)
 
 
+_TIMES_US = st.floats(min_value=0.0, max_value=1e6, allow_subnormal=False)
+
+
 class TestScheduleCommand:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 500), _TIMES_US, _TIMES_US, _TIMES_US,
+           st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False))
+    def test_table_matches_reference_expansion(self, n, gate_us, transport_us, pulse_us, ramsey):
+        cfg = parse_config({"protocol": {
+            "n_atoms": n, "gate_time_us": gate_us, "transport_time_us": transport_us,
+            "pulse_time_us": pulse_us, "ramsey_time_s": ramsey,
+        }})
+        with tempfile.TemporaryDirectory() as out:
+            run_command("schedule", cfg, out)
+            with open(f"{out}/schedule.csv") as handle:
+                lines = handle.read().splitlines()
+        expected = ["step_index,kind,duration_s,site"] + [
+            f"{i},{kind},{duration!r},{'' if site is None else site}"
+            for i, (kind, duration, site) in enumerate(
+                reference_schedule_steps(resolve_physics(cfg).schedule))
+        ]
+        assert lines == expected
+
     def test_step_table_and_survival(self, tmp_path):
         cfg = _write_config(tmp_path, {"protocol": {"n_atoms": 3, "ramsey_time_s": 0.05}})
         result = _run(["--config", str(cfg), "--out", str(tmp_path / "o"), "schedule"])
@@ -314,18 +363,36 @@ class TestDeterminismAndErrors:
         assert result.exit_code == 8
         assert json.loads(result.stderr)["error"] == "register_capacity"
 
-    @pytest.mark.parametrize("command,n_atoms", [
-        ("scan", 10**20),    # numpy refuses the dimension before allocating
-        ("scan", 10**400),   # beyond the float range
-        ("sweep", 10**400),
-    ])
-    def test_unexpected_failure_exit_code(self, tmp_path, command, n_atoms):
-        cfg = _write_config(tmp_path, {"protocol": {"n_atoms": n_atoms}})
+    @pytest.mark.parametrize("command,document,field", [
+        # Rejected while the config is parsed, before any command allocates.
+        ("schedule", {"protocol": {"n_atoms": 10**20}}, "protocol.n_atoms"),
+        ("scan", {"protocol": {"n_atoms": 10**20}}, "protocol.n_atoms"),
+        ("scan", {"protocol": {"n_atoms": 10**400}}, "protocol.n_atoms"),
+        ("sweep", {"protocol": {"n_atoms": 10**400}}, "protocol.n_atoms"),
+        ("optimize", {"optimize": {"n_max": 10**29}}, "optimize.n_max"),
+        ("sweep", {"sweep": {"protocol.n_atoms": [10, 10**20]}}, "protocol.n_atoms"),
+        ("sweep", {"sweep": {"protocol.n_atoms": [10**400]}}, "protocol.n_atoms"),
+    ], ids=["schedule-1e20", "scan-1e20", "scan-1e400", "sweep-1e400", "optimize-n_max-1e29",
+            "sweep-value-1e20", "sweep-value-1e400"])
+    def test_atom_number_beyond_2_53_exit_code(self, tmp_path, command, document, field):
+        cfg = _write_config(tmp_path, document)
         result = _run(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+        assert result.exit_code == 2
+        blob = json.loads(result.stderr)
+        assert blob["error"] == "config"
+        assert blob["field"] == field
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["scan", "sweep"])
+    def test_non_clock_error_exit_code(self, tmp_path, monkeypatch, command):
+        def fail(cfg):
+            raise ZeroDivisionError("injected")
+
+        monkeypatch.setattr("screwclock.cli.resolve_physics", fail)
+        result = _run(["--out", str(tmp_path / "o"), command])
         assert result.exit_code == 1
         blob = json.loads(result.stderr)
-        assert blob["error"] == "error"
-        assert re.match(r"\w+Error: .", blob["message"])
+        assert blob == {"error": "error", "message": "ZeroDivisionError: injected"}
 
 
 class TestRunCommandLibrary:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from screwclock import ConfigError, parse_config, serialize_config
 from screwclock.config import (
     BACKENDS,
+    MAX_ATOMS,
     MAX_TRAJECTORIES,
     LatticeSection,
     NoiseSection,
@@ -67,6 +68,19 @@ class TestValidation:
             parse_config("{not json")
         assert "malformed" in str(excinfo.value)
 
+    def test_integer_past_the_digit_limit_is_malformed(self):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config('{"protocol": {"n_atoms": 1' + "0" * 5000 + "}}")
+        assert excinfo.value.path == "<document>"
+        assert "malformed" in str(excinfo.value)
+
+    @pytest.mark.parametrize("source", [[], ["{}"], b"{}", 3, 1.5], ids=repr)
+    def test_non_text_source_rejected(self, source):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(source)
+        assert excinfo.value.path == "<document>"
+        assert type(source).__name__ in str(excinfo.value)
+
     def test_zero_atoms_rejected(self):
         with pytest.raises(ConfigError) as excinfo:
             parse_config({"protocol": {"n_atoms": 0}})
@@ -106,6 +120,24 @@ class TestValidation:
         with pytest.raises(ConfigError) as excinfo:
             parse_config({"sweep": {"run.trajectories": [10, 2**63]}})
         assert excinfo.value.path == "run.trajectories"
+
+    @pytest.mark.parametrize("path,document", [
+        ("protocol.n_atoms", lambda n: {"protocol": {"n_atoms": n}}),
+        ("optimize.n_min", lambda n: {"optimize": {"n_min": n, "n_max": n}}),
+        ("optimize.n_max", lambda n: {"optimize": {"n_max": n}}),
+    ], ids=["n_atoms", "n_min", "n_max"])
+    def test_atom_numbers_bounded_by_2_53(self, path, document):
+        # 2^53 is the largest N that every float expression of N holds exactly.
+        assert MAX_ATOMS == 2**53 == float(2**53)
+        section, leaf = path.split(".")
+        assert getattr(getattr(parse_config(document(MAX_ATOMS)), section), leaf) == MAX_ATOMS
+        for value in (MAX_ATOMS + 1, 10**20, 10**29, 10**400):
+            with pytest.raises(ConfigError) as excinfo:
+                parse_config(document(value))
+            assert excinfo.value.path == path
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config({"sweep": {"protocol.n_atoms": [10, MAX_ATOMS + 1]}})
+        assert excinfo.value.path == "protocol.n_atoms"
 
     def test_backend_choice(self):
         with pytest.raises(ConfigError) as excinfo:

@@ -1,10 +1,48 @@
+import importlib
 import math
 
 import pytest
 from scipy import constants as sc
 
 from screwclock import CODATA, ConstantsTable, ParameterError, au_to_si_polarizability
-from screwclock.lattice import LatticeConfig, SpeciesOptics, recoil_energy, well_depth
+from screwclock.lattice import LatticeConfig, SpeciesOptics, recoil_energy
+
+from conftest import well_depth
+
+
+# CODATA 2022 (Mohr, Newell, Taylor, Tiesinga); h, c and k are exact.
+CODATA_2022 = {
+    "planck_reduced": 6.62607015e-34 / (2 * math.pi),
+    "speed_of_light": 299792458.0,
+    "vacuum_permittivity": 8.8541878188e-12,
+    "boltzmann": 1.380649e-23,
+    "atomic_mass_unit": 1.66053906892e-27,
+    "bohr_radius": 5.29177210544e-11,
+}
+
+# Recent scipy releases ship CODATA 2022; older ones, such as 1.9, carry CODATA 2018.
+SCIPY_HAS_CODATA_2022 = hasattr(importlib.import_module("scipy.constants._codata"), "txt2022")
+
+
+def test_table_is_codata_2022():
+    for name, value in CODATA_2022.items():
+        assert getattr(CODATA, name) == value, name
+    assert CODATA.length_au_in_si == CODATA.bohr_radius
+
+
+@pytest.mark.skipif(not SCIPY_HAS_CODATA_2022, reason="the installed scipy predates CODATA 2022")
+def test_table_equals_scipy_codata_2022():
+    a0 = sc.physical_constants["Bohr radius"][0]
+    assert CODATA == ConstantsTable(
+        planck_reduced=sc.hbar,
+        speed_of_light=sc.c,
+        vacuum_permittivity=sc.epsilon_0,
+        boltzmann=sc.k,
+        atomic_mass_unit=sc.atomic_mass,
+        bohr_radius=a0,
+        polarizability_au_in_si=4.0 * math.pi * sc.epsilon_0 * a0**3,
+        length_au_in_si=a0,
+    )
 
 
 def test_table_entries_positive():
@@ -64,8 +102,8 @@ def test_au_conversion_preserves_sign_and_magnitude():
 
 
 def test_one_au_equals_4pi_eps0_a0_cubed():
-    a0 = sc.physical_constants["Bohr radius"][0]
-    oracle = 4 * math.pi * sc.epsilon_0 * a0**3
+    a0 = CODATA_2022["bohr_radius"]
+    oracle = 4 * math.pi * CODATA_2022["vacuum_permittivity"] * a0**3
     assert au_to_si_polarizability(1.0) == pytest.approx(oracle, rel=1e-12)
 
 

@@ -9,8 +9,8 @@ from screwclock import (
     DegenerateFringeError,
     FringeScan,
     ParameterError,
+    ProtocolSchedule,
     analyze_fringe,
-    build_schedule,
     fringe_scan,
     optimize_atom_number,
     parse_config,
@@ -47,7 +47,7 @@ class TestFringeScan:
     def test_overwhelming_noise_flattens_to_half(self):
         n, t = 3, 0.4
         params = DecoherenceParams(1e-9, 1e-9)  # every trajectory scatters
-        schedule = build_schedule(n, 1e-5, 1e-5, t)
+        schedule = ProtocolSchedule(n, 1e-5, 1e-5, t)
         scan = fringe_scan(n, t, _grid(n, t, points=21), backend="dense",
                            noise=params, schedule=schedule, trajectories=10, seed=5)
         assert all(p == 0.5 for p in scan.p_up)
@@ -56,7 +56,7 @@ class TestFringeScan:
         params = DecoherenceParams(1.0, 1.0)
         with pytest.raises(ParameterError):
             fringe_scan(2, 0.1, [0.0, 0.1], noise=params, schedule=None)
-        schedule = build_schedule(2, 0.0, 0.0, 0.1)
+        schedule = ProtocolSchedule(2, 0.0, 0.0, 0.1)
         with pytest.raises(ParameterError):
             fringe_scan(2, 0.1, [0.0, 0.1], noise=params, schedule=schedule, trajectories=0)
 
@@ -99,7 +99,7 @@ class TestAnalyzeFringe:
         # fitted contrast estimates the survival s.
         n, t = 5, 0.1
         params = DecoherenceParams(1.0, 2.0)
-        schedule = build_schedule(n, 0.0, 0.0, t)
+        schedule = ProtocolSchedule(n, 0.0, 0.0, t)
         s = survival_probability(schedule, n, params)
         grid = _grid(n, t, points=41)
         estimates = []
@@ -117,7 +117,7 @@ class TestAnalyzeFringe:
         # by roughly 4 (a loose band guards against flaky ratios).
         n, t = 4, 0.1
         params = DecoherenceParams(1.0, 2.0)
-        schedule = build_schedule(n, 0.0, 0.0, t)
+        schedule = ProtocolSchedule(n, 0.0, 0.0, t)
         grid = _grid(n, t, points=25)
 
         def spread(trajectories, base_seed):

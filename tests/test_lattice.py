@@ -12,17 +12,18 @@ from screwclock import (
     SpeciesOptics,
     UntrappedError,
     min_required_intensity,
-    optical_potential_curve,
     overlap_depth,
     recoil_energy,
     sublattice_depths,
     transport_feasibility,
     trap_frequencies,
-    well_depth,
     well_depth_closed_form,
 )
 
-from conftest import AL_MASS_AMU, DELTA, LAMBDA_M, MIN_INTENSITY, RHO_DOWN, RHO_UP, SR_MASS_AMU
+from conftest import (
+    AL_MASS_AMU, DELTA, LAMBDA_M, MIN_INTENSITY, RHO_DOWN, RHO_UP, SR_MASS_AMU,
+    optical_potential_curve, well_depth,
+)
 
 AMU = CODATA.atomic_mass_unit
 

@@ -10,13 +10,14 @@ from screwclock import (
     DecoherenceParams,
     NoInteractionError,
     ParameterError,
+    ProtocolSchedule,
     UntrappedError,
-    build_schedule,
     interaction_energy,
     overlap_depth,
     phase_gate_duration,
     photon_scattering_time,
     schedule_duration,
+    schedule_steps,
     survival_probability,
     trap_frequencies,
 )
@@ -117,40 +118,42 @@ class TestPhaseGateDuration:
 
 class TestBuildSchedule:
     def test_single_atom_bookkeeping(self):
-        schedule = build_schedule(1, gate_time=1.0, transport_time=1.0,
-                                  ramsey_time=10.0, pulse_time=0.0)
+        schedule = ProtocolSchedule(1, gate_time=1.0, transport_time=1.0,
+                                    ramsey_time=10.0, pulse_time=0.0)
         assert schedule.total_duration == pytest.approx(10.0 + 2 * (1.0 + 1.0))
         assert schedule.ramsey_time == 10.0
 
     def test_pulse_terms_enter_total(self):
-        schedule = build_schedule(1, 1.0, 1.0, 10.0, pulse_time=0.5)
+        schedule = ProtocolSchedule(1, 1.0, 1.0, 10.0, pulse_time=0.5)
         # 4 clock pulses + 2 head pulses + readout = 7 fixed pulse slots.
         assert schedule.total_duration == pytest.approx(14.0 + 7 * 0.5)
 
     def test_thousand_atom_entanglement_stage(self):
-        schedule = build_schedule(1000, 20e-6, 10e-6, 0.0)
-        first_pass = [s for s in schedule.steps if s.kind in ("transport", "phase_gate")]
-        stage = sum(s.duration for s in first_pass[: 2 * 1000])
+        steps = schedule_steps(ProtocolSchedule(1000, 20e-6, 10e-6, 0.0))
+        first_pass = [step for step in steps if step[0] in ("transport", "phase_gate")]
+        stage = sum(duration for _, duration, _ in first_pass[: 2 * 1000])
         assert stage == pytest.approx(30e-3, rel=1e-12)
 
     def test_invalid_atom_number_rejected(self):
         with pytest.raises(ParameterError):
-            build_schedule(0, 1.0, 1.0, 1.0)
+            ProtocolSchedule(0, 1.0, 1.0, 1.0)
 
     def test_duration_linear_in_atom_number(self):
-        times = {n: build_schedule(n, 2e-5, 1e-5, 0.5, 1e-7).total_duration for n in (1, 10, 100)}
+        times = {n: ProtocolSchedule(n, 2e-5, 1e-5, 0.5, 1e-7).total_duration for n in (1, 10, 100)}
         slope_a = (times[10] - times[1]) / 9
         slope_b = (times[100] - times[10]) / 90
         assert slope_a == pytest.approx(2 * (2e-5 + 1e-5), rel=1e-12)
         assert slope_b == pytest.approx(slope_a, rel=1e-12)
 
     def test_structure_invariants(self):
-        schedule = build_schedule(5, 1e-5, 1e-5, 0.1, 1e-6)
-        kinds = [s.kind for s in schedule.steps]
+        steps = schedule_steps(ProtocolSchedule(5, 1e-5, 1e-5, 0.1, 1e-6))
+        kinds = [kind for kind, _, _ in steps]
         assert kinds.count("free_evolution") == 1
+        assert kinds.count("hadamard_all") == 4
+        assert kinds.count("head_pulse") == 2
+        assert kinds[-1] == "readout"
         # transport/phase_gate alternate over sites 0..N-1 in each pass
-        pairs = [(s.kind, s.site) for s in schedule.steps if s.site is not None]
-        per_pass = [("transport", i) for i in range(5)]
+        pairs = [(kind, site) for kind, _, site in steps if site is not None]
         expected = []
         for i in range(5):
             expected += [("transport", i), ("phase_gate", i)]
@@ -164,14 +167,15 @@ class TestScheduleDuration:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 2000), _TIMES, _TIMES, _TIMES, _TIMES)
     def test_closed_form_matches_summed_steps(self, n, gate, transport, ramsey, pulse):
-        schedule = build_schedule(n, gate, transport, ramsey, pulse)
-        assert len(schedule.steps) == 4 * n + 8
-        summed = sum(step.duration for step in schedule.steps)
+        schedule = ProtocolSchedule(n, gate, transport, ramsey, pulse)
+        steps = schedule_steps(schedule)
+        assert len(steps) == 4 * n + 8
+        summed = sum(duration for _, duration, _ in steps)
         assert math.isclose(summed, schedule.total_duration, rel_tol=1e-12, abs_tol=0.0)
 
     def test_array_atom_numbers(self):
         ns = np.array([1, 10, 100])
-        expected = [build_schedule(n, 2e-5, 1e-5, 0.5, 1e-7).total_duration for n in (1, 10, 100)]
+        expected = [ProtocolSchedule(n, 2e-5, 1e-5, 0.5, 1e-7).total_duration for n in (1, 10, 100)]
         assert schedule_duration(ns, 2e-5, 1e-5, 0.5, 1e-7).tolist() == expected
 
     @pytest.mark.parametrize("field", ["gate_time", "transport_time", "ramsey_time", "pulse_time"])
@@ -180,7 +184,7 @@ class TestScheduleDuration:
         times = {"gate_time": 1e-5, "transport_time": 1e-5, "ramsey_time": 0.1, "pulse_time": 0.0}
         times[field] = value
         with pytest.raises(ParameterError):
-            build_schedule(3, **times)
+            ProtocolSchedule(3, **times)
 
 
 class TestSurvivalProbability:
@@ -188,20 +192,20 @@ class TestSurvivalProbability:
         return DecoherenceParams(tau_c, tau_h, extra)
 
     def test_zero_duration_survives(self):
-        schedule = build_schedule(3, 0.0, 0.0, 0.0, 0.0)
+        schedule = ProtocolSchedule(3, 0.0, 0.0, 0.0, 0.0)
         assert survival_probability(schedule, 3, self._params()) == 1.0
 
     def test_log_two_exponent_gives_half(self):
         # One atom, rates tuned so duration * rate = ln 2.
-        schedule = build_schedule(1, 0.0, 0.0, math.log(2.0), 0.0)
+        schedule = ProtocolSchedule(1, 0.0, 0.0, math.log(2.0), 0.0)
         params = DecoherenceParams(tau_scatter_clock=2.0, tau_scatter_head=2.0)
         assert survival_probability(schedule, 1, params) == pytest.approx(0.5, rel=1e-14)
 
     def test_monotone_in_atoms_duration_and_rates(self):
         params = self._params(10.0, 10.0, 0.0)
-        s1 = build_schedule(10, 1e-5, 1e-5, 0.1)
-        s2 = build_schedule(20, 1e-5, 1e-5, 0.1)
-        s3 = build_schedule(10, 1e-5, 1e-5, 0.2)
+        s1 = ProtocolSchedule(10, 1e-5, 1e-5, 0.1)
+        s2 = ProtocolSchedule(20, 1e-5, 1e-5, 0.1)
+        s3 = ProtocolSchedule(10, 1e-5, 1e-5, 0.2)
         assert survival_probability(s2, 20, params) < survival_probability(s1, 10, params)
         assert survival_probability(s3, 10, params) < survival_probability(s1, 10, params)
         faster = self._params(5.0, 10.0, 0.0)

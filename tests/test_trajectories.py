@@ -6,7 +6,7 @@ import pytest
 from screwclock import (
     DecoherenceParams,
     ParameterError,
-    build_schedule,
+    ProtocolSchedule,
     fringe_scan,
     run_protocol,
     sample_scatter_count,
@@ -17,7 +17,7 @@ from conftest import reference_trajectory_batch
 
 
 def _schedule(n, ramsey=0.01):
-    return build_schedule(n, gate_time=20e-6, transport_time=10e-6, ramsey_time=ramsey)
+    return ProtocolSchedule(n, gate_time=20e-6, transport_time=10e-6, ramsey_time=ramsey)
 
 
 def _scatter_probability(n, schedule, params):
