@@ -27,7 +27,7 @@ from .config import (
     parse_config,
     serialize_config,
 )
-from .errors import ClockSimError
+from .errors import ClockSimError, ConfigError
 from .estimator import analyze_fringe, fringe_scan, optimize_atom_number, precision_report
 from .lattice import overlap_depth, trap_frequencies, well_depth_closed_form
 from .pipeline import PhysicsBundle, detuning_grid, probe_detuning, resolve_physics
@@ -36,6 +36,13 @@ from .register import BACKENDS, protocol_references, run_protocol, state_fidelit
 from .output import write_table
 
 COMMANDS = ("feasibility", "schedule", "simulate", "scan", "optimize", "sweep")
+
+# `schedule` holds its 4N + 8 rows in memory before writing them: 281 B per
+# row, measured as the peak-RSS growth of the command at N = 10^5 and
+# 2 * 10^5 (CPython 3.11, 64-bit Linux). Larger N is rejected up front.
+SCHEDULE_ROW_BYTES = 281
+SCHEDULE_TABLE_BUDGET_BYTES = 128 * 2**20
+SCHEDULE_MAX_ATOMS = (SCHEDULE_TABLE_BUDGET_BYTES // SCHEDULE_ROW_BYTES - 8) // 4
 
 
 def _base_metadata(command: str, cfg: RunConfig) -> dict:
@@ -109,6 +116,13 @@ def _cmd_feasibility(cfg: RunConfig, out_dir: Path) -> list[Path]:
 
 
 def _cmd_schedule(cfg: RunConfig, out_dir: Path) -> list[Path]:
+    if cfg.protocol.n_atoms > SCHEDULE_MAX_ATOMS:
+        raise ConfigError(
+            "protocol.n_atoms",
+            f"the schedule table is limited to {SCHEDULE_MAX_ATOMS} atoms "
+            f"({SCHEDULE_TABLE_BUDGET_BYTES // 2**20} MiB at {SCHEDULE_ROW_BYTES} B per row), "
+            f"got {cfg.protocol.n_atoms}",
+        )
     bundle = resolve_physics(cfg)
     rows = [
         {"step_index": i, "kind": kind, "duration_s": duration, "site": site}

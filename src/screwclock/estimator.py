@@ -9,12 +9,11 @@ decoherence-limited optimum atom number.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
+from numpy.fft import rfft, rfftfreq
 
 from .errors import DegenerateFringeError, ParameterError
 from .rates import DecoherenceParams, ProtocolSchedule, schedule_duration
@@ -22,6 +21,10 @@ from .register import run_protocol
 from .trajectories import sample_scatter_count
 
 _FLAT_TOL = 1e-12
+_FIT_MAX_ITERATIONS = 100  # Levenberg-Marquardt steps before the fit gives up
+_FIT_XTOL = 1e-10          # converged once a step moves the scaled parameters this little
+_DAMPING_START = 1e-3      # Marquardt damping, relative to the normal-matrix diagonal
+_DAMPING_MAX = 1e16        # no step lowers the cost even at this damping: a float-level minimum
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,7 @@ def fringe_scan(
             delta_omega=float(delta_omega),
             delta_omega_head=delta_omega_head,
             ramsey_time=ramsey_time,
+            checkpoints=False,
         ).p_up
         if noise is None:
             values[i] = exact
@@ -127,19 +131,74 @@ def _initial_frequency(x: np.ndarray, y: np.ndarray) -> float:
     detrended = y - y.mean()
     padded = np.zeros(8 * n)
     padded[:n] = detrended
-    spectrum = np.abs(np.fft.rfft(padded))
+    spectrum = np.abs(rfft(padded))
     spectrum[0] = 0.0
     dx = (x[-1] - x[0]) / (n - 1)
-    freqs = 2.0 * math.pi * np.fft.rfftfreq(padded.size, d=dx)
+    freqs = 2.0 * math.pi * rfftfreq(padded.size, d=dx)
     return float(freqs[int(np.argmax(spectrum))])
+
+
+def _fit_sinusoid(x: np.ndarray, y: np.ndarray, omega0: float) -> np.ndarray | None:
+    """Least-squares (offset, a, b, omega) of offset + a cos(omega x) + b sin(omega x).
+
+    The model is linear in (offset, a, b) and nonlinear in omega only
+    (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973): linear least
+    squares at ``omega0`` starts Levenberg-Marquardt on all four parameters
+    (Marquardt, SIAM J. Appl. Math. 11, 431, 1963), with the analytic
+    Jacobian [1, cos, sin, x (b cos - a sin)]. Iterates until a step moves
+    the scaled parameters by less than _FIT_XTOL, or until no step lowers
+    the residual sum of squares. Returns None on singular normal equations
+    or after _FIT_MAX_ITERATIONS steps without converging.
+    """
+    ones = np.ones_like(x)
+
+    def basis_at(omega):
+        # [1, cos, sin]: the model's linear columns, and the first three of its Jacobian
+        return np.stack([ones, np.cos(omega * x), np.sin(omega * x)], axis=1)
+
+    basis = basis_at(omega0)
+    try:
+        params = np.append(np.linalg.solve(basis.T @ basis, basis.T @ y), omega0)
+    except np.linalg.LinAlgError:
+        return None
+    residual = y - basis @ params[:3]
+    cost = residual @ residual
+    damping = _DAMPING_START
+    for _ in range(_FIT_MAX_ITERATIONS):
+        _, cos, sin = basis.T
+        jacobian = np.column_stack([basis, x * (params[2] * cos - params[1] * sin)])
+        normal = jacobian.T @ jacobian
+        gradient = jacobian.T @ residual
+        scale = np.diag(normal)
+        while True:
+            try:
+                step = np.linalg.solve(normal + np.diag(damping * scale), gradient)
+            except np.linalg.LinAlgError:
+                return None
+            trial = params + step
+            trial_basis = basis_at(trial[3])
+            trial_residual = y - trial_basis @ trial[:3]
+            trial_cost = trial_residual @ trial_residual
+            if trial_cost < cost:
+                break
+            damping *= 10.0
+            if damping > _DAMPING_MAX:
+                return params
+        params, basis, residual, cost = trial, trial_basis, trial_residual, trial_cost
+        damping /= 10.0
+        weights = np.sqrt(scale)
+        if np.linalg.norm(weights * step) <= _FIT_XTOL * np.linalg.norm(weights * params):
+            return params
+    return None
 
 
 def analyze_fringe(scan: FringeScan) -> FringeFit:
     """Least-squares sinusoid fit: (contrast, fringe period in rad/s).
 
     A scan that is flat to machine precision gets contrast 0 and a NaN
-    period (undefined). The scan should span at least one full period for
-    the frequency to be identifiable.
+    period (undefined), as does a fit that fails (see :func:`_fit_sinusoid`).
+    The scan should span at least one full period for the frequency to be
+    identifiable.
     """
     x = np.asarray(scan.detunings)
     y = np.asarray(scan.p_up)
@@ -150,25 +209,11 @@ def analyze_fringe(scan: FringeScan) -> FringeFit:
     if omega0 <= 0.0:
         return FringeFit(contrast=0.0, period=math.nan)
 
-    def model(t, offset, a, b, omega):
-        return offset + a * np.cos(omega * t) + b * np.sin(omega * t)
-
-    ca = np.cos(omega0 * x)
-    sa = np.sin(omega0 * x)
-    p0 = (float(y.mean()), 2.0 * float(np.mean((y - y.mean()) * ca)),
-          2.0 * float(np.mean((y - y.mean()) * sa)), omega0)
-    try:
-        with warnings.catch_warnings():
-            # A perfect (noiseless) fit leaves no residual to estimate a
-            # parameter covariance from; that is fine here.
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, _ = curve_fit(model, x, y, p0=p0, maxfev=20000)
-    except RuntimeError:
+    params = _fit_sinusoid(x, y, omega0)
+    if params is None or params[3] == 0.0:
         return FringeFit(contrast=0.0, period=math.nan)
-    _, a, b, omega = (float(v) for v in popt)
+    _, a, b, omega = (float(v) for v in params)
     contrast = min(2.0 * math.hypot(a, b), 1.0)
-    if omega == 0.0:
-        return FringeFit(contrast=0.0, period=math.nan)
     return FringeFit(contrast=max(contrast, 0.0), period=2.0 * math.pi / abs(omega))
 
 

@@ -63,7 +63,12 @@ def _check_unitary(matrix) -> np.ndarray:
 
 
 class DenseState:
-    """Full state vector of N clock qubits and the head qubit."""
+    """Full state vector of N clock qubits and the head qubit.
+
+    Rotations write into a spare array of the state's size and swap it
+    with ``amplitudes``, so a rotation allocates no new state array; keep
+    a ``to_vector()`` copy, not a reference to ``amplitudes``.
+    """
 
     backend = "dense"
 
@@ -78,12 +83,18 @@ class DenseState:
         self.n_atoms = n_atoms
         self.amplitudes = np.zeros(2 ** (n_atoms + 1), dtype=complex)
         self.amplitudes[0] = 1.0
+        self._spare = np.empty_like(self.amplitudes)
 
     def copy(self) -> "DenseState":
         new = object.__new__(DenseState)
         new.n_atoms = self.n_atoms
         new.amplitudes = self.amplitudes.copy()
+        new._spare = np.empty_like(new.amplitudes)
         return new
+
+    def _swap(self):
+        # A rotation has written the new state into the spare array.
+        self.amplitudes, self._spare = self._spare, self.amplitudes
 
     def _tensor(self) -> np.ndarray:
         # Axis 0 is the head; axis a in 1..N is clock bit j = N - a.
@@ -103,16 +114,19 @@ class DenseState:
             # np.kron(blocks[-1], m), without its per-call overhead
             d = 2 * blocks[-1].shape[0]
             blocks.append((blocks[-1][:, None, :, None] * m[None, :, None, :]).reshape(d, d))
-        a = self.amplitudes
         for low in range(0, self.n_atoms, DENSE_BLOCK_BITS):
             k = min(DENSE_BLOCK_BITS, self.n_atoms - low)
-            a = (blocks[k - 1] @ a.reshape(-1, 2 ** k).T).reshape(-1)
-        self.amplitudes = a.reshape(-1, 2).T.reshape(-1)
+            np.matmul(blocks[k - 1], self.amplitudes.reshape(-1, 2 ** k).T,
+                      out=self._spare.reshape(2 ** k, -1))
+            self._swap()
+        np.copyto(self._spare.reshape(2, -1), self.amplitudes.reshape(-1, 2).T)
+        self._swap()
         return self
 
     def apply_head_rotation(self, matrix) -> "DenseState":
         m = _check_unitary(matrix)
-        self.amplitudes = (m @ self.amplitudes.reshape(2, -1)).reshape(-1)
+        np.matmul(m, self.amplitudes.reshape(2, -1), out=self._spare.reshape(2, -1))
+        self._swap()
         return self
 
     def apply_phase_gate(self, site: int) -> "DenseState":
@@ -375,15 +389,21 @@ def run_protocol(
     delta_omega: float = 0.0,
     delta_omega_head: float = 0.0,
     ramsey_time: float = 0.0,
+    *,
+    checkpoints: bool = True,
 ) -> ProtocolResult:
-    """Run the noiseless protocol end to end, recording checkpoint states."""
+    """Run the noiseless protocol end to end.
+
+    With ``checkpoints`` a copy of the state is recorded at each labelled
+    stage; without, the result's ``checkpoints`` dict stays empty.
+    """
     state = init_register(n_atoms, backend)
-    checkpoints: dict[str, RegisterState] = {}
+    copies: dict[str, RegisterState] = {}
     for label, gate in protocol_gates(n_atoms, delta_omega, delta_omega_head, ramsey_time):
         apply_gate(state, gate)
-        if label is not None:
-            checkpoints[label] = state.copy()
-    return ProtocolResult(final=state, checkpoints=checkpoints)
+        if checkpoints and label is not None:
+            copies[label] = state.copy()
+    return ProtocolResult(final=state, checkpoints=copies)
 
 
 def ghz_reference(n_atoms: int, backend: str = "dense") -> RegisterState:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
+from numpy.random import default_rng
 
 from .errors import ParameterError
 from .rates import DecoherenceParams, ProtocolSchedule
@@ -38,4 +38,4 @@ def sample_scatter_count(
     if rate <= 0.0:
         return 0
     q = -math.expm1(-schedule.total_duration * rate)
-    return int(np.random.default_rng(seed).binomial(n_trajectories, q))
+    return int(default_rng(seed).binomial(n_trajectories, q))

@@ -1,20 +1,31 @@
 """Shared fixtures: the Sr/Al parameter set used across the suite, the
 random-gate-sequence helpers behind the backend differential tests, and the
 slow reference paths the fast ones are tested against: the per-site phase
-gate, the per-axis dense rotation, the per-trajectory sampler, the numeric
-well depth, the expanded schedule step list and a CSV reader."""
+gate, the per-axis and the allocating dense rotations, the per-trajectory
+sampler, scipy's curve_fit fringe fit, the numeric well depth, the expanded
+schedule step list and a CSV reader; and a runner for fresh interpreters."""
 
 import csv
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeWarning, curve_fit
 
+import screwclock
 from screwclock import (
     CODATA, CapacityError, ConstantsTable, LatticeConfig, ParameterError, SpeciesOptics,
     init_register, sublattice_depths,
 )
-from screwclock.register import BRANCH_ALIGN_TOL, _Branches, apply_gate
+from screwclock.estimator import _initial_frequency
+from screwclock.register import (
+    BRANCH_ALIGN_TOL, DENSE_BLOCK_BITS, _Branches, _check_unitary, apply_gate,
+)
 
 # Reference parameter set: Sr clock atoms with an Al head at the 389.9 nm
 # blue magic wavelength, misbalance delta = 1/4.
@@ -56,6 +67,15 @@ def al_down():
 def reference_lattice():
     return LatticeConfig(lambda_m=LAMBDA_M, intensity=MIN_INTENSITY, delta=DELTA,
                          phi=0.0, transverse_intensity=MIN_INTENSITY)
+
+
+def run_python(args: list[str], timeout: float) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on ``args`` that imports this screwclock checkout."""
+    src = str(Path(screwclock.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=timeout, env=env)
 
 
 def haar_unitary(rng: np.random.Generator) -> np.ndarray:
@@ -185,6 +205,65 @@ def reference_axis_rotation(state, matrix, axis: int):
     psi = np.tensordot(np.asarray(matrix, dtype=complex), state._tensor(), axes=([1], [axis]))
     state.amplitudes = np.ascontiguousarray(np.moveaxis(psi, 0, axis)).reshape(-1)
     return state
+
+
+def reference_dense_clock_rotation(state, matrix):
+    """Kronecker-block clock rotation that allocates a new array per block product.
+
+    The reference for the buffer-swapping ``DenseState.apply_clock_rotation``:
+    the same blocks and products, so the amplitudes must agree bit for bit.
+    """
+    m = _check_unitary(matrix)
+    blocks = [m]
+    while len(blocks) < min(DENSE_BLOCK_BITS, state.n_atoms):
+        d = 2 * blocks[-1].shape[0]
+        blocks.append((blocks[-1][:, None, :, None] * m[None, :, None, :]).reshape(d, d))
+    a = state.amplitudes
+    for low in range(0, state.n_atoms, DENSE_BLOCK_BITS):
+        k = min(DENSE_BLOCK_BITS, state.n_atoms - low)
+        a = (blocks[k - 1] @ a.reshape(-1, 2 ** k).T).reshape(-1)
+    state.amplitudes = a.reshape(-1, 2).T.reshape(-1)
+    return state
+
+
+def reference_dense_head_rotation(state, matrix):
+    """Head rotation into a new array; the reference for ``DenseState.apply_head_rotation``."""
+    m = _check_unitary(matrix)
+    state.amplitudes = (m @ state.amplitudes.reshape(2, -1)).reshape(-1)
+    return state
+
+
+def reference_fringe_fit(x, y, *, tol=None):
+    """scipy's curve_fit of offset + a cos(omega x) + b sin(omega x), or None.
+
+    The reference for ``estimator._fit_sinusoid``: MINPACK Levenberg-Marquardt
+    started, as the package fitted before, at the periodogram frequency with
+    (offset, a, b) projected onto it. It gets the analytic Jacobian: with
+    its own finite differences MINPACK stalls up to ~1e-9 away from an exact
+    fringe sampled by a few points. ``tol`` replaces the default xtol, ftol
+    and gtol (1.49e-8, 1.49e-8, 0).
+    """
+    omega0 = _initial_frequency(x, y)
+
+    def model(t, offset, a, b, omega):
+        return offset + a * np.cos(omega * t) + b * np.sin(omega * t)
+
+    def jacobian(t, offset, a, b, omega):
+        cos, sin = np.cos(omega * t), np.sin(omega * t)
+        return np.column_stack([np.ones_like(t), cos, sin, t * (b * cos - a * sin)])
+
+    centred = y - y.mean()
+    p0 = (float(y.mean()), 2.0 * float(np.mean(centred * np.cos(omega0 * x))),
+          2.0 * float(np.mean(centred * np.sin(omega0 * x))), omega0)
+    tolerances = {} if tol is None else {"xtol": tol, "ftol": tol, "gtol": tol}
+    try:
+        with warnings.catch_warnings():
+            # A noiseless fit leaves no residual to estimate a covariance from.
+            warnings.simplefilter("ignore", OptimizeWarning)
+            params, _ = curve_fit(model, x, y, p0=p0, jac=jacobian, maxfev=20000, **tolerances)
+    except RuntimeError:
+        return None
+    return params
 
 
 def reference_trajectory_batch(n_atoms, schedule, params, n_trajectories, seed, p_up_noiseless):

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from screwclock import ParameterError, parse_config, resolve_physics, survival_probability
-from screwclock.cli import main, run_command
+from screwclock.cli import (
+    SCHEDULE_MAX_ATOMS, SCHEDULE_ROW_BYTES, SCHEDULE_TABLE_BUDGET_BYTES, main, run_command,
+)
 from screwclock.output import write_table
 
-from conftest import read_table, reference_schedule_steps
+from conftest import read_table, reference_schedule_steps, run_python
 
 
 def _write_config(tmp_path, data):
@@ -382,6 +384,32 @@ class TestDeterminismAndErrors:
         assert blob["error"] == "config"
         assert blob["field"] == field
         assert not (tmp_path / "o").exists()
+
+    def test_schedule_bound_is_the_table_budget(self):
+        rows = 4 * SCHEDULE_MAX_ATOMS + 8
+        assert rows * SCHEDULE_ROW_BYTES <= SCHEDULE_TABLE_BUDGET_BYTES
+        assert (rows + 4) * SCHEDULE_ROW_BYTES > SCHEDULE_TABLE_BUDGET_BYTES
+
+    @pytest.mark.parametrize("n_atoms", [SCHEDULE_MAX_ATOMS + 1, 2**53],
+                             ids=["bound+1", "2^53"])
+    def test_schedule_beyond_table_budget_exit_code(self, tmp_path, n_atoms):
+        # Rejected before the table is built, so even 2^53 exits at once.
+        cfg = _write_config(tmp_path, {"protocol": {"n_atoms": n_atoms}})
+        result = run_python(["-m", "screwclock.cli", "--config", str(cfg),
+                             "--out", str(tmp_path / "o"), "schedule"], timeout=30)
+        assert result.returncode == 2
+        blob = json.loads(result.stderr.splitlines()[-1])
+        assert blob["error"] == "config"
+        assert blob["field"] == "protocol.n_atoms"
+        assert not (tmp_path / "o" / "schedule.csv").exists()
+
+    def test_schedule_at_table_budget_runs(self, tmp_path):
+        cfg = _write_config(tmp_path, {"protocol": {"n_atoms": SCHEDULE_MAX_ATOMS}})
+        result = run_python(["-m", "screwclock.cli", "--config", str(cfg),
+                             "--out", str(tmp_path / "o"), "schedule"], timeout=120)
+        assert result.returncode == 0, result.stderr
+        meta = json.loads((tmp_path / "o" / "schedule.meta.json").read_text())
+        assert meta["rows"] == 4 * SCHEDULE_MAX_ATOMS + 8
 
     @pytest.mark.parametrize("command", ["scan", "sweep"])
     def test_non_clock_error_exit_code(self, tmp_path, monkeypatch, command):

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from screwclock import estimator
 from screwclock import (
     DecoherenceParams,
     DegenerateFringeError,
@@ -21,6 +24,9 @@ from screwclock import (
     survival_probability,
 )
 from screwclock.cli import run_command
+from screwclock.estimator import _fit_sinusoid, _initial_frequency
+
+from conftest import reference_fringe_fit
 
 
 def _grid(n, t, periods=2.0, points=81):
@@ -135,6 +141,107 @@ class TestAnalyzeFringe:
         sd_large = spread(960, base_seed=900)
         assert sd_large < sd_small / 1.5
         assert 1.5 < sd_small / sd_large < 10.0
+
+
+@st.composite
+def _fringes(draw):
+    """Ramsey fringe 0.5 - C/2 cos(chi) over a scan of the CLI's kind.
+
+    1-4 periods of the N-atom fringe in 8-200 points, at least 4 points per
+    period: undersampled scans (say 9 points over 4 periods) can land in
+    different local minima of the two fitters, so they are left out.
+    """
+    n = draw(st.integers(1, 2000))
+    t = draw(st.floats(1e-3, 0.1))
+    contrast = draw(st.floats(0.3, 1.0))
+    periods = draw(st.floats(1.0, 4.0))
+    points = draw(st.integers(max(8, math.ceil(4.0 * periods) + 1), 200))
+    delta_omega_head = draw(st.floats(-1e3, 1e3))
+    x = np.linspace(0.0, periods * 2.0 * math.pi / (n * t), points)
+    y = 0.5 - 0.5 * contrast * np.cos((n * x + delta_omega_head) * t)
+    return x, y, n * t
+
+
+def _rss(params, x, y):
+    offset, a, b, omega = params
+    residual = y - (offset + a * np.cos(omega * x) + b * np.sin(omega * x))
+    return float(residual @ residual)
+
+
+class TestFitAgainstCurveFit:
+    """The numpy Levenberg-Marquardt fit against scipy's curve_fit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_fringes())
+    def test_noiseless_contrast_and_frequency_agree(self, fringe):
+        x, y, _ = fringe
+        ours = _fit_sinusoid(x, y, _initial_frequency(x, y))
+        reference = reference_fringe_fit(x, y)
+        assert ours is not None and reference is not None
+        assert math.hypot(ours[1], ours[2]) == pytest.approx(
+            math.hypot(reference[1], reference[2]), rel=1e-12)
+        assert abs(ours[3]) == pytest.approx(abs(reference[3]), rel=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_fringes(), st.integers(0, 2**32 - 1))
+    def test_noisy_fit_reaches_curve_fit_minimum(self, fringe, seed):
+        x, y, omega = fringe
+        y = np.clip(y + 0.05 * np.random.default_rng(seed).normal(size=y.size), 0.0, 1.0)
+        reference = reference_fringe_fit(x, y)
+        # A few points of a low-contrast fringe can fit a parabola better than
+        # any sinusoid: the optimum runs off to omega -> 0 with an amplitude
+        # far above 1/2. curve_fit stops somewhere on that path, the numpy fit
+        # at its iteration cap; there is no fringe to compare, so skip those.
+        assume(reference is not None and 0.5 * omega < abs(reference[3]) < 2.0 * omega)
+        ours = _fit_sinusoid(x, y, _initial_frequency(x, y))
+        assert ours is not None
+        # curve_fit stops at xtol 1.49e-8, so its sum of squares is never lower.
+        assert _rss(ours, x, y) <= _rss(reference, x, y) * (1.0 + 1e-12)
+        # On an ill-conditioned scan (8 points, one period) that stop can sit
+        # 1e-4 away from the minimum, so the parameters are compared with
+        # curve_fit run to convergence.
+        converged = reference_fringe_fit(x, y, tol=1e-14)
+        assert converged is not None
+        assert ours[0] == pytest.approx(converged[0], abs=1e-6)
+        assert math.hypot(ours[1], ours[2]) == pytest.approx(
+            math.hypot(converged[1], converged[2]), rel=1e-6)
+        assert abs(ours[3]) == pytest.approx(abs(converged[3]), rel=1e-6)
+
+    def test_cli_scan_period_is_exact(self, tmp_path):
+        # Default config: N = 100 and T = 10 ms, so the period is 2 pi / (N T) = 2 pi.
+        run_command("scan", parse_config(None), tmp_path)
+        meta = json.loads((tmp_path / "scan.meta.json").read_text())
+        assert meta["fringe_period_rad_s"] == pytest.approx(2 * math.pi, rel=1e-14)
+        assert meta["contrast"] == pytest.approx(1.0, rel=1e-12)
+
+
+class TestFitFallbacks:
+    """Each way the fit can fail returns contrast 0 and a NaN period."""
+
+    @staticmethod
+    def _clean_scan():
+        # sin^2(pi x / 2): two periods of length 2
+        x = np.linspace(0.0, 4.0, 41)
+        return FringeScan(tuple(x), tuple(np.sin(math.pi * x / 2.0) ** 2), 1, 1.0, 0)
+
+    def test_fewer_than_four_points(self):
+        fit = analyze_fringe(FringeScan((0.0, 1.0, 2.0), (0.0, 1.0, 0.0), 1, 1.0, 0))
+        assert fit.contrast == 0.0 and math.isnan(fit.period)
+
+    def test_singular_normal_equations(self, monkeypatch):
+        # At omega = 1 on the grid 2 pi k, cos is exactly 1: the offset and
+        # cosine columns coincide and the normal matrix is singular.
+        x = 2.0 * math.pi * np.arange(8)
+        monkeypatch.setattr(estimator, "_initial_frequency", lambda x, y: 1.0)
+        fit = analyze_fringe(FringeScan(tuple(x), (0.0, 1.0) * 4, 1, 1.0, 0))
+        assert fit.contrast == 0.0 and math.isnan(fit.period)
+
+    def test_iteration_cap(self, monkeypatch):
+        scan = self._clean_scan()
+        assert analyze_fringe(scan).period == pytest.approx(2.0, rel=1e-12)
+        monkeypatch.setattr(estimator, "_FIT_MAX_ITERATIONS", 1)
+        fit = analyze_fringe(scan)
+        assert fit.contrast == 0.0 and math.isnan(fit.period)
 
 
 class TestSensitivities:

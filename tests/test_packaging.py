@@ -1,0 +1,66 @@
+"""The CLI needs numpy and click only: scipy is the tests' oracle, never a runtime import."""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from screwclock.cli import COMMANDS
+
+from conftest import run_python
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = (
+        "import json, sys, screwclock, screwclock.cli\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    result = run_python(["-c", code], timeout=60)
+    assert result.returncode == 0, result.stderr
+    modules = json.loads(result.stdout)
+    assert [m for m in modules if m == "scipy" or m.startswith("scipy.")] == []
+    # Loaded while the CLI is imported, not during the first command.
+    assert "numpy.random" in modules and "numpy.fft" in modules
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+        "from screwclock.cli import COMMANDS, main\n"
+        "codes = []\n"
+        "for command in COMMANDS:\n"
+        "    try:\n"
+        "        main(['--config', sys.argv[1], '--out', sys.argv[2], command])\n"
+        "    except SystemExit as exc:\n"
+        "        codes.append(exc.code)\n"
+        "print(json.dumps(codes))\n"
+    )
+    out = tmp_path / "out"
+    result = run_python(["-c", code, str(ROOT / "config.example.json"), str(out)], timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == [0] * len(COMMANDS)
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(f"{c}.csv" for c in COMMANDS)
+
+
+def test_scipy_is_only_a_test_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert not [d for d in project["dependencies"] if d.startswith("scipy")]
+    assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])
+
+
+def test_ci_runs_every_command_without_scipy():
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    steps = workflow["jobs"]["runtime"]["steps"]
+    script = "\n".join(step.get("run", "") for step in steps)
+    assert "pip install --no-deps -e ." in script
+    installs = [line.split() for line in script.splitlines() if "pip install" in line]
+    packages = {word for words in installs for word in words[words.index("install") + 1:]}
+    assert packages == {"numpy", "click", "--no-deps", "-e", "."}
+    assert " ".join(COMMANDS) in script
+    assert "config.example.json" in script

@@ -11,6 +11,7 @@ from screwclock import (
     ClockSimError,
     ParameterError,
     final_reference,
+    fringe_scan,
     ghz_reference,
     init_register,
     protocol_gates,
@@ -19,11 +20,11 @@ from screwclock import (
     state_fidelity,
     state_overlap,
 )
-from screwclock.register import HADAMARD, apply_gate
+from screwclock.register import BACKENDS, HADAMARD, apply_gate
 
 from conftest import (
     backend_crosscheck, haar_unitary, random_gate_sequence, reference_axis_rotation,
-    reference_phase_gate,
+    reference_dense_clock_rotation, reference_dense_head_rotation, reference_phase_gate,
 )
 
 
@@ -139,6 +140,24 @@ class TestHeadRotation:
         reference = reference_axis_rotation(state.copy(), m, 0)
         state.apply_head_rotation(m)
         assert np.abs(state.amplitudes - reference.amplitudes).max() <= 1e-12
+
+
+class TestDenseBuffers:
+    """Rotations write into the state's spare array and swap it in."""
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_rotations_match_allocating_reference_bit_for_bit(self, n):
+        rng = np.random.default_rng(500 + n)
+        state = _random_dense(n, rng)
+        reference = state.copy()
+        # Repeated, so that each of the two arrays holds the state in turn.
+        for _ in range(3):
+            clock, head = haar_unitary(rng), haar_unitary(rng)
+            state.apply_clock_rotation(clock).apply_head_rotation(head)
+            reference_dense_clock_rotation(reference, clock)
+            reference_dense_head_rotation(reference, head)
+            assert np.array_equal(state.amplitudes, reference.amplitudes)
+        assert state.amplitudes is not state._spare
 
 
 class TestPhaseGate:
@@ -290,6 +309,34 @@ class TestRunProtocol:
         for name, reference in refs.items():
             fid = state_fidelity(result.checkpoints[name], reference)
             assert fid == pytest.approx(1.0, abs=1e-10), name
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_checkpoints_are_independent_copies(self, backend):
+        result = run_protocol(4, backend, 0.3, 0.1, 1.0)
+        assert list(result.checkpoints) == ["superposition", "entangled", "ghz", "evolved", "final"]
+        states = [result.final, *result.checkpoints.values()]
+        vectors = [state.to_vector() for state in states]
+        rng = np.random.default_rng(7)
+        for i, state in enumerate(states):
+            state.apply_clock_rotation(haar_unitary(rng)).apply_head_rotation(haar_unitary(rng))
+            vectors[i] = state.to_vector()
+            for other, vector in zip(states, vectors):
+                assert np.array_equal(other.to_vector(), vector)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_without_checkpoints_final_state_is_unchanged(self, backend):
+        bare = run_protocol(5, backend, 0.3, 0.1, 1.0, checkpoints=False)
+        assert bare.checkpoints == {}
+        full = run_protocol(5, backend, 0.3, 0.1, 1.0)
+        assert np.array_equal(bare.final.to_vector(), full.final.to_vector())
+
+    @pytest.mark.parametrize("backend,n", [("dense", 6), ("branch", 6), ("branch", 300)])
+    def test_fringe_scan_equals_per_point_protocol(self, backend, n):
+        t, dwh = 0.3, 0.05
+        grid = np.linspace(-1.0, 3.0, 9) / n
+        scan = fringe_scan(n, t, grid, delta_omega_head=dwh, backend=backend)
+        expected = [run_protocol(n, backend, float(dw), dwh, t).p_up for dw in grid]
+        assert list(scan.p_up) == expected
 
     def test_rank_never_exceeds_two(self):
         n = 6
