@@ -37,12 +37,15 @@ from .output import write_table
 
 COMMANDS = ("feasibility", "schedule", "simulate", "scan", "optimize", "sweep")
 
-# `schedule` holds its 4N + 8 rows in memory before writing them: 281 B per
-# row, measured as the peak-RSS growth of the command at N = 10^5 and
-# 2 * 10^5 (CPython 3.11, 64-bit Linux). Larger N is rejected up front.
-SCHEDULE_ROW_BYTES = 281
+# `schedule` holds its 4N + 8 rows in memory, as three columns, before writing
+# them. The command's peak RSS grows by 46 B per row, measured between
+# N = 5 * 10^4 and 10^5 (CPython 3.11, 64-bit Linux): about 21 MiB at the
+# limit, inside the 128 MiB table budget. The limit stays where rows of 281 B
+# once put it, which keeps the largest table a 22 MB file. Larger N is
+# rejected up front.
+SCHEDULE_ROW_BYTES = 46
 SCHEDULE_TABLE_BUDGET_BYTES = 128 * 2**20
-SCHEDULE_MAX_ATOMS = (SCHEDULE_TABLE_BUDGET_BYTES // SCHEDULE_ROW_BYTES - 8) // 4
+SCHEDULE_MAX_ATOMS = 119408
 
 
 def _base_metadata(command: str, cfg: RunConfig) -> dict:
@@ -55,43 +58,38 @@ def _base_metadata(command: str, cfg: RunConfig) -> dict:
     }
 
 
-def _species_rows(bundle: PhysicsBundle) -> list[dict]:
-    rows = []
-    lattice = bundle.lattice
-    for species in (bundle.clock, bundle.head_up, bundle.head_down):
-        worst_phi = math.pi / 2.0 if species.role == "clock" else 0.0
-        depth_overlap = overlap_depth(lattice, species, bundle.table)
-        depth_worst = well_depth_closed_form(lattice, species, phi=worst_phi, table=bundle.table)
-        recoil = (2.0 * math.pi * bundle.table.planck_reduced / lattice.lambda_m) ** 2 / (
-            2.0 * species.mass
-        )
-        omega_ax, omega_r1, _ = trap_frequencies(
-            replace(lattice, phi=0.0), species, bundle.table
-        )
-        tau = photon_scattering_time(
-            species, lattice.intensity, depth_overlap, lattice.lambda_m, bundle.table
-        )
-        rows.append(
-            {
-                "species": species.name,
-                "role": species.role,
-                "rho": species.rho,
-                "recoil_energy_j": recoil,
-                "depth_overlap_j": depth_overlap,
-                "depth_worst_j": depth_worst,
-                "depth_worst_over_recoil": depth_worst / recoil,
-                "omega_axial_rad_s": omega_ax,
-                "omega_radial_rad_s": omega_r1,
-                "scatter_time_s": tau,
-                "required_intensity_w_m2": bundle.requirement.per_species.get(species.name),
-            }
-        )
-    return rows
+def _species_columns(bundle: PhysicsBundle) -> dict[str, list]:
+    lattice, table = bundle.lattice, bundle.table
+    species = (bundle.clock, bundle.head_up, bundle.head_down)
+    depth_overlap = [overlap_depth(lattice, s, table) for s in species]
+    depth_worst = [
+        well_depth_closed_form(lattice, s, phi=math.pi / 2.0 if s.role == "clock" else 0.0,
+                               table=table)
+        for s in species
+    ]
+    recoil = [(2.0 * math.pi * table.planck_reduced / lattice.lambda_m) ** 2 / (2.0 * s.mass)
+              for s in species]
+    omegas = [trap_frequencies(replace(lattice, phi=0.0), s, table) for s in species]
+    return {
+        "species": [s.name for s in species],
+        "role": [s.role for s in species],
+        "rho": [s.rho for s in species],
+        "recoil_energy_j": recoil,
+        "depth_overlap_j": depth_overlap,
+        "depth_worst_j": depth_worst,
+        "depth_worst_over_recoil": [w / r for w, r in zip(depth_worst, recoil)],
+        "omega_axial_rad_s": [w[0] for w in omegas],
+        "omega_radial_rad_s": [w[1] for w in omegas],
+        "scatter_time_s": [
+            photon_scattering_time(s, lattice.intensity, d, lattice.lambda_m, table)
+            for s, d in zip(species, depth_overlap)
+        ],
+        "required_intensity_w_m2": [bundle.requirement.per_species.get(s.name) for s in species],
+    }
 
 
 def _cmd_feasibility(cfg: RunConfig, out_dir: Path) -> list[Path]:
     bundle = resolve_physics(cfg)
-    rows = _species_rows(bundle)
     report = bundle.requirement.feasibility
     meta = _base_metadata("feasibility", cfg)
     meta.update(
@@ -107,7 +105,7 @@ def _cmd_feasibility(cfg: RunConfig, out_dir: Path) -> list[Path]:
             "gate_time_s": bundle.gate_time,
         }
     )
-    path = write_table(rows, out_dir / "feasibility.csv", metadata=meta)
+    path = write_table(_species_columns(bundle), out_dir / "feasibility.csv", metadata=meta)
     click.echo(
         f"feasible={meta['feasible']} intensity={meta['intensity_kw_cm2']:.3g} kW/cm^2 "
         f"(binding: {meta['binding_species']})"
@@ -119,15 +117,12 @@ def _cmd_schedule(cfg: RunConfig, out_dir: Path) -> list[Path]:
     if cfg.protocol.n_atoms > SCHEDULE_MAX_ATOMS:
         raise ConfigError(
             "protocol.n_atoms",
-            f"the schedule table is limited to {SCHEDULE_MAX_ATOMS} atoms "
-            f"({SCHEDULE_TABLE_BUDGET_BYTES // 2**20} MiB at {SCHEDULE_ROW_BYTES} B per row), "
+            f"the schedule table is limited to {SCHEDULE_MAX_ATOMS} atoms, "
             f"got {cfg.protocol.n_atoms}",
         )
     bundle = resolve_physics(cfg)
-    rows = [
-        {"step_index": i, "kind": kind, "duration_s": duration, "site": site}
-        for i, (kind, duration, site) in enumerate(schedule_steps(bundle.schedule))
-    ]
+    kinds, durations, sites = schedule_steps(bundle.schedule)
+    columns = {"step_index": range(len(kinds)), "kind": kinds, "duration_s": durations, "site": sites}
     survival = survival_probability(bundle.schedule, bundle.n_atoms, bundle.decoherence)
     meta = _base_metadata("schedule", cfg)
     meta.update(
@@ -143,9 +138,9 @@ def _cmd_schedule(cfg: RunConfig, out_dir: Path) -> list[Path]:
             "survival": survival,
         }
     )
-    path = write_table(rows, out_dir / "schedule.csv", metadata=meta)
+    path = write_table(columns, out_dir / "schedule.csv", metadata=meta)
     click.echo(
-        f"{len(rows)} steps, total {bundle.schedule.total_duration:.6g} s, "
+        f"{len(kinds)} steps, total {bundle.schedule.total_duration:.6g} s, "
         f"survival {survival:.4g}"
     )
     return [path]
@@ -167,10 +162,10 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path) -> list[Path]:
         ramsey_time=t,
     )
     references = protocol_references(n, delta_omega, delta_omega_head, t)
-    rows = [
-        {"checkpoint": name, "fidelity": state_fidelity(result.checkpoints[name], references[name])}
-        for name in references
-    ]
+    columns = {
+        "checkpoint": list(references),
+        "fidelity": [state_fidelity(result.checkpoints[name], ref) for name, ref in references.items()],
+    }
     p_up = result.p_up
     meta = _base_metadata("simulate", cfg)
     meta.update(
@@ -185,7 +180,7 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path) -> list[Path]:
             "p_up_ideal": math.sin(chi / 2.0) ** 2,
         }
     )
-    path = write_table(rows, out_dir / "simulate.csv", metadata=meta)
+    path = write_table(columns, out_dir / "simulate.csv", metadata=meta)
     click.echo(f"p_up={p_up:.6f} (ideal {meta['p_up_ideal']:.6f}), chi={chi:.4f} rad")
     return [path]
 
@@ -205,10 +200,6 @@ def _cmd_scan(cfg: RunConfig, out_dir: Path) -> list[Path]:
         trajectories=cfg.run.trajectories if noisy else 1,
         seed=cfg.run.seed,
     )
-    rows = [
-        {"detuning_rad_s": d, "p_up": p}
-        for d, p in zip(scan.detunings, scan.p_up)
-    ]
     fit = analyze_fringe(scan)
     meta = _base_metadata("scan", cfg)
     meta.update(
@@ -238,9 +229,11 @@ def _cmd_scan(cfg: RunConfig, out_dir: Path) -> list[Path]:
                 "gain_over_sql": None,
             }
         )
-    path = write_table(rows, out_dir / "scan.csv", metadata=meta)
+    path = write_table(
+        {"detuning_rad_s": scan.detunings, "p_up": scan.p_up}, out_dir / "scan.csv", metadata=meta
+    )
     click.echo(
-        f"{len(rows)} points, contrast {fit.contrast:.4f}, "
+        f"{len(scan.detunings)} points, contrast {fit.contrast:.4f}, "
         f"period {meta['fringe_period_rad_s']}"
     )
     return [path]
@@ -260,17 +253,6 @@ def _cmd_optimize(cfg: RunConfig, out_dir: Path) -> list[Path]:
         grid,
         pulse_time=bundle.pulse_time,
     )
-    rows = [
-        {
-            "n_atoms": n,
-            "survival": s,
-            "figure_of_merit": fom,
-            "gain_over_sql": g,
-        }
-        for n, s, fom, g in zip(
-            curve.n_atoms, curve.survival, curve.figure_of_merit, curve.gain_over_sql
-        )
-    ]
     meta = _base_metadata("optimize", cfg)
     meta.update(
         {
@@ -284,7 +266,13 @@ def _cmd_optimize(cfg: RunConfig, out_dir: Path) -> list[Path]:
             "extra_loss_rate_per_s": bundle.decoherence.extra_loss_rate,
         }
     )
-    path = write_table(rows, out_dir / "optimize.csv", metadata=meta)
+    columns = {
+        "n_atoms": curve.n_atoms,
+        "survival": curve.survival,
+        "figure_of_merit": curve.figure_of_merit,
+        "gain_over_sql": curve.gain_over_sql,
+    }
+    path = write_table(columns, out_dir / "optimize.csv", metadata=meta)
     click.echo(f"optimal atom number {n_opt} (ramsey time {bundle.ramsey_time} s)")
     return [path]
 
@@ -296,41 +284,34 @@ def _sweep_point(cfg: RunConfig, keys: list[str], values: tuple) -> RunConfig:
     return point
 
 
-def _evaluate_sweep_point(index: int, cfg_point: RunConfig, keys: list[str], values: tuple) -> dict:
-    bundle = resolve_physics(cfg_point)
-    survival = survival_probability(bundle.schedule, bundle.n_atoms, bundle.decoherence)
-    report = bundle.requirement.feasibility
-    row = {"point_index": index}
-    row.update({key: value for key, value in zip(keys, values)})
-    row.update(
-        {
-            "feasible": bool(report.feasible) if report is not None else None,
-            "margin": report.margin if report is not None else None,
-            "intensity_w_m2": bundle.lattice.intensity,
-            "tau_scatter_clock_s": bundle.decoherence.tau_scatter_clock,
-            "tau_scatter_head_s": bundle.decoherence.tau_scatter_head,
-            "gate_time_s": bundle.gate_time,
-            "total_duration_s": bundle.schedule.total_duration,
-            "survival": survival,
-            "gain_over_sql": survival * math.sqrt(bundle.n_atoms),
-        }
-    )
-    return row
-
-
 def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> list[Path]:
     keys = list(cfg.sweep.keys())
     value_lists = [cfg.sweep[k] for k in keys]
     points = list(itertools.product(*value_lists)) if keys else [()]
-    rows = [
-        _evaluate_sweep_point(index, _sweep_point(cfg, keys, values), keys, values)
-        for index, values in enumerate(points)
+    bundles = [resolve_physics(_sweep_point(cfg, keys, values)) for values in points]
+    reports = [bundle.requirement.feasibility for bundle in bundles]
+    survival = [
+        survival_probability(bundle.schedule, bundle.n_atoms, bundle.decoherence)
+        for bundle in bundles
     ]
+    columns = {
+        "point_index": range(len(points)),
+        **{key: [values[i] for values in points] for i, key in enumerate(keys)},
+        "feasible": [bool(r.feasible) if r is not None else None for r in reports],
+        "margin": [r.margin if r is not None else None for r in reports],
+        "intensity_w_m2": [bundle.lattice.intensity for bundle in bundles],
+        "tau_scatter_clock_s": [bundle.decoherence.tau_scatter_clock for bundle in bundles],
+        "tau_scatter_head_s": [bundle.decoherence.tau_scatter_head for bundle in bundles],
+        "gate_time_s": [bundle.gate_time for bundle in bundles],
+        "total_duration_s": [bundle.schedule.total_duration for bundle in bundles],
+        "survival": survival,
+        "gain_over_sql": [s * math.sqrt(b.n_atoms) for s, b in zip(survival, bundles)],
+    }
 
     meta = _base_metadata("sweep", cfg)
-    meta.update({"swept_parameters": keys, "points": len(rows)})
-    path = write_table(rows, out_dir / "sweep.csv", metadata=meta)
-    click.echo(f"swept {len(rows)} points over {keys or 'the base configuration'}")
+    meta.update({"swept_parameters": keys, "points": len(points)})
+    path = write_table(columns, out_dir / "sweep.csv", metadata=meta)
+    click.echo(f"swept {len(points)} points over {keys or 'the base configuration'}")
     return [path]
 
 

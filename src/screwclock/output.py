@@ -1,65 +1,84 @@
 """CSV table output with a JSON metadata sidecar.
 
-Floats are written with shortest round-trip precision (str), so reading
-the file back reproduces the values exactly. Metadata sidecars carry the
-config hash, seed, and tool version; they contain no timestamps so that
-identical runs produce identical bytes.
+A table is handed over as columns: a mapping from column name to a
+sequence of values, all of one length. Each cell is written as ``str`` of
+its value (shortest round-trip for floats, numpy scalars included), except
+``None`` as an empty field and ``True``/``False`` as ``true``/``false``.
+Quoting is CSV's minimal quoting: a field holding ``,``, ``"`` or a newline
+is quoted with inner quotes doubled, and a row of one empty field is
+written as ``""``. Metadata sidecars carry the config hash, seed, and tool
+version; they contain no timestamps so that identical runs produce
+identical bytes.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
 from .errors import ParameterError
 
-_CHUNK_ROWS = 4096  # rows formatted at a time, which bounds the memory of long tables
+_CHUNK_ROWS = 4096  # rows joined and written at a time, which bounds the memory of long tables
+_WORDS = ((None, ""), (True, "true"), (False, "false"))
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)  # shortest round-trip for floats, numpy scalars included
+def _quote(texts: dict, single_column: bool) -> None:
+    """Quote, in place, the texts of one column that need it."""
+    joined = "".join(texts.values())
+    if "," in joined or '"' in joined or "\n" in joined:
+        texts.update([
+            (key, '"' + text.replace('"', '""') + '"')
+            for key, text in texts.items()
+            if "," in text or '"' in text or "\n" in text
+        ])
+    if single_column and "" in texts.values():
+        texts.update([(key, '""') for key, text in texts.items() if not text])
 
 
-def _format_column(values: list) -> list[str]:
+def _format_column(values: list, single_column: bool) -> list[str]:
     """Format a column, each distinct value object once.
 
     Keyed by identity, not equality: 1 == 1.0 == True and 0.0 == -0.0, yet
     each writes differently. ``values`` keeps every object, so no id repeats.
     """
     ids = list(map(id, values))
-    text = {key: _format_cell(value) for key, value in dict(zip(ids, values)).items()}
-    return list(map(text.__getitem__, ids))
+    distinct = dict(zip(ids, values))
+    texts = dict(zip(distinct, map(str, distinct.values())))
+    for value, word in _WORDS:
+        if id(value) in texts:
+            texts[id(value)] = word
+    _quote(texts, single_column)
+    return list(map(texts.__getitem__, ids))
 
 
-def write_table(rows: list[dict], path, *, metadata: dict | None = None) -> Path:
-    """Write rows (dicts with one shared key set) as CSV plus a sidecar.
+def write_table(rows: dict, path, *, metadata: dict | None = None) -> Path:
+    """Write a table given as columns (name -> sequence of values) as CSV plus a sidecar.
 
-    The first row fixes the column order; rows whose key set deviates
-    from it, and an empty row list, are rejected.
+    The mapping's order is the column order. Columns of unequal length, and
+    a table without rows, are rejected.
     """
     path = Path(path)
-    if not rows:
+    names = list(rows)
+    columns = list(rows.values())
+    n_rows = len(columns[0]) if columns else 0
+    if not n_rows:
         raise ParameterError("cannot write a table without rows")
-    columns = list(rows[0])
-    for i, row in enumerate(rows):
-        if row.keys() != rows[0].keys():
-            raise ParameterError(f"row {i} columns {sorted(row)} do not match header {sorted(columns)}")
+    lengths = {name: len(column) for name, column in zip(names, columns)}
+    if set(lengths.values()) != {n_rows}:
+        raise ParameterError(f"columns differ in length: {lengths}")
 
+    single = len(columns) == 1
+    header = dict(enumerate(map(str, names)))
+    _quote(header, single)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for start in range(0, len(rows), _CHUNK_ROWS):
-            chunk = rows[start:start + _CHUNK_ROWS]
-            writer.writerows(zip(*(_format_column([row[c] for row in chunk]) for c in columns)))
+        handle.write(",".join(header.values()) + "\n")
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            chunk = (_format_column(list(column[start:start + _CHUNK_ROWS]), single) for column in columns)
+            handle.write("\n".join(map(",".join, zip(*chunk))) + "\n")
 
     if metadata is not None:
-        meta = {"rows": len(rows), "columns": columns, **metadata}
+        meta = {"rows": n_rows, "columns": names, **metadata}
         text = json.dumps(meta, indent=2, sort_keys=True, allow_nan=False)
         path.with_name(path.stem + ".meta.json").write_text(text + "\n")
     return path

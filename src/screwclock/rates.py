@@ -8,6 +8,7 @@ evolution.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -83,21 +84,26 @@ class ProtocolSchedule:
         )
 
 
-def schedule_steps(schedule: ProtocolSchedule) -> list[tuple[str, float, int | None]]:
-    """The (kind, duration, site) steps of one interrogation, in order.
+def schedule_steps(schedule: ProtocolSchedule) -> tuple[list[str], list[float], list[int | None]]:
+    """The steps of one interrogation, in order, as three columns: (kinds, durations, sites).
 
     The pattern :func:`schedule_duration` sums: clock and head pulses, a
     transport/phase-gate pass over sites 0..N-1, clock pulse, free
     evolution, clock pulse, the same pass, clock pulse, head pulse, readout.
     """
     def slots(*kinds):
-        return [(kind, schedule.pulse_time, None) for kind in kinds]
+        return kinds, [schedule.pulse_time] * len(kinds), [None] * len(kinds)
 
-    stages = (("transport", schedule.transport_time), ("phase_gate", schedule.gate_time))
-    gate_pass = [(kind, t, site) for site in range(schedule.n_atoms) for kind, t in stages]
-    return (slots("hadamard_all", "head_pulse") + gate_pass + slots("hadamard_all")
-            + [("free_evolution", schedule.ramsey_time, None)] + slots("hadamard_all")
-            + gate_pass + slots("hadamard_all", "head_pulse", "readout"))
+    n = schedule.n_atoms
+    sites = [None] * (2 * n)
+    sites[::2] = range(n)
+    sites[1::2] = sites[::2]
+    gate_pass = (["transport", "phase_gate"] * n,
+                 [schedule.transport_time, schedule.gate_time] * n, sites)
+    parts = (slots("hadamard_all", "head_pulse"), gate_pass, slots("hadamard_all"),
+             (["free_evolution"], [schedule.ramsey_time], [None]), slots("hadamard_all"),
+             gate_pass, slots("hadamard_all", "head_pulse", "readout"))
+    return tuple(list(itertools.chain.from_iterable(column)) for column in zip(*parts))
 
 
 def photon_scattering_time(

@@ -3,9 +3,11 @@ random-gate-sequence helpers behind the backend differential tests, and the
 slow reference paths the fast ones are tested against: the per-site phase
 gate, the per-axis and the allocating dense rotations, the per-trajectory
 sampler, scipy's curve_fit fringe fit, the numeric well depth, the expanded
-schedule step list and a CSV reader; and a runner for fresh interpreters."""
+schedule step list, the row-dict CSV writer and a CSV reader; and a runner
+for fresh interpreters."""
 
 import csv
+import json
 import math
 import os
 import subprocess
@@ -280,6 +282,34 @@ def reference_trajectory_batch(n_atoms, schedule, params, n_trajectories, seed, 
     else:
         scattered = rng.exponential(1.0 / rate, size=n_trajectories) < schedule.total_duration
     return np.where(scattered, 0.5, p_up_noiseless), scattered
+
+
+def _reference_format_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def reference_write_table(rows: list[dict], path, *, metadata: dict | None = None) -> Path:
+    """Write rows (dicts with one shared key set) as CSV plus a sidecar.
+
+    The reference for ``output.write_table``: one dict per row, each cell
+    formatted on its own, and ``csv.writer`` for the quoting.
+    """
+    path = Path(path)
+    columns = list(rows[0])
+    assert all(row.keys() == rows[0].keys() for row in rows)
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_reference_format_cell(row[c]) for c in columns] for row in rows)
+    if metadata is not None:
+        meta = {"rows": len(rows), "columns": columns, **metadata}
+        text = json.dumps(meta, indent=2, sort_keys=True, allow_nan=False)
+        path.with_name(path.stem + ".meta.json").write_text(text + "\n")
+    return path
 
 
 def read_table(path) -> list[dict[str, str]]:

@@ -1,11 +1,13 @@
 import json
 import math
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from screwclock import ParameterError, parse_config, resolve_physics, survival_probability
@@ -14,7 +16,7 @@ from screwclock.cli import (
 )
 from screwclock.output import write_table
 
-from conftest import read_table, reference_schedule_steps, run_python
+from conftest import read_table, reference_schedule_steps, reference_write_table, run_python
 
 
 def _write_config(tmp_path, data):
@@ -29,58 +31,111 @@ def _run(args):
 
 class TestWriteTable:
     def test_empty_rows_rejected(self, tmp_path):
-        with pytest.raises(ParameterError):
-            write_table([], tmp_path / "t.csv")
+        for columns in ({}, {"a": []}):
+            with pytest.raises(ParameterError):
+                write_table(columns, tmp_path / "t.csv")
         assert not (tmp_path / "t.csv").exists()
 
     def test_equal_values_of_different_types_format_apart(self, tmp_path):
         # 1 == 1.0 == True, yet each keeps its own text.
         values = [1, 1.0, True, None, 1, True]
-        path = write_table([{"v": v, "k": "x"} for v in values], tmp_path / "t.csv")
+        path = write_table({"v": values, "k": ["x"] * len(values)}, tmp_path / "t.csv")
         assert path.read_text().splitlines() == ["v,k", "1,x", "1.0,x", "true,x", ",x", "1,x", "true,x"]
 
     def test_numpy_scalars_write_as_numbers(self, tmp_path):
-        path = write_table([{"x": np.float64(0.1), "n": np.int64(7)}], tmp_path / "t.csv")
+        path = write_table({"x": [np.float64(0.1)], "n": [np.int64(7)]}, tmp_path / "t.csv")
         assert path.read_text() == "x,n\n0.1,7\n"
+
+    def test_numpy_array_columns_write_every_value(self, tmp_path):
+        # Iterating an array makes a new scalar per element; each must stay distinct.
+        columns = {"x": np.array([0.1, -0.0, 0.1, 2.5]), "n": np.arange(4)}
+        path = write_table(columns, tmp_path / "t.csv")
+        assert path.read_text() == "x,n\n0.1,0\n-0.0,1\n0.1,2\n2.5,3\n"
 
     def test_signed_zeros_and_nan_format_apart(self, tmp_path):
         values = [0.0, -0.0, 0, False, math.nan, -0.0, 0.0]
-        path = write_table([{"v": v} for v in values], tmp_path / "t.csv")
+        path = write_table({"v": values}, tmp_path / "t.csv")
         assert path.read_text().split() == ["v", "0.0", "-0.0", "0", "false", "nan", "-0.0", "0.0"]
 
     def test_long_table_written_whole(self, tmp_path):
-        # Longer than the writer's formatting chunks: every row, in order.
-        rows = [{"i": i, "x": i / 7} for i in range(10_001)]
-        back = read_table(write_table(rows, tmp_path / "t.csv"))
-        assert [(int(r["i"]), float(r["x"])) for r in back] == [(r["i"], r["x"]) for r in rows]
+        # Longer than the writer's chunks: every row, in order.
+        i = list(range(10_001))
+        x = [k / 7 for k in i]
+        back = read_table(write_table({"i": i, "x": x}, tmp_path / "t.csv"))
+        assert [(int(r["i"]), float(r["x"])) for r in back] == list(zip(i, x))
 
     def test_round_trip_exact(self, tmp_path):
-        rows = [{"x": 0.1 + 0.2, "y": 1e-300, "z": -math.pi}]
-        path = write_table(rows, tmp_path / "t.csv")
+        columns = {"x": [0.1 + 0.2], "y": [1e-300], "z": [-math.pi]}
+        path = write_table(columns, tmp_path / "t.csv")
         back = read_table(path)[0]
-        assert float(back["x"]) == rows[0]["x"]
-        assert float(back["y"]) == rows[0]["y"]
-        assert float(back["z"]) == rows[0]["z"]
+        assert float(back["x"]) == columns["x"][0]
+        assert float(back["y"]) == columns["y"][0]
+        assert float(back["z"]) == columns["z"][0]
 
     def test_same_rows_same_bytes(self, tmp_path):
-        rows = [{"a": 1.5, "b": "x"}, {"a": -2.25, "b": "y"}]
-        p1 = write_table(rows, tmp_path / "one.csv")
-        p2 = write_table(rows, tmp_path / "two.csv")
+        columns = {"a": [1.5, -2.25], "b": ["x", "y"]}
+        p1 = write_table(columns, tmp_path / "one.csv")
+        p2 = write_table(columns, tmp_path / "two.csv")
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_inconsistent_columns_rejected(self, tmp_path):
         with pytest.raises(ParameterError):
-            write_table([{"a": 1}, {"b": 2}], tmp_path / "t.csv")
+            write_table({"a": [1], "b": [2, 3]}, tmp_path / "t.csv")
 
     def test_non_finite_metadata_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            write_table([{"a": 1}], tmp_path / "t.csv", metadata={"x": math.inf})
+            write_table({"a": [1]}, tmp_path / "t.csv", metadata={"x": math.inf})
 
     def test_metadata_sidecar_written(self, tmp_path):
-        write_table([{"a": 1}], tmp_path / "t.csv", metadata={"seed": 7})
+        write_table({"a": [1]}, tmp_path / "t.csv", metadata={"seed": 7})
         meta = json.loads((tmp_path / "t.meta.json").read_text())
         assert meta["seed"] == 7
         assert meta["rows"] == 1
+
+    def test_carriage_return_and_leading_space_unquoted(self, tmp_path):
+        # The bytes csv.writer(lineterminator="\n") writes on CPython 3.11.
+        path = write_table({"v": ["a\rb", " a", "\r"], "k": ["x", " ", "\r\n"]}, tmp_path / "t.csv")
+        assert path.read_bytes() == b'v,k\na\rb,x\n a, \n\r,"\r\n"\n'
+
+
+# Table cells of every kind the commands write, plus text that needs quoting.
+_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126) | st.sampled_from("\n\t"),
+                max_size=8)
+_CELLS = st.one_of(
+    st.sampled_from([None, True, False, 0, 1, 0.0, -0.0, math.nan, math.inf, -math.inf,
+                     5e-324, -2.5e-310, 2.2250738585072014e-308]),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    _TEXT,
+)
+
+
+class TestWriteTableAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_TEXT, min_size=1, max_size=4, unique=True),
+           st.lists(st.lists(_CELLS, min_size=1, max_size=12), min_size=4, max_size=4),
+           st.integers(1, 10_001), st.integers(0, 2**32 - 1))
+    @example(["i", "x,y", "", " z"],
+             [[1, 1.0, True], [None, "a,b", " "], [-0.0, 0.0, math.nan], ['"q"', "\n", ""]],
+             10_001, 1)
+    @example([""], [[None, "", "x,y"]], 3, 2)
+    def test_bytes_match_row_writer(self, names, pools, n_rows, seed):
+        # Each column draws its cells from a small pool, so objects repeat and
+        # equal values sit in distinct objects, as in the commands' tables.
+        rng = np.random.default_rng(seed)
+        columns = {
+            name: [pool[k] for k in rng.integers(len(pool), size=n_rows)]
+            for name, pool in zip(names, pools)
+        }
+        rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
+        with tempfile.TemporaryDirectory() as out:
+            got = write_table(columns, f"{out}/got.csv", metadata={"seed": seed})
+            want = reference_write_table(rows, f"{out}/want.csv", metadata={"seed": seed})
+            assert got.read_bytes() == want.read_bytes()
+            assert (Path(out) / "got.meta.json").read_text() == (Path(out) / "want.meta.json").read_text()
 
 
 class TestFeasibilityCommand:
@@ -385,10 +440,26 @@ class TestDeterminismAndErrors:
         assert blob["field"] == field
         assert not (tmp_path / "o").exists()
 
-    def test_schedule_bound_is_the_table_budget(self):
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+    def test_schedule_bound_is_the_table_budget(self, tmp_path):
+        # The peak-RSS growth of `schedule` at the limit, over a one-atom run in
+        # the same process: about 21 MiB at the measured 46 B per row, where
+        # 281 B rows once filled the 128 MiB budget.
+        code = (
+            "import resource, sys\n"
+            "from screwclock import parse_config\n"
+            "from screwclock.cli import run_command\n"
+            "def peak(n):\n"
+            "    run_command('schedule', parse_config({'protocol': {'n_atoms': n}}), sys.argv[1])\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
+            "base = peak(1)\n"
+            "print(peak(int(sys.argv[2])) - base)\n"
+        )
+        result = run_python(["-c", code, str(tmp_path), str(SCHEDULE_MAX_ATOMS)], timeout=120)
+        assert result.returncode == 0, result.stderr
+        growth = int(result.stdout.splitlines()[-1])
         rows = 4 * SCHEDULE_MAX_ATOMS + 8
-        assert rows * SCHEDULE_ROW_BYTES <= SCHEDULE_TABLE_BUDGET_BYTES
-        assert (rows + 4) * SCHEDULE_ROW_BYTES > SCHEDULE_TABLE_BUDGET_BYTES
+        assert growth <= 2 * rows * SCHEDULE_ROW_BYTES <= SCHEDULE_TABLE_BUDGET_BYTES
 
     @pytest.mark.parametrize("n_atoms", [SCHEDULE_MAX_ATOMS + 1, 2**53],
                              ids=["bound+1", "2^53"])

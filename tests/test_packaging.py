@@ -64,3 +64,17 @@ def test_ci_runs_every_command_without_scipy():
     assert packages == {"numpy", "click", "--no-deps", "-e", "."}
     assert " ".join(COMMANDS) in script
     assert "config.example.json" in script
+
+
+def test_ci_checks_the_benchmark_oracles():
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    steps = [step for step in workflow["jobs"]["tier1"]["steps"] if "bench/run.py" in step.get("run", "")]
+    assert len(steps) == 1
+    step = steps[0]
+    assert step["if"] == "matrix.python-version == '3.11'"
+    script = step["run"]
+    assert "for workload in spectroscopy noisy_dense design" in script
+    assert "for trace in 0 1" in script
+    assert '--workload "$workload" --seconds 1 --trace "$trace"' in script
+    assert "['correct'] is not True" in script

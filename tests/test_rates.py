@@ -22,7 +22,7 @@ from screwclock import (
     trap_frequencies,
 )
 
-from conftest import LAMBDA_M
+from conftest import LAMBDA_M, reference_schedule_steps
 
 AMU = CODATA.atomic_mass_unit
 
@@ -129,9 +129,9 @@ class TestBuildSchedule:
         assert schedule.total_duration == pytest.approx(14.0 + 7 * 0.5)
 
     def test_thousand_atom_entanglement_stage(self):
-        steps = schedule_steps(ProtocolSchedule(1000, 20e-6, 10e-6, 0.0))
-        first_pass = [step for step in steps if step[0] in ("transport", "phase_gate")]
-        stage = sum(duration for _, duration, _ in first_pass[: 2 * 1000])
+        kinds, durations, _ = schedule_steps(ProtocolSchedule(1000, 20e-6, 10e-6, 0.0))
+        first_pass = [d for kind, d in zip(kinds, durations) if kind in ("transport", "phase_gate")]
+        stage = sum(first_pass[: 2 * 1000])
         assert stage == pytest.approx(30e-3, rel=1e-12)
 
     def test_invalid_atom_number_rejected(self):
@@ -146,18 +146,21 @@ class TestBuildSchedule:
         assert slope_b == pytest.approx(slope_a, rel=1e-12)
 
     def test_structure_invariants(self):
-        steps = schedule_steps(ProtocolSchedule(5, 1e-5, 1e-5, 0.1, 1e-6))
-        kinds = [kind for kind, _, _ in steps]
+        kinds, _, sites = schedule_steps(ProtocolSchedule(5, 1e-5, 1e-5, 0.1, 1e-6))
         assert kinds.count("free_evolution") == 1
         assert kinds.count("hadamard_all") == 4
         assert kinds.count("head_pulse") == 2
         assert kinds[-1] == "readout"
         # transport/phase_gate alternate over sites 0..N-1 in each pass
-        pairs = [(kind, site) for kind, _, site in steps if site is not None]
+        pairs = [(kind, site) for kind, site in zip(kinds, sites) if site is not None]
         expected = []
         for i in range(5):
             expected += [("transport", i), ("phase_gate", i)]
         assert pairs == expected + expected
+
+    def test_single_atom_steps_match_reference(self):
+        schedule = ProtocolSchedule(1, 2e-5, 1e-5, 0.5, 1e-7)
+        assert list(zip(*schedule_steps(schedule))) == reference_schedule_steps(schedule)
 
 
 _TIMES = st.floats(min_value=0.0, max_value=1e3, allow_subnormal=False)
@@ -168,9 +171,9 @@ class TestScheduleDuration:
     @given(st.integers(1, 2000), _TIMES, _TIMES, _TIMES, _TIMES)
     def test_closed_form_matches_summed_steps(self, n, gate, transport, ramsey, pulse):
         schedule = ProtocolSchedule(n, gate, transport, ramsey, pulse)
-        steps = schedule_steps(schedule)
-        assert len(steps) == 4 * n + 8
-        summed = sum(duration for _, duration, _ in steps)
+        kinds, durations, sites = schedule_steps(schedule)
+        assert len(kinds) == len(durations) == len(sites) == 4 * n + 8
+        summed = sum(durations)
         assert math.isclose(summed, schedule.total_duration, rel_tol=1e-12, abs_tol=0.0)
 
     def test_array_atom_numbers(self):
