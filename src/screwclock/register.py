@@ -19,6 +19,7 @@ Gates are plain tuples, e.g. ``("clock_rotation", U)``; see
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -62,12 +63,26 @@ def _check_unitary(matrix) -> np.ndarray:
     return m
 
 
+@functools.lru_cache(maxsize=DENSE_ATOM_CAP)
+def _clock_weights(n_atoms: int) -> np.ndarray:
+    """Hamming weight of every clock index p < 2^N: read-only uint8, built once per N."""
+    weights = np.zeros(1, dtype=np.uint8)
+    for _ in range(n_atoms):
+        weights = np.concatenate([weights, weights + 1])  # raising the next bit adds 1
+    weights.flags.writeable = False
+    return weights
+
+
 class DenseState:
     """Full state vector of N clock qubits and the head qubit.
 
     Rotations write into a spare array of the state's size and swap it
     with ``amplitudes``, so a rotation allocates no new state array; keep
-    a ``to_vector()`` copy, not a reference to ``amplitudes``.
+    a ``to_vector()`` copy, not a reference to ``amplitudes``. The two
+    diagonal gates read the cached table of clock-index Hamming weights
+    (:func:`_clock_weights`, 16 KiB at the cap): a phase pass takes its
+    signs from the weight parity and free evolution its phases from the
+    weight.
     """
 
     backend = "dense"
@@ -95,10 +110,6 @@ class DenseState:
     def _swap(self):
         # A rotation has written the new state into the spare array.
         self.amplitudes, self._spare = self._spare, self.amplitudes
-
-    def _tensor(self) -> np.ndarray:
-        # Axis 0 is the head; axis a in 1..N is clock bit j = N - a.
-        return self.amplitudes.reshape([2] * (self.n_atoms + 1))
 
     def apply_clock_rotation(self, matrix) -> "DenseState":
         """Rotate every clock qubit, up to DENSE_BLOCK_BITS at a time.
@@ -136,28 +147,29 @@ class DenseState:
         """Phase gates from the head onto every listed clock site, as one sign mask.
 
         The head-up amplitude of clock index p changes sign when p raises an
-        odd number of the flipped sites (see :func:`_odd_sites`).
+        odd number of the flipped sites (see :func:`_odd_sites`). In the
+        weight table viewed as a tensor (axis N - 1 - j is clock bit j),
+        pinning every bit that is not flipped to 0 leaves the weight of p
+        restricted to the flipped bits, which broadcasts over the rest.
         """
         flip = _odd_sites(sites, self.n_atoms)
-        clock = np.arange(2 ** self.n_atoms)
-        parity = np.zeros_like(clock)
+        pinned = [slice(0, 1)] * self.n_atoms
         for site in flip:
-            parity ^= clock >> site
-        self.amplitudes[2 ** self.n_atoms:][parity & 1 == 1] *= -1.0
+            pinned[self.n_atoms - 1 - site] = slice(None)
+        shape = [2] * self.n_atoms
+        odd = _clock_weights(self.n_atoms).reshape(shape)[tuple(pinned)] & 1
+        up = self.amplitudes[2 ** self.n_atoms:].reshape(shape)
+        up *= 1.0 - 2.0 * odd  # by +1 or -1, both exact
         return self
 
     def apply_free_evolution(self, delta_omega: float, delta_omega_head: float, t: float) -> "DenseState":
+        """Clock index p gains exp(i dw t k) with k its weight; the head-up half exp(i dw' t)."""
         if t < 0.0:
             raise ParameterError("evolution time must be >= 0")
-        psi = self._tensor()
-        clock_phase = np.exp(1j * delta_omega * t)
-        for axis in range(1, self.n_atoms + 1):
-            index = [slice(None)] * (self.n_atoms + 1)
-            index[axis] = 1
-            psi[tuple(index)] *= clock_phase
-        index = [slice(None)] * (self.n_atoms + 1)
-        index[0] = 1
-        psi[tuple(index)] *= np.exp(1j * delta_omega_head * t)
+        clock_phase = np.exp(1j * delta_omega * t * np.arange(self.n_atoms + 1))
+        halves = self.amplitudes.reshape(2, -1)  # (head, clock index)
+        halves *= clock_phase[_clock_weights(self.n_atoms)]
+        halves[1] *= np.exp(1j * delta_omega_head * t)
         return self
 
     def head_readout(self) -> tuple[float, float]:

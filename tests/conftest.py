@@ -1,7 +1,8 @@
 """Shared fixtures: the Sr/Al parameter set used across the suite, the
 random-gate-sequence helpers behind the backend differential tests, and the
 slow reference paths the fast ones are tested against: the per-site phase
-gate, the per-axis and the allocating dense rotations, the per-trajectory
+gate, the per-axis and the allocating dense rotations, the XOR-loop dense
+phase pass and the per-axis dense free evolution, the per-trajectory
 sampler, scipy's curve_fit fringe fit, the numeric well depth, the expanded
 schedule step list, the row-dict CSV writer and a CSV reader; and a runner
 for fresh interpreters."""
@@ -26,7 +27,7 @@ from screwclock import (
 )
 from screwclock.estimator import _initial_frequency
 from screwclock.register import (
-    BRANCH_ALIGN_TOL, DENSE_BLOCK_BITS, _Branches, _check_unitary, apply_gate,
+    BRANCH_ALIGN_TOL, DENSE_BLOCK_BITS, _Branches, _check_unitary, _odd_sites, apply_gate,
 )
 
 # Reference parameter set: Sr clock atoms with an Al head at the 389.9 nm
@@ -197,6 +198,11 @@ def reference_phase_gate(state, site: int):
     return state
 
 
+def _dense_tensor(state) -> np.ndarray:
+    # Axis 0 is the head; axis a in 1..N is clock bit j = N - a.
+    return state.amplitudes.reshape([2] * (state.n_atoms + 1))
+
+
 def reference_axis_rotation(state, matrix, axis: int):
     """Apply a 2x2 matrix to one axis of a dense state, one tensordot at a time.
 
@@ -204,8 +210,39 @@ def reference_axis_rotation(state, matrix, axis: int):
     ``apply_head_rotation``: axis 0 is the head, axis a in 1..N is clock
     bit N - a.
     """
-    psi = np.tensordot(np.asarray(matrix, dtype=complex), state._tensor(), axes=([1], [axis]))
+    psi = np.tensordot(np.asarray(matrix, dtype=complex), _dense_tensor(state), axes=([1], [axis]))
     state.amplitudes = np.ascontiguousarray(np.moveaxis(psi, 0, axis)).reshape(-1)
+    return state
+
+
+def reference_dense_phase_pass(state, sites):
+    """Phase pass as an XOR of the flipped index bits, one site at a time.
+
+    The reference for the weight-table ``DenseState.apply_phase_pass``:
+    both multiply by exact signs, so on states without zero amplitudes
+    (where only the sign of a zero could differ) they agree bit for bit.
+    """
+    clock = np.arange(2 ** state.n_atoms)
+    parity = np.zeros_like(clock)
+    for site in _odd_sites(sites, state.n_atoms):
+        parity ^= clock >> site
+    state.amplitudes[2 ** state.n_atoms:][parity & 1 == 1] *= -1.0
+    return state
+
+
+def reference_dense_free_evolution(state, delta_omega, delta_omega_head, t):
+    """Free evolution as one phase multiply per raised clock bit, axis by axis.
+
+    The reference for the weight-table ``DenseState.apply_free_evolution``,
+    which multiplies each amplitude by one phase instead of k of them.
+    """
+    psi = _dense_tensor(state)
+    clock_phase = np.exp(1j * delta_omega * t)
+    for axis in range(1, state.n_atoms + 1):
+        index = [slice(None)] * (state.n_atoms + 1)
+        index[axis] = 1
+        psi[tuple(index)] *= clock_phase
+    psi[1] *= np.exp(1j * delta_omega_head * t)
     return state
 
 

@@ -10,6 +10,7 @@ from screwclock import estimator
 from screwclock import (
     DecoherenceParams,
     DegenerateFringeError,
+    DenseState,
     FringeScan,
     ParameterError,
     ProtocolSchedule,
@@ -19,7 +20,10 @@ from screwclock import (
     parse_config,
     phase_sensitivity,
     precision_report,
+    protocol_gates,
     resolve_physics,
+    run_protocol,
+    sample_scatter_count,
     sql_baseline,
     survival_probability,
 )
@@ -71,6 +75,66 @@ class TestFringeScan:
             FringeScan((0.0, 1.0), (0.5,), 1, 0.1, 0)
         with pytest.raises(ParameterError):
             FringeScan((0.0,), (1.5,), 1, 0.1, 0)
+
+
+class TestScanPrefix:
+    """The GHZ prefix runs once per scan; each point runs the rest of the protocol."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_scan_equals_per_point_protocol_exactly(self, data):
+        backend = data.draw(st.sampled_from(["dense", "branch"]), label="backend")
+        n = data.draw(st.integers(1, 8 if backend == "dense" else 300), label="n_atoms")
+        t = data.draw(st.floats(1e-3, 2.0), label="ramsey_time")
+        grid = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=12), label="grid")
+        dwh = data.draw(st.floats(0.01, 5.0) | st.floats(-5.0, -0.01), label="delta_omega_head")
+        scan = fringe_scan(n, t, grid, delta_omega_head=dwh, backend=backend)
+        expected = [run_protocol(n, backend, dw, dwh, t, checkpoints=False).p_up for dw in grid]
+        assert list(scan.p_up) == expected
+
+    @pytest.mark.parametrize("backend", ["dense", "branch"])
+    def test_one_point_scan_equals_protocol(self, backend):
+        scan = fringe_scan(3, 0.5, [0.7], delta_omega_head=-0.2, backend=backend)
+        assert scan.p_up == (run_protocol(3, backend, 0.7, -0.2, 0.5).p_up,)
+
+    @pytest.mark.parametrize("seed", [0, 12345])
+    def test_noisy_dense_scan_mixes_exact_points_with_their_scatter_counts(self, seed):
+        n, t, dwh, trajectories = 6, 0.3, 0.05, 1000
+        params = DecoherenceParams(0.5, 1.0)
+        schedule = ProtocolSchedule(n, 1e-3, 1e-3, t)
+        grid = _grid(n, t, points=15)
+        scan = fringe_scan(n, t, grid, delta_omega_head=dwh, backend="dense", noise=params,
+                           schedule=schedule, trajectories=trajectories, seed=seed)
+        exact = [run_protocol(n, "dense", float(dw), dwh, t).p_up for dw in grid]
+        counts = [sample_scatter_count(n, schedule, params, trajectories, seed=[seed, i])
+                  for i in range(grid.size)]
+        assert all(0 < k < trajectories for k in counts)
+        expected = [p + (0.5 - p) * (k / trajectories) for p, k in zip(exact, counts)]
+        assert list(scan.p_up) == expected
+
+    def test_protocol_gates_agree_through_ghz_for_any_detuning(self):
+        a = protocol_gates(7, 0.3, 0.02, 1.5)
+        b = protocol_gates(7, -4.0, 0.02, 1.5)
+        labels = [label for label, _ in a]
+        assert labels == [label for label, _ in b]
+        split = labels.index("ghz") + 1
+        for (_, gate_a), (_, gate_b) in zip(a[:split], b[:split]):
+            assert gate_a[0] == gate_b[0]
+            assert all(np.array_equal(x, y) for x, y in zip(gate_a[1:], gate_b[1:]))
+        assert a[split][1] != b[split][1]  # free evolution: the first gate that differs
+
+    @pytest.mark.parametrize("points", [1, 2, 11])
+    def test_dense_scan_rotates_the_prefix_once(self, monkeypatch, points):
+        calls = []
+        rotate = DenseState.apply_clock_rotation
+
+        def counted(state, matrix):
+            calls.append(1)
+            return rotate(state, matrix)
+
+        monkeypatch.setattr(DenseState, "apply_clock_rotation", counted)
+        fringe_scan(5, 0.4, np.linspace(0.0, 1.0, points), backend="dense")
+        assert len(calls) == 2 + 2 * points
 
 
 class TestAnalyzeFringe:

@@ -20,11 +20,12 @@ from screwclock import (
     state_fidelity,
     state_overlap,
 )
-from screwclock.register import BACKENDS, HADAMARD, apply_gate
+from screwclock.register import BACKENDS, HADAMARD, _clock_weights, apply_gate
 
 from conftest import (
     backend_crosscheck, haar_unitary, random_gate_sequence, reference_axis_rotation,
-    reference_dense_clock_rotation, reference_dense_head_rotation, reference_phase_gate,
+    reference_dense_clock_rotation, reference_dense_free_evolution, reference_dense_head_rotation,
+    reference_dense_phase_pass, reference_phase_gate,
 )
 
 
@@ -158,6 +159,45 @@ class TestDenseBuffers:
             reference_dense_head_rotation(reference, head)
             assert np.array_equal(state.amplitudes, reference.amplitudes)
         assert state.amplitudes is not state._spare
+
+
+class TestDenseWeightTable:
+    """Both diagonal dense gates read the per-N table of clock-index weights."""
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_weights_are_bit_counts(self, n):
+        weights = _clock_weights(n)
+        assert weights.dtype == np.uint8 and not weights.flags.writeable
+        assert weights.tolist() == [bin(p).count("1") for p in range(2**n)]
+        assert _clock_weights(n) is weights
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_phase_pass_matches_xor_reference_bit_for_bit(self, data):
+        n = data.draw(st.integers(1, 14), label="n_atoms")
+        sites = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n), label="sites")
+        state = _random_dense(n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+        reference = reference_dense_phase_pass(state.copy(), sites)
+        state.apply_phase_pass(sites)
+        assert state.amplitudes.tobytes() == reference.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 5, 14])
+    @pytest.mark.parametrize("sites", [(), (0,), "last", "every"])
+    def test_phase_pass_edge_cases_match_xor_reference(self, n, sites):
+        sites = {"last": (n - 1,), "every": np.arange(n)}.get(sites, sites)
+        state = _random_dense(n, np.random.default_rng(n))
+        reference = reference_dense_phase_pass(state.copy(), sites)
+        state.apply_phase_pass(sites)
+        assert state.amplitudes.tobytes() == reference.amplitudes.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 14), seed=st.integers(0, 2**32 - 1),
+           dw=st.floats(-5.0, 5.0), dwh=st.floats(-5.0, 5.0), t=st.floats(0.0, 1.0))
+    def test_free_evolution_matches_per_axis_reference(self, n, seed, dw, dwh, t):
+        state = _random_dense(n, np.random.default_rng(seed))
+        reference = reference_dense_free_evolution(state.copy(), dw, dwh, t)
+        state.apply_free_evolution(dw, dwh, t)
+        assert np.abs(state.amplitudes - reference.amplitudes).max() <= 2e-15
 
 
 class TestPhaseGate:
