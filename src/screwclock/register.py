@@ -35,10 +35,16 @@ BRANCH_ALIGN_TOL = 1e-14   # head component treated as zero below this
 BRANCH_MERGE_MAX_RANK = 64  # skip O(rank^2 N) merging above this rank
 READOUT_TOL = 1e-9         # head probabilities may miss [0, 1] and sum 1 by this
 _UNITARY_TOL = 1e-12
+UNITARY_CACHE_SIZE = 32    # distinct rotation matrices kept checked, with their blocks
+PHASE_SIGNS_CACHE_SIZE = 16  # (N, flip set) sign tables kept; 128 KiB each at the cap
 
+# Read-only; checked, like every matrix, by the first rotation that uses it. A check
+# at import would be the first matrix product, whose BLAS set-up costs about 0.5 MB
+# of resident memory in commands that never use the register.
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+HADAMARD.flags.writeable = False
 
-GATE_KINDS = ("clock_rotation", "head_rotation", "phase_gate", "phase_pass", "free_evolution")
+GATE_KINDS = ("clock_rotation", "head_rotation", "phase_pass", "free_evolution")
 
 
 def _odd_sites(sites, n_atoms: int) -> np.ndarray:
@@ -53,14 +59,34 @@ def _odd_sites(sites, n_atoms: int) -> np.ndarray:
     return np.flatnonzero(np.bincount(listed, minlength=n_atoms) & 1)
 
 
-def _check_unitary(matrix) -> np.ndarray:
+def _check_unitary(matrix) -> tuple[np.ndarray, ...]:
+    """The Kronecker powers (m, m⊗m, ..., m^⊗DENSE_BLOCK_BITS) of a checked 2x2 unitary m.
+
+    Every call checks the caller's matrix, through a cache keyed on its
+    bytes: a matrix seen before costs one lookup, and a matrix changed in
+    place since is a new key. The arrays returned are the cache's own
+    read-only copies, never the caller's array; ``[0]`` is m itself.
+    """
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (2, 2):
         raise ParameterError(f"expected a 2x2 matrix, got shape {m.shape}")
+    return _checked_blocks(m.tobytes())
+
+
+@functools.lru_cache(maxsize=UNITARY_CACHE_SIZE)
+def _checked_blocks(key: bytes) -> tuple[np.ndarray, ...]:
+    """Check the 2x2 complex matrix with these bytes, then build its Kronecker powers."""
+    m = np.frombuffer(key, dtype=complex).reshape(2, 2)  # read-only: it views the key
     defect = np.abs(m.conj().T @ m - np.eye(2)).max()
     if defect > _UNITARY_TOL:
         raise ParameterError(f"matrix is not unitary (defect {defect:.3e})")
-    return m
+    blocks = [m]
+    while len(blocks) < DENSE_BLOCK_BITS:
+        # np.kron(blocks[-1], m), without its per-call overhead
+        d = 2 * blocks[-1].shape[0]
+        blocks.append((blocks[-1][:, None, :, None] * m[None, :, None, :]).reshape(d, d))
+        blocks[-1].flags.writeable = False
+    return tuple(blocks)
 
 
 @functools.lru_cache(maxsize=DENSE_ATOM_CAP)
@@ -73,6 +99,25 @@ def _clock_weights(n_atoms: int) -> np.ndarray:
     return weights
 
 
+@functools.lru_cache(maxsize=PHASE_SIGNS_CACHE_SIZE)
+def _phase_signs(n_atoms: int, flip: tuple[int, ...]) -> np.ndarray:
+    """Read-only +-1 factors of a dense phase pass over the clock sites ``flip``.
+
+    Clock index p gets -1 when it raises an odd number of the flipped
+    sites. In the weight table viewed as a tensor (axis N - 1 - j is clock
+    bit j), pinning every bit that is not flipped to 0 leaves the weight of
+    p restricted to the flipped bits; the table keeps the pinned axes at
+    length 1, so it broadcasts over them.
+    """
+    pinned = [slice(0, 1)] * n_atoms
+    for site in flip:
+        pinned[n_atoms - 1 - site] = slice(None)
+    odd = _clock_weights(n_atoms).reshape([2] * n_atoms)[tuple(pinned)] & 1
+    signs = 1.0 - 2.0 * odd  # +1 or -1, both exact
+    signs.flags.writeable = False
+    return signs
+
+
 class DenseState:
     """Full state vector of N clock qubits and the head qubit.
 
@@ -81,8 +126,8 @@ class DenseState:
     a ``to_vector()`` copy, not a reference to ``amplitudes``. The two
     diagonal gates read the cached table of clock-index Hamming weights
     (:func:`_clock_weights`, 16 KiB at the cap): a phase pass takes its
-    signs from the weight parity and free evolution its phases from the
-    weight.
+    signs from the weight parity (:func:`_phase_signs`, cached per flip
+    set) and free evolution its phases from the weight.
     """
 
     backend = "dense"
@@ -119,12 +164,7 @@ class DenseState:
         product; once all N clock bits have cycled, the head bit is lowest
         and one transpose puts it back.
         """
-        m = _check_unitary(matrix)
-        blocks = [m]
-        while len(blocks) < min(DENSE_BLOCK_BITS, self.n_atoms):
-            # np.kron(blocks[-1], m), without its per-call overhead
-            d = 2 * blocks[-1].shape[0]
-            blocks.append((blocks[-1][:, None, :, None] * m[None, :, None, :]).reshape(d, d))
+        blocks = _check_unitary(matrix)
         for low in range(0, self.n_atoms, DENSE_BLOCK_BITS):
             k = min(DENSE_BLOCK_BITS, self.n_atoms - low)
             np.matmul(blocks[k - 1], self.amplitudes.reshape(-1, 2 ** k).T,
@@ -135,31 +175,21 @@ class DenseState:
         return self
 
     def apply_head_rotation(self, matrix) -> "DenseState":
-        m = _check_unitary(matrix)
+        m = _check_unitary(matrix)[0]
         np.matmul(m, self.amplitudes.reshape(2, -1), out=self._spare.reshape(2, -1))
         self._swap()
         return self
-
-    def apply_phase_gate(self, site: int) -> "DenseState":
-        return self.apply_phase_pass((site,))
 
     def apply_phase_pass(self, sites) -> "DenseState":
         """Phase gates from the head onto every listed clock site, as one sign mask.
 
         The head-up amplitude of clock index p changes sign when p raises an
-        odd number of the flipped sites (see :func:`_odd_sites`). In the
-        weight table viewed as a tensor (axis N - 1 - j is clock bit j),
-        pinning every bit that is not flipped to 0 leaves the weight of p
-        restricted to the flipped bits, which broadcasts over the rest.
+        odd number of the flipped sites (see :func:`_odd_sites` and
+        :func:`_phase_signs`).
         """
         flip = _odd_sites(sites, self.n_atoms)
-        pinned = [slice(0, 1)] * self.n_atoms
-        for site in flip:
-            pinned[self.n_atoms - 1 - site] = slice(None)
-        shape = [2] * self.n_atoms
-        odd = _clock_weights(self.n_atoms).reshape(shape)[tuple(pinned)] & 1
-        up = self.amplitudes[2 ** self.n_atoms:].reshape(shape)
-        up *= 1.0 - 2.0 * odd  # by +1 or -1, both exact
+        up = self.amplitudes[2 ** self.n_atoms:].reshape([2] * self.n_atoms)
+        up *= _phase_signs(self.n_atoms, tuple(flip.tolist()))
         return self
 
     def apply_free_evolution(self, delta_omega: float, delta_omega_head: float, t: float) -> "DenseState":
@@ -217,17 +247,14 @@ class BranchState:
         return new
 
     def apply_clock_rotation(self, matrix) -> "BranchState":
-        m = _check_unitary(matrix)
+        m = _check_unitary(matrix)[0]
         self._b.clock = self._b.clock @ m.T
         return self
 
     def apply_head_rotation(self, matrix) -> "BranchState":
-        m = _check_unitary(matrix)
+        m = _check_unitary(matrix)[0]
         self._b.head = self._b.head @ m.T
         return self
-
-    def apply_phase_gate(self, site: int) -> "BranchState":
-        return self.apply_phase_pass((site,))
 
     def apply_phase_pass(self, sites) -> "BranchState":
         """Phase gates from the head onto every listed clock site, as one operation.
@@ -488,6 +515,25 @@ def protocol_references(
     }
 
 
+def _branch_dense_overlap(branch: BranchState, dense: DenseState) -> complex:
+    """<branch|dense>, contracted factor by factor instead of expanding the branches.
+
+    Per branch, the conjugated head factor contracts the head axis of the
+    dense tensor, then the clock factors contract clock bits 0, 1, ..., N - 1
+    in turn (bit 0 is the fastest index), each step halving the partial
+    tensor, down to one scalar that the conjugated amplitude weights.
+    """
+    b = branch._b
+    halves = dense.amplitudes.reshape(2, -1)  # (head, clock index)
+    total = 0j
+    for amp, head, clock in zip(b.amps.conj(), b.head.conj(), b.clock.conj()):
+        partial = head @ halves
+        for factor in clock:
+            partial = partial.reshape(-1, 2) @ factor
+        total += amp * partial[0]
+    return complex(total)
+
+
 def state_overlap(a: RegisterState, b: RegisterState) -> complex:
     """<a|b> for two states on registers of equal size."""
     if a.n_atoms != b.n_atoms:
@@ -496,7 +542,9 @@ def state_overlap(a: RegisterState, b: RegisterState) -> complex:
         return complex(np.vdot(a.amplitudes, b.amplitudes))
     if isinstance(a, BranchState) and isinstance(b, BranchState):
         return a.overlap_with(b)
-    return complex(np.vdot(a.to_vector(), b.to_vector()))
+    if isinstance(a, BranchState):
+        return _branch_dense_overlap(a, b)
+    return _branch_dense_overlap(b, a).conjugate()
 
 
 def state_fidelity(a: RegisterState, b: RegisterState) -> float:

@@ -98,14 +98,14 @@ def random_gate_sequence(n_atoms: int, n_gates: int = 50, seed: int | None = Non
     n_phase = min(12, max(1, n_gates // 4))
     n_free = max(1, n_gates // 8)
     n_rot = n_gates - n_phase - n_free
-    kinds = ["phase_gate"] * n_phase + ["free_evolution"] * n_free
+    kinds = ["phase_pass"] * n_phase + ["free_evolution"] * n_free
     kinds += [("clock_rotation" if rng.random() < 0.5 else "head_rotation") for _ in range(n_rot)]
     rng.shuffle(kinds)
 
     gates: list[tuple] = []
     for kind in kinds:
-        if kind == "phase_gate":
-            gates.append(("phase_gate", int(rng.integers(n_atoms))))
+        if kind == "phase_pass":
+            gates.append(("phase_pass", (int(rng.integers(n_atoms)),)))
         elif kind == "free_evolution":
             gates.append(
                 ("free_evolution", float(rng.normal()), float(rng.normal()), float(rng.random()))
@@ -252,7 +252,7 @@ def reference_dense_clock_rotation(state, matrix):
     The reference for the buffer-swapping ``DenseState.apply_clock_rotation``:
     the same blocks and products, so the amplitudes must agree bit for bit.
     """
-    m = _check_unitary(matrix)
+    m = _check_unitary(matrix)[0]
     blocks = [m]
     while len(blocks) < min(DENSE_BLOCK_BITS, state.n_atoms):
         d = 2 * blocks[-1].shape[0]
@@ -267,7 +267,7 @@ def reference_dense_clock_rotation(state, matrix):
 
 def reference_dense_head_rotation(state, matrix):
     """Head rotation into a new array; the reference for ``DenseState.apply_head_rotation``."""
-    m = _check_unitary(matrix)
+    m = _check_unitary(matrix)[0]
     state.amplitudes = (m @ state.amplitudes.reshape(2, -1)).reshape(-1)
     return state
 

@@ -10,7 +10,9 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from screwclock import ParameterError, parse_config, resolve_physics, survival_probability
+from screwclock import (
+    BranchState, ParameterError, parse_config, resolve_physics, survival_probability,
+)
 from screwclock.cli import (
     SCHEDULE_MAX_ATOMS, SCHEDULE_ROW_BYTES, SCHEDULE_TABLE_BUDGET_BYTES, main, run_command,
 )
@@ -227,6 +229,17 @@ class TestSimulateCommand:
         meta = json.loads((tmp_path / "o" / "simulate.meta.json").read_text())
         assert meta["p_up"] == pytest.approx(meta["p_up_ideal"], abs=1e-10)
         assert meta["p_up_ideal"] == pytest.approx(0.5, abs=1e-12)
+
+    def test_dense_simulate_at_the_cap_never_expands_a_branch_reference(self, tmp_path, monkeypatch):
+        def refuse(self, max_atoms=20):
+            raise AssertionError("a branch reference was expanded to a vector")
+
+        monkeypatch.setattr(BranchState, "to_vector", refuse)
+        cfg = parse_config({"protocol": {"n_atoms": 14}, "run": {"backend": "dense"}})
+        run_command("simulate", cfg, tmp_path)
+        rows = read_table(tmp_path / "simulate.csv")
+        assert len(rows) == 5
+        assert all(float(row["fidelity"]) >= 1.0 - 1e-14 for row in rows)
 
 
 _TIMES_US = st.floats(min_value=0.0, max_value=1e6, allow_subnormal=False)

@@ -336,6 +336,27 @@ class TestSensitivities:
         assert report.gain_over_sql == pytest.approx(math.sqrt(n), rel=1e-9)
 
 
+def _continuous_optimum(params, gate_time, transport_time, ramsey_time, pulse_time):
+    """Where N C(N) peaks over real N: the positive root of 2ak N^2 + (ah + kD0) N - 1 = 0.
+
+    The schedule lasts aN + D0 and events occur at rate kN + h, so
+    ln(N C(N)) = ln N - (aN + D0)(kN + h), which is concave in N.
+    """
+    a = 2.0 * (transport_time + gate_time)
+    d0 = ramsey_time + 7.0 * pulse_time
+    k = 1.0 / params.tau_scatter_clock
+    h = 1.0 / params.tau_scatter_head + params.extra_loss_rate
+    b = a * h + k * d0
+    return 2.0 / (b + math.sqrt(b * b + 8.0 * a * k))  # (-b + sqrt(b^2 + 8ak)) / 4ak, rationalized
+
+
+def _grid_neighbours(grid, x):
+    """The grid points next to x on either side, or the grid end x lies beyond."""
+    lower = max((n for n in grid if n <= x), default=grid[0])
+    upper = min((n for n in grid if n >= x), default=grid[-1])
+    return lower, upper
+
+
 class TestOptimizeAtomNumber:
     def test_no_decoherence_prefers_largest_register(self):
         params = DecoherenceParams(math.inf, math.inf)
@@ -375,24 +396,33 @@ class TestOptimizeAtomNumber:
         with pytest.raises(ParameterError):
             optimize_atom_number(DecoherenceParams(1.0, 1.0), 0.0, 0.0, 0.1, [])
 
+    @settings(max_examples=100, deadline=None)
+    @given(gate=st.floats(1e-7, 1e-3), transport=st.floats(1e-7, 1e-3),
+           ramsey=st.floats(1e-4, 1.0), pulse=st.floats(0.0, 1e-3),
+           tau_clock=st.floats(1e-2, 1e3), tau_head=st.floats(1e-2, 1e3),
+           extra=st.floats(0.0, 10.0), n_max=st.integers(2, 10**5), points=st.integers(2, 200))
+    def test_grid_argmax_brackets_the_continuous_optimum(self, gate, transport, ramsey, pulse,
+                                                         tau_clock, tau_head, extra, n_max, points):
+        params = DecoherenceParams(tau_clock, tau_head, extra)
+        grid = sorted({int(round(n)) for n in np.geomspace(1, n_max, points)})
+        n_opt, _ = optimize_atom_number(params, gate, transport, ramsey, grid, pulse_time=pulse)
+        lower, upper = _grid_neighbours(grid, _continuous_optimum(params, gate, transport, ramsey, pulse))
+        assert lower <= n_opt <= upper
+
     def test_default_optimum_matches_stationary_point(self, tmp_path):
-        # With duration a N + h and event rate k N + D0, d ln(C(N) N) / dN = 0
-        # gives 2 a k N^2 + (k h + a D0) N - 1 = 0.
         bundle = resolve_physics(parse_config(None))
-        a = 2.0 * (bundle.transport_time + bundle.gate_time)
-        h = bundle.ramsey_time + 7.0 * bundle.pulse_time
-        params = bundle.decoherence
-        k = 1.0 / params.tau_scatter_clock
-        d0 = 1.0 / params.tau_scatter_head + params.extra_loss_rate
-        b = k * h + a * d0
-        root = (-b + math.sqrt(b * b + 8.0 * a * k)) / (4.0 * a * k)
+        root = _continuous_optimum(bundle.decoherence, bundle.gate_time, bundle.transport_time,
+                                   bundle.ramsey_time, bundle.pulse_time)
         assert root == pytest.approx(252.6, abs=0.05)
         n_opt, _ = optimize_atom_number(
-            params, bundle.gate_time, bundle.transport_time, bundle.ramsey_time,
+            bundle.decoherence, bundle.gate_time, bundle.transport_time, bundle.ramsey_time,
             range(1, 2001), pulse_time=bundle.pulse_time,
         )
         assert abs(n_opt - root) <= 1.0
 
         run_command("optimize", parse_config(None), tmp_path)
         meta = json.loads((tmp_path / "optimize.meta.json").read_text())
+        grid = [int(row.split(",")[0]) for row in
+                (tmp_path / "optimize.csv").read_text().splitlines()[1:]]
         assert meta["n_opt"] == 236
+        assert _grid_neighbours(grid, root) == (236, 276)

@@ -1,6 +1,9 @@
 """The CLI needs numpy and click only: scipy is the tests' oracle, never a runtime import."""
 
 import json
+import os
+import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -78,3 +81,37 @@ def test_ci_checks_the_benchmark_oracles():
     assert "for trace in 0 1" in script
     assert '--workload "$workload" --seconds 1 --trace "$trace"' in script
     assert "['correct'] is not True" in script
+
+
+DENSE_SMOKE = (
+    """echo '{"protocol": {"n_atoms": 14}}' > "$RUNNER_TEMP/dense14.json"\n"""
+    """screwclock --config "$RUNNER_TEMP/dense14.json" --out "$RUNNER_TEMP/smoke" --backend dense simulate\n"""
+    """echo '{"protocol": {"n_atoms": 12}}' > "$RUNNER_TEMP/dense12.json"\n"""
+    """screwclock --config "$RUNNER_TEMP/dense12.json" --out "$RUNNER_TEMP/smoke" """
+    """--backend dense --trajectories 1000000 scan\n"""
+)
+
+
+@pytest.mark.parametrize("job", ["tier1", "runtime"])
+def test_ci_smoke_runs_the_dense_register_at_the_cap(job):
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    steps = [step for step in workflow["jobs"][job]["steps"]
+             if step.get("name", "").startswith("Smoke test")]
+    assert len(steps) == 1
+    assert steps[0]["run"].endswith(DENSE_SMOKE)
+
+
+def test_dense_smoke_lines_run(tmp_path):
+    """The lines above, through bash, with ``screwclock`` calling this checkout's CLI."""
+    src = str(ROOT / "src")
+    script = (
+        f"screwclock() {{ PYTHONPATH={shlex.quote(src)} {shlex.quote(sys.executable)} -c "
+        "'import sys; from screwclock.cli import main; main(sys.argv[1:])' \"$@\"; }\n"
+        "set -e\n" + DENSE_SMOKE
+    )
+    env = dict(os.environ, RUNNER_TEMP=str(tmp_path))
+    result = subprocess.run(["bash", "-c", script], capture_output=True, text=True,
+                            timeout=120, env=env)
+    assert result.returncode == 0, result.stderr
+    assert sorted(p.name for p in (tmp_path / "smoke").glob("*.csv")) == ["scan.csv", "simulate.csv"]

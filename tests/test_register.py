@@ -20,7 +20,10 @@ from screwclock import (
     state_fidelity,
     state_overlap,
 )
-from screwclock.register import BACKENDS, HADAMARD, _clock_weights, apply_gate
+from screwclock.register import (
+    BACKENDS, HADAMARD, PHASE_SIGNS_CACHE_SIZE, UNITARY_CACHE_SIZE, _Branches, _check_unitary,
+    _checked_blocks, _clock_weights, _phase_signs, apply_gate,
+)
 
 from conftest import (
     backend_crosscheck, haar_unitary, random_gate_sequence, reference_axis_rotation,
@@ -200,6 +203,64 @@ class TestDenseWeightTable:
         assert np.abs(state.amplitudes - reference.amplitudes).max() <= 2e-15
 
 
+class TestGateCaches:
+    """Matrices are checked, and dense blocks and sign tables built, once per distinct input."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("method", ["apply_clock_rotation", "apply_head_rotation"])
+    def test_matrix_changed_in_place_is_used_or_rejected(self, backend, method):
+        rng = np.random.default_rng(11)
+        matrix = haar_unitary(rng)
+        state = _superposed(4, backend)
+        getattr(state, method)(matrix)
+        matrix[:] = haar_unitary(rng)
+        reference = state.copy()
+        getattr(reference, method)(matrix.copy())
+        getattr(state, method)(matrix)
+        assert np.array_equal(state.to_vector(), reference.to_vector())
+        matrix[1, 1] *= 1.1
+        with pytest.raises(ParameterError, match="not unitary"):
+            getattr(state, method)(matrix)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_nonunitary_rejected_after_hadamard_is_cached(self, backend):
+        state = _superposed(3, backend)
+        for matrix in (HADAMARD * 1.0001, np.array([[1.0, 1.0], [1.0, -1.0]])):
+            with pytest.raises(ParameterError, match="not unitary"):
+                state.apply_clock_rotation(matrix)
+            with pytest.raises(ParameterError, match="not unitary"):
+                state.apply_head_rotation(matrix)
+
+    def test_hadamard_is_a_read_only_unitary(self):
+        np.testing.assert_array_equal(HADAMARD, np.array([[1, 1], [1, -1]]) / math.sqrt(2.0))
+        assert not HADAMARD.flags.writeable
+        assert np.array_equal(_check_unitary(HADAMARD)[0], HADAMARD)
+
+    def test_cached_arrays_are_read_only_copies(self):
+        matrix = haar_unitary(np.random.default_rng(3))
+        blocks = _check_unitary(matrix)
+        assert [block.shape for block in blocks] == [(2, 2), (4, 4), (8, 8)]
+        np.testing.assert_array_equal(blocks[2], np.kron(np.kron(matrix, matrix), matrix))
+        assert not any(np.shares_memory(block, matrix) for block in blocks)
+        cached = [HADAMARD, *blocks, _phase_signs(5, (0, 3)), _clock_weights(5)]
+        for array in cached:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0.0
+
+    def test_caches_stay_within_their_bounds(self):
+        rng = np.random.default_rng(2024)
+        state = init_register(3, "dense")
+        for _ in range(1000):
+            state.apply_clock_rotation(haar_unitary(rng))
+            state.apply_phase_pass(rng.integers(3, size=int(rng.integers(0, 6))))
+        for cache, bound in ((_checked_blocks, UNITARY_CACHE_SIZE),
+                             (_phase_signs, PHASE_SIGNS_CACHE_SIZE)):
+            info = cache.cache_info()
+            assert info.maxsize == bound and info.currsize <= bound
+        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+
+
 class TestPhaseGate:
     def test_sign_flip_on_raised_bit_with_head_up(self):
         n = 3
@@ -207,9 +268,9 @@ class TestPhaseGate:
         # Prepare |010>|up>: p = 2, index = 2 + 2^3
         state.amplitudes[0] = 0.0
         state.amplitudes[2 + 2**n] = 1.0
-        state.apply_phase_gate(1)
+        state.apply_phase_pass((1,))
         assert state.amplitudes[2 + 2**n] == -1.0
-        state.apply_phase_gate(0)  # bit 0 not raised: no flip
+        state.apply_phase_pass((0,))  # bit 0 not raised: no flip
         assert state.amplitudes[2 + 2**n] == -1.0
 
     def test_head_down_untouched(self):
@@ -217,7 +278,7 @@ class TestPhaseGate:
         state = init_register(n, "dense")
         state.amplitudes[0] = 0.0
         state.amplitudes[3] = 1.0  # |11>|down>
-        state.apply_phase_gate(0).apply_phase_gate(1)
+        state.apply_phase_pass((0,)).apply_phase_pass((1,))
         assert state.amplitudes[3] == 1.0
 
     def test_parity_signs_after_full_pass(self):
@@ -227,7 +288,7 @@ class TestPhaseGate:
         state = init_register(n, "dense")
         state.apply_clock_rotation(HADAMARD).apply_head_rotation(HADAMARD)
         for site in range(n):
-            state.apply_phase_gate(site)
+            state.apply_phase_pass((site,))
         norm = 1.0 / math.sqrt(2 ** (n + 1))
         for p in range(2**n):
             k_p = bin(p).count("1")
@@ -236,9 +297,9 @@ class TestPhaseGate:
 
     def test_site_out_of_range(self):
         with pytest.raises(ParameterError):
-            init_register(3, "dense").apply_phase_gate(3)
+            init_register(3, "dense").apply_phase_pass((3,))
         with pytest.raises(ParameterError):
-            init_register(3, "branch").apply_phase_gate(-1)
+            init_register(3, "branch").apply_phase_pass((-1,))
 
 
 class TestPhasePass:
@@ -391,6 +452,30 @@ class TestRunProtocol:
             for _, gate in protocol_gates(5, 0.3, 0.07, 1.3):
                 apply_gate(state, gate)
                 assert state.norm() == pytest.approx(1.0, abs=1e-10)
+
+
+class TestStateOverlap:
+    """Dense/branch overlaps contract the branch factors into the dense tensor."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 10), rank=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_contraction_matches_expanded_vectors(self, n, rank, seed):
+        rng = np.random.default_rng(seed)
+
+        def unit_factors(*shape):
+            z = rng.normal(size=(*shape, 2)) + 1j * rng.normal(size=(*shape, 2))
+            return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+        branch = init_register(n, "branch")
+        amps = rng.normal(size=rank) + 1j * rng.normal(size=rank)
+        branch._b = _Branches(amps, unit_factors(rank, n), unit_factors(rank))
+        dense = _random_dense(n, rng)
+        expected = np.vdot(dense.to_vector(), branch.to_vector())
+        forward = state_overlap(dense, branch)
+        backward = state_overlap(branch, dense)
+        assert abs(forward - expected) <= 1e-12
+        assert abs(backward - np.conj(expected)) <= 1e-12
+        assert backward == forward.conjugate()
 
 
 class TestHeadReadout:
