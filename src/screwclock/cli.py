@@ -15,7 +15,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import click
 import numpy as np
 
 from . import __version__
@@ -37,15 +36,41 @@ from .output import write_table
 
 COMMANDS = ("feasibility", "schedule", "simulate", "scan", "optimize", "sweep")
 
+# Each command's largest structure gets one memory budget. A bound below is
+# that budget over the peak-RSS growth per unit, measured between two sizes
+# (CPython 3.11, numpy 2.4, 64-bit Linux); larger inputs are rejected with
+# exit 2 and their field path before anything is built.
+MEMORY_BUDGET_BYTES = 128 * 2**20
+
 # `schedule` holds its 4N + 8 rows in memory, as three columns, before writing
-# them. The command's peak RSS grows by 46 B per row, measured between
-# N = 5 * 10^4 and 10^5 (CPython 3.11, 64-bit Linux): about 21 MiB at the
-# limit, inside the 128 MiB table budget. The limit stays where rows of 281 B
-# once put it, which keeps the largest table a 22 MB file. Larger N is
-# rejected up front.
+# them: 46 B per row, measured between N = 5 * 10^4 and 10^5, so about
+# 21 MiB at the limit. The limit stays where rows of 281 B once put it, which
+# keeps the largest table a 22 MB file.
 SCHEDULE_ROW_BYTES = 46
-SCHEDULE_TABLE_BUDGET_BYTES = 128 * 2**20
 SCHEDULE_MAX_ATOMS = 119408
+
+# Branch `simulate` keeps the state, five checkpoint copies and five reference
+# states, all O(N): 753 B per atom, measured between N = 5 * 10^4 and 2 * 10^5.
+# A branch `scan` needs 272 B per atom and takes the same bound.
+BRANCH_ATOM_BYTES = 753
+BRANCH_MAX_ATOMS = MEMORY_BUDGET_BYTES // BRANCH_ATOM_BYTES
+
+# `scan` keeps the grid, the probabilities, the fit's zero-padded periodogram
+# and the table's text per point: 364 B per point, measured between 10^4 and
+# 5 * 10^4 points.
+SCAN_POINT_BYTES = 364
+SCAN_MAX_POINTS = MEMORY_BUDGET_BYTES // SCAN_POINT_BYTES
+
+
+def _bound(value: int, limit: int, field: str, what: str) -> None:
+    if value > limit:
+        raise ConfigError(field, f"at most {limit} {what}, got {value}")
+
+
+def _bound_register(cfg: RunConfig) -> None:
+    if cfg.run.backend == "branch":
+        _bound(cfg.protocol.n_atoms, BRANCH_MAX_ATOMS, "protocol.n_atoms",
+               "atoms on the branch backend")
 
 
 def _base_metadata(command: str, cfg: RunConfig) -> dict:
@@ -89,6 +114,7 @@ def _species_columns(bundle: PhysicsBundle) -> dict[str, list]:
 
 
 def _cmd_feasibility(cfg: RunConfig, out_dir: Path) -> list[Path]:
+    """Transport feasibility, depths, trap frequencies, minimum intensity."""
     bundle = resolve_physics(cfg)
     report = bundle.requirement.feasibility
     meta = _base_metadata("feasibility", cfg)
@@ -106,7 +132,7 @@ def _cmd_feasibility(cfg: RunConfig, out_dir: Path) -> list[Path]:
         }
     )
     path = write_table(_species_columns(bundle), out_dir / "feasibility.csv", metadata=meta)
-    click.echo(
+    print(
         f"feasible={meta['feasible']} intensity={meta['intensity_kw_cm2']:.3g} kW/cm^2 "
         f"(binding: {meta['binding_species']})"
     )
@@ -114,12 +140,9 @@ def _cmd_feasibility(cfg: RunConfig, out_dir: Path) -> list[Path]:
 
 
 def _cmd_schedule(cfg: RunConfig, out_dir: Path) -> list[Path]:
-    if cfg.protocol.n_atoms > SCHEDULE_MAX_ATOMS:
-        raise ConfigError(
-            "protocol.n_atoms",
-            f"the schedule table is limited to {SCHEDULE_MAX_ATOMS} atoms, "
-            f"got {cfg.protocol.n_atoms}",
-        )
+    """Timed protocol step table and the no-scattering survival."""
+    _bound(cfg.protocol.n_atoms, SCHEDULE_MAX_ATOMS, "protocol.n_atoms",
+           "atoms in the schedule table")
     bundle = resolve_physics(cfg)
     kinds, durations, sites = schedule_steps(bundle.schedule)
     columns = {"step_index": range(len(kinds)), "kind": kinds, "duration_s": durations, "site": sites}
@@ -139,7 +162,7 @@ def _cmd_schedule(cfg: RunConfig, out_dir: Path) -> list[Path]:
         }
     )
     path = write_table(columns, out_dir / "schedule.csv", metadata=meta)
-    click.echo(
+    print(
         f"{len(kinds)} steps, total {bundle.schedule.total_duration:.6g} s, "
         f"survival {survival:.4g}"
     )
@@ -147,6 +170,8 @@ def _cmd_schedule(cfg: RunConfig, out_dir: Path) -> list[Path]:
 
 
 def _cmd_simulate(cfg: RunConfig, out_dir: Path) -> list[Path]:
+    """Run the register protocol once; checkpoint fidelities and p_up."""
+    _bound_register(cfg)
     bundle = resolve_physics(cfg)
     n = bundle.n_atoms
     t = bundle.ramsey_time
@@ -181,11 +206,15 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path) -> list[Path]:
         }
     )
     path = write_table(columns, out_dir / "simulate.csv", metadata=meta)
-    click.echo(f"p_up={p_up:.6f} (ideal {meta['p_up_ideal']:.6f}), chi={chi:.4f} rad")
+    print(f"p_up={p_up:.6f} (ideal {meta['p_up_ideal']:.6f}), chi={chi:.4f} rad")
     return [path]
 
 
 def _cmd_scan(cfg: RunConfig, out_dir: Path) -> list[Path]:
+    """Fringe scan over the detuning grid; CSV of p_up per detuning."""
+    _bound_register(cfg)
+    _bound(cfg.run.detuning_points, SCAN_MAX_POINTS, "run.detuning_points",
+           "detuning points per scan")
     bundle = resolve_physics(cfg)
     grid = detuning_grid(cfg)
     noisy = cfg.run.trajectories > 0
@@ -232,7 +261,7 @@ def _cmd_scan(cfg: RunConfig, out_dir: Path) -> list[Path]:
     path = write_table(
         {"detuning_rad_s": scan.detunings, "p_up": scan.p_up}, out_dir / "scan.csv", metadata=meta
     )
-    click.echo(
+    print(
         f"{len(scan.detunings)} points, contrast {fit.contrast:.4f}, "
         f"period {meta['fringe_period_rad_s']}"
     )
@@ -240,6 +269,7 @@ def _cmd_scan(cfg: RunConfig, out_dir: Path) -> list[Path]:
 
 
 def _cmd_optimize(cfg: RunConfig, out_dir: Path) -> list[Path]:
+    """Survival-weighted gain versus atom number; optimal N."""
     bundle = resolve_physics(cfg)
     opt = cfg.optimize
     grid = sorted(
@@ -273,7 +303,7 @@ def _cmd_optimize(cfg: RunConfig, out_dir: Path) -> list[Path]:
         "gain_over_sql": curve.gain_over_sql,
     }
     path = write_table(columns, out_dir / "optimize.csv", metadata=meta)
-    click.echo(f"optimal atom number {n_opt} (ramsey time {bundle.ramsey_time} s)")
+    print(f"optimal atom number {n_opt} (ramsey time {bundle.ramsey_time} s)")
     return [path]
 
 
@@ -285,6 +315,7 @@ def _sweep_point(cfg: RunConfig, keys: list[str], values: tuple) -> RunConfig:
 
 
 def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> list[Path]:
+    """Cartesian sweep over config parameter lists, one row per point."""
     keys = list(cfg.sweep.keys())
     value_lists = [cfg.sweep[k] for k in keys]
     points = list(itertools.product(*value_lists)) if keys else [()]
@@ -311,7 +342,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> list[Path]:
     meta = _base_metadata("sweep", cfg)
     meta.update({"swept_parameters": keys, "points": len(points)})
     path = write_table(columns, out_dir / "sweep.csv", metadata=meta)
-    click.echo(f"swept {len(points)} points over {keys or 'the base configuration'}")
+    print(f"swept {len(points)} points over {keys or 'the base configuration'}")
     return [path]
 
 
@@ -338,72 +369,87 @@ def run_command(command: str, cfg: RunConfig, out_dir, jobs: int = 1) -> list[Pa
     return _HANDLERS[command](cfg, out)
 
 
-def _load_config(ctx: click.Context) -> RunConfig:
-    params = ctx.obj
-    cfg = parse_config(Path(params["config"]) if params["config"] else None)
+def _parse_argv(argv):
+    """The parsed command line, or None once ``--help`` or ``--version`` has printed.
+
+    Every usage error raises ConfigError naming its option, or ``command``
+    for the command word.
+    """
+    import argparse  # here, not at import: callers of run_command never parse argv
+
+    class Parser(argparse.ArgumentParser):
+        # argparse prints usage text and exits 2 from here; the error blob replaces both.
+        def error(self, message):
+            raise ConfigError("argv", message)
+
+    options = {"allow_abbrev": False, "exit_on_error": False}
+    parser = Parser(prog="screwclock", **options,
+                    description="Entangled-lattice-clock feasibility and simulation toolkit.")
+    parser.add_argument("--config", help="JSON config file; omit for the built-in defaults.")
+    parser.add_argument("--out", default="out",
+                        help="Output directory for CSV tables and metadata sidecars.")
+    parser.add_argument("--seed", type=int, help="Override run.seed.")
+    parser.add_argument("--backend", choices=BACKENDS, help="Override run.backend.")
+    parser.add_argument("--trajectories", type=int, help="Override run.trajectories.")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="Accepted for compatibility; every command runs serially.")
+    parser.add_argument("--version", action="version", version=f"screwclock, version {__version__}")
+    commands = parser.add_subparsers(dest="command", metavar="command")
+    for name, handler in _HANDLERS.items():
+        commands.add_parser(name, help=handler.__doc__, description=handler.__doc__, **options)
+    try:
+        args, extra = parser.parse_known_args(argv)
+    except argparse.ArgumentError as exc:
+        raise ConfigError(exc.argument_name or "argv", exc.message) from None
+    except SystemExit:  # argparse exits (with 0) only after --help or --version
+        return None
+
+    if extra:
+        word = extra[0]
+        if word.startswith("-"):
+            raise ConfigError(word.split("=", 1)[0], "no such option")
+        raise ConfigError("command", f"unexpected extra argument {word!r}")
+    if args.command is None:
+        raise ConfigError("command", f"missing; expected one of {', '.join(COMMANDS)}")
+    if args.config is not None and Path(args.config).is_dir():
+        raise ConfigError("--config", f"{args.config!r} is a directory")
+    if args.config is not None and not Path(args.config).exists():
+        raise ConfigError("--config", f"{args.config!r} does not exist")
+    if Path(args.out).is_file():
+        raise ConfigError("--out", f"{args.out!r} is a file")
+    return args
+
+
+def _load_config(args) -> RunConfig:
+    cfg = parse_config(Path(args.config) if args.config is not None else None)
     for key in ("seed", "backend", "trajectories"):
-        if params[key] is not None:
-            cfg = apply_override(cfg, f"run.{key}", params[key])
+        if getattr(args, key) is not None:
+            cfg = apply_override(cfg, f"run.{key}", getattr(args, key))
     return cfg
 
 
-def _invoke(ctx: click.Context, command: str):
-    params = ctx.obj
+def main(argv: list[str] | None = None) -> int:
+    """Run one command line (``sys.argv[1:]`` by default); returns the exit code.
+
+    Options come before the command. Any failure, a usage error included,
+    prints one JSON object to stderr and returns its nonzero code.
+    """
     try:
-        cfg = _load_config(ctx)
-        run_command(command, cfg, params["out"])
+        args = _parse_argv(argv)
+        if args is not None:
+            run_command(args.command, _load_config(args), args.out)
     except ClockSimError as exc:
         blob = {"error": exc.code, "message": str(exc)}
         if hasattr(exc, "path"):
             blob["field"] = exc.path
-        click.echo(json.dumps(blob), err=True)
-        sys.exit(exc.exit_code)
+        print(json.dumps(blob), file=sys.stderr)
+        return exc.exit_code
     except Exception as exc:  # OS errors and any unexpected failure; name the exception class
         message = f"{type(exc).__name__}: {exc}"
-        click.echo(json.dumps({"error": ClockSimError.code, "message": message}), err=True)
-        sys.exit(ClockSimError.exit_code)
-
-
-@click.group()
-@click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="JSON config file; omit for the built-in defaults.")
-@click.option("--out", type=click.Path(file_okay=False), default="out",
-              help="Output directory for CSV tables and metadata sidecars.")
-@click.option("--seed", type=int, default=None, help="Override run.seed.")
-@click.option("--backend", type=click.Choice(BACKENDS), default=None,
-              help="Override run.backend.")
-@click.option("--trajectories", type=int, default=None, help="Override run.trajectories.")
-@click.option("--jobs", type=int, default=1, expose_value=False,
-              help="Accepted for compatibility; every command runs serially.")
-@click.version_option(version=__version__)
-@click.pass_context
-def main(ctx, config, out, seed, backend, trajectories):
-    """Entangled-lattice-clock feasibility and simulation toolkit."""
-    ctx.obj = {
-        "config": config,
-        "out": out,
-        "seed": seed,
-        "backend": backend,
-        "trajectories": trajectories,
-    }
-
-
-def _register(name: str, help_text: str):
-    @main.command(name=name, help=help_text)
-    @click.pass_context
-    def _cmd(ctx):
-        _invoke(ctx, name)
-
-    return _cmd
-
-
-_register("feasibility", "Transport feasibility, depths, trap frequencies, minimum intensity.")
-_register("schedule", "Timed protocol step table and the no-scattering survival.")
-_register("simulate", "Run the register protocol once; checkpoint fidelities and p_up.")
-_register("scan", "Fringe scan over the detuning grid; CSV of p_up per detuning.")
-_register("optimize", "Survival-weighted gain versus atom number; optimal N.")
-_register("sweep", "Cartesian sweep over config parameter lists, one row per point.")
+        print(json.dumps({"error": ClockSimError.code, "message": message}), file=sys.stderr)
+        return ClockSimError.exit_code
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

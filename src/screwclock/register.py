@@ -37,6 +37,7 @@ READOUT_TOL = 1e-9         # head probabilities may miss [0, 1] and sum 1 by thi
 _UNITARY_TOL = 1e-12
 UNITARY_CACHE_SIZE = 32    # distinct rotation matrices kept checked, with their blocks
 PHASE_SIGNS_CACHE_SIZE = 16  # (N, flip set) sign tables kept; 128 KiB each at the cap
+EVERY_SITE_CACHE_SIZE = 2  # all-sites arrays kept, one per register size; 8 B per atom
 
 # Read-only; checked, like every matrix, by the first rotation that uses it. A check
 # at import would be the first matrix product, whose BLAS set-up costs about 0.5 MB
@@ -47,11 +48,23 @@ HADAMARD.flags.writeable = False
 GATE_KINDS = ("clock_rotation", "head_rotation", "phase_pass", "free_evolution")
 
 
+@functools.lru_cache(maxsize=EVERY_SITE_CACHE_SIZE)
+def _every_site(n_atoms: int) -> np.ndarray:
+    """Read-only sites 0..N-1: the protocol's entangling pass, built once per N."""
+    sites = np.arange(n_atoms)
+    sites.flags.writeable = False
+    return sites
+
+
 def _odd_sites(sites, n_atoms: int) -> np.ndarray:
     """Sorted clock sites a pass flips: each one listed an odd number of times.
 
     Phase gates commute and square to 1: two on one site cancel, in a pass as in sequence.
+    The cached all-sites pass of :func:`protocol_gates` is its own reduction, so only
+    sites from any other caller are checked and reduced.
     """
+    if sites is _every_site(n_atoms):
+        return sites
     listed = np.asarray(sites, dtype=np.intp)
     outside = listed[(listed < 0) | (listed >= n_atoms)]
     if outside.size:
@@ -401,7 +414,7 @@ def protocol_gates(
     seq: list[tuple[str | None, tuple]] = []
     seq.append((None, ("clock_rotation", HADAMARD)))
     seq.append(("superposition", ("head_rotation", HADAMARD)))
-    every_site = np.arange(n_atoms)  # an array, so each pass skips a list-to-array copy
+    every_site = _every_site(n_atoms)
     seq.append(("entangled", ("phase_pass", every_site)))
     seq.append(("ghz", ("clock_rotation", HADAMARD)))
     seq.append(("evolved", ("free_evolution", delta_omega, delta_omega_head, ramsey_time)))

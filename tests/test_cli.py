@@ -1,20 +1,23 @@
+import csv
+import io
 import json
 import math
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from screwclock import (
     BranchState, ParameterError, parse_config, resolve_physics, survival_probability,
 )
 from screwclock.cli import (
-    SCHEDULE_MAX_ATOMS, SCHEDULE_ROW_BYTES, SCHEDULE_TABLE_BUDGET_BYTES, main, run_command,
+    BRANCH_ATOM_BYTES, BRANCH_MAX_ATOMS, COMMANDS, MEMORY_BUDGET_BYTES, SCAN_MAX_POINTS,
+    SCAN_POINT_BYTES, SCHEDULE_MAX_ATOMS, SCHEDULE_ROW_BYTES, main, run_command,
 )
 from screwclock.output import write_table
 
@@ -27,8 +30,38 @@ def _write_config(tmp_path, data):
     return path
 
 
-def _run(args):
-    return CliRunner().invoke(main, args, catch_exceptions=False)
+ROOT = Path(__file__).resolve().parents[1]
+_LINUX_RSS = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                reason="ru_maxrss is in KiB on Linux")
+
+
+def _peak_growth(tmp_path, command, small, large) -> int:
+    """Peak-RSS growth, in bytes, of ``command`` on config ``large`` over ``small``, in one fresh process."""
+    code = (
+        "import json, resource, sys\n"
+        "from screwclock import parse_config\n"
+        "from screwclock.cli import run_command\n"
+        "def peak(document):\n"
+        "    run_command(sys.argv[1], parse_config(json.loads(document)), sys.argv[2])\n"
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
+        "base = peak(sys.argv[3])\n"
+        "print(peak(sys.argv[4]) - base)\n"
+    )
+    result = run_python(["-c", code, command, str(tmp_path), json.dumps(small), json.dumps(large)],
+                        timeout=120)
+    assert result.returncode == 0, result.stderr
+    return int(result.stdout.splitlines()[-1])
+
+
+@pytest.fixture
+def run_cli(capsys):
+    """Call ``main(args)`` in-process; its exit code and what it printed."""
+    def run(args):
+        capsys.readouterr()
+        exit_code = main(args)
+        out, err = capsys.readouterr()
+        return SimpleNamespace(exit_code=exit_code, stdout=out, stderr=err)
+    return run
 
 
 class TestWriteTable:
@@ -141,8 +174,8 @@ class TestWriteTableAgainstReference:
 
 
 class TestFeasibilityCommand:
-    def test_defaults_are_feasible_near_published_intensity(self, tmp_path):
-        result = _run(["--out", str(tmp_path), "feasibility"])
+    def test_defaults_are_feasible_near_published_intensity(self, tmp_path, run_cli):
+        result = run_cli(["--out", str(tmp_path), "feasibility"])
         assert result.exit_code == 0
         meta = json.loads((tmp_path / "feasibility.meta.json").read_text())
         assert meta["feasible"] is True
@@ -151,7 +184,7 @@ class TestFeasibilityCommand:
         rows = read_table(tmp_path / "feasibility.csv")
         assert {r["species"] for r in rows} == {"Sr", "Al_up", "Al_down"}
 
-    def test_infeasible_transport_exit_code(self, tmp_path):
+    def test_infeasible_transport_exit_code(self, tmp_path, run_cli):
         cfg = _write_config(tmp_path, {"species": [
             {"name": "Sr", "mass_amu": 87.9, "alpha_scalar_au": -470.0, "rho": 0.0,
              "role": "clock"},
@@ -160,19 +193,19 @@ class TestFeasibilityCommand:
             {"name": "B", "mass_amu": 27.0, "alpha_scalar_au": -340.0, "rho": 0.84,
              "role": "head_down"},
         ]})
-        result = _run(["--config", str(cfg), "--out", str(tmp_path / "o"), "feasibility"])
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "feasibility"])
         assert result.exit_code == 4
         blob = json.loads(result.stderr)
         assert blob["error"] == "infeasible_transport"
 
 
 class TestScanCommand:
-    def test_noiseless_three_atom_scan_matches_analytic(self, tmp_path):
+    def test_noiseless_three_atom_scan_matches_analytic(self, tmp_path, run_cli):
         cfg = _write_config(tmp_path, {
             "protocol": {"n_atoms": 3, "ramsey_time_s": 0.5},
             "run": {"backend": "dense", "detuning_points": 41},
         })
-        result = _run(["--config", str(cfg), "--out", str(tmp_path / "o"), "scan"])
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "scan"])
         assert result.exit_code == 0
         rows = read_table(tmp_path / "o" / "scan.csv")
         assert len(rows) == 41
@@ -181,44 +214,44 @@ class TestScanCommand:
             expected = math.sin(3 * dw * 0.5 / 2) ** 2
             assert abs(float(row["p_up"]) - expected) < 1e-9
 
-    def test_metadata_reports_gain(self, tmp_path):
+    def test_metadata_reports_gain(self, tmp_path, run_cli):
         cfg = _write_config(tmp_path, {
             "protocol": {"n_atoms": 4, "ramsey_time_s": 0.25},
             "run": {"backend": "dense"},
         })
-        _run(["--config", str(cfg), "--out", str(tmp_path / "o"), "scan"])
+        run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "scan"])
         meta = json.loads((tmp_path / "o" / "scan.meta.json").read_text())
         assert meta["contrast"] == pytest.approx(1.0, abs=1e-6)
         assert meta["gain_over_sql"] == pytest.approx(2.0, rel=1e-6)
 
 
 class TestSimulateCommand:
-    def test_zero_atoms_fails_with_config_error(self, tmp_path):
+    def test_zero_atoms_fails_with_config_error(self, tmp_path, run_cli):
         cfg = _write_config(tmp_path, {"protocol": {"n_atoms": 0}})
-        result = _run(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"])
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"])
         assert result.exit_code == 2
         blob = json.loads(result.stderr)
         assert blob["error"] == "config"
         assert blob["field"] == "protocol.n_atoms"
 
-    def test_no_interaction_exit_code(self, tmp_path):
+    def test_no_interaction_exit_code(self, tmp_path, run_cli):
         cfg = _write_config(tmp_path, {"protocol": {"a_scatt_au": 0.0}})
-        result = _run(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"])
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"])
         assert result.exit_code == 6
         assert json.loads(result.stderr)["error"] == "no_interaction"
 
-    def test_infeasible_transport_exit_code(self, tmp_path):
+    def test_infeasible_transport_exit_code(self, tmp_path, run_cli):
         cfg = _write_config(tmp_path, {"lattice": {"delta": 0.9}})
-        result = _run(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"])
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"])
         assert result.exit_code == 4
         assert json.loads(result.stderr)["error"] == "infeasible_transport"
 
-    def test_checkpoints_have_unit_fidelity(self, tmp_path):
+    def test_checkpoints_have_unit_fidelity(self, tmp_path, run_cli):
         cfg = _write_config(tmp_path, {
             "protocol": {"n_atoms": 5, "ramsey_time_s": 0.1},
             "run": {"backend": "dense"},
         })
-        result = _run(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"])
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"])
         assert result.exit_code == 0
         rows = read_table(tmp_path / "o" / "simulate.csv")
         assert {r["checkpoint"] for r in rows} == {
@@ -265,9 +298,9 @@ class TestScheduleCommand:
         ]
         assert lines == expected
 
-    def test_step_table_and_survival(self, tmp_path):
+    def test_step_table_and_survival(self, tmp_path, run_cli):
         cfg = _write_config(tmp_path, {"protocol": {"n_atoms": 3, "ramsey_time_s": 0.05}})
-        result = _run(["--config", str(cfg), "--out", str(tmp_path / "o"), "schedule"])
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "schedule"])
         assert result.exit_code == 0
         rows = read_table(tmp_path / "o" / "schedule.csv")
         kinds = [r["kind"] for r in rows]
@@ -280,12 +313,12 @@ class TestScheduleCommand:
 
 
 class TestOptimizeCommand:
-    def test_curve_and_metadata(self, tmp_path):
+    def test_curve_and_metadata(self, tmp_path, run_cli):
         cfg = _write_config(tmp_path, {
             "protocol": {"ramsey_time_s": 0.01},
             "optimize": {"n_min": 1, "n_max": 10000, "n_points": 40},
         })
-        result = _run(["--config", str(cfg), "--out", str(tmp_path / "o"), "optimize"])
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "optimize"])
         assert result.exit_code == 0
         meta = json.loads((tmp_path / "o" / "optimize.meta.json").read_text())
         assert meta["ramsey_time_s"] == 0.01
@@ -296,51 +329,51 @@ class TestOptimizeCommand:
 
 
 class TestSweepCommand:
-    def test_rows_follow_declared_product(self, tmp_path):
+    def test_rows_follow_declared_product(self, tmp_path, run_cli):
         cfg = _write_config(tmp_path, {
             "sweep": {"protocol.n_atoms": [2, 4], "protocol.ramsey_time_s": [0.01, 0.02, 0.05]},
         })
-        result = _run(["--config", str(cfg), "--out", str(tmp_path / "o"), "sweep"])
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "sweep"])
         assert result.exit_code == 0
         rows = read_table(tmp_path / "o" / "sweep.csv")
         assert len(rows) == 6
         seen = [(int(r["protocol.n_atoms"]), float(r["protocol.ramsey_time_s"])) for r in rows]
         assert seen == [(2, 0.01), (2, 0.02), (2, 0.05), (4, 0.01), (4, 0.02), (4, 0.05)]
 
-    def test_empty_sweep_evaluates_base_config(self, tmp_path):
-        result = _run(["--out", str(tmp_path / "o"), "sweep"])
+    def test_empty_sweep_evaluates_base_config(self, tmp_path, run_cli):
+        result = run_cli(["--out", str(tmp_path / "o"), "sweep"])
         assert result.exit_code == 0
         rows = read_table(tmp_path / "o" / "sweep.csv")
         assert len(rows) == 1
 
-    def test_byte_identical_reruns(self, tmp_path):
+    def test_byte_identical_reruns(self, tmp_path, run_cli):
         cfg = _write_config(tmp_path, {
             "sweep": {"protocol.n_atoms": [5, 50], "noise.extra_loss_rate_per_s": [0.0, 2.0]},
             "run": {"seed": 987},
         })
-        _run(["--config", str(cfg), "--out", str(tmp_path / "a"), "sweep"])
-        _run(["--config", str(cfg), "--out", str(tmp_path / "b"), "--jobs", "4", "sweep"])
+        run_cli(["--config", str(cfg), "--out", str(tmp_path / "a"), "sweep"])
+        run_cli(["--config", str(cfg), "--out", str(tmp_path / "b"), "--jobs", "4", "sweep"])
         assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
 
 
 class TestDeterminismAndErrors:
-    def test_monte_carlo_scan_reruns_byte_identical(self, tmp_path):
+    def test_monte_carlo_scan_reruns_byte_identical(self, tmp_path, run_cli):
         cfg = _write_config(tmp_path, {
             "protocol": {"n_atoms": 4, "ramsey_time_s": 0.05},
             "run": {"backend": "dense", "trajectories": 50, "seed": 11,
                     "detuning_points": 15},
         })
-        _run(["--config", str(cfg), "--out", str(tmp_path / "a"), "scan"])
-        _run(["--config", str(cfg), "--out", str(tmp_path / "b"), "scan"])
+        run_cli(["--config", str(cfg), "--out", str(tmp_path / "a"), "scan"])
+        run_cli(["--config", str(cfg), "--out", str(tmp_path / "b"), "scan"])
         assert (tmp_path / "a" / "scan.csv").read_bytes() == (tmp_path / "b" / "scan.csv").read_bytes()
 
-    def test_trillion_trajectory_scan_tracks_survival(self, tmp_path):
+    def test_trillion_trajectory_scan_tracks_survival(self, tmp_path, run_cli):
         # One binomial draw per point: 10^12 trajectories cost no more memory
         # than ten, and each mean sits within 5 sigma of S p + (1 - S) / 2.
         trajectories = 10**12
         doc = {"protocol": {"n_atoms": 4}, "run": {"backend": "dense"}}
         cfg = _write_config(tmp_path, doc)
-        result = _run(["--config", str(cfg), "--out", str(tmp_path / "o"),
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"),
                        "--trajectories", str(trajectories), "scan"])
         assert result.exit_code == 0
         bundle = resolve_physics(parse_config(doc))
@@ -356,30 +389,30 @@ class TestDeterminismAndErrors:
             sigma = math.sqrt(survival * (1.0 - survival) / trajectories) * abs(exact - 0.5)
             assert abs(float(row["p_up"]) - expected) <= 5 * sigma + 1e-12
 
-    def test_trajectories_beyond_int64_rejected(self, tmp_path):
+    def test_trajectories_beyond_int64_rejected(self, tmp_path, run_cli):
         too_many = 2**63
         cfg = _write_config(tmp_path, {"run": {"trajectories": too_many}})
         for args in (["--config", str(cfg)], ["--trajectories", str(too_many)]):
-            result = _run([*args, "--out", str(tmp_path / "o"), "scan"])
+            result = run_cli([*args, "--out", str(tmp_path / "o"), "scan"])
             assert result.exit_code == 2
             blob = json.loads(result.stderr)
             assert blob["error"] == "config"
             assert blob["field"] == "run.trajectories"
         assert not (tmp_path / "o").exists()
 
-    def test_negative_seed_rejected(self, tmp_path):
+    def test_negative_seed_rejected(self, tmp_path, run_cli):
         cfg = _write_config(tmp_path, {"run": {"seed": -3}})
-        result = _run(["--config", str(cfg), "--out", str(tmp_path / "o"), "schedule"])
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "schedule"])
         assert result.exit_code == 2
 
-    def test_undefined_transport_delta_exit_code(self, tmp_path):
+    def test_undefined_transport_delta_exit_code(self, tmp_path, run_cli):
         # delta = 0 leaves the transport criteria undefined: invalid parameter.
         cfg = _write_config(tmp_path, {"lattice": {"delta": 0.0}})
-        result = _run(["--config", str(cfg), "--out", str(tmp_path / "o"), "feasibility"])
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "feasibility"])
         assert result.exit_code == 3
         assert json.loads(result.stderr)["error"] == "invalid_parameter"
 
-    def test_untrapped_clock_exit_code(self, tmp_path):
+    def test_untrapped_clock_exit_code(self, tmp_path, run_cli):
         # A clock species with zero polarizability cannot be pinned.
         cfg = _write_config(tmp_path, {"species": [
             {"name": "ghost", "mass_amu": 87.9, "alpha_scalar_au": 0.0, "rho": 0.0,
@@ -389,13 +422,13 @@ class TestDeterminismAndErrors:
             {"name": "B", "mass_amu": 27.0, "alpha_scalar_au": -340.0, "rho": 0.84,
              "role": "head_down"},
         ]})
-        result = _run(["--config", str(cfg), "--out", str(tmp_path / "o"), "feasibility"])
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "feasibility"])
         assert result.exit_code == 5
         assert json.loads(result.stderr)["error"] == "untrapped"
 
-    def test_no_interaction_exit_code(self, tmp_path):
+    def test_no_interaction_exit_code(self, tmp_path, run_cli):
         cfg = _write_config(tmp_path, {"protocol": {"a_scatt_au": 0.0}})
-        result = _run(["--config", str(cfg), "--out", str(tmp_path / "o"), "schedule"])
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "schedule"])
         assert result.exit_code == 6
         assert json.loads(result.stderr)["error"] == "no_interaction"
 
@@ -405,31 +438,31 @@ class TestDeterminismAndErrors:
         ("protocol", "a_scatt_au", "NaN"),
         ("noise", "extra_loss_rate_per_s", "1" + "0" * 400),
     ])
-    def test_non_finite_config_value_exit_code(self, tmp_path, section, key, token):
+    def test_non_finite_config_value_exit_code(self, tmp_path, section, key, token, run_cli):
         cfg = tmp_path / "config.json"
         cfg.write_text(f'{{"{section}": {{"{key}": {token}}}}}')
-        result = _run(["--config", str(cfg), "--out", str(tmp_path / "o"), "schedule"])
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "schedule"])
         assert result.exit_code == 2
         blob = json.loads(result.stderr)
         assert blob["error"] == "config"
         assert blob["field"] == f"{section}.{key}"
         assert not (tmp_path / "o").exists()
 
-    def test_unwritable_output_exit_code(self, tmp_path):
+    def test_unwritable_output_exit_code(self, tmp_path, run_cli):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
-        result = _run(["--out", str(blocker / "o"), "feasibility"])
+        result = run_cli(["--out", str(blocker / "o"), "feasibility"])
         assert result.exit_code == 1
         blob = json.loads(result.stderr)
         assert blob["error"] == "error"
         assert str(blocker) in blob["message"]
 
-    def test_register_capacity_exit_code(self, tmp_path):
+    def test_register_capacity_exit_code(self, tmp_path, run_cli):
         cfg = _write_config(tmp_path, {
             "protocol": {"n_atoms": 30},
             "run": {"backend": "dense"},
         })
-        result = _run(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"])
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"])
         assert result.exit_code == 8
         assert json.loads(result.stderr)["error"] == "register_capacity"
 
@@ -444,35 +477,24 @@ class TestDeterminismAndErrors:
         ("sweep", {"sweep": {"protocol.n_atoms": [10**400]}}, "protocol.n_atoms"),
     ], ids=["schedule-1e20", "scan-1e20", "scan-1e400", "sweep-1e400", "optimize-n_max-1e29",
             "sweep-value-1e20", "sweep-value-1e400"])
-    def test_atom_number_beyond_2_53_exit_code(self, tmp_path, command, document, field):
+    def test_atom_number_beyond_2_53_exit_code(self, tmp_path, command, document, field, run_cli):
         cfg = _write_config(tmp_path, document)
-        result = _run(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
         assert result.exit_code == 2
         blob = json.loads(result.stderr)
         assert blob["error"] == "config"
         assert blob["field"] == field
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+    @_LINUX_RSS
     def test_schedule_bound_is_the_table_budget(self, tmp_path):
         # The peak-RSS growth of `schedule` at the limit, over a one-atom run in
         # the same process: about 21 MiB at the measured 46 B per row, where
         # 281 B rows once filled the 128 MiB budget.
-        code = (
-            "import resource, sys\n"
-            "from screwclock import parse_config\n"
-            "from screwclock.cli import run_command\n"
-            "def peak(n):\n"
-            "    run_command('schedule', parse_config({'protocol': {'n_atoms': n}}), sys.argv[1])\n"
-            "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
-            "base = peak(1)\n"
-            "print(peak(int(sys.argv[2])) - base)\n"
-        )
-        result = run_python(["-c", code, str(tmp_path), str(SCHEDULE_MAX_ATOMS)], timeout=120)
-        assert result.returncode == 0, result.stderr
-        growth = int(result.stdout.splitlines()[-1])
+        growth = _peak_growth(tmp_path, "schedule", {"protocol": {"n_atoms": 1}},
+                              {"protocol": {"n_atoms": SCHEDULE_MAX_ATOMS}})
         rows = 4 * SCHEDULE_MAX_ATOMS + 8
-        assert growth <= 2 * rows * SCHEDULE_ROW_BYTES <= SCHEDULE_TABLE_BUDGET_BYTES
+        assert growth <= 2 * rows * SCHEDULE_ROW_BYTES <= MEMORY_BUDGET_BYTES
 
     @pytest.mark.parametrize("n_atoms", [SCHEDULE_MAX_ATOMS + 1, 2**53],
                              ids=["bound+1", "2^53"])
@@ -496,12 +518,12 @@ class TestDeterminismAndErrors:
         assert meta["rows"] == 4 * SCHEDULE_MAX_ATOMS + 8
 
     @pytest.mark.parametrize("command", ["scan", "sweep"])
-    def test_non_clock_error_exit_code(self, tmp_path, monkeypatch, command):
+    def test_non_clock_error_exit_code(self, tmp_path, monkeypatch, command, run_cli):
         def fail(cfg):
             raise ZeroDivisionError("injected")
 
         monkeypatch.setattr("screwclock.cli.resolve_physics", fail)
-        result = _run(["--out", str(tmp_path / "o"), command])
+        result = run_cli(["--out", str(tmp_path / "o"), command])
         assert result.exit_code == 1
         blob = json.loads(result.stderr)
         assert blob == {"error": "error", "message": "ZeroDivisionError: injected"}
@@ -513,8 +535,229 @@ class TestRunCommandLibrary:
         with pytest.raises(ClockSimError):
             run_command("explode", parse_config(None), tmp_path)
 
-    def test_seed_override_flows_to_metadata(self, tmp_path):
-        result = _run(["--out", str(tmp_path / "o"), "--seed", "31337", "schedule"])
+    def test_seed_override_flows_to_metadata(self, tmp_path, run_cli):
+        result = run_cli(["--out", str(tmp_path / "o"), "--seed", "31337", "schedule"])
         assert result.exit_code == 0
         meta = json.loads((tmp_path / "o" / "schedule.meta.json").read_text())
         assert meta["seed"] == 31337
+
+
+class TestMemoryBudgets:
+    """`scan` and branch `simulate` bounds, derived like the schedule's from one memory budget."""
+
+    @pytest.fixture
+    def refuse_build(self, monkeypatch):
+        """Fail with exit 1 where a command would start building: past every bound."""
+        def built(cfg):
+            raise ZeroDivisionError("built")
+
+        monkeypatch.setattr("screwclock.cli.resolve_physics", built)
+
+    def test_bounds_fill_the_budget(self):
+        assert BRANCH_MAX_ATOMS * BRANCH_ATOM_BYTES <= MEMORY_BUDGET_BYTES
+        assert SCAN_MAX_POINTS * SCAN_POINT_BYTES <= MEMORY_BUDGET_BYTES
+        # Far above the benchmark's branch N = 10^4 and 101-point scans.
+        assert BRANCH_MAX_ATOMS > 10 * 10**4 and SCAN_MAX_POINTS > 1000 * 101
+
+    @_LINUX_RSS
+    @pytest.mark.parametrize("command,small,large,units,unit_bytes", [
+        ("simulate", {"protocol": {"n_atoms": 1}}, {"protocol": {"n_atoms": 50_000}},
+         50_000, BRANCH_ATOM_BYTES),
+        ("scan", {"protocol": {"n_atoms": 1}, "run": {"detuning_points": 4}},
+         {"protocol": {"n_atoms": 50_000}, "run": {"detuning_points": 4}}, 50_000, BRANCH_ATOM_BYTES),
+        ("scan", {"protocol": {"n_atoms": 1}, "run": {"detuning_points": 2}},
+         {"protocol": {"n_atoms": 1}, "run": {"detuning_points": 10_000}}, 10_000, SCAN_POINT_BYTES),
+    ], ids=["simulate-atoms", "scan-atoms", "scan-points"])
+    def test_growth_within_twice_the_measured_bytes(self, tmp_path, command, small, large,
+                                                    units, unit_bytes):
+        assert _peak_growth(tmp_path, command, small, large) <= 2 * units * unit_bytes
+
+    @pytest.mark.parametrize("command,document,field", [
+        ("simulate", {"protocol": {"n_atoms": BRANCH_MAX_ATOMS + 1}}, "protocol.n_atoms"),
+        ("scan", {"protocol": {"n_atoms": BRANCH_MAX_ATOMS + 1}}, "protocol.n_atoms"),
+        ("simulate", {"protocol": {"n_atoms": 10**8}}, "protocol.n_atoms"),
+        ("scan", {"run": {"detuning_points": SCAN_MAX_POINTS + 1}}, "run.detuning_points"),
+        ("scan", {"run": {"detuning_points": 10**8}}, "run.detuning_points"),
+    ], ids=["simulate-bound+1", "scan-bound+1", "simulate-1e8", "points-bound+1", "points-1e8"])
+    def test_beyond_budget_exits_before_building(self, tmp_path, refuse_build, run_cli,
+                                                 command, document, field):
+        cfg = _write_config(tmp_path, document)
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+        assert result.exit_code == 2
+        blob = json.loads(result.stderr)
+        assert (blob["error"], blob["field"]) == ("config", field)
+        assert not list((tmp_path / "o").glob("*.csv"))
+
+    @pytest.mark.parametrize("command,document", [
+        ("simulate", {"protocol": {"n_atoms": BRANCH_MAX_ATOMS}}),
+        ("scan", {"protocol": {"n_atoms": BRANCH_MAX_ATOMS}}),
+        ("scan", {"run": {"detuning_points": SCAN_MAX_POINTS}}),
+        ("simulate", {"protocol": {"n_atoms": 10**8}, "run": {"backend": "dense"}}),
+    ], ids=["simulate-at-bound", "scan-at-bound", "points-at-bound", "dense-is-capped-elsewhere"])
+    def test_within_budget_goes_on_to_build(self, tmp_path, refuse_build, run_cli, command, document):
+        cfg = _write_config(tmp_path, document)
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["message"] == "ZeroDivisionError: built"
+
+
+def _readme_exit_codes() -> dict[int, str]:
+    """Exit code -> error id, from the README's exit-code table ('' for success)."""
+    codes = {}
+    for line in (ROOT / "README.md").read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if len(cells) == 3 and cells[0].isdigit():
+            codes[int(cells[0])] = cells[2].strip("`")
+    return codes
+
+
+def _assert_error_blob(result, exit_codes) -> dict:
+    """One JSON object on one stderr line, its id the README's for the exit code."""
+    assert result.exit_code in exit_codes and result.exit_code != 0
+    assert "Traceback" not in result.stderr
+    assert result.stderr.endswith("\n") and result.stderr.count("\n") == 1, result.stderr
+    blob = json.loads(result.stderr)
+    assert blob["error"] == exit_codes[result.exit_code]
+    assert isinstance(blob["message"], str)
+    return blob
+
+
+def _strict_json(text: str):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestFrontDoor:
+    """`main(argv)`: argparse usage errors keep the JSON error contract."""
+
+    @pytest.mark.parametrize("argv,field", [
+        (["--seed", "x", "scan"], "--seed"),
+        (["--backend", "foo", "scan"], "--backend"),
+        (["--config", "/nonexistent/config.json", "scan"], "--config"),
+        (["--config", "{tmp}", "scan"], "--config"),
+        (["--bogus", "scan"], "--bogus"),
+        (["scan", "extra"], "command"),
+        ([], "command"),
+        (["explode"], "command"),
+        (["scan", "--seed", "3"], "--seed"),  # options go before the command
+        (["--trajectories", "1e3", "scan"], "--trajectories"),
+        (["--jobs", "x", "sweep"], "--jobs"),
+        (["--seed"], "--seed"),
+        (["--out", "{tmp}/config.json", "scan"], "--out"),
+    ], ids=["seed-not-int", "unknown-backend", "missing-config", "config-is-directory",
+            "unknown-option", "extra-argument", "no-command", "unknown-command",
+            "option-after-command", "trajectories-not-int", "jobs-not-int", "option-without-value",
+            "out-is-a-file"])
+    def test_usage_error_is_one_json_line(self, tmp_path, run_cli, argv, field):
+        _write_config(tmp_path, {})
+        argv = ["--out", str(tmp_path / "o")] + [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        result = run_cli(argv)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        blob = _assert_error_blob(result, _readme_exit_codes())
+        assert (blob["error"], blob["field"]) == ("config", field)
+        assert blob["message"].startswith(f"{field}: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_help_and_version_exit_0(self, run_cli):
+        version = run_cli(["--version"])
+        assert (version.exit_code, version.stdout, version.stderr) == (0, "screwclock, version 0.1.0\n", "")
+        top = run_cli(["--help"])
+        assert top.exit_code == 0 and top.stderr == ""
+        assert top.stdout.startswith("usage: screwclock ")
+        assert all(command in top.stdout for command in COMMANDS)
+        for option in ("--config", "--out", "--seed", "--backend", "--trajectories", "--jobs"):
+            assert option in top.stdout
+        command = run_cli(["scan", "--help"])
+        assert command.exit_code == 0 and command.stdout.startswith("usage: screwclock scan")
+
+    def test_module_entry_point_exits_with_main_code(self, tmp_path):
+        usage = run_python(["-m", "screwclock.cli", "--seed", "x", "scan"], timeout=60)
+        assert usage.returncode == 2
+        assert usage.stderr.count("\n") == 1 and json.loads(usage.stderr)["field"] == "--seed"
+        version = run_python(["-m", "screwclock.cli", "--version"], timeout=60)
+        assert (version.returncode, version.stdout) == (0, "screwclock, version 0.1.0\n")
+
+    def test_readme_lists_every_error_class(self):
+        from screwclock import errors
+
+        classes = [c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, errors.ClockSimError)]
+        assert {c.exit_code: c.code for c in classes} == {
+            code: name for code, name in _readme_exit_codes().items() if code
+        }
+
+
+# Config leaves with values that pass and values that fail; each run stays small.
+_LEAVES = {
+    ("protocol", "n_atoms"): st.one_of(st.integers(-1, 12), st.sampled_from([30, 10**20, "3", 2.5])),
+    ("protocol", "ramsey_time_s"): st.sampled_from([0.0, 0.01, 0.5, -1.0, math.nan, math.inf]),
+    ("protocol", "a_scatt_au"): st.sampled_from([0.0, 50.0]),
+    ("lattice", "delta"): st.sampled_from([0.0, 0.25, 0.9]),
+    ("run", "backend"): st.sampled_from(["dense", "branch", "foo"]),
+    ("run", "trajectories"): st.sampled_from([0, 10, 10**6, -1]),
+    ("run", "detuning_points"): st.integers(0, 30),
+    ("run", "seed"): st.integers(-2, 2**32),
+    ("optimize", "n_max"): st.sampled_from([1, 100, 10**29]),
+    ("sweep", "protocol.n_atoms"): st.lists(st.integers(0, 20), max_size=3),
+    ("noise", "no_such_key"): st.just(1),
+}
+
+
+def _nest(leaves: dict) -> dict:
+    document: dict = {}
+    for (section, key), value in leaves.items():
+        document.setdefault(section, {})[key] = value
+    return document
+
+
+_DOCUMENTS = st.one_of(
+    st.sets(st.sampled_from(sorted(_LEAVES)), max_size=4).flatmap(
+        lambda keys: st.fixed_dictionaries({key: _LEAVES[key] for key in keys})).map(_nest),
+    st.sampled_from(["[]", "{", "", "null"]),
+)
+_OPTIONS = st.one_of(
+    st.tuples(st.just("--seed"), st.sampled_from(["0", "7", "12345", "-3", "x", str(2**64)])),
+    st.tuples(st.just("--backend"), st.sampled_from(["dense", "branch", "dense", "branch", "foo"])),
+    st.tuples(st.just("--trajectories"), st.sampled_from(["0", "20", "1000", "-1", "1e3", str(2**63)])),
+    st.tuples(st.just("--jobs"), st.sampled_from(["1", "4", "x"])),
+    st.tuples(st.just("--config"), st.sampled_from(["{config}", "{config}", "{tmp}", "{tmp}/missing.json"])),
+    st.tuples(st.just("--out"), st.sampled_from(["{tmp}/o", "{tmp}/o", "{config}", "{config}/o"])),
+    st.tuples(st.sampled_from(["--bogus", "--help", "--version"])),
+)
+
+
+class TestErrorContract:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(document=_DOCUMENTS, options=st.lists(_OPTIONS, max_size=3),
+           command=st.sampled_from([*COMMANDS, "explode", None]),
+           extra=st.sampled_from([[], [], [], ["extra"], ["--seed", "1"]]))
+    def test_every_outcome_keeps_the_contract(self, run_cli, document, options, command, extra):
+        exit_codes = _readme_exit_codes()
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text(document if isinstance(document, str) else json.dumps(document))
+            argv = ["--config", str(config), "--out", f"{tmp}/o"]
+            for option in options:
+                argv += [w.replace("{config}", str(config)).replace("{tmp}", tmp) for w in option]
+            argv += ([command] if command else []) + (extra if command else [])
+            result = run_cli(argv)
+            event(f"exit {result.exit_code}")
+            assert result.exit_code in exit_codes
+            assert "Traceback" not in result.stderr
+            if result.exit_code:
+                _assert_error_blob(result, exit_codes)
+                return
+            written = sorted((Path(tmp) / "o").glob("*"))
+            if {"--help", "--version"}.isdisjoint(argv):
+                assert f"{command}.csv" in [p.name for p in written]
+            for path in written:
+                text = path.read_text()
+                if path.suffix == ".csv":
+                    rows = list(csv.reader(io.StringIO(text, newline=""), strict=True))
+                    assert len(rows) >= 2 and all(len(row) == len(rows[0]) for row in rows)
+                else:
+                    assert path.name.endswith(".meta.json")
+                    assert isinstance(_strict_json(text), dict)

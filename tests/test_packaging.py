@@ -1,4 +1,4 @@
-"""The CLI needs numpy and click only: scipy is the tests' oracle, never a runtime import."""
+"""The CLI needs numpy only: scipy is the tests' oracle, and neither scipy nor click is ever imported."""
 
 import json
 import os
@@ -25,6 +25,7 @@ def test_cli_import_leaves_scipy_unloaded():
     assert result.returncode == 0, result.stderr
     modules = json.loads(result.stdout)
     assert [m for m in modules if m == "scipy" or m.startswith("scipy.")] == []
+    assert "click" not in modules and "argparse" not in modules  # argparse loads in main only
     # Loaded while the CLI is imported, not during the first command.
     assert "numpy.random" in modules and "numpy.fft" in modules
 
@@ -34,26 +35,23 @@ def test_every_command_runs_with_scipy_blocked(tmp_path):
         "import json, sys\n"
         "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
         "from screwclock.cli import COMMANDS, main\n"
-        "codes = []\n"
-        "for command in COMMANDS:\n"
-        "    try:\n"
-        "        main(['--config', sys.argv[1], '--out', sys.argv[2], command])\n"
-        "    except SystemExit as exc:\n"
-        "        codes.append(exc.code)\n"
-        "print(json.dumps(codes))\n"
+        "codes = [main(['--config', sys.argv[1], '--out', sys.argv[2], command])\n"
+        "         for command in COMMANDS]\n"
+        "print(json.dumps({'codes': codes, 'click': 'click' in sys.modules}))\n"
     )
     out = tmp_path / "out"
     result = run_python(["-c", code, str(ROOT / "config.example.json"), str(out)], timeout=120)
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout.splitlines()[-1]) == [0] * len(COMMANDS)
+    assert json.loads(result.stdout.splitlines()[-1]) == {"codes": [0] * len(COMMANDS), "click": False}
     assert sorted(p.name for p in out.glob("*.csv")) == sorted(f"{c}.csv" for c in COMMANDS)
 
 
 def test_scipy_is_only_a_test_dependency():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    assert not [d for d in project["dependencies"] if d.startswith("scipy")]
+    assert project["dependencies"] == ["numpy>=1.23"]
     assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])
+    assert not [d for d in project["optional-dependencies"]["test"] if d.startswith("click")]
 
 
 def test_ci_runs_every_command_without_scipy():
@@ -64,7 +62,7 @@ def test_ci_runs_every_command_without_scipy():
     assert "pip install --no-deps -e ." in script
     installs = [line.split() for line in script.splitlines() if "pip install" in line]
     packages = {word for words in installs for word in words[words.index("install") + 1:]}
-    assert packages == {"numpy", "click", "--no-deps", "-e", "."}
+    assert packages == {"numpy", "--no-deps", "-e", "."}
     assert " ".join(COMMANDS) in script
     assert "config.example.json" in script
 
@@ -107,7 +105,7 @@ def test_dense_smoke_lines_run(tmp_path):
     src = str(ROOT / "src")
     script = (
         f"screwclock() {{ PYTHONPATH={shlex.quote(src)} {shlex.quote(sys.executable)} -c "
-        "'import sys; from screwclock.cli import main; main(sys.argv[1:])' \"$@\"; }\n"
+        "'import sys; from screwclock.cli import main; sys.exit(main(sys.argv[1:]))' \"$@\"; }\n"
         "set -e\n" + DENSE_SMOKE
     )
     env = dict(os.environ, RUNNER_TEMP=str(tmp_path))

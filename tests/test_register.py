@@ -22,7 +22,7 @@ from screwclock import (
 )
 from screwclock.register import (
     BACKENDS, HADAMARD, PHASE_SIGNS_CACHE_SIZE, UNITARY_CACHE_SIZE, _Branches, _check_unitary,
-    _checked_blocks, _clock_weights, _phase_signs, apply_gate,
+    _checked_blocks, _clock_weights, _odd_sites, _phase_signs, apply_gate,
 )
 
 from conftest import (
@@ -325,6 +325,36 @@ class TestPhasePass:
         assert np.array_equal(state.to_vector(), before)
         if backend == "branch":
             assert state.rank == 1
+
+    def test_protocol_pass_is_reduced_once_per_n(self):
+        # Every protocol at one N hands over the same read-only all-sites array,
+        # which is its own reduction: no bincount per pass.
+        gates = protocol_gates(6, 0.3, 0.1, 1.0) + protocol_gates(6, -2.0, 0.0, 0.5)
+        passes = [gate[1] for _, gate in gates if gate[0] == "phase_pass"]
+        assert len(passes) == 4 and all(sites is passes[0] for sites in passes)
+        assert not passes[0].flags.writeable
+        assert _odd_sites(passes[0], 6) is passes[0]
+        with pytest.raises(ValueError):
+            passes[0][0] = 5
+
+    @pytest.mark.parametrize("backend", ["dense", "branch"])
+    def test_protocol_pass_equals_a_callers_sites_bit_for_bit(self, backend):
+        n = 7
+        cached = protocol_gates(n, 0.0, 0.0, 1.0)[2][1][1]
+        results = []
+        for sites in (cached, np.arange(n), list(range(n)), list(range(n))[::-1] + [3, 3]):
+            state = _superposed(n, backend).apply_phase_pass(sites).apply_clock_rotation(HADAMARD)
+            results.append(state.to_vector())
+        assert all(np.array_equal(r, results[0]) for r in results[1:])
+
+    @pytest.mark.parametrize("backend", ["dense", "branch"])
+    def test_callers_sites_are_still_checked(self, backend):
+        # The all-sites array of a larger register is a caller's array here.
+        larger = protocol_gates(5, 0.0, 0.0, 1.0)[2][1][1]
+        with pytest.raises(ParameterError):
+            init_register(3, backend).apply_phase_pass(larger)
+        with pytest.raises(ParameterError):
+            init_register(3, backend).apply_phase_pass(np.arange(4))
 
     def test_unknown_gate_kind_rejected(self):
         with pytest.raises(ParameterError):
