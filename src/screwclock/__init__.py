@@ -48,7 +48,6 @@ from .register import (
     ghz_reference,
     final_reference,
     init_register,
-    protocol_gates,
     protocol_references,
     run_protocol,
     state_fidelity,

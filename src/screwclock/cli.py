@@ -28,7 +28,7 @@ from .config import (
 )
 from .errors import ClockSimError, ConfigError
 from .estimator import analyze_fringe, fringe_scan, optimize_atom_number, precision_report
-from .lattice import overlap_depth, trap_frequencies, well_depth_closed_form
+from .lattice import overlap_depth, recoil_energy, trap_frequencies, well_depth_closed_form
 from .pipeline import PhysicsBundle, detuning_grid, probe_detuning, resolve_physics
 from .rates import photon_scattering_time, schedule_steps, survival_probability
 from .register import BACKENDS, protocol_references, run_protocol, state_fidelity
@@ -61,6 +61,14 @@ BRANCH_MAX_ATOMS = MEMORY_BUDGET_BYTES // BRANCH_ATOM_BYTES
 SCAN_POINT_BYTES = 364
 SCAN_MAX_POINTS = MEMORY_BUDGET_BYTES // SCAN_POINT_BYTES
 
+# Within both memory bounds a branch `scan` could run for most of a day, so its
+# atom-points (protocol.n_atoms x run.detuning_points) get a time budget: 0.24-0.26 us
+# per atom-point, measured by `fringe_scan` between N = 10^3 and 1.8 * 10^5 (one Intel
+# Xeon core, CPython 3.11, numpy 2.4). Dense scans stay within minutes at their caps.
+SCAN_TIME_BUDGET_S = 3600
+SCAN_ATOM_POINT_S = 2.6e-7
+SCAN_MAX_ATOM_POINTS = int(SCAN_TIME_BUDGET_S / SCAN_ATOM_POINT_S)
+
 
 def _bound(value: int, limit: int, field: str, what: str) -> None:
     if value > limit:
@@ -92,8 +100,7 @@ def _species_columns(bundle: PhysicsBundle) -> dict[str, list]:
                                table=table)
         for s in species
     ]
-    recoil = [(2.0 * math.pi * table.planck_reduced / lattice.lambda_m) ** 2 / (2.0 * s.mass)
-              for s in species]
+    recoil = [recoil_energy(s.mass, lattice.lambda_m, table) for s in species]
     omegas = [trap_frequencies(replace(lattice, phi=0.0), s, table) for s in species]
     return {
         "species": [s.name for s in species],
@@ -215,6 +222,9 @@ def _cmd_scan(cfg: RunConfig, out_dir: Path) -> list[Path]:
     _bound_register(cfg)
     _bound(cfg.run.detuning_points, SCAN_MAX_POINTS, "run.detuning_points",
            "detuning points per scan")
+    n_atoms = cfg.protocol.n_atoms
+    _bound(cfg.run.detuning_points, SCAN_MAX_ATOM_POINTS // n_atoms, "run.detuning_points",
+           f"detuning points in a scan of {n_atoms} atoms ({SCAN_MAX_ATOM_POINTS} atom-points)")
     bundle = resolve_physics(cfg)
     grid = detuning_grid(cfg)
     noisy = cfg.run.trajectories > 0

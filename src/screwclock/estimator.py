@@ -17,7 +17,7 @@ from numpy.fft import rfft, rfftfreq
 
 from .errors import DegenerateFringeError, ParameterError
 from .rates import DecoherenceParams, ProtocolSchedule, schedule_duration
-from .register import apply_gate, init_register, protocol_gates
+from .register import evolve_and_disentangle, init_register, prepare_ghz
 from .trajectories import sample_scatter_count
 
 _FLAT_TOL = 1e-12
@@ -85,10 +85,11 @@ def fringe_scan(
 ) -> FringeScan:
     """Scan the readout probability over a detuning grid.
 
-    The gates of :func:`~screwclock.register.protocol_gates` up to the GHZ
-    state do not depend on the detuning, so they run once per scan; each
-    point applies the rest of the sequence to a copy of that state, with
-    the same gates and the same ``p_up`` as ``run_protocol`` at that point.
+    The GHZ state does not depend on the detuning, so
+    :func:`~screwclock.register.prepare_ghz` runs once per scan; each point
+    runs :func:`~screwclock.register.evolve_and_disentangle` on a copy of
+    it, with the same gates and the same ``p_up`` as ``run_protocol`` at
+    that point.
 
     Noiseless scans return the exact per-point probability. With a noise
     model, each point is the mean over ``trajectories`` Monte Carlo
@@ -104,17 +105,10 @@ def fringe_scan(
         if trajectories < 1:
             raise ParameterError("trajectories must be >= 1 when noise is present")
 
-    sequence = protocol_gates(n_atoms, 0.0, delta_omega_head, ramsey_time)
-    split = [label for label, _ in sequence].index("ghz") + 1
-    ghz = init_register(n_atoms, backend)
-    for _, gate in sequence[:split]:
-        apply_gate(ghz, gate)
-
+    ghz = prepare_ghz(init_register(n_atoms, backend))
     values = np.empty(grid.size)
     for i, delta_omega in enumerate(grid):
-        state = ghz.copy()
-        for _, gate in protocol_gates(n_atoms, float(delta_omega), delta_omega_head, ramsey_time)[split:]:
-            apply_gate(state, gate)
+        state = evolve_and_disentangle(ghz.copy(), float(delta_omega), delta_omega_head, ramsey_time)
         exact = state.head_readout()[1]
         if noise is None:
             values[i] = exact

@@ -53,8 +53,6 @@ class PhysicsBundle:
     head_down: SpeciesOptics
     lattice: LatticeConfig               # intensity resolved, configured phi
     requirement: IntensityRequirement
-    clock_frequencies: tuple[float, float, float]   # at overlap
-    head_frequencies: tuple[float, float, float]    # head_up at overlap
     interaction: float                   # J
     gate_time: float                     # s
     transport_time: float                # s
@@ -152,8 +150,6 @@ def resolve_physics(cfg: RunConfig, table: ConstantsTable = CODATA) -> PhysicsBu
         head_down=head_down,
         lattice=lattice,
         requirement=requirement,
-        clock_frequencies=clock_freqs,
-        head_frequencies=head_freqs,
         interaction=delta_e,
         gate_time=gate_time,
         transport_time=transport_time,

@@ -13,15 +13,17 @@ Two interchangeable backends:
   entangling protocol only ever needs two branches, so a full run costs
   O(N) and the 10^3..10^4 atom regime is simulable.
 
-Gates are plain tuples, e.g. ``("clock_rotation", U)``; see
-:func:`apply_gate`. All gate methods mutate in place and return the state.
+Both backends offer the same four gates (``apply_clock_rotation``,
+``apply_head_rotation``, ``apply_phase_pass``, ``apply_free_evolution``),
+which mutate in place and return the state. The protocol applies them in
+two halves: :func:`prepare_ghz`, then :func:`evolve_and_disentangle`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,40 +38,12 @@ BRANCH_MERGE_MAX_RANK = 64  # skip O(rank^2 N) merging above this rank
 READOUT_TOL = 1e-9         # head probabilities may miss [0, 1] and sum 1 by this
 _UNITARY_TOL = 1e-12
 UNITARY_CACHE_SIZE = 32    # distinct rotation matrices kept checked, with their blocks
-PHASE_SIGNS_CACHE_SIZE = 16  # (N, flip set) sign tables kept; 128 KiB each at the cap
-EVERY_SITE_CACHE_SIZE = 2  # all-sites arrays kept, one per register size; 8 B per atom
 
 # Read-only; checked, like every matrix, by the first rotation that uses it. A check
 # at import would be the first matrix product, whose BLAS set-up costs about 0.5 MB
 # of resident memory in commands that never use the register.
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 HADAMARD.flags.writeable = False
-
-GATE_KINDS = ("clock_rotation", "head_rotation", "phase_pass", "free_evolution")
-
-
-@functools.lru_cache(maxsize=EVERY_SITE_CACHE_SIZE)
-def _every_site(n_atoms: int) -> np.ndarray:
-    """Read-only sites 0..N-1: the protocol's entangling pass, built once per N."""
-    sites = np.arange(n_atoms)
-    sites.flags.writeable = False
-    return sites
-
-
-def _odd_sites(sites, n_atoms: int) -> np.ndarray:
-    """Sorted clock sites a pass flips: each one listed an odd number of times.
-
-    Phase gates commute and square to 1: two on one site cancel, in a pass as in sequence.
-    The cached all-sites pass of :func:`protocol_gates` is its own reduction, so only
-    sites from any other caller are checked and reduced.
-    """
-    if sites is _every_site(n_atoms):
-        return sites
-    listed = np.asarray(sites, dtype=np.intp)
-    outside = listed[(listed < 0) | (listed >= n_atoms)]
-    if outside.size:
-        raise ParameterError(f"site {outside[0]} out of range for {n_atoms} atoms")
-    return np.flatnonzero(np.bincount(listed, minlength=n_atoms) & 1)
 
 
 def _check_unitary(matrix) -> tuple[np.ndarray, ...]:
@@ -112,21 +86,10 @@ def _clock_weights(n_atoms: int) -> np.ndarray:
     return weights
 
 
-@functools.lru_cache(maxsize=PHASE_SIGNS_CACHE_SIZE)
-def _phase_signs(n_atoms: int, flip: tuple[int, ...]) -> np.ndarray:
-    """Read-only +-1 factors of a dense phase pass over the clock sites ``flip``.
-
-    Clock index p gets -1 when it raises an odd number of the flipped
-    sites. In the weight table viewed as a tensor (axis N - 1 - j is clock
-    bit j), pinning every bit that is not flipped to 0 leaves the weight of
-    p restricted to the flipped bits; the table keeps the pinned axes at
-    length 1, so it broadcasts over them.
-    """
-    pinned = [slice(0, 1)] * n_atoms
-    for site in flip:
-        pinned[n_atoms - 1 - site] = slice(None)
-    odd = _clock_weights(n_atoms).reshape([2] * n_atoms)[tuple(pinned)] & 1
-    signs = 1.0 - 2.0 * odd  # +1 or -1, both exact
+@functools.lru_cache(maxsize=DENSE_ATOM_CAP)
+def _phase_signs(n_atoms: int) -> np.ndarray:
+    """Read-only +-1 factor of every clock index p < 2^N under a phase pass: -1 at odd weight."""
+    signs = 1.0 - 2.0 * (_clock_weights(n_atoms) & 1)  # +1 or -1, both exact
     signs.flags.writeable = False
     return signs
 
@@ -139,8 +102,8 @@ class DenseState:
     a ``to_vector()`` copy, not a reference to ``amplitudes``. The two
     diagonal gates read the cached table of clock-index Hamming weights
     (:func:`_clock_weights`, 16 KiB at the cap): a phase pass takes its
-    signs from the weight parity (:func:`_phase_signs`, cached per flip
-    set) and free evolution its phases from the weight.
+    signs from the weight parity (:func:`_phase_signs`, also cached per N)
+    and free evolution its phases from the weight.
     """
 
     backend = "dense"
@@ -193,16 +156,13 @@ class DenseState:
         self._swap()
         return self
 
-    def apply_phase_pass(self, sites) -> "DenseState":
-        """Phase gates from the head onto every listed clock site, as one sign mask.
+    def apply_phase_pass(self) -> "DenseState":
+        """Phase gates from the head onto every clock site, as one sign mask.
 
         The head-up amplitude of clock index p changes sign when p raises an
-        odd number of the flipped sites (see :func:`_odd_sites` and
-        :func:`_phase_signs`).
+        odd number of clock bits (see :func:`_phase_signs`).
         """
-        flip = _odd_sites(sites, self.n_atoms)
-        up = self.amplitudes[2 ** self.n_atoms:].reshape([2] * self.n_atoms)
-        up *= _phase_signs(self.n_atoms, tuple(flip.tolist()))
+        self.amplitudes[2 ** self.n_atoms:] *= _phase_signs(self.n_atoms)
         return self
 
     def apply_free_evolution(self, delta_omega: float, delta_omega_head: float, t: float) -> "DenseState":
@@ -233,6 +193,11 @@ class _Branches:
     amps: np.ndarray    # (r,), complex
     clock: np.ndarray   # (r, N, 2), complex, unit-norm factors
     head: np.ndarray    # (r, 2), complex, unit-norm factors
+
+
+def _clock_gram(a: _Branches, b: _Branches) -> np.ndarray:
+    """G[i, j] = prod_n <a.clock[i, n] | b.clock[j, n]>: overlaps of the clock factors alone."""
+    return np.einsum("inc,jnc->ijn", a.clock.conj(), b.clock).prod(axis=2)
 
 
 class BranchState:
@@ -269,17 +234,14 @@ class BranchState:
         self._b.head = self._b.head @ m.T
         return self
 
-    def apply_phase_pass(self, sites) -> "BranchState":
-        """Phase gates from the head onto every listed clock site, as one operation.
+    def apply_phase_pass(self) -> "BranchState":
+        """Phase gates from the head onto every clock site, as one operation.
 
         A branch whose head is superposed splits once into its head-down and
         head-up parts, in branch order with the down part first; aligned
         heads are re-pinned to the basis axis. Every head-up branch then
-        negates the |1> component of each flipped site (see :func:`_odd_sites`).
+        negates the |1> component of every clock site.
         """
-        flip = _odd_sites(sites, self.n_atoms)
-        if flip.size == 0:
-            return self
         b = self._b
         down = np.abs(b.head[:, 1]) <= BRANCH_ALIGN_TOL
         up = ~down & (np.abs(b.head[:, 0]) <= BRANCH_ALIGN_TOL)
@@ -293,7 +255,7 @@ class BranchState:
                 np.eye(2, dtype=complex)[up_part],
             )
             up = up_part == 1
-        b.clock[np.flatnonzero(up)[:, None], flip, 1] *= -1.0
+        b.clock[up, :, 1] *= -1.0
         if split:
             self._prune_and_merge()
         return self
@@ -307,8 +269,7 @@ class BranchState:
 
     def _gram(self, other: "_Branches") -> np.ndarray:
         # G[i, j] = <branch_i | branch_j> without the amplitudes.
-        site_overlaps = np.einsum("inc,jnc->ijn", self._b.clock.conj(), other.clock)
-        gram = site_overlaps.prod(axis=2)
+        gram = _clock_gram(self._b, other)
         gram *= self._b.head.conj() @ other.head.T
         return gram
 
@@ -321,8 +282,7 @@ class BranchState:
             b = _Branches(b.amps[keep], b.clock[keep], b.head[keep])
 
         if b.amps.shape[0] > 1 and b.amps.shape[0] <= BRANCH_MERGE_MAX_RANK:
-            site_overlaps = np.einsum("inc,jnc->ijn", b.clock.conj(), b.clock)
-            gram = site_overlaps.prod(axis=2) * (b.head.conj() @ b.head.T)
+            gram = _clock_gram(b, b) * (b.head.conj() @ b.head.T)
             alive = np.ones(b.amps.shape[0], dtype=bool)
             amps = b.amps.copy()
             for i in range(len(amps)):
@@ -341,7 +301,7 @@ class BranchState:
     def head_readout(self) -> tuple[float, float]:
         """(p_down, p_up); rounding within READOUT_TOL is clamped, more raises."""
         b = self._b
-        gram = np.einsum("inc,jnc->ijn", b.clock.conj(), b.clock).prod(axis=2)
+        gram = _clock_gram(b, b)
         weighted = b.amps.conj()[:, None] * b.amps[None, :] * gram
         p_down = float(np.real(np.sum(weighted * (b.head.conj()[:, 0, None] * b.head[None, :, 0]))))
         p_up = float(np.real(np.sum(weighted * (b.head.conj()[:, 1, None] * b.head[None, :, 1]))))
@@ -352,15 +312,13 @@ class BranchState:
         return min(max(p_down, 0.0), 1.0), min(max(p_up, 0.0), 1.0)
 
     def norm(self) -> float:
-        gram = self._gram(self._b)
-        value = self._b.amps.conj() @ gram @ self._b.amps
+        value = self._b.amps.conj() @ self._gram(self._b) @ self._b.amps
         return math.sqrt(max(float(np.real(value)), 0.0))
 
     def overlap_with(self, other: "BranchState") -> complex:
         if other.n_atoms != self.n_atoms:
             raise ParameterError("states have different register sizes")
-        gram = self._gram(other._b)
-        return complex(self._b.amps.conj() @ gram @ other._b.amps)
+        return complex(self._b.amps.conj() @ self._gram(other._b) @ other._b.amps)
 
     def to_vector(self, max_atoms: int = 20) -> np.ndarray:
         """Expand to the dense index convention; guarded for small N only."""
@@ -390,45 +348,41 @@ def init_register(n_atoms: int, backend: str = "dense") -> RegisterState:
     raise ParameterError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
 
 
-def apply_gate(state: RegisterState, gate: tuple) -> RegisterState:
-    """Apply one gate tuple ``(kind, *args)`` as ``state.apply_<kind>(*args)`` (both backends)."""
-    kind, *args = gate
-    if kind not in GATE_KINDS:
-        raise ParameterError(f"unknown gate kind {kind!r}")
-    return getattr(state, f"apply_{kind}")(*args)
+def _keep(record: dict | None, label: str, state: RegisterState) -> None:
+    if record is not None:
+        record[label] = state.copy()
 
 
-def protocol_gates(
-    n_atoms: int,
-    delta_omega: float,
-    delta_omega_head: float,
-    ramsey_time: float,
-) -> list[tuple[str | None, tuple]]:
-    """Full noiseless gate sequence, with checkpoint labels after stages.
+def prepare_ghz(state: RegisterState, record: dict | None = None) -> RegisterState:
+    """The first generalized pi/2 pulse: |0...0>|down> to the GHZ state, in place.
 
-    A generalized pi/2 pulse is (H on all clocks, the phase pass P_0..P_{N-1},
-    H on all clocks, H on head); the first pulse takes the product state to
-    the GHZ state and the second one brings the Ramsey phase chi back onto
-    the head qubit alone.
+    H on all clocks, H on the head, the phase pass P_0..P_{N-1}, H on all
+    clocks. A ``record`` dict gets a copy of the state at each checkpoint.
     """
-    seq: list[tuple[str | None, tuple]] = []
-    seq.append((None, ("clock_rotation", HADAMARD)))
-    seq.append(("superposition", ("head_rotation", HADAMARD)))
-    every_site = _every_site(n_atoms)
-    seq.append(("entangled", ("phase_pass", every_site)))
-    seq.append(("ghz", ("clock_rotation", HADAMARD)))
-    seq.append(("evolved", ("free_evolution", delta_omega, delta_omega_head, ramsey_time)))
-    seq.append((None, ("clock_rotation", HADAMARD)))
-    seq.append((None, ("phase_pass", every_site)))
-    seq.append((None, ("clock_rotation", HADAMARD)))
-    seq.append(("final", ("head_rotation", HADAMARD)))
-    return seq
+    _keep(record, "superposition", state.apply_clock_rotation(HADAMARD).apply_head_rotation(HADAMARD))
+    _keep(record, "entangled", state.apply_phase_pass())
+    _keep(record, "ghz", state.apply_clock_rotation(HADAMARD))
+    return state
+
+
+def evolve_and_disentangle(state: RegisterState, delta_omega: float, delta_omega_head: float,
+                           ramsey_time: float, record: dict | None = None) -> RegisterState:
+    """Free evolution, then the second pi/2 pulse, in place.
+
+    The pulse (H on all clocks, the phase pass, H on all clocks, H on the
+    head) brings the Ramsey phase chi of the GHZ state back onto the head
+    qubit alone. A ``record`` dict gets a copy of the state at each checkpoint.
+    """
+    _keep(record, "evolved", state.apply_free_evolution(delta_omega, delta_omega_head, ramsey_time))
+    state.apply_clock_rotation(HADAMARD).apply_phase_pass().apply_clock_rotation(HADAMARD)
+    _keep(record, "final", state.apply_head_rotation(HADAMARD))
+    return state
 
 
 @dataclass
 class ProtocolResult:
     final: RegisterState
-    checkpoints: dict[str, RegisterState] = field(default_factory=dict)
+    checkpoints: dict[str, RegisterState]   # copies, in protocol order
 
     @property
     def p_up(self) -> float:
@@ -441,21 +395,12 @@ def run_protocol(
     delta_omega: float = 0.0,
     delta_omega_head: float = 0.0,
     ramsey_time: float = 0.0,
-    *,
-    checkpoints: bool = True,
 ) -> ProtocolResult:
-    """Run the noiseless protocol end to end.
-
-    With ``checkpoints`` a copy of the state is recorded at each labelled
-    stage; without, the result's ``checkpoints`` dict stays empty.
-    """
-    state = init_register(n_atoms, backend)
+    """Run the noiseless protocol end to end, keeping a copy of the state at each checkpoint."""
     copies: dict[str, RegisterState] = {}
-    for label, gate in protocol_gates(n_atoms, delta_omega, delta_omega_head, ramsey_time):
-        apply_gate(state, gate)
-        if checkpoints and label is not None:
-            copies[label] = state.copy()
-    return ProtocolResult(final=state, checkpoints=copies)
+    state = prepare_ghz(init_register(n_atoms, backend), copies)
+    evolve_and_disentangle(state, delta_omega, delta_omega_head, ramsey_time, copies)
+    return ProtocolResult(state, copies)
 
 
 def ghz_reference(n_atoms: int, backend: str = "dense") -> RegisterState:

@@ -1,16 +1,17 @@
 """Shared fixtures: the Sr/Al parameter set used across the suite, the
 random-gate-sequence helpers behind the backend differential tests, and the
-slow reference paths the fast ones are tested against: the per-site phase
-gate, the per-axis and the allocating dense rotations, the XOR-loop dense
-phase pass and the per-axis dense free evolution, the per-trajectory
-sampler, scipy's curve_fit fringe fit, the numeric well depth, the expanded
-schedule step list, the row-dict CSV writer and a CSV reader; and a runner
-for fresh interpreters."""
+slow reference paths the fast ones are tested against: the protocol gate by
+gate, the per-site phase gate, the per-axis and the allocating dense
+rotations, the XOR-loop dense phase pass and the per-axis dense free
+evolution, the per-trajectory sampler, scipy's curve_fit fringe fit, the
+numeric well depth, the expanded schedule step list, the row-dict CSV
+writer and a CSV reader; and a runner for fresh interpreters."""
 
 import csv
 import json
 import math
 import os
+from operator import methodcaller
 import subprocess
 import sys
 import warnings
@@ -26,9 +27,7 @@ from screwclock import (
     init_register, sublattice_depths,
 )
 from screwclock.estimator import _initial_frequency
-from screwclock.register import (
-    BRANCH_ALIGN_TOL, DENSE_BLOCK_BITS, _Branches, _check_unitary, _odd_sites, apply_gate,
-)
+from screwclock.register import HADAMARD, BRANCH_ALIGN_TOL, DENSE_BLOCK_BITS, _Branches, _check_unitary
 
 # Reference parameter set: Sr clock atoms with an Al head at the 389.9 nm
 # blue magic wavelength, misbalance delta = 1/4.
@@ -72,10 +71,13 @@ def reference_lattice():
                          phi=0.0, transverse_intensity=MIN_INTENSITY)
 
 
-def run_python(args: list[str], timeout: float) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter on ``args`` that imports this screwclock checkout."""
+def run_python(args: list[str], timeout: float, env: dict | None = None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on ``args`` that imports this screwclock checkout.
+
+    ``env`` adds variables to the inherited environment.
+    """
     src = str(Path(screwclock.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           timeout=timeout, env=env)
@@ -88,36 +90,52 @@ def haar_unitary(rng: np.random.Generator) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def random_gate_sequence(n_atoms: int, n_gates: int = 50, seed: int | None = None) -> list[tuple]:
-    """Random sequence from the supported gate set, for differential testing.
+PHASE_PASS = methodcaller("apply_phase_pass")
 
-    The gate mix is a shuffled fixed multiset so the number of phase gates
+
+def random_gate_sequence(n_gates: int = 50, seed: int | None = None) -> list:
+    """Random sequence of the four state methods, for differential testing.
+
+    Each gate is a ``methodcaller``: ``gate(state)`` applies it. The gate
+    mix is a shuffled fixed multiset so the number of whole phase passes
     (which can split branches) is bounded and runtimes stay predictable.
     """
     rng = np.random.default_rng(seed)
     n_phase = min(12, max(1, n_gates // 4))
     n_free = max(1, n_gates // 8)
     n_rot = n_gates - n_phase - n_free
-    kinds = ["phase_pass"] * n_phase + ["free_evolution"] * n_free
-    kinds += [("clock_rotation" if rng.random() < 0.5 else "head_rotation") for _ in range(n_rot)]
+    kinds = ["apply_phase_pass"] * n_phase + ["apply_free_evolution"] * n_free
+    kinds += [("apply_clock_rotation" if rng.random() < 0.5 else "apply_head_rotation")
+              for _ in range(n_rot)]
     rng.shuffle(kinds)
 
-    gates: list[tuple] = []
+    gates = []
     for kind in kinds:
-        if kind == "phase_pass":
-            gates.append(("phase_pass", (int(rng.integers(n_atoms)),)))
-        elif kind == "free_evolution":
-            gates.append(
-                ("free_evolution", float(rng.normal()), float(rng.normal()), float(rng.random()))
-            )
+        if kind == "apply_phase_pass":
+            gates.append(PHASE_PASS)
+        elif kind == "apply_free_evolution":
+            gates.append(methodcaller(kind, float(rng.normal()), float(rng.normal()),
+                                      float(rng.random())))
         else:
-            gates.append((kind, haar_unitary(rng)))
+            gates.append(methodcaller(kind, haar_unitary(rng)))
     return gates
+
+
+def protocol_sequence(delta_omega: float, delta_omega_head: float, ramsey_time: float) -> list:
+    """The protocol's nine gates one by one, as ``methodcaller`` gates.
+
+    The reference for ``register.prepare_ghz`` followed by
+    ``register.evolve_and_disentangle``.
+    """
+    clock_h = methodcaller("apply_clock_rotation", HADAMARD)
+    head_h = methodcaller("apply_head_rotation", HADAMARD)
+    evolve = methodcaller("apply_free_evolution", delta_omega, delta_omega_head, ramsey_time)
+    return [clock_h, head_h, PHASE_PASS, clock_h, evolve, clock_h, PHASE_PASS, clock_h, head_h]
 
 
 def backend_crosscheck(
     n_atoms: int,
-    gates: list[tuple] | None = None,
+    gates: list | None = None,
     seed: int | None = None,
     n_gates: int = 50,
 ) -> float:
@@ -129,12 +147,12 @@ def backend_crosscheck(
     if n_atoms > 12:
         raise CapacityError("crosscheck is limited to dense-capable sizes (n_atoms <= 12)")
     if gates is None:
-        gates = random_gate_sequence(n_atoms, n_gates=n_gates, seed=seed)
+        gates = random_gate_sequence(n_gates=n_gates, seed=seed)
     dense = init_register(n_atoms, "dense")
     branch = init_register(n_atoms, "branch")
     for gate in gates:
-        apply_gate(dense, gate)
-        apply_gate(branch, gate)
+        gate(dense)
+        gate(branch)
     va = dense.to_vector()
     vb = branch.to_vector()
     ref = int(np.argmax(np.abs(va) + np.abs(vb)))
@@ -215,8 +233,8 @@ def reference_axis_rotation(state, matrix, axis: int):
     return state
 
 
-def reference_dense_phase_pass(state, sites):
-    """Phase pass as an XOR of the flipped index bits, one site at a time.
+def reference_dense_phase_pass(state):
+    """Phase pass as an XOR of the index bits, one site at a time over sites 0..N-1.
 
     The reference for the weight-table ``DenseState.apply_phase_pass``:
     both multiply by exact signs, so on states without zero amplitudes
@@ -224,7 +242,7 @@ def reference_dense_phase_pass(state, sites):
     """
     clock = np.arange(2 ** state.n_atoms)
     parity = np.zeros_like(clock)
-    for site in _odd_sites(sites, state.n_atoms):
+    for site in range(state.n_atoms):
         parity ^= clock >> site
     state.amplitudes[2 ** state.n_atoms:][parity & 1 == 1] *= -1.0
     return state

@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import tempfile
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,11 +14,12 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from screwclock import (
-    BranchState, ParameterError, parse_config, resolve_physics, survival_probability,
+    BranchState, ParameterError, fringe_scan, parse_config, resolve_physics, survival_probability,
 )
 from screwclock.cli import (
-    BRANCH_ATOM_BYTES, BRANCH_MAX_ATOMS, COMMANDS, MEMORY_BUDGET_BYTES, SCAN_MAX_POINTS,
-    SCAN_POINT_BYTES, SCHEDULE_MAX_ATOMS, SCHEDULE_ROW_BYTES, main, run_command,
+    BRANCH_ATOM_BYTES, BRANCH_MAX_ATOMS, COMMANDS, MEMORY_BUDGET_BYTES, SCAN_ATOM_POINT_S,
+    SCAN_MAX_ATOM_POINTS, SCAN_MAX_POINTS, SCAN_POINT_BYTES, SCAN_TIME_BUDGET_S,
+    SCHEDULE_MAX_ATOMS, SCHEDULE_ROW_BYTES, main, run_command,
 )
 from screwclock.output import write_table
 
@@ -367,6 +369,34 @@ class TestDeterminismAndErrors:
         run_cli(["--config", str(cfg), "--out", str(tmp_path / "b"), "scan"])
         assert (tmp_path / "a" / "scan.csv").read_bytes() == (tmp_path / "b" / "scan.csv").read_bytes()
 
+    def test_spectroscopy_sequence_bytes_survive_a_fresh_interpreter(self, tmp_path):
+        # A reduced branch scan, then simulate: twice in one interpreter, once in
+        # another with a different hash seed. Outputs depend on (config, seed) alone.
+        sequence = [
+            ("scan", {"protocol": {"n_atoms": 200}, "run": {"backend": "branch", "seed": 7,
+                                                            "detuning_points": 21}}),
+            ("simulate", {"protocol": {"n_atoms": 2000}, "run": {"backend": "branch", "seed": 7}}),
+        ]
+        code = (
+            "import json, sys\n"
+            "from screwclock import parse_config\n"
+            "from screwclock.cli import run_command\n"
+            "for out in sys.argv[2:]:\n"
+            "    for command, document in json.loads(sys.argv[1]):\n"
+            "        run_command(command, parse_config(document), out)\n"
+        )
+        runs = [("1", ["a", "b"]), ("2", ["c"])]
+        for hash_seed, outs in runs:
+            result = run_python(["-c", code, json.dumps(sequence), *(str(tmp_path / o) for o in outs)],
+                                timeout=120, env={"PYTHONHASHSEED": hash_seed})
+            assert result.returncode == 0, result.stderr
+        names = sorted(path.name for path in (tmp_path / "a").iterdir())
+        assert names == ["scan.csv", "scan.meta.json", "simulate.csv", "simulate.meta.json"]
+        for name in names:
+            first = (tmp_path / "a" / name).read_bytes()
+            assert (tmp_path / "b" / name).read_bytes() == first, name
+            assert (tmp_path / "c" / name).read_bytes() == first, name
+
     def test_trillion_trajectory_scan_tracks_survival(self, tmp_path, run_cli):
         # One binomial draw per point: 10^12 trajectories cost no more memory
         # than ten, and each mean sits within 5 sigma of S p + (1 - S) / 2.
@@ -543,7 +573,10 @@ class TestRunCommandLibrary:
 
 
 class TestMemoryBudgets:
-    """`scan` and branch `simulate` bounds, derived like the schedule's from one memory budget."""
+    """`scan` and branch `simulate` bounds, derived like the schedule's from one memory budget.
+
+    A scan's atom-points take a bound from a time budget too.
+    """
 
     @pytest.fixture
     def refuse_build(self, monkeypatch):
@@ -558,6 +591,23 @@ class TestMemoryBudgets:
         assert SCAN_MAX_POINTS * SCAN_POINT_BYTES <= MEMORY_BUDGET_BYTES
         # Far above the benchmark's branch N = 10^4 and 101-point scans.
         assert BRANCH_MAX_ATOMS > 10 * 10**4 and SCAN_MAX_POINTS > 1000 * 101
+
+    def test_scan_atom_points_fill_the_time_budget(self):
+        assert SCAN_MAX_ATOM_POINTS * SCAN_ATOM_POINT_S <= SCAN_TIME_BUDGET_S
+        # Far above the benchmark's 1000-atom, 101-point scan, and above each memory
+        # bound at the other field's default (100 atoms, 101 points).
+        assert SCAN_MAX_ATOM_POINTS > 10**4 * 1000 * 101
+        assert SCAN_MAX_ATOM_POINTS > max(BRANCH_MAX_ATOMS * 101, 100 * SCAN_MAX_POINTS)
+
+    def test_branch_scan_cost_per_atom_point_is_near_the_measured_one(self):
+        n, grid = 10_000, np.linspace(0.0, 1.0, 10)
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            fringe_scan(n, 0.01, grid, backend="branch")
+            best = min(best, time.perf_counter() - start)
+        # Loose, for slower machines; a cost growing faster than N x points fails it.
+        assert best / (n * grid.size) < 10 * SCAN_ATOM_POINT_S
 
     @_LINUX_RSS
     @pytest.mark.parametrize("command,small,large,units,unit_bytes", [
@@ -578,7 +628,11 @@ class TestMemoryBudgets:
         ("simulate", {"protocol": {"n_atoms": 10**8}}, "protocol.n_atoms"),
         ("scan", {"run": {"detuning_points": SCAN_MAX_POINTS + 1}}, "run.detuning_points"),
         ("scan", {"run": {"detuning_points": 10**8}}, "run.detuning_points"),
-    ], ids=["simulate-bound+1", "scan-bound+1", "simulate-1e8", "points-bound+1", "points-1e8"])
+        ("scan", {"protocol": {"n_atoms": BRANCH_MAX_ATOMS},
+                  "run": {"detuning_points": SCAN_MAX_ATOM_POINTS // BRANCH_MAX_ATOMS + 1}},
+         "run.detuning_points"),
+    ], ids=["simulate-bound+1", "scan-bound+1", "simulate-1e8", "points-bound+1", "points-1e8",
+            "atom-points-bound+1"])
     def test_beyond_budget_exits_before_building(self, tmp_path, refuse_build, run_cli,
                                                  command, document, field):
         cfg = _write_config(tmp_path, document)
@@ -593,7 +647,10 @@ class TestMemoryBudgets:
         ("scan", {"protocol": {"n_atoms": BRANCH_MAX_ATOMS}}),
         ("scan", {"run": {"detuning_points": SCAN_MAX_POINTS}}),
         ("simulate", {"protocol": {"n_atoms": 10**8}, "run": {"backend": "dense"}}),
-    ], ids=["simulate-at-bound", "scan-at-bound", "points-at-bound", "dense-is-capped-elsewhere"])
+        ("scan", {"protocol": {"n_atoms": BRANCH_MAX_ATOMS},
+                  "run": {"detuning_points": SCAN_MAX_ATOM_POINTS // BRANCH_MAX_ATOMS}}),
+    ], ids=["simulate-at-bound", "scan-at-bound", "points-at-bound", "dense-is-capped-elsewhere",
+            "atom-points-at-bound"])
     def test_within_budget_goes_on_to_build(self, tmp_path, refuse_build, run_cli, command, document):
         cfg = _write_config(tmp_path, document)
         result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), command])

@@ -20,7 +20,6 @@ from screwclock import (
     parse_config,
     phase_sensitivity,
     precision_report,
-    protocol_gates,
     resolve_physics,
     run_protocol,
     sample_scatter_count,
@@ -89,7 +88,7 @@ class TestScanPrefix:
         grid = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=12), label="grid")
         dwh = data.draw(st.floats(0.01, 5.0) | st.floats(-5.0, -0.01), label="delta_omega_head")
         scan = fringe_scan(n, t, grid, delta_omega_head=dwh, backend=backend)
-        expected = [run_protocol(n, backend, dw, dwh, t, checkpoints=False).p_up for dw in grid]
+        expected = [run_protocol(n, backend, dw, dwh, t).p_up for dw in grid]
         assert list(scan.p_up) == expected
 
     @pytest.mark.parametrize("backend", ["dense", "branch"])
@@ -111,17 +110,6 @@ class TestScanPrefix:
         assert all(0 < k < trajectories for k in counts)
         expected = [p + (0.5 - p) * (k / trajectories) for p, k in zip(exact, counts)]
         assert list(scan.p_up) == expected
-
-    def test_protocol_gates_agree_through_ghz_for_any_detuning(self):
-        a = protocol_gates(7, 0.3, 0.02, 1.5)
-        b = protocol_gates(7, -4.0, 0.02, 1.5)
-        labels = [label for label, _ in a]
-        assert labels == [label for label, _ in b]
-        split = labels.index("ghz") + 1
-        for (_, gate_a), (_, gate_b) in zip(a[:split], b[:split]):
-            assert gate_a[0] == gate_b[0]
-            assert all(np.array_equal(x, y) for x, y in zip(gate_a[1:], gate_b[1:]))
-        assert a[split][1] != b[split][1]  # free evolution: the first gate that differs
 
     @pytest.mark.parametrize("points", [1, 2, 11])
     def test_dense_scan_rotates_the_prefix_once(self, monkeypatch, points):

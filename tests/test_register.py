@@ -1,5 +1,6 @@
 import math
 import time
+from operator import methodcaller
 
 import numpy as np
 import pytest
@@ -14,21 +15,20 @@ from screwclock import (
     fringe_scan,
     ghz_reference,
     init_register,
-    protocol_gates,
     protocol_references,
     run_protocol,
     state_fidelity,
     state_overlap,
 )
 from screwclock.register import (
-    BACKENDS, HADAMARD, PHASE_SIGNS_CACHE_SIZE, UNITARY_CACHE_SIZE, _Branches, _check_unitary,
-    _checked_blocks, _clock_weights, _odd_sites, _phase_signs, apply_gate,
+    BACKENDS, DENSE_ATOM_CAP, HADAMARD, UNITARY_CACHE_SIZE, _Branches, _check_unitary,
+    _checked_blocks, _clock_weights, _phase_signs,
 )
 
 from conftest import (
-    backend_crosscheck, haar_unitary, random_gate_sequence, reference_axis_rotation,
-    reference_dense_clock_rotation, reference_dense_free_evolution, reference_dense_head_rotation,
-    reference_dense_phase_pass, reference_phase_gate,
+    PHASE_PASS, backend_crosscheck, haar_unitary, protocol_sequence, random_gate_sequence,
+    reference_axis_rotation, reference_dense_clock_rotation, reference_dense_free_evolution,
+    reference_dense_head_rotation, reference_dense_phase_pass, reference_phase_gate,
 )
 
 
@@ -112,7 +112,7 @@ class TestClockRotation:
         rng = np.random.default_rng(seed)
         m = haar_unitary(rng)
         state = _superposed(50, "branch")
-        state.apply_phase_pass(np.arange(0, 50, 3)).apply_clock_rotation(haar_unitary(rng))
+        state.apply_phase_pass().apply_clock_rotation(haar_unitary(rng))
         expected = np.einsum("ab,rnb->rna", m, state._b.clock)
         state.apply_clock_rotation(m)
         assert state.rank == 2
@@ -175,23 +175,27 @@ class TestDenseWeightTable:
         assert _clock_weights(n) is weights
 
     @settings(max_examples=80, deadline=None)
-    @given(data=st.data())
-    def test_phase_pass_matches_xor_reference_bit_for_bit(self, data):
-        n = data.draw(st.integers(1, 14), label="n_atoms")
-        sites = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n), label="sites")
-        state = _random_dense(n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
-        reference = reference_dense_phase_pass(state.copy(), sites)
-        state.apply_phase_pass(sites)
+    @given(n=st.integers(1, 14), seed=st.integers(0, 2**32 - 1))
+    def test_phase_pass_matches_xor_reference_bit_for_bit(self, n, seed):
+        state = _random_dense(n, np.random.default_rng(seed))
+        reference = reference_dense_phase_pass(state.copy())
+        state.apply_phase_pass()
         assert state.amplitudes.tobytes() == reference.amplitudes.tobytes()
 
     @pytest.mark.parametrize("n", [1, 5, 14])
     @pytest.mark.parametrize("sites", [(), (0,), "last", "every"])
     def test_phase_pass_edge_cases_match_xor_reference(self, n, sites):
-        sites = {"last": (n - 1,), "every": np.arange(n)}.get(sites, sites)
+        # Edge cases of the sign table: the clock index whose raised sites are
+        # none, the first, the last or all of them.
+        sites = {"last": (n - 1,), "every": tuple(range(n))}.get(sites, sites)
+        p = sum(2**site for site in sites)
         state = _random_dense(n, np.random.default_rng(n))
-        reference = reference_dense_phase_pass(state.copy(), sites)
-        state.apply_phase_pass(sites)
+        before = state.to_vector()
+        reference = reference_dense_phase_pass(state.copy())
+        state.apply_phase_pass()
         assert state.amplitudes.tobytes() == reference.amplitudes.tobytes()
+        assert state.amplitudes[2**n + p] == (-1) ** len(sites) * before[2**n + p]
+        assert state.amplitudes[p] == before[p]  # head down: untouched
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 14), seed=st.integers(0, 2**32 - 1),
@@ -242,7 +246,7 @@ class TestGateCaches:
         assert [block.shape for block in blocks] == [(2, 2), (4, 4), (8, 8)]
         np.testing.assert_array_equal(blocks[2], np.kron(np.kron(matrix, matrix), matrix))
         assert not any(np.shares_memory(block, matrix) for block in blocks)
-        cached = [HADAMARD, *blocks, _phase_signs(5, (0, 3)), _clock_weights(5)]
+        cached = [HADAMARD, *blocks, _phase_signs(5), _clock_weights(5)]
         for array in cached:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -253,9 +257,9 @@ class TestGateCaches:
         state = init_register(3, "dense")
         for _ in range(1000):
             state.apply_clock_rotation(haar_unitary(rng))
-            state.apply_phase_pass(rng.integers(3, size=int(rng.integers(0, 6))))
+            state.apply_phase_pass()
         for cache, bound in ((_checked_blocks, UNITARY_CACHE_SIZE),
-                             (_phase_signs, PHASE_SIGNS_CACHE_SIZE)):
+                             (_phase_signs, DENSE_ATOM_CAP), (_clock_weights, DENSE_ATOM_CAP)):
             info = cache.cache_info()
             assert info.maxsize == bound and info.currsize <= bound
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
@@ -265,21 +269,21 @@ class TestPhaseGate:
     def test_sign_flip_on_raised_bit_with_head_up(self):
         n = 3
         state = init_register(n, "dense")
-        # Prepare |010>|up>: p = 2, index = 2 + 2^3
+        # Prepare (|010> - |011>)|up> / sqrt(2): p = 2 and 3, index = p + 2^3
         state.amplitudes[0] = 0.0
-        state.amplitudes[2 + 2**n] = 1.0
-        state.apply_phase_pass((1,))
-        assert state.amplitudes[2 + 2**n] == -1.0
-        state.apply_phase_pass((0,))  # bit 0 not raised: no flip
-        assert state.amplitudes[2 + 2**n] == -1.0
+        state.amplitudes[2 + 2**n] = 1.0 / math.sqrt(2.0)
+        state.amplitudes[3 + 2**n] = -1.0 / math.sqrt(2.0)
+        state.apply_phase_pass()
+        assert state.amplitudes[2 + 2**n] == -1.0 / math.sqrt(2.0)  # one bit raised: flipped
+        assert state.amplitudes[3 + 2**n] == -1.0 / math.sqrt(2.0)  # two bits raised: kept
 
     def test_head_down_untouched(self):
         n = 2
         state = init_register(n, "dense")
         state.amplitudes[0] = 0.0
-        state.amplitudes[3] = 1.0  # |11>|down>
-        state.apply_phase_pass((0,)).apply_phase_pass((1,))
-        assert state.amplitudes[3] == 1.0
+        state.amplitudes[1] = 1.0  # |01>|down>
+        state.apply_phase_pass()
+        assert state.amplitudes[1] == 1.0
 
     def test_parity_signs_after_full_pass(self):
         # Applying every P_i to the global superposition attaches (-1)^(number
@@ -287,105 +291,68 @@ class TestPhaseGate:
         n = 4
         state = init_register(n, "dense")
         state.apply_clock_rotation(HADAMARD).apply_head_rotation(HADAMARD)
-        for site in range(n):
-            state.apply_phase_pass((site,))
+        state.apply_phase_pass()
         norm = 1.0 / math.sqrt(2 ** (n + 1))
         for p in range(2**n):
             k_p = bin(p).count("1")
             assert state.amplitudes[p] == pytest.approx(norm, rel=1e-12)
             assert state.amplitudes[p + 2**n] == pytest.approx((-1) ** k_p * norm, rel=1e-12)
 
-    def test_site_out_of_range(self):
-        with pytest.raises(ParameterError):
-            init_register(3, "dense").apply_phase_pass((3,))
-        with pytest.raises(ParameterError):
-            init_register(3, "branch").apply_phase_pass((-1,))
-
 
 class TestPhasePass:
     @pytest.mark.parametrize("backend", ["dense", "branch"])
     def test_duplicate_sites_cancel(self, backend):
-        once = _superposed(4, backend).apply_phase_pass((2,)).to_vector()
-        thrice_and_twice = _superposed(4, backend).apply_phase_pass((1, 2, 2, 1, 2)).to_vector()
-        np.testing.assert_allclose(thrice_and_twice, once, atol=1e-15)
-        twice = _superposed(4, backend).apply_phase_pass((3, 3)).to_vector()
+        # Two passes give every site its phase gate twice, and each gate squares to 1.
+        twice = _superposed(4, backend).apply_phase_pass().apply_phase_pass().to_vector()
         np.testing.assert_allclose(twice, _superposed(4, backend).to_vector(), atol=1e-15)
 
-    @pytest.mark.parametrize("backend", ["dense", "branch"])
-    @pytest.mark.parametrize("sites", [(0, 4), (-1,), (2, 9, 1)])
-    def test_site_out_of_range(self, backend, sites):
-        with pytest.raises(ParameterError):
-            init_register(4, backend).apply_phase_pass(sites)
+    def test_protocol_applies_each_entangling_pass_as_one_gate(self, monkeypatch):
+        calls = []
+        for backend in BACKENDS:
+            cls = type(init_register(1, backend))
 
-    @pytest.mark.parametrize("backend", ["dense", "branch"])
-    def test_empty_pass_is_identity(self, backend):
-        state = _superposed(4, backend)
-        before = state.to_vector()
-        state.apply_phase_pass(())
-        assert np.array_equal(state.to_vector(), before)
-        if backend == "branch":
-            assert state.rank == 1
+            def counted(state, whole_pass=cls.apply_phase_pass):
+                calls.append(state.backend)
+                return whole_pass(state)
 
-    def test_protocol_pass_is_reduced_once_per_n(self):
-        # Every protocol at one N hands over the same read-only all-sites array,
-        # which is its own reduction: no bincount per pass.
-        gates = protocol_gates(6, 0.3, 0.1, 1.0) + protocol_gates(6, -2.0, 0.0, 0.5)
-        passes = [gate[1] for _, gate in gates if gate[0] == "phase_pass"]
-        assert len(passes) == 4 and all(sites is passes[0] for sites in passes)
-        assert not passes[0].flags.writeable
-        assert _odd_sites(passes[0], 6) is passes[0]
-        with pytest.raises(ValueError):
-            passes[0][0] = 5
-
-    @pytest.mark.parametrize("backend", ["dense", "branch"])
-    def test_protocol_pass_equals_a_callers_sites_bit_for_bit(self, backend):
-        n = 7
-        cached = protocol_gates(n, 0.0, 0.0, 1.0)[2][1][1]
-        results = []
-        for sites in (cached, np.arange(n), list(range(n)), list(range(n))[::-1] + [3, 3]):
-            state = _superposed(n, backend).apply_phase_pass(sites).apply_clock_rotation(HADAMARD)
-            results.append(state.to_vector())
-        assert all(np.array_equal(r, results[0]) for r in results[1:])
-
-    @pytest.mark.parametrize("backend", ["dense", "branch"])
-    def test_callers_sites_are_still_checked(self, backend):
-        # The all-sites array of a larger register is a caller's array here.
-        larger = protocol_gates(5, 0.0, 0.0, 1.0)[2][1][1]
-        with pytest.raises(ParameterError):
-            init_register(3, backend).apply_phase_pass(larger)
-        with pytest.raises(ParameterError):
-            init_register(3, backend).apply_phase_pass(np.arange(4))
-
-    def test_unknown_gate_kind_rejected(self):
-        with pytest.raises(ParameterError):
-            apply_gate(init_register(2, "branch"), ("swap", 0, 1))
-
-    def test_protocol_applies_each_entangling_pass_as_one_gate(self):
-        seq = protocol_gates(5, 0.3, 0.1, 1.0)
-        passes = [(label, gate) for label, gate in seq if gate[0] == "phase_pass"]
-        assert [label for label, _ in passes] == ["entangled", None]
-        assert all(list(gate[1]) == list(range(5)) for _, gate in passes)
-        assert not any(gate[0] == "phase_gate" for _, gate in seq)
+            monkeypatch.setattr(cls, "apply_phase_pass", counted)
+            run_protocol(5, backend, 0.3, 0.1, 1.0)
+        assert calls == [BACKENDS[0]] * 2 + [BACKENDS[1]] * 2
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_pass_matches_sequential_reference_gates(self, data):
         n = data.draw(st.integers(1, 7), label="n_atoms")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        prefix = random_gate_sequence(n, n_gates=25, seed=seed)[: data.draw(st.integers(0, 25))]
-        sites = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n), label="sites")
+        prefix = random_gate_sequence(n_gates=25, seed=seed)[: data.draw(st.integers(0, 25))]
         dense = init_register(n, "dense")
         branch = init_register(n, "branch")
         for gate in prefix:
-            apply_gate(dense, gate)
-            apply_gate(branch, gate)
+            gate(dense)
+            gate(branch)
         reference = branch.copy()
-        for site in sites:
+        for site in range(n):
             reference_phase_gate(reference, site)
-        branch.apply_phase_pass(sites)
-        dense.apply_phase_pass(sites)
+        branch.apply_phase_pass()
+        dense.apply_phase_pass()
         assert np.abs(branch.to_vector() - reference.to_vector()).max() <= 1e-12
         assert np.abs(dense.to_vector() - branch.to_vector()).max() <= 1e-9
+
+    @pytest.mark.parametrize("n", range(1, DENSE_ATOM_CAP + 1))
+    def test_whole_pass_matches_per_site_references(self, n):
+        rng = np.random.default_rng(700 + n)
+        dense = _random_dense(n, rng)
+        reference = reference_dense_phase_pass(dense.copy())
+        assert dense.apply_phase_pass().amplitudes.tobytes() == reference.amplitudes.tobytes()
+
+        branch = init_register(n, "branch")
+        for gate in random_gate_sequence(n_gates=25, seed=n):
+            gate(branch)
+        reference = branch.copy()
+        for site in range(n):
+            reference_phase_gate(reference, site)
+        branch.apply_phase_pass()
+        assert np.abs(branch.to_vector() - reference.to_vector()).max() <= 1e-12
 
 
 class TestFreeEvolution:
@@ -455,11 +422,12 @@ class TestRunProtocol:
                 assert np.array_equal(other.to_vector(), vector)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_without_checkpoints_final_state_is_unchanged(self, backend):
-        bare = run_protocol(5, backend, 0.3, 0.1, 1.0, checkpoints=False)
-        assert bare.checkpoints == {}
-        full = run_protocol(5, backend, 0.3, 0.1, 1.0)
-        assert np.array_equal(bare.final.to_vector(), full.final.to_vector())
+    def test_halves_apply_the_nine_gates_bit_for_bit(self, backend):
+        n, dw, dwh, t = 5, 0.3, 0.1, 1.0
+        state = init_register(n, backend)
+        for gate in protocol_sequence(dw, dwh, t):
+            gate(state)
+        assert np.array_equal(run_protocol(n, backend, dw, dwh, t).final.to_vector(), state.to_vector())
 
     @pytest.mark.parametrize("backend,n", [("dense", 6), ("branch", 6), ("branch", 300)])
     def test_fringe_scan_equals_per_point_protocol(self, backend, n):
@@ -472,15 +440,15 @@ class TestRunProtocol:
     def test_rank_never_exceeds_two(self):
         n = 6
         state = init_register(n, "branch")
-        for _, gate in protocol_gates(n, 0.4, 0.1, 2.0):
-            apply_gate(state, gate)
+        for gate in protocol_sequence(0.4, 0.1, 2.0):
+            gate(state)
             assert state.rank <= 2
 
     def test_norm_preserved_by_every_gate(self):
         for backend in ("dense", "branch"):
             state = init_register(5, backend)
-            for _, gate in protocol_gates(5, 0.3, 0.07, 1.3):
-                apply_gate(state, gate)
+            for gate in protocol_sequence(0.3, 0.07, 1.3):
+                gate(state)
                 assert state.norm() == pytest.approx(1.0, abs=1e-10)
 
 
@@ -523,12 +491,11 @@ class TestHeadReadout:
     @pytest.mark.parametrize("seed", range(4))
     def test_backends_agree_on_random_states(self, seed):
         n = 7
-        gates = random_gate_sequence(n, n_gates=25, seed=seed)
         dense = init_register(n, "dense")
         branch = init_register(n, "branch")
-        for gate in gates:
-            apply_gate(dense, gate)
-            apply_gate(branch, gate)
+        for gate in random_gate_sequence(n_gates=25, seed=seed):
+            gate(dense)
+            gate(branch)
         pd_d, pu_d = dense.head_readout()
         pd_b, pu_b = branch.head_readout()
         assert pu_b == pytest.approx(pu_d, abs=1e-10)
@@ -567,16 +534,13 @@ class TestFringeLaw:
 
 class TestBackendCrosscheck:
     def test_noiseless_protocol_small(self):
-        dense = init_register(3, "dense")
-        branch = init_register(3, "branch")
-        for _, gate in protocol_gates(3, 0.5, 0.1, 1.0):
-            apply_gate(dense, gate)
-            apply_gate(branch, gate)
+        dense = run_protocol(3, "dense", 0.5, 0.1, 1.0).final
+        branch = run_protocol(3, "branch", 0.5, 0.1, 1.0).final
         deviation = np.abs(dense.to_vector() - branch.to_vector()).max()
         assert deviation < 1e-10
 
     def test_single_hadamard(self):
-        deviation = backend_crosscheck(1, gates=[("clock_rotation", HADAMARD)])
+        deviation = backend_crosscheck(1, gates=[methodcaller("apply_clock_rotation", HADAMARD)])
         assert deviation < 1e-14
 
     @pytest.mark.parametrize("seed", range(10))
@@ -587,10 +551,9 @@ class TestBackendCrosscheck:
     def test_random_sequences_with_phase_passes(self, seed):
         n = 8
         rng = np.random.default_rng(seed + 1000)
-        gates = random_gate_sequence(n, seed=seed)
+        gates = random_gate_sequence(seed=seed)
         for _ in range(4):
-            sites = tuple(int(s) for s in rng.integers(n, size=int(rng.integers(0, 2 * n))))
-            gates.insert(int(rng.integers(len(gates) + 1)), ("phase_pass", sites))
+            gates.insert(int(rng.integers(len(gates) + 1)), PHASE_PASS)
         assert backend_crosscheck(n, gates=gates) < 1e-9
 
     def test_size_guard(self):
