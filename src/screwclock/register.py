@@ -8,10 +8,12 @@ Two interchangeable backends:
   head qubit. Exact, but capped at small N.
 
 * :class:`BranchState` stores a sum of product states ("branches"), one
-  complex amplitude times N clock 2-vectors times one head 2-vector.
-  Every factor is kept unit-norm; the amplitude carries all scale. The
-  entangling protocol only ever needs two branches, so a full run costs
-  O(N) and the 10^3..10^4 atom regime is simulable.
+  complex amplitude times N copies of one clock 2-vector times one head
+  2-vector. Every public gate acts alike on all N clock sites, so one
+  clock factor per branch stands for all of them. Every factor is kept
+  unit-norm; the amplitude carries all scale. The entangling protocol
+  only ever needs two branches, so a full run costs O(1) in N at fixed
+  rank.
 
 Both backends offer the same four gates (``apply_clock_rotation``,
 ``apply_head_rotation``, ``apply_phase_pass``, ``apply_free_evolution``),
@@ -34,7 +36,8 @@ DENSE_ATOM_CAP = 14        # 2^15 amplitudes
 DENSE_BLOCK_BITS = 3       # clock qubits per matrix product in a dense rotation
 BRANCH_PRUNE_TOL = 1e-14   # branches below this amplitude are dropped
 BRANCH_ALIGN_TOL = 1e-14   # head component treated as zero below this
-BRANCH_MERGE_MAX_RANK = 64  # skip O(rank^2 N) merging above this rank
+BRANCH_MERGE_MAX_RANK = 64  # skip O(rank^2) merging above this rank
+BRANCH_EXPAND_MAX_ATOMS = 20  # BranchState.to_vector refuses larger registers
 READOUT_TOL = 1e-9         # head probabilities may miss [0, 1] and sum 1 by this
 _UNITARY_TOL = 1e-12
 UNITARY_CACHE_SIZE = 32    # distinct rotation matrices kept checked, with their blocks
@@ -191,17 +194,24 @@ class DenseState:
 @dataclass
 class _Branches:
     amps: np.ndarray    # (r,), complex
-    clock: np.ndarray   # (r, N, 2), complex, unit-norm factors
+    clock: np.ndarray   # (r, 2), complex, unit-norm factor shared by all N clock sites
     head: np.ndarray    # (r, 2), complex, unit-norm factors
 
 
-def _clock_gram(a: _Branches, b: _Branches) -> np.ndarray:
-    """G[i, j] = prod_n <a.clock[i, n] | b.clock[j, n]>: overlaps of the clock factors alone."""
-    return np.einsum("inc,jnc->ijn", a.clock.conj(), b.clock).prod(axis=2)
+def _clock_gram(a: _Branches, b: _Branches, n_atoms: int) -> np.ndarray:
+    """G[i, j] = <a.clock[i] | b.clock[j]>^N: overlaps of the N clock sites alone."""
+    return (a.clock.conj() @ b.clock.T) ** n_atoms
+
+
+def _gram(a: _Branches, b: _Branches, n_atoms: int) -> np.ndarray:
+    """G[i, j] = <branch a_i | branch b_j> without the amplitudes."""
+    gram = _clock_gram(a, b, n_atoms)
+    gram *= a.head.conj() @ b.head.T
+    return gram
 
 
 class BranchState:
-    """Rank-bounded branch-product state; linear cost in N at fixed rank."""
+    """Rank-bounded branch-product state; O(1) cost and memory in N at fixed rank."""
 
     backend = "branch"
 
@@ -209,10 +219,8 @@ class BranchState:
         if n_atoms < 1:
             raise ParameterError(f"n_atoms must be >= 1, got {n_atoms}")
         self.n_atoms = n_atoms
-        clock = np.zeros((1, n_atoms, 2), dtype=complex)
-        clock[:, :, 0] = 1.0
-        head = np.array([[1.0, 0.0]], dtype=complex)
-        self._b = _Branches(np.array([1.0 + 0.0j]), clock, head)
+        basis = np.array([[1.0, 0.0]], dtype=complex)
+        self._b = _Branches(np.array([1.0 + 0.0j]), basis, basis.copy())
 
     @property
     def rank(self) -> int:
@@ -240,7 +248,7 @@ class BranchState:
         A branch whose head is superposed splits once into its head-down and
         head-up parts, in branch order with the down part first; aligned
         heads are re-pinned to the basis axis. Every head-up branch then
-        negates the |1> component of every clock site.
+        negates the |1> component of its clock factor, which every site shares.
         """
         b = self._b
         down = np.abs(b.head[:, 1]) <= BRANCH_ALIGN_TOL
@@ -255,7 +263,7 @@ class BranchState:
                 np.eye(2, dtype=complex)[up_part],
             )
             up = up_part == 1
-        b.clock[up, :, 1] *= -1.0
+        b.clock[up, 1] *= -1.0
         if split:
             self._prune_and_merge()
         return self
@@ -263,15 +271,9 @@ class BranchState:
     def apply_free_evolution(self, delta_omega: float, delta_omega_head: float, t: float) -> "BranchState":
         if t < 0.0:
             raise ParameterError("evolution time must be >= 0")
-        self._b.clock[:, :, 1] *= np.exp(1j * delta_omega * t)
+        self._b.clock[:, 1] *= np.exp(1j * delta_omega * t)
         self._b.head[:, 1] *= np.exp(1j * delta_omega_head * t)
         return self
-
-    def _gram(self, other: "_Branches") -> np.ndarray:
-        # G[i, j] = <branch_i | branch_j> without the amplitudes.
-        gram = _clock_gram(self._b, other)
-        gram *= self._b.head.conj() @ other.head.T
-        return gram
 
     def _prune_and_merge(self):
         b = self._b
@@ -282,7 +284,7 @@ class BranchState:
             b = _Branches(b.amps[keep], b.clock[keep], b.head[keep])
 
         if b.amps.shape[0] > 1 and b.amps.shape[0] <= BRANCH_MERGE_MAX_RANK:
-            gram = _clock_gram(b, b) * (b.head.conj() @ b.head.T)
+            gram = _gram(b, b, self.n_atoms)
             alive = np.ones(b.amps.shape[0], dtype=bool)
             amps = b.amps.copy()
             for i in range(len(amps)):
@@ -301,7 +303,7 @@ class BranchState:
     def head_readout(self) -> tuple[float, float]:
         """(p_down, p_up); rounding within READOUT_TOL is clamped, more raises."""
         b = self._b
-        gram = _clock_gram(b, b)
+        gram = _clock_gram(b, b, self.n_atoms)
         weighted = b.amps.conj()[:, None] * b.amps[None, :] * gram
         p_down = float(np.real(np.sum(weighted * (b.head.conj()[:, 0, None] * b.head[None, :, 0]))))
         p_up = float(np.real(np.sum(weighted * (b.head.conj()[:, 1, None] * b.head[None, :, 1]))))
@@ -312,25 +314,25 @@ class BranchState:
         return min(max(p_down, 0.0), 1.0), min(max(p_up, 0.0), 1.0)
 
     def norm(self) -> float:
-        value = self._b.amps.conj() @ self._gram(self._b) @ self._b.amps
+        value = self._b.amps.conj() @ _gram(self._b, self._b, self.n_atoms) @ self._b.amps
         return math.sqrt(max(float(np.real(value)), 0.0))
 
     def overlap_with(self, other: "BranchState") -> complex:
         if other.n_atoms != self.n_atoms:
             raise ParameterError("states have different register sizes")
-        return complex(self._b.amps.conj() @ self._gram(other._b) @ other._b.amps)
+        return complex(self._b.amps.conj() @ _gram(self._b, other._b, self.n_atoms) @ other._b.amps)
 
-    def to_vector(self, max_atoms: int = 20) -> np.ndarray:
-        """Expand to the dense index convention; guarded for small N only."""
-        if self.n_atoms > max_atoms:
+    def to_vector(self) -> np.ndarray:
+        """Expand to the dense index convention; up to BRANCH_EXPAND_MAX_ATOMS atoms only."""
+        if self.n_atoms > BRANCH_EXPAND_MAX_ATOMS:
             raise CapacityError(
                 f"refusing to expand a {self.n_atoms}-atom branch state "
-                f"(limit {max_atoms})"
+                f"(limit {BRANCH_EXPAND_MAX_ATOMS})"
             )
         b = self._b
         vec = np.ones((b.amps.shape[0], 1), dtype=complex)
-        for j in range(self.n_atoms - 1, -1, -1):  # most significant clock bit first
-            vec = (vec[:, :, None] * b.clock[:, j, None, :]).reshape(b.amps.shape[0], -1)
+        for _ in range(self.n_atoms):  # the N-fold Kronecker power of each clock factor
+            vec = (vec[:, :, None] * b.clock[:, None, :]).reshape(b.amps.shape[0], -1)
         out_down = (b.amps * b.head[:, 0]) @ vec
         out_up = (b.amps * b.head[:, 1]) @ vec
         return np.concatenate([out_down, out_up])
@@ -413,11 +415,8 @@ def ghz_reference(n_atoms: int, backend: str = "dense") -> RegisterState:
         state.amplitudes[2 ** (n_atoms + 1) - 1] = inv
         return state
     state = BranchState(n_atoms)
-    clock = np.zeros((2, n_atoms, 2), dtype=complex)
-    clock[0, :, 0] = 1.0
-    clock[1, :, 1] = 1.0
-    head = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
-    state._b = _Branches(np.array([inv, inv], dtype=complex), clock, head)
+    state._b = _Branches(np.array([inv, inv], dtype=complex), np.eye(2, dtype=complex),
+                         np.eye(2, dtype=complex))
     return state
 
 
@@ -452,14 +451,12 @@ def protocol_references(
     chi = (n_atoms * delta_omega + delta_omega_head) * ramsey_time
 
     superposition = BranchState(n_atoms)
-    superposition._b.clock[:, :, :] = inv
-    superposition._b.head[:] = [inv, inv]
+    superposition._b.clock[:] = inv
+    superposition._b.head[:] = inv
 
     entangled = BranchState(n_atoms)
-    clock = np.full((2, n_atoms, 2), inv, dtype=complex)
-    clock[1, :, 1] = -inv
-    head = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
-    entangled._b = _Branches(np.array([inv, inv], dtype=complex), clock, head)
+    clock = np.array([[inv, inv], [inv, -inv]], dtype=complex)
+    entangled._b = _Branches(np.array([inv, inv], dtype=complex), clock, np.eye(2, dtype=complex))
 
     evolved = ghz_reference(n_atoms, backend="branch")
     evolved._b.amps = evolved._b.amps * np.array([1.0, np.exp(1j * chi)])
@@ -477,16 +474,16 @@ def _branch_dense_overlap(branch: BranchState, dense: DenseState) -> complex:
     """<branch|dense>, contracted factor by factor instead of expanding the branches.
 
     Per branch, the conjugated head factor contracts the head axis of the
-    dense tensor, then the clock factors contract clock bits 0, 1, ..., N - 1
-    in turn (bit 0 is the fastest index), each step halving the partial
-    tensor, down to one scalar that the conjugated amplitude weights.
+    dense tensor, then the conjugated clock factor contracts clock bits
+    0, 1, ..., N - 1 in turn (bit 0 is the fastest index), each step halving
+    the partial tensor, down to one scalar that the conjugated amplitude weights.
     """
     b = branch._b
     halves = dense.amplitudes.reshape(2, -1)  # (head, clock index)
     total = 0j
-    for amp, head, clock in zip(b.amps.conj(), b.head.conj(), b.clock.conj()):
+    for amp, head, factor in zip(b.amps.conj(), b.head.conj(), b.clock.conj()):
         partial = head @ halves
-        for factor in clock:
+        for _ in range(dense.n_atoms):
             partial = partial.reshape(-1, 2) @ factor
         total += amp * partial[0]
     return complex(total)

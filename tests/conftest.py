@@ -1,7 +1,7 @@
 """Shared fixtures: the Sr/Al parameter set used across the suite, the
 random-gate-sequence helpers behind the backend differential tests, and the
 slow reference paths the fast ones are tested against: the protocol gate by
-gate, the per-site phase gate, the per-axis and the allocating dense
+gate, the branch state with one clock factor per site and its per-site phase gate, the per-axis and the allocating dense
 rotations, the XOR-loop dense phase pass and the per-axis dense free
 evolution, the per-trajectory sampler, scipy's curve_fit fringe fit, the
 numeric well depth, the expanded schedule step list, the row-dict CSV
@@ -27,7 +27,10 @@ from screwclock import (
     init_register, sublattice_depths,
 )
 from screwclock.estimator import _initial_frequency
-from screwclock.register import HADAMARD, BRANCH_ALIGN_TOL, DENSE_BLOCK_BITS, _Branches, _check_unitary
+from screwclock.register import (
+    BRANCH_ALIGN_TOL, BRANCH_EXPAND_MAX_ATOMS, BRANCH_MERGE_MAX_RANK, BRANCH_PRUNE_TOL,
+    DENSE_BLOCK_BITS, HADAMARD, _check_unitary,
+)
 
 # Reference parameter set: Sr clock atoms with an Al head at the 389.9 nm
 # blue magic wavelength, misbalance delta = 1/4.
@@ -161,8 +164,97 @@ def backend_crosscheck(
     return float(np.max(np.abs(va / phase_a - vb / phase_b)))
 
 
-def reference_phase_gate(state, site: int):
-    """One phase gate P_site on a branch state, a branch at a time.
+class ReferenceBranchState:
+    """Branch-product state that stores a clock factor for every site: (r, N, 2).
+
+    The differential reference for ``BranchState``, which keeps one (r, 2)
+    clock factor per branch because every public gate acts alike on all N
+    sites. Same gates, prune and merge rules, readout, norm, overlap and
+    expansion, but each computed over the N per-site factors.
+    """
+
+    backend = "branch"
+
+    def __init__(self, n_atoms: int):
+        self.n_atoms = n_atoms
+        self.amps = np.array([1.0 + 0.0j])
+        self.clock = np.zeros((1, n_atoms, 2), dtype=complex)
+        self.clock[:, :, 0] = 1.0
+        self.head = np.array([[1.0, 0.0]], dtype=complex)
+
+    @property
+    def rank(self) -> int:
+        return self.amps.shape[0]
+
+    def copy(self) -> "ReferenceBranchState":
+        new = ReferenceBranchState(self.n_atoms)
+        new.amps, new.clock, new.head = self.amps.copy(), self.clock.copy(), self.head.copy()
+        return new
+
+    def apply_clock_rotation(self, matrix):
+        self.clock = self.clock @ _check_unitary(matrix)[0].T
+        return self
+
+    def apply_head_rotation(self, matrix):
+        self.head = self.head @ _check_unitary(matrix)[0].T
+        return self
+
+    def apply_phase_pass(self):
+        for site in range(self.n_atoms):
+            reference_phase_gate(self, site)
+        return self
+
+    def apply_free_evolution(self, delta_omega, delta_omega_head, t):
+        if t < 0.0:
+            raise ParameterError("evolution time must be >= 0")
+        self.clock[:, :, 1] *= np.exp(1j * delta_omega * t)
+        self.head[:, 1] *= np.exp(1j * delta_omega_head * t)
+        return self
+
+    def _clock_gram(self, other) -> np.ndarray:
+        return np.einsum("inc,jnc->ijn", self.clock.conj(), other.clock).prod(axis=2)
+
+    def _gram(self, other) -> np.ndarray:
+        return self._clock_gram(other) * (self.head.conj() @ other.head.T)
+
+    def _prune_and_merge(self):
+        keep = np.abs(self.amps) > BRANCH_PRUNE_TOL
+        if not keep.any():
+            keep[0] = True
+        self.amps, self.clock, self.head = self.amps[keep], self.clock[keep], self.head[keep]
+        if 1 < self.rank <= BRANCH_MERGE_MAX_RANK:
+            gram = self._gram(self)
+            alive = np.ones(self.rank, dtype=bool)
+            amps = self.amps.copy()
+            for i in range(len(amps)):
+                for j in range(i + 1, len(amps)):
+                    if alive[i] and alive[j] and abs(gram[i, j]) >= 1.0 - 1e-10:
+                        amps[i] += amps[j] * gram[i, j]
+                        alive[j] = False
+            self.amps, self.clock, self.head = amps[alive], self.clock[alive], self.head[alive]
+
+    def head_readout(self) -> tuple[float, float]:
+        weighted = self.amps.conj()[:, None] * self.amps[None, :] * self._clock_gram(self)
+        return tuple(float(np.real(np.sum(weighted * np.outer(self.head[:, k].conj(), self.head[:, k]))))
+                     for k in (0, 1))
+
+    def norm(self) -> float:
+        return math.sqrt(max(float(np.real(self.amps.conj() @ self._gram(self) @ self.amps)), 0.0))
+
+    def overlap_with(self, other) -> complex:
+        return complex(self.amps.conj() @ self._gram(other) @ other.amps)
+
+    def to_vector(self) -> np.ndarray:
+        if self.n_atoms > BRANCH_EXPAND_MAX_ATOMS:
+            raise CapacityError(f"refusing to expand a {self.n_atoms}-atom branch state")
+        vec = np.ones((self.rank, 1), dtype=complex)
+        for j in range(self.n_atoms - 1, -1, -1):  # most significant clock bit first
+            vec = (vec[:, :, None] * self.clock[:, j, None, :]).reshape(self.rank, -1)
+        return np.concatenate([(self.amps * self.head[:, 0]) @ vec, (self.amps * self.head[:, 1]) @ vec])
+
+
+def reference_phase_gate(state: ReferenceBranchState, site: int):
+    """One phase gate P_site on a per-site branch state, a branch at a time.
 
     The per-site reference for ``BranchState.apply_phase_pass``: a branch
     whose head is superposed splits into its head-down part and its head-up
@@ -171,47 +263,44 @@ def reference_phase_gate(state, site: int):
     """
     if not 0 <= site < state.n_atoms:
         raise ParameterError(f"site {site} out of range for {state.n_atoms} atoms")
-    b = state._b
-    w_down = np.abs(b.head[:, 0])
-    w_up = np.abs(b.head[:, 1])
+    w_down = np.abs(state.head[:, 0])
+    w_up = np.abs(state.head[:, 1])
 
     aligned_down = w_up <= BRANCH_ALIGN_TOL
     aligned_up = w_down <= BRANCH_ALIGN_TOL
     if np.all(aligned_down | aligned_up):
         # No head superposition anywhere: apply Z in place, no splits.
-        b.clock[aligned_up, site, 1] *= -1.0
+        state.clock[aligned_up, site, 1] *= -1.0
         return state
 
     new_amps, new_clock, new_head = [], [], []
-    for i in range(b.amps.shape[0]):
+    for i in range(state.rank):
         if w_up[i] <= BRANCH_ALIGN_TOL:
             # Head is down: gate acts as identity. Re-pin the factor to
             # the basis axis so later gates see an aligned head.
-            new_amps.append(b.amps[i] * b.head[i, 0])
-            new_clock.append(b.clock[i])
+            new_amps.append(state.amps[i] * state.head[i, 0])
+            new_clock.append(state.clock[i])
             new_head.append([1.0, 0.0])
         elif w_down[i] <= BRANCH_ALIGN_TOL:
-            clock = b.clock[i].copy()
+            clock = state.clock[i].copy()
             clock[site, 1] *= -1.0
-            new_amps.append(b.amps[i] * b.head[i, 1])
+            new_amps.append(state.amps[i] * state.head[i, 1])
             new_clock.append(clock)
             new_head.append([0.0, 1.0])
         else:
             # Superposed head: split into head-basis-aligned branches.
-            new_amps.append(b.amps[i] * b.head[i, 0])
-            new_clock.append(b.clock[i])
+            new_amps.append(state.amps[i] * state.head[i, 0])
+            new_clock.append(state.clock[i])
             new_head.append([1.0, 0.0])
-            clock = b.clock[i].copy()
+            clock = state.clock[i].copy()
             clock[site, 1] *= -1.0
-            new_amps.append(b.amps[i] * b.head[i, 1])
+            new_amps.append(state.amps[i] * state.head[i, 1])
             new_clock.append(clock)
             new_head.append([0.0, 1.0])
 
-    state._b = _Branches(
-        np.array(new_amps, dtype=complex),
-        np.array(new_clock, dtype=complex),
-        np.array(new_head, dtype=complex),
-    )
+    state.amps = np.array(new_amps, dtype=complex)
+    state.clock = np.array(new_clock, dtype=complex)
+    state.head = np.array(new_head, dtype=complex)
     state._prune_and_merge()
     return state
 

@@ -4,7 +4,6 @@ import json
 import math
 import sys
 import tempfile
-import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,11 +13,10 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from screwclock import (
-    BranchState, ParameterError, fringe_scan, parse_config, resolve_physics, survival_probability,
+    BranchState, ParameterError, parse_config, resolve_physics, survival_probability,
 )
 from screwclock.cli import (
-    BRANCH_ATOM_BYTES, BRANCH_MAX_ATOMS, COMMANDS, MEMORY_BUDGET_BYTES, SCAN_ATOM_POINT_S,
-    SCAN_MAX_ATOM_POINTS, SCAN_MAX_POINTS, SCAN_POINT_BYTES, SCAN_TIME_BUDGET_S,
+    BRANCH_MAX_ATOMS, COMMANDS, MEMORY_BUDGET_BYTES, SCAN_MAX_POINTS, SCAN_POINT_BYTES,
     SCHEDULE_MAX_ATOMS, SCHEDULE_ROW_BYTES, main, run_command,
 )
 from screwclock.output import write_table
@@ -284,7 +282,7 @@ class TestSimulateCommand:
         assert meta["p_up_ideal"] == pytest.approx(0.5, abs=1e-12)
 
     def test_dense_simulate_at_the_cap_never_expands_a_branch_reference(self, tmp_path, monkeypatch):
-        def refuse(self, max_atoms=20):
+        def refuse(self):
             raise AssertionError("a branch reference was expanded to a vector")
 
         monkeypatch.setattr(BranchState, "to_vector", refuse)
@@ -602,9 +600,10 @@ class TestRunCommandLibrary:
 
 
 class TestMemoryBudgets:
-    """`scan` and branch `simulate` bounds, derived like the schedule's from one memory budget.
+    """The `scan` points bound, derived like the schedule's from one memory budget.
 
-    A scan's atom-points take a bound from a time budget too.
+    The branch atom bound rests on accuracy instead: branch memory and cost do
+    not grow with N, but the head readout's rounding does.
     """
 
     @pytest.fixture
@@ -616,40 +615,41 @@ class TestMemoryBudgets:
         monkeypatch.setattr("screwclock.cli.resolve_physics", built)
 
     def test_bounds_fill_the_budget(self):
-        assert BRANCH_MAX_ATOMS * BRANCH_ATOM_BYTES <= MEMORY_BUDGET_BYTES
         assert SCAN_MAX_POINTS * SCAN_POINT_BYTES <= MEMORY_BUDGET_BYTES
         # Far above the benchmark's branch N = 10^4 and 101-point scans.
         assert BRANCH_MAX_ATOMS > 10 * 10**4 and SCAN_MAX_POINTS > 1000 * 101
 
-    def test_scan_atom_points_fill_the_time_budget(self):
-        assert SCAN_MAX_ATOM_POINTS * SCAN_ATOM_POINT_S <= SCAN_TIME_BUDGET_S
-        # Far above the benchmark's 1000-atom, 101-point scan, and above each memory
-        # bound at the other field's default (100 atoms, 101 points).
-        assert SCAN_MAX_ATOM_POINTS > 10**4 * 1000 * 101
-        assert SCAN_MAX_ATOM_POINTS > max(BRANCH_MAX_ATOMS * 101, 100 * SCAN_MAX_POINTS)
-
-    def test_branch_scan_cost_per_atom_point_is_near_the_measured_one(self):
-        n, grid = 10_000, np.linspace(0.0, 1.0, 10)
-        best = math.inf
-        for _ in range(3):
-            start = time.perf_counter()
-            fringe_scan(n, 0.01, grid, backend="branch")
-            best = min(best, time.perf_counter() - start)
-        # Loose, for slower machines; a cost growing faster than N x points fails it.
-        assert best / (n * grid.size) < 10 * SCAN_ATOM_POINT_S
-
     @_LINUX_RSS
     @pytest.mark.parametrize("command,small,large,units,unit_bytes", [
-        ("simulate", {"protocol": {"n_atoms": 1}}, {"protocol": {"n_atoms": 50_000}},
-         50_000, BRANCH_ATOM_BYTES),
-        ("scan", {"protocol": {"n_atoms": 1}, "run": {"detuning_points": 4}},
-         {"protocol": {"n_atoms": 50_000}, "run": {"detuning_points": 4}}, 50_000, BRANCH_ATOM_BYTES),
         ("scan", {"protocol": {"n_atoms": 1}, "run": {"detuning_points": 2}},
          {"protocol": {"n_atoms": 1}, "run": {"detuning_points": 10_000}}, 10_000, SCAN_POINT_BYTES),
-    ], ids=["simulate-atoms", "scan-atoms", "scan-points"])
+    ], ids=["scan-points"])
     def test_growth_within_twice_the_measured_bytes(self, tmp_path, command, small, large,
                                                     units, unit_bytes):
         assert _peak_growth(tmp_path, command, small, large) <= 2 * units * unit_bytes
+
+    @_LINUX_RSS
+    @pytest.mark.parametrize("command", ["simulate", "scan"])
+    def test_branch_peak_rss_does_not_grow_with_n(self, tmp_path, command):
+        # Measured: 0 B from N = 1 to the bound. 1 MiB is under 6 B per atom.
+        small = {"protocol": {"n_atoms": 1}, "run": {"detuning_points": 4}}
+        large = {"protocol": {"n_atoms": BRANCH_MAX_ATOMS}, "run": {"detuning_points": 4}}
+        assert _peak_growth(tmp_path, command, small, large) <= 2**20
+
+    def test_branch_commands_at_the_bound_meet_the_fringe_law(self, tmp_path, run_cli):
+        doc = {"protocol": {"n_atoms": BRANCH_MAX_ATOMS}, "run": {"backend": "branch"}}
+        cfg = _write_config(tmp_path, doc)
+        for command in ("simulate", "scan"):
+            result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+            assert result.exit_code == 0, result.stderr
+        meta = json.loads((tmp_path / "o" / "simulate.meta.json").read_text())
+        assert abs(meta["p_up"] - meta["p_up_ideal"]) <= 1e-9
+        ramsey_time = json.loads((tmp_path / "o" / "scan.meta.json").read_text())["ramsey_time_s"]
+        rows = read_table(tmp_path / "o" / "scan.csv")
+        assert len(rows) == 101
+        for row in rows:
+            chi = BRANCH_MAX_ATOMS * float(row["detuning_rad_s"]) * ramsey_time
+            assert abs(float(row["p_up"]) - math.sin(chi / 2) ** 2) <= 1e-9
 
     @pytest.mark.parametrize("command,document,field", [
         ("simulate", {"protocol": {"n_atoms": BRANCH_MAX_ATOMS + 1}}, "protocol.n_atoms"),
@@ -657,11 +657,7 @@ class TestMemoryBudgets:
         ("simulate", {"protocol": {"n_atoms": 10**8}}, "protocol.n_atoms"),
         ("scan", {"run": {"detuning_points": SCAN_MAX_POINTS + 1}}, "run.detuning_points"),
         ("scan", {"run": {"detuning_points": 10**8}}, "run.detuning_points"),
-        ("scan", {"protocol": {"n_atoms": BRANCH_MAX_ATOMS},
-                  "run": {"detuning_points": SCAN_MAX_ATOM_POINTS // BRANCH_MAX_ATOMS + 1}},
-         "run.detuning_points"),
-    ], ids=["simulate-bound+1", "scan-bound+1", "simulate-1e8", "points-bound+1", "points-1e8",
-            "atom-points-bound+1"])
+    ], ids=["simulate-bound+1", "scan-bound+1", "simulate-1e8", "points-bound+1", "points-1e8"])
     def test_beyond_budget_exits_before_building(self, tmp_path, refuse_build, run_cli,
                                                  command, document, field):
         cfg = _write_config(tmp_path, document)
@@ -677,9 +673,9 @@ class TestMemoryBudgets:
         ("scan", {"run": {"detuning_points": SCAN_MAX_POINTS}}),
         ("simulate", {"protocol": {"n_atoms": 10**8}, "run": {"backend": "dense"}}),
         ("scan", {"protocol": {"n_atoms": BRANCH_MAX_ATOMS},
-                  "run": {"detuning_points": SCAN_MAX_ATOM_POINTS // BRANCH_MAX_ATOMS}}),
+                  "run": {"detuning_points": SCAN_MAX_POINTS}}),
     ], ids=["simulate-at-bound", "scan-at-bound", "points-at-bound", "dense-is-capped-elsewhere",
-            "atom-points-at-bound"])
+            "atoms-and-points-at-bound"])
     def test_within_budget_goes_on_to_build(self, tmp_path, refuse_build, run_cli, command, document):
         cfg = _write_config(tmp_path, document)
         result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), command])

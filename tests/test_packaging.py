@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from screwclock.cli import COMMANDS
+from screwclock.cli import BRANCH_MAX_ATOMS, COMMANDS
 
 from conftest import run_python
 
@@ -99,6 +99,19 @@ def test_ci_smoke_runs_the_dense_register_at_the_cap(job):
              if step.get("name", "").startswith("Smoke test")]
     assert len(steps) == 1
     assert steps[0]["run"].endswith(DENSE_SMOKE)
+
+
+def test_ci_smoke_runs_the_branch_register_at_its_bound():
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    steps = [step for step in workflow["jobs"]["tier1"]["steps"]
+             if step.get("name", "").startswith("Smoke test")]
+    assert len(steps) == 1
+    script = steps[0]["run"]
+    bound = json.dumps({"protocol": {"n_atoms": BRANCH_MAX_ATOMS}})
+    assert f"""echo '{bound}' > "$RUNNER_TEMP/branch-bound.json"\n""" in script
+    assert "for command in simulate scan" in script
+    assert '--config "$RUNNER_TEMP/branch-bound.json" --out "$RUNNER_TEMP/smoke" --backend branch "$command"' in script
 
 
 def test_dense_smoke_lines_run(tmp_path):

@@ -1,5 +1,5 @@
 import math
-import time
+import timeit
 from operator import methodcaller
 
 import numpy as np
@@ -21,14 +21,14 @@ from screwclock import (
     state_overlap,
 )
 from screwclock.register import (
-    BACKENDS, DENSE_ATOM_CAP, HADAMARD, UNITARY_CACHE_SIZE, _Branches, _check_unitary,
-    _checked_blocks, _clock_weights, _phase_signs,
+    BACKENDS, BRANCH_EXPAND_MAX_ATOMS, DENSE_ATOM_CAP, HADAMARD, UNITARY_CACHE_SIZE, _Branches,
+    _check_unitary, _checked_blocks, _clock_weights, _phase_signs,
 )
 
 from conftest import (
-    PHASE_PASS, backend_crosscheck, haar_unitary, protocol_sequence, random_gate_sequence,
-    reference_axis_rotation, reference_dense_clock_rotation, reference_dense_free_evolution,
-    reference_dense_head_rotation, reference_dense_phase_pass, reference_phase_gate,
+    PHASE_PASS, ReferenceBranchState, backend_crosscheck, haar_unitary, protocol_sequence,
+    random_gate_sequence, reference_axis_rotation, reference_dense_clock_rotation,
+    reference_dense_free_evolution, reference_dense_head_rotation, reference_dense_phase_pass,
 )
 
 
@@ -109,14 +109,18 @@ class TestClockRotation:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_branch_matches_einsum_reference(self, seed):
+        # Every site of the per-site reference, rotated by einsum, equals the one factor.
         rng = np.random.default_rng(seed)
-        m = haar_unitary(rng)
-        state = _superposed(50, "branch")
-        state.apply_phase_pass().apply_clock_rotation(haar_unitary(rng))
-        expected = np.einsum("ab,rnb->rna", m, state._b.clock)
+        m, first = haar_unitary(rng), haar_unitary(rng)
+        state, reference = init_register(50, "branch"), ReferenceBranchState(50)
+        for each in (state, reference):
+            each.apply_clock_rotation(HADAMARD).apply_head_rotation(HADAMARD)
+            each.apply_phase_pass().apply_clock_rotation(first)
+        expected = np.einsum("ab,rnb->rna", m, reference.clock)
         state.apply_clock_rotation(m)
-        assert state.rank == 2
-        assert np.abs(state._b.clock - expected).max() <= 1e-12
+        assert state.rank == reference.rank == 2
+        assert state._b.clock.shape == (2, 2)
+        assert np.abs(state._b.clock[:, None, :] - expected).max() <= 1e-12
 
 
 class TestHeadRotation:
@@ -325,16 +329,11 @@ class TestPhasePass:
         n = data.draw(st.integers(1, 7), label="n_atoms")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         prefix = random_gate_sequence(n_gates=25, seed=seed)[: data.draw(st.integers(0, 25))]
-        dense = init_register(n, "dense")
-        branch = init_register(n, "branch")
-        for gate in prefix:
+        dense, branch, reference = init_register(n, "dense"), init_register(n, "branch"), ReferenceBranchState(n)
+        for gate in [*prefix, PHASE_PASS]:  # the reference's pass is one phase gate per site
             gate(dense)
             gate(branch)
-        reference = branch.copy()
-        for site in range(n):
-            reference_phase_gate(reference, site)
-        branch.apply_phase_pass()
-        dense.apply_phase_pass()
+            gate(reference)
         assert np.abs(branch.to_vector() - reference.to_vector()).max() <= 1e-12
         assert np.abs(dense.to_vector() - branch.to_vector()).max() <= 1e-9
 
@@ -345,13 +344,10 @@ class TestPhasePass:
         reference = reference_dense_phase_pass(dense.copy())
         assert dense.apply_phase_pass().amplitudes.tobytes() == reference.amplitudes.tobytes()
 
-        branch = init_register(n, "branch")
-        for gate in random_gate_sequence(n_gates=25, seed=n):
+        branch, reference = init_register(n, "branch"), ReferenceBranchState(n)
+        for gate in [*random_gate_sequence(n_gates=25, seed=n), PHASE_PASS]:
             gate(branch)
-        reference = branch.copy()
-        for site in range(n):
-            reference_phase_gate(reference, site)
-        branch.apply_phase_pass()
+            gate(reference)
         assert np.abs(branch.to_vector() - reference.to_vector()).max() <= 1e-12
 
 
@@ -466,7 +462,7 @@ class TestStateOverlap:
 
         branch = init_register(n, "branch")
         amps = rng.normal(size=rank) + 1j * rng.normal(size=rank)
-        branch._b = _Branches(amps, unit_factors(rank, n), unit_factors(rank))
+        branch._b = _Branches(amps, unit_factors(rank), unit_factors(rank))
         dense = _random_dense(n, rng)
         expected = np.vdot(dense.to_vector(), branch.to_vector())
         forward = state_overlap(dense, branch)
@@ -474,6 +470,50 @@ class TestStateOverlap:
         assert abs(forward - expected) <= 1e-12
         assert abs(backward - np.conj(expected)) <= 1e-12
         assert backward == forward.conjugate()
+
+
+class TestPerSiteReference:
+    """The one clock factor per branch against the reference that keeps a factor per site."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 49), n_gates=st.integers(1, 11),
+           seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2))
+    def test_random_public_gates_match_per_site_reference(self, n, n_gates, seeds):
+        # Up to 11 gates hold at most two phase passes, so the rank stays at most 4.
+        # The two differ by rounding that grows with N: at most 1.8 N 1e-15 over
+        # 20000 draws, so N 1e-15 would fail about one draw in a thousand.
+        tol = n * 4e-15
+        pairs = []
+        for seed in seeds:
+            branch, reference = init_register(n, "branch"), ReferenceBranchState(n)
+            for gate in random_gate_sequence(n_gates=n_gates, seed=seed):
+                gate(branch)
+                gate(reference)
+            assert branch.rank == reference.rank <= 4
+            assert np.abs(np.subtract(branch.head_readout(), reference.head_readout())).max() <= tol
+            assert abs(branch.norm() - reference.norm()) <= tol
+            if n <= 10:
+                assert np.abs(branch.to_vector() - reference.to_vector()).max() <= tol
+            pairs.append((branch, reference))
+        (a, a_ref), (b, b_ref) = pairs
+        assert abs(a.overlap_with(b) - a_ref.overlap_with(b_ref)) <= tol
+        assert abs(a.overlap_with(a) - a_ref.overlap_with(a_ref)) <= tol
+
+    @pytest.mark.parametrize("n", [1, 50, 2000])
+    def test_protocol_matches_per_site_reference(self, n):
+        dw, dwh, t = 0.7 / n, 0.05, 1.3
+        branch, reference = init_register(n, "branch"), ReferenceBranchState(n)
+        for gate in protocol_sequence(dw, dwh, t):
+            gate(branch)
+            gate(reference)
+        assert branch.rank == reference.rank
+        assert np.abs(np.subtract(branch.head_readout(), reference.head_readout())).max() <= n * 4e-15
+        assert branch.head_readout()[1] == pytest.approx(math.sin((n * dw + dwh) * t / 2) ** 2, abs=1e-12)
+
+    def test_expansion_is_capped(self):
+        init_register(BRANCH_EXPAND_MAX_ATOMS, "branch").to_vector()
+        with pytest.raises(CapacityError, match="refusing to expand"):
+            init_register(BRANCH_EXPAND_MAX_ATOMS + 1, "branch").to_vector()
 
 
 class TestHeadReadout:
@@ -561,16 +601,16 @@ class TestBackendCrosscheck:
             backend_crosscheck(13, seed=0)
 
 
-def test_branch_protocol_cost_scales_linearly():
-    def best_time(n):
-        times = []
-        for _ in range(3):
-            start = time.perf_counter()
-            run_protocol(n, "branch", 1e-3, 0.0, 0.01)
-            times.append(time.perf_counter() - start)
-        return min(times)
+def test_branch_costs_do_not_grow_with_n():
+    # One clock factor per branch: a protocol run and a scan point cost the same at any N.
+    def best_time(run, n):
+        # Best of 5 batches of 10 calls; timeit holds the garbage collector off meanwhile.
+        return min(timeit.repeat(lambda: run(n), number=10, repeat=5))
 
-    t_small = best_time(500)
-    t_large = best_time(8000)
-    # 16x the atoms: linear cost allows ~16x the time; quadratic would be 256x.
-    assert t_large / t_small < 60.0
+    grid = np.linspace(0.0, 1.0, 10)
+    protocol = lambda n: run_protocol(n, "branch", 1e-3, 0.0, 0.01)
+    scan = lambda n: fringe_scan(n, 0.01, grid / n, backend="branch")
+    for run in (protocol, scan):
+        # 1000x the atoms: a cost linear in N would take about 1000x the time.
+        ratio = best_time(run, 10**5) / best_time(run, 10**2)
+        assert ratio < 4.0, ratio
