@@ -21,7 +21,10 @@ from .register import evolve_and_disentangle, init_register, prepare_ghz
 from .trajectories import sample_scatter_count
 
 _FLAT_TOL = 1e-12
-_FIT_MAX_ITERATIONS = 100  # Levenberg-Marquardt steps before the fit gives up
+# Levenberg-Marquardt steps before the fit gives up. Most fits take under 50;
+# on a noisy fringe of a few points the Gauss-Newton steps overshoot and close
+# in by as little as 10 % a step, which has taken up to 174.
+_FIT_MAX_ITERATIONS = 1000
 _FIT_XTOL = 1e-10          # converged once a step moves the scaled parameters this little
 _DAMPING_START = 1e-3      # Marquardt damping, relative to the normal-matrix diagonal
 _DAMPING_MAX = 1e16        # no step lowers the cost even at this damping: a float-level minimum

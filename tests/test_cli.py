@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import tempfile
+import timeit
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,7 +14,8 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from screwclock import (
-    BranchState, ParameterError, parse_config, resolve_physics, survival_probability,
+    BranchState, ParameterError, fringe_scan, parse_config, resolve_physics,
+    survival_probability,
 )
 from screwclock.cli import (
     BRANCH_MAX_ATOMS, COMMANDS, MEMORY_BUDGET_BYTES, SCAN_MAX_POINTS, SCAN_POINT_BYTES,
@@ -618,6 +620,20 @@ class TestMemoryBudgets:
         assert SCAN_MAX_POINTS * SCAN_POINT_BYTES <= MEMORY_BUDGET_BYTES
         # Far above the benchmark's branch N = 10^4 and 101-point scans.
         assert BRANCH_MAX_ATOMS > 10 * 10**4 and SCAN_MAX_POINTS > 1000 * 101
+
+    def test_branch_scan_cost_per_atom_point_is_near_the_measured_one(self):
+        # A branch scan point costs the same at any N, so the per-point cost
+        # measured at N = 10^2 holds at 10^5 and no atom-point time bound is kept.
+        grid = np.linspace(0.0, 1.0, 10)
+
+        def best_time(n):
+            # Best of 5 batches of 10 scans; timeit holds the garbage collector off meanwhile.
+            return min(timeit.repeat(lambda: fringe_scan(n, 0.01, grid / n, backend="branch"),
+                                     number=10, repeat=5))
+
+        # 1000x the atoms: a cost linear in N would take about 1000x the time.
+        ratio = best_time(10**5) / best_time(10**2)
+        assert ratio < 4.0, ratio
 
     @_LINUX_RSS
     @pytest.mark.parametrize("command,small,large,units,unit_bytes", [
