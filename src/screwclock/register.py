@@ -7,13 +7,16 @@ Two interchangeable backends:
   binary value of the clock register and ``h`` in {0: down, 1: up} the
   head qubit. Exact, but capped at small N.
 
-* :class:`BranchState` stores a sum of product states ("branches"), one
-  complex amplitude times N copies of one clock 2-vector times one head
-  2-vector. Every public gate acts alike on all N clock sites, so one
-  clock factor per branch stands for all of them. Every factor is kept
-  unit-norm; the amplitude carries all scale. The entangling protocol
-  only ever needs two branches, so a full run costs O(1) in N at fixed
-  rank.
+* :class:`BranchState` stores a sum of product states ("branches") as two
+  (r, 2) arrays: ``clock``, one unit-norm clock 2-vector per branch that
+  stands for all N clock sites (every public gate acts alike on them), and
+  ``head``, the head 2-vector, which carries the branch's amplitude. One
+  form gives every overlap, per head component k:
+  <a|b>_k = sum_ij conj(a.head[i, k]) <a.clock[i]|b.clock[j]>^N b.head[j, k].
+  A phase pass splits superposed heads; branches with colinear clock
+  factors then merge into one, whatever their heads. The entangling
+  protocol only ever needs two branches, so a full run costs O(1) in N at
+  fixed rank.
 
 Both backends offer the same four gates (``apply_clock_rotation``,
 ``apply_head_rotation``, ``apply_phase_pass``, ``apply_free_evolution``),
@@ -34,8 +37,7 @@ from .errors import CapacityError, ClockSimError, ParameterError
 BACKENDS = ("dense", "branch")
 DENSE_ATOM_CAP = 14        # 2^15 amplitudes
 DENSE_BLOCK_BITS = 3       # clock qubits per matrix product in a dense rotation
-BRANCH_PRUNE_TOL = 1e-14   # branches below this amplitude are dropped
-BRANCH_ALIGN_TOL = 1e-14   # head component treated as zero below this
+BRANCH_PRUNE_TOL = 1e-14   # a head component this small is absent: no branch part is made of it
 BRANCH_MERGE_MAX_RANK = 64  # skip O(rank^2) merging above this rank
 BRANCH_EXPAND_MAX_ATOMS = 20  # BranchState.to_vector refuses larger registers
 READOUT_TOL = 1e-9         # head probabilities may miss [0, 1] and sum 1 by this
@@ -191,27 +193,25 @@ class DenseState:
         return self.amplitudes.copy()
 
 
-@dataclass
-class _Branches:
-    amps: np.ndarray    # (r,), complex
-    clock: np.ndarray   # (r, 2), complex, unit-norm factor shared by all N clock sites
-    head: np.ndarray    # (r, 2), complex, unit-norm factors
-
-
-def _clock_gram(a: _Branches, b: _Branches, n_atoms: int) -> np.ndarray:
+def _clock_gram(a: "BranchState", b: "BranchState") -> np.ndarray:
     """G[i, j] = <a.clock[i] | b.clock[j]>^N: overlaps of the N clock sites alone."""
-    return (a.clock.conj() @ b.clock.T) ** n_atoms
+    return (a.clock.conj() @ b.clock.T) ** a.n_atoms
 
 
-def _gram(a: _Branches, b: _Branches, n_atoms: int) -> np.ndarray:
-    """G[i, j] = <branch a_i | branch b_j> without the amplitudes."""
-    gram = _clock_gram(a, b, n_atoms)
-    gram *= a.head.conj() @ b.head.T
-    return gram
+def _head_overlaps(a: "BranchState", b: "BranchState") -> np.ndarray:
+    """<a|b> restricted to each head component: (head down, head up)."""
+    return (a.head.conj() * (_clock_gram(a, b) @ b.head)).sum(axis=0)
 
 
 class BranchState:
-    """Rank-bounded branch-product state; O(1) cost and memory in N at fixed rank."""
+    """Rank-bounded branch-product state; O(1) cost and memory in N at fixed rank.
+
+    Branch i is ``clock[i]`` on every one of the N clock sites times
+    ``head[i]`` on the head: ``clock`` is (r, 2) and unit-norm, ``head`` is
+    (r, 2) and carries the branch's amplitude. Readout, norm and overlap all
+    read :func:`_head_overlaps`. After a phase pass splits branches, those
+    with colinear clock factors merge, whatever their heads.
+    """
 
     backend = "branch"
 
@@ -219,94 +219,78 @@ class BranchState:
         if n_atoms < 1:
             raise ParameterError(f"n_atoms must be >= 1, got {n_atoms}")
         self.n_atoms = n_atoms
-        basis = np.array([[1.0, 0.0]], dtype=complex)
-        self._b = _Branches(np.array([1.0 + 0.0j]), basis, basis.copy())
+        self.clock = np.array([[1.0, 0.0]], dtype=complex)
+        self.head = self.clock.copy()
 
     @property
     def rank(self) -> int:
-        return self._b.amps.shape[0]
+        return self.head.shape[0]
 
     def copy(self) -> "BranchState":
         new = object.__new__(BranchState)
-        new.n_atoms = self.n_atoms
-        new._b = _Branches(self._b.amps.copy(), self._b.clock.copy(), self._b.head.copy())
+        new.n_atoms, new.clock, new.head = self.n_atoms, self.clock.copy(), self.head.copy()
         return new
 
     def apply_clock_rotation(self, matrix) -> "BranchState":
         m = _check_unitary(matrix)[0]
-        self._b.clock = self._b.clock @ m.T
+        self.clock = self.clock @ m.T
         return self
 
     def apply_head_rotation(self, matrix) -> "BranchState":
         m = _check_unitary(matrix)[0]
-        self._b.head = self._b.head @ m.T
+        self.head = self.head @ m.T
         return self
 
     def apply_phase_pass(self) -> "BranchState":
         """Phase gates from the head onto every clock site, as one operation.
 
-        A branch whose head is superposed splits once into its head-down and
-        head-up parts, in branch order with the down part first; aligned
-        heads are re-pinned to the basis axis. Every head-up branch then
-        negates the |1> component of its clock factor, which every site shares.
+        A branch whose head has both components splits once into its
+        head-down part and its head-up part, in branch order with the down
+        part first; each part keeps one head component, and parts at or
+        below BRANCH_PRUNE_TOL drop out. Every head-up branch then negates
+        the |1> component of its clock factor, which every site shares.
         """
-        b = self._b
-        down = np.abs(b.head[:, 1]) <= BRANCH_ALIGN_TOL
-        up = ~down & (np.abs(b.head[:, 0]) <= BRANCH_ALIGN_TOL)
-        split = not np.all(down | up)
-        if split:
-            parts = np.stack([~up, ~down], axis=1)  # per branch: (down part, up part)
-            rows, up_part = np.nonzero(parts)
-            b = self._b = _Branches(
-                (b.amps[:, None] * b.head)[parts],
-                b.clock[rows],
-                np.eye(2, dtype=complex)[up_part],
-            )
-            up = up_part == 1
-        b.clock[up, 1] *= -1.0
-        if split:
-            self._prune_and_merge()
+        present = np.abs(self.head) > BRANCH_PRUNE_TOL
+        if not present.all(axis=1).any():
+            self.clock[present[:, 1], 1] *= -1.0
+            return self
+        rows, up = np.nonzero(present)
+        self.clock, self.head = self.clock[rows], self.head[rows]
+        self.head[np.arange(rows.size), 1 - up] = 0.0
+        self.clock[up == 1, 1] *= -1.0
+        self._merge()
         return self
 
     def apply_free_evolution(self, delta_omega: float, delta_omega_head: float, t: float) -> "BranchState":
         if t < 0.0:
             raise ParameterError("evolution time must be >= 0")
-        self._b.clock[:, 1] *= np.exp(1j * delta_omega * t)
-        self._b.head[:, 1] *= np.exp(1j * delta_omega_head * t)
+        self.clock[:, 1] *= np.exp(1j * delta_omega * t)
+        self.head[:, 1] *= np.exp(1j * delta_omega_head * t)
         return self
 
-    def _prune_and_merge(self):
-        b = self._b
-        keep = np.abs(b.amps) > BRANCH_PRUNE_TOL
-        if not keep.all():
-            if not keep.any():
-                keep[0] = True  # keep one branch so the object stays well-formed
-            b = _Branches(b.amps[keep], b.clock[keep], b.head[keep])
+    def _merge(self):
+        """Fold branches with colinear clock factors, whatever their heads.
 
-        if b.amps.shape[0] > 1 and b.amps.shape[0] <= BRANCH_MERGE_MAX_RANK:
-            gram = _gram(b, b, self.n_atoms)
-            alive = np.ones(b.amps.shape[0], dtype=bool)
-            amps = b.amps.copy()
-            for i in range(len(amps)):
-                if not alive[i]:
-                    continue
-                for j in range(i + 1, len(amps)):
-                    # Parallel branches: all factors colinear, so the total
-                    # overlap has unit magnitude.
-                    if alive[j] and abs(gram[i, j]) >= 1.0 - 1e-10:
-                        amps[i] += amps[j] * gram[i, j]
-                        alive[j] = False
-            if not alive.all():
-                b = _Branches(amps[alive], b.clock[alive], b.head[alive])
-        self._b = b
+        c^⊗N ⊗ h_i + c^⊗N ⊗ h_j = c^⊗N ⊗ (h_i + h_j), so branch j joins
+        branch i as head_i += <c_i|c_j>^N head_j.
+        """
+        if not 1 < self.rank <= BRANCH_MERGE_MAX_RANK:
+            return
+        gram = _clock_gram(self, self)
+        alive = np.ones(self.rank, dtype=bool)
+        for i in range(self.rank):
+            if not alive[i]:
+                continue
+            for j in range(i + 1, self.rank):
+                if alive[j] and abs(gram[i, j]) >= 1.0 - 1e-10:
+                    self.head[i] += gram[i, j] * self.head[j]
+                    alive[j] = False
+        if not alive.all():
+            self.clock, self.head = self.clock[alive], self.head[alive]
 
     def head_readout(self) -> tuple[float, float]:
         """(p_down, p_up); rounding within READOUT_TOL is clamped, more raises."""
-        b = self._b
-        gram = _clock_gram(b, b, self.n_atoms)
-        weighted = b.amps.conj()[:, None] * b.amps[None, :] * gram
-        p_down = float(np.real(np.sum(weighted * (b.head.conj()[:, 0, None] * b.head[None, :, 0]))))
-        p_up = float(np.real(np.sum(weighted * (b.head.conj()[:, 1, None] * b.head[None, :, 1]))))
+        p_down, p_up = _head_overlaps(self, self).real.tolist()
         drift = max(-p_down, -p_up, abs(p_down + p_up - 1.0))
         if drift > READOUT_TOL:
             raise ClockSimError(f"branch register norm drifted: head readout p_down={p_down!r}, "
@@ -314,13 +298,12 @@ class BranchState:
         return min(max(p_down, 0.0), 1.0), min(max(p_up, 0.0), 1.0)
 
     def norm(self) -> float:
-        value = self._b.amps.conj() @ _gram(self._b, self._b, self.n_atoms) @ self._b.amps
-        return math.sqrt(max(float(np.real(value)), 0.0))
+        return math.sqrt(max(float(_head_overlaps(self, self).real.sum()), 0.0))
 
     def overlap_with(self, other: "BranchState") -> complex:
         if other.n_atoms != self.n_atoms:
             raise ParameterError("states have different register sizes")
-        return complex(self._b.amps.conj() @ _gram(self._b, other._b, self.n_atoms) @ other._b.amps)
+        return complex(_head_overlaps(self, other).sum())
 
     def to_vector(self) -> np.ndarray:
         """Expand to the dense index convention; up to BRANCH_EXPAND_MAX_ATOMS atoms only."""
@@ -329,13 +312,10 @@ class BranchState:
                 f"refusing to expand a {self.n_atoms}-atom branch state "
                 f"(limit {BRANCH_EXPAND_MAX_ATOMS})"
             )
-        b = self._b
-        vec = np.ones((b.amps.shape[0], 1), dtype=complex)
+        vec = np.ones((self.rank, 1), dtype=complex)
         for _ in range(self.n_atoms):  # the N-fold Kronecker power of each clock factor
-            vec = (vec[:, :, None] * b.clock[:, None, :]).reshape(b.amps.shape[0], -1)
-        out_down = (b.amps * b.head[:, 0]) @ vec
-        out_up = (b.amps * b.head[:, 1]) @ vec
-        return np.concatenate([out_down, out_up])
+            vec = (vec[:, :, None] * self.clock[:, None, :]).reshape(self.rank, -1)
+        return (self.head.T @ vec).ravel()
 
 
 RegisterState = DenseState | BranchState
@@ -415,8 +395,8 @@ def ghz_reference(n_atoms: int, backend: str = "dense") -> RegisterState:
         state.amplitudes[2 ** (n_atoms + 1) - 1] = inv
         return state
     state = BranchState(n_atoms)
-    state._b = _Branches(np.array([inv, inv], dtype=complex), np.eye(2, dtype=complex),
-                         np.eye(2, dtype=complex))
+    state.clock = np.eye(2, dtype=complex)
+    state.head = inv * np.eye(2, dtype=complex)
     return state
 
 
@@ -431,7 +411,7 @@ def final_reference(n_atoms: int, chi: float, backend: str = "dense") -> Registe
         state.amplitudes[2 ** n_atoms] = a_up
         return state
     state = BranchState(n_atoms)
-    state._b.head = np.array([[a_down, a_up]], dtype=complex)
+    state.head = np.array([[a_down, a_up]], dtype=complex)
     return state
 
 
@@ -451,15 +431,14 @@ def protocol_references(
     chi = (n_atoms * delta_omega + delta_omega_head) * ramsey_time
 
     superposition = BranchState(n_atoms)
-    superposition._b.clock[:] = inv
-    superposition._b.head[:] = inv
+    superposition.clock[:] = inv
+    superposition.head[:] = inv
 
-    entangled = BranchState(n_atoms)
-    clock = np.array([[inv, inv], [inv, -inv]], dtype=complex)
-    entangled._b = _Branches(np.array([inv, inv], dtype=complex), clock, np.eye(2, dtype=complex))
+    entangled = ghz_reference(n_atoms, backend="branch")
+    entangled.clock = np.array([[inv, inv], [inv, -inv]], dtype=complex)
 
     evolved = ghz_reference(n_atoms, backend="branch")
-    evolved._b.amps = evolved._b.amps * np.array([1.0, np.exp(1j * chi)])
+    evolved.head[1, 1] *= np.exp(1j * chi)
 
     return {
         "superposition": superposition,
@@ -476,16 +455,15 @@ def _branch_dense_overlap(branch: BranchState, dense: DenseState) -> complex:
     Per branch, the conjugated head factor contracts the head axis of the
     dense tensor, then the conjugated clock factor contracts clock bits
     0, 1, ..., N - 1 in turn (bit 0 is the fastest index), each step halving
-    the partial tensor, down to one scalar that the conjugated amplitude weights.
+    the partial tensor, down to one scalar.
     """
-    b = branch._b
     halves = dense.amplitudes.reshape(2, -1)  # (head, clock index)
     total = 0j
-    for amp, head, factor in zip(b.amps.conj(), b.head.conj(), b.clock.conj()):
+    for head, factor in zip(branch.head.conj(), branch.clock.conj()):
         partial = head @ halves
         for _ in range(dense.n_atoms):
             partial = partial.reshape(-1, 2) @ factor
-        total += amp * partial[0]
+        total += partial[0]
     return complex(total)
 
 

@@ -28,7 +28,7 @@ from screwclock import (
 )
 from screwclock.estimator import _initial_frequency
 from screwclock.register import (
-    BRANCH_ALIGN_TOL, BRANCH_EXPAND_MAX_ATOMS, BRANCH_MERGE_MAX_RANK, BRANCH_PRUNE_TOL,
+    BRANCH_EXPAND_MAX_ATOMS, BRANCH_MERGE_MAX_RANK, BRANCH_PRUNE_TOL,
     DENSE_BLOCK_BITS, HADAMARD, _check_unitary,
 )
 
@@ -169,26 +169,27 @@ class ReferenceBranchState:
 
     The differential reference for ``BranchState``, which keeps one (r, 2)
     clock factor per branch because every public gate acts alike on all N
-    sites. Same gates, prune and merge rules, readout, norm, overlap and
-    expansion, but each computed over the N per-site factors.
+    sites. Same rules: the head carries the branch's amplitude, a head
+    component at or below BRANCH_PRUNE_TOL is absent, and branches whose
+    clock factors are colinear merge whatever their heads. Readout, norm,
+    overlap and expansion are computed over the N per-site factors.
     """
 
     backend = "branch"
 
     def __init__(self, n_atoms: int):
         self.n_atoms = n_atoms
-        self.amps = np.array([1.0 + 0.0j])
         self.clock = np.zeros((1, n_atoms, 2), dtype=complex)
         self.clock[:, :, 0] = 1.0
         self.head = np.array([[1.0, 0.0]], dtype=complex)
 
     @property
     def rank(self) -> int:
-        return self.amps.shape[0]
+        return self.head.shape[0]
 
     def copy(self) -> "ReferenceBranchState":
         new = ReferenceBranchState(self.n_atoms)
-        new.amps, new.clock, new.head = self.amps.copy(), self.clock.copy(), self.head.copy()
+        new.clock, new.head = self.clock.copy(), self.head.copy()
         return new
 
     def apply_clock_rotation(self, matrix):
@@ -200,8 +201,11 @@ class ReferenceBranchState:
         return self
 
     def apply_phase_pass(self):
-        for site in range(self.n_atoms):
-            reference_phase_gate(self, site)
+        # Splits happen at the first site that meets a superposed head; as in BranchState,
+        # colinear clocks merge once, after the whole pass.
+        split = [reference_phase_gate(self, site) for site in range(self.n_atoms)]
+        if any(split):
+            self._merge()
         return self
 
     def apply_free_evolution(self, delta_omega, delta_omega_head, t):
@@ -214,35 +218,30 @@ class ReferenceBranchState:
     def _clock_gram(self, other) -> np.ndarray:
         return np.einsum("inc,jnc->ijn", self.clock.conj(), other.clock).prod(axis=2)
 
-    def _gram(self, other) -> np.ndarray:
-        return self._clock_gram(other) * (self.head.conj() @ other.head.T)
+    def _merge(self):
+        if not 1 < self.rank <= BRANCH_MERGE_MAX_RANK:
+            return
+        gram = self._clock_gram(self)
+        alive = np.ones(self.rank, dtype=bool)
+        for i in range(self.rank):
+            for j in range(i + 1, self.rank):
+                if alive[i] and alive[j] and abs(gram[i, j]) >= 1.0 - 1e-10:
+                    self.head[i] = self.head[i] + gram[i, j] * self.head[j]
+                    alive[j] = False
+        self.clock, self.head = self.clock[alive], self.head[alive]
 
-    def _prune_and_merge(self):
-        keep = np.abs(self.amps) > BRANCH_PRUNE_TOL
-        if not keep.any():
-            keep[0] = True
-        self.amps, self.clock, self.head = self.amps[keep], self.clock[keep], self.head[keep]
-        if 1 < self.rank <= BRANCH_MERGE_MAX_RANK:
-            gram = self._gram(self)
-            alive = np.ones(self.rank, dtype=bool)
-            amps = self.amps.copy()
-            for i in range(len(amps)):
-                for j in range(i + 1, len(amps)):
-                    if alive[i] and alive[j] and abs(gram[i, j]) >= 1.0 - 1e-10:
-                        amps[i] += amps[j] * gram[i, j]
-                        alive[j] = False
-            self.amps, self.clock, self.head = amps[alive], self.clock[alive], self.head[alive]
+    def _overlaps(self, other) -> np.ndarray:
+        # <self|other> per head component: sum_ij conj(h_ik) G_ij h'_jk, for k = down, up.
+        return np.einsum("ik,ij,jk->k", self.head.conj(), self._clock_gram(other), other.head)
 
     def head_readout(self) -> tuple[float, float]:
-        weighted = self.amps.conj()[:, None] * self.amps[None, :] * self._clock_gram(self)
-        return tuple(float(np.real(np.sum(weighted * np.outer(self.head[:, k].conj(), self.head[:, k]))))
-                     for k in (0, 1))
+        return tuple(float(p) for p in self._overlaps(self).real)
 
     def norm(self) -> float:
-        return math.sqrt(max(float(np.real(self.amps.conj() @ self._gram(self) @ self.amps)), 0.0))
+        return math.sqrt(max(float(self._overlaps(self).real.sum()), 0.0))
 
     def overlap_with(self, other) -> complex:
-        return complex(self.amps.conj() @ self._gram(other) @ other.amps)
+        return complex(self._overlaps(other).sum())
 
     def to_vector(self) -> np.ndarray:
         if self.n_atoms > BRANCH_EXPAND_MAX_ATOMS:
@@ -250,59 +249,41 @@ class ReferenceBranchState:
         vec = np.ones((self.rank, 1), dtype=complex)
         for j in range(self.n_atoms - 1, -1, -1):  # most significant clock bit first
             vec = (vec[:, :, None] * self.clock[:, j, None, :]).reshape(self.rank, -1)
-        return np.concatenate([(self.amps * self.head[:, 0]) @ vec, (self.amps * self.head[:, 1]) @ vec])
+        return np.concatenate([self.head[:, 0] @ vec, self.head[:, 1] @ vec])
 
 
 def reference_phase_gate(state: ReferenceBranchState, site: int):
-    """One phase gate P_site on a per-site branch state, a branch at a time.
+    """One phase gate P_site on a per-site branch state, a branch at a time; True if it split.
 
     The per-site reference for ``BranchState.apply_phase_pass``: a branch
-    whose head is superposed splits into its head-down part and its head-up
-    part (in that order), aligned heads are re-pinned to the basis axis, and
-    head-up branches negate the |1> component of ``site``.
+    whose head has both components (each above BRANCH_PRUNE_TOL) splits
+    into its head-down part and its head-up part (in that order), each
+    keeping one head component; absent parts are dropped; head-up branches
+    negate the |1> component of ``site``.
     """
     if not 0 <= site < state.n_atoms:
         raise ParameterError(f"site {site} out of range for {state.n_atoms} atoms")
-    w_down = np.abs(state.head[:, 0])
-    w_up = np.abs(state.head[:, 1])
-
-    aligned_down = w_up <= BRANCH_ALIGN_TOL
-    aligned_up = w_down <= BRANCH_ALIGN_TOL
-    if np.all(aligned_down | aligned_up):
+    has_down = np.abs(state.head[:, 0]) > BRANCH_PRUNE_TOL
+    has_up = np.abs(state.head[:, 1]) > BRANCH_PRUNE_TOL
+    if not np.any(has_down & has_up):
         # No head superposition anywhere: apply Z in place, no splits.
-        state.clock[aligned_up, site, 1] *= -1.0
-        return state
+        state.clock[has_up, site, 1] *= -1.0
+        return False
 
-    new_amps, new_clock, new_head = [], [], []
+    new_clock, new_head = [], []
     for i in range(state.rank):
-        if w_up[i] <= BRANCH_ALIGN_TOL:
-            # Head is down: gate acts as identity. Re-pin the factor to
-            # the basis axis so later gates see an aligned head.
-            new_amps.append(state.amps[i] * state.head[i, 0])
+        if has_down[i]:
             new_clock.append(state.clock[i])
-            new_head.append([1.0, 0.0])
-        elif w_down[i] <= BRANCH_ALIGN_TOL:
+            new_head.append([state.head[i, 0], 0.0])
+        if has_up[i]:
             clock = state.clock[i].copy()
             clock[site, 1] *= -1.0
-            new_amps.append(state.amps[i] * state.head[i, 1])
             new_clock.append(clock)
-            new_head.append([0.0, 1.0])
-        else:
-            # Superposed head: split into head-basis-aligned branches.
-            new_amps.append(state.amps[i] * state.head[i, 0])
-            new_clock.append(state.clock[i])
-            new_head.append([1.0, 0.0])
-            clock = state.clock[i].copy()
-            clock[site, 1] *= -1.0
-            new_amps.append(state.amps[i] * state.head[i, 1])
-            new_clock.append(clock)
-            new_head.append([0.0, 1.0])
+            new_head.append([0.0, state.head[i, 1]])
 
-    state.amps = np.array(new_amps, dtype=complex)
     state.clock = np.array(new_clock, dtype=complex)
     state.head = np.array(new_head, dtype=complex)
-    state._prune_and_merge()
-    return state
+    return True
 
 
 def _dense_tensor(state) -> np.ndarray:

@@ -21,7 +21,7 @@ from screwclock import (
     state_overlap,
 )
 from screwclock.register import (
-    BACKENDS, BRANCH_EXPAND_MAX_ATOMS, DENSE_ATOM_CAP, HADAMARD, UNITARY_CACHE_SIZE, _Branches,
+    BACKENDS, BRANCH_EXPAND_MAX_ATOMS, DENSE_ATOM_CAP, HADAMARD, UNITARY_CACHE_SIZE,
     _check_unitary, _checked_blocks, _clock_weights, _phase_signs,
 )
 
@@ -119,8 +119,8 @@ class TestClockRotation:
         expected = np.einsum("ab,rnb->rna", m, reference.clock)
         state.apply_clock_rotation(m)
         assert state.rank == reference.rank == 2
-        assert state._b.clock.shape == (2, 2)
-        assert np.abs(state._b.clock[:, None, :] - expected).max() <= 1e-12
+        assert state.clock.shape == (2, 2)
+        assert np.abs(state.clock[:, None, :] - expected).max() <= 1e-12
 
 
 class TestHeadRotation:
@@ -337,6 +337,15 @@ class TestPhasePass:
         assert np.abs(branch.to_vector() - reference.to_vector()).max() <= 1e-12
         assert np.abs(dense.to_vector() - branch.to_vector()).max() <= 1e-9
 
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_parts_with_one_clock_factor_merge_whatever_their_heads(self, n):
+        # The protocol leaves two branches on |0...0>; a further pass splits them into four
+        # parts on that one clock factor, which merge into a single branch.
+        branch = run_protocol(n, "branch", 0.3, 0.1, 1.0).final.apply_phase_pass()
+        dense = run_protocol(n, "dense", 0.3, 0.1, 1.0).final.apply_phase_pass()
+        assert branch.rank == 1
+        assert np.abs(branch.to_vector() - dense.to_vector()).max() <= 1e-12
+
     @pytest.mark.parametrize("n", range(1, DENSE_ATOM_CAP + 1))
     def test_whole_pass_matches_per_site_references(self, n):
         rng = np.random.default_rng(700 + n)
@@ -462,7 +471,7 @@ class TestStateOverlap:
 
         branch = init_register(n, "branch")
         amps = rng.normal(size=rank) + 1j * rng.normal(size=rank)
-        branch._b = _Branches(amps, unit_factors(rank), unit_factors(rank))
+        branch.clock, branch.head = unit_factors(rank), amps[:, None] * unit_factors(rank)
         dense = _random_dense(n, rng)
         expected = np.vdot(dense.to_vector(), branch.to_vector())
         forward = state_overlap(dense, branch)
@@ -545,7 +554,7 @@ class TestHeadReadout:
     @pytest.mark.parametrize("make", [init_register, ghz_reference])
     def test_norm_drift_raises(self, make):
         state = make(3, "branch")
-        state._b.amps = state._b.amps * 1.1
+        state.head = state.head * 1.1
         with pytest.raises(ClockSimError, match="drifted"):
             state.head_readout()
 
