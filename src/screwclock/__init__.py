@@ -31,6 +31,7 @@ from .lattice import (
     transport_feasibility,
     trap_frequencies,
     well_depth_closed_form,
+    worst_case_depth,
 )
 from .rates import (
     DecoherenceParams,

@@ -1,9 +1,10 @@
 """Command line interface: feasibility, schedule, simulate, scan, optimize, sweep.
 
 Every command reads one JSON config (defaults apply where keys are
-omitted), writes CSV tables plus JSON metadata sidecars into the output
-directory, and exits nonzero with a machine-readable error blob on any
-failure. Identical (config, seed) pairs produce byte-identical CSV bodies.
+omitted), writes one CSV table plus its JSON metadata sidecar into the
+output directory, prints one summary line, and exits nonzero with a
+machine-readable error blob on any failure. Identical (config, seed) pairs
+produce byte-identical CSV bodies.
 """
 
 from __future__ import annotations
@@ -28,13 +29,11 @@ from .config import (
 )
 from .errors import ClockSimError, ConfigError
 from .estimator import analyze_fringe, fringe_scan, optimize_atom_number, precision_report
-from .lattice import overlap_depth, recoil_energy, trap_frequencies, well_depth_closed_form
+from .lattice import overlap_depth, recoil_energy, trap_frequencies, worst_case_depth
 from .pipeline import PhysicsBundle, detuning_grid, probe_detuning, resolve_physics
 from .rates import photon_scattering_time, schedule_steps, survival_probability
 from .register import BACKENDS, protocol_references, run_protocol, state_fidelity
 from .output import write_table
-
-COMMANDS = ("feasibility", "schedule", "simulate", "scan", "optimize", "sweep")
 
 # Each command's largest structure gets one memory budget. A memory bound below is
 # that budget over the peak-RSS growth per unit, measured between two sizes
@@ -45,8 +44,8 @@ MEMORY_BUDGET_BYTES = 128 * 2**20
 # `schedule` holds its 4N + 8 rows in memory, as three columns, before writing
 # them: 48-56 B per row, measured between N = 5 * 10^4 and 10^5 (the spread is
 # the heap layout, which moves with the checkout's path), so at most 26 MiB
-# at the limit. The limit stays where rows of 281 B once put it, which keeps
-# the largest table a 22 MB file.
+# at the limit. The limit is tighter than the budget allows: it keeps the
+# largest table a 22 MB file.
 SCHEDULE_ROW_BYTES = 56
 SCHEDULE_MAX_ATOMS = 119408
 
@@ -55,7 +54,7 @@ SCHEDULE_MAX_ATOMS = 119408
 # a minute), but its rounding does: about 8e-16 per atom in the head readout.
 # At this bound `simulate` and `scan` meet sin^2(chi/2) within 1.4e-10; above
 # about 1.2 * 10^6 atoms the readout misses register.READOUT_TOL and the command
-# exits 1 after the work. The bound stays where 753 B per atom once put it.
+# exits 1 after the work.
 BRANCH_MAX_ATOMS = 178243
 
 # `scan` keeps the grid, the probabilities, the fit's zero-padded periodogram
@@ -76,26 +75,11 @@ def _bound_register(cfg: RunConfig) -> None:
                "atoms on the branch backend")
 
 
-def _base_metadata(command: str, cfg: RunConfig) -> dict:
-    config = serialize_config(cfg)
-    return {
-        "command": command,
-        "tool_version": __version__,
-        "seed": cfg.run.seed,
-        "config_hash": serialized_hash(config),
-        "config": config,
-    }
-
-
 def _species_columns(bundle: PhysicsBundle) -> dict[str, list]:
     lattice, table = bundle.lattice, bundle.table
     species = (bundle.clock, bundle.head_up, bundle.head_down)
     depth_overlap = [overlap_depth(lattice, s, table) for s in species]
-    depth_worst = [
-        well_depth_closed_form(lattice, s, phi=math.pi / 2.0 if s.role == "clock" else 0.0,
-                               table=table)
-        for s in species
-    ]
+    depth_worst = [worst_case_depth(lattice, s, table) for s in species]
     recoil = [recoil_energy(s.mass, lattice.lambda_m, table) for s in species]
     omegas = [trap_frequencies(replace(lattice, phi=0.0), s, table) for s in species]
     return {
@@ -116,33 +100,27 @@ def _species_columns(bundle: PhysicsBundle) -> dict[str, list]:
     }
 
 
-def _cmd_feasibility(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def _cmd_feasibility(cfg: RunConfig) -> tuple[dict, dict, str]:
     """Transport feasibility, depths, trap frequencies, minimum intensity."""
     bundle = resolve_physics(cfg)
     report = bundle.requirement.feasibility
-    meta = _base_metadata("feasibility", cfg)
-    meta.update(
-        {
-            "feasible": bool(report.feasible) if report is not None else None,
-            "margin": report.margin if report is not None else None,
-            "violated_constraints": list(report.violated_constraints) if report else [],
-            "intensity_w_m2": bundle.lattice.intensity,
-            "intensity_kw_cm2": bundle.lattice.intensity / KW_CM2_TO_W_M2,
-            "min_intensity_w_m2": bundle.requirement.intensity,
-            "binding_species": bundle.requirement.binding_species,
-            "interaction_energy_j": bundle.interaction,
-            "gate_time_s": bundle.gate_time,
-        }
-    )
-    path = write_table(_species_columns(bundle), out_dir / "feasibility.csv", metadata=meta)
-    print(
-        f"feasible={meta['feasible']} intensity={meta['intensity_kw_cm2']:.3g} kW/cm^2 "
-        f"(binding: {meta['binding_species']})"
-    )
-    return [path]
+    meta = {
+        "feasible": bool(report.feasible) if report is not None else None,
+        "margin": report.margin if report is not None else None,
+        "violated_constraints": list(report.violated_constraints) if report else [],
+        "intensity_w_m2": bundle.lattice.intensity,
+        "intensity_kw_cm2": bundle.lattice.intensity / KW_CM2_TO_W_M2,
+        "min_intensity_w_m2": bundle.requirement.intensity,
+        "binding_species": bundle.requirement.binding_species,
+        "interaction_energy_j": bundle.interaction,
+        "gate_time_s": bundle.gate_time,
+    }
+    summary = (f"feasible={meta['feasible']} intensity={meta['intensity_kw_cm2']:.3g} kW/cm^2 "
+               f"(binding: {meta['binding_species']})")
+    return _species_columns(bundle), meta, summary
 
 
-def _cmd_schedule(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def _cmd_schedule(cfg: RunConfig) -> tuple[dict, dict, str]:
     """Timed protocol step table and the no-scattering survival."""
     _bound(cfg.protocol.n_atoms, SCHEDULE_MAX_ATOMS, "protocol.n_atoms",
            "atoms in the schedule table")
@@ -150,29 +128,22 @@ def _cmd_schedule(cfg: RunConfig, out_dir: Path) -> list[Path]:
     kinds, durations, sites = schedule_steps(bundle.schedule)
     columns = {"step_index": range(len(kinds)), "kind": kinds, "duration_s": durations, "site": sites}
     survival = survival_probability(bundle.schedule, bundle.n_atoms, bundle.decoherence)
-    meta = _base_metadata("schedule", cfg)
-    meta.update(
-        {
-            "n_atoms": bundle.n_atoms,
-            "total_duration_s": bundle.schedule.total_duration,
-            "ramsey_time_s": bundle.ramsey_time,
-            "gate_time_s": bundle.gate_time,
-            "transport_time_s": bundle.transport_time,
-            "tau_scatter_clock_s": bundle.decoherence.tau_scatter_clock,
-            "tau_scatter_head_s": bundle.decoherence.tau_scatter_head,
-            "extra_loss_rate_per_s": bundle.decoherence.extra_loss_rate,
-            "survival": survival,
-        }
-    )
-    path = write_table(columns, out_dir / "schedule.csv", metadata=meta)
-    print(
-        f"{len(kinds)} steps, total {bundle.schedule.total_duration:.6g} s, "
-        f"survival {survival:.4g}"
-    )
-    return [path]
+    meta = {
+        "n_atoms": bundle.n_atoms,
+        "total_duration_s": bundle.schedule.total_duration,
+        "ramsey_time_s": bundle.ramsey_time,
+        "gate_time_s": bundle.gate_time,
+        "transport_time_s": bundle.transport_time,
+        "tau_scatter_clock_s": bundle.decoherence.tau_scatter_clock,
+        "tau_scatter_head_s": bundle.decoherence.tau_scatter_head,
+        "extra_loss_rate_per_s": bundle.decoherence.extra_loss_rate,
+        "survival": survival,
+    }
+    summary = f"{len(kinds)} steps, total {meta['total_duration_s']:.6g} s, survival {survival:.4g}"
+    return columns, meta, summary
 
 
-def _cmd_simulate(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def _cmd_simulate(cfg: RunConfig) -> tuple[dict, dict, str]:
     """Run the register protocol once; checkpoint fidelities and p_up."""
     _bound_register(cfg)
     bundle = resolve_physics(cfg)
@@ -194,37 +165,31 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path) -> list[Path]:
         "checkpoint": list(references),
         "fidelity": [state_fidelity(result.checkpoints[name], ref) for name, ref in references.items()],
     }
-    p_up = result.p_up
-    meta = _base_metadata("simulate", cfg)
-    meta.update(
-        {
-            "n_atoms": n,
-            "backend": cfg.run.backend,
-            "ramsey_time_s": t,
-            "delta_omega_rad_s": delta_omega,
-            "delta_omega_head_rad_s": delta_omega_head,
-            "chi_rad": chi,
-            "p_up": p_up,
-            "p_up_ideal": math.sin(chi / 2.0) ** 2,
-        }
-    )
-    path = write_table(columns, out_dir / "simulate.csv", metadata=meta)
-    print(f"p_up={p_up:.6f} (ideal {meta['p_up_ideal']:.6f}), chi={chi:.4f} rad")
-    return [path]
+    meta = {
+        "n_atoms": n,
+        "backend": cfg.run.backend,
+        "ramsey_time_s": t,
+        "delta_omega_rad_s": delta_omega,
+        "delta_omega_head_rad_s": delta_omega_head,
+        "chi_rad": chi,
+        "p_up": result.p_up,
+        "p_up_ideal": math.sin(chi / 2.0) ** 2,
+    }
+    summary = f"p_up={meta['p_up']:.6f} (ideal {meta['p_up_ideal']:.6f}), chi={chi:.4f} rad"
+    return columns, meta, summary
 
 
-def _cmd_scan(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def _cmd_scan(cfg: RunConfig) -> tuple[dict, dict, str]:
     """Fringe scan over the detuning grid; CSV of p_up per detuning."""
     _bound_register(cfg)
     _bound(cfg.run.detuning_points, SCAN_MAX_POINTS, "run.detuning_points",
            "detuning points per scan")
     bundle = resolve_physics(cfg)
-    grid = detuning_grid(cfg)
     noisy = cfg.run.trajectories > 0
     scan = fringe_scan(
         bundle.n_atoms,
         bundle.ramsey_time,
-        grid,
+        detuning_grid(cfg),
         delta_omega_head=cfg.run.delta_omega_head_rad_s,
         backend=cfg.run.backend,
         noise=bundle.decoherence if noisy else None,
@@ -233,45 +198,26 @@ def _cmd_scan(cfg: RunConfig, out_dir: Path) -> list[Path]:
         seed=cfg.run.seed,
     )
     fit = analyze_fringe(scan)
-    meta = _base_metadata("scan", cfg)
-    meta.update(
-        {
-            "n_atoms": bundle.n_atoms,
-            "backend": cfg.run.backend,
-            "ramsey_time_s": bundle.ramsey_time,
-            "trajectories_per_point": scan.trajectories_per_point,
-            "contrast": fit.contrast,
-            "fringe_period_rad_s": None if math.isnan(fit.period) else fit.period,
-        }
-    )
+    report = None
     if fit.contrast > 0.0 and not math.isnan(fit.period):
         report = precision_report(fit.contrast, fit.period, bundle.n_atoms, bundle.ramsey_time)
-        meta.update(
-            {
-                "sigma_delta_omega_per_shot": report.sigma_delta_omega,
-                "sql_sigma_per_shot": report.sql_sigma,
-                "gain_over_sql": report.gain_over_sql,
-            }
-        )
-    else:
-        meta.update(
-            {
-                "sigma_delta_omega_per_shot": None,
-                "sql_sigma_per_shot": None,
-                "gain_over_sql": None,
-            }
-        )
-    path = write_table(
-        {"detuning_rad_s": scan.detunings, "p_up": scan.p_up}, out_dir / "scan.csv", metadata=meta
-    )
-    print(
-        f"{len(scan.detunings)} points, contrast {fit.contrast:.4f}, "
-        f"period {meta['fringe_period_rad_s']}"
-    )
-    return [path]
+    meta = {
+        "n_atoms": bundle.n_atoms,
+        "backend": cfg.run.backend,
+        "ramsey_time_s": bundle.ramsey_time,
+        "trajectories_per_point": scan.trajectories_per_point,
+        "contrast": fit.contrast,
+        "fringe_period_rad_s": None if math.isnan(fit.period) else fit.period,
+        "sigma_delta_omega_per_shot": report.sigma_delta_omega if report else None,
+        "sql_sigma_per_shot": report.sql_sigma if report else None,
+        "gain_over_sql": report.gain_over_sql if report else None,
+    }
+    summary = (f"{len(scan.detunings)} points, contrast {fit.contrast:.4f}, "
+               f"period {meta['fringe_period_rad_s']}")
+    return {"detuning_rad_s": scan.detunings, "p_up": scan.p_up}, meta, summary
 
 
-def _cmd_optimize(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def _cmd_optimize(cfg: RunConfig) -> tuple[dict, dict, str]:
     """Survival-weighted gain versus atom number; optimal N."""
     bundle = resolve_physics(cfg)
     opt = cfg.optimize
@@ -286,28 +232,23 @@ def _cmd_optimize(cfg: RunConfig, out_dir: Path) -> list[Path]:
         grid,
         pulse_time=bundle.pulse_time,
     )
-    meta = _base_metadata("optimize", cfg)
-    meta.update(
-        {
-            "n_opt": n_opt,
-            "ramsey_time_s": bundle.ramsey_time,
-            "gate_time_s": bundle.gate_time,
-            "transport_time_s": bundle.transport_time,
-            "pulse_time_s": bundle.pulse_time,
-            "tau_scatter_clock_s": bundle.decoherence.tau_scatter_clock,
-            "tau_scatter_head_s": bundle.decoherence.tau_scatter_head,
-            "extra_loss_rate_per_s": bundle.decoherence.extra_loss_rate,
-        }
-    )
     columns = {
         "n_atoms": curve.n_atoms,
         "survival": curve.survival,
         "figure_of_merit": curve.figure_of_merit,
         "gain_over_sql": curve.gain_over_sql,
     }
-    path = write_table(columns, out_dir / "optimize.csv", metadata=meta)
-    print(f"optimal atom number {n_opt} (ramsey time {bundle.ramsey_time} s)")
-    return [path]
+    meta = {
+        "n_opt": n_opt,
+        "ramsey_time_s": bundle.ramsey_time,
+        "gate_time_s": bundle.gate_time,
+        "transport_time_s": bundle.transport_time,
+        "pulse_time_s": bundle.pulse_time,
+        "tau_scatter_clock_s": bundle.decoherence.tau_scatter_clock,
+        "tau_scatter_head_s": bundle.decoherence.tau_scatter_head,
+        "extra_loss_rate_per_s": bundle.decoherence.extra_loss_rate,
+    }
+    return columns, meta, f"optimal atom number {n_opt} (ramsey time {bundle.ramsey_time} s)"
 
 
 def _sweep_point(cfg: RunConfig, keys: list[str], values: tuple) -> RunConfig:
@@ -317,7 +258,7 @@ def _sweep_point(cfg: RunConfig, keys: list[str], values: tuple) -> RunConfig:
     return point
 
 
-def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def _cmd_sweep(cfg: RunConfig) -> tuple[dict, dict, str]:
     """Cartesian sweep over config parameter lists, one row per point."""
     keys = list(cfg.sweep.keys())
     value_lists = [cfg.sweep[k] for k in keys]
@@ -341,12 +282,8 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> list[Path]:
         "survival": survival,
         "gain_over_sql": [s * math.sqrt(b.n_atoms) for s, b in zip(survival, bundles)],
     }
-
-    meta = _base_metadata("sweep", cfg)
-    meta.update({"swept_parameters": keys, "points": len(points)})
-    path = write_table(columns, out_dir / "sweep.csv", metadata=meta)
-    print(f"swept {len(points)} points over {keys or 'the base configuration'}")
-    return [path]
+    meta = {"swept_parameters": keys, "points": len(points)}
+    return columns, meta, f"swept {len(points)} points over {keys or 'the base configuration'}"
 
 
 _HANDLERS = {
@@ -357,19 +294,28 @@ _HANDLERS = {
     "optimize": _cmd_optimize,
     "sweep": _cmd_sweep,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
-def run_command(command: str, cfg: RunConfig, out_dir, jobs: int = 1) -> list[Path]:
-    """Execute one named command against a parsed config; returns written files.
+def run_command(command: str, cfg: RunConfig, out_dir, jobs: int = 1) -> Path:
+    """Run one named command against a parsed config; returns the CSV it wrote.
 
-    ``jobs`` is accepted for compatibility and ignored: every command,
-    sweep included, runs serially.
+    The handler computes the table, its metadata and a summary line; this
+    writes ``<command>.csv`` and its ``<command>.meta.json`` sidecar into
+    ``out_dir`` and prints the summary. ``jobs`` is accepted for
+    compatibility and ignored: every command, sweep included, runs serially.
     """
     if command not in _HANDLERS:
         raise ClockSimError(f"unknown command {command!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _HANDLERS[command](cfg, out)
+    columns, metadata, summary = _HANDLERS[command](cfg)
+    config = serialize_config(cfg)
+    metadata = {"command": command, "tool_version": __version__, "seed": cfg.run.seed,
+                "config_hash": serialized_hash(config), "config": config, **metadata}
+    path = write_table(columns, out / f"{command}.csv", metadata=metadata)
+    print(summary)
+    return path
 
 
 def _parse_argv(argv):

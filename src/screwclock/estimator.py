@@ -105,6 +105,11 @@ def fringe_scan(
     if noise is not None:
         if schedule is None:
             raise ParameterError("a schedule is required to scan with noise")
+        if (schedule.n_atoms, schedule.ramsey_time) != (n_atoms, ramsey_time):
+            raise ParameterError(
+                f"the noise schedule is for {schedule.n_atoms} atoms over {schedule.ramsey_time} s, "
+                f"the scan for {n_atoms} atoms over {ramsey_time} s"
+            )
         if trajectories < 1:
             raise ParameterError("trajectories must be >= 1 when noise is present")
 
@@ -221,42 +226,38 @@ def analyze_fringe(scan: FringeScan) -> FringeFit:
     return FringeFit(contrast=max(contrast, 0.0), period=2.0 * math.pi / abs(omega))
 
 
-def phase_sensitivity(contrast: float, n_atoms: int, ramsey_time: float, shots: int = 1) -> float:
-    """Detuning uncertainty per measurement campaign at the half-fringe point.
+def phase_sensitivity(contrast: float, n_atoms: int, ramsey_time: float) -> float:
+    """Detuning uncertainty of one shot at the half-fringe point.
 
-    Binomial projection noise of a single head-qubit readout per shot,
-    N-enhanced by the entangled phase: sigma = 1 / (C N T sqrt(shots)).
+    Binomial projection noise of a single head-qubit readout, N-enhanced by
+    the entangled phase: sigma = 1 / (C N T).
     """
     if not 0.0 < contrast <= 1.0:
         raise DegenerateFringeError(
             f"sensitivity undefined for contrast {contrast} outside (0, 1]"
         )
-    if n_atoms < 1 or shots < 1:
-        raise ParameterError("n_atoms and shots must be >= 1")
+    if n_atoms < 1:
+        raise ParameterError("n_atoms must be >= 1")
     if not ramsey_time > 0.0:
         raise ParameterError("ramsey_time must be positive")
-    return 1.0 / (contrast * n_atoms * ramsey_time * math.sqrt(shots))
+    return 1.0 / (contrast * n_atoms * ramsey_time)
 
 
-def sql_baseline(n_atoms: int, ramsey_time: float, shots: int = 1) -> float:
-    """Projection-noise limit of N unentangled atoms: 1 / (sqrt(N) T sqrt(shots))."""
-    if n_atoms < 1 or shots < 1:
-        raise ParameterError("n_atoms and shots must be >= 1")
+def sql_baseline(n_atoms: int, ramsey_time: float) -> float:
+    """Projection-noise limit of N unentangled atoms in one shot: 1 / (sqrt(N) T)."""
+    if n_atoms < 1:
+        raise ParameterError("n_atoms must be >= 1")
     if not ramsey_time > 0.0:
         raise ParameterError("ramsey_time must be positive")
-    return 1.0 / (math.sqrt(n_atoms) * ramsey_time * math.sqrt(shots))
+    return 1.0 / (math.sqrt(n_atoms) * ramsey_time)
 
 
 def precision_report(
-    contrast: float,
-    fringe_period: float,
-    n_atoms: int,
-    ramsey_time: float,
-    shots: int = 1,
+    contrast: float, fringe_period: float, n_atoms: int, ramsey_time: float
 ) -> PrecisionReport:
-    """Bundle contrast and period with the derived sensitivities."""
-    sigma = phase_sensitivity(contrast, n_atoms, ramsey_time, shots)
-    sql = sql_baseline(n_atoms, ramsey_time, shots)
+    """Bundle contrast and period with the derived per-shot sensitivities."""
+    sigma = phase_sensitivity(contrast, n_atoms, ramsey_time)
+    sql = sql_baseline(n_atoms, ramsey_time)
     return PrecisionReport(
         contrast=contrast,
         fringe_period=fringe_period,

@@ -196,18 +196,17 @@ def transport_feasibility(rho_up: float, rho_down: float, delta: float) -> Feasi
     return FeasibilityReport(feasible=not violated, violated_constraints=violated, margin=margin)
 
 
-def _protocol_depth_coefficient(
-    config: LatticeConfig, species: SpeciesOptics, table: ConstantsTable
+def worst_case_depth(
+    config: LatticeConfig, species: SpeciesOptics, table: ConstantsTable = CODATA
 ) -> float:
-    """Worst-case depth per unit intensity seen by a species during transport.
+    """Depth a species sees at its worst-case phase during transport.
 
     The head states matter at the maximum-overlap phase, where their depth
     is weakest; the pinned clock atoms matter at phi = pi/2, where their
     depth collapses to the misbalance fraction |delta| of the overlap value.
     """
-    probe = replace(config, intensity=1.0)
     phi = math.pi / 2.0 if species.role == "clock" else 0.0
-    return well_depth_closed_form(probe, species, phi=phi, table=table)
+    return well_depth_closed_form(config, species, phi=phi, table=table)
 
 
 def min_required_intensity(
@@ -242,7 +241,7 @@ def min_required_intensity(
         if depth_factor == 0.0:
             per_species[species.name] = 0.0
             continue
-        coeff = _protocol_depth_coefficient(config, species, table)
+        coeff = worst_case_depth(replace(config, intensity=1.0), species, table)
         if coeff <= 0.0:
             raise UntrappedError(
                 f"species {species.name} sees no confining potential at its "

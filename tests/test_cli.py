@@ -14,13 +14,14 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from screwclock import (
-    BranchState, ParameterError, fringe_scan, parse_config, resolve_physics,
+    BranchState, ParameterError, __version__, fringe_scan, parse_config, resolve_physics,
     survival_probability,
 )
 from screwclock.cli import (
     BRANCH_MAX_ATOMS, COMMANDS, MEMORY_BUDGET_BYTES, SCAN_MAX_POINTS, SCAN_POINT_BYTES,
     SCHEDULE_MAX_ATOMS, SCHEDULE_ROW_BYTES, main, run_command,
 )
+from screwclock.config import serialized_hash
 from screwclock.output import write_table
 
 from conftest import read_table, reference_schedule_steps, reference_write_table, run_python
@@ -203,6 +204,22 @@ class TestFeasibilityCommand:
         assert meta["binding_species"] == "Al_up"
         rows = read_table(tmp_path / "feasibility.csv")
         assert {r["species"] for r in rows} == {"Sr", "Al_up", "Al_down"}
+
+    @pytest.mark.parametrize("delta,depth_factor,binding", [
+        (0.25, 5.0, "Al_up"), (0.25, 12.0, "Al_up"), (0.05, 5.0, "Sr"),
+    ])
+    def test_binding_species_sits_at_the_depth_factor(self, tmp_path, run_cli, delta, depth_factor,
+                                                      binding):
+        # At the computed minimum intensity the binding species' worst-case
+        # depth is exactly depth_factor recoils: the table's column and the
+        # intensity requirement read the same worst-case phase.
+        cfg = _write_config(tmp_path, {"lattice": {"intensity_kW_cm2": None, "delta": delta},
+                                       "protocol": {"depth_factor": depth_factor}})
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "feasibility"])
+        assert result.exit_code == 0, result.stderr
+        assert json.loads((tmp_path / "o" / "feasibility.meta.json").read_text())["binding_species"] == binding
+        row = next(r for r in read_table(tmp_path / "o" / "feasibility.csv") if r["species"] == binding)
+        assert float(row["depth_worst_over_recoil"]) == pytest.approx(depth_factor, rel=1e-12)
 
     def test_infeasible_transport_exit_code(self, tmp_path, run_cli):
         cfg = _write_config(tmp_path, {"species": [
@@ -599,6 +616,36 @@ class TestRunCommandLibrary:
         assert result.exit_code == 0
         meta = json.loads((tmp_path / "o" / "schedule.meta.json").read_text())
         assert meta["seed"] == 31337
+
+
+_EXAMPLE_SUMMARIES = {
+    "feasibility": "feasible=True intensity=22.2 kW/cm^2 (binding: Al_up)",
+    "schedule": "408 steps, total 0.0155167 s, survival 0.8487",
+    "simulate": "p_up=0.500000 (ideal 0.500000), chi=1.5708 rad",
+    "scan": "101 points, contrast 1.0000, period 6.283185307179588",
+    "optimize": "optimal atom number 236 (ramsey time 0.01 s)",
+    "sweep": "swept 1 points over the base configuration",
+}
+
+
+class TestOutputContract:
+    """Each command writes <command>.csv and its sidecar and prints one summary line."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_table_one_sidecar_one_summary_line(self, tmp_path, run_cli, command):
+        result = run_cli(["--config", str(ROOT / "config.example.json"), "--out", str(tmp_path), command])
+        assert result.exit_code == 0, result.stderr
+        assert result.stdout == _EXAMPLE_SUMMARIES[command] + "\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{command}.csv", f"{command}.meta.json"]
+        meta = json.loads((tmp_path / f"{command}.meta.json").read_text())
+        assert (meta["command"], meta["tool_version"], meta["seed"]) == (command, __version__, 12345)
+        assert meta["config_hash"] == serialized_hash(meta["config"])
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_run_command_returns_the_table_path(self, tmp_path, capsys, command):
+        cfg = parse_config(ROOT / "config.example.json")
+        assert run_command(command, cfg, tmp_path / "o") == tmp_path / "o" / f"{command}.csv"
+        assert capsys.readouterr().out == _EXAMPLE_SUMMARIES[command] + "\n"
 
 
 class TestMemoryBudgets:

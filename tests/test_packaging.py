@@ -67,6 +67,18 @@ def test_ci_runs_every_command_without_scipy():
     assert "config.example.json" in script
 
 
+def test_ci_tier1_smoke_runs_every_command_on_the_example_config():
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    steps = [step for step in workflow["jobs"]["tier1"]["steps"]
+             if step.get("name", "").startswith("Smoke test")]
+    assert len(steps) == 1
+    loop = (f"for command in {' '.join(COMMANDS)}; do\n"
+            """  screwclock --config config.example.json --out "$RUNNER_TEMP/smoke" "$command"\n"""
+            "done\n")
+    assert loop in steps[0]["run"]
+
+
 def test_ci_checks_the_benchmark_oracles():
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
