@@ -51,9 +51,9 @@ SCHEDULE_MAX_ATOMS = 119408
 
 # A branch state's memory and cost do not grow with N (a scan point takes about
 # 35 us at any N on one Intel Xeon core, so the largest scan below runs in under
-# a minute), but its rounding does: about 8e-16 per atom in the head readout.
-# At this bound `simulate` and `scan` meet sin^2(chi/2) within 1.4e-10; above
-# about 1.2 * 10^6 atoms the readout misses register.READOUT_TOL and the command
+# a minute), but its rounding does: about 5e-16 per atom in the head readout.
+# At this bound `simulate` and `scan` meet sin^2(chi/2) within 9e-11; above
+# about 2 * 10^6 atoms the readout misses register.READOUT_TOL and the command
 # exits 1 after the work.
 BRANCH_MAX_ATOMS = 178243
 

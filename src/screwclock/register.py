@@ -18,10 +18,13 @@ Two interchangeable backends:
   protocol only ever needs two branches, so a full run costs O(1) in N at
   fixed rank.
 
-Both backends offer the same four gates (``apply_clock_rotation``,
-``apply_head_rotation``, ``apply_phase_pass``, ``apply_free_evolution``),
-which mutate in place and return the state. The protocol applies them in
-two halves: :func:`prepare_ghz`, then :func:`evolve_and_disentangle`.
+Both backends offer the same five gates (``apply_clock_rotation``,
+``apply_head_rotation``, ``apply_phase_pass``, ``apply_controlled_flip``,
+``apply_free_evolution``), which mutate in place and return the state. The
+protocol applies them in two halves: :func:`prepare_ghz`, then
+:func:`evolve_and_disentangle`. The controlled flip equals H on all clocks,
+the phase pass and H on all clocks again (H Z H = X at every site): it
+flips every clock bit of the head-up part, exactly.
 """
 
 from __future__ import annotations
@@ -170,6 +173,16 @@ class DenseState:
         self.amplitudes[2 ** self.n_atoms:] *= _phase_signs(self.n_atoms)
         return self
 
+    def apply_controlled_flip(self) -> "DenseState":
+        """A CNOT from the head onto every clock site: the head-up half reversed.
+
+        Flipping all N clock bits of index p gives 2^N - 1 - p, so the
+        head-up amplitudes are read backwards, in one copy.
+        """
+        up = self.amplitudes[2 ** self.n_atoms:]
+        up[:] = up[::-1]
+        return self
+
     def apply_free_evolution(self, delta_omega: float, delta_omega_head: float, t: float) -> "DenseState":
         """Clock index p gains exp(i dw t k) with k its weight; the head-up half exp(i dw' t)."""
         if t < 0.0:
@@ -241,24 +254,45 @@ class BranchState:
         self.head = self.head @ m.T
         return self
 
-    def apply_phase_pass(self) -> "BranchState":
-        """Phase gates from the head onto every clock site, as one operation.
+    def _split_heads(self) -> tuple[np.ndarray, bool]:
+        """Split superposed heads for a head-controlled gate: (head-up rows, whether any split).
 
         A branch whose head has both components splits once into its
         head-down part and its head-up part, in branch order with the down
         part first; each part keeps one head component, and parts at or
-        below BRANCH_PRUNE_TOL drop out. Every head-up branch then negates
-        the |1> component of its clock factor, which every site shares.
+        below BRANCH_PRUNE_TOL drop out. After a split the caller merges.
         """
         present = np.abs(self.head) > BRANCH_PRUNE_TOL
         if not present.all(axis=1).any():
-            self.clock[present[:, 1], 1] *= -1.0
-            return self
+            return present[:, 1], False
         rows, up = np.nonzero(present)
         self.clock, self.head = self.clock[rows], self.head[rows]
         self.head[np.arange(rows.size), 1 - up] = 0.0
-        self.clock[up == 1, 1] *= -1.0
-        self._merge()
+        return up == 1, True
+
+    def apply_phase_pass(self) -> "BranchState":
+        """Phase gates from the head onto every clock site, as one operation.
+
+        Superposed heads split (:meth:`_split_heads`); every head-up branch
+        then negates the |1> component of its clock factor, which every
+        site shares.
+        """
+        up, split = self._split_heads()
+        self.clock[up, 1] *= -1.0
+        if split:
+            self._merge()
+        return self
+
+    def apply_controlled_flip(self) -> "BranchState":
+        """A CNOT from the head onto every clock site, as one operation.
+
+        Superposed heads split as for the phase pass; every head-up branch
+        then swaps the two components of its clock factor.
+        """
+        up, split = self._split_heads()
+        self.clock[up] = self.clock[up, ::-1]
+        if split:
+            self._merge()
         return self
 
     def apply_free_evolution(self, delta_omega: float, delta_omega_head: float, t: float) -> "BranchState":
@@ -351,12 +385,14 @@ def evolve_and_disentangle(state: RegisterState, delta_omega: float, delta_omega
                            ramsey_time: float, record: dict | None = None) -> RegisterState:
     """Free evolution, then the second pi/2 pulse, in place.
 
-    The pulse (H on all clocks, the phase pass, H on all clocks, H on the
-    head) brings the Ramsey phase chi of the GHZ state back onto the head
-    qubit alone. A ``record`` dict gets a copy of the state at each checkpoint.
+    The pulse brings the Ramsey phase chi of the GHZ state back onto the
+    head qubit alone. It is H on all clocks, the phase pass, H on all clocks
+    and H on the head; the first three, with no checkpoint between them,
+    are applied as the one controlled flip they equal. A ``record`` dict
+    gets a copy of the state at each checkpoint.
     """
     _keep(record, "evolved", state.apply_free_evolution(delta_omega, delta_omega_head, ramsey_time))
-    state.apply_clock_rotation(HADAMARD).apply_phase_pass().apply_clock_rotation(HADAMARD)
+    state.apply_controlled_flip()
     _keep(record, "final", state.apply_head_rotation(HADAMARD))
     return state
 

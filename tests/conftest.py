@@ -97,7 +97,7 @@ PHASE_PASS = methodcaller("apply_phase_pass")
 
 
 def random_gate_sequence(n_gates: int = 50, seed: int | None = None) -> list:
-    """Random sequence of the four state methods, for differential testing.
+    """Random sequence of four state methods (all but the controlled flip), for differential testing.
 
     Each gate is a ``methodcaller``: ``gate(state)`` applies it. The gate
     mix is a shuffled fixed multiset so the number of whole phase passes

@@ -622,7 +622,7 @@ _EXAMPLE_SUMMARIES = {
     "feasibility": "feasible=True intensity=22.2 kW/cm^2 (binding: Al_up)",
     "schedule": "408 steps, total 0.0155167 s, survival 0.8487",
     "simulate": "p_up=0.500000 (ideal 0.500000), chi=1.5708 rad",
-    "scan": "101 points, contrast 1.0000, period 6.283185307179588",
+    "scan": "101 points, contrast 1.0000, period 6.283185307179586",  # repr(2 pi) = 2 pi / (N T)
     "optimize": "optimal atom number 236 (ramsey time 0.01 s)",
     "sweep": "swept 1 points over the base configuration",
 }

@@ -45,6 +45,16 @@ class TestFringeScan:
             expected = math.sin((n * dw + dwh) * t / 2) ** 2
             assert p == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize("backend,n,bound", [("dense", 12, 8.5e-15), ("branch", 10**4, 8.3e-12)])
+    def test_noiseless_scan_is_as_close_to_the_fringe_law_as_before(self, backend, n, bound):
+        # Bounds: the error of the H, pass, H pulse before the controlled flip replaced it
+        # (8.4e-15 and 8.29e-12); the flip measured 4.2e-15 and 5.0e-12.
+        t, dwh = 0.01, 0.37
+        grid = np.linspace(0.0, 2.0 * 2.0 * math.pi / (n * t), 101)
+        scan = fringe_scan(n, t, grid, delta_omega_head=dwh, backend=backend)
+        chi = (n * grid + dwh) * t
+        assert np.abs(np.array(scan.p_up) - np.sin(chi / 2) ** 2).max() <= bound
+
     def test_fringe_period_shrinks_with_atom_number(self):
         t = 0.5
         scan1 = fringe_scan(1, t, _grid(1, t), backend="dense")
@@ -131,7 +141,8 @@ class TestScanPrefix:
 
         monkeypatch.setattr(DenseState, "apply_clock_rotation", counted)
         fringe_scan(5, 0.4, np.linspace(0.0, 1.0, points), backend="dense")
-        assert len(calls) == 2 + 2 * points
+        # The GHZ prefix's two; each point's pulse is one controlled flip, no rotation.
+        assert len(calls) == 2
 
 
 class TestAnalyzeFringe:

@@ -96,7 +96,9 @@ def test_ci_checks_the_benchmark_oracles():
 
 DENSE_SMOKE = (
     """echo '{"protocol": {"n_atoms": 14}}' > "$RUNNER_TEMP/dense14.json"\n"""
-    """screwclock --config "$RUNNER_TEMP/dense14.json" --out "$RUNNER_TEMP/smoke" --backend dense simulate\n"""
+    """for command in simulate scan; do\n"""
+    """  screwclock --config "$RUNNER_TEMP/dense14.json" --out "$RUNNER_TEMP/smoke" --backend dense "$command"\n"""
+    """done\n"""
     """echo '{"protocol": {"n_atoms": 12}}' > "$RUNNER_TEMP/dense12.json"\n"""
     """screwclock --config "$RUNNER_TEMP/dense12.json" --out "$RUNNER_TEMP/smoke" """
     """--backend dense --trajectories 1000000 scan\n"""
