@@ -39,6 +39,7 @@ from .rates import (
     interaction_energy,
     phase_gate_duration,
     photon_scattering_time,
+    scatter_probability,
     schedule_duration,
     schedule_steps,
     survival_probability,

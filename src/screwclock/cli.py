@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,12 @@ from .errors import ClockSimError, ConfigError
 from .estimator import analyze_fringe, fringe_scan, optimize_atom_number, precision_report
 from .lattice import overlap_depth, recoil_energy, trap_frequencies, worst_case_depth
 from .pipeline import PhysicsBundle, detuning_grid, probe_detuning, resolve_physics
-from .rates import photon_scattering_time, schedule_steps, survival_probability
+from .rates import (
+    photon_scattering_time,
+    scatter_probability,
+    schedule_steps,
+    survival_probability,
+)
 from .register import BACKENDS, protocol_references, run_protocol, state_fidelity
 from .output import write_table
 
@@ -81,7 +85,7 @@ def _species_columns(bundle: PhysicsBundle) -> dict[str, list]:
     depth_overlap = [overlap_depth(lattice, s, table) for s in species]
     depth_worst = [worst_case_depth(lattice, s, table) for s in species]
     recoil = [recoil_energy(s.mass, lattice.lambda_m, table) for s in species]
-    omegas = [trap_frequencies(replace(lattice, phi=0.0), s, table) for s in species]
+    omegas = [trap_frequencies(lattice, s, table) for s in species]
     return {
         "species": [s.name for s in species],
         "role": [s.role for s in species],
@@ -105,9 +109,9 @@ def _cmd_feasibility(cfg: RunConfig) -> tuple[dict, dict, str]:
     bundle = resolve_physics(cfg)
     report = bundle.requirement.feasibility
     meta = {
-        "feasible": bool(report.feasible) if report is not None else None,
-        "margin": report.margin if report is not None else None,
-        "violated_constraints": list(report.violated_constraints) if report else [],
+        "feasible": report.feasible,
+        "margin": report.margin,
+        "violated_constraints": list(report.violated_constraints),
         "intensity_w_m2": bundle.lattice.intensity,
         "intensity_kw_cm2": bundle.lattice.intensity / KW_CM2_TO_W_M2,
         "min_intensity_w_m2": bundle.requirement.intensity,
@@ -127,7 +131,7 @@ def _cmd_schedule(cfg: RunConfig) -> tuple[dict, dict, str]:
     bundle = resolve_physics(cfg)
     kinds, durations, sites = schedule_steps(bundle.schedule)
     columns = {"step_index": range(len(kinds)), "kind": kinds, "duration_s": durations, "site": sites}
-    survival = survival_probability(bundle.schedule, bundle.n_atoms, bundle.decoherence)
+    survival = survival_probability(bundle.schedule, bundle.decoherence)
     meta = {
         "n_atoms": bundle.n_atoms,
         "total_duration_s": bundle.schedule.total_duration,
@@ -185,16 +189,14 @@ def _cmd_scan(cfg: RunConfig) -> tuple[dict, dict, str]:
     _bound(cfg.run.detuning_points, SCAN_MAX_POINTS, "run.detuning_points",
            "detuning points per scan")
     bundle = resolve_physics(cfg)
-    noisy = cfg.run.trajectories > 0
     scan = fringe_scan(
         bundle.n_atoms,
         bundle.ramsey_time,
         detuning_grid(cfg),
         delta_omega_head=cfg.run.delta_omega_head_rad_s,
         backend=cfg.run.backend,
-        noise=bundle.decoherence if noisy else None,
-        schedule=bundle.schedule if noisy else None,
-        trajectories=cfg.run.trajectories if noisy else 1,
+        trajectories=cfg.run.trajectories,
+        scatter_probability=scatter_probability(bundle.schedule, bundle.decoherence),
         seed=cfg.run.seed,
     )
     fit = analyze_fringe(scan)
@@ -265,15 +267,12 @@ def _cmd_sweep(cfg: RunConfig) -> tuple[dict, dict, str]:
     points = list(itertools.product(*value_lists)) if keys else [()]
     bundles = [resolve_physics(_sweep_point(cfg, keys, values)) for values in points]
     reports = [bundle.requirement.feasibility for bundle in bundles]
-    survival = [
-        survival_probability(bundle.schedule, bundle.n_atoms, bundle.decoherence)
-        for bundle in bundles
-    ]
+    survival = [survival_probability(bundle.schedule, bundle.decoherence) for bundle in bundles]
     columns = {
         "point_index": range(len(points)),
         **{key: [values[i] for values in points] for i, key in enumerate(keys)},
-        "feasible": [bool(r.feasible) if r is not None else None for r in reports],
-        "margin": [r.margin if r is not None else None for r in reports],
+        "feasible": [r.feasible for r in reports],
+        "margin": [r.margin for r in reports],
         "intensity_w_m2": [bundle.lattice.intensity for bundle in bundles],
         "tau_scatter_clock_s": [bundle.decoherence.tau_scatter_clock for bundle in bundles],
         "tau_scatter_head_s": [bundle.decoherence.tau_scatter_head for bundle in bundles],

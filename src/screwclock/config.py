@@ -96,7 +96,6 @@ class LatticeSection:
     intensity_kW_cm2: float | None = _leaf(_as_optional_number, _POSITIVE, default=None)
     delta: float = _leaf(_as_number, (lambda d: abs(d) <= 1.0, "|delta| <= 1 required"),
                          default=0.25)
-    phi_rad: float = _leaf(_as_number, default=0.0)
     # None: same as transport lattice
     transverse_intensity_kW_cm2: float | None = _leaf(_as_optional_number, _POSITIVE, default=None)
 

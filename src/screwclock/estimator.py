@@ -81,9 +81,8 @@ def fringe_scan(
     *,
     delta_omega_head: float = 0.0,
     backend: str = "branch",
-    noise: DecoherenceParams | None = None,
-    schedule: ProtocolSchedule | None = None,
-    trajectories: int = 1,
+    trajectories: int = 0,
+    scatter_probability: float = 0.0,
     seed: int = 0,
 ) -> FringeScan:
     """Scan the readout probability over a detuning grid.
@@ -94,42 +93,36 @@ def fringe_scan(
     it, with the same gates and the same ``p_up`` as ``run_protocol`` at
     that point.
 
-    Noiseless scans return the exact per-point probability. With a noise
-    model, each point is the mean over ``trajectories`` Monte Carlo
-    trajectories, from one scatter count drawn on a per-point substream of
-    ``seed``.
+    ``trajectories`` 0 gives the exact per-point probability and ignores
+    ``scatter_probability``. Otherwise each point is the mean over
+    ``trajectories`` Monte Carlo trajectories, each of which scatters, and
+    reads 1/2, with probability ``scatter_probability`` (see
+    :func:`~screwclock.rates.scatter_probability`): one scatter count drawn
+    on a per-point substream of ``seed``.
     """
     grid = np.asarray(detunings, dtype=float)
     if grid.size == 0:
         raise ParameterError("detuning grid must be non-empty")
-    if noise is not None:
-        if schedule is None:
-            raise ParameterError("a schedule is required to scan with noise")
-        if (schedule.n_atoms, schedule.ramsey_time) != (n_atoms, ramsey_time):
-            raise ParameterError(
-                f"the noise schedule is for {schedule.n_atoms} atoms over {schedule.ramsey_time} s, "
-                f"the scan for {n_atoms} atoms over {ramsey_time} s"
-            )
-        if trajectories < 1:
-            raise ParameterError("trajectories must be >= 1 when noise is present")
+    if trajectories < 0:
+        raise ParameterError(f"trajectories must be >= 0, got {trajectories}")
 
     ghz = prepare_ghz(init_register(n_atoms, backend))
     values = np.empty(grid.size)
     for i, delta_omega in enumerate(grid):
         state = evolve_and_disentangle(ghz.copy(), float(delta_omega), delta_omega_head, ramsey_time)
         exact = state.head_readout()[1]
-        if noise is None:
+        if trajectories == 0:
             values[i] = exact
         else:
             # Mean of K halves and (n - K) noiseless values.
-            scattered = sample_scatter_count(n_atoms, schedule, noise, trajectories, seed=[seed, i])
+            scattered = sample_scatter_count(scatter_probability, trajectories, seed=[seed, i])
             values[i] = exact + (0.5 - exact) * (scattered / trajectories)
     return FringeScan(
         detunings=tuple(float(x) for x in grid),
         p_up=tuple(float(p) for p in values),
         n_atoms=n_atoms,
         ramsey_time=ramsey_time,
-        trajectories_per_point=0 if noise is None else trajectories,
+        trajectories_per_point=trajectories,
     )
 
 

@@ -9,7 +9,7 @@ where the protocol schedule is assembled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .config import KW_CM2_TO_W_M2, RunConfig, SpeciesEntry
 from .constants import CODATA, ConstantsTable, au_to_si_length
@@ -51,7 +51,7 @@ class PhysicsBundle:
     clock: SpeciesOptics
     head_up: SpeciesOptics
     head_down: SpeciesOptics
-    lattice: LatticeConfig               # intensity resolved, configured phi
+    lattice: LatticeConfig               # intensity resolved, at phi = 0
     requirement: IntensityRequirement
     interaction: float                   # J
     gate_time: float                     # s
@@ -74,7 +74,6 @@ def resolve_physics(cfg: RunConfig, table: ConstantsTable = CODATA) -> PhysicsBu
         lambda_m=lambda_m,
         intensity=1.0,
         delta=cfg.lattice.delta,
-        phi=cfg.lattice.phi_rad,
         transverse_intensity=0.0,
     )
     requirement = min_required_intensity(
@@ -99,15 +98,14 @@ def resolve_physics(cfg: RunConfig, table: ConstantsTable = CODATA) -> PhysicsBu
         lambda_m=lambda_m,
         intensity=intensity,
         delta=cfg.lattice.delta,
-        phi=cfg.lattice.phi_rad,
         transverse_intensity=transverse,
     )
 
-    # Trap frequencies and the collisional energy are evaluated at the
-    # maximum-overlap phase, where the two atoms sit in the same well.
-    at_overlap = replace(lattice, phi=0.0)
-    clock_freqs = trap_frequencies(at_overlap, clock, table)
-    head_freqs = trap_frequencies(at_overlap, head_up, table)
+    # The lattice sits at the maximum-overlap phase (phi = 0), where the two
+    # atoms share a well: trap frequencies and the collisional energy are
+    # evaluated there.
+    clock_freqs = trap_frequencies(lattice, clock, table)
+    head_freqs = trap_frequencies(lattice, head_up, table)
     a_scatt = au_to_si_length(cfg.protocol.a_scatt_au, table)
     delta_e = interaction_energy(
         a_scatt, head_up.mass, clock.mass, head_freqs, clock_freqs, table

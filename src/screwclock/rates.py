@@ -190,16 +190,20 @@ def phase_gate_duration(
     return target_phase * table.planck_reduced / abs(delta_e)
 
 
-def survival_probability(
-    schedule: ProtocolSchedule, n_atoms: int, params: DecoherenceParams
-) -> float:
+def survival_probability(schedule: ProtocolSchedule, params: DecoherenceParams) -> float:
     """Probability that no scattering or loss event occurs during the schedule.
 
-    Pessimistic model: a single event anywhere (any clock atom or the
-    head) during the whole schedule destroys the fringe, so survival is
-    exp(-duration * total_rate).
+    Pessimistic model: a single event anywhere (any of the schedule's N
+    clock atoms or the head) during the whole schedule destroys the fringe,
+    so survival is exp(-duration * total_rate).
     """
-    if n_atoms < 0:
-        raise ParameterError("n_atoms must be >= 0")
-    exponent = schedule.total_duration * params.total_rate(n_atoms)
-    return math.exp(-exponent)
+    return math.exp(-schedule.total_duration * params.total_rate(schedule.n_atoms))
+
+
+def scatter_probability(schedule: ProtocolSchedule, params: DecoherenceParams) -> float:
+    """Probability of at least one event during the schedule: 1 - survival.
+
+    Computed as -expm1(-duration * total_rate), which keeps its relative
+    precision where the exponent is far below one ulp of 1.
+    """
+    return -math.expm1(-schedule.total_duration * params.total_rate(schedule.n_atoms))

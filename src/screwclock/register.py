@@ -45,7 +45,7 @@ BRANCH_MERGE_MAX_RANK = 64  # skip O(rank^2) merging above this rank
 BRANCH_EXPAND_MAX_ATOMS = 20  # BranchState.to_vector refuses larger registers
 READOUT_TOL = 1e-9         # head probabilities may miss [0, 1] and sum 1 by this
 _UNITARY_TOL = 1e-12
-UNITARY_CACHE_SIZE = 32    # distinct rotation matrices kept checked, with their blocks
+UNITARY_CACHE_SIZE = 32    # distinct rotation matrices kept checked
 
 # Read-only; checked, like every matrix, by the first rotation that uses it. A check
 # at import would be the first matrix product, whose BLAS set-up costs about 0.5 MB
@@ -54,34 +54,27 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 HADAMARD.flags.writeable = False
 
 
-def _check_unitary(matrix) -> tuple[np.ndarray, ...]:
-    """The Kronecker powers (m, m⊗m, ..., m^⊗DENSE_BLOCK_BITS) of a checked 2x2 unitary m.
+def _check_unitary(matrix) -> np.ndarray:
+    """The checked 2x2 unitary m, as the cache's own read-only copy.
 
     Every call checks the caller's matrix, through a cache keyed on its
     bytes: a matrix seen before costs one lookup, and a matrix changed in
-    place since is a new key. The arrays returned are the cache's own
-    read-only copies, never the caller's array; ``[0]`` is m itself.
+    place since is a new key. The array returned is never the caller's.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (2, 2):
         raise ParameterError(f"expected a 2x2 matrix, got shape {m.shape}")
-    return _checked_blocks(m.tobytes())
+    return _checked_matrix(m.tobytes())
 
 
 @functools.lru_cache(maxsize=UNITARY_CACHE_SIZE)
-def _checked_blocks(key: bytes) -> tuple[np.ndarray, ...]:
-    """Check the 2x2 complex matrix with these bytes, then build its Kronecker powers."""
+def _checked_matrix(key: bytes) -> np.ndarray:
+    """The 2x2 complex matrix with these bytes, once it is checked unitary."""
     m = np.frombuffer(key, dtype=complex).reshape(2, 2)  # read-only: it views the key
     defect = np.abs(m.conj().T @ m - np.eye(2)).max()
     if defect > _UNITARY_TOL:
         raise ParameterError(f"matrix is not unitary (defect {defect:.3e})")
-    blocks = [m]
-    while len(blocks) < DENSE_BLOCK_BITS:
-        # np.kron(blocks[-1], m), without its per-call overhead
-        d = 2 * blocks[-1].shape[0]
-        blocks.append((blocks[-1][:, None, :, None] * m[None, :, None, :]).reshape(d, d))
-        blocks[-1].flags.writeable = False
-    return tuple(blocks)
+    return m
 
 
 @functools.lru_cache(maxsize=DENSE_ATOM_CAP)
@@ -94,24 +87,15 @@ def _clock_weights(n_atoms: int) -> np.ndarray:
     return weights
 
 
-@functools.lru_cache(maxsize=DENSE_ATOM_CAP)
-def _phase_signs(n_atoms: int) -> np.ndarray:
-    """Read-only +-1 factor of every clock index p < 2^N under a phase pass: -1 at odd weight."""
-    signs = 1.0 - 2.0 * (_clock_weights(n_atoms) & 1)  # +1 or -1, both exact
-    signs.flags.writeable = False
-    return signs
-
-
 class DenseState:
     """Full state vector of N clock qubits and the head qubit.
 
-    Rotations write into a spare array of the state's size and swap it
-    with ``amplitudes``, so a rotation allocates no new state array; keep
-    a ``to_vector()`` copy, not a reference to ``amplitudes``. The two
-    diagonal gates read the cached table of clock-index Hamming weights
-    (:func:`_clock_weights`, 16 KiB at the cap): a phase pass takes its
-    signs from the weight parity (:func:`_phase_signs`, also cached per N)
-    and free evolution its phases from the weight.
+    Rotations bind ``amplitudes`` to the new array their matrix products
+    return; keep a ``to_vector()`` copy, not a reference to ``amplitudes``.
+    The two diagonal gates read the cached table of clock-index Hamming
+    weights (:func:`_clock_weights`, 16 KiB at the cap): a phase pass takes
+    its signs from the weight parity and free evolution its phases from
+    the weight.
     """
 
     backend = "dense"
@@ -127,18 +111,11 @@ class DenseState:
         self.n_atoms = n_atoms
         self.amplitudes = np.zeros(2 ** (n_atoms + 1), dtype=complex)
         self.amplitudes[0] = 1.0
-        self._spare = np.empty_like(self.amplitudes)
 
     def copy(self) -> "DenseState":
         new = object.__new__(DenseState)
-        new.n_atoms = self.n_atoms
-        new.amplitudes = self.amplitudes.copy()
-        new._spare = np.empty_like(new.amplitudes)
+        new.n_atoms, new.amplitudes = self.n_atoms, self.amplitudes.copy()
         return new
-
-    def _swap(self):
-        # A rotation has written the new state into the spare array.
-        self.amplitudes, self._spare = self._spare, self.amplitudes
 
     def apply_clock_rotation(self, matrix) -> "DenseState":
         """Rotate every clock qubit, up to DENSE_BLOCK_BITS at a time.
@@ -148,29 +125,31 @@ class DenseState:
         product; once all N clock bits have cycled, the head bit is lowest
         and one transpose puts it back.
         """
-        blocks = _check_unitary(matrix)
+        m = _check_unitary(matrix)
+        blocks = [m]
+        while len(blocks) < DENSE_BLOCK_BITS:
+            # np.kron(blocks[-1], m), without its per-call overhead
+            d = 2 * blocks[-1].shape[0]
+            blocks.append((blocks[-1][:, None, :, None] * m[None, :, None, :]).reshape(d, d))
+        amplitudes = self.amplitudes
         for low in range(0, self.n_atoms, DENSE_BLOCK_BITS):
             k = min(DENSE_BLOCK_BITS, self.n_atoms - low)
-            np.matmul(blocks[k - 1], self.amplitudes.reshape(-1, 2 ** k).T,
-                      out=self._spare.reshape(2 ** k, -1))
-            self._swap()
-        np.copyto(self._spare.reshape(2, -1), self.amplitudes.reshape(-1, 2).T)
-        self._swap()
+            amplitudes = blocks[k - 1] @ amplitudes.reshape(-1, 2 ** k).T
+        self.amplitudes = amplitudes.reshape(-1, 2).T.ravel()
         return self
 
     def apply_head_rotation(self, matrix) -> "DenseState":
-        m = _check_unitary(matrix)[0]
-        np.matmul(m, self.amplitudes.reshape(2, -1), out=self._spare.reshape(2, -1))
-        self._swap()
+        self.amplitudes = (_check_unitary(matrix) @ self.amplitudes.reshape(2, -1)).ravel()
         return self
 
     def apply_phase_pass(self) -> "DenseState":
         """Phase gates from the head onto every clock site, as one sign mask.
 
         The head-up amplitude of clock index p changes sign when p raises an
-        odd number of clock bits (see :func:`_phase_signs`).
+        odd number of clock bits: its factor is 1 - 2 (weight & 1), +1 or -1
+        exactly.
         """
-        self.amplitudes[2 ** self.n_atoms:] *= _phase_signs(self.n_atoms)
+        self.amplitudes[2 ** self.n_atoms:] *= 1.0 - 2.0 * (_clock_weights(self.n_atoms) & 1)
         return self
 
     def apply_controlled_flip(self) -> "DenseState":
@@ -245,13 +224,11 @@ class BranchState:
         return new
 
     def apply_clock_rotation(self, matrix) -> "BranchState":
-        m = _check_unitary(matrix)[0]
-        self.clock = self.clock @ m.T
+        self.clock = self.clock @ _check_unitary(matrix).T
         return self
 
     def apply_head_rotation(self, matrix) -> "BranchState":
-        m = _check_unitary(matrix)[0]
-        self.head = self.head @ m.T
+        self.head = self.head @ _check_unitary(matrix).T
         return self
 
     def _split_heads(self) -> tuple[np.ndarray, bool]:

@@ -193,11 +193,11 @@ class ReferenceBranchState:
         return new
 
     def apply_clock_rotation(self, matrix):
-        self.clock = self.clock @ _check_unitary(matrix)[0].T
+        self.clock = self.clock @ _check_unitary(matrix).T
         return self
 
     def apply_head_rotation(self, matrix):
-        self.head = self.head @ _check_unitary(matrix)[0].T
+        self.head = self.head @ _check_unitary(matrix).T
         return self
 
     def apply_phase_pass(self):
@@ -335,16 +335,16 @@ def reference_dense_free_evolution(state, delta_omega, delta_omega_head, t):
 
 
 def reference_dense_clock_rotation(state, matrix):
-    """Kronecker-block clock rotation that allocates a new array per block product.
+    """Kronecker-block clock rotation with the blocks from ``np.kron``.
 
-    The reference for the buffer-swapping ``DenseState.apply_clock_rotation``:
-    the same blocks and products, so the amplitudes must agree bit for bit.
+    The reference for ``DenseState.apply_clock_rotation``, which builds the
+    blocks m, m⊗m and m⊗m⊗m by broadcasting: the same blocks and the same
+    products in the same order, so the amplitudes must agree bit for bit.
     """
-    m = _check_unitary(matrix)[0]
+    m = _check_unitary(matrix)
     blocks = [m]
     while len(blocks) < min(DENSE_BLOCK_BITS, state.n_atoms):
-        d = 2 * blocks[-1].shape[0]
-        blocks.append((blocks[-1][:, None, :, None] * m[None, :, None, :]).reshape(d, d))
+        blocks.append(np.kron(blocks[-1], m))
     a = state.amplitudes
     for low in range(0, state.n_atoms, DENSE_BLOCK_BITS):
         k = min(DENSE_BLOCK_BITS, state.n_atoms - low)
@@ -354,9 +354,8 @@ def reference_dense_clock_rotation(state, matrix):
 
 
 def reference_dense_head_rotation(state, matrix):
-    """Head rotation into a new array; the reference for ``DenseState.apply_head_rotation``."""
-    m = _check_unitary(matrix)[0]
-    state.amplitudes = (m @ state.amplitudes.reshape(2, -1)).reshape(-1)
+    """Head rotation as one product; the reference for ``DenseState.apply_head_rotation``."""
+    state.amplitudes = (_check_unitary(matrix) @ state.amplitudes.reshape(2, -1)).reshape(-1)
     return state
 
 

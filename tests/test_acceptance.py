@@ -28,6 +28,7 @@ from screwclock import (
     photon_scattering_time,
     run_protocol,
     sample_scatter_count,
+    scatter_probability,
     sql_baseline,
     state_fidelity,
     survival_probability,
@@ -161,8 +162,9 @@ def test_criterion_07_decoherence_consistency():
         n_traj = 100_000
         for n, ramsey in ((10, 0.02), (100, 0.01), (1000, 0.001)):
             schedule = ProtocolSchedule(n, 17.58e-6, 10e-6, ramsey)
-            expected = 1.0 - survival_probability(schedule, n, params)
-            observed = sample_scatter_count(n, schedule, params, n_traj, seed=[2718, n]) / n_traj
+            expected = 1.0 - survival_probability(schedule, params)
+            q = scatter_probability(schedule, params)
+            observed = sample_scatter_count(q, n_traj, seed=[2718, n]) / n_traj
             sigma = math.sqrt(expected * (1 - expected) / n_traj)
             assert abs(observed - expected) < 3 * sigma, (
                 f"N={n}: {observed:.5f} vs {expected:.5f} (sigma {sigma:.1e})"
@@ -172,12 +174,13 @@ def test_criterion_07_decoherence_consistency():
         n, t = 5, 0.1
         params = DecoherenceParams(1.0, 2.0)
         schedule = ProtocolSchedule(n, 0.0, 0.0, t)
-        s = survival_probability(schedule, n, params)
+        s = survival_probability(schedule, params)
+        q = scatter_probability(schedule, params)
         grid = np.linspace(0.0, 2 * 2 * math.pi / (n * t), 33)
         estimates = []
         for seed in range(12):
-            scan = fringe_scan(n, t, grid, backend="dense", noise=params,
-                               schedule=schedule, trajectories=850, seed=seed)
+            scan = fringe_scan(n, t, grid, backend="dense", trajectories=850,
+                               scatter_probability=q, seed=seed)
             estimates.append(analyze_fringe(scan).contrast)
         mean = float(np.mean(estimates))
         sem = float(np.std(estimates, ddof=1)) / math.sqrt(len(estimates))

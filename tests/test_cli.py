@@ -453,7 +453,7 @@ class TestDeterminismAndErrors:
                        "--trajectories", str(trajectories), "scan"])
         assert result.exit_code == 0
         bundle = resolve_physics(parse_config(doc))
-        survival = survival_probability(bundle.schedule, 4, bundle.decoherence)
+        survival = survival_probability(bundle.schedule, bundle.decoherence)
         assert 0.0 < survival < 1.0
         meta = json.loads((tmp_path / "o" / "scan.meta.json").read_text())
         assert meta["trajectories_per_point"] == trajectories
@@ -509,7 +509,7 @@ class TestDeterminismAndErrors:
         assert json.loads(result.stderr)["error"] == "no_interaction"
 
     @pytest.mark.parametrize("section,key,token", [
-        ("lattice", "phi_rad", "NaN"),
+        ("lattice", "delta", "NaN"),
         ("protocol", "ramsey_time_s", "Infinity"),
         ("protocol", "a_scatt_au", "NaN"),
         ("noise", "extra_loss_rate_per_s", "1" + "0" * 400),

@@ -174,15 +174,14 @@ class TestRoundTrip:
     @given(
         n_atoms=st.integers(1, 10**9),
         intensity=st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-        phi=st.floats(allow_nan=False, allow_infinity=False),
         delta=st.floats(-1.0, 1.0),
         backend=st.sampled_from(BACKENDS),
         seed=st.integers(0, 2**64),
         trajectories=st.integers(0, 10**12),
     )
-    def test_round_trip_property(self, n_atoms, intensity, phi, delta, backend, seed, trajectories):
+    def test_round_trip_property(self, n_atoms, intensity, delta, backend, seed, trajectories):
         cfg = parse_config({
-            "lattice": {"intensity_kW_cm2": intensity, "phi_rad": phi, "delta": delta},
+            "lattice": {"intensity_kW_cm2": intensity, "delta": delta},
             "protocol": {"n_atoms": n_atoms},
             "run": {"backend": backend, "seed": seed, "trajectories": trajectories},
         })

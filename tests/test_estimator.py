@@ -23,6 +23,7 @@ from screwclock import (
     resolve_physics,
     run_protocol,
     sample_scatter_count,
+    scatter_probability,
     sql_baseline,
     survival_probability,
 )
@@ -66,27 +67,34 @@ class TestFringeScan:
     def test_overwhelming_noise_flattens_to_half(self):
         n, t = 3, 0.4
         params = DecoherenceParams(1e-9, 1e-9)  # every trajectory scatters
-        schedule = ProtocolSchedule(n, 1e-5, 1e-5, t)
+        q = scatter_probability(ProtocolSchedule(n, 1e-5, 1e-5, t), params)
         scan = fringe_scan(n, t, _grid(n, t, points=21), backend="dense",
-                           noise=params, schedule=schedule, trajectories=10, seed=5)
+                           trajectories=10, scatter_probability=q, seed=5)
         assert all(p == 0.5 for p in scan.p_up)
 
-    def test_noise_requires_schedule_and_trajectories(self):
-        params = DecoherenceParams(1.0, 1.0)
-        with pytest.raises(ParameterError):
-            fringe_scan(2, 0.1, [0.0, 0.1], noise=params, schedule=None)
-        schedule = ProtocolSchedule(2, 0.0, 0.0, 0.1)
-        with pytest.raises(ParameterError):
-            fringe_scan(2, 0.1, [0.0, 0.1], noise=params, schedule=schedule, trajectories=0)
+    def test_negative_trajectories_rejected(self):
+        with pytest.raises(ParameterError, match="trajectories must be >= 0"):
+            fringe_scan(2, 0.1, [0.0, 0.1], trajectories=-1, scatter_probability=0.5)
 
-    @pytest.mark.parametrize("schedule_atoms,schedule_ramsey", [(10, 0.5), (10, 0.01), (12, 0.5)])
-    def test_noise_schedule_must_match_the_scan(self, schedule_atoms, schedule_ramsey):
-        # A schedule for another register or Ramsey time has another scatter law.
-        params = DecoherenceParams(1.0, 1.0)
-        schedule = ProtocolSchedule(schedule_atoms, 1e-5, 1e-5, schedule_ramsey)
-        with pytest.raises(ParameterError, match="noise schedule"):
-            fringe_scan(12, 0.01, [0.0, 0.1], backend="dense", noise=params, schedule=schedule,
-                        trajectories=100)
+    @pytest.mark.parametrize("backend", ["dense", "branch"])
+    def test_exact_scan_ignores_scatter_probability(self, backend):
+        grid = _grid(5, 0.3, points=9)
+        exact = fringe_scan(5, 0.3, grid, backend=backend)
+        for q in (0.0, 0.3, 1.0):
+            scan = fringe_scan(5, 0.3, grid, backend=backend, trajectories=0,
+                               scatter_probability=q, seed=7)
+            assert scan == exact
+            assert scan.trajectories_per_point == 0
+
+    @pytest.mark.parametrize("backend", ["dense", "branch"])
+    @pytest.mark.parametrize("trajectories", [1, 1000, 10**12])
+    def test_zero_scatter_probability_equals_exact_scan(self, backend, trajectories):
+        grid = _grid(5, 0.3, points=9)
+        exact = fringe_scan(5, 0.3, grid, delta_omega_head=0.2, backend=backend)
+        scan = fringe_scan(5, 0.3, grid, delta_omega_head=0.2, backend=backend,
+                           trajectories=trajectories, scatter_probability=0.0, seed=3)
+        assert [p.hex() for p in scan.p_up] == [p.hex() for p in exact.p_up]
+        assert scan.trajectories_per_point == trajectories
 
     def test_scan_validation(self):
         with pytest.raises(ParameterError):
@@ -119,13 +127,12 @@ class TestScanPrefix:
     def test_noisy_dense_scan_mixes_exact_points_with_their_scatter_counts(self, seed):
         n, t, dwh, trajectories = 6, 0.3, 0.05, 1000
         params = DecoherenceParams(0.5, 1.0)
-        schedule = ProtocolSchedule(n, 1e-3, 1e-3, t)
+        q = scatter_probability(ProtocolSchedule(n, 1e-3, 1e-3, t), params)
         grid = _grid(n, t, points=15)
-        scan = fringe_scan(n, t, grid, delta_omega_head=dwh, backend="dense", noise=params,
-                           schedule=schedule, trajectories=trajectories, seed=seed)
+        scan = fringe_scan(n, t, grid, delta_omega_head=dwh, backend="dense",
+                           trajectories=trajectories, scatter_probability=q, seed=seed)
         exact = [run_protocol(n, "dense", float(dw), dwh, t).p_up for dw in grid]
-        counts = [sample_scatter_count(n, schedule, params, trajectories, seed=[seed, i])
-                  for i in range(grid.size)]
+        counts = [sample_scatter_count(q, trajectories, seed=[seed, i]) for i in range(grid.size)]
         assert all(0 < k < trajectories for k in counts)
         expected = [p + (0.5 - p) * (k / trajectories) for p, k in zip(exact, counts)]
         assert list(scan.p_up) == expected
@@ -178,12 +185,13 @@ class TestAnalyzeFringe:
         n, t = 5, 0.1
         params = DecoherenceParams(1.0, 2.0)
         schedule = ProtocolSchedule(n, 0.0, 0.0, t)
-        s = survival_probability(schedule, n, params)
+        s = survival_probability(schedule, params)
+        q = scatter_probability(schedule, params)
         grid = _grid(n, t, points=41)
         estimates = []
         for seed in range(12):
-            scan = fringe_scan(n, t, grid, backend="dense", noise=params,
-                               schedule=schedule, trajectories=850, seed=seed)
+            scan = fringe_scan(n, t, grid, backend="dense", trajectories=850,
+                               scatter_probability=q, seed=seed)
             estimates.append(analyze_fringe(scan).contrast)
         mean = float(np.mean(estimates))
         sem = float(np.std(estimates, ddof=1)) / math.sqrt(len(estimates))
@@ -195,15 +203,14 @@ class TestAnalyzeFringe:
         # by roughly 4 (a loose band guards against flaky ratios).
         n, t = 4, 0.1
         params = DecoherenceParams(1.0, 2.0)
-        schedule = ProtocolSchedule(n, 0.0, 0.0, t)
+        q = scatter_probability(ProtocolSchedule(n, 0.0, 0.0, t), params)
         grid = _grid(n, t, points=25)
 
         def spread(trajectories, base_seed):
             values = [
                 analyze_fringe(
-                    fringe_scan(n, t, grid, backend="dense", noise=params,
-                                schedule=schedule, trajectories=trajectories,
-                                seed=base_seed + k)
+                    fringe_scan(n, t, grid, backend="dense", trajectories=trajectories,
+                                scatter_probability=q, seed=base_seed + k)
                 ).contrast
                 for k in range(16)
             ]

@@ -17,6 +17,7 @@ from screwclock import (
     phase_gate_duration,
     photon_scattering_time,
     schedule_duration,
+    scatter_probability,
     schedule_steps,
     survival_probability,
     trap_frequencies,
@@ -196,28 +197,48 @@ class TestSurvivalProbability:
 
     def test_zero_duration_survives(self):
         schedule = ProtocolSchedule(3, 0.0, 0.0, 0.0, 0.0)
-        assert survival_probability(schedule, 3, self._params()) == 1.0
+        assert survival_probability(schedule, self._params()) == 1.0
 
     def test_log_two_exponent_gives_half(self):
         # One atom, rates tuned so duration * rate = ln 2.
         schedule = ProtocolSchedule(1, 0.0, 0.0, math.log(2.0), 0.0)
         params = DecoherenceParams(tau_scatter_clock=2.0, tau_scatter_head=2.0)
-        assert survival_probability(schedule, 1, params) == pytest.approx(0.5, rel=1e-14)
+        assert survival_probability(schedule, params) == pytest.approx(0.5, rel=1e-14)
 
     def test_monotone_in_atoms_duration_and_rates(self):
         params = self._params(10.0, 10.0, 0.0)
         s1 = ProtocolSchedule(10, 1e-5, 1e-5, 0.1)
         s2 = ProtocolSchedule(20, 1e-5, 1e-5, 0.1)
         s3 = ProtocolSchedule(10, 1e-5, 1e-5, 0.2)
-        assert survival_probability(s2, 20, params) < survival_probability(s1, 10, params)
-        assert survival_probability(s3, 10, params) < survival_probability(s1, 10, params)
+        assert survival_probability(s2, params) < survival_probability(s1, params)
+        assert survival_probability(s3, params) < survival_probability(s1, params)
         faster = self._params(5.0, 10.0, 0.0)
-        assert survival_probability(s1, 10, faster) < survival_probability(s1, 10, params)
+        assert survival_probability(s1, faster) < survival_probability(s1, params)
         lossy = self._params(10.0, 10.0, 1.0)
-        assert survival_probability(s1, 10, lossy) < survival_probability(s1, 10, params)
+        assert survival_probability(s1, lossy) < survival_probability(s1, params)
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
             DecoherenceParams(0.0, 1.0)
         with pytest.raises(ParameterError):
             DecoherenceParams(1.0, 1.0, -0.1)
+
+
+class TestScatterProbability:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 10**6), ramsey=st.floats(0.0, 10.0),
+           tau_c=st.floats(1e-3, 1e6), tau_h=st.floats(1e-3, 1e6), extra=st.floats(0.0, 1e3))
+    def test_complements_survival_within_two_ulp(self, n, ramsey, tau_c, tau_h, extra):
+        schedule = ProtocolSchedule(n, 2e-5, 1e-5, ramsey)
+        params = DecoherenceParams(tau_c, tau_h, extra)
+        total = scatter_probability(schedule, params) + survival_probability(schedule, params)
+        assert abs(total - 1.0) <= 2 * math.ulp(1.0)
+
+    def test_keeps_precision_where_one_minus_survival_is_zero(self):
+        # Exponent 1e-20: duration 1 s, one clock atom and the head at 2e20 s each.
+        schedule = ProtocolSchedule(1, 0.0, 0.0, 1.0)
+        params = DecoherenceParams(2e20, 2e20)
+        exponent = schedule.total_duration * params.total_rate(1)
+        assert exponent == pytest.approx(1e-20, rel=1e-15, abs=0.0)
+        assert 1.0 - survival_probability(schedule, params) == 0.0
+        assert scatter_probability(schedule, params) == pytest.approx(exponent, rel=1e-15, abs=0.0)

@@ -23,7 +23,7 @@ from screwclock import (
 from screwclock.cli import BRANCH_MAX_ATOMS
 from screwclock.register import (
     BACKENDS, BRANCH_EXPAND_MAX_ATOMS, DENSE_ATOM_CAP, HADAMARD, READOUT_TOL, UNITARY_CACHE_SIZE,
-    _check_unitary, _checked_blocks, _clock_weights, _head_overlaps, _phase_signs,
+    _check_unitary, _checked_matrix, _clock_weights, _head_overlaps,
 )
 
 from conftest import (
@@ -152,21 +152,23 @@ class TestHeadRotation:
 
 
 class TestDenseBuffers:
-    """Rotations write into the state's spare array and swap it in."""
+    """A dense state is one array; each rotation binds the new array its products return."""
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_rotations_match_allocating_reference_bit_for_bit(self, n):
         rng = np.random.default_rng(500 + n)
         state = _random_dense(n, rng)
+        snapshot = state.copy()
+        original = state.to_vector()
         reference = state.copy()
-        # Repeated, so that each of the two arrays holds the state in turn.
         for _ in range(3):
             clock, head = haar_unitary(rng), haar_unitary(rng)
             state.apply_clock_rotation(clock).apply_head_rotation(head)
             reference_dense_clock_rotation(reference, clock)
             reference_dense_head_rotation(reference, head)
             assert np.array_equal(state.amplitudes, reference.amplitudes)
-        assert state.amplitudes is not state._spare
+            assert state.amplitudes.flags.c_contiguous
+        assert np.array_equal(snapshot.amplitudes, original)  # a copy shares no array
 
 
 class TestDenseWeightTable:
@@ -213,7 +215,7 @@ class TestDenseWeightTable:
 
 
 class TestGateCaches:
-    """Matrices are checked, and dense blocks and sign tables built, once per distinct input."""
+    """Matrices are checked, and weight tables built, once per distinct input."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("method", ["apply_clock_rotation", "apply_head_rotation"])
@@ -243,15 +245,15 @@ class TestGateCaches:
     def test_hadamard_is_a_read_only_unitary(self):
         np.testing.assert_array_equal(HADAMARD, np.array([[1, 1], [1, -1]]) / math.sqrt(2.0))
         assert not HADAMARD.flags.writeable
-        assert np.array_equal(_check_unitary(HADAMARD)[0], HADAMARD)
+        assert np.array_equal(_check_unitary(HADAMARD), HADAMARD)
 
     def test_cached_arrays_are_read_only_copies(self):
         matrix = haar_unitary(np.random.default_rng(3))
-        blocks = _check_unitary(matrix)
-        assert [block.shape for block in blocks] == [(2, 2), (4, 4), (8, 8)]
-        np.testing.assert_array_equal(blocks[2], np.kron(np.kron(matrix, matrix), matrix))
-        assert not any(np.shares_memory(block, matrix) for block in blocks)
-        cached = [HADAMARD, *blocks, _phase_signs(5), _clock_weights(5)]
+        checked = _check_unitary(matrix)
+        np.testing.assert_array_equal(checked, matrix)
+        assert not np.shares_memory(checked, matrix)
+        assert _check_unitary(matrix.copy()) is checked
+        cached = [HADAMARD, checked, _clock_weights(5)]
         for array in cached:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -263,8 +265,8 @@ class TestGateCaches:
         for _ in range(1000):
             state.apply_clock_rotation(haar_unitary(rng))
             state.apply_phase_pass()
-        for cache, bound in ((_checked_blocks, UNITARY_CACHE_SIZE),
-                             (_phase_signs, DENSE_ATOM_CAP), (_clock_weights, DENSE_ATOM_CAP)):
+        for cache, bound in ((_checked_matrix, UNITARY_CACHE_SIZE),
+                             (_clock_weights, DENSE_ATOM_CAP)):
             info = cache.cache_info()
             assert info.maxsize == bound and info.currsize <= bound
         assert state.norm() == pytest.approx(1.0, abs=1e-12)

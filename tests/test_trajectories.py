@@ -10,6 +10,7 @@ from screwclock import (
     fringe_scan,
     run_protocol,
     sample_scatter_count,
+    scatter_probability,
     survival_probability,
 )
 
@@ -20,39 +21,39 @@ def _schedule(n, ramsey=0.01):
     return ProtocolSchedule(n, gate_time=20e-6, transport_time=10e-6, ramsey_time=ramsey)
 
 
-def _scatter_probability(n, schedule, params):
-    return -math.expm1(-schedule.total_duration * params.total_rate(n))
-
-
 def test_zero_rates_never_scatter():
     params = DecoherenceParams(math.inf, math.inf, 0.0)
     schedule = _schedule(4, ramsey=1.0)
     exact = run_protocol(4, backend="branch", delta_omega=0.3, ramsey_time=1.0).p_up
     chi = 4 * 0.3 * 1.0
     assert exact == pytest.approx(math.sin(chi / 2) ** 2, abs=1e-10)
-    assert sample_scatter_count(4, schedule, params, 100, seed=99) == 0
-    scan = fringe_scan(4, 1.0, [0.3], backend="branch", noise=params, schedule=schedule,
-                       trajectories=100, seed=99)
+    q = scatter_probability(schedule, params)
+    assert q == 0.0
+    assert sample_scatter_count(q, 100, seed=99) == 0
+    scan = fringe_scan(4, 1.0, [0.3], backend="branch", trajectories=100, scatter_probability=q,
+                       seed=99)
     assert scan.p_up == (exact,)
 
 
 def test_same_seed_same_outcome():
     params = DecoherenceParams(0.5, 1.0, 0.2)
     schedule = _schedule(10, ramsey=0.05)
-    a = sample_scatter_count(10, schedule, params, 200, seed=1234)
-    b = sample_scatter_count(10, schedule, params, 200, seed=1234)
+    q = scatter_probability(schedule, params)
+    a = sample_scatter_count(q, 200, seed=1234)
+    b = sample_scatter_count(q, 200, seed=1234)
     assert 0 < a < 200
     assert a == b
-    others = {sample_scatter_count(10, schedule, params, 200, seed=s) for s in range(20)}
+    others = {sample_scatter_count(q, 200, seed=s) for s in range(20)}
     assert len(others) > 1
 
 
 def test_scattered_trajectory_reads_half():
     params = DecoherenceParams(1e-6, 1e-6)  # certain scattering
     schedule = _schedule(5, ramsey=1.0)
-    assert sample_scatter_count(5, schedule, params, 100, seed=0) == 100
-    scan = fringe_scan(5, 1.0, np.linspace(0.0, 1.0, 7), backend="dense", noise=params,
-                       schedule=schedule, trajectories=100, seed=0)
+    q = scatter_probability(schedule, params)
+    assert sample_scatter_count(q, 100, seed=0) == 100
+    scan = fringe_scan(5, 1.0, np.linspace(0.0, 1.0, 7), backend="dense", trajectories=100,
+                       scatter_probability=q, seed=0)
     assert scan.p_up == (0.5,) * 7
 
 
@@ -60,8 +61,8 @@ def test_scattered_fraction_matches_survival_formula():
     n, ramsey = 50, 0.02
     params = DecoherenceParams(5.0, 8.0, 0.1)
     schedule = _schedule(n, ramsey)
-    expected = 1.0 - survival_probability(schedule, n, params)
-    observed = sample_scatter_count(n, schedule, params, 10_000, seed=7) / 10_000
+    expected = 1.0 - survival_probability(schedule, params)
+    observed = sample_scatter_count(scatter_probability(schedule, params), 10_000, seed=7) / 10_000
     sigma = math.sqrt(expected * (1 - expected) / 10_000)
     assert abs(observed - expected) < 3 * sigma
 
@@ -84,26 +85,27 @@ def test_batch_mixes_noiseless_and_half():
 def test_batch_is_deterministic():
     params = DecoherenceParams(2.0, 3.0)
     schedule = _schedule(8, ramsey=0.1)
-    a = sample_scatter_count(8, schedule, params, 500, seed=[5, 1])
-    b = sample_scatter_count(8, schedule, params, 500, seed=[5, 1])
+    q = scatter_probability(schedule, params)
+    a = sample_scatter_count(q, 500, seed=[5, 1])
+    b = sample_scatter_count(q, 500, seed=[5, 1])
     assert a == b
-    scans = [fringe_scan(8, 0.1, np.linspace(0.0, 5.0, 11), backend="dense", noise=params,
-                         schedule=schedule, trajectories=500, seed=5) for _ in range(2)]
+    scans = [fringe_scan(8, 0.1, np.linspace(0.0, 5.0, 11), backend="dense", trajectories=500,
+                         scatter_probability=q, seed=5) for _ in range(2)]
     assert scans[0] == scans[1]
 
 
 def test_rejects_empty_batch():
-    params = DecoherenceParams(1.0, 1.0)
+    q = scatter_probability(_schedule(3), DecoherenceParams(1.0, 1.0))
     with pytest.raises(ParameterError):
-        sample_scatter_count(3, _schedule(3), params, 0, seed=0)
+        sample_scatter_count(q, 0, seed=0)
 
 
 def test_count_is_a_python_int_up_to_int64():
     n, n_trajectories = 20, 2**63 - 1
     params = DecoherenceParams(5.0, 8.0)
     schedule = _schedule(n, ramsey=0.02)
-    q = _scatter_probability(n, schedule, params)
-    k = sample_scatter_count(n, schedule, params, n_trajectories, seed=11)
+    q = scatter_probability(schedule, params)
+    k = sample_scatter_count(q, n_trajectories, seed=11)
     assert type(k) is int
     sigma = math.sqrt(q * (1.0 - q) / n_trajectories)
     assert abs(k / n_trajectories - q) < 5 * sigma + 1e-15
@@ -115,11 +117,11 @@ def test_binomial_count_matches_reference_sampler():
     n_atoms, n_trajectories, seeds = 30, 200, 2000
     params = DecoherenceParams(5.0, 8.0, 0.5)
     schedule = _schedule(n_atoms, ramsey=0.05)
-    q = _scatter_probability(n_atoms, schedule, params)
+    q = scatter_probability(schedule, params)
     mean, variance = n_trajectories * q, n_trajectories * q * (1.0 - q)
     assert 0.1 < q < 0.9
-    binomial = np.array([sample_scatter_count(n_atoms, schedule, params, n_trajectories,
-                                              seed=[s, 0]) for s in range(seeds)])
+    binomial = np.array([sample_scatter_count(q, n_trajectories, seed=[s, 0])
+                         for s in range(seeds)])
     reference = np.array([np.count_nonzero(reference_trajectory_batch(
         n_atoms, schedule, params, n_trajectories, seed=[s, 1], p_up_noiseless=0.0)[1])
         for s in range(seeds)])
@@ -134,11 +136,10 @@ def test_binomial_count_matches_reference_sampler():
 def test_scan_point_i_draws_from_substream_seed_i():
     n, n_trajectories, seed = 4, 1000, 42
     params = DecoherenceParams(1.0, 1.0)
-    schedule = _schedule(n, ramsey=0.5)
-    scan = fringe_scan(n, 0.5, np.zeros(12), backend="dense", noise=params,
-                       schedule=schedule, trajectories=n_trajectories, seed=seed)
-    counts = [sample_scatter_count(n, schedule, params, n_trajectories, seed=[seed, i])
-              for i in range(12)]
+    q = scatter_probability(_schedule(n, ramsey=0.5), params)
+    scan = fringe_scan(n, 0.5, np.zeros(12), backend="dense", trajectories=n_trajectories,
+                       scatter_probability=q, seed=seed)
+    counts = [sample_scatter_count(q, n_trajectories, seed=[seed, i]) for i in range(12)]
     # p = 0 at zero detuning, so each point is exactly K_i / (2 n).
     assert scan.p_up == tuple(0.5 * (k / n_trajectories) for k in counts)
     assert len(set(counts)) > 1
