@@ -59,12 +59,10 @@ from .trajectories import sample_scatter_count
 from .estimator import (
     AtomNumberCurve,
     FringeScan,
-    PrecisionReport,
     analyze_fringe,
     fringe_scan,
     optimize_atom_number,
     phase_sensitivity,
-    precision_report,
     sql_baseline,
 )
 from .config import RunConfig, parse_config, serialize_config

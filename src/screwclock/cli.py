@@ -27,7 +27,9 @@ from .config import (
     serialized_hash,
 )
 from .errors import ClockSimError, ConfigError
-from .estimator import analyze_fringe, fringe_scan, optimize_atom_number, precision_report
+from .estimator import (
+    analyze_fringe, fringe_scan, optimize_atom_number, phase_sensitivity, sql_baseline,
+)
 from .lattice import overlap_depth, recoil_energy, trap_frequencies, worst_case_depth
 from .pipeline import PhysicsBundle, detuning_grid, probe_detuning, resolve_physics
 from .rates import (
@@ -66,6 +68,12 @@ BRANCH_MAX_ATOMS = 178243
 # 5 * 10^4 points.
 SCAN_POINT_BYTES = 364
 SCAN_MAX_POINTS = MEMORY_BUDGET_BYTES // SCAN_POINT_BYTES
+
+# `optimize` keeps the geometric grid, its rounded set, the curve's arrays and
+# tuples, and the table's text per point: 150-190 B per point at n_max = 2^53
+# (every point a distinct N), measured between 10^5 and 4 * 10^5 points.
+OPTIMIZE_POINT_BYTES = 190
+OPTIMIZE_MAX_POINTS = MEMORY_BUDGET_BYTES // OPTIMIZE_POINT_BYTES
 
 
 def _bound(value: int, limit: int, field: str, what: str) -> None:
@@ -117,7 +125,7 @@ def _cmd_feasibility(cfg: RunConfig) -> tuple[dict, dict, str]:
         "min_intensity_w_m2": bundle.requirement.intensity,
         "binding_species": bundle.requirement.binding_species,
         "interaction_energy_j": bundle.interaction,
-        "gate_time_s": bundle.gate_time,
+        "gate_time_s": bundle.schedule.gate_time,
     }
     summary = (f"feasible={meta['feasible']} intensity={meta['intensity_kw_cm2']:.3g} kW/cm^2 "
                f"(binding: {meta['binding_species']})")
@@ -129,15 +137,16 @@ def _cmd_schedule(cfg: RunConfig) -> tuple[dict, dict, str]:
     _bound(cfg.protocol.n_atoms, SCHEDULE_MAX_ATOMS, "protocol.n_atoms",
            "atoms in the schedule table")
     bundle = resolve_physics(cfg)
-    kinds, durations, sites = schedule_steps(bundle.schedule)
+    schedule = bundle.schedule
+    kinds, durations, sites = schedule_steps(schedule)
     columns = {"step_index": range(len(kinds)), "kind": kinds, "duration_s": durations, "site": sites}
-    survival = survival_probability(bundle.schedule, bundle.decoherence)
+    survival = survival_probability(schedule, bundle.decoherence)
     meta = {
-        "n_atoms": bundle.n_atoms,
-        "total_duration_s": bundle.schedule.total_duration,
-        "ramsey_time_s": bundle.ramsey_time,
-        "gate_time_s": bundle.gate_time,
-        "transport_time_s": bundle.transport_time,
+        "n_atoms": schedule.n_atoms,
+        "total_duration_s": schedule.total_duration,
+        "ramsey_time_s": schedule.ramsey_time,
+        "gate_time_s": schedule.gate_time,
+        "transport_time_s": schedule.transport_time,
         "tau_scatter_clock_s": bundle.decoherence.tau_scatter_clock,
         "tau_scatter_head_s": bundle.decoherence.tau_scatter_head,
         "extra_loss_rate_per_s": bundle.decoherence.extra_loss_rate,
@@ -150,9 +159,9 @@ def _cmd_schedule(cfg: RunConfig) -> tuple[dict, dict, str]:
 def _cmd_simulate(cfg: RunConfig) -> tuple[dict, dict, str]:
     """Run the register protocol once; checkpoint fidelities and p_up."""
     _bound_register(cfg)
-    bundle = resolve_physics(cfg)
-    n = bundle.n_atoms
-    t = bundle.ramsey_time
+    schedule = resolve_physics(cfg).schedule
+    n = schedule.n_atoms
+    t = schedule.ramsey_time
     delta_omega = probe_detuning(cfg)
     delta_omega_head = cfg.run.delta_omega_head_rad_s
     chi = (n * delta_omega + delta_omega_head) * t
@@ -189,9 +198,10 @@ def _cmd_scan(cfg: RunConfig) -> tuple[dict, dict, str]:
     _bound(cfg.run.detuning_points, SCAN_MAX_POINTS, "run.detuning_points",
            "detuning points per scan")
     bundle = resolve_physics(cfg)
+    n, t = bundle.schedule.n_atoms, bundle.schedule.ramsey_time
     scan = fringe_scan(
-        bundle.n_atoms,
-        bundle.ramsey_time,
+        n,
+        t,
         detuning_grid(cfg),
         delta_omega_head=cfg.run.delta_omega_head_rad_s,
         backend=cfg.run.backend,
@@ -200,19 +210,19 @@ def _cmd_scan(cfg: RunConfig) -> tuple[dict, dict, str]:
         seed=cfg.run.seed,
     )
     fit = analyze_fringe(scan)
-    report = None
+    sigma = sql = None
     if fit.contrast > 0.0 and not math.isnan(fit.period):
-        report = precision_report(fit.contrast, fit.period, bundle.n_atoms, bundle.ramsey_time)
+        sigma, sql = phase_sensitivity(fit.contrast, n, t), sql_baseline(n, t)
     meta = {
-        "n_atoms": bundle.n_atoms,
+        "n_atoms": n,
         "backend": cfg.run.backend,
-        "ramsey_time_s": bundle.ramsey_time,
+        "ramsey_time_s": t,
         "trajectories_per_point": scan.trajectories_per_point,
         "contrast": fit.contrast,
         "fringe_period_rad_s": None if math.isnan(fit.period) else fit.period,
-        "sigma_delta_omega_per_shot": report.sigma_delta_omega if report else None,
-        "sql_sigma_per_shot": report.sql_sigma if report else None,
-        "gain_over_sql": report.gain_over_sql if report else None,
+        "sigma_delta_omega_per_shot": sigma,
+        "sql_sigma_per_shot": sql,
+        "gain_over_sql": None if sigma is None else sql / sigma,
     }
     summary = (f"{len(scan.detunings)} points, contrast {fit.contrast:.4f}, "
                f"period {meta['fringe_period_rad_s']}")
@@ -221,18 +231,20 @@ def _cmd_scan(cfg: RunConfig) -> tuple[dict, dict, str]:
 
 def _cmd_optimize(cfg: RunConfig) -> tuple[dict, dict, str]:
     """Survival-weighted gain versus atom number; optimal N."""
-    bundle = resolve_physics(cfg)
     opt = cfg.optimize
+    _bound(opt.n_points, OPTIMIZE_MAX_POINTS, "optimize.n_points", "grid points")
+    bundle = resolve_physics(cfg)
+    schedule = bundle.schedule
     grid = sorted(
         {int(round(n)) for n in np.geomspace(opt.n_min, opt.n_max, opt.n_points)}
     )
     n_opt, curve = optimize_atom_number(
         bundle.decoherence,
-        bundle.gate_time,
-        bundle.transport_time,
-        bundle.ramsey_time,
+        schedule.gate_time,
+        schedule.transport_time,
+        schedule.ramsey_time,
         grid,
-        pulse_time=bundle.pulse_time,
+        pulse_time=schedule.pulse_time,
     )
     columns = {
         "n_atoms": curve.n_atoms,
@@ -242,15 +254,15 @@ def _cmd_optimize(cfg: RunConfig) -> tuple[dict, dict, str]:
     }
     meta = {
         "n_opt": n_opt,
-        "ramsey_time_s": bundle.ramsey_time,
-        "gate_time_s": bundle.gate_time,
-        "transport_time_s": bundle.transport_time,
-        "pulse_time_s": bundle.pulse_time,
+        "ramsey_time_s": schedule.ramsey_time,
+        "gate_time_s": schedule.gate_time,
+        "transport_time_s": schedule.transport_time,
+        "pulse_time_s": schedule.pulse_time,
         "tau_scatter_clock_s": bundle.decoherence.tau_scatter_clock,
         "tau_scatter_head_s": bundle.decoherence.tau_scatter_head,
         "extra_loss_rate_per_s": bundle.decoherence.extra_loss_rate,
     }
-    return columns, meta, f"optimal atom number {n_opt} (ramsey time {bundle.ramsey_time} s)"
+    return columns, meta, f"optimal atom number {n_opt} (ramsey time {schedule.ramsey_time} s)"
 
 
 def _sweep_point(cfg: RunConfig, keys: list[str], values: tuple) -> RunConfig:
@@ -276,10 +288,10 @@ def _cmd_sweep(cfg: RunConfig) -> tuple[dict, dict, str]:
         "intensity_w_m2": [bundle.lattice.intensity for bundle in bundles],
         "tau_scatter_clock_s": [bundle.decoherence.tau_scatter_clock for bundle in bundles],
         "tau_scatter_head_s": [bundle.decoherence.tau_scatter_head for bundle in bundles],
-        "gate_time_s": [bundle.gate_time for bundle in bundles],
+        "gate_time_s": [bundle.schedule.gate_time for bundle in bundles],
         "total_duration_s": [bundle.schedule.total_duration for bundle in bundles],
         "survival": survival,
-        "gain_over_sql": [s * math.sqrt(b.n_atoms) for s, b in zip(survival, bundles)],
+        "gain_over_sql": [s * math.sqrt(b.schedule.n_atoms) for s, b in zip(survival, bundles)],
     }
     meta = {"swept_parameters": keys, "points": len(points)}
     return columns, meta, f"swept {len(points)} points over {keys or 'the base configuration'}"
@@ -339,8 +351,6 @@ def _parse_argv(argv):
     parser.add_argument("--seed", type=int, help="Override run.seed.")
     parser.add_argument("--backend", choices=BACKENDS, help="Override run.backend.")
     parser.add_argument("--trajectories", type=int, help="Override run.trajectories.")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="Accepted for compatibility; every command runs serially.")
     parser.add_argument("--version", action="version", version=f"screwclock, version {__version__}")
     commands = parser.add_subparsers(dest="command", metavar="command")
     for name, handler in _HANDLERS.items():

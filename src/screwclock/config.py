@@ -85,8 +85,6 @@ class SpeciesEntry:
     alpha_scalar_au: float = _leaf(_as_number)
     rho: float = _leaf(_as_number)
     role: str = _leaf(_as_str, _one_of(ROLES))
-    f: float | None = _leaf(_as_optional_number, default=None)
-    m_f: float | None = _leaf(_as_optional_number, default=None)
 
 
 @dataclass(frozen=True)
@@ -94,8 +92,9 @@ class LatticeSection:
     lambda_m_nm: float = _leaf(_as_number, _POSITIVE, default=389.9)
     # None: use the computed minimum
     intensity_kW_cm2: float | None = _leaf(_as_optional_number, _POSITIVE, default=None)
+    # 0 < delta <= 1: the transport criteria are defined for a positive misbalance only.
     delta: float = _leaf(_as_number, (lambda d: abs(d) <= 1.0, "|delta| <= 1 required"),
-                         default=0.25)
+                         _POSITIVE, default=0.25)
     # None: same as transport lattice
     transverse_intensity_kW_cm2: float | None = _leaf(_as_optional_number, _POSITIVE, default=None)
 
@@ -157,8 +156,8 @@ class OptimizeSection:
 def _default_species() -> tuple[SpeciesEntry, ...]:
     return (
         SpeciesEntry("Sr", 87.9056, -470.0, 0.0, "clock"),
-        SpeciesEntry("Al_up", 26.9815385, -340.0, -1.25, "head_up", f=3.0, m_f=-3.0),
-        SpeciesEntry("Al_down", 26.9815385, -340.0, 0.84, "head_down", f=2.0, m_f=-2.0),
+        SpeciesEntry("Al_up", 26.9815385, -340.0, -1.25, "head_up"),
+        SpeciesEntry("Al_down", 26.9815385, -340.0, 0.84, "head_down"),
     )
 
 
@@ -227,8 +226,6 @@ def _parse_species(items, path: str) -> tuple[SpeciesEntry, ...]:
         entry = _parse_section(SpeciesEntry, item, p)
         if entry.role == "clock":
             _require(entry.rho == 0.0, f"{p}.rho", "clock states are scalar, rho must be exactly 0")
-        if entry.f is not None and entry.m_f is not None:
-            _require(abs(entry.m_f) <= entry.f, f"{p}.m_f", "|m_f| <= f required")
         specs.append(entry)
 
     for role in ROLES:

@@ -19,44 +19,38 @@ class ConstantsTable:
 
     Keeping the table explicit (instead of module-level constants read at
     each call site) makes unit-consistency tests possible: a rescaled
-    table must leave all dimensionless outputs unchanged.
+    table must leave all dimensionless outputs unchanged. The table holds
+    only base constants; the atomic units derive from them (the atomic
+    unit of length is ``bohr_radius``), so they rescale with the table.
     """
 
     planck_reduced: float      # J s
     speed_of_light: float      # m / s
     vacuum_permittivity: float  # F / m
-    boltzmann: float           # J / K
     atomic_mass_unit: float    # kg
     bohr_radius: float         # m
-    polarizability_au_in_si: float  # (C m^2 / V) per atomic unit
-    length_au_in_si: float     # m per atomic unit (the Bohr radius)
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
             if not value > 0.0:
                 raise ParameterError(f"constant {name} must be positive, got {value}")
-        derived = 4.0 * math.pi * self.vacuum_permittivity * self.bohr_radius**3
-        if abs(self.polarizability_au_in_si - derived) > 1e-12 * derived:
-            raise ParameterError(
-                "polarizability_au_in_si is inconsistent with 4*pi*eps0*a0^3 "
-                f"({self.polarizability_au_in_si} vs {derived})"
-            )
+
+    @property
+    def polarizability_au_in_si(self) -> float:
+        """(C m^2 / V) per atomic unit of polarizability: 4 pi eps0 a0^3."""
+        return 4.0 * math.pi * self.vacuum_permittivity * self.bohr_radius**3
 
 
 def codata_table() -> ConstantsTable:
     """CODATA 2022 values (Mohr, Newell, Taylor and Tiesinga), pinned as literals
     so that output bytes do not depend on an installed library's constants
-    table. h, c and k are exact in the SI."""
-    eps0, a0 = 8.8541878188e-12, 5.29177210544e-11
+    table. h and c are exact in the SI."""
     return ConstantsTable(
         planck_reduced=6.62607015e-34 / (2.0 * math.pi),
         speed_of_light=299792458.0,
-        vacuum_permittivity=eps0,
-        boltzmann=1.380649e-23,
+        vacuum_permittivity=8.8541878188e-12,
         atomic_mass_unit=1.66053906892e-27,
-        bohr_radius=a0,
-        polarizability_au_in_si=4.0 * math.pi * eps0 * a0**3,
-        length_au_in_si=a0,
+        bohr_radius=5.29177210544e-11,
     )
 
 
@@ -74,4 +68,4 @@ def au_to_si_polarizability(alpha_au: float, table: ConstantsTable = CODATA) -> 
 
 def au_to_si_length(length_au: float, table: ConstantsTable = CODATA) -> float:
     """Convert a length from atomic units (Bohr radii) to meters."""
-    return length_au * table.length_au_in_si
+    return length_au * table.bohr_radius

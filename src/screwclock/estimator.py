@@ -54,26 +54,6 @@ class FringeFit(NamedTuple):
     period: float   # rad/s; nan when the scan is flat
 
 
-@dataclass(frozen=True)
-class PrecisionReport:
-    """Per-shot clock sensitivity compared against the unentangled limit."""
-
-    contrast: float
-    fringe_period: float        # rad/s
-    sigma_delta_omega: float    # rad/s per shot
-    sql_sigma: float            # rad/s per shot
-    gain_over_sql: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.contrast <= 1.0:
-            raise ParameterError("contrast must lie in [0, 1]")
-        if not self.fringe_period > 0.0:
-            raise ParameterError("fringe_period must be positive")
-        expected = self.sql_sigma / self.sigma_delta_omega
-        if abs(self.gain_over_sql - expected) > 1e-9 * abs(expected):
-            raise ParameterError("gain_over_sql inconsistent with the sigma ratio")
-
-
 def fringe_scan(
     n_atoms: int,
     ramsey_time: float,
@@ -243,21 +223,6 @@ def sql_baseline(n_atoms: int, ramsey_time: float) -> float:
     if not ramsey_time > 0.0:
         raise ParameterError("ramsey_time must be positive")
     return 1.0 / (math.sqrt(n_atoms) * ramsey_time)
-
-
-def precision_report(
-    contrast: float, fringe_period: float, n_atoms: int, ramsey_time: float
-) -> PrecisionReport:
-    """Bundle contrast and period with the derived per-shot sensitivities."""
-    sigma = phase_sensitivity(contrast, n_atoms, ramsey_time)
-    sql = sql_baseline(n_atoms, ramsey_time)
-    return PrecisionReport(
-        contrast=contrast,
-        fringe_period=fringe_period,
-        sigma_delta_omega=sigma,
-        sql_sigma=sql,
-        gain_over_sql=sql / sigma,
-    )
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Optical potentials for the two-sublattice transport lattice.
 
 The lattice is a superposition of two standing waves of opposite circular
-polarization, displaced by a winding phase ``phi``. An atom in state
-``(F, M_F)`` sees
+polarization, displaced by a winding phase ``phi``. An atom in a given
+internal state sees
 
     U(z) = U0p * cos^2(k z) + U0m * cos^2(k z - phi),    k = 2 pi / lambda
 
@@ -38,7 +38,8 @@ class SpeciesOptics:
 
     ``alpha_scalar`` is kept in atomic units, as tabulated; conversion to
     SI happens inside the operations. ``rho`` is the ratio of the vector
-    (axial) to scalar polarizability including the M_F / 2F weight.
+    (axial) to scalar polarizability, hyperfine weight included: the only
+    way a state's hyperfine numbers reach the lattice.
     """
 
     name: str
@@ -46,8 +47,6 @@ class SpeciesOptics:
     alpha_scalar: float    # atomic units, may be negative (blue detuned)
     rho: float = 0.0
     role: str = "clock"
-    F: float | None = None
-    M_F: float | None = None
 
     def __post_init__(self):
         if self.role not in ROLES:
@@ -59,11 +58,6 @@ class SpeciesOptics:
                 f"species {self.name}: scalar clock states have no vector "
                 f"polarizability, rho must be exactly 0 (got {self.rho})"
             )
-        if self.role != "clock" and self.F is not None and self.M_F is not None:
-            if abs(self.M_F) > self.F:
-                raise ParameterError(
-                    f"species {self.name}: |M_F| <= F violated ({self.M_F}, {self.F})"
-                )
 
 
 @dataclass(frozen=True)

@@ -32,20 +32,26 @@ from .rates import (
 
 
 def species_optics(entry: SpeciesEntry, table: ConstantsTable = CODATA) -> SpeciesOptics:
+    """The species' optics, with its mass in kg.
+
+    A state's hyperfine numbers reach the lattice only through ``rho``, the
+    vector-to-scalar polarizability ratio, which the entry gives directly.
+    """
     return SpeciesOptics(
         name=entry.name,
         mass=entry.mass_amu * table.atomic_mass_unit,
         alpha_scalar=entry.alpha_scalar_au,
         rho=entry.rho,
         role=entry.role,
-        F=entry.f,
-        M_F=entry.m_f,
     )
 
 
 @dataclass(frozen=True)
 class PhysicsBundle:
-    """Everything the commands need, derived once from a config."""
+    """Everything the commands need, derived once from a config.
+
+    The schedule owns N and the step times (SI); ``gate_time`` reads it.
+    """
 
     table: ConstantsTable
     clock: SpeciesOptics
@@ -54,13 +60,12 @@ class PhysicsBundle:
     lattice: LatticeConfig               # intensity resolved, at phi = 0
     requirement: IntensityRequirement
     interaction: float                   # J
-    gate_time: float                     # s
-    transport_time: float                # s
-    pulse_time: float                    # s
     decoherence: DecoherenceParams
     schedule: ProtocolSchedule
-    n_atoms: int
-    ramsey_time: float
+
+    @property
+    def gate_time(self) -> float:
+        return self.schedule.gate_time
 
 
 def resolve_physics(cfg: RunConfig, table: ConstantsTable = CODATA) -> PhysicsBundle:
@@ -134,11 +139,9 @@ def resolve_physics(cfg: RunConfig, table: ConstantsTable = CODATA) -> PhysicsBu
         extra_loss_rate=cfg.noise.extra_loss_rate_per_s,
     )
 
-    transport_time = cfg.protocol.transport_time_us * 1e-6
-    pulse_time = cfg.protocol.pulse_time_us * 1e-6
     schedule = ProtocolSchedule(
-        cfg.protocol.n_atoms, gate_time, transport_time,
-        cfg.protocol.ramsey_time_s, pulse_time,
+        cfg.protocol.n_atoms, gate_time, cfg.protocol.transport_time_us * 1e-6,
+        cfg.protocol.ramsey_time_s, cfg.protocol.pulse_time_us * 1e-6,
     )
 
     return PhysicsBundle(
@@ -149,13 +152,8 @@ def resolve_physics(cfg: RunConfig, table: ConstantsTable = CODATA) -> PhysicsBu
         lattice=lattice,
         requirement=requirement,
         interaction=delta_e,
-        gate_time=gate_time,
-        transport_time=transport_time,
-        pulse_time=pulse_time,
         decoherence=decoherence,
         schedule=schedule,
-        n_atoms=cfg.protocol.n_atoms,
-        ramsey_time=cfg.protocol.ramsey_time_s,
     )
 
 

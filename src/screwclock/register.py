@@ -398,33 +398,18 @@ def run_protocol(
     return ProtocolResult(state, copies)
 
 
-def ghz_reference(n_atoms: int, backend: str = "dense") -> RegisterState:
+def ghz_reference(n_atoms: int) -> BranchState:
     """(|0...0>|down> + |1...1>|up>) / sqrt(2)."""
-    inv = 1.0 / math.sqrt(2.0)
-    if backend == "dense":
-        state = DenseState(n_atoms)
-        state.amplitudes[:] = 0.0
-        state.amplitudes[0] = inv
-        state.amplitudes[2 ** (n_atoms + 1) - 1] = inv
-        return state
     state = BranchState(n_atoms)
     state.clock = np.eye(2, dtype=complex)
-    state.head = inv * np.eye(2, dtype=complex)
+    state.head = 1.0 / math.sqrt(2.0) * np.eye(2, dtype=complex)
     return state
 
 
-def final_reference(n_atoms: int, chi: float, backend: str = "dense") -> RegisterState:
+def final_reference(n_atoms: int, chi: float) -> BranchState:
     """|0...0>{cos(chi/2)|down> - i sin(chi/2)|up>}, the ideal output."""
-    a_down = math.cos(chi / 2.0)
-    a_up = -1j * math.sin(chi / 2.0)
-    if backend == "dense":
-        state = DenseState(n_atoms)
-        state.amplitudes[:] = 0.0
-        state.amplitudes[0] = a_down
-        state.amplitudes[2 ** n_atoms] = a_up
-        return state
     state = BranchState(n_atoms)
-    state.head = np.array([[a_down, a_up]], dtype=complex)
+    state.head = np.array([[math.cos(chi / 2.0), -1j * math.sin(chi / 2.0)]], dtype=complex)
     return state
 
 
@@ -447,18 +432,18 @@ def protocol_references(
     superposition.clock[:] = inv
     superposition.head[:] = inv
 
-    entangled = ghz_reference(n_atoms, backend="branch")
+    entangled = ghz_reference(n_atoms)
     entangled.clock = np.array([[inv, inv], [inv, -inv]], dtype=complex)
 
-    evolved = ghz_reference(n_atoms, backend="branch")
+    evolved = ghz_reference(n_atoms)
     evolved.head[1, 1] *= np.exp(1j * chi)
 
     return {
         "superposition": superposition,
         "entangled": entangled,
-        "ghz": ghz_reference(n_atoms, backend="branch"),
+        "ghz": ghz_reference(n_atoms),
         "evolved": evolved,
-        "final": final_reference(n_atoms, chi, backend="branch"),
+        "final": final_reference(n_atoms, chi),
     }
 
 

@@ -1,5 +1,6 @@
 """Shared fixtures: the Sr/Al parameter set used across the suite, the
-random-gate-sequence helpers behind the backend differential tests, and the
+random-gate-sequence helpers behind the backend differential tests, a dense
+copy of a (branch) reference state, and the
 slow reference paths the fast ones are tested against: the protocol gate by
 gate, the branch state with one clock factor per site and its per-site phase gate, the per-axis and the allocating dense
 rotations, the XOR-loop dense phase pass and the per-axis dense free
@@ -23,8 +24,8 @@ from scipy.optimize import OptimizeWarning, curve_fit
 
 import screwclock
 from screwclock import (
-    CODATA, CapacityError, ConstantsTable, LatticeConfig, ParameterError, SpeciesOptics,
-    init_register, sublattice_depths,
+    CODATA, CapacityError, ConstantsTable, DenseState, LatticeConfig, ParameterError,
+    SpeciesOptics, init_register, sublattice_depths,
 )
 from screwclock.estimator import _initial_frequency
 from screwclock.register import (
@@ -57,15 +58,13 @@ def sr():
 @pytest.fixture
 def al_up():
     return SpeciesOptics("Al_up", mass=AL_MASS_AMU * CODATA.atomic_mass_unit,
-                         alpha_scalar=ALPHA_AL_AU, rho=RHO_UP, role="head_up",
-                         F=3.0, M_F=-3.0)
+                         alpha_scalar=ALPHA_AL_AU, rho=RHO_UP, role="head_up")
 
 
 @pytest.fixture
 def al_down():
     return SpeciesOptics("Al_down", mass=AL_MASS_AMU * CODATA.atomic_mass_unit,
-                         alpha_scalar=ALPHA_AL_AU, rho=RHO_DOWN, role="head_down",
-                         F=2.0, M_F=-2.0)
+                         alpha_scalar=ALPHA_AL_AU, rho=RHO_DOWN, role="head_down")
 
 
 @pytest.fixture
@@ -162,6 +161,13 @@ def backend_crosscheck(
     phase_a = va[ref] / abs(va[ref]) if va[ref] != 0 else 1.0
     phase_b = vb[ref] / abs(vb[ref]) if vb[ref] != 0 else 1.0
     return float(np.max(np.abs(va / phase_a - vb / phase_b)))
+
+
+def dense_copy(state) -> DenseState:
+    """A dense register holding ``state``'s amplitudes, e.g. of a branch reference state."""
+    dense = DenseState(state.n_atoms)
+    dense.amplitudes = state.to_vector()
+    return dense
 
 
 class ReferenceBranchState:

@@ -49,6 +49,7 @@ from conftest import (
     RHO_UP,
     SR_MASS_AMU,
     backend_crosscheck,
+    dense_copy,
     optical_potential_curve,
     read_table,
     well_depth,
@@ -69,10 +70,8 @@ def criterion(number: int, name: str):
 
 def _reference_species():
     sr = SpeciesOptics("Sr", SR_MASS_AMU * AMU, ALPHA_SR_AU, 0.0, "clock")
-    al_up = SpeciesOptics("Al_up", AL_MASS_AMU * AMU, ALPHA_AL_AU, RHO_UP, "head_up",
-                          F=3.0, M_F=-3.0)
-    al_down = SpeciesOptics("Al_down", AL_MASS_AMU * AMU, ALPHA_AL_AU, RHO_DOWN,
-                            "head_down", F=2.0, M_F=-2.0)
+    al_up = SpeciesOptics("Al_up", AL_MASS_AMU * AMU, ALPHA_AL_AU, RHO_UP, "head_up")
+    al_down = SpeciesOptics("Al_down", AL_MASS_AMU * AMU, ALPHA_AL_AU, RHO_DOWN, "head_down")
     return sr, al_up, al_down
 
 
@@ -86,7 +85,7 @@ def test_criterion_01_ghz_construction():
         start = time.perf_counter()
         for n in range(2, 13):
             result = run_protocol(n, backend="dense")
-            fid = state_fidelity(result.checkpoints["ghz"], ghz_reference(n, "dense"))
+            fid = state_fidelity(result.checkpoints["ghz"], dense_copy(ghz_reference(n)))
             assert fid >= 1 - 1e-10, f"N={n}: fidelity {fid}"
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.1f} s"
@@ -150,7 +149,7 @@ def test_criterion_06_gate_time():
         lattice = _reference_lattice(MIN_INTENSITY)
         w_sr = trap_frequencies(lattice, sr)
         w_al = trap_frequencies(lattice, al_up)
-        delta_e = interaction_energy(100.0 * CODATA.length_au_in_si,
+        delta_e = interaction_energy(100.0 * CODATA.bohr_radius,
                                      al_up.mass, sr.mass, w_al, w_sr)
         tau = phase_gate_duration(delta_e)
         assert 0.5 < tau / 20e-6 < 2.0, f"gate time {tau * 1e6:.2f} us"

@@ -5,6 +5,7 @@ import math
 import sys
 import tempfile
 import timeit
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,10 +19,10 @@ from screwclock import (
     survival_probability,
 )
 from screwclock.cli import (
-    BRANCH_MAX_ATOMS, COMMANDS, MEMORY_BUDGET_BYTES, SCAN_MAX_POINTS, SCAN_POINT_BYTES,
-    SCHEDULE_MAX_ATOMS, SCHEDULE_ROW_BYTES, main, run_command,
+    BRANCH_MAX_ATOMS, COMMANDS, MEMORY_BUDGET_BYTES, OPTIMIZE_MAX_POINTS, OPTIMIZE_POINT_BYTES,
+    SCAN_MAX_POINTS, SCAN_POINT_BYTES, SCHEDULE_MAX_ATOMS, SCHEDULE_ROW_BYTES, main, run_command,
 )
-from screwclock.config import serialized_hash
+from screwclock.config import _SECTIONS, SpeciesEntry, serialize_config, serialized_hash
 from screwclock.output import write_table
 
 from conftest import read_table, reference_schedule_steps, reference_write_table, run_python
@@ -389,7 +390,7 @@ class TestSweepCommand:
             "run": {"seed": 987},
         })
         run_cli(["--config", str(cfg), "--out", str(tmp_path / "a"), "sweep"])
-        run_cli(["--config", str(cfg), "--out", str(tmp_path / "b"), "--jobs", "4", "sweep"])
+        run_cli(["--config", str(cfg), "--out", str(tmp_path / "b"), "sweep"])
         assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
 
 
@@ -460,7 +461,7 @@ class TestDeterminismAndErrors:
         rows = read_table(tmp_path / "o" / "scan.csv")
         assert len(rows) == 101
         for row in rows:
-            exact = math.sin(4 * float(row["detuning_rad_s"]) * bundle.ramsey_time / 2) ** 2
+            exact = math.sin(4 * float(row["detuning_rad_s"]) * bundle.schedule.ramsey_time / 2) ** 2
             expected = survival * exact + (1.0 - survival) / 2.0
             sigma = math.sqrt(survival * (1.0 - survival) / trajectories) * abs(exact - 0.5)
             assert abs(float(row["p_up"]) - expected) <= 5 * sigma + 1e-12
@@ -481,12 +482,19 @@ class TestDeterminismAndErrors:
         result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "schedule"])
         assert result.exit_code == 2
 
-    def test_undefined_transport_delta_exit_code(self, tmp_path, run_cli):
-        # delta = 0 leaves the transport criteria undefined: invalid parameter.
-        cfg = _write_config(tmp_path, {"lattice": {"delta": 0.0}})
-        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "feasibility"])
-        assert result.exit_code == 3
-        assert json.loads(result.stderr)["error"] == "invalid_parameter"
+    @pytest.mark.parametrize("command,document", [
+        ("feasibility", {"lattice": {"delta": 0.0}}),
+        ("schedule", {"lattice": {"delta": -0.25}}),
+        ("sweep", {"sweep": {"lattice.delta": [0.25, -0.1]}}),
+    ], ids=["zero", "negative", "sweep-value"])
+    def test_undefined_transport_delta_exit_code(self, tmp_path, run_cli, command, document):
+        # The transport criteria are defined for delta > 0 only: rejected with the config.
+        cfg = _write_config(tmp_path, document)
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+        assert result.exit_code == 2
+        blob = json.loads(result.stderr)
+        assert (blob["error"], blob["field"]) == ("config", "lattice.delta")
+        assert not (tmp_path / "o").exists()
 
     def test_untrapped_clock_exit_code(self, tmp_path, run_cli):
         # A clock species with zero polarizability cannot be pinned.
@@ -648,6 +656,96 @@ class TestOutputContract:
         assert capsys.readouterr().out == _EXAMPLE_SUMMARIES[command] + "\n"
 
 
+def _species(changes: dict[int, dict]) -> dict:
+    """The default species list with entry i's leaves replaced by ``changes[i]``."""
+    species = serialize_config(parse_config(None))["species"]
+    for index, leaves in changes.items():
+        species[index].update(leaves)
+    return {"species": species}
+
+
+_DETUNING_RANGE = {"run": {"detuning_min_rad_s": 0.0, "detuning_max_rad_s": 12.0}}
+
+# One valid change per config leaf, as (context, change): the context goes into
+# both runs, the change into the second only. A new leaf must be added here.
+_LEAF_CHANGES = {
+    "species.name": ({}, _species({0: {"name": "Sr88"}})),
+    "species.mass_amu": ({}, _species({0: {"mass_amu": 88.0}})),
+    "species.alpha_scalar_au": ({}, _species({0: {"alpha_scalar_au": -480.0}})),
+    "species.rho": ({}, _species({1: {"rho": -1.3}})),
+    "species.role": ({}, _species({1: {"role": "head_down"}, 2: {"role": "head_up"}})),
+    "lattice.lambda_m_nm": ({}, {"lattice": {"lambda_m_nm": 400.0}}),
+    "lattice.intensity_kW_cm2": ({}, {"lattice": {"intensity_kW_cm2": 30.0}}),
+    "lattice.delta": ({}, {"lattice": {"delta": 0.3}}),
+    "lattice.transverse_intensity_kW_cm2": ({}, {"lattice": {"transverse_intensity_kW_cm2": 30.0}}),
+    "protocol.n_atoms": ({}, {"protocol": {"n_atoms": 50}}),
+    "protocol.ramsey_time_s": ({}, {"protocol": {"ramsey_time_s": 0.02}}),
+    "protocol.a_scatt_au": ({}, {"protocol": {"a_scatt_au": 120.0}}),
+    "protocol.transport_time_us": ({}, {"protocol": {"transport_time_us": 20.0}}),
+    "protocol.gate_time_us": ({}, {"protocol": {"gate_time_us": 15.0}}),
+    "protocol.pulse_time_us": ({}, {"protocol": {"pulse_time_us": 1.0}}),
+    "protocol.depth_factor": ({}, {"protocol": {"depth_factor": 6.0}}),
+    "noise.tau_scatter_clock_s": ({}, {"noise": {"tau_scatter_clock_s": 5.0}}),
+    "noise.tau_scatter_head_s": ({}, {"noise": {"tau_scatter_head_s": 5.0}}),
+    "noise.extra_loss_rate_per_s": ({}, {"noise": {"extra_loss_rate_per_s": 1.0}}),
+    "run.backend": ({"protocol": {"n_atoms": 10}}, {"run": {"backend": "dense"}}),
+    "run.trajectories": ({}, {"run": {"trajectories": 1000}}),
+    # With trajectories, so that the seed must move the scan's draws.
+    "run.seed": ({"run": {"trajectories": 1000}}, {"run": {"seed": 7}}),
+    "run.detuning_min_rad_s": (_DETUNING_RANGE, {"run": {"detuning_min_rad_s": 0.5}}),
+    "run.detuning_max_rad_s": (_DETUNING_RANGE, {"run": {"detuning_max_rad_s": 15.0}}),
+    "run.detuning_points": ({}, {"run": {"detuning_points": 51}}),
+    "run.delta_omega_rad_s": ({}, {"run": {"delta_omega_rad_s": 1.0}}),
+    "run.delta_omega_head_rad_s": ({}, {"run": {"delta_omega_head_rad_s": 0.1}}),
+    "optimize.n_min": ({}, {"optimize": {"n_min": 2}}),
+    "optimize.n_max": ({}, {"optimize": {"n_max": 5000}}),
+    "optimize.n_points": ({}, {"optimize": {"n_points": 30}}),
+}
+
+
+def _merge(base: dict, change: dict) -> dict:
+    """``base`` with ``change`` laid over it, section by section; lists are replaced whole."""
+    merged = {key: dict(value) if isinstance(value, dict) else value for key, value in base.items()}
+    for key, value in change.items():
+        merged[key] = {**merged.get(key, {}), **value} if isinstance(value, dict) else value
+    return merged
+
+
+class TestEveryLeafReachesAnOutput:
+    """A leaf that changes no output is an input that nothing reads."""
+
+    def test_every_leaf_has_a_change(self):
+        leaves = {f"{name}.{leaf.name}" for name, cls in _SECTIONS.items() for leaf in fields(cls)}
+        leaves |= {f"species.{leaf.name}" for leaf in fields(SpeciesEntry)}
+        assert set(_LEAF_CHANGES) == leaves
+
+    @staticmethod
+    def _outcomes(run_cli, document) -> dict:
+        """Per command: exit code, summary line, CSV bytes and the sidecar less its config echo."""
+        parse_config(document)  # a change must be valid: a rejection proves no leaf is read
+        outcomes = {}
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(document))
+            for command in COMMANDS:
+                out = Path(tmp) / command
+                result = run_cli(["--config", str(config), "--out", str(out), command])
+                csv_path, meta_path = out / f"{command}.csv", out / f"{command}.meta.json"
+                meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
+                for key in ("config", "config_hash", "seed"):
+                    meta.pop(key, None)
+                csv_bytes = csv_path.read_bytes() if csv_path.exists() else None
+                outcomes[command] = (result.exit_code, result.stdout, csv_bytes, meta)
+        return outcomes
+
+    @pytest.mark.parametrize("leaf", sorted(_LEAF_CHANGES))
+    def test_leaf_moves_some_command(self, run_cli, leaf):
+        context, change = _LEAF_CHANGES[leaf]
+        before = self._outcomes(run_cli, context)
+        after = self._outcomes(run_cli, _merge(context, change))
+        assert [c for c in COMMANDS if before[c] != after[c]], f"{leaf} moved no command"
+
+
 class TestMemoryBudgets:
     """The `scan` points bound, derived like the schedule's from one memory budget.
 
@@ -665,6 +763,7 @@ class TestMemoryBudgets:
 
     def test_bounds_fill_the_budget(self):
         assert SCAN_MAX_POINTS * SCAN_POINT_BYTES <= MEMORY_BUDGET_BYTES
+        assert OPTIMIZE_MAX_POINTS * OPTIMIZE_POINT_BYTES <= MEMORY_BUDGET_BYTES
         # Far above the benchmark's branch N = 10^4 and 101-point scans.
         assert BRANCH_MAX_ATOMS > 10 * 10**4 and SCAN_MAX_POINTS > 1000 * 101
 
@@ -686,7 +785,10 @@ class TestMemoryBudgets:
     @pytest.mark.parametrize("command,small,large,units,unit_bytes", [
         ("scan", {"protocol": {"n_atoms": 1}, "run": {"detuning_points": 2}},
          {"protocol": {"n_atoms": 1}, "run": {"detuning_points": 10_000}}, 10_000, SCAN_POINT_BYTES),
-    ], ids=["scan-points"])
+        # n_max = 2^53 keeps every grid point a distinct N.
+        ("optimize", {"optimize": {"n_max": 2**53, "n_points": 2}},
+         {"optimize": {"n_max": 2**53, "n_points": 10**5}}, 10**5, OPTIMIZE_POINT_BYTES),
+    ], ids=["scan-points", "optimize-points"])
     def test_growth_within_twice_the_measured_bytes(self, tmp_path, command, small, large,
                                                     units, unit_bytes):
         assert _peak_growth(tmp_path, command, small, large) <= 2 * units * unit_bytes
@@ -720,7 +822,9 @@ class TestMemoryBudgets:
         ("simulate", {"protocol": {"n_atoms": 10**8}}, "protocol.n_atoms"),
         ("scan", {"run": {"detuning_points": SCAN_MAX_POINTS + 1}}, "run.detuning_points"),
         ("scan", {"run": {"detuning_points": 10**8}}, "run.detuning_points"),
-    ], ids=["simulate-bound+1", "scan-bound+1", "simulate-1e8", "points-bound+1", "points-1e8"])
+        ("optimize", {"optimize": {"n_points": OPTIMIZE_MAX_POINTS + 1}}, "optimize.n_points"),
+    ], ids=["simulate-bound+1", "scan-bound+1", "simulate-1e8", "points-bound+1", "points-1e8",
+            "optimize-points-bound+1"])
     def test_beyond_budget_exits_before_building(self, tmp_path, refuse_build, run_cli,
                                                  command, document, field):
         cfg = _write_config(tmp_path, document)
@@ -728,7 +832,7 @@ class TestMemoryBudgets:
         assert result.exit_code == 2
         blob = json.loads(result.stderr)
         assert (blob["error"], blob["field"]) == ("config", field)
-        assert not list((tmp_path / "o").glob("*.csv"))
+        assert not list((tmp_path / "o").glob("*"))
 
     @pytest.mark.parametrize("command,document", [
         ("simulate", {"protocol": {"n_atoms": BRANCH_MAX_ATOMS}}),
@@ -737,8 +841,9 @@ class TestMemoryBudgets:
         ("simulate", {"protocol": {"n_atoms": 10**8}, "run": {"backend": "dense"}}),
         ("scan", {"protocol": {"n_atoms": BRANCH_MAX_ATOMS},
                   "run": {"detuning_points": SCAN_MAX_POINTS}}),
+        ("optimize", {"optimize": {"n_points": OPTIMIZE_MAX_POINTS}}),
     ], ids=["simulate-at-bound", "scan-at-bound", "points-at-bound", "dense-is-capped-elsewhere",
-            "atoms-and-points-at-bound"])
+            "atoms-and-points-at-bound", "optimize-points-at-bound"])
     def test_within_budget_goes_on_to_build(self, tmp_path, refuse_build, run_cli, command, document):
         cfg = _write_config(tmp_path, document)
         result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
@@ -788,12 +893,12 @@ class TestFrontDoor:
         (["explode"], "command"),
         (["scan", "--seed", "3"], "--seed"),  # options go before the command
         (["--trajectories", "1e3", "scan"], "--trajectories"),
-        (["--jobs", "x", "sweep"], "--jobs"),
+        (["--jobs=1", "sweep"], "--jobs"),  # the option is gone
         (["--seed"], "--seed"),
         (["--out", "{tmp}/config.json", "scan"], "--out"),
     ], ids=["seed-not-int", "unknown-backend", "missing-config", "config-is-directory",
             "unknown-option", "extra-argument", "no-command", "unknown-command",
-            "option-after-command", "trajectories-not-int", "jobs-not-int", "option-without-value",
+            "option-after-command", "trajectories-not-int", "jobs-removed", "option-without-value",
             "out-is-a-file"])
     def test_usage_error_is_one_json_line(self, tmp_path, run_cli, argv, field):
         _write_config(tmp_path, {})
@@ -813,8 +918,9 @@ class TestFrontDoor:
         assert top.exit_code == 0 and top.stderr == ""
         assert top.stdout.startswith("usage: screwclock ")
         assert all(command in top.stdout for command in COMMANDS)
-        for option in ("--config", "--out", "--seed", "--backend", "--trajectories", "--jobs"):
+        for option in ("--config", "--out", "--seed", "--backend", "--trajectories"):
             assert option in top.stdout
+        assert "--jobs" not in top.stdout
         command = run_cli(["scan", "--help"])
         assert command.exit_code == 0 and command.stdout.startswith("usage: screwclock scan")
 
@@ -867,7 +973,6 @@ _OPTIONS = st.one_of(
     st.tuples(st.just("--seed"), st.sampled_from(["0", "7", "12345", "-3", "x", str(2**64)])),
     st.tuples(st.just("--backend"), st.sampled_from(["dense", "branch", "dense", "branch", "foo"])),
     st.tuples(st.just("--trajectories"), st.sampled_from(["0", "20", "1000", "-1", "1e3", str(2**63)])),
-    st.tuples(st.just("--jobs"), st.sampled_from(["1", "4", "x"])),
     st.tuples(st.just("--config"), st.sampled_from(["{config}", "{config}", "{tmp}", "{tmp}/missing.json"])),
     st.tuples(st.just("--out"), st.sampled_from(["{tmp}/o", "{tmp}/o", "{config}", "{config}/o"])),
     st.tuples(st.sampled_from(["--bogus", "--help", "--version"])),

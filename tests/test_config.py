@@ -174,7 +174,7 @@ class TestRoundTrip:
     @given(
         n_atoms=st.integers(1, 10**9),
         intensity=st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-        delta=st.floats(-1.0, 1.0),
+        delta=st.floats(0.0, 1.0, exclude_min=True),
         backend=st.sampled_from(BACKENDS),
         seed=st.integers(0, 2**64),
         trajectories=st.integers(0, 10**12),

@@ -10,12 +10,11 @@ from screwclock.lattice import LatticeConfig, SpeciesOptics, recoil_energy
 from conftest import well_depth
 
 
-# CODATA 2022 (Mohr, Newell, Taylor, Tiesinga); h, c and k are exact.
+# CODATA 2022 (Mohr, Newell, Taylor, Tiesinga); h and c are exact.
 CODATA_2022 = {
     "planck_reduced": 6.62607015e-34 / (2 * math.pi),
     "speed_of_light": 299792458.0,
     "vacuum_permittivity": 8.8541878188e-12,
-    "boltzmann": 1.380649e-23,
     "atomic_mass_unit": 1.66053906892e-27,
     "bohr_radius": 5.29177210544e-11,
 }
@@ -27,7 +26,6 @@ SCIPY_HAS_CODATA_2022 = hasattr(importlib.import_module("scipy.constants._codata
 def test_table_is_codata_2022():
     for name, value in CODATA_2022.items():
         assert getattr(CODATA, name) == value, name
-    assert CODATA.length_au_in_si == CODATA.bohr_radius
 
 
 @pytest.mark.skipif(not SCIPY_HAS_CODATA_2022, reason="the installed scipy predates CODATA 2022")
@@ -37,11 +35,8 @@ def test_table_equals_scipy_codata_2022():
         planck_reduced=sc.hbar,
         speed_of_light=sc.c,
         vacuum_permittivity=sc.epsilon_0,
-        boltzmann=sc.k,
         atomic_mass_unit=sc.atomic_mass,
         bohr_radius=a0,
-        polarizability_au_in_si=4.0 * math.pi * sc.epsilon_0 * a0**3,
-        length_au_in_si=a0,
     )
 
 
@@ -61,33 +56,14 @@ def test_polarizability_unit_matches_codata_listing():
     assert CODATA.polarizability_au_in_si == pytest.approx(listed, rel=1e-8)
 
 
-def test_inconsistent_table_rejected():
-    with pytest.raises(ParameterError):
-        ConstantsTable(
-            planck_reduced=sc.hbar,
-            speed_of_light=sc.c,
-            vacuum_permittivity=sc.epsilon_0,
-            boltzmann=sc.k,
-            atomic_mass_unit=sc.atomic_mass,
-            bohr_radius=sc.physical_constants["Bohr radius"][0],
-            polarizability_au_in_si=1.0e-41,  # wrong on purpose
-            length_au_in_si=sc.physical_constants["Bohr radius"][0],
-        )
-
-
 def test_nonpositive_entry_rejected():
     with pytest.raises(ParameterError):
         ConstantsTable(
             planck_reduced=-sc.hbar,
             speed_of_light=sc.c,
             vacuum_permittivity=sc.epsilon_0,
-            boltzmann=sc.k,
             atomic_mass_unit=sc.atomic_mass,
             bohr_radius=sc.physical_constants["Bohr radius"][0],
-            polarizability_au_in_si=sc.physical_constants[
-                "atomic unit of electric polarizability"
-            ][0],
-            length_au_in_si=sc.physical_constants["Bohr radius"][0],
         )
 
 
@@ -108,18 +84,17 @@ def test_one_au_equals_4pi_eps0_a0_cubed():
 
 
 def _scaled_table(lam_l: float, lam_m: float, lam_t: float, lam_q: float) -> ConstantsTable:
-    """Rescale every constant by its dimensions in (length, mass, time, charge)."""
+    """Rescale every base constant by its dimensions in (length, mass, time, charge).
+
+    The atomic units derive from these, so they rescale with them.
+    """
     return ConstantsTable(
         planck_reduced=CODATA.planck_reduced * lam_m * lam_l**2 / lam_t,
         speed_of_light=CODATA.speed_of_light * lam_l / lam_t,
         vacuum_permittivity=CODATA.vacuum_permittivity
         * lam_q**2 * lam_t**2 / (lam_m * lam_l**3),
-        boltzmann=CODATA.boltzmann * lam_m * lam_l**2 / lam_t**2,
         atomic_mass_unit=CODATA.atomic_mass_unit * lam_m,
         bohr_radius=CODATA.bohr_radius * lam_l,
-        polarizability_au_in_si=CODATA.polarizability_au_in_si
-        * lam_q**2 * lam_t**2 / lam_m,
-        length_au_in_si=CODATA.length_au_in_si * lam_l,
     )
 
 

@@ -19,7 +19,6 @@ from screwclock import (
     optimize_atom_number,
     parse_config,
     phase_sensitivity,
-    precision_report,
     resolve_physics,
     run_protocol,
     sample_scatter_count,
@@ -354,8 +353,8 @@ class TestSensitivities:
 
     @pytest.mark.parametrize("n", [1, 4, 100, 1000])
     def test_full_contrast_gain_is_root_n(self, n):
-        report = precision_report(1.0, 2 * math.pi / n, n, 1.0)
-        assert report.gain_over_sql == pytest.approx(math.sqrt(n), rel=1e-9)
+        gain = sql_baseline(n, 1.0) / phase_sensitivity(1.0, n, 1.0)
+        assert gain == pytest.approx(math.sqrt(n), rel=1e-9)
 
 
 def _continuous_optimum(params, gate_time, transport_time, ramsey_time, pulse_time):
@@ -433,12 +432,13 @@ class TestOptimizeAtomNumber:
 
     def test_default_optimum_matches_stationary_point(self, tmp_path):
         bundle = resolve_physics(parse_config(None))
-        root = _continuous_optimum(bundle.decoherence, bundle.gate_time, bundle.transport_time,
-                                   bundle.ramsey_time, bundle.pulse_time)
+        s = bundle.schedule
+        root = _continuous_optimum(bundle.decoherence, s.gate_time, s.transport_time,
+                                   s.ramsey_time, s.pulse_time)
         assert root == pytest.approx(252.6, abs=0.05)
         n_opt, _ = optimize_atom_number(
-            bundle.decoherence, bundle.gate_time, bundle.transport_time, bundle.ramsey_time,
-            range(1, 2001), pulse_time=bundle.pulse_time,
+            bundle.decoherence, s.gate_time, s.transport_time, s.ramsey_time,
+            range(1, 2001), pulse_time=s.pulse_time,
         )
         assert abs(n_opt - root) <= 1.0
 

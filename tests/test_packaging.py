@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from screwclock.cli import BRANCH_MAX_ATOMS, COMMANDS
+from screwclock.cli import BRANCH_MAX_ATOMS, COMMANDS, OPTIMIZE_MAX_POINTS
 
 from conftest import run_python
 
@@ -128,16 +128,53 @@ def test_ci_smoke_runs_the_branch_register_at_its_bound():
     assert '--config "$RUNNER_TEMP/branch-bound.json" --out "$RUNNER_TEMP/smoke" --backend branch "$command"' in script
 
 
-def test_dense_smoke_lines_run(tmp_path):
-    """The lines above, through bash, with ``screwclock`` calling this checkout's CLI."""
+def _run_ci_lines(script: str, tmp_path) -> subprocess.CompletedProcess:
+    """CI lines through ``bash -e``, with ``screwclock`` and ``python`` calling this checkout's CLI
+    and interpreter, and ``$RUNNER_TEMP`` at ``tmp_path``."""
     src = str(ROOT / "src")
-    script = (
+    prelude = (
         f"screwclock() {{ PYTHONPATH={shlex.quote(src)} {shlex.quote(sys.executable)} -c "
         "'import sys; from screwclock.cli import main; sys.exit(main(sys.argv[1:]))' \"$@\"; }\n"
-        "set -e\n" + DENSE_SMOKE
+        f"python() {{ {shlex.quote(sys.executable)} \"$@\"; }}\n"
+        "set -e\n"
     )
     env = dict(os.environ, RUNNER_TEMP=str(tmp_path))
-    result = subprocess.run(["bash", "-c", script], capture_output=True, text=True,
-                            timeout=120, env=env)
+    return subprocess.run(["bash", "-c", prelude + script], capture_output=True, text=True,
+                          timeout=120, env=env)
+
+
+def test_dense_smoke_lines_run(tmp_path):
+    """The lines above, through bash."""
+    result = _run_ci_lines(DENSE_SMOKE, tmp_path)
     assert result.returncode == 0, result.stderr
     assert sorted(p.name for p in (tmp_path / "smoke").glob("*.csv")) == ["scan.csv", "simulate.csv"]
+
+
+def _error_contract_step() -> dict:
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    steps = [step for step in workflow["jobs"]["runtime"]["steps"] if step.get("name") == "Error contract"]
+    assert len(steps) == 1
+    return steps[0]
+
+
+def test_ci_error_contract_names_each_rejected_leaf():
+    script = _error_contract_step()["run"]
+    points = json.dumps({"optimize": {"n_points": OPTIMIZE_MAX_POINTS + 1}})
+    assert f"""echo '{points}' > "$RUNNER_TEMP/error.json"\n""" in script
+    assert "expect_config_error optimize.n_points optimize\n" in script
+    assert """echo '{"lattice": {"delta": 0}}' > "$RUNNER_TEMP/error.json"\n""" in script
+    assert "expect_config_error lattice.delta feasibility\n" in script
+    assert 'test "$status" -eq 2' in script
+
+
+@pytest.mark.parametrize("field,wrong", [(None, None), ("optimize.n_points", "optimize.n_max")],
+                         ids=["as-written", "wrong-field-fails"])
+def test_error_contract_lines_run(tmp_path, field, wrong):
+    """The step's lines, through bash; with one expected field renamed, the step must fail."""
+    script = _error_contract_step()["run"]
+    if field is not None:
+        script = script.replace(f"expect_config_error {field} ", f"expect_config_error {wrong} ")
+    result = _run_ci_lines(script, tmp_path)
+    assert (result.returncode == 0) == (field is None), result.stderr
+    assert not list((tmp_path / "errors").glob("*"))

@@ -91,7 +91,7 @@ class TestInteractionEnergy:
     def test_reference_gate_time_near_twenty_microseconds(self, sr, al_up, reference_lattice):
         w_sr = trap_frequencies(reference_lattice, sr)
         w_al = trap_frequencies(reference_lattice, al_up)
-        a_scatt = 100.0 * CODATA.length_au_in_si
+        a_scatt = 100.0 * CODATA.bohr_radius
         delta_e = interaction_energy(a_scatt, al_up.mass, sr.mass, w_al, w_sr)
         assert delta_e == pytest.approx(DELTA_E_ORACLE, rel=1e-9)
         tau = phase_gate_duration(delta_e)

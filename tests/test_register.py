@@ -27,7 +27,7 @@ from screwclock.register import (
 )
 
 from conftest import (
-    PHASE_PASS, ReferenceBranchState, backend_crosscheck, haar_unitary, protocol_sequence,
+    PHASE_PASS, ReferenceBranchState, backend_crosscheck, dense_copy, haar_unitary, protocol_sequence,
     random_gate_sequence, reference_axis_rotation, reference_dense_clock_rotation,
     reference_dense_free_evolution, reference_dense_head_rotation, reference_dense_phase_pass,
 )
@@ -422,27 +422,27 @@ class TestControlledFlip:
 
     def test_heads_with_one_component_keep_their_branches(self):
         # The GHZ state's heads are not superposed: no split, and each clock factor is swapped.
-        flipped = ghz_reference(6, "branch").apply_controlled_flip()
+        flipped = ghz_reference(6).apply_controlled_flip()
         assert np.array_equal(flipped.clock, np.array([[1.0, 0.0], [1.0, 0.0]]))
-        assert np.array_equal(flipped.head, ghz_reference(6, "branch").head)
+        assert np.array_equal(flipped.head, ghz_reference(6).head)
 
 
 class TestFreeEvolution:
     def test_zero_time_is_identity(self):
-        state = ghz_reference(4, "dense")
+        state = dense_copy(ghz_reference(4))
         before = state.to_vector()
         state.apply_free_evolution(0.7, 0.3, 0.0)
         np.testing.assert_allclose(state.to_vector(), before, atol=1e-15)
 
     def test_zero_detunings_are_identity(self):
-        state = ghz_reference(4, "branch")
+        state = ghz_reference(4)
         state.apply_free_evolution(0.0, 0.0, 123.0)
-        assert state_fidelity(state, ghz_reference(4, "branch")) == pytest.approx(1.0)
+        assert state_fidelity(state, ghz_reference(4)) == pytest.approx(1.0)
 
     def test_ghz_accumulates_enhanced_phase(self):
         # N = 5 with dw T = 0.1 and dw' T = 0.02: relative branch phase 0.52.
         n, t = 5, 1.0
-        state = ghz_reference(n, "dense").apply_free_evolution(0.1, 0.02, t)
+        state = dense_copy(ghz_reference(n)).apply_free_evolution(0.1, 0.02, t)
         amp_down = state.amplitudes[0]
         amp_up = state.amplitudes[2 ** (n + 1) - 1]
         phase = np.angle(amp_up / amp_down)
@@ -452,7 +452,7 @@ class TestFreeEvolution:
 class TestRunProtocol:
     def test_ghz_checkpoint_small(self):
         result = run_protocol(3, "dense")
-        fid = state_fidelity(result.checkpoints["ghz"], ghz_reference(3, "dense"))
+        fid = state_fidelity(result.checkpoints["ghz"], dense_copy(ghz_reference(3)))
         assert fid >= 1 - 1e-10
 
     def test_zero_phase_returns_to_start(self):
@@ -596,13 +596,13 @@ class TestPerSiteReference:
 
 class TestHeadReadout:
     def test_chi_pi_reads_up(self):
-        state = final_reference(4, math.pi, "dense")
+        state = dense_copy(final_reference(4, math.pi))
         p_down, p_up = state.head_readout()
         assert p_up == pytest.approx(1.0, abs=1e-12)
         assert p_down == pytest.approx(0.0, abs=1e-12)
 
     def test_chi_half_pi_is_balanced(self):
-        state = final_reference(4, math.pi / 2, "branch")
+        state = final_reference(4, math.pi / 2)
         _, p_up = state.head_readout()
         assert p_up == pytest.approx(0.5, abs=1e-12)
 
@@ -620,9 +620,10 @@ class TestHeadReadout:
         assert pd_b == pytest.approx(pd_d, abs=1e-10)
 
     # Scaled by 1.1: p_down = 1.21 outside [0, 1]; or 0.605 each, summing to 1.21.
-    @pytest.mark.parametrize("make", [init_register, ghz_reference])
+    @pytest.mark.parametrize("make", [lambda n: init_register(n, "branch"), ghz_reference],
+                             ids=["init_register", "ghz_reference"])
     def test_norm_drift_raises(self, make):
-        state = make(3, "branch")
+        state = make(3)
         state.head = state.head * 1.1
         with pytest.raises(ClockSimError, match="drifted"):
             state.head_readout()
