@@ -358,6 +358,11 @@ def _parse_argv(argv):
     try:
         args, extra = parser.parse_known_args(argv)
     except argparse.ArgumentError as exc:
+        if exc.argument_name == "command":  # an unknown option's value is read as the command
+            unknown = [w.split("=", 1)[0] for w in (sys.argv[1:] if argv is None else argv)
+                       if w.startswith("--") and w.split("=", 1)[0] not in parser._option_string_actions]
+            if unknown:
+                raise ConfigError(unknown[0], "no such option") from None
         raise ConfigError(exc.argument_name or "argv", exc.message) from None
     except SystemExit:  # argparse exits (with 0) only after --help or --version
         return None

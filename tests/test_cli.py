@@ -482,13 +482,21 @@ class TestDeterminismAndErrors:
         result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "schedule"])
         assert result.exit_code == 2
 
+    def test_undefined_transport_delta_exit_code(self, tmp_path, run_cli):
+        # delta = 0 leaves the transport criteria undefined: rejected with the config.
+        cfg = _write_config(tmp_path, {"lattice": {"delta": 0.0}})
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "feasibility"])
+        assert result.exit_code == 2
+        blob = json.loads(result.stderr)
+        assert (blob["error"], blob["field"]) == ("config", "lattice.delta")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command,document", [
-        ("feasibility", {"lattice": {"delta": 0.0}}),
         ("schedule", {"lattice": {"delta": -0.25}}),
         ("sweep", {"sweep": {"lattice.delta": [0.25, -0.1]}}),
-    ], ids=["zero", "negative", "sweep-value"])
-    def test_undefined_transport_delta_exit_code(self, tmp_path, run_cli, command, document):
-        # The transport criteria are defined for delta > 0 only: rejected with the config.
+    ], ids=["negative", "sweep-value"])
+    def test_nonpositive_transport_delta_exit_code(self, tmp_path, run_cli, command, document):
+        # The transport criteria are defined for delta > 0 only, in a sweep as well.
         cfg = _write_config(tmp_path, document)
         result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
         assert result.exit_code == 2
@@ -893,12 +901,14 @@ class TestFrontDoor:
         (["explode"], "command"),
         (["scan", "--seed", "3"], "--seed"),  # options go before the command
         (["--trajectories", "1e3", "scan"], "--trajectories"),
-        (["--jobs=1", "sweep"], "--jobs"),  # the option is gone
+        (["--jobs", "x", "sweep"], "--jobs"),
+        (["--jobs=1", "sweep"], "--jobs"),  # the option is gone, whatever its value
         (["--seed"], "--seed"),
         (["--out", "{tmp}/config.json", "scan"], "--out"),
     ], ids=["seed-not-int", "unknown-backend", "missing-config", "config-is-directory",
             "unknown-option", "extra-argument", "no-command", "unknown-command",
-            "option-after-command", "trajectories-not-int", "jobs-removed", "option-without-value",
+            "option-after-command", "trajectories-not-int", "jobs-not-int",
+            "jobs-removed", "option-without-value",
             "out-is-a-file"])
     def test_usage_error_is_one_json_line(self, tmp_path, run_cli, argv, field):
         _write_config(tmp_path, {})

@@ -239,6 +239,14 @@ class TestLeafTable:
             parse_config(document(value))
         assert excinfo.value.path == path
 
+    @pytest.mark.parametrize("leaf,value", [("f", 3.0), ("m_f", -3.0)])
+    def test_removed_species_leaf_is_an_unknown_key(self, leaf, value):
+        # The hyperfine state reaches the physics only through rho; f and m_f are not leaves.
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(_species_doc(leaf, value))
+        assert excinfo.value.path == f"species[0].{leaf}"
+        assert "unknown key" in str(excinfo.value)
+
     def test_sweepable_leaves(self):
         expected = {f"{name}.{leaf.name}" for name in ("lattice", "protocol", "noise")
                     for leaf in fields(SECTIONS[name])} | {"run.seed", "run.trajectories"}

@@ -56,6 +56,21 @@ def test_polarizability_unit_matches_codata_listing():
     assert CODATA.polarizability_au_in_si == pytest.approx(listed, rel=1e-8)
 
 
+def test_inconsistent_table_rejected():
+    # The polarizability unit derives from eps0 and a0: a table cannot carry another value.
+    with pytest.raises(TypeError):
+        ConstantsTable(
+            planck_reduced=sc.hbar,
+            speed_of_light=sc.c,
+            vacuum_permittivity=sc.epsilon_0,
+            atomic_mass_unit=sc.atomic_mass,
+            bohr_radius=sc.physical_constants["Bohr radius"][0],
+            polarizability_au_in_si=1.0e-41,  # wrong on purpose
+        )
+    with pytest.raises(AttributeError):
+        CODATA.polarizability_au_in_si = 1.0e-41
+
+
 def test_nonpositive_entry_rejected():
     with pytest.raises(ParameterError):
         ConstantsTable(
