@@ -41,7 +41,7 @@ from .rates import (
     photon_scattering_time,
     scatter_probability,
     schedule_duration,
-    schedule_steps,
+    schedule_rows,
     survival_probability,
 )
 from .register import (

@@ -9,6 +9,7 @@ produce byte-identical CSV bodies.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -33,13 +34,15 @@ from .estimator import (
 from .lattice import overlap_depth, recoil_energy, trap_frequencies, worst_case_depth
 from .pipeline import PhysicsBundle, detuning_grid, probe_detuning, resolve_physics
 from .rates import (
+    SCHEDULE_COLUMNS,
     photon_scattering_time,
     scatter_probability,
-    schedule_steps,
+    schedule_rows,
+    schedule_table_bytes,
     survival_probability,
 )
 from .register import BACKENDS, protocol_references, run_protocol, state_fidelity
-from .output import write_table
+from .output import TableText, write_table
 
 # Each command's largest structure gets one memory budget. A memory bound below is
 # that budget over the peak-RSS growth per unit, measured between two sizes
@@ -47,13 +50,12 @@ from .output import write_table
 # exit 2 and their field path before anything is built.
 MEMORY_BUDGET_BYTES = 128 * 2**20
 
-# `schedule` holds its 4N + 8 rows in memory, as three columns, before writing
-# them: 48-56 B per row, measured between N = 5 * 10^4 and 10^5 (the spread is
-# the heap layout, which moves with the checkout's path), so at most 26 MiB
-# at the limit. The limit is tighter than the budget allows: it keeps the
-# largest table a 22 MB file.
-SCHEDULE_ROW_BYTES = 56
-SCHEDULE_MAX_ATOMS = 119408
+# `schedule` streams its 4N + 8 rows from the pattern a block of sites at a
+# time, so its memory does not grow with N; its file does. The bound is the
+# largest N whose table fits a 22.61 MB file by the closed-form byte count,
+# even with every duration at the longest float text: N = 119408.
+SCHEDULE_MAX_BYTES = 22_610_000
+SCHEDULE_MAX_ATOMS = bisect.bisect_right(range(1, 2**53), SCHEDULE_MAX_BYTES, key=schedule_table_bytes)
 
 # A branch state's memory and cost do not grow with N (a scan point takes about
 # 35 us at any N on one Intel Xeon core, so the largest scan below runs in under
@@ -138,8 +140,7 @@ def _cmd_schedule(cfg: RunConfig) -> tuple[dict, dict, str]:
            "atoms in the schedule table")
     bundle = resolve_physics(cfg)
     schedule = bundle.schedule
-    kinds, durations, sites = schedule_steps(schedule)
-    columns = {"step_index": range(len(kinds)), "kind": kinds, "duration_s": durations, "site": sites}
+    table = TableText(SCHEDULE_COLUMNS, schedule.n_steps, schedule_rows(schedule))
     survival = survival_probability(schedule, bundle.decoherence)
     meta = {
         "n_atoms": schedule.n_atoms,
@@ -152,8 +153,8 @@ def _cmd_schedule(cfg: RunConfig) -> tuple[dict, dict, str]:
         "extra_loss_rate_per_s": bundle.decoherence.extra_loss_rate,
         "survival": survival,
     }
-    summary = f"{len(kinds)} steps, total {meta['total_duration_s']:.6g} s, survival {survival:.4g}"
-    return columns, meta, summary
+    summary = f"{table.n_rows} steps, total {meta['total_duration_s']:.6g} s, survival {survival:.4g}"
+    return table, meta, summary
 
 
 def _cmd_simulate(cfg: RunConfig) -> tuple[dict, dict, str]:
@@ -313,18 +314,17 @@ def run_command(command: str, cfg: RunConfig, out_dir, jobs: int = 1) -> Path:
 
     The handler computes the table, its metadata and a summary line; this
     writes ``<command>.csv`` and its ``<command>.meta.json`` sidecar into
-    ``out_dir`` and prints the summary. ``jobs`` is accepted for
+    ``out_dir``, which the writer creates, and prints the summary. A command
+    that fails leaves no directory behind. ``jobs`` is accepted for
     compatibility and ignored: every command, sweep included, runs serially.
     """
     if command not in _HANDLERS:
         raise ClockSimError(f"unknown command {command!r}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    columns, metadata, summary = _HANDLERS[command](cfg)
+    table, metadata, summary = _HANDLERS[command](cfg)
     config = serialize_config(cfg)
     metadata = {"command": command, "tool_version": __version__, "seed": cfg.run.seed,
                 "config_hash": serialized_hash(config), "config": config, **metadata}
-    path = write_table(columns, out / f"{command}.csv", metadata=metadata)
+    path = write_table(table, Path(out_dir) / f"{command}.csv", metadata=metadata)
     print(summary)
     return path
 

@@ -8,8 +8,8 @@ evolution.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .constants import CODATA, ConstantsTable
@@ -60,7 +60,8 @@ class ProtocolSchedule:
     """One full clock interrogation of N clock atoms, held as its five inputs.
 
     Pulse and readout slots default to zero time, negligible against the
-    ms-scale transport stages; :func:`schedule_steps` lists the steps.
+    ms-scale transport stages. The steps are never held as objects:
+    :func:`schedule_rows` writes them from the pattern as table text.
     """
 
     n_atoms: int
@@ -78,32 +79,75 @@ class ProtocolSchedule:
                 raise ParameterError(f"{label} must be >= 0, got {value}")
 
     @property
+    def n_steps(self) -> int:
+        """4N + 8: two passes of 2N transport and phase-gate steps, and eight slots."""
+        return 4 * self.n_atoms + 8
+
+    @property
     def total_duration(self) -> float:
         return schedule_duration(
             self.n_atoms, self.gate_time, self.transport_time, self.ramsey_time, self.pulse_time
         )
 
 
-def schedule_steps(schedule: ProtocolSchedule) -> tuple[list[str], list[float], list[int | None]]:
-    """The steps of one interrogation, in order, as three columns: (kinds, durations, sites).
+# Columns of the schedule table, and the sites whose rows are made at a time:
+# 512 sites are 1024 rows, the chunk the writer uses for columns.
+SCHEDULE_COLUMNS = ("step_index", "kind", "duration_s", "site")
+_BLOCK_SITES = 512
+
+
+def schedule_rows(schedule: ProtocolSchedule) -> Iterator[str]:
+    """The schedule table's 4N + 8 rows as CSV text, in chunks of whole rows.
 
     The pattern :func:`schedule_duration` sums: clock and head pulses, a
     transport/phase-gate pass over sites 0..N-1, clock pulse, free
     evolution, clock pulse, the same pass, clock pulse, head pulse, readout.
+    Each duration is ``str`` of its value, formatted once; the pulse,
+    readout and free-evolution rows leave ``site`` empty. No cell needs CSV
+    quoting: the kinds are fixed words, and ``str`` of an int or of a
+    non-negative float holds no comma, quote or newline.
     """
-    def slots(*kinds):
-        return kinds, [schedule.pulse_time] * len(kinds), [None] * len(kinds)
-
     n = schedule.n_atoms
-    sites = [None] * (2 * n)
-    sites[::2] = range(n)
-    sites[1::2] = sites[::2]
-    gate_pass = (["transport", "phase_gate"] * n,
-                 [schedule.transport_time, schedule.gate_time] * n, sites)
-    parts = (slots("hadamard_all", "head_pulse"), gate_pass, slots("hadamard_all"),
-             (["free_evolution"], [schedule.ramsey_time], [None]), slots("hadamard_all"),
-             gate_pass, slots("hadamard_all", "head_pulse", "readout"))
-    return tuple(list(itertools.chain.from_iterable(column)) for column in zip(*parts))
+    pulse, ramsey = str(schedule.pulse_time), str(schedule.ramsey_time)
+    transport = ",transport," + str(schedule.transport_time) + ","
+    gate = ",phase_gate," + str(schedule.gate_time) + ","
+
+    def gate_pass(first):  # rows first .. first + 2N - 1
+        for start in range(0, n, _BLOCK_SITES):
+            stop = min(start + _BLOCK_SITES, n)
+            steps = range(first + 2 * start, first + 2 * stop, 2)
+            yield "".join([f"{k}{transport}{s}\n{k + 1}{gate}{s}\n"
+                           for s, k in zip(range(start, stop), steps)])
+
+    yield f"0,hadamard_all,{pulse},\n1,head_pulse,{pulse},\n"
+    yield from gate_pass(2)
+    k = 2 * n + 2
+    yield f"{k},hadamard_all,{pulse},\n{k + 1},free_evolution,{ramsey},\n{k + 2},hadamard_all,{pulse},\n"
+    yield from gate_pass(k + 3)
+    k += 2 * n + 3
+    yield f"{k},hadamard_all,{pulse},\n{k + 1},head_pulse,{pulse},\n{k + 2},readout,{pulse},\n"
+
+
+def _digits_below(m: int) -> int:
+    """Decimal digits written by the integers 0..m-1 together."""
+    return m + sum(m - 10**d for d in range(1, len(str(m))))
+
+
+def schedule_table_bytes(n_atoms: int, gate_chars: int = 23, transport_chars: int = 23,
+                         ramsey_chars: int = 23, pulse_chars: int = 23) -> int:
+    """Bytes of the schedule table's CSV, header included, in closed form.
+
+    Each ``*_chars`` is the length of that duration's text. The default 23
+    is the longest ``str`` of a non-negative float: 17 significant digits,
+    the point and an exponent such as ``e-308``.
+    """
+    rows = 4 * n_atoms + 8  # ProtocolSchedule.n_steps
+    header = len(",".join(SCHEDULE_COLUMNS)) + 1
+    kinds = 2 * n_atoms * len("transport" "phase_gate") + len(
+        "hadamard_all" * 4 + "head_pulse" * 2 + "free_evolution" + "readout")
+    durations = 2 * n_atoms * (gate_chars + transport_chars) + ramsey_chars + 7 * pulse_chars
+    # Every site appears in four rows; three commas and a newline end each row.
+    return header + _digits_below(rows) + 4 * _digits_below(n_atoms) + kinds + durations + 4 * rows
 
 
 def photon_scattering_time(

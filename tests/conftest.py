@@ -6,7 +6,8 @@ gate, the branch state with one clock factor per site and its per-site phase gat
 rotations, the XOR-loop dense phase pass and the per-axis dense free
 evolution, the per-trajectory sampler, scipy's curve_fit fringe fit, the
 numeric well depth, the expanded schedule step list, the row-dict CSV
-writer and a CSV reader; and a runner for fresh interpreters."""
+writer and a CSV reader; the streamed schedule rows read back as steps;
+and a runner for fresh interpreters."""
 
 import csv
 import json
@@ -451,7 +452,7 @@ def read_table(path) -> list[dict[str, str]]:
 def reference_schedule_steps(schedule) -> list[tuple]:
     """The schedule's steps expanded one at a time, as (kind, duration, site).
 
-    The reference for ``rates.schedule_steps``: clock + head pi/2 pulses, a
+    The reference for ``rates.schedule_rows``: clock + head pi/2 pulses, a
     transport/phase-gate pass over sites 0..N-1, a clock pulse closing the
     entangling stage, free evolution, then the mirrored disentangling pass
     and readout.
@@ -473,6 +474,19 @@ def reference_schedule_steps(schedule) -> list[tuple]:
         ("head_pulse", pulse, None),
         ("readout", pulse, None),
     ]
+
+
+def streamed_schedule_steps(schedule) -> list[tuple]:
+    """The rows ``rates.schedule_rows`` streams, read back as (kind, duration, site).
+
+    Each row's ``step_index`` must be its position.
+    """
+    steps = []
+    for index, row in enumerate("".join(screwclock.schedule_rows(schedule)).splitlines()):
+        step_index, kind, duration, site = row.split(",")
+        assert int(step_index) == index, row
+        steps.append((kind, float(duration), int(site) if site else None))
+    return steps
 
 
 # Numeric depth extraction: grid resolution per lattice period and the

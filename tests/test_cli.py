@@ -20,10 +20,13 @@ from screwclock import (
 )
 from screwclock.cli import (
     BRANCH_MAX_ATOMS, COMMANDS, MEMORY_BUDGET_BYTES, OPTIMIZE_MAX_POINTS, OPTIMIZE_POINT_BYTES,
-    SCAN_MAX_POINTS, SCAN_POINT_BYTES, SCHEDULE_MAX_ATOMS, SCHEDULE_ROW_BYTES, main, run_command,
+    SCAN_MAX_POINTS, SCAN_POINT_BYTES, SCHEDULE_MAX_ATOMS, SCHEDULE_MAX_BYTES, main, run_command,
 )
 from screwclock.config import _SECTIONS, SpeciesEntry, serialize_config, serialized_hash
-from screwclock.output import write_table
+from screwclock.output import TableText, write_table
+from screwclock.rates import (
+    _BLOCK_SITES, SCHEDULE_COLUMNS, ProtocolSchedule, schedule_rows, schedule_table_bytes,
+)
 
 from conftest import read_table, reference_schedule_steps, reference_write_table, run_python
 
@@ -74,6 +77,18 @@ class TestWriteTable:
             with pytest.raises(ParameterError):
                 write_table(columns, tmp_path / "t.csv")
         assert not (tmp_path / "t.csv").exists()
+
+    def test_table_text_writes_like_its_columns(self, tmp_path):
+        columns = {"a": [1, 2], "b": ["x", None]}
+        text = TableText(columns, 2, iter(["1,x\n", "2,\n"]))
+        assert len(text) == len(columns)  # as the benchmark's tracer reads it
+        got = write_table(text, tmp_path / "got.csv", metadata={"seed": 7})
+        want = write_table(columns, tmp_path / "want.csv", metadata={"seed": 7})
+        assert got.read_bytes() == want.read_bytes()
+        assert (tmp_path / "got.meta.json").read_bytes() == (tmp_path / "want.meta.json").read_bytes()
+        with pytest.raises(ParameterError):
+            write_table(TableText(columns, 0, iter([])), tmp_path / "new" / "t.csv")
+        assert not (tmp_path / "new").exists()
 
     def test_equal_values_of_different_types_format_apart(self, tmp_path):
         # 1 == 1.0 == True, yet each keeps its own text.
@@ -314,12 +329,19 @@ class TestSimulateCommand:
 
 
 _TIMES_US = st.floats(min_value=0.0, max_value=1e6, allow_subnormal=False)
+# Atom numbers at and around the edges of the row blocks the schedule streams.
+_BLOCK_EDGES = [1, _BLOCK_SITES - 1, _BLOCK_SITES, _BLOCK_SITES + 1, 3 * _BLOCK_SITES + 7]
+
+
+def _streamed_schedule(schedule) -> TableText:
+    return TableText(SCHEDULE_COLUMNS, schedule.n_steps, schedule_rows(schedule))
 
 
 class TestScheduleCommand:
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 500), _TIMES_US, _TIMES_US, _TIMES_US,
+    @given(st.integers(1, 3 * _BLOCK_SITES + 7), _TIMES_US, _TIMES_US, _TIMES_US,
            st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False))
+    @example(3 * _BLOCK_SITES + 7, 1.5, 10.0, 0.25, 0.01)
     def test_table_matches_reference_expansion(self, n, gate_us, transport_us, pulse_us, ramsey):
         cfg = parse_config({"protocol": {
             "n_atoms": n, "gate_time_us": gate_us, "transport_time_us": transport_us,
@@ -335,6 +357,39 @@ class TestScheduleCommand:
                 reference_schedule_steps(resolve_physics(cfg).schedule))
         ]
         assert lines == expected
+
+    @pytest.mark.parametrize("n", _BLOCK_EDGES)
+    def test_streamed_table_matches_reference_writer(self, tmp_path, n):
+        schedule = ProtocolSchedule(n, 6.283185307179586e-05, 1e-05, 0.01, 2.5e-07)
+        rows = [dict(zip(SCHEDULE_COLUMNS, (i, *step)))
+                for i, step in enumerate(reference_schedule_steps(schedule))]
+        got = write_table(_streamed_schedule(schedule), tmp_path / "got.csv", metadata={"seed": 7})
+        want = reference_write_table(rows, tmp_path / "want.csv", metadata={"seed": 7})
+        assert got.read_bytes() == want.read_bytes()
+        assert (tmp_path / "got.meta.json").read_bytes() == (tmp_path / "want.meta.json").read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0), min_size=4, max_size=4))
+    @example([1.2345678901234567e-100, 0.00012345678901234567, math.inf, 5e-324])
+    def test_no_schedule_cell_needs_quoting(self, times):
+        # Kinds are fixed words and step_index and site are ints; str of a
+        # non-negative float holds no comma, quote or newline, and takes at
+        # most the 23 characters the byte bound assumes.
+        assert all(len(str(t)) <= 23 and not set(str(t)) & set(',"\n\r') for t in times)
+        text = "".join(schedule_rows(ProtocolSchedule(3, *times)))
+        assert '"' not in text and "\r" not in text
+        assert all(row.count(",") == 3 for row in text.splitlines())
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3 * _BLOCK_SITES + 7),
+           st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=4, max_size=4))
+    @example(7, [6.283185307179586e-05, 1e-05, 0.01, 0.0])
+    @example(3000, [1.2345678901234567e-100, 1e-05, 0.5, 3e-07])
+    def test_closed_form_bytes_equal_the_file(self, n, times):
+        schedule = ProtocolSchedule(n, *times)
+        with tempfile.TemporaryDirectory() as out:
+            size = write_table(_streamed_schedule(schedule), f"{out}/s.csv").stat().st_size
+        assert size == schedule_table_bytes(n, *(len(str(t)) for t in times))
 
     def test_step_table_and_survival(self, tmp_path, run_cli):
         cfg = _write_config(tmp_path, {"protocol": {"n_atoms": 3, "ramsey_time_s": 0.05}})
@@ -580,13 +635,15 @@ class TestDeterminismAndErrors:
 
     @_LINUX_RSS
     def test_schedule_bound_is_the_table_budget(self, tmp_path):
-        # The peak-RSS growth of `schedule` at the limit, over a one-atom run in
-        # the same process: at most 26 MiB at the measured 48-56 B per row,
-        # where 281 B rows once filled the 128 MiB budget.
+        # The largest N whose worst-case table fits the file budget.
+        assert schedule_table_bytes(SCHEDULE_MAX_ATOMS) <= SCHEDULE_MAX_BYTES
+        assert schedule_table_bytes(SCHEDULE_MAX_ATOMS + 1) > SCHEDULE_MAX_BYTES
+        # The table streams, so peak RSS does not grow with N: the growth of
+        # `schedule` at the bound over a one-atom run in the same process is
+        # at most 1 MiB, under 9 B per atom.
         growth = _peak_growth(tmp_path, "schedule", {"protocol": {"n_atoms": 1}},
                               {"protocol": {"n_atoms": SCHEDULE_MAX_ATOMS}})
-        rows = 4 * SCHEDULE_MAX_ATOMS + 8
-        assert growth <= 2 * rows * SCHEDULE_ROW_BYTES <= MEMORY_BUDGET_BYTES
+        assert growth <= 2**20
 
     @pytest.mark.parametrize("n_atoms", [SCHEDULE_MAX_ATOMS + 1, 2**53],
                              ids=["bound+1", "2^53"])
@@ -599,7 +656,7 @@ class TestDeterminismAndErrors:
         blob = json.loads(result.stderr.splitlines()[-1])
         assert blob["error"] == "config"
         assert blob["field"] == "protocol.n_atoms"
-        assert not (tmp_path / "o" / "schedule.csv").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_schedule_at_table_budget_runs(self, tmp_path):
         cfg = _write_config(tmp_path, {"protocol": {"n_atoms": SCHEDULE_MAX_ATOMS}})
@@ -608,6 +665,11 @@ class TestDeterminismAndErrors:
         assert result.returncode == 0, result.stderr
         meta = json.loads((tmp_path / "o" / "schedule.meta.json").read_text())
         assert meta["rows"] == 4 * SCHEDULE_MAX_ATOMS + 8
+        size = (tmp_path / "o" / "schedule.csv").stat().st_size
+        times = (meta["gate_time_s"], meta["transport_time_s"], meta["ramsey_time_s"],
+                 meta["config"]["protocol"]["pulse_time_us"] * 1e-6)
+        assert size == schedule_table_bytes(SCHEDULE_MAX_ATOMS, *(len(str(t)) for t in times))
+        assert size <= SCHEDULE_MAX_BYTES
 
     @pytest.mark.parametrize("command", ["scan", "sweep"])
     def test_non_clock_error_exit_code(self, tmp_path, monkeypatch, command, run_cli):
@@ -755,7 +817,7 @@ class TestEveryLeafReachesAnOutput:
 
 
 class TestMemoryBudgets:
-    """The `scan` points bound, derived like the schedule's from one memory budget.
+    """The `scan` and `optimize` points bounds, derived from one memory budget.
 
     The branch atom bound rests on accuracy instead: branch memory and cost do
     not grow with N, but the head readout's rounding does.
@@ -840,7 +902,7 @@ class TestMemoryBudgets:
         assert result.exit_code == 2
         blob = json.loads(result.stderr)
         assert (blob["error"], blob["field"]) == ("config", field)
-        assert not list((tmp_path / "o").glob("*"))
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command,document", [
         ("simulate", {"protocol": {"n_atoms": BRANCH_MAX_ATOMS}}),

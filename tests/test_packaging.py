@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from screwclock.cli import BRANCH_MAX_ATOMS, COMMANDS, OPTIMIZE_MAX_POINTS
+from screwclock.cli import BRANCH_MAX_ATOMS, COMMANDS, OPTIMIZE_MAX_POINTS, SCHEDULE_MAX_ATOMS
 
 from conftest import run_python
 
@@ -128,6 +128,18 @@ def test_ci_smoke_runs_the_branch_register_at_its_bound():
     assert '--config "$RUNNER_TEMP/branch-bound.json" --out "$RUNNER_TEMP/smoke" --backend branch "$command"' in script
 
 
+def test_ci_smoke_runs_the_schedule_at_its_bound():
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    steps = [step for step in workflow["jobs"]["tier1"]["steps"]
+             if step.get("name", "").startswith("Smoke test")]
+    assert len(steps) == 1
+    bound = json.dumps({"protocol": {"n_atoms": SCHEDULE_MAX_ATOMS}})
+    assert (f"""echo '{bound}' > "$RUNNER_TEMP/schedule-bound.json"\n"""
+            """screwclock --config "$RUNNER_TEMP/schedule-bound.json" --out "$RUNNER_TEMP/smoke" schedule\n"""
+            ) in steps[0]["run"]
+
+
 def _run_ci_lines(script: str, tmp_path) -> subprocess.CompletedProcess:
     """CI lines through ``bash -e``, with ``screwclock`` and ``python`` calling this checkout's CLI
     and interpreter, and ``$RUNNER_TEMP`` at ``tmp_path``."""
@@ -163,6 +175,10 @@ def test_ci_error_contract_names_each_rejected_leaf():
     points = json.dumps({"optimize": {"n_points": OPTIMIZE_MAX_POINTS + 1}})
     assert f"""echo '{points}' > "$RUNNER_TEMP/error.json"\n""" in script
     assert "expect_config_error optimize.n_points optimize\n" in script
+    atoms = json.dumps({"protocol": {"n_atoms": SCHEDULE_MAX_ATOMS + 1}})
+    assert f"""echo '{atoms}' > "$RUNNER_TEMP/error.json"\n""" in script
+    assert "expect_config_error protocol.n_atoms schedule\n" in script
+    assert 'test ! -e "$RUNNER_TEMP/errors"' in script
     assert """echo '{"lattice": {"delta": 0}}' > "$RUNNER_TEMP/error.json"\n""" in script
     assert "expect_config_error lattice.delta feasibility\n" in script
     assert 'test "$status" -eq 2' in script
@@ -177,4 +193,4 @@ def test_error_contract_lines_run(tmp_path, field, wrong):
         script = script.replace(f"expect_config_error {field} ", f"expect_config_error {wrong} ")
     result = _run_ci_lines(script, tmp_path)
     assert (result.returncode == 0) == (field is None), result.stderr
-    assert not list((tmp_path / "errors").glob("*"))
+    assert not (tmp_path / "errors").exists()

@@ -18,12 +18,11 @@ from screwclock import (
     photon_scattering_time,
     schedule_duration,
     scatter_probability,
-    schedule_steps,
     survival_probability,
     trap_frequencies,
 )
 
-from conftest import LAMBDA_M, reference_schedule_steps
+from conftest import LAMBDA_M, reference_schedule_steps, streamed_schedule_steps
 
 AMU = CODATA.atomic_mass_unit
 
@@ -130,7 +129,7 @@ class TestBuildSchedule:
         assert schedule.total_duration == pytest.approx(14.0 + 7 * 0.5)
 
     def test_thousand_atom_entanglement_stage(self):
-        kinds, durations, _ = schedule_steps(ProtocolSchedule(1000, 20e-6, 10e-6, 0.0))
+        kinds, durations, _ = zip(*streamed_schedule_steps(ProtocolSchedule(1000, 20e-6, 10e-6, 0.0)))
         first_pass = [d for kind, d in zip(kinds, durations) if kind in ("transport", "phase_gate")]
         stage = sum(first_pass[: 2 * 1000])
         assert stage == pytest.approx(30e-3, rel=1e-12)
@@ -147,7 +146,7 @@ class TestBuildSchedule:
         assert slope_b == pytest.approx(slope_a, rel=1e-12)
 
     def test_structure_invariants(self):
-        kinds, _, sites = schedule_steps(ProtocolSchedule(5, 1e-5, 1e-5, 0.1, 1e-6))
+        kinds, _, sites = zip(*streamed_schedule_steps(ProtocolSchedule(5, 1e-5, 1e-5, 0.1, 1e-6)))
         assert kinds.count("free_evolution") == 1
         assert kinds.count("hadamard_all") == 4
         assert kinds.count("head_pulse") == 2
@@ -161,7 +160,7 @@ class TestBuildSchedule:
 
     def test_single_atom_steps_match_reference(self):
         schedule = ProtocolSchedule(1, 2e-5, 1e-5, 0.5, 1e-7)
-        assert list(zip(*schedule_steps(schedule))) == reference_schedule_steps(schedule)
+        assert streamed_schedule_steps(schedule) == reference_schedule_steps(schedule)
 
 
 _TIMES = st.floats(min_value=0.0, max_value=1e3, allow_subnormal=False)
@@ -172,8 +171,8 @@ class TestScheduleDuration:
     @given(st.integers(1, 2000), _TIMES, _TIMES, _TIMES, _TIMES)
     def test_closed_form_matches_summed_steps(self, n, gate, transport, ramsey, pulse):
         schedule = ProtocolSchedule(n, gate, transport, ramsey, pulse)
-        kinds, durations, sites = schedule_steps(schedule)
-        assert len(kinds) == len(durations) == len(sites) == 4 * n + 8
+        kinds, durations, sites = zip(*streamed_schedule_steps(schedule))
+        assert len(kinds) == len(durations) == len(sites) == 4 * n + 8 == schedule.n_steps
         summed = sum(durations)
         assert math.isclose(summed, schedule.total_duration, rel_tol=1e-12, abs_tol=0.0)
 
