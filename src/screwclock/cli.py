@@ -59,11 +59,13 @@ SCHEDULE_MAX_ATOMS = bisect.bisect_right(range(1, 2**53), SCHEDULE_MAX_BYTES, ke
 
 # A branch state's memory and cost do not grow with N (a scan point takes about
 # 35 us at any N on one Intel Xeon core, so the largest scan below runs in under
-# a minute), but its rounding does: about 5e-16 per atom in the head readout.
-# At this bound `simulate` and `scan` meet sin^2(chi/2) within 9e-11; above
-# about 2 * 10^6 atoms the readout misses register.READOUT_TOL and the command
-# exits 1 after the work.
-BRANCH_MAX_ATOMS = 178243
+# a minute), and its readout sums to 1 within 1e-15 at any N, but its fringe
+# rounds. The two branches' clock factors overlap by 1 - 4.4e-16 from the rounded
+# Hadamard products, give or take three half-ulp roundings, so p_up misses
+# sin^2(chi/2) by at most 3.05e-16 per atom (2.5e-16 measured). The bound is the
+# largest round N at which that stays within half the 1e-9 dense/branch oracle;
+# measured there: 3.94e-10 over 257 values of chi in [0, 4 pi].
+BRANCH_MAX_ATOMS = 1_600_000
 
 # `scan` keeps the grid, the probabilities, the fit's zero-padded periodogram
 # and the table's text per point: 364 B per point, measured between 10^4 and

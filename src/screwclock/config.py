@@ -300,10 +300,6 @@ def serialized_hash(data: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def config_hash(cfg: RunConfig) -> str:
-    return serialized_hash(serialize_config(cfg))
-
-
 def apply_override(cfg: RunConfig, dotted_key: str, value) -> RunConfig:
     """Return a new config with one dotted-path leaf replaced and revalidated."""
     section, _, leaf = dotted_key.partition(".")

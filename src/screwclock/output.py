@@ -6,10 +6,11 @@ its value (shortest round-trip for floats, numpy scalars included), except
 ``None`` as an empty field and ``True``/``False`` as ``true``/``false``.
 Quoting is CSV's minimal quoting: a field holding ``,``, ``"`` or a newline
 is quoted with inner quotes doubled, and a row of one empty field is
-written as ``""``. A table whose cells need no quoting may instead arrive
-as its row text (:class:`TableText`, as the schedule streams it); columns
-become the same TableText, so the header, the chunked write and the
-sidecar are one code path for both. Metadata sidecars carry the config
+written as ``""``. Every cell goes through one formatter, ``_text``, and
+each column is quoted a chunk of rows at a time. A table whose cells need
+no quoting may instead arrive as its row text (:class:`TableText`, as the
+schedule streams it); columns become the same TableText, so the header,
+the chunked write and the sidecar are one code path for both. Metadata sidecars carry the config
 hash, seed, and tool version; they contain no timestamps so that identical
 runs produce identical bytes.
 """
@@ -25,7 +26,6 @@ from .errors import ParameterError
 # Rows of a column table joined and written at a time, which bounds the
 # memory of long tables.
 _CHUNK_ROWS = 1024
-_TYPED = frozenset((int, str, bool, type(None)))
 
 
 def _text(value) -> str:
@@ -48,22 +48,6 @@ def _quote(texts: list[str], single_column: bool) -> list[str]:
     if single_column and "" in texts:
         texts = [text or '""' for text in texts]
     return texts
-
-
-def _format_column(values: list, single_column: bool) -> list[str]:
-    """Format a column: cell by cell if every cell is exactly int, str, bool or None.
-
-    Any other column is formatted one distinct value object at a time, which
-    pays where float objects repeat. Keyed by identity, not equality:
-    1 == 1.0 == True and 0.0 == -0.0, yet each writes differently. ``values``
-    keeps every object, so no id repeats.
-    """
-    if set(map(type, values)) <= _TYPED:
-        return _quote(list(map(_text, values)), single_column)
-    ids = list(map(id, values))
-    distinct = dict(zip(ids, values))
-    texts = dict(zip(distinct, _quote(list(map(_text, distinct.values())), single_column)))
-    return list(map(texts.__getitem__, ids))
 
 
 class TableText:
@@ -94,7 +78,8 @@ def _column_text(rows: dict) -> TableText:
 
     def chunks():
         for start in range(0, n_rows, _CHUNK_ROWS):
-            texts = (_format_column(list(column[start:start + _CHUNK_ROWS]), single) for column in columns)
+            texts = (_quote(list(map(_text, column[start:start + _CHUNK_ROWS])), single)
+                     for column in columns)
             yield "\n".join(map(",".join, zip(*texts))) + "\n"
 
     return TableText(rows, n_rows, chunks())

@@ -42,7 +42,6 @@ DENSE_ATOM_CAP = 14        # 2^15 amplitudes
 DENSE_BLOCK_BITS = 3       # clock qubits per matrix product in a dense rotation
 BRANCH_PRUNE_TOL = 1e-14   # a head component this small is absent: no branch part is made of it
 BRANCH_MERGE_MAX_RANK = 64  # skip O(rank^2) merging above this rank
-BRANCH_EXPAND_MAX_ATOMS = 20  # BranchState.to_vector refuses larger registers
 READOUT_TOL = 1e-9         # head probabilities may miss [0, 1] and sum 1 by this
 _UNITARY_TOL = 1e-12
 UNITARY_CACHE_SIZE = 32    # distinct rotation matrices kept checked
@@ -91,7 +90,7 @@ class DenseState:
     """Full state vector of N clock qubits and the head qubit.
 
     Rotations bind ``amplitudes`` to the new array their matrix products
-    return; keep a ``to_vector()`` copy, not a reference to ``amplitudes``.
+    return; keep ``amplitudes.copy()``, not a reference to ``amplitudes``.
     The two diagonal gates read the cached table of clock-index Hamming
     weights (:func:`_clock_weights`, 16 KiB at the cap): a phase pass takes
     its signs from the weight parity and free evolution its phases from
@@ -181,13 +180,17 @@ class DenseState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def to_vector(self) -> np.ndarray:
-        return self.amplitudes.copy()
-
 
 def _clock_gram(a: "BranchState", b: "BranchState") -> np.ndarray:
-    """G[i, j] = <a.clock[i] | b.clock[j]>^N: overlaps of the N clock sites alone."""
-    return (a.clock.conj() @ b.clock.T) ** a.n_atoms
+    """G[i, j] = <a.clock[i] | b.clock[j]>^N: overlaps of the N clock sites alone.
+
+    A state's own gram has its diagonal exactly 1, since every clock factor is
+    unit-norm: the rounded norm raised to the N-th power would be drift alone.
+    """
+    overlaps = a.clock.conj() @ b.clock.T
+    if a is b:
+        overlaps.flat[:: len(overlaps) + 1] = 1.0  # the diagonal
+    return overlaps ** a.n_atoms
 
 
 def _head_overlaps(a: "BranchState", b: "BranchState") -> np.ndarray:
@@ -283,7 +286,8 @@ class BranchState:
         """Fold branches with colinear clock factors, whatever their heads.
 
         c^⊗N ⊗ h_i + c^⊗N ⊗ h_j = c^⊗N ⊗ (h_i + h_j), so branch j joins
-        branch i as head_i += <c_i|c_j>^N head_j.
+        branch i as head_i += (z / |z|) head_j with z = <c_i|c_j>^N: colinear
+        unit factors differ by a phase alone, and |z| < 1 would be rounding.
         """
         if not 1 < self.rank <= BRANCH_MERGE_MAX_RANK:
             return
@@ -293,8 +297,9 @@ class BranchState:
             if not alive[i]:
                 continue
             for j in range(i + 1, self.rank):
-                if alive[j] and abs(gram[i, j]) >= 1.0 - 1e-10:
-                    self.head[i] += gram[i, j] * self.head[j]
+                z = gram[i, j]
+                if alive[j] and abs(z) >= 1.0 - 1e-10:
+                    self.head[i] += z / abs(z) * self.head[j]
                     alive[j] = False
         if not alive.all():
             self.clock, self.head = self.clock[alive], self.head[alive]
@@ -315,18 +320,6 @@ class BranchState:
         if other.n_atoms != self.n_atoms:
             raise ParameterError("states have different register sizes")
         return complex(_head_overlaps(self, other).sum())
-
-    def to_vector(self) -> np.ndarray:
-        """Expand to the dense index convention; up to BRANCH_EXPAND_MAX_ATOMS atoms only."""
-        if self.n_atoms > BRANCH_EXPAND_MAX_ATOMS:
-            raise CapacityError(
-                f"refusing to expand a {self.n_atoms}-atom branch state "
-                f"(limit {BRANCH_EXPAND_MAX_ATOMS})"
-            )
-        vec = np.ones((self.rank, 1), dtype=complex)
-        for _ in range(self.n_atoms):  # the N-fold Kronecker power of each clock factor
-            vec = (vec[:, :, None] * self.clock[:, None, :]).reshape(self.rank, -1)
-        return (self.head.T @ vec).ravel()
 
 
 RegisterState = DenseState | BranchState
@@ -421,9 +414,9 @@ def protocol_references(
 ) -> dict[str, BranchState]:
     """Ideal checkpoint states of the noiseless protocol, as branch states.
 
-    Branch states expand to the dense index convention via ``to_vector``,
-    so these serve as references for either backend at dense-capable sizes
-    and directly for the branch backend at any size.
+    ``state_overlap`` contracts a branch state against a dense one without
+    expanding it, so these serve as references for either backend: at
+    dense-capable sizes for the dense one, and at any size for the branch one.
     """
     inv = 1.0 / math.sqrt(2.0)
     chi = (n_atoms * delta_omega + delta_omega_head) * ramsey_time

@@ -1,6 +1,7 @@
 """Shared fixtures: the Sr/Al parameter set used across the suite, the
-random-gate-sequence helpers behind the backend differential tests, a dense
-copy of a (branch) reference state, and the
+random-gate-sequence helpers behind the backend differential tests, the
+expansion of any register state to a dense vector and a dense copy of a
+(branch) reference state, and the
 slow reference paths the fast ones are tested against: the protocol gate by
 gate, the branch state with one clock factor per site and its per-site phase gate, the per-axis and the allocating dense
 rotations, the XOR-loop dense phase pass and the per-axis dense free
@@ -30,8 +31,7 @@ from screwclock import (
 )
 from screwclock.estimator import _initial_frequency
 from screwclock.register import (
-    BRANCH_EXPAND_MAX_ATOMS, BRANCH_MERGE_MAX_RANK, BRANCH_PRUNE_TOL,
-    DENSE_BLOCK_BITS, HADAMARD, _check_unitary,
+    BRANCH_MERGE_MAX_RANK, BRANCH_PRUNE_TOL, DENSE_BLOCK_BITS, HADAMARD, _check_unitary,
 )
 
 # Reference parameter set: Sr clock atoms with an Al head at the 389.9 nm
@@ -156,18 +156,41 @@ def backend_crosscheck(
     for gate in gates:
         gate(dense)
         gate(branch)
-    va = dense.to_vector()
-    vb = branch.to_vector()
+    va = to_vector(dense)
+    vb = to_vector(branch)
     ref = int(np.argmax(np.abs(va) + np.abs(vb)))
     phase_a = va[ref] / abs(va[ref]) if va[ref] != 0 else 1.0
     phase_b = vb[ref] / abs(vb[ref]) if vb[ref] != 0 else 1.0
     return float(np.max(np.abs(va / phase_a - vb / phase_b)))
 
 
+EXPAND_MAX_ATOMS = 20  # to_vector refuses larger branch registers
+
+
+def to_vector(state) -> np.ndarray:
+    """A register state as a new vector in the dense index convention, p + 2^N h.
+
+    A dense state gives a copy of its amplitudes. A branch state, with one
+    clock factor per branch or (``ReferenceBranchState``) one per site, is
+    expanded to the sum over branches of head ⊗ clock bit N-1 ⊗ ... ⊗ clock
+    bit 0, up to EXPAND_MAX_ATOMS atoms.
+    """
+    if isinstance(state, DenseState):
+        return state.amplitudes.copy()
+    n, rank = state.n_atoms, state.rank
+    if n > EXPAND_MAX_ATOMS:
+        raise CapacityError(f"refusing to expand a {n}-atom branch state (limit {EXPAND_MAX_ATOMS})")
+    clock = state.clock if state.clock.ndim == 3 else np.broadcast_to(state.clock[:, None], (rank, n, 2))
+    vec = np.ones((rank, 1), dtype=complex)
+    for j in range(n - 1, -1, -1):  # most significant clock bit first
+        vec = (vec[:, :, None] * clock[:, j, None, :]).reshape(rank, -1)
+    return (state.head.T @ vec).ravel()
+
+
 def dense_copy(state) -> DenseState:
     """A dense register holding ``state``'s amplitudes, e.g. of a branch reference state."""
     dense = DenseState(state.n_atoms)
-    dense.amplitudes = state.to_vector()
+    dense.amplitudes = to_vector(state)
     return dense
 
 
@@ -178,8 +201,8 @@ class ReferenceBranchState:
     clock factor per branch because every public gate acts alike on all N
     sites. Same rules: the head carries the branch's amplitude, a head
     component at or below BRANCH_PRUNE_TOL is absent, and branches whose
-    clock factors are colinear merge whatever their heads. Readout, norm,
-    overlap and expansion are computed over the N per-site factors.
+    clock factors are colinear merge whatever their heads. Readout, norm and
+    overlap are computed over the N per-site factors.
     """
 
     backend = "branch"
@@ -249,14 +272,6 @@ class ReferenceBranchState:
 
     def overlap_with(self, other) -> complex:
         return complex(self._overlaps(other).sum())
-
-    def to_vector(self) -> np.ndarray:
-        if self.n_atoms > BRANCH_EXPAND_MAX_ATOMS:
-            raise CapacityError(f"refusing to expand a {self.n_atoms}-atom branch state")
-        vec = np.ones((self.rank, 1), dtype=complex)
-        for j in range(self.n_atoms - 1, -1, -1):  # most significant clock bit first
-            vec = (vec[:, :, None] * self.clock[:, j, None, :]).reshape(self.rank, -1)
-        return np.concatenate([self.head[:, 0] @ vec, self.head[:, 1] @ vec])
 
 
 def reference_phase_gate(state: ReferenceBranchState, site: int):

@@ -15,8 +15,8 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from screwclock import (
-    BranchState, ParameterError, __version__, fringe_scan, parse_config, resolve_physics,
-    survival_probability,
+    BranchState, DenseState, ParameterError, __version__, fringe_scan, parse_config, register,
+    resolve_physics, survival_probability,
 )
 from screwclock.cli import (
     BRANCH_MAX_ATOMS, COMMANDS, MEMORY_BUDGET_BYTES, OPTIMIZE_MAX_POINTS, OPTIMIZE_POINT_BYTES,
@@ -317,15 +317,21 @@ class TestSimulateCommand:
         assert meta["p_up_ideal"] == pytest.approx(0.5, abs=1e-12)
 
     def test_dense_simulate_at_the_cap_never_expands_a_branch_reference(self, tmp_path, monkeypatch):
-        def refuse(self):
-            raise AssertionError("a branch reference was expanded to a vector")
+        # A branch state cannot expand itself; each checkpoint is contracted against its reference.
+        assert not hasattr(BranchState, "to_vector")
+        contracted = []
 
-        monkeypatch.setattr(BranchState, "to_vector", refuse)
+        def counted(branch, dense, contract=register._branch_dense_overlap):
+            contracted.append((type(branch), type(dense)))
+            return contract(branch, dense)
+
+        monkeypatch.setattr(register, "_branch_dense_overlap", counted)
         cfg = parse_config({"protocol": {"n_atoms": 14}, "run": {"backend": "dense"}})
         run_command("simulate", cfg, tmp_path)
         rows = read_table(tmp_path / "simulate.csv")
         assert len(rows) == 5
         assert all(float(row["fidelity"]) >= 1.0 - 1e-14 for row in rows)
+        assert contracted == [(BranchState, DenseState)] * 5
 
 
 _TIMES_US = st.floats(min_value=0.0, max_value=1e6, allow_subnormal=False)
@@ -866,7 +872,7 @@ class TestMemoryBudgets:
     @_LINUX_RSS
     @pytest.mark.parametrize("command", ["simulate", "scan"])
     def test_branch_peak_rss_does_not_grow_with_n(self, tmp_path, command):
-        # Measured: 0 B from N = 1 to the bound. 1 MiB is under 6 B per atom.
+        # Measured: 0 B from N = 1 to the bound. 1 MiB is under 1 B per atom.
         small = {"protocol": {"n_atoms": 1}, "run": {"detuning_points": 4}}
         large = {"protocol": {"n_atoms": BRANCH_MAX_ATOMS}, "run": {"detuning_points": 4}}
         assert _peak_growth(tmp_path, command, small, large) <= 2**20
@@ -885,6 +891,9 @@ class TestMemoryBudgets:
         for row in rows:
             chi = BRANCH_MAX_ATOMS * float(row["detuning_rad_s"]) * ramsey_time
             assert abs(float(row["p_up"]) - math.sin(chi / 2) ** 2) <= 1e-9
+        noisy = run_cli(["--config", str(cfg), "--out", str(tmp_path / "noisy"),
+                         "--trajectories", "1000000", "scan"])
+        assert noisy.exit_code == 0, noisy.stderr
 
     @pytest.mark.parametrize("command,document,field", [
         ("simulate", {"protocol": {"n_atoms": BRANCH_MAX_ATOMS + 1}}, "protocol.n_atoms"),

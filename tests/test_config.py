@@ -19,10 +19,15 @@ from screwclock.config import (
     RunSection,
     SpeciesEntry,
     apply_override,
-    config_hash,
+    serialized_hash,
 )
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "config.example.json"
+
+
+def config_hash(cfg) -> str:
+    """The hash a sidecar records for ``cfg``."""
+    return serialized_hash(serialize_config(cfg))
 
 
 class TestDefaults:

@@ -178,6 +178,9 @@ def test_ci_error_contract_names_each_rejected_leaf():
     atoms = json.dumps({"protocol": {"n_atoms": SCHEDULE_MAX_ATOMS + 1}})
     assert f"""echo '{atoms}' > "$RUNNER_TEMP/error.json"\n""" in script
     assert "expect_config_error protocol.n_atoms schedule\n" in script
+    branch_atoms = json.dumps({"protocol": {"n_atoms": BRANCH_MAX_ATOMS + 1}, "run": {"backend": "branch"}})
+    assert (f"""echo '{branch_atoms}' > "$RUNNER_TEMP/error.json"\n"""
+            "expect_config_error protocol.n_atoms simulate\n") in script
     assert 'test ! -e "$RUNNER_TEMP/errors"' in script
     assert """echo '{"lattice": {"delta": 0}}' > "$RUNNER_TEMP/error.json"\n""" in script
     assert "expect_config_error lattice.delta feasibility\n" in script
