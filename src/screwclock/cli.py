@@ -57,14 +57,15 @@ MEMORY_BUDGET_BYTES = 128 * 2**20
 SCHEDULE_MAX_BYTES = 22_610_000
 SCHEDULE_MAX_ATOMS = bisect.bisect_right(range(1, 2**53), SCHEDULE_MAX_BYTES, key=schedule_table_bytes)
 
-# A branch state's memory and cost do not grow with N (a scan point takes about
-# 35 us at any N on one Intel Xeon core, so the largest scan below runs in under
-# a minute), and its readout sums to 1 within 1e-15 at any N, but its fringe
-# rounds. The two branches' clock factors overlap by 1 - 4.4e-16 from the rounded
-# Hadamard products, give or take three half-ulp roundings, so p_up misses
-# sin^2(chi/2) by at most 3.05e-16 per atom (2.5e-16 measured). The bound is the
-# largest round N at which that stays within half the 1e-9 dense/branch oracle;
-# measured there: 3.94e-10 over 257 values of chi in [0, 4 pi].
+# A branch state's memory and cost do not grow with N (a scan reads its fringe
+# in about 0.2 ms plus 0.4 us per point at any N on one Intel Xeon core, so the
+# largest scan below runs in about 2 s), and its readout sums to 1 within 1e-15
+# at any N, but its fringe rounds. The two branches' clock factors overlap by
+# 1 - 4.4e-16 from the rounded Hadamard products, give or take three half-ulp
+# roundings, so p_up misses sin^2(chi/2) by at most 3.05e-16 per atom (2.5e-16
+# measured). The bound is the largest round N at which that stays within half
+# the 1e-9 dense/branch oracle; measured there: 3.94e-10 over 257 values of chi
+# in [0, 4 pi], by the protocol and by the scan's closed-form readout alike.
 BRANCH_MAX_ATOMS = 1_600_000
 
 # `scan` keeps the grid, the probabilities, the fit's zero-padded periodogram
@@ -162,10 +163,10 @@ def _cmd_schedule(cfg: RunConfig) -> tuple[dict, dict, str]:
 def _cmd_simulate(cfg: RunConfig) -> tuple[dict, dict, str]:
     """Run the register protocol once; checkpoint fidelities and p_up."""
     _bound_register(cfg)
+    delta_omega = probe_detuning(cfg)
     schedule = resolve_physics(cfg).schedule
     n = schedule.n_atoms
     t = schedule.ramsey_time
-    delta_omega = probe_detuning(cfg)
     delta_omega_head = cfg.run.delta_omega_head_rad_s
     chi = (n * delta_omega + delta_omega_head) * t
 
@@ -200,12 +201,13 @@ def _cmd_scan(cfg: RunConfig) -> tuple[dict, dict, str]:
     _bound_register(cfg)
     _bound(cfg.run.detuning_points, SCAN_MAX_POINTS, "run.detuning_points",
            "detuning points per scan")
+    grid = detuning_grid(cfg)
     bundle = resolve_physics(cfg)
     n, t = bundle.schedule.n_atoms, bundle.schedule.ramsey_time
     scan = fringe_scan(
         n,
         t,
-        detuning_grid(cfg),
+        grid,
         delta_omega_head=cfg.run.delta_omega_head_rad_s,
         backend=cfg.run.backend,
         trajectories=cfg.run.trajectories,

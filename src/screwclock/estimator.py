@@ -17,7 +17,7 @@ from numpy.fft import rfft, rfftfreq
 
 from .errors import DegenerateFringeError, ParameterError
 from .rates import DecoherenceParams, ProtocolSchedule, schedule_duration
-from .register import evolve_and_disentangle, init_register, prepare_ghz
+from .register import init_register, prepare_ghz
 from .trajectories import sample_scatter_count
 
 _FLAT_TOL = 1e-12
@@ -68,10 +68,10 @@ def fringe_scan(
     """Scan the readout probability over a detuning grid.
 
     The GHZ state does not depend on the detuning, so
-    :func:`~screwclock.register.prepare_ghz` runs once per scan; each point
-    runs :func:`~screwclock.register.evolve_and_disentangle` on a copy of
-    it, with the same gates and the same ``p_up`` as ``run_protocol`` at
-    that point.
+    :func:`~screwclock.register.prepare_ghz` runs once per scan, and the
+    state's ``fringe_readout`` gives the whole fringe from it in closed form:
+    the ``p_up`` of ``run_protocol`` at each point, to within
+    2 eps (N + |N dw T| + |dw' T|), the rounding of the Ramsey phase chi.
 
     ``trajectories`` 0 gives the exact per-point probability and ignores
     ``scatter_probability``. Otherwise each point is the mean over
@@ -83,23 +83,20 @@ def fringe_scan(
     grid = np.asarray(detunings, dtype=float)
     if grid.size == 0:
         raise ParameterError("detuning grid must be non-empty")
+    if not np.isfinite(grid).all():
+        raise ParameterError("detuning grid must be finite")
     if trajectories < 0:
         raise ParameterError(f"trajectories must be >= 0, got {trajectories}")
 
-    ghz = prepare_ghz(init_register(n_atoms, backend))
-    values = np.empty(grid.size)
-    for i, delta_omega in enumerate(grid):
-        state = evolve_and_disentangle(ghz.copy(), float(delta_omega), delta_omega_head, ramsey_time)
-        exact = state.head_readout()[1]
-        if trajectories == 0:
-            values[i] = exact
-        else:
-            # Mean of K halves and (n - K) noiseless values.
-            scattered = sample_scatter_count(scatter_probability, trajectories, seed=[seed, i])
-            values[i] = exact + (0.5 - exact) * (scattered / trajectories)
+    values = prepare_ghz(init_register(n_atoms, backend)).fringe_readout(grid, delta_omega_head, ramsey_time)
+    if trajectories:
+        # Mean of K halves and (n - K) noiseless values, K drawn per point.
+        fractions = [sample_scatter_count(scatter_probability, trajectories, seed=[seed, i]) / trajectories
+                     for i in range(grid.size)]
+        values = values + (0.5 - values) * np.array(fractions)
     return FringeScan(
-        detunings=tuple(float(x) for x in grid),
-        p_up=tuple(float(p) for p in values),
+        detunings=tuple(grid.tolist()),
+        p_up=tuple(values.tolist()),
         n_atoms=n_atoms,
         ramsey_time=ramsey_time,
         trajectories_per_point=trajectories,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .config import KW_CM2_TO_W_M2, RunConfig, SpeciesEntry
 from .constants import CODATA, ConstantsTable, au_to_si_length
-from .errors import ParameterError
+from .errors import ConfigError, ParameterError
 from .lattice import (
     IntensityRequirement,
     LatticeConfig,
@@ -158,10 +158,15 @@ def resolve_physics(cfg: RunConfig, table: ConstantsTable = CODATA) -> PhysicsBu
 
 
 def detuning_grid(cfg: RunConfig) -> list[float]:
-    """Detuning grid for scans; defaults to two fringe periods from zero."""
+    """Detuning grid for scans; defaults to two fringe periods from zero.
+
+    A grid that overflows the float range is a config error: of the upper
+    end of an explicit range, or of the Ramsey time of the default grid.
+    """
     run = cfg.run
     if run.detuning_min_rad_s is not None and run.detuning_max_rad_s is not None:
         lo, hi = run.detuning_min_rad_s, run.detuning_max_rad_s
+        field = "run.detuning_max_rad_s"
     else:
         t = cfg.protocol.ramsey_time_s
         if not t > 0.0:
@@ -170,19 +175,35 @@ def detuning_grid(cfg: RunConfig) -> list[float]:
             )
         hi = 2.0 * (2.0 * math.pi) / (cfg.protocol.n_atoms * t)
         lo = 0.0
+        field = "protocol.ramsey_time_s"
     n = run.detuning_points
     step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    grid = [lo + i * step for i in range(n)]
+    if not all(map(math.isfinite, grid)):
+        raise ConfigError(field, f"the detuning grid from {lo!r} to {hi!r} rad/s overflows the float range")
+    return grid
 
 
 def probe_detuning(cfg: RunConfig) -> float:
-    """Detuning for single-shot simulation; default is the half-fringe point."""
-    if cfg.run.delta_omega_rad_s is not None:
-        return cfg.run.delta_omega_rad_s
-    t = cfg.protocol.ramsey_time_s
-    if not t > 0.0:
-        raise ParameterError(
-            "protocol.ramsey_time_s must be positive to place the default probe detuning"
-        )
-    chi_target = math.pi / 2.0
-    return (chi_target / t - cfg.run.delta_omega_head_rad_s) / cfg.protocol.n_atoms
+    """Detuning for single-shot simulation; default is the half-fringe point.
+
+    A probe whose Ramsey phase chi = (N dw + dw') T overflows the float range
+    is a config error: of an explicit detuning, or of the Ramsey time that
+    places the default one.
+    """
+    run, protocol = cfg.run, cfg.protocol
+    t = protocol.ramsey_time_s
+    if run.delta_omega_rad_s is not None:
+        delta_omega, field = run.delta_omega_rad_s, "run.delta_omega_rad_s"
+    else:
+        if not t > 0.0:
+            raise ParameterError(
+                "protocol.ramsey_time_s must be positive to place the default probe detuning"
+            )
+        chi_target = math.pi / 2.0
+        delta_omega = (chi_target / t - run.delta_omega_head_rad_s) / protocol.n_atoms
+        field = "protocol.ramsey_time_s"
+    if not math.isfinite((protocol.n_atoms * delta_omega + run.delta_omega_head_rad_s) * t):
+        raise ConfigError(field, f"the Ramsey phase of the probe detuning {delta_omega!r} rad/s "
+                                 "overflows the float range")
+    return delta_omega

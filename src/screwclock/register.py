@@ -25,6 +25,11 @@ protocol applies them in two halves: :func:`prepare_ghz`, then
 :func:`evolve_and_disentangle`. The controlled flip equals H on all clocks,
 the phase pass and H on all clocks again (H Z H = X at every site): it
 flips every clock bit of the head-up part, exactly.
+
+Every gate of the second half is diagonal or a fixed permutation, so both
+backends also read a whole fringe in closed form: ``fringe_readout`` gives
+the ``p_up`` of that half and ``head_readout`` at each detuning of a grid,
+from numbers the state fixes, without changing the state.
 """
 
 from __future__ import annotations
@@ -74,6 +79,35 @@ def _checked_matrix(key: bytes) -> np.ndarray:
     if defect > _UNITARY_TOL:
         raise ParameterError(f"matrix is not unitary (defect {defect:.3e})")
     return m
+
+
+def _as_probabilities(p_down, p_up) -> tuple[np.ndarray, np.ndarray]:
+    """Head readouts (p_down, p_up), scalars or arrays, clamped to [0, 1].
+
+    Rounding may leave a probability just below 0 or a pair that sums just
+    off 1; a pair more than READOUT_TOL away from a probability distribution
+    means the register's norm drifted, and raises.
+    """
+    p_down, p_up = np.asarray(p_down), np.asarray(p_up)
+    drift = np.maximum(np.maximum(-p_down, -p_up), np.abs(p_down + p_up - 1.0))
+    worst = np.argmax(drift)  # a NaN counts as the largest
+    if not drift.flat[worst] <= READOUT_TOL:
+        raise ClockSimError(f"register norm drifted: head readout p_down={float(p_down.flat[worst])!r}, "
+                            f"p_up={float(p_up.flat[worst])!r} is {float(drift.flat[worst]):.3e} "
+                            "away from a probability distribution")
+    return np.clip(p_down, 0.0, 1.0), np.clip(p_up, 0.0, 1.0)
+
+
+def _ramsey_phases(delta_omegas, delta_omega_head: float, ramsey_time: float) -> tuple[np.ndarray, float]:
+    """(theta, phi) = (dw T per detuning, dw' T): the phases free evolution gives a clock and the head."""
+    if ramsey_time < 0.0:
+        raise ParameterError("evolution time must be >= 0")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        theta = np.asarray(delta_omegas, dtype=float) * ramsey_time
+    phi = delta_omega_head * ramsey_time
+    if not (np.isfinite(theta).all() and math.isfinite(phi)):
+        raise ParameterError("the Ramsey phases dw T and dw' T must be finite")
+    return theta, phi
 
 
 @functools.lru_cache(maxsize=DENSE_ATOM_CAP)
@@ -170,6 +204,29 @@ class DenseState:
         halves *= clock_phase[_clock_weights(self.n_atoms)]
         halves[1] *= np.exp(1j * delta_omega_head * t)
         return self
+
+    def fringe_readout(self, delta_omegas, delta_omega_head: float, ramsey_time: float) -> np.ndarray:
+        """p_up after :func:`evolve_and_disentangle` at each detuning; the state is not changed.
+
+        Free evolution gives clock index q the phase theta k (k its weight) and
+        the head-up half phi more; the flip pairs up[q] with down[2^N - 1 - q],
+        of weight N - k; H on the head then reads
+        p_up = ||a||^2 / 2 - Re[e^{i phi} sum_k d_k e^{i theta (2k - N)}], where
+        d_k sums conj(down[2^N - 1 - q]) up[q] over the q of weight k. The sum
+        is a Horner polynomial in e^{2 i theta}, in O(points) memory.
+        """
+        theta, phi = _ramsey_phases(delta_omegas, delta_omega_head, ramsey_time)
+        down, up = self.amplitudes.reshape(2, -1)
+        pairs = down[::-1].conj() * up
+        weights, levels = _clock_weights(self.n_atoms), self.n_atoms + 1
+        d = np.bincount(weights, pairs.real, levels) + 1j * np.bincount(weights, pairs.imag, levels)
+        step = np.exp(2j * theta)
+        total = np.full(theta.shape, d[-1])
+        for d_k in d[-2::-1]:
+            total = total * step + d_k
+        cross = (np.exp(1j * (phi - self.n_atoms * theta)) * total).real
+        half_norm = np.vdot(self.amplitudes, self.amplitudes).real / 2.0
+        return _as_probabilities(half_norm + cross, half_norm - cross)[1]
 
     def head_readout(self) -> tuple[float, float]:
         half = 2 ** self.n_atoms
@@ -304,14 +361,32 @@ class BranchState:
         if not alive.all():
             self.clock, self.head = self.clock[alive], self.head[alive]
 
+    def fringe_readout(self, delta_omegas, delta_omega_head: float, ramsey_time: float) -> np.ndarray:
+        """p_up after :func:`evolve_and_disentangle` at each detuning; the state is not changed.
+
+        Free evolution and the flip leave the head-down part of branch i on
+        c_i' = (c_i0, c_i1 e^{i theta}) and the head-up part of branch j on
+        (c_j1 e^{i theta}, c_j0), so H on the head reads
+        p_up = ||psi||^2 / 2 - Re[e^{i phi} sum_ij conj(head[i, 0]) head[j, 1]
+        (conj(c_i0) c_j1 e^{i theta} + conj(c_i1) c_j0 e^{-i theta})^N], one
+        term per pair of branches whose head product is not zero.
+        """
+        theta, phi = _ramsey_phases(delta_omegas, delta_omega_head, ramsey_time)
+        rotation = np.exp(1j * theta)
+        heads = np.outer(self.head[:, 0].conj(), self.head[:, 1])
+        down, up = self.clock.conj(), self.clock
+        total = np.zeros(theta.shape, dtype=complex)
+        for i, j in zip(*np.nonzero(heads)):
+            factor = down[i, 0] * up[j, 1] * rotation + down[i, 1] * up[j, 0] * rotation.conj()
+            total += heads[i, j] * factor ** self.n_atoms
+        cross = (np.exp(1j * phi) * total).real
+        half_norm = _head_overlaps(self, self).real.sum() / 2.0
+        return _as_probabilities(half_norm + cross, half_norm - cross)[1]
+
     def head_readout(self) -> tuple[float, float]:
         """(p_down, p_up); rounding within READOUT_TOL is clamped, more raises."""
-        p_down, p_up = _head_overlaps(self, self).real.tolist()
-        drift = max(-p_down, -p_up, abs(p_down + p_up - 1.0))
-        if drift > READOUT_TOL:
-            raise ClockSimError(f"branch register norm drifted: head readout p_down={p_down!r}, "
-                                f"p_up={p_up!r} is {drift:.3e} away from a probability distribution")
-        return min(max(p_down, 0.0), 1.0), min(max(p_up, 0.0), 1.0)
+        p_down, p_up = _as_probabilities(*_head_overlaps(self, self).real)
+        return float(p_down), float(p_up)
 
     def norm(self) -> float:
         return math.sqrt(max(float(_head_overlaps(self, self).real.sum()), 0.0))

@@ -1,5 +1,6 @@
 """Shared fixtures: the Sr/Al parameter set used across the suite, the
 random-gate-sequence helpers behind the backend differential tests, the
+rounding bound of the Ramsey phase chi that two evaluations of p_up share, the
 expansion of any register state to a dense vector and a dense copy of a
 (branch) reference state, and the
 slow reference paths the fast ones are tested against: the protocol gate by
@@ -134,6 +135,19 @@ def protocol_sequence(delta_omega: float, delta_omega_head: float, ramsey_time: 
     head_h = methodcaller("apply_head_rotation", HADAMARD)
     evolve = methodcaller("apply_free_evolution", delta_omega, delta_omega_head, ramsey_time)
     return [clock_h, head_h, PHASE_PASS, clock_h, evolve, clock_h, PHASE_PASS, clock_h, head_h]
+
+
+def chi_rounding(n_atoms, delta_omega, delta_omega_head, ramsey_time):
+    """2 eps (N + |N dw T| + |dw' T|): how far two evaluations of one p_up may part.
+
+    p_up = sin^2(chi / 2) moves by at most |d chi| / 2, and chi = (N dw + dw') T
+    rounds in its parts: the per-site factor N, each site's dw T and the
+    head's dw' T. The gate-by-gate protocol and a closed-form fringe readout
+    round them differently. Takes arrays of detunings too.
+    """
+    eps = np.finfo(float).eps
+    return 2.0 * eps * (n_atoms + np.abs(n_atoms * np.asarray(delta_omega) * ramsey_time)
+                        + abs(delta_omega_head * ramsey_time))
 
 
 def backend_crosscheck(

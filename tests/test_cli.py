@@ -39,18 +39,23 @@ def _write_config(tmp_path, data):
 
 ROOT = Path(__file__).resolve().parents[1]
 _LINUX_RSS = pytest.mark.skipif(not sys.platform.startswith("linux"),
-                                reason="ru_maxrss is in KiB on Linux")
+                                reason="reads the peak RSS from Linux's /proc/self/status")
 
 
 def _peak_growth(tmp_path, command, small, large) -> int:
-    """Peak-RSS growth, in bytes, of ``command`` on config ``large`` over ``small``, in one fresh process."""
+    """Peak-RSS growth, in bytes, of ``command`` on config ``large`` over ``small``, in one fresh process.
+
+    The peak is VmHWM, which starts afresh at exec. ru_maxrss does not: the child
+    inherits the test process's peak, under which any smaller growth reads 0.
+    """
     code = (
-        "import json, resource, sys\n"
+        "import json, sys\n"
         "from screwclock import parse_config\n"
         "from screwclock.cli import run_command\n"
         "def peak(document):\n"
         "    run_command(sys.argv[1], parse_config(json.loads(document)), sys.argv[2])\n"
-        "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        return next(int(line.split()[1]) * 1024 for line in status if line.startswith('VmHWM:'))\n"
         "base = peak(sys.argv[3])\n"
         "print(peak(sys.argv[4]) - base)\n"
     )
@@ -861,10 +866,14 @@ class TestMemoryBudgets:
     @pytest.mark.parametrize("command,small,large,units,unit_bytes", [
         ("scan", {"protocol": {"n_atoms": 1}, "run": {"detuning_points": 2}},
          {"protocol": {"n_atoms": 1}, "run": {"detuning_points": 10_000}}, 10_000, SCAN_POINT_BYTES),
+        # At the dense cap, a per-point temporary that grew with N would not fit.
+        ("scan", {"protocol": {"n_atoms": 14}, "run": {"backend": "dense", "detuning_points": 2}},
+         {"protocol": {"n_atoms": 14}, "run": {"backend": "dense", "detuning_points": 10_000}},
+         10_000, SCAN_POINT_BYTES),
         # n_max = 2^53 keeps every grid point a distinct N.
         ("optimize", {"optimize": {"n_max": 2**53, "n_points": 2}},
          {"optimize": {"n_max": 2**53, "n_points": 10**5}}, 10**5, OPTIMIZE_POINT_BYTES),
-    ], ids=["scan-points", "optimize-points"])
+    ], ids=["scan-points", "dense-scan-points", "optimize-points"])
     def test_growth_within_twice_the_measured_bytes(self, tmp_path, command, small, large,
                                                     units, unit_bytes):
         assert _peak_growth(tmp_path, command, small, large) <= 2 * units * unit_bytes
@@ -902,8 +911,16 @@ class TestMemoryBudgets:
         ("scan", {"run": {"detuning_points": SCAN_MAX_POINTS + 1}}, "run.detuning_points"),
         ("scan", {"run": {"detuning_points": 10**8}}, "run.detuning_points"),
         ("optimize", {"optimize": {"n_points": OPTIMIZE_MAX_POINTS + 1}}, "optimize.n_points"),
+        # A derived detuning beyond the float range: the grid's span, the default grid's
+        # and probe's 1 / T, and an explicit probe's Ramsey phase N dw T.
+        ("scan", {"run": {"detuning_min_rad_s": -1e308, "detuning_max_rad_s": 1e308}},
+         "run.detuning_max_rad_s"),
+        ("scan", {"protocol": {"ramsey_time_s": 1e-320}}, "protocol.ramsey_time_s"),
+        ("simulate", {"protocol": {"ramsey_time_s": 1e-320}}, "protocol.ramsey_time_s"),
+        ("simulate", {"run": {"delta_omega_rad_s": 1e308}}, "run.delta_omega_rad_s"),
     ], ids=["simulate-bound+1", "scan-bound+1", "simulate-1e8", "points-bound+1", "points-1e8",
-            "optimize-points-bound+1"])
+            "optimize-points-bound+1", "scan-span-overflow", "scan-grid-overflow",
+            "simulate-probe-overflow", "simulate-phase-overflow"])
     def test_beyond_budget_exits_before_building(self, tmp_path, refuse_build, run_cli,
                                                  command, document, field):
         cfg = _write_config(tmp_path, document)

@@ -184,11 +184,17 @@ def test_ci_error_contract_names_each_rejected_leaf():
     assert 'test ! -e "$RUNNER_TEMP/errors"' in script
     assert """echo '{"lattice": {"delta": 0}}' > "$RUNNER_TEMP/error.json"\n""" in script
     assert "expect_config_error lattice.delta feasibility\n" in script
+    assert ("""echo '{"run": {"detuning_min_rad_s": -1e308, "detuning_max_rad_s": 1e308}}' """
+            """> "$RUNNER_TEMP/error.json"\n"""
+            "expect_config_error run.detuning_max_rad_s scan\n") in script
+    assert ("""echo '{"protocol": {"ramsey_time_s": 1e-320}}' > "$RUNNER_TEMP/error.json"\n"""
+            "expect_config_error protocol.ramsey_time_s simulate\n") in script
     assert 'test "$status" -eq 2' in script
 
 
-@pytest.mark.parametrize("field,wrong", [(None, None), ("optimize.n_points", "optimize.n_max")],
-                         ids=["as-written", "wrong-field-fails"])
+@pytest.mark.parametrize("field,wrong", [(None, None), ("optimize.n_points", "optimize.n_max"),
+                                         ("run.detuning_max_rad_s", "run.detuning_min_rad_s")],
+                         ids=["as-written", "wrong-field-fails", "wrong-overflow-field-fails"])
 def test_error_contract_lines_run(tmp_path, field, wrong):
     """The step's lines, through bash; with one expected field renamed, the step must fail."""
     script = _error_contract_step()["run"]

@@ -23,13 +23,14 @@ from screwclock import (
 from screwclock.cli import BRANCH_MAX_ATOMS
 from screwclock.register import (
     BACKENDS, DENSE_ATOM_CAP, HADAMARD, UNITARY_CACHE_SIZE,
-    _check_unitary, _checked_matrix, _clock_weights, _head_overlaps,
+    _check_unitary, _checked_matrix, _clock_weights, _head_overlaps, evolve_and_disentangle,
 )
 
 from conftest import (
-    EXPAND_MAX_ATOMS, PHASE_PASS, ReferenceBranchState, backend_crosscheck, dense_copy, haar_unitary,
-    protocol_sequence, random_gate_sequence, reference_axis_rotation, reference_dense_clock_rotation,
-    reference_dense_free_evolution, reference_dense_head_rotation, reference_dense_phase_pass, to_vector,
+    EXPAND_MAX_ATOMS, PHASE_PASS, ReferenceBranchState, backend_crosscheck, chi_rounding, dense_copy,
+    haar_unitary, protocol_sequence, random_gate_sequence, reference_axis_rotation,
+    reference_dense_clock_rotation, reference_dense_free_evolution, reference_dense_head_rotation,
+    reference_dense_phase_pass, to_vector,
 )
 
 
@@ -509,7 +510,7 @@ class TestRunProtocol:
         grid = np.linspace(-1.0, 3.0, 9) / n
         scan = fringe_scan(n, t, grid, delta_omega_head=dwh, backend=backend)
         expected = [run_protocol(n, backend, float(dw), dwh, t).p_up for dw in grid]
-        assert list(scan.p_up) == expected
+        assert (np.abs(np.subtract(scan.p_up, expected)) <= chi_rounding(n, grid, dwh, t)).all()
 
     def test_rank_never_exceeds_two(self):
         n = 6
@@ -630,6 +631,8 @@ class TestHeadReadout:
         state.head = state.head * 1.1
         with pytest.raises(ClockSimError, match="drifted"):
             state.head_readout()
+        with pytest.raises(ClockSimError, match="drifted"):
+            state.fringe_readout([0.0, 0.5], 0.0, 1.0)
 
     @pytest.mark.parametrize("n", [10**3, BRANCH_MAX_ATOMS, 10**9])
     def test_readout_sums_to_one_at_any_atom_number(self, n):
@@ -651,19 +654,78 @@ class TestHeadReadout:
         assert abs(p_down + p_up - 1.0) <= 1e-15
 
     def test_fringe_law_at_the_branch_bound_is_within_half_the_oracle(self):
-        # The fringe still rounds, by at most 3.05e-16 per atom (measured 3.94e-10 here). The
-        # bound is the largest multiple of 10^5 atoms at which that is within half of 1e-9.
+        # The fringe still rounds, by at most 3.05e-16 per atom (measured 3.94e-10 here, by
+        # the protocol and by the scan's closed-form readout alike). The bound is the
+        # largest multiple of 10^5 atoms at which that is within half of 1e-9.
         per_atom, n = 3.05e-16, BRANCH_MAX_ATOMS
         assert n % 10**5 == 0 and n * per_atom <= 5e-10 < (n + 10**5) * per_atom
+        chis = np.linspace(0.0, 4 * math.pi, 257)
         for t in (0.01, 1.0):
-            for chi in np.linspace(0.0, 4 * math.pi, 257):
+            for chi in chis:
                 _, p_up = run_protocol(n, "branch", chi / (n * t), 0.0, t).final.head_readout()
                 assert abs(p_up - math.sin(chi / 2) ** 2) <= n * per_atom, (t, chi)
+            scan = fringe_scan(n, t, chis / (n * t), backend="branch")
+            assert np.abs(np.subtract(scan.p_up, np.sin(chis / 2) ** 2)).max() <= n * per_atom, t
 
     def test_large_register_reads_within_tolerance(self):
         n, dw, t = 10_000, 1e-2, 0.01  # chi = 1
         _, p_up = run_protocol(n, "branch", dw, 0.0, t).final.head_readout()
         assert p_up == pytest.approx(math.sin(0.5) ** 2, abs=1e-9)
+
+
+_SHAPING_GATES = ("clock", "head", "hadamard", "pass", "flip")
+
+
+@st.composite
+def _shaped_states(draw):
+    """A register after a few random rotations, phase passes and controlled flips.
+
+    At most three passes and flips, so a branch state keeps at most 8 branches.
+    """
+    backend = draw(st.sampled_from(BACKENDS), label="backend")
+    n = draw(st.integers(1, 8 if backend == "dense" else 300), label="n_atoms")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    kinds = draw(st.lists(st.sampled_from(_SHAPING_GATES), max_size=8).filter(
+        lambda kinds: kinds.count("pass") + kinds.count("flip") <= 3), label="gates")
+    state = init_register(n, backend)
+    for kind in kinds:
+        if kind == "clock":
+            state.apply_clock_rotation(haar_unitary(rng))
+        elif kind == "head":
+            state.apply_head_rotation(haar_unitary(rng))
+        elif kind == "hadamard":
+            state.apply_clock_rotation(HADAMARD)
+        elif kind == "pass":
+            state.apply_phase_pass()
+        else:
+            state.apply_controlled_flip()
+    return state
+
+
+class TestFringeReadout:
+    """The closed-form fringe against the second half of the protocol, point by point."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(state=_shaped_states(), grid=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=12),
+           dwh=st.floats(-5.0, 5.0), t=st.floats(1e-3, 2.0))
+    def test_equals_evolve_and_disentangle_on_any_state(self, state, grid, dwh, t):
+        before = state.copy()
+        p_up = state.fringe_readout(grid, dwh, t)
+        expected = [evolve_and_disentangle(state.copy(), dw, dwh, t).head_readout()[1] for dw in grid]
+        # Beyond chi's rounding, an arbitrary state's p_up rounds in its own sums by a
+        # few eps (measured 3 eps at N = 1 over 20000 states; a GHZ state stays within chi's).
+        tol = chi_rounding(state.n_atoms, grid, dwh, t) + 4 * np.finfo(float).eps
+        assert (np.abs(p_up - expected) <= tol).all()
+        assert all(np.array_equal(value, vars(before)[key]) for key, value in vars(state).items())
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_rejects_what_free_evolution_rejects(self, backend):
+        ghz = run_protocol(3, backend).checkpoints["ghz"]
+        with pytest.raises(ParameterError, match=">= 0"):
+            ghz.fringe_readout([0.1], 0.0, -1.0)
+        for grid, dwh in (([math.inf], 0.0), ([1e300], 0.0), ([0.1], math.nan)):
+            with pytest.raises(ParameterError, match="finite"):
+                ghz.fringe_readout(grid, dwh, 1e10)
 
 
 class TestFringeLaw:
