@@ -41,7 +41,10 @@ from .rates import (
     schedule_table_bytes,
     survival_probability,
 )
-from .register import BACKENDS, protocol_references, run_protocol, state_fidelity
+from .register import (
+    BACKENDS, RegisterState, evolve_and_disentangle, init_register, prepare_ghz, protocol_references,
+    state_fidelity,
+)
 from .output import TableText, write_table
 
 # Each command's largest structure gets one memory budget. A memory bound below is
@@ -170,18 +173,15 @@ def _cmd_simulate(cfg: RunConfig) -> tuple[dict, dict, str]:
     delta_omega_head = cfg.run.delta_omega_head_rad_s
     chi = (n * delta_omega + delta_omega_head) * t
 
-    result = run_protocol(
-        n,
-        backend=cfg.run.backend,
-        delta_omega=delta_omega,
-        delta_omega_head=delta_omega_head,
-        ramsey_time=t,
-    )
     references = protocol_references(n, delta_omega, delta_omega_head, t)
-    columns = {
-        "checkpoint": list(references),
-        "fidelity": [state_fidelity(result.checkpoints[name], ref) for name, ref in references.items()],
-    }
+    fidelities: dict[str, float] = {}
+
+    def check(label: str, state: RegisterState) -> None:
+        fidelities[label] = state_fidelity(state, references[label])
+
+    state = prepare_ghz(init_register(n, cfg.run.backend), check)
+    evolve_and_disentangle(state, delta_omega, delta_omega_head, t, check)
+    columns = {"checkpoint": list(fidelities), "fidelity": list(fidelities.values())}
     meta = {
         "n_atoms": n,
         "backend": cfg.run.backend,
@@ -189,7 +189,7 @@ def _cmd_simulate(cfg: RunConfig) -> tuple[dict, dict, str]:
         "delta_omega_rad_s": delta_omega,
         "delta_omega_head_rad_s": delta_omega_head,
         "chi_rad": chi,
-        "p_up": result.p_up,
+        "p_up": state.head_readout()[1],
         "p_up_ideal": math.sin(chi / 2.0) ** 2,
     }
     summary = f"p_up={meta['p_up']:.6f} (ideal {meta['p_up_ideal']:.6f}), chi={chi:.4f} rad"

@@ -13,10 +13,10 @@ Two interchangeable backends:
   ``head``, the head 2-vector, which carries the branch's amplitude. One
   form gives every overlap, per head component k:
   <a|b>_k = sum_ij conj(a.head[i, k]) <a.clock[i]|b.clock[j]>^N b.head[j, k].
-  A phase pass splits superposed heads; branches with colinear clock
-  factors then merge into one, whatever their heads. The entangling
-  protocol only ever needs two branches, so a full run costs O(1) in N at
-  fixed rank.
+  A phase pass splits superposed heads; branches whose clock factors are
+  colinear at each site, up to rounding, then merge into one, whatever
+  their heads. The entangling protocol only ever needs two branches, so a
+  full run costs O(1) in N at fixed rank.
 
 Both backends offer the same five gates (``apply_clock_rotation``,
 ``apply_head_rotation``, ``apply_phase_pass``, ``apply_controlled_flip``,
@@ -24,7 +24,12 @@ Both backends offer the same five gates (``apply_clock_rotation``,
 protocol applies them in two halves: :func:`prepare_ghz`, then
 :func:`evolve_and_disentangle`. The controlled flip equals H on all clocks,
 the phase pass and H on all clocks again (H Z H = X at every site): it
-flips every clock bit of the head-up part, exactly.
+flips every clock bit of the head-up part, exactly. Each half hands the
+state itself to an optional ``checkpoint(label, state)`` callback as it
+passes each checkpoint, so a caller checks the state in passing, with no
+copy. A dense state's overlap with a branch state is contracted one block
+of DENSE_BLOCK_BITS clock sites per product, against the Kronecker power
+of each branch's clock factor, without expanding the branches.
 
 Every gate of the second half is diagonal or a fixed permutation, so both
 backends also read a whole fringe in closed form: ``fringe_readout`` gives
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +53,7 @@ DENSE_ATOM_CAP = 14        # 2^15 amplitudes
 DENSE_BLOCK_BITS = 3       # clock qubits per matrix product in a dense rotation
 BRANCH_PRUNE_TOL = 1e-14   # a head component this small is absent: no branch part is made of it
 BRANCH_MERGE_MAX_RANK = 64  # skip O(rank^2) merging above this rank
+BRANCH_COLINEAR_TOL = 4 * np.finfo(float).eps  # unit clock factors this close to colinear merge
 READOUT_TOL = 1e-9         # head probabilities may miss [0, 1] and sum 1 by this
 _UNITARY_TOL = 1e-12
 UNITARY_CACHE_SIZE = 32    # distinct rotation matrices kept checked
@@ -120,6 +127,21 @@ def _clock_weights(n_atoms: int) -> np.ndarray:
     return weights
 
 
+def _kron_powers(m: np.ndarray) -> list[np.ndarray]:
+    """[m, m⊗m, ..., m^⊗DENSE_BLOCK_BITS] of a 2-D array m: one factor per site of a block.
+
+    Each power is np.kron(previous, m), without its per-call overhead. A 2x2
+    unitary gives the blocks of a dense rotation, a (1, 2) row the Kronecker
+    power of a clock factor as a (1, 2^k) row.
+    """
+    powers = [m]
+    while len(powers) < DENSE_BLOCK_BITS:
+        last = powers[-1]
+        shape = (last.shape[0] * m.shape[0], last.shape[1] * m.shape[1])
+        powers.append((last[:, None, :, None] * m[None, :, None, :]).reshape(shape))
+    return powers
+
+
 class DenseState:
     """Full state vector of N clock qubits and the head qubit.
 
@@ -158,12 +180,7 @@ class DenseState:
         product; once all N clock bits have cycled, the head bit is lowest
         and one transpose puts it back.
         """
-        m = _check_unitary(matrix)
-        blocks = [m]
-        while len(blocks) < DENSE_BLOCK_BITS:
-            # np.kron(blocks[-1], m), without its per-call overhead
-            d = 2 * blocks[-1].shape[0]
-            blocks.append((blocks[-1][:, None, :, None] * m[None, :, None, :]).reshape(d, d))
+        blocks = _kron_powers(_check_unitary(matrix))
         amplitudes = self.amplitudes
         for low in range(0, self.n_atoms, DENSE_BLOCK_BITS):
             k = min(DENSE_BLOCK_BITS, self.n_atoms - low)
@@ -344,18 +361,24 @@ class BranchState:
 
         c^⊗N ⊗ h_i + c^⊗N ⊗ h_j = c^⊗N ⊗ (h_i + h_j), so branch j joins
         branch i as head_i += (z / |z|) head_j with z = <c_i|c_j>^N: colinear
-        unit factors differ by a phase alone, and |z| < 1 would be rounding.
+        unit factors differ by a phase alone. Colinear is judged per site,
+        up to rounding: |det[c_i, c_j]|, the sine of the angle between the
+        two factors, at most BRANCH_COLINEAR_TOL. Over all N sites, factors
+        an angle theta apart overlap by cos(theta)^N, which is near 1 for a
+        small theta, yet they differ by the phase N theta.
         """
         if not 1 < self.rank <= BRANCH_MERGE_MAX_RANK:
             return
+        c0, c1 = self.clock.T
+        sines = np.abs(np.outer(c0, c1) - np.outer(c1, c0))
         gram = _clock_gram(self, self)
         alive = np.ones(self.rank, dtype=bool)
         for i in range(self.rank):
             if not alive[i]:
                 continue
             for j in range(i + 1, self.rank):
-                z = gram[i, j]
-                if alive[j] and abs(z) >= 1.0 - 1e-10:
+                if alive[j] and sines[i, j] <= BRANCH_COLINEAR_TOL:
+                    z = gram[i, j]
                     self.head[i] += z / abs(z) * self.head[j]
                     alive[j] = False
         if not alive.all():
@@ -409,36 +432,42 @@ def init_register(n_atoms: int, backend: str = "dense") -> RegisterState:
     raise ParameterError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
 
 
-def _keep(record: dict | None, label: str, state: RegisterState) -> None:
-    if record is not None:
-        record[label] = state.copy()
+Checkpoint = Callable[[str, RegisterState], None]
 
 
-def prepare_ghz(state: RegisterState, record: dict | None = None) -> RegisterState:
+def _unchecked(label: str, state: RegisterState) -> None:
+    """The checkpoint of a run that checks nothing."""
+
+
+def prepare_ghz(state: RegisterState, checkpoint: Checkpoint | None = None) -> RegisterState:
     """The first generalized pi/2 pulse: |0...0>|down> to the GHZ state, in place.
 
     H on all clocks, H on the head, the phase pass P_0..P_{N-1}, H on all
-    clocks. A ``record`` dict gets a copy of the state at each checkpoint.
+    clocks. ``checkpoint(label, state)`` is called with the state itself as
+    the protocol passes each checkpoint, so a caller checks it in passing;
+    it must not change the state.
     """
-    _keep(record, "superposition", state.apply_clock_rotation(HADAMARD).apply_head_rotation(HADAMARD))
-    _keep(record, "entangled", state.apply_phase_pass())
-    _keep(record, "ghz", state.apply_clock_rotation(HADAMARD))
+    checkpoint = checkpoint or _unchecked
+    checkpoint("superposition", state.apply_clock_rotation(HADAMARD).apply_head_rotation(HADAMARD))
+    checkpoint("entangled", state.apply_phase_pass())
+    checkpoint("ghz", state.apply_clock_rotation(HADAMARD))
     return state
 
 
 def evolve_and_disentangle(state: RegisterState, delta_omega: float, delta_omega_head: float,
-                           ramsey_time: float, record: dict | None = None) -> RegisterState:
+                           ramsey_time: float, checkpoint: Checkpoint | None = None) -> RegisterState:
     """Free evolution, then the second pi/2 pulse, in place.
 
     The pulse brings the Ramsey phase chi of the GHZ state back onto the
     head qubit alone. It is H on all clocks, the phase pass, H on all clocks
     and H on the head; the first three, with no checkpoint between them,
-    are applied as the one controlled flip they equal. A ``record`` dict
-    gets a copy of the state at each checkpoint.
+    are applied as the one controlled flip they equal. ``checkpoint`` is
+    called as in :func:`prepare_ghz`.
     """
-    _keep(record, "evolved", state.apply_free_evolution(delta_omega, delta_omega_head, ramsey_time))
+    checkpoint = checkpoint or _unchecked
+    checkpoint("evolved", state.apply_free_evolution(delta_omega, delta_omega_head, ramsey_time))
     state.apply_controlled_flip()
-    _keep(record, "final", state.apply_head_rotation(HADAMARD))
+    checkpoint("final", state.apply_head_rotation(HADAMARD))
     return state
 
 
@@ -461,8 +490,12 @@ def run_protocol(
 ) -> ProtocolResult:
     """Run the noiseless protocol end to end, keeping a copy of the state at each checkpoint."""
     copies: dict[str, RegisterState] = {}
-    state = prepare_ghz(init_register(n_atoms, backend), copies)
-    evolve_and_disentangle(state, delta_omega, delta_omega_head, ramsey_time, copies)
+
+    def keep(label: str, state: RegisterState) -> None:
+        copies[label] = state.copy()
+
+    state = prepare_ghz(init_register(n_atoms, backend), keep)
+    evolve_and_disentangle(state, delta_omega, delta_omega_head, ramsey_time, keep)
     return ProtocolResult(state, copies)
 
 
@@ -518,18 +551,20 @@ def protocol_references(
 def _branch_dense_overlap(branch: BranchState, dense: DenseState) -> complex:
     """<branch|dense>, contracted factor by factor instead of expanding the branches.
 
-    Per branch, the conjugated head factor contracts the head axis of the
-    dense tensor, then the conjugated clock factor contracts clock bits
-    0, 1, ..., N - 1 in turn (bit 0 is the fastest index), each step halving
-    the partial tensor, down to one scalar.
+    Per branch, the Kronecker power of the conjugated clock factor contracts
+    up to DENSE_BLOCK_BITS clock bits per product, lowest bits first, each
+    product dividing the partial tensor by 2^k; every site carries the same
+    factor, so the order of the bits in a block does not matter. The
+    conjugated head factor then contracts the two numbers left.
     """
-    halves = dense.amplitudes.reshape(2, -1)  # (head, clock index)
     total = 0j
     for head, factor in zip(branch.head.conj(), branch.clock.conj()):
-        partial = head @ halves
-        for _ in range(dense.n_atoms):
-            partial = partial.reshape(-1, 2) @ factor
-        total += partial[0]
+        blocks = _kron_powers(factor[None, :])
+        partial = dense.amplitudes
+        for low in range(0, dense.n_atoms, DENSE_BLOCK_BITS):
+            k = min(DENSE_BLOCK_BITS, dense.n_atoms - low)
+            partial = partial.reshape(-1, 2 ** k) @ blocks[k - 1][0]
+        total += head @ partial
     return complex(total)
 
 

@@ -1,15 +1,16 @@
-"""Shared fixtures: the Sr/Al parameter set used across the suite, the
-random-gate-sequence helpers behind the backend differential tests, the
-rounding bound of the Ramsey phase chi that two evaluations of p_up share, the
-expansion of any register state to a dense vector and a dense copy of a
-(branch) reference state, and the
-slow reference paths the fast ones are tested against: the protocol gate by
-gate, the branch state with one clock factor per site and its per-site phase gate, the per-axis and the allocating dense
-rotations, the XOR-loop dense phase pass and the per-axis dense free
-evolution, the per-trajectory sampler, scipy's curve_fit fringe fit, the
-numeric well depth, the expanded schedule step list, the row-dict CSV
-writer and a CSV reader; the streamed schedule rows read back as steps;
-and a runner for fresh interpreters."""
+"""Shared fixtures: the hypothesis ``ci`` profile, the Sr/Al parameter set
+used across the suite, the random-gate-sequence helpers behind the backend
+differential tests, the rounding bound of the Ramsey phase chi that two
+evaluations of p_up share, the expansion of any register state to a dense
+vector and a dense copy of a (branch) reference state, and the slow
+reference paths the fast ones are tested against: the protocol gate by
+gate, the branch state with one clock factor per site and its per-site
+phase gate, the dense/branch overlap contracted one site per product, the
+per-axis and the allocating dense rotations, the XOR-loop dense phase pass
+and the per-axis dense free evolution, the per-trajectory sampler, scipy's
+curve_fit fringe fit, the numeric well depth, the expanded schedule step
+list, the row-dict CSV writer and a CSV reader; the streamed schedule rows
+read back as steps; and a runner for fresh interpreters."""
 
 import csv
 import json
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.optimize import OptimizeWarning, curve_fit
 
 import screwclock
@@ -32,8 +34,15 @@ from screwclock import (
 )
 from screwclock.estimator import _initial_frequency
 from screwclock.register import (
-    BRANCH_MERGE_MAX_RANK, BRANCH_PRUNE_TOL, DENSE_BLOCK_BITS, HADAMARD, _check_unitary,
+    BRANCH_COLINEAR_TOL, BRANCH_MERGE_MAX_RANK, BRANCH_PRUNE_TOL, DENSE_BLOCK_BITS, HADAMARD,
+    _check_unitary,
 )
+
+# With CI set, as CI services do, a failing example also prints the blob that
+# reproduces it (@reproduce_failure); example counts and bounds stay the tests' own.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 # Reference parameter set: Sr clock atoms with an Al head at the 389.9 nm
 # blue magic wavelength, misbalance delta = 1/4.
@@ -263,13 +272,17 @@ class ReferenceBranchState:
         return np.einsum("inc,jnc->ijn", self.clock.conj(), other.clock).prod(axis=2)
 
     def _merge(self):
+        # Colinear means colinear at every site, up to rounding: the largest per-site
+        # |det[c_i, c_j]| at most BRANCH_COLINEAR_TOL.
         if not 1 < self.rank <= BRANCH_MERGE_MAX_RANK:
             return
         gram = self._clock_gram(self)
+        c0, c1 = self.clock[..., 0], self.clock[..., 1]
+        sines = np.abs(c0[:, None] * c1[None] - c1[:, None] * c0[None]).max(axis=2)
         alive = np.ones(self.rank, dtype=bool)
         for i in range(self.rank):
             for j in range(i + 1, self.rank):
-                if alive[i] and alive[j] and abs(gram[i, j]) >= 1.0 - 1e-10:
+                if alive[i] and alive[j] and sines[i, j] <= BRANCH_COLINEAR_TOL:
                     self.head[i] = self.head[i] + gram[i, j] * self.head[j]
                     alive[j] = False
         self.clock, self.head = self.clock[alive], self.head[alive]
@@ -286,6 +299,25 @@ class ReferenceBranchState:
 
     def overlap_with(self, other) -> complex:
         return complex(self._overlaps(other).sum())
+
+
+def reference_branch_dense_overlap(branch, dense: DenseState) -> complex:
+    """<branch|dense>, contracted one clock site per product.
+
+    The per-site reference for ``register._branch_dense_overlap``: per branch,
+    the conjugated head factor contracts the head axis of the dense tensor,
+    then the conjugated clock factor contracts clock bits 0, 1, ..., N - 1 in
+    turn (bit 0 is the fastest index), each step halving the partial tensor,
+    down to one scalar.
+    """
+    halves = dense.amplitudes.reshape(2, -1)  # (head, clock index)
+    total = 0j
+    for head, factor in zip(branch.head.conj(), branch.clock.conj()):
+        partial = head @ halves
+        for _ in range(dense.n_atoms):
+            partial = partial.reshape(-1, 2) @ factor
+        total += partial[0]
+    return complex(total)
 
 
 def reference_phase_gate(state: ReferenceBranchState, site: int):

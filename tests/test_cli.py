@@ -5,6 +5,7 @@ import math
 import sys
 import tempfile
 import timeit
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -337,6 +338,31 @@ class TestSimulateCommand:
         assert len(rows) == 5
         assert all(float(row["fidelity"]) >= 1.0 - 1e-14 for row in rows)
         assert contracted == [(BranchState, DenseState)] * 5
+
+    @pytest.mark.parametrize("backend", register.BACKENDS)
+    def test_simulate_checks_each_checkpoint_in_passing(self, tmp_path, monkeypatch, backend):
+        # No state is copied, and each fidelity is the one of run_protocol's copy, bit for bit.
+        n = 7
+        cfg = parse_config({"protocol": {"n_atoms": n}, "run": {"backend": backend}})
+
+        def refuse(state):
+            raise AssertionError(f"{type(state).__name__}.copy called")
+
+        with monkeypatch.context() as patched:
+            for cls in (DenseState, BranchState):
+                patched.setattr(cls, "copy", refuse)
+            run_command("simulate", cfg, tmp_path)
+        meta = json.loads((tmp_path / "simulate.meta.json").read_text())
+        protocol = (meta["delta_omega_rad_s"], meta["delta_omega_head_rad_s"], meta["ramsey_time_s"])
+        result = register.run_protocol(n, backend, *protocol)
+        references = register.protocol_references(n, *protocol)
+        rows = read_table(tmp_path / "simulate.csv")
+        assert [row["checkpoint"] for row in rows] == list(references) == list(result.checkpoints)
+        assert [float(row["fidelity"]) for row in rows] == [
+            register.state_fidelity(result.checkpoints[label], reference)
+            for label, reference in references.items()
+        ]
+        assert meta["p_up"] == result.p_up
 
 
 _TIMES_US = st.floats(min_value=0.0, max_value=1e6, allow_subnormal=False)
@@ -877,6 +903,24 @@ class TestMemoryBudgets:
     def test_growth_within_twice_the_measured_bytes(self, tmp_path, command, small, large,
                                                     units, unit_bytes):
         assert _peak_growth(tmp_path, command, small, large) <= 2 * units * unit_bytes
+
+    def test_dense_readout_allocates_per_point_and_per_clock_index(self):
+        # The bytes the dense readout allocates at its peak, at the cap: 32 per clock
+        # index (the reversed, conjugated down half and its product with the up half)
+        # and 96 per point (six float or complex arrays over the grid); measured
+        # 9.86 MB at 10^5 points, 0.53 MB at one. A per-point temporary that grows with
+        # N, such as an exp(2i outer(theta, k)) matrix of 240 B per point, exceeds twice that.
+        state = register.prepare_ghz(register.init_register(register.DENSE_ATOM_CAP, "dense"))
+        for points in (1, 10**5):
+            grid = np.linspace(-1.0, 1.0, points)
+            state.fringe_readout(grid, 0.1, 0.5)  # caches filled outside the trace
+            tracemalloc.start()
+            try:
+                state.fringe_readout(grid, 0.1, 0.5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * (32 * 2**register.DENSE_ATOM_CAP + 96 * points), (points, peak)
 
     @_LINUX_RSS
     @pytest.mark.parametrize("command", ["simulate", "scan"])

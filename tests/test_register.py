@@ -4,7 +4,7 @@ from operator import methodcaller
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from screwclock import (
@@ -23,14 +23,15 @@ from screwclock import (
 from screwclock.cli import BRANCH_MAX_ATOMS
 from screwclock.register import (
     BACKENDS, DENSE_ATOM_CAP, HADAMARD, UNITARY_CACHE_SIZE,
-    _check_unitary, _checked_matrix, _clock_weights, _head_overlaps, evolve_and_disentangle,
+    _branch_dense_overlap, _check_unitary, _checked_matrix, _clock_weights, _head_overlaps,
+    evolve_and_disentangle, prepare_ghz,
 )
 
 from conftest import (
     EXPAND_MAX_ATOMS, PHASE_PASS, ReferenceBranchState, backend_crosscheck, chi_rounding, dense_copy,
     haar_unitary, protocol_sequence, random_gate_sequence, reference_axis_rotation,
-    reference_dense_clock_rotation, reference_dense_free_evolution, reference_dense_head_rotation,
-    reference_dense_phase_pass, to_vector,
+    reference_branch_dense_overlap, reference_dense_clock_rotation, reference_dense_free_evolution,
+    reference_dense_head_rotation, reference_dense_phase_pass, to_vector,
 )
 
 
@@ -421,6 +422,12 @@ class TestControlledFlip:
         assert flipped.rank == 2
         assert np.array_equal(flipped.clock, np.eye(2)) and np.array_equal(flipped.head, np.diag(head[0]))
 
+    def test_parts_a_small_angle_apart_keep_their_branches(self):
+        # Free evolution turns |+> by a phase of 1e-6 rad, so the flip's two parts overlap
+        # by cos(1e-6) at each site and by 1 - 7e-11 over all 145: not colinear, both stay.
+        state = _superposed(145, "branch").apply_free_evolution(1e-3, 0.0, 1e-3)
+        assert state.apply_controlled_flip().rank == 2
+
     def test_heads_with_one_component_keep_their_branches(self):
         # The GHZ state's heads are not superposed: no split, and each clock factor is swapped.
         flipped = ghz_reference(6).apply_controlled_flip()
@@ -495,6 +502,22 @@ class TestRunProtocol:
                 assert np.array_equal(to_vector(other), vector)
 
     @pytest.mark.parametrize("backend", BACKENDS)
+    def test_halves_hand_each_checkpoint_the_state_itself(self, backend):
+        n, dw, dwh, t = 4, 0.3, 0.1, 1.0
+        state, passed = init_register(n, backend), []
+
+        def check(label, passing):
+            assert passing is state
+            passed.append((label, to_vector(passing)))
+
+        prepare_ghz(state, check)
+        evolve_and_disentangle(state, dw, dwh, t, check)
+        copies = run_protocol(n, backend, dw, dwh, t).checkpoints
+        assert [label for label, _ in passed] == list(copies)
+        for label, vector in passed:
+            assert np.array_equal(vector, to_vector(copies[label])), label
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_halves_apply_the_nine_gates_bit_for_bit(self, backend):
         # The controlled flip is exact where the H, pass, H it replaces rounds, so the
         # halves agree with the nine gates to rounding (measured 6.7e-16), not bit for bit.
@@ -549,6 +572,25 @@ class TestStateOverlap:
         assert abs(forward - expected) <= 1e-12
         assert abs(backward - np.conj(expected)) <= 1e-12
         assert backward == forward.conjugate()
+
+    @pytest.mark.parametrize("n", range(1, DENSE_ATOM_CAP + 1))
+    def test_blocks_of_sites_match_the_per_site_reference(self, n):
+        # Every N mod DENSE_BLOCK_BITS occurs. Each branch contracts unit clock factors
+        # against a unit vector, so it rounds by a few eps per site times its head's norm:
+        # the bound is (N + 2) eps sum_i |head_i| (at most 0.33 of it measured over 20000
+        # such states, N = 1..14). Half the dense states are near the branch state, where
+        # the overlap is near 1 and the rounding largest.
+        rng = np.random.default_rng(n)
+        for rank in (2, 3, 4):
+            for near in (False, True):
+                branch, dense = _random_branch(n, rank, rng), _random_dense(n, rng)
+                if near:
+                    vector = to_vector(branch)
+                    dense.amplitudes = vector + 0.3 * np.linalg.norm(vector) * dense.amplitudes
+                    dense.amplitudes /= np.linalg.norm(dense.amplitudes)
+                bound = (n + 2) * np.finfo(float).eps * np.linalg.norm(branch.head, axis=1).sum()
+                blocked = _branch_dense_overlap(branch, dense)
+                assert abs(blocked - reference_branch_dense_overlap(branch, dense)) <= bound, (rank, near)
 
 
 class TestPerSiteReference:
@@ -708,6 +750,9 @@ class TestFringeReadout:
     @settings(max_examples=150, deadline=None)
     @given(state=_shaped_states(), grid=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=12),
            dwh=st.floats(-5.0, 5.0), t=st.floats(1e-3, 2.0))
+    # The flip's two parts lie 1e-6 rad apart per site and overlap by 1 - 7e-11 over
+    # N = 145: a merge judged over all N sites folded them and dropped the phase.
+    @example(state=_superposed(145, "branch"), grid=[1e-3], dwh=0.0, t=1e-3)
     def test_equals_evolve_and_disentangle_on_any_state(self, state, grid, dwh, t):
         before = state.copy()
         p_up = state.fringe_readout(grid, dwh, t)
