@@ -90,14 +90,15 @@ class ProtocolSchedule:
         )
 
 
-# Columns of the schedule table, and the sites whose rows are made at a time:
-# 512 sites are 1024 rows, the chunk the writer uses for columns.
+# Columns of the schedule table, and the characters that stand for the
+# hundreds of a step and of a site in a row template. Neither occurs in a
+# kind or in ``str`` of a non-negative float.
 SCHEDULE_COLUMNS = ("step_index", "kind", "duration_s", "site")
-_BLOCK_SITES = 512
+_STEP_MARK, _SITE_MARK = "#", "@"
 
 
 def schedule_rows(schedule: ProtocolSchedule) -> Iterator[str]:
-    """The schedule table's 4N + 8 rows as CSV text, in chunks of whole rows.
+    """The schedule table's 4N + 8 rows as CSV text, one chunk of whole rows per run.
 
     The pattern :func:`schedule_duration` sums: clock and head pulses, a
     transport/phase-gate pass over sites 0..N-1, clock pulse, free
@@ -106,18 +107,41 @@ def schedule_rows(schedule: ProtocolSchedule) -> Iterator[str]:
     readout and free-evolution rows leave ``site`` empty. No cell needs CSV
     quoting: the kinds are fixed words, and ``str`` of an int or of a
     non-negative float holds no comma, quote or newline.
+
+    A pass is written in runs of at most 50 sites: site s, its transport
+    step k and its gate step k + 1 each keep their hundreds within a run.
+    Runs from site 100 on are written from a template, kept per (k mod 100,
+    s mod 100, length) for this call only, whose marks take the hundreds
+    of k and of s. The other runs, and each site whose gate step starts a
+    new hundred, are formatted row by row.
     """
     n = schedule.n_atoms
     pulse, ramsey = str(schedule.pulse_time), str(schedule.ramsey_time)
     transport = ",transport," + str(schedule.transport_time) + ","
     gate = ",phase_gate," + str(schedule.gate_time) + ","
+    templates = {}
 
     def gate_pass(first):  # rows first .. first + 2N - 1
-        for start in range(0, n, _BLOCK_SITES):
-            stop = min(start + _BLOCK_SITES, n)
-            steps = range(first + 2 * start, first + 2 * stop, 2)
-            yield "".join([f"{k}{transport}{s}\n{k + 1}{gate}{s}\n"
-                           for s, k in zip(range(start, stop), steps)])
+        start = 0
+        while start < n:
+            hundreds, step = divmod(first + 2 * start, 100)
+            site = start % 100
+            # Up to the next hundred of sites or of gate steps; a site whose
+            # gate step starts a new hundred is a run of its own.
+            length = min(n - start, 100 - site, max(1, (100 - step) // 2))
+            if start < 100 or step == 99:
+                steps = range(first + 2 * start, first + 2 * (start + length), 2)
+                yield "".join([f"{k}{transport}{s}\n{k + 1}{gate}{s}\n"
+                               for s, k in zip(range(start, start + length), steps)])
+            else:
+                key = (step, site, length)
+                if key not in templates:
+                    templates[key] = "".join([
+                        f"{_STEP_MARK}{k:02}{transport}{_SITE_MARK}{s:02}\n"
+                        f"{_STEP_MARK}{k + 1:02}{gate}{_SITE_MARK}{s:02}\n"
+                        for s, k in zip(range(site, site + length), range(step, 100, 2))])
+                yield templates[key].replace(_STEP_MARK, str(hundreds)).replace(_SITE_MARK, str(start // 100))
+            start += length
 
     yield f"0,hadamard_all,{pulse},\n1,head_pulse,{pulse},\n"
     yield from gate_pass(2)

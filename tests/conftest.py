@@ -8,9 +8,10 @@ gate, the branch state with one clock factor per site and its per-site
 phase gate, the dense/branch overlap contracted one site per product, the
 per-axis and the allocating dense rotations, the XOR-loop dense phase pass
 and the per-axis dense free evolution, the per-trajectory sampler, scipy's
-curve_fit fringe fit, the numeric well depth, the expanded schedule step
-list, the row-dict CSV writer and a CSV reader; the streamed schedule rows
-read back as steps; and a runner for fresh interpreters."""
+curve_fit fringe fit, the numeric well depth, the schedule steps and
+rows expanded one at a time, the row-dict CSV writer and a CSV reader;
+the streamed schedule rows read back as steps; and a runner for fresh
+interpreters."""
 
 import csv
 import json
@@ -20,6 +21,7 @@ from operator import methodcaller
 import subprocess
 import sys
 import warnings
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -510,31 +512,46 @@ def read_table(path) -> list[dict[str, str]]:
         return list(csv.DictReader(handle))
 
 
-def reference_schedule_steps(schedule) -> list[tuple]:
+def reference_schedule_steps(schedule) -> Iterator[tuple]:
     """The schedule's steps expanded one at a time, as (kind, duration, site).
 
     The reference for ``rates.schedule_rows``: clock + head pi/2 pulses, a
     transport/phase-gate pass over sites 0..N-1, a clock pulse closing the
     entangling stage, free evolution, then the mirrored disentangling pass
-    and readout.
+    and readout. The steps are yielded lazily, so a table of any size can
+    be checked without holding it.
     """
     pulse = schedule.pulse_time
-    gate_pass = []
-    for site in range(schedule.n_atoms):
-        gate_pass.append(("transport", schedule.transport_time, site))
-        gate_pass.append(("phase_gate", schedule.gate_time, site))
-    return [
-        ("hadamard_all", pulse, None),
-        ("head_pulse", pulse, None),
-        *gate_pass,
-        ("hadamard_all", pulse, None),
-        ("free_evolution", schedule.ramsey_time, None),
-        ("hadamard_all", pulse, None),
-        *gate_pass,
-        ("hadamard_all", pulse, None),
-        ("head_pulse", pulse, None),
-        ("readout", pulse, None),
-    ]
+
+    def gate_pass():
+        for site in range(schedule.n_atoms):
+            yield ("transport", schedule.transport_time, site)
+            yield ("phase_gate", schedule.gate_time, site)
+
+    yield ("hadamard_all", pulse, None)
+    yield ("head_pulse", pulse, None)
+    yield from gate_pass()
+    yield ("hadamard_all", pulse, None)
+    yield ("free_evolution", schedule.ramsey_time, None)
+    yield ("hadamard_all", pulse, None)
+    yield from gate_pass()
+    yield ("hadamard_all", pulse, None)
+    yield ("head_pulse", pulse, None)
+    yield ("readout", pulse, None)
+
+
+def reference_schedule_rows(schedule) -> Iterator[str]:
+    """The reference steps as the schedule table's CSV rows, each ending in a newline.
+
+    A kind has one duration in a schedule, so each kind's cells are
+    formatted once: ``repr`` of a float costs more than the rest of a row.
+    """
+    texts = {}
+    for index, (kind, duration, site) in enumerate(reference_schedule_steps(schedule)):
+        text = texts.get(kind)
+        if text is None:
+            text = texts[kind] = f"{kind},{duration!r},"
+        yield f"{index},{text}{'' if site is None else site}\n"
 
 
 def streamed_schedule_steps(schedule) -> list[tuple]:

@@ -26,10 +26,12 @@ from screwclock.cli import (
 from screwclock.config import _SECTIONS, SpeciesEntry, serialize_config, serialized_hash
 from screwclock.output import TableText, write_table
 from screwclock.rates import (
-    _BLOCK_SITES, SCHEDULE_COLUMNS, ProtocolSchedule, schedule_rows, schedule_table_bytes,
+    _SITE_MARK, _STEP_MARK, SCHEDULE_COLUMNS, ProtocolSchedule, schedule_rows, schedule_table_bytes,
 )
 
-from conftest import read_table, reference_schedule_steps, reference_write_table, run_python
+from conftest import (
+    read_table, reference_schedule_rows, reference_schedule_steps, reference_write_table, run_python,
+)
 
 
 def _write_config(tmp_path, data):
@@ -366,8 +368,10 @@ class TestSimulateCommand:
 
 
 _TIMES_US = st.floats(min_value=0.0, max_value=1e6, allow_subnormal=False)
-# Atom numbers at and around the edges of the row blocks the schedule streams.
-_BLOCK_EDGES = [1, _BLOCK_SITES - 1, _BLOCK_SITES, _BLOCK_SITES + 1, 3 * _BLOCK_SITES + 7]
+# Atom numbers at and around the edges of the schedule's row templates:
+# templates start at site 100, a site gains a digit at 1000, and pass 2
+# starts at the odd step 2N + 5, which is 99 at N = 47 and 999 at N = 497.
+_TEMPLATE_EDGES = [1, 47, 48, 49, 99, 100, 101, 497, 498, 499, 999, 1000, 1001]
 
 
 def _streamed_schedule(schedule) -> TableText:
@@ -376,9 +380,9 @@ def _streamed_schedule(schedule) -> TableText:
 
 class TestScheduleCommand:
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 3 * _BLOCK_SITES + 7), _TIMES_US, _TIMES_US, _TIMES_US,
+    @given(st.integers(1, 3000), _TIMES_US, _TIMES_US, _TIMES_US,
            st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False))
-    @example(3 * _BLOCK_SITES + 7, 1.5, 10.0, 0.25, 0.01)
+    @example(3000, 1.5, 10.0, 0.25, 0.01)
     def test_table_matches_reference_expansion(self, n, gate_us, transport_us, pulse_us, ramsey):
         cfg = parse_config({"protocol": {
             "n_atoms": n, "gate_time_us": gate_us, "transport_time_us": transport_us,
@@ -386,16 +390,12 @@ class TestScheduleCommand:
         }})
         with tempfile.TemporaryDirectory() as out:
             run_command("schedule", cfg, out)
-            with open(f"{out}/schedule.csv") as handle:
-                lines = handle.read().splitlines()
-        expected = ["step_index,kind,duration_s,site"] + [
-            f"{i},{kind},{duration!r},{'' if site is None else site}"
-            for i, (kind, duration, site) in enumerate(
-                reference_schedule_steps(resolve_physics(cfg).schedule))
-        ]
-        assert lines == expected
+            with open(f"{out}/schedule.csv", newline="") as handle:
+                text = handle.read()
+        rows = reference_schedule_rows(resolve_physics(cfg).schedule)
+        assert text == "step_index,kind,duration_s,site\n" + "".join(rows)
 
-    @pytest.mark.parametrize("n", _BLOCK_EDGES)
+    @pytest.mark.parametrize("n", _TEMPLATE_EDGES)
     def test_streamed_table_matches_reference_writer(self, tmp_path, n):
         schedule = ProtocolSchedule(n, 6.283185307179586e-05, 1e-05, 0.01, 2.5e-07)
         rows = [dict(zip(SCHEDULE_COLUMNS, (i, *step)))
@@ -410,15 +410,29 @@ class TestScheduleCommand:
     @example([1.2345678901234567e-100, 0.00012345678901234567, math.inf, 5e-324])
     def test_no_schedule_cell_needs_quoting(self, times):
         # Kinds are fixed words and step_index and site are ints; str of a
-        # non-negative float holds no comma, quote or newline, and takes at
-        # most the 23 characters the byte bound assumes.
-        assert all(len(str(t)) <= 23 and not set(str(t)) & set(',"\n\r') for t in times)
-        text = "".join(schedule_rows(ProtocolSchedule(3, *times)))
-        assert '"' not in text and "\r" not in text
+        # non-negative float holds no comma, quote or newline, nor either mark
+        # of a row template, and takes at most the 23 characters the byte
+        # bound assumes.
+        marks = {_STEP_MARK, _SITE_MARK}
+        assert all(len(str(t)) <= 23 and not set(str(t)) & (set(',"\n\r') | marks) for t in times)
+        chunks = list(schedule_rows(ProtocolSchedule(260, *times)))
+        text = "".join(chunks)
+        assert '"' not in text and "\r" not in text and not set(text) & marks
         assert all(row.count(",") == 3 for row in text.splitlines())
+        # Each chunk is whole rows of one run at most, so memory stays flat in
+        # N: the fixed slots, or at most 50 sites of one hundred, whose steps
+        # share a hundred unless the chunk holds a single site.
+        for chunk in chunks:
+            assert chunk.endswith("\n")
+            rows = [row.split(",") for row in chunk.splitlines()]
+            sites = {int(site) for *_, site in rows if site}
+            if sites:
+                assert len(rows) == 2 * len(sites) <= 100
+                assert len({site // 100 for site in sites}) == 1
+                assert len(sites) == 1 or len({int(step) // 100 for step, *_ in rows}) == 1
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 3 * _BLOCK_SITES + 7),
+    @given(st.integers(1, 3000),
            st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=4, max_size=4))
     @example(7, [6.283185307179586e-05, 1e-05, 0.01, 0.0])
     @example(3000, [1.2345678901234567e-100, 1e-05, 0.5, 3e-07])

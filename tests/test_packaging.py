@@ -1,7 +1,9 @@
 """The CLI needs numpy only: scipy is the tests' oracle, and neither scipy nor click is ever imported."""
 
 import json
+import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -129,15 +131,27 @@ def test_ci_smoke_runs_the_branch_register_at_its_bound():
 
 
 def test_ci_smoke_runs_the_schedule_at_its_bound():
+    # In the numpy-only job too, so the largest table is also written without scipy.
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
-    steps = [step for step in workflow["jobs"]["tier1"]["steps"]
-             if step.get("name", "").startswith("Smoke test")]
-    assert len(steps) == 1
     bound = json.dumps({"protocol": {"n_atoms": SCHEDULE_MAX_ATOMS}})
-    assert (f"""echo '{bound}' > "$RUNNER_TEMP/schedule-bound.json"\n"""
-            """screwclock --config "$RUNNER_TEMP/schedule-bound.json" --out "$RUNNER_TEMP/smoke" schedule\n"""
-            ) in steps[0]["run"]
+    for job in ("tier1", "runtime"):
+        steps = [step for step in workflow["jobs"][job]["steps"]
+                 if step.get("name", "").startswith("Smoke test")]
+        assert len(steps) == 1
+        assert (f"""echo '{bound}' > "$RUNNER_TEMP/schedule-bound.json"\n"""
+                """screwclock --config "$RUNNER_TEMP/schedule-bound.json" --out "$RUNNER_TEMP/smoke" schedule\n"""
+                ) in steps[0]["run"], job
+
+
+def test_readme_python_example_runs(capsys):
+    """The README's library example, executed as written, so it cannot fall behind the API."""
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 5
+    assert float(printed[3]) == pytest.approx(math.sin(1000 * 0.05 * 0.01 / 2) ** 2, rel=1e-12)
 
 
 def _run_ci_lines(script: str, tmp_path) -> subprocess.CompletedProcess:

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -17,12 +18,16 @@ from screwclock import (
     phase_gate_duration,
     photon_scattering_time,
     schedule_duration,
+    schedule_rows,
     scatter_probability,
     survival_probability,
     trap_frequencies,
 )
+from screwclock.cli import SCHEDULE_MAX_ATOMS
 
-from conftest import LAMBDA_M, reference_schedule_steps, streamed_schedule_steps
+from conftest import (
+    LAMBDA_M, reference_schedule_rows, reference_schedule_steps, streamed_schedule_steps,
+)
 
 AMU = CODATA.atomic_mass_unit
 
@@ -160,7 +165,39 @@ class TestBuildSchedule:
 
     def test_single_atom_steps_match_reference(self):
         schedule = ProtocolSchedule(1, 2e-5, 1e-5, 0.5, 1e-7)
-        assert streamed_schedule_steps(schedule) == reference_schedule_steps(schedule)
+        assert streamed_schedule_steps(schedule) == list(reference_schedule_steps(schedule))
+
+
+# Atom numbers where a site, or a step of either pass, gains a digit: pass 1
+# starts at step 2 and pass 2 at the odd step 2N + 5, whose steps cross 10^j
+# near N = 10^j / 2.
+_DIGIT_EDGES = sorted([10**j + d for j in range(2, 6) for d in (-1, 0, 1)]
+                      + [10**j // 2 + d for j in range(2, 6) for d in (-1, 1)])
+
+
+def _assert_rows_match_reference(n):
+    """Each chunk ``schedule_rows`` yields equals the reference rows it stands for.
+
+    Both sides are read a chunk at a time, so no table is held whole.
+    """
+    schedule = ProtocolSchedule(n, 6.283185307179586e-05, 1e-05, 0.01, 2.5e-07)
+    expected = reference_schedule_rows(schedule)
+    for chunk in schedule_rows(schedule):
+        assert chunk == "".join(islice(expected, chunk.count("\n"))), n
+    assert next(expected, None) is None, n
+
+
+class TestScheduleRowTemplates:
+    def test_every_atom_number_to_260(self):
+        for n in range(1, 261):
+            _assert_rows_match_reference(n)
+
+    @pytest.mark.parametrize("n", _DIGIT_EDGES)
+    def test_where_a_step_or_site_gains_a_digit(self, n):
+        _assert_rows_match_reference(n)
+
+    def test_at_the_atom_bound(self):
+        _assert_rows_match_reference(SCHEDULE_MAX_ATOMS)
 
 
 _TIMES = st.floats(min_value=0.0, max_value=1e3, allow_subnormal=False)
