@@ -60,17 +60,6 @@ MEMORY_BUDGET_BYTES = 128 * 2**20
 SCHEDULE_MAX_BYTES = 22_610_000
 SCHEDULE_MAX_ATOMS = bisect.bisect_right(range(1, 2**53), SCHEDULE_MAX_BYTES, key=schedule_table_bytes)
 
-# A branch state's memory and cost do not grow with N (a scan reads its fringe
-# in about 0.2 ms plus 0.4 us per point at any N on one Intel Xeon core, so the
-# largest scan below runs in about 2 s), and its readout sums to 1 within 1e-15
-# at any N, but its fringe rounds. The two branches' clock factors overlap by
-# 1 - 4.4e-16 from the rounded Hadamard products, give or take three half-ulp
-# roundings, so p_up misses sin^2(chi/2) by at most 3.05e-16 per atom (2.5e-16
-# measured). The bound is the largest round N at which that stays within half
-# the 1e-9 dense/branch oracle; measured there: 3.94e-10 over 257 values of chi
-# in [0, 4 pi], by the protocol and by the scan's closed-form readout alike.
-BRANCH_MAX_ATOMS = 1_600_000
-
 # `scan` keeps the grid, the probabilities, the fit's zero-padded periodogram
 # and the table's text per point: 364 B per point, measured between 10^4 and
 # 5 * 10^4 points.
@@ -87,12 +76,6 @@ OPTIMIZE_MAX_POINTS = MEMORY_BUDGET_BYTES // OPTIMIZE_POINT_BYTES
 def _bound(value: int, limit: int, field: str, what: str) -> None:
     if value > limit:
         raise ConfigError(field, f"at most {limit} {what}, got {value}")
-
-
-def _bound_register(cfg: RunConfig) -> None:
-    if cfg.run.backend == "branch":
-        _bound(cfg.protocol.n_atoms, BRANCH_MAX_ATOMS, "protocol.n_atoms",
-               "atoms on the branch backend")
 
 
 def _species_columns(bundle: PhysicsBundle) -> dict[str, list]:
@@ -165,7 +148,6 @@ def _cmd_schedule(cfg: RunConfig) -> tuple[dict, dict, str]:
 
 def _cmd_simulate(cfg: RunConfig) -> tuple[dict, dict, str]:
     """Run the register protocol once; checkpoint fidelities and p_up."""
-    _bound_register(cfg)
     delta_omega = probe_detuning(cfg)
     schedule = resolve_physics(cfg).schedule
     n = schedule.n_atoms
@@ -198,7 +180,6 @@ def _cmd_simulate(cfg: RunConfig) -> tuple[dict, dict, str]:
 
 def _cmd_scan(cfg: RunConfig) -> tuple[dict, dict, str]:
     """Fringe scan over the detuning grid; CSV of p_up per detuning."""
-    _bound_register(cfg)
     _bound(cfg.run.detuning_points, SCAN_MAX_POINTS, "run.detuning_points",
            "detuning points per scan")
     grid = detuning_grid(cfg)

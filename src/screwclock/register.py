@@ -16,7 +16,8 @@ Two interchangeable backends:
   A phase pass splits superposed heads; branches whose clock factors are
   colinear at each site, up to rounding, then merge into one, whatever
   their heads. The entangling protocol only ever needs two branches, so a
-  full run costs O(1) in N at fixed rank.
+  full run costs O(1) in N at fixed rank, and its rounding does not grow
+  with N either (:func:`_overlap_power`).
 
 Both backends offer the same five gates (``apply_clock_rotation``,
 ``apply_head_rotation``, ``apply_phase_pass``, ``apply_controlled_flip``,
@@ -255,21 +256,37 @@ class DenseState:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def _clock_gram(a: "BranchState", b: "BranchState") -> np.ndarray:
-    """G[i, j] = <a.clock[i] | b.clock[j]>^N: overlaps of the N clock sites alone.
+def _overlap_power(z, sine, n_atoms: int) -> np.ndarray:
+    """z^N for the overlap z = <u|w> of two clock 2-vectors whose sine is |det[u, w]|.
 
-    A state's own gram has its diagonal exactly 1, since every clock factor is
-    unit-norm: the rounded norm raised to the N-th power would be drift alone.
+    The modulus comes from the Lagrange identity |z|^2 + det^2 = |u|^2 |w|^2, as
+    log(|z| / (|u| |w|)) = -log1p(det^2 / |z|^2) / 2, and the phase as the angle
+    N arg z: colinear factors give exactly 1 at any N, orthogonal ones exactly
+    0, and no rounded norm is raised to the N-th power.
     """
-    overlaps = a.clock.conj() @ b.clock.T
-    if a is b:
-        overlaps.flat[:: len(overlaps) + 1] = 1.0  # the diagonal
-    return overlaps ** a.n_atoms
+    z2 = np.abs(z) ** 2
+    ratio = np.divide(sine * sine, z2, out=np.full_like(z2, np.inf), where=z2 > 0.0)
+    return np.exp(np.log1p(ratio) * (-0.5 * n_atoms) + np.arctan2(z.imag, z.real) * (1j * n_atoms))
+
+
+def _clock_gram(a: "BranchState", b: "BranchState") -> tuple[np.ndarray, np.ndarray]:
+    """(G, S): G[i, j] = <a.clock[i]|b.clock[j]>^N over the N clock sites, S[i, j] their sine.
+
+    Each product a_k b_l is Re(a_k) b_l + (i Im a_k) b_l, rounded once per part,
+    so with a_i = b_j the parts pair off into exact zeros, Im <a_i|a_i> = det = 0,
+    and a state's own gram has its diagonal exactly 1. numpy's complex product may
+    fuse a multiply-add, leaving Im <a_i|a_i> off zero, which N turns into a phase.
+    """
+    left, right = a.clock[:, None, :, None], b.clock[None, :, None, :]
+    real_part, imag_part = left.real * right, (1j * left.imag) * right
+    bra_ket, ket_ket = real_part - imag_part, real_part + imag_part   # conj(a_k) b_l and a_k b_l
+    sine = np.abs(ket_ket[..., 0, 1] - ket_ket[..., 1, 0])
+    return _overlap_power(bra_ket[..., 0, 0] + bra_ket[..., 1, 1], sine, a.n_atoms), sine
 
 
 def _head_overlaps(a: "BranchState", b: "BranchState") -> np.ndarray:
     """<a|b> restricted to each head component: (head down, head up)."""
-    return (a.head.conj() * (_clock_gram(a, b) @ b.head)).sum(axis=0)
+    return (a.head.conj() * (_clock_gram(a, b)[0] @ b.head)).sum(axis=0)
 
 
 class BranchState:
@@ -362,16 +379,14 @@ class BranchState:
         c^⊗N ⊗ h_i + c^⊗N ⊗ h_j = c^⊗N ⊗ (h_i + h_j), so branch j joins
         branch i as head_i += (z / |z|) head_j with z = <c_i|c_j>^N: colinear
         unit factors differ by a phase alone. Colinear is judged per site,
-        up to rounding: |det[c_i, c_j]|, the sine of the angle between the
-        two factors, at most BRANCH_COLINEAR_TOL. Over all N sites, factors
-        an angle theta apart overlap by cos(theta)^N, which is near 1 for a
-        small theta, yet they differ by the phase N theta.
+        up to rounding: the sine |det[c_i, c_j]| that :func:`_clock_gram`
+        gives with the overlaps, at most BRANCH_COLINEAR_TOL. Over all N
+        sites, factors an angle theta apart overlap by cos(theta)^N, which is
+        near 1 for a small theta, yet they differ by the phase N theta.
         """
         if not 1 < self.rank <= BRANCH_MERGE_MAX_RANK:
             return
-        c0, c1 = self.clock.T
-        sines = np.abs(np.outer(c0, c1) - np.outer(c1, c0))
-        gram = _clock_gram(self, self)
+        gram, sines = _clock_gram(self, self)
         alive = np.ones(self.rank, dtype=bool)
         for i in range(self.rank):
             if not alive[i]:
@@ -392,17 +407,19 @@ class BranchState:
         (c_j1 e^{i theta}, c_j0), so H on the head reads
         p_up = ||psi||^2 / 2 - Re[e^{i phi} sum_ij conj(head[i, 0]) head[j, 1]
         (conj(c_i0) c_j1 e^{i theta} + conj(c_i1) c_j0 e^{-i theta})^N], one
-        term per pair of branches whose head product is not zero.
+        term per pair of branches whose head product is not zero. The factor is
+        e^{i theta} <c_i|(c_j1, c_j0 e^{-2i theta})>: the detuning enters as N theta.
         """
         theta, phi = _ramsey_phases(delta_omegas, delta_omega_head, ramsey_time)
-        rotation = np.exp(1j * theta)
+        back = np.exp(-2j * theta)
         heads = np.outer(self.head[:, 0].conj(), self.head[:, 1])
-        down, up = self.clock.conj(), self.clock
         total = np.zeros(theta.shape, dtype=complex)
         for i, j in zip(*np.nonzero(heads)):
-            factor = down[i, 0] * up[j, 1] * rotation + down[i, 1] * up[j, 0] * rotation.conj()
-            total += heads[i, j] * factor ** self.n_atoms
-        cross = (np.exp(1j * phi) * total).real
+            (u0, u1), (c0, c1) = self.clock[i], self.clock[j]
+            z = u0.conjugate() * c1 + u1.conjugate() * c0 * back
+            sine = np.abs(u0 * c0 * back - u1 * c1)
+            total += heads[i, j] * _overlap_power(z, sine, self.n_atoms)
+        cross = (np.exp(1j * (phi + self.n_atoms * theta)) * total).real
         half_norm = _head_overlaps(self, self).real.sum() / 2.0
         return _as_probabilities(half_norm + cross, half_norm - cross)[1]
 
@@ -413,11 +430,6 @@ class BranchState:
 
     def norm(self) -> float:
         return math.sqrt(max(float(_head_overlaps(self, self).real.sum()), 0.0))
-
-    def overlap_with(self, other: "BranchState") -> complex:
-        if other.n_atoms != self.n_atoms:
-            raise ParameterError("states have different register sizes")
-        return complex(_head_overlaps(self, other).sum())
 
 
 RegisterState = DenseState | BranchState
@@ -575,7 +587,7 @@ def state_overlap(a: RegisterState, b: RegisterState) -> complex:
     if isinstance(a, DenseState) and isinstance(b, DenseState):
         return complex(np.vdot(a.amplitudes, b.amplitudes))
     if isinstance(a, BranchState) and isinstance(b, BranchState):
-        return a.overlap_with(b)
+        return complex(_head_overlaps(a, b).sum())
     if isinstance(a, BranchState):
         return _branch_dense_overlap(a, b)
     return _branch_dense_overlap(b, a).conjugate()

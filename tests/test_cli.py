@@ -20,10 +20,10 @@ from screwclock import (
     resolve_physics, survival_probability,
 )
 from screwclock.cli import (
-    BRANCH_MAX_ATOMS, COMMANDS, MEMORY_BUDGET_BYTES, OPTIMIZE_MAX_POINTS, OPTIMIZE_POINT_BYTES,
+    COMMANDS, MEMORY_BUDGET_BYTES, OPTIMIZE_MAX_POINTS, OPTIMIZE_POINT_BYTES,
     SCAN_MAX_POINTS, SCAN_POINT_BYTES, SCHEDULE_MAX_ATOMS, SCHEDULE_MAX_BYTES, main, run_command,
 )
-from screwclock.config import _SECTIONS, SpeciesEntry, serialize_config, serialized_hash
+from screwclock.config import _SECTIONS, MAX_ATOMS, SpeciesEntry, serialize_config, serialized_hash
 from screwclock.output import TableText, write_table
 from screwclock.rates import (
     _SITE_MARK, _STEP_MARK, SCHEDULE_COLUMNS, ProtocolSchedule, schedule_rows, schedule_table_bytes,
@@ -517,6 +517,12 @@ class TestDeterminismAndErrors:
                                                             "detuning_points": 21}}),
             ("simulate", {"protocol": {"n_atoms": 2000}, "run": {"backend": "branch", "seed": 7}}),
         ], id="spectroscopy"),
+        # Each noisy point draws its scatter count on its own substream of the seed.
+        pytest.param([
+            ("scan", {"protocol": {"n_atoms": 12}, "run": {"backend": "dense", "trajectories": 10**6,
+                                                           "seed": 7}}),
+            ("simulate", {"protocol": {"n_atoms": 14}, "run": {"backend": "dense", "seed": 7}}),
+        ], id="noisy_dense"),
         # The schedule runs to several of the writer's chunks.
         pytest.param([
             ("feasibility", {"run": {"seed": 7}}),
@@ -870,8 +876,8 @@ class TestEveryLeafReachesAnOutput:
 class TestMemoryBudgets:
     """The `scan` and `optimize` points bounds, derived from one memory budget.
 
-    The branch atom bound rests on accuracy instead: branch memory and cost do
-    not grow with N, but the head readout's rounding does.
+    Branch memory, cost and rounding do not grow with N, so branch commands
+    take every N the config does, up to 2^53.
     """
 
     @pytest.fixture
@@ -886,7 +892,7 @@ class TestMemoryBudgets:
         assert SCAN_MAX_POINTS * SCAN_POINT_BYTES <= MEMORY_BUDGET_BYTES
         assert OPTIMIZE_MAX_POINTS * OPTIMIZE_POINT_BYTES <= MEMORY_BUDGET_BYTES
         # Far above the benchmark's branch N = 10^4 and 101-point scans.
-        assert BRANCH_MAX_ATOMS > 10 * 10**4 and SCAN_MAX_POINTS > 1000 * 101
+        assert MAX_ATOMS == 2**53 and SCAN_MAX_POINTS > 1000 * 101
 
     def test_branch_scan_cost_per_atom_point_is_near_the_measured_one(self):
         # A branch scan point costs the same at any N, so the per-point cost
@@ -939,33 +945,34 @@ class TestMemoryBudgets:
     @_LINUX_RSS
     @pytest.mark.parametrize("command", ["simulate", "scan"])
     def test_branch_peak_rss_does_not_grow_with_n(self, tmp_path, command):
-        # Measured: 0 B from N = 1 to the bound. 1 MiB is under 1 B per atom.
+        # Measured: 0-68 KiB, a few pages, from N = 1 to the bound 2^53.
         small = {"protocol": {"n_atoms": 1}, "run": {"detuning_points": 4}}
-        large = {"protocol": {"n_atoms": BRANCH_MAX_ATOMS}, "run": {"detuning_points": 4}}
+        large = {"protocol": {"n_atoms": MAX_ATOMS}, "run": {"detuning_points": 4}}
         assert _peak_growth(tmp_path, command, small, large) <= 2**20
 
     def test_branch_commands_at_the_bound_meet_the_fringe_law(self, tmp_path, run_cli):
-        doc = {"protocol": {"n_atoms": BRANCH_MAX_ATOMS}, "run": {"backend": "branch"}}
+        # Within 2 eps (1 + |chi|): the rounding of chi = N dw T, at any N.
+        eps = np.finfo(float).eps
+        doc = {"protocol": {"n_atoms": MAX_ATOMS}, "run": {"backend": "branch"}}
         cfg = _write_config(tmp_path, doc)
         for command in ("simulate", "scan"):
             result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
             assert result.exit_code == 0, result.stderr
         meta = json.loads((tmp_path / "o" / "simulate.meta.json").read_text())
-        assert abs(meta["p_up"] - meta["p_up_ideal"]) <= 1e-9
+        assert abs(meta["p_up"] - meta["p_up_ideal"]) <= 2 * eps * (1 + abs(meta["chi_rad"]))
         ramsey_time = json.loads((tmp_path / "o" / "scan.meta.json").read_text())["ramsey_time_s"]
         rows = read_table(tmp_path / "o" / "scan.csv")
         assert len(rows) == 101
         for row in rows:
-            chi = BRANCH_MAX_ATOMS * float(row["detuning_rad_s"]) * ramsey_time
-            assert abs(float(row["p_up"]) - math.sin(chi / 2) ** 2) <= 1e-9
+            chi = MAX_ATOMS * float(row["detuning_rad_s"]) * ramsey_time
+            assert abs(float(row["p_up"]) - math.sin(chi / 2) ** 2) <= 2 * eps * (1 + abs(chi))
         noisy = run_cli(["--config", str(cfg), "--out", str(tmp_path / "noisy"),
                          "--trajectories", "1000000", "scan"])
         assert noisy.exit_code == 0, noisy.stderr
 
     @pytest.mark.parametrize("command,document,field", [
-        ("simulate", {"protocol": {"n_atoms": BRANCH_MAX_ATOMS + 1}}, "protocol.n_atoms"),
-        ("scan", {"protocol": {"n_atoms": BRANCH_MAX_ATOMS + 1}}, "protocol.n_atoms"),
-        ("simulate", {"protocol": {"n_atoms": 10**8}}, "protocol.n_atoms"),
+        ("simulate", {"protocol": {"n_atoms": MAX_ATOMS + 1}}, "protocol.n_atoms"),
+        ("scan", {"protocol": {"n_atoms": MAX_ATOMS + 1}}, "protocol.n_atoms"),
         ("scan", {"run": {"detuning_points": SCAN_MAX_POINTS + 1}}, "run.detuning_points"),
         ("scan", {"run": {"detuning_points": 10**8}}, "run.detuning_points"),
         ("optimize", {"optimize": {"n_points": OPTIMIZE_MAX_POINTS + 1}}, "optimize.n_points"),
@@ -976,7 +983,7 @@ class TestMemoryBudgets:
         ("scan", {"protocol": {"ramsey_time_s": 1e-320}}, "protocol.ramsey_time_s"),
         ("simulate", {"protocol": {"ramsey_time_s": 1e-320}}, "protocol.ramsey_time_s"),
         ("simulate", {"run": {"delta_omega_rad_s": 1e308}}, "run.delta_omega_rad_s"),
-    ], ids=["simulate-bound+1", "scan-bound+1", "simulate-1e8", "points-bound+1", "points-1e8",
+    ], ids=["simulate-bound+1", "scan-bound+1", "points-bound+1", "points-1e8",
             "optimize-points-bound+1", "scan-span-overflow", "scan-grid-overflow",
             "simulate-probe-overflow", "simulate-phase-overflow"])
     def test_beyond_budget_exits_before_building(self, tmp_path, refuse_build, run_cli,
@@ -989,15 +996,16 @@ class TestMemoryBudgets:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command,document", [
-        ("simulate", {"protocol": {"n_atoms": BRANCH_MAX_ATOMS}}),
-        ("scan", {"protocol": {"n_atoms": BRANCH_MAX_ATOMS}}),
+        ("simulate", {"protocol": {"n_atoms": MAX_ATOMS}}),
+        ("scan", {"protocol": {"n_atoms": MAX_ATOMS}}),
+        ("simulate", {"protocol": {"n_atoms": 10**8}}),
         ("scan", {"run": {"detuning_points": SCAN_MAX_POINTS}}),
         ("simulate", {"protocol": {"n_atoms": 10**8}, "run": {"backend": "dense"}}),
-        ("scan", {"protocol": {"n_atoms": BRANCH_MAX_ATOMS},
+        ("scan", {"protocol": {"n_atoms": MAX_ATOMS},
                   "run": {"detuning_points": SCAN_MAX_POINTS}}),
         ("optimize", {"optimize": {"n_points": OPTIMIZE_MAX_POINTS}}),
-    ], ids=["simulate-at-bound", "scan-at-bound", "points-at-bound", "dense-is-capped-elsewhere",
-            "atoms-and-points-at-bound", "optimize-points-at-bound"])
+    ], ids=["simulate-at-bound", "scan-at-bound", "simulate-1e8", "points-at-bound",
+            "dense-is-capped-elsewhere", "atoms-and-points-at-bound", "optimize-points-at-bound"])
     def test_within_budget_goes_on_to_build(self, tmp_path, refuse_build, run_cli, command, document):
         cfg = _write_config(tmp_path, document)
         result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), command])

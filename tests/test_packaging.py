@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from screwclock.cli import BRANCH_MAX_ATOMS, COMMANDS, OPTIMIZE_MAX_POINTS, SCHEDULE_MAX_ATOMS
+from screwclock.cli import COMMANDS, OPTIMIZE_MAX_POINTS, SCHEDULE_MAX_ATOMS
+from screwclock.config import MAX_ATOMS
 
 from conftest import run_python
 
@@ -124,10 +125,12 @@ def test_ci_smoke_runs_the_branch_register_at_its_bound():
              if step.get("name", "").startswith("Smoke test")]
     assert len(steps) == 1
     script = steps[0]["run"]
-    bound = json.dumps({"protocol": {"n_atoms": BRANCH_MAX_ATOMS}})
+    bound = json.dumps({"protocol": {"n_atoms": MAX_ATOMS}})
     assert f"""echo '{bound}' > "$RUNNER_TEMP/branch-bound.json"\n""" in script
     assert "for command in simulate scan" in script
     assert '--config "$RUNNER_TEMP/branch-bound.json" --out "$RUNNER_TEMP/smoke" --backend branch "$command"' in script
+    assert ('--config "$RUNNER_TEMP/branch-bound.json" --out "$RUNNER_TEMP/smoke" --backend branch '
+            '--trajectories 1000000 scan\n') in script
 
 
 def test_ci_smoke_runs_the_schedule_at_its_bound():
@@ -192,7 +195,7 @@ def test_ci_error_contract_names_each_rejected_leaf():
     atoms = json.dumps({"protocol": {"n_atoms": SCHEDULE_MAX_ATOMS + 1}})
     assert f"""echo '{atoms}' > "$RUNNER_TEMP/error.json"\n""" in script
     assert "expect_config_error protocol.n_atoms schedule\n" in script
-    branch_atoms = json.dumps({"protocol": {"n_atoms": BRANCH_MAX_ATOMS + 1}, "run": {"backend": "branch"}})
+    branch_atoms = json.dumps({"protocol": {"n_atoms": MAX_ATOMS + 1}, "run": {"backend": "branch"}})
     assert (f"""echo '{branch_atoms}' > "$RUNNER_TEMP/error.json"\n"""
             "expect_config_error protocol.n_atoms simulate\n") in script
     assert 'test ! -e "$RUNNER_TEMP/errors"' in script

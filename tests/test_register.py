@@ -20,11 +20,10 @@ from screwclock import (
     state_fidelity,
     state_overlap,
 )
-from screwclock.cli import BRANCH_MAX_ATOMS
 from screwclock.register import (
     BACKENDS, DENSE_ATOM_CAP, HADAMARD, UNITARY_CACHE_SIZE,
-    _branch_dense_overlap, _check_unitary, _checked_matrix, _clock_weights, _head_overlaps,
-    evolve_and_disentangle, prepare_ghz,
+    _branch_dense_overlap, _check_unitary, _checked_matrix, _clock_gram, _clock_weights, _head_overlaps,
+    _overlap_power, evolve_and_disentangle, prepare_ghz,
 )
 
 from conftest import (
@@ -593,6 +592,49 @@ class TestStateOverlap:
                 assert abs(blocked - reference_branch_dense_overlap(branch, dense)) <= bound, (rank, near)
 
 
+@pytest.mark.filterwarnings("error")
+class TestOverlapPower:
+    """<u|w>^N of two clock 2-vectors, through the clock gram of two branch states."""
+
+    @staticmethod
+    def _with_clocks(n, clock):
+        state = init_register(n, "branch")
+        state.clock, state.head = clock, np.ones((len(clock), 2), dtype=complex)
+        return state
+
+    @staticmethod
+    def _unit_factors(rng, count):
+        z = rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
+        return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("n", [1, 10**3, 2**53])
+    def test_identical_factors_give_exactly_one(self, n):
+        state = self._with_clocks(n, self._unit_factors(np.random.default_rng(n), 300))
+        gram, sine = _clock_gram(state, state)
+        assert (np.diag(gram) == 1.0).all() and (np.diag(sine) == 0.0).all()
+
+    @pytest.mark.parametrize("n", [1, 10**3, 2**53])
+    def test_orthogonal_factors_give_exactly_zero(self, n):
+        # The GHZ state's two factors, and random factors on one component each: z = 0.
+        u = self._unit_factors(np.random.default_rng(n), 300)
+        for a, b in ((np.eye(2, dtype=complex), np.eye(2, dtype=complex)[::-1]), (u * [1, 0], u * [0, 1])):
+            gram, _ = _clock_gram(self._with_clocks(n, a), self._with_clocks(n, b))
+            assert (np.diag(gram) == 0.0).all()
+        assert _overlap_power(np.zeros(3, dtype=complex), np.ones(3), n).tolist() == [0, 0, 0]
+
+    def test_one_atom_gives_the_plain_overlap(self):
+        # Near-orthogonal pairs too, where a modulus taken as sqrt(1 - sine^2) cancels.
+        # Both round their sums by a few eps: measured at most 3.05 eps over 1.8 million pairs.
+        rng = np.random.default_rng(1)
+        u, w = self._unit_factors(rng, 300), self._unit_factors(rng, 300)
+        near = np.stack([-u[:, 1].conj(), u[:, 0].conj()], axis=1) + 1e-9 * w
+        for v in (w, near / np.linalg.norm(near, axis=1, keepdims=True)):
+            gram, sine = _clock_gram(self._with_clocks(1, u), self._with_clocks(1, v))
+            assert np.abs(gram - u.conj() @ v.T).max() <= 4 * np.finfo(float).eps
+            det = np.outer(u[:, 0], v[:, 1]) - np.outer(u[:, 1], v[:, 0])
+            assert np.abs(sine - np.abs(det)).max() <= 4 * np.finfo(float).eps
+
+
 class TestPerSiteReference:
     """The one clock factor per branch against the reference that keeps a factor per site."""
 
@@ -617,8 +659,8 @@ class TestPerSiteReference:
                 assert np.abs(to_vector(branch) - to_vector(reference)).max() <= tol
             pairs.append((branch, reference))
         (a, a_ref), (b, b_ref) = pairs
-        assert abs(a.overlap_with(b) - a_ref.overlap_with(b_ref)) <= tol
-        assert abs(a.overlap_with(a) - a_ref.overlap_with(a_ref)) <= tol
+        assert abs(state_overlap(a, b) - a_ref.overlap_with(b_ref)) <= tol
+        assert abs(state_overlap(a, a) - a_ref.overlap_with(a_ref)) <= tol
 
     @pytest.mark.parametrize("n", [1, 50, 2000])
     def test_protocol_matches_per_site_reference(self, n):
@@ -676,10 +718,10 @@ class TestHeadReadout:
         with pytest.raises(ClockSimError, match="drifted"):
             state.fringe_readout([0.0, 0.5], 0.0, 1.0)
 
-    @pytest.mark.parametrize("n", [10**3, BRANCH_MAX_ATOMS, 10**9])
+    @pytest.mark.parametrize("n", [10**3, 1_600_000, 10**9, 2**53])
     def test_readout_sums_to_one_at_any_atom_number(self, n):
-        # Each clock factor's norm rounds to 1 - 4.4e-16; a state's own gram takes
-        # its diagonal as 1 instead of raising that to the N-th power.
+        # Each clock factor's norm rounds to 1 - 4.4e-16; the Lagrange identity gives
+        # a state's own gram a diagonal of exactly 1 instead of that to the N-th power.
         t = 0.01
         for chi in np.linspace(0.0, 2 * math.pi, 17):
             state = run_protocol(n, "branch", chi / (n * t), 0.0, t).final
@@ -695,19 +737,21 @@ class TestHeadReadout:
         p_down, p_up = _head_overlaps(state, state).real
         assert abs(p_down + p_up - 1.0) <= 1e-15
 
-    def test_fringe_law_at_the_branch_bound_is_within_half_the_oracle(self):
-        # The fringe still rounds, by at most 3.05e-16 per atom (measured 3.94e-10 here, by
-        # the protocol and by the scan's closed-form readout alike). The bound is the
-        # largest multiple of 10^5 atoms at which that is within half of 1e-9.
-        per_atom, n = 3.05e-16, BRANCH_MAX_ATOMS
-        assert n % 10**5 == 0 and n * per_atom <= 5e-10 < (n + 10**5) * per_atom
+    def test_fringe_law_holds_to_rounding_at_any_atom_number(self):
+        # p_up = sin^2(chi/2) moves by at most |d chi| / 2, and chi = N dw T rounds by a
+        # few eps |chi| in the detuning chi / (N T) and its products; the clock overlaps'
+        # N-th powers add nothing that grows with N (measured at most 0.49 of the bound).
+        eps = np.finfo(float).eps
         chis = np.linspace(0.0, 4 * math.pi, 257)
-        for t in (0.01, 1.0):
-            for chi in chis:
-                _, p_up = run_protocol(n, "branch", chi / (n * t), 0.0, t).final.head_readout()
-                assert abs(p_up - math.sin(chi / 2) ** 2) <= n * per_atom, (t, chi)
-            scan = fringe_scan(n, t, chis / (n * t), backend="branch")
-            assert np.abs(np.subtract(scan.p_up, np.sin(chis / 2) ** 2)).max() <= n * per_atom, t
+        bound = 2 * eps * (1 + chis)
+        for n in (10**3, 1_600_000, 10**9, 10**12, 2**53):
+            for t in (0.01, 1.0):
+                for chi, most in zip(chis, bound):
+                    state = prepare_ghz(init_register(n, "branch"))
+                    evolve_and_disentangle(state, chi / (n * t), 0.0, t)
+                    assert abs(state.head_readout()[1] - math.sin(chi / 2) ** 2) <= most, (n, t, chi)
+                scan = fringe_scan(n, t, chis / (n * t), backend="branch")
+                assert (np.abs(np.subtract(scan.p_up, np.sin(chis / 2) ** 2)) <= bound).all(), (n, t)
 
     def test_large_register_reads_within_tolerance(self):
         n, dw, t = 10_000, 1e-2, 0.01  # chi = 1
