@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    BACKENDS,
     KW_CM2_TO_W_M2,
     RunConfig,
     apply_override,
@@ -42,7 +43,7 @@ from .rates import (
     survival_probability,
 )
 from .register import (
-    BACKENDS, RegisterState, evolve_and_disentangle, init_register, prepare_ghz, protocol_references,
+    RegisterState, evolve_and_disentangle, init_register, prepare_ghz, protocol_references,
     state_fidelity,
 )
 from .output import TableText, write_table
@@ -71,6 +72,13 @@ SCAN_MAX_POINTS = MEMORY_BUDGET_BYTES // SCAN_POINT_BYTES
 # (every point a distinct N), measured between 10^5 and 4 * 10^5 points.
 OPTIMIZE_POINT_BYTES = 190
 OPTIMIZE_MAX_POINTS = MEMORY_BUDGET_BYTES // OPTIMIZE_POINT_BYTES
+
+# `sweep` keeps each point's row and, once per distinct trap input, the trap
+# physics and its key: 2476-2585 B per point with every trap input distinct,
+# the worst case, measured from 1 to 10^4, 2 * 10^4 and 5 * 10^4 points, and
+# 2583 B at the bound itself.
+SWEEP_POINT_BYTES = 2600
+SWEEP_MAX_POINTS = MEMORY_BUDGET_BYTES // SWEEP_POINT_BYTES
 
 
 def _bound(value: int, limit: int, field: str, what: str) -> None:
@@ -260,24 +268,25 @@ def _sweep_point(cfg: RunConfig, keys: list[str], values: tuple) -> RunConfig:
 
 def _cmd_sweep(cfg: RunConfig) -> tuple[dict, dict, str]:
     """Cartesian sweep over config parameter lists, one row per point."""
-    keys = list(cfg.sweep.keys())
+    keys = list(cfg.sweep)
     value_lists = [cfg.sweep[k] for k in keys]
-    points = list(itertools.product(*value_lists)) if keys else [()]
-    bundles = [resolve_physics(_sweep_point(cfg, keys, values)) for values in points]
-    reports = [bundle.requirement.feasibility for bundle in bundles]
-    survival = [survival_probability(bundle.schedule, bundle.decoherence) for bundle in bundles]
+    _bound(math.prod(map(len, value_lists)), SWEEP_MAX_POINTS, "sweep", "sweep points")
+    points = list(itertools.product(*value_lists))
+    traps: dict = {}  # one trap half per distinct trap input, for this sweep only
+    names = ("feasible", "margin", "intensity_w_m2", "tau_scatter_clock_s", "tau_scatter_head_s",
+             "gate_time_s", "total_duration_s", "survival", "gain_over_sql")
+    rows = []
+    for values in points:
+        bundle = resolve_physics(_sweep_point(cfg, keys, values), traps=traps)
+        report, schedule, decoherence = bundle.requirement.feasibility, bundle.schedule, bundle.decoherence
+        survival = survival_probability(schedule, decoherence)
+        rows.append((report.feasible, report.margin, bundle.lattice.intensity,
+                     decoherence.tau_scatter_clock, decoherence.tau_scatter_head, schedule.gate_time,
+                     schedule.total_duration, survival, survival * math.sqrt(schedule.n_atoms)))
     columns = {
         "point_index": range(len(points)),
         **{key: [values[i] for values in points] for i, key in enumerate(keys)},
-        "feasible": [r.feasible for r in reports],
-        "margin": [r.margin for r in reports],
-        "intensity_w_m2": [bundle.lattice.intensity for bundle in bundles],
-        "tau_scatter_clock_s": [bundle.decoherence.tau_scatter_clock for bundle in bundles],
-        "tau_scatter_head_s": [bundle.decoherence.tau_scatter_head for bundle in bundles],
-        "gate_time_s": [bundle.schedule.gate_time for bundle in bundles],
-        "total_duration_s": [bundle.schedule.total_duration for bundle in bundles],
-        "survival": survival,
-        "gain_over_sql": [s * math.sqrt(b.schedule.n_atoms) for s, b in zip(survival, bundles)],
+        **dict(zip(names, map(list, zip(*rows)))),
     }
     meta = {"swept_parameters": keys, "points": len(points)}
     return columns, meta, f"swept {len(points)} points over {keys or 'the base configuration'}"

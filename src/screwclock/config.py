@@ -16,7 +16,8 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .lattice import ROLES
-from .register import BACKENDS
+
+BACKENDS = ("dense", "branch")   # the register kinds that run.backend names
 
 MAX_TRAJECTORIES = 2**63 - 1   # numpy draws binomial counts in int64
 MAX_ATOMS = 2**53   # the largest N that every float expression of N holds exactly
@@ -200,6 +201,15 @@ def _check_keys(mapping: dict, allowed, path: str):
         _require(key in allowed, f"{path}.{key}" if path else key, "unknown key")
 
 
+def _parse_leaf(leaf, value, path: str):
+    """One leaf's value, parsed and range-checked as the leaf declares."""
+    value = leaf.metadata["parse"](value, path)
+    if value is not None:
+        for predicate, message in leaf.metadata["checks"]:
+            _require(predicate(value), path, message.format(value))
+    return value
+
+
 def _parse_section(cls, data, path: str):
     """Build a section dataclass from its JSON object, leaf by declared leaf."""
     leaves = fields(cls)
@@ -207,15 +217,10 @@ def _parse_section(cls, data, path: str):
     for leaf in leaves:
         _require(leaf.name in data or leaf.default is not MISSING, path,
                  f"missing required key '{leaf.name}'")
-    values = {}
-    for leaf in leaves:
-        p = f"{path}.{leaf.name}"
-        value = leaf.metadata["parse"](data.get(leaf.name, leaf.default), p)
-        if value is not None:
-            for predicate, message in leaf.metadata["checks"]:
-                _require(predicate(value), p, message.format(value))
-        values[leaf.name] = value
-    return cls(**values)
+    return cls(**{
+        leaf.name: _parse_leaf(leaf, data.get(leaf.name, leaf.default), f"{path}.{leaf.name}")
+        for leaf in leaves
+    })
 
 
 def _parse_species(items, path: str) -> tuple[SpeciesEntry, ...]:
@@ -301,11 +306,15 @@ def serialized_hash(data: dict) -> str:
 
 
 def apply_override(cfg: RunConfig, dotted_key: str, value) -> RunConfig:
-    """Return a new config with one dotted-path leaf replaced and revalidated."""
-    section, _, leaf = dotted_key.partition(".")
+    """Return a new config with one dotted-path leaf replaced and revalidated.
+
+    Only the new value is parsed and range-checked; replacing it reruns the
+    section's cross-checks.
+    """
+    section, _, name = dotted_key.partition(".")
     cls = _SECTIONS.get(section)
-    if cls is None or leaf not in cls.__dataclass_fields__:
+    leaf = None if cls is None else cls.__dataclass_fields__.get(name)
+    if leaf is None:
         raise ConfigError(dotted_key, "unknown parameter path")
-    data = asdict(getattr(cfg, section))
-    data[leaf] = value
-    return replace(cfg, **{section: _parse_section(cls, data, section)})
+    parsed = _parse_leaf(leaf, value, dotted_key)
+    return replace(cfg, **{section: replace(getattr(cfg, section), **{name: parsed})})

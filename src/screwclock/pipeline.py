@@ -4,6 +4,15 @@ This is the single place where config units (nm, kW/cm^2, us, atomic
 units) become SI, where "computed" placeholders (null intensity, null
 lifetimes, null gate time) are filled in from the lattice physics, and
 where the protocol schedule is assembled.
+
+:func:`resolve_physics` works in two halves. The trap half reads the
+species, the ``lattice`` and ``noise`` sections, ``protocol.a_scatt_au``,
+``protocol.gate_time_us``, ``protocol.depth_factor`` and the constants
+table, and yields the species optics, the intensity requirement, the
+resolved lattice, the interaction energy, the gate time and the
+lifetimes. The schedule half adds N and the transport, Ramsey and pulse
+times. A sweep passes one dict in which points with equal trap inputs
+share one trap half; only this module knows which leaves form that key.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from .config import KW_CM2_TO_W_M2, RunConfig, SpeciesEntry
 from .constants import CODATA, ConstantsTable, au_to_si_length
 from .errors import ConfigError, ParameterError
 from .lattice import (
+    ROLES,
     IntensityRequirement,
     LatticeConfig,
     SpeciesOptics,
@@ -68,25 +78,30 @@ class PhysicsBundle:
         return self.schedule.gate_time
 
 
-def resolve_physics(cfg: RunConfig, table: ConstantsTable = CODATA) -> PhysicsBundle:
-    clock = species_optics(cfg.species_by_role("clock"), table)
-    head_up = species_optics(cfg.species_by_role("head_up"), table)
-    head_down = species_optics(cfg.species_by_role("head_down"), table)
-    all_species = [clock, head_up, head_down]
+def _trap_physics(species, lattice_section, noise, a_scatt_au, gate_time_us, depth_factor,
+                  table) -> tuple:
+    """The trap half: everything the schedule half does not fix, from exactly these inputs.
 
-    lambda_m = cfg.lattice.lambda_m_nm * 1e-9
+    ``species`` holds the clock, head_up and head_down entries, in that
+    order. Returns (clock, head_up, head_down, lattice, requirement,
+    interaction, gate_time, decoherence) with the species as optics. N and
+    the transport, Ramsey and pulse times enter none of it.
+    """
+    clock, head_up, head_down = (species_optics(entry, table) for entry in species)
+
+    lambda_m = lattice_section.lambda_m_nm * 1e-9
     probe = LatticeConfig(
         lambda_m=lambda_m,
         intensity=1.0,
-        delta=cfg.lattice.delta,
+        delta=lattice_section.delta,
         transverse_intensity=0.0,
     )
     requirement = min_required_intensity(
-        all_species, probe, depth_factor=cfg.protocol.depth_factor, table=table
+        [clock, head_up, head_down], probe, depth_factor=depth_factor, table=table
     )
 
-    if cfg.lattice.intensity_kW_cm2 is not None:
-        intensity = cfg.lattice.intensity_kW_cm2 * KW_CM2_TO_W_M2
+    if lattice_section.intensity_kW_cm2 is not None:
+        intensity = lattice_section.intensity_kW_cm2 * KW_CM2_TO_W_M2
     else:
         intensity = requirement.intensity
         if not intensity > 0.0:
@@ -94,15 +109,15 @@ def resolve_physics(cfg: RunConfig, table: ConstantsTable = CODATA) -> PhysicsBu
                 "lattice.intensity_kW_cm2 is null and the computed minimum is zero; "
                 "set an explicit intensity"
             )
-    if cfg.lattice.transverse_intensity_kW_cm2 is not None:
-        transverse = cfg.lattice.transverse_intensity_kW_cm2 * KW_CM2_TO_W_M2
+    if lattice_section.transverse_intensity_kW_cm2 is not None:
+        transverse = lattice_section.transverse_intensity_kW_cm2 * KW_CM2_TO_W_M2
     else:
         transverse = intensity
 
     lattice = LatticeConfig(
         lambda_m=lambda_m,
         intensity=intensity,
-        delta=cfg.lattice.delta,
+        delta=lattice_section.delta,
         transverse_intensity=transverse,
     )
 
@@ -111,24 +126,24 @@ def resolve_physics(cfg: RunConfig, table: ConstantsTable = CODATA) -> PhysicsBu
     # evaluated there.
     clock_freqs = trap_frequencies(lattice, clock, table)
     head_freqs = trap_frequencies(lattice, head_up, table)
-    a_scatt = au_to_si_length(cfg.protocol.a_scatt_au, table)
+    a_scatt = au_to_si_length(a_scatt_au, table)
     delta_e = interaction_energy(
         a_scatt, head_up.mass, clock.mass, head_freqs, clock_freqs, table
     )
 
-    if cfg.protocol.gate_time_us is not None:
-        gate_time = cfg.protocol.gate_time_us * 1e-6
+    if gate_time_us is not None:
+        gate_time = gate_time_us * 1e-6
     else:
         gate_time = phase_gate_duration(delta_e, math.pi, table)
 
-    if cfg.noise.tau_scatter_clock_s is not None:
-        tau_clock = cfg.noise.tau_scatter_clock_s
+    if noise.tau_scatter_clock_s is not None:
+        tau_clock = noise.tau_scatter_clock_s
     else:
         tau_clock = photon_scattering_time(
             clock, intensity, overlap_depth(lattice, clock, table), lambda_m, table
         )
-    if cfg.noise.tau_scatter_head_s is not None:
-        tau_head = cfg.noise.tau_scatter_head_s
+    if noise.tau_scatter_head_s is not None:
+        tau_head = noise.tau_scatter_head_s
     else:
         tau_head = photon_scattering_time(
             head_up, intensity, overlap_depth(lattice, head_up, table), lambda_m, table
@@ -136,12 +151,48 @@ def resolve_physics(cfg: RunConfig, table: ConstantsTable = CODATA) -> PhysicsBu
     decoherence = DecoherenceParams(
         tau_scatter_clock=tau_clock,
         tau_scatter_head=tau_head,
-        extra_loss_rate=cfg.noise.extra_loss_rate_per_s,
+        extra_loss_rate=noise.extra_loss_rate_per_s,
     )
+    return clock, head_up, head_down, lattice, requirement, delta_e, gate_time, decoherence
+
+
+def _zero_signs(inputs: tuple) -> tuple:
+    """The sign of every zero among the trap inputs' numbers.
+
+    0.0 == -0.0, yet a gate time of -0.0 us writes apart from 0.0: two
+    inputs share a trap only if their zeros carry the same signs.
+    """
+    species, lattice_section, noise, *scalars, table = inputs
+    values = [*scalars, *vars(lattice_section).values(), *vars(noise).values(),
+              *vars(table).values()]
+    for entry in species:
+        values.extend(vars(entry).values())
+    return tuple(math.copysign(1.0, v) for v in values if v == 0.0)
+
+
+def resolve_physics(cfg: RunConfig, table: ConstantsTable = CODATA, *,
+                    traps: dict | None = None) -> PhysicsBundle:
+    """The config's physics: its trap half, then its schedule half.
+
+    ``traps``, a dict the caller owns, shares the trap half between calls
+    whose trap inputs are equal, as a sweep's points often are; a call that
+    raises stores nothing.
+    """
+    protocol = cfg.protocol
+    inputs = (tuple(map(cfg.species_by_role, ROLES)), cfg.lattice, cfg.noise,
+              protocol.a_scatt_au, protocol.gate_time_us, protocol.depth_factor, table)
+    if traps is None:
+        trap = _trap_physics(*inputs)
+    else:
+        key = (inputs, _zero_signs(inputs))
+        trap = traps.get(key)
+        if trap is None:
+            trap = traps[key] = _trap_physics(*inputs)
+    clock, head_up, head_down, lattice, requirement, delta_e, gate_time, decoherence = trap
 
     schedule = ProtocolSchedule(
-        cfg.protocol.n_atoms, gate_time, cfg.protocol.transport_time_us * 1e-6,
-        cfg.protocol.ramsey_time_s, cfg.protocol.pulse_time_us * 1e-6,
+        protocol.n_atoms, gate_time, protocol.transport_time_us * 1e-6,
+        protocol.ramsey_time_s, protocol.pulse_time_us * 1e-6,
     )
 
     return PhysicsBundle(

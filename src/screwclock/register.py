@@ -47,9 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import BACKENDS
 from .errors import CapacityError, ClockSimError, ParameterError
 
-BACKENDS = ("dense", "branch")
 DENSE_ATOM_CAP = 14        # 2^15 amplitudes
 DENSE_BLOCK_BITS = 3       # clock qubits per matrix product in a dense rotation
 BRANCH_PRUNE_TOL = 1e-14   # a head component this small is absent: no branch part is made of it

@@ -9,7 +9,8 @@ phase gate, the dense/branch overlap contracted one site per product, the
 per-axis and the allocating dense rotations, the XOR-loop dense phase pass
 and the per-axis dense free evolution, the per-trajectory sampler, scipy's
 curve_fit fringe fit, the numeric well depth, the schedule steps and
-rows expanded one at a time, the row-dict CSV writer and a CSV reader;
+rows expanded one at a time, the row-dict CSV writer and a CSV reader,
+the config override as a whole-section re-parse;
 the streamed schedule rows read back as steps; and a runner for fresh
 interpreters."""
 
@@ -22,6 +23,7 @@ import subprocess
 import sys
 import warnings
 from collections.abc import Iterator
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +33,10 @@ from scipy.optimize import OptimizeWarning, curve_fit
 
 import screwclock
 from screwclock import (
-    CODATA, CapacityError, ConstantsTable, DenseState, LatticeConfig, ParameterError,
+    CODATA, CapacityError, ConfigError, ConstantsTable, DenseState, LatticeConfig, ParameterError,
     SpeciesOptics, init_register, sublattice_depths,
 )
+from screwclock.config import _SECTIONS, _parse_section
 from screwclock.estimator import _initial_frequency
 from screwclock.register import (
     BRANCH_COLINEAR_TOL, BRANCH_MERGE_MAX_RANK, BRANCH_PRUNE_TOL, DENSE_BLOCK_BITS, HADAMARD,
@@ -484,6 +487,18 @@ def _reference_format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
+
+
+def reference_apply_override(cfg, dotted_key: str, value):
+    """``apply_override`` as a whole-section re-parse: the section goes through
+    ``asdict`` with the one leaf replaced, and every leaf is parsed and checked again."""
+    section, _, leaf = dotted_key.partition(".")
+    cls = _SECTIONS.get(section)
+    if cls is None or leaf not in cls.__dataclass_fields__:
+        raise ConfigError(dotted_key, "unknown parameter path")
+    data = asdict(getattr(cfg, section))
+    data[leaf] = value
+    return replace(cfg, **{section: _parse_section(cls, data, section)})
 
 
 def reference_write_table(rows: list[dict], path, *, metadata: dict | None = None) -> Path:

@@ -16,21 +16,25 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from screwclock import (
-    BranchState, DenseState, ParameterError, __version__, fringe_scan, parse_config, register,
-    resolve_physics, survival_probability,
+    BranchState, DenseState, ParameterError, __version__, cli, fringe_scan, parse_config, pipeline,
+    register, resolve_physics, survival_probability,
 )
 from screwclock.cli import (
     COMMANDS, MEMORY_BUDGET_BYTES, OPTIMIZE_MAX_POINTS, OPTIMIZE_POINT_BYTES,
-    SCAN_MAX_POINTS, SCAN_POINT_BYTES, SCHEDULE_MAX_ATOMS, SCHEDULE_MAX_BYTES, main, run_command,
+    SCAN_MAX_POINTS, SCAN_POINT_BYTES, SCHEDULE_MAX_ATOMS, SCHEDULE_MAX_BYTES, SWEEP_MAX_POINTS,
+    SWEEP_POINT_BYTES, main, run_command,
 )
-from screwclock.config import _SECTIONS, MAX_ATOMS, SpeciesEntry, serialize_config, serialized_hash
+from screwclock.config import (
+    _SECTIONS, _SWEEPABLE, MAX_ATOMS, SpeciesEntry, serialize_config, serialized_hash,
+)
 from screwclock.output import TableText, write_table
 from screwclock.rates import (
     _SITE_MARK, _STEP_MARK, SCHEDULE_COLUMNS, ProtocolSchedule, schedule_rows, schedule_table_bytes,
 )
 
 from conftest import (
-    read_table, reference_schedule_rows, reference_schedule_steps, reference_write_table, run_python,
+    read_table, reference_apply_override, reference_schedule_rows, reference_schedule_steps,
+    reference_write_table, run_python,
 )
 
 
@@ -472,6 +476,30 @@ class TestOptimizeCommand:
         assert ns[foms.index(max(foms))] == meta["n_opt"]
 
 
+# Values for each sweepable leaf that enters the physics, with repeats, so that
+# a sweep meets each trap input again, and signed zeros, which compare equal
+# yet write apart.
+TRAP_LEAF_VALUES = {
+    "lattice.lambda_m_nm": [389.9, 400.0, 389.9],
+    "lattice.intensity_kW_cm2": [None, 50.0, None],
+    "lattice.delta": [0.25, 0.3, 0.25],
+    "lattice.transverse_intensity_kW_cm2": [None, 10.0, None],
+    "noise.tau_scatter_clock_s": [None, 2.0, None],
+    "noise.tau_scatter_head_s": [None, 3.0, None],
+    "noise.extra_loss_rate_per_s": [0.0, -0.0, 0.5, 0.0],
+    "protocol.a_scatt_au": [100.0, -50.0, 100.0],
+    "protocol.gate_time_us": [None, 0.0, -0.0, 20.0, 0.0],
+    "protocol.depth_factor": [5.0, 2.0, 5.0],
+}
+SCHEDULE_LEAF_VALUES = {
+    "protocol.n_atoms": [10, 1000, 10],
+    "protocol.ramsey_time_s": [0.01, 0.1],
+    "protocol.transport_time_us": [10.0, 0.0, -0.0],
+    "protocol.pulse_time_us": [0.0, 5.0],
+}
+LEAF_VALUES = {**TRAP_LEAF_VALUES, **SCHEDULE_LEAF_VALUES}
+
+
 class TestSweepCommand:
     def test_rows_follow_declared_product(self, tmp_path, run_cli):
         cfg = _write_config(tmp_path, {
@@ -498,6 +526,53 @@ class TestSweepCommand:
         run_cli(["--config", str(cfg), "--out", str(tmp_path / "a"), "sweep"])
         run_cli(["--config", str(cfg), "--out", str(tmp_path / "b"), "sweep"])
         assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("trap_key", TRAP_LEAF_VALUES)
+    @pytest.mark.parametrize("schedule_key", SCHEDULE_LEAF_VALUES)
+    @pytest.mark.parametrize("schedule_first", [False, True], ids=["trap-first", "schedule-first"])
+    def test_shared_trap_writes_the_per_point_bytes(self, tmp_path, monkeypatch, trap_key,
+                                                    schedule_key, schedule_first):
+        # The reference resolves every point in full, from the whole-section re-parse.
+        keys = [schedule_key, trap_key] if schedule_first else [trap_key, schedule_key]
+        cfg = parse_config({"sweep": {key: LEAF_VALUES[key] for key in keys}})
+        run_command("sweep", cfg, tmp_path / "shared")
+        monkeypatch.setattr("screwclock.cli.apply_override", reference_apply_override)
+        monkeypatch.setattr("screwclock.cli.resolve_physics", lambda cfg, **options: resolve_physics(cfg))
+        run_command("sweep", cfg, tmp_path / "per-point")
+        for name in ("sweep.csv", "sweep.meta.json"):
+            assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "per-point" / name).read_bytes()
+
+    def test_the_leaves_split_into_trap_and_schedule(self):
+        # Every sweepable leaf that enters the physics is in one list above.
+        assert set(LEAF_VALUES) | {"run.seed", "run.trajectories"} == _SWEEPABLE
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["delta-first", "n_atoms-first"])
+    def test_equal_trap_inputs_share_one_trap(self, monkeypatch, order):
+        # The benchmark's design sweep: 20 points over 5 distinct trap inputs.
+        calls = []
+        original = pipeline._trap_physics
+
+        def counted(*inputs):
+            calls.append(inputs)
+            return original(*inputs)
+
+        monkeypatch.setattr(pipeline, "_trap_physics", counted)
+        sweep = [("lattice.delta", [0.15, 0.2, 0.25, 0.3, 0.35]),
+                 ("protocol.n_atoms", [10, 100, 1000, 10000])]
+        _, meta, _ = cli._cmd_sweep(parse_config({"sweep": dict(sweep[::order])}))
+        assert meta["points"] == 20 and len(calls) == 5
+
+    def test_a_point_that_raises_stores_nothing(self, tmp_path, run_cli):
+        traps = {}
+        cfg = parse_config({"protocol": {"depth_factor": 0.0}})
+        with pytest.raises(ParameterError, match="computed minimum is zero"):
+            resolve_physics(cfg, traps=traps)
+        assert traps == {}
+        doc = _write_config(tmp_path, {"sweep": {"protocol.depth_factor": [5.0, 0.0]}})
+        result = run_cli(["--config", str(doc), "--out", str(tmp_path / "o"), "sweep"])
+        assert result.exit_code == 3
+        assert "computed minimum is zero" in json.loads(result.stderr)["message"]
+        assert not (tmp_path / "o").exists()
 
 
 class TestDeterminismAndErrors:
@@ -730,7 +805,7 @@ class TestDeterminismAndErrors:
 
     @pytest.mark.parametrize("command", ["scan", "sweep"])
     def test_non_clock_error_exit_code(self, tmp_path, monkeypatch, command, run_cli):
-        def fail(cfg):
+        def fail(cfg, **options):
             raise ZeroDivisionError("injected")
 
         monkeypatch.setattr("screwclock.cli.resolve_physics", fail)
@@ -883,7 +958,7 @@ class TestMemoryBudgets:
     @pytest.fixture
     def refuse_build(self, monkeypatch):
         """Fail with exit 1 where a command would start building: past every bound."""
-        def built(cfg):
+        def built(cfg, **options):
             raise ZeroDivisionError("built")
 
         monkeypatch.setattr("screwclock.cli.resolve_physics", built)
@@ -891,6 +966,7 @@ class TestMemoryBudgets:
     def test_bounds_fill_the_budget(self):
         assert SCAN_MAX_POINTS * SCAN_POINT_BYTES <= MEMORY_BUDGET_BYTES
         assert OPTIMIZE_MAX_POINTS * OPTIMIZE_POINT_BYTES <= MEMORY_BUDGET_BYTES
+        assert SWEEP_MAX_POINTS * SWEEP_POINT_BYTES <= MEMORY_BUDGET_BYTES
         # Far above the benchmark's branch N = 10^4 and 101-point scans.
         assert MAX_ATOMS == 2**53 and SCAN_MAX_POINTS > 1000 * 101
 
@@ -919,7 +995,11 @@ class TestMemoryBudgets:
         # n_max = 2^53 keeps every grid point a distinct N.
         ("optimize", {"optimize": {"n_max": 2**53, "n_points": 2}},
          {"optimize": {"n_max": 2**53, "n_points": 10**5}}, 10**5, OPTIMIZE_POINT_BYTES),
-    ], ids=["scan-points", "dense-scan-points", "optimize-points"])
+        # Every point a distinct trap input, so no point shares another's trap physics.
+        ("sweep", {"sweep": {"lattice.delta": [0.25]}},
+         {"sweep": {"lattice.delta": [0.1 + 0.6 * i / 10**4 for i in range(10**4)]}}, 10**4,
+         SWEEP_POINT_BYTES),
+    ], ids=["scan-points", "dense-scan-points", "optimize-points", "sweep-points"])
     def test_growth_within_twice_the_measured_bytes(self, tmp_path, command, small, large,
                                                     units, unit_bytes):
         assert _peak_growth(tmp_path, command, small, large) <= 2 * units * unit_bytes
@@ -983,9 +1063,14 @@ class TestMemoryBudgets:
         ("scan", {"protocol": {"ramsey_time_s": 1e-320}}, "protocol.ramsey_time_s"),
         ("simulate", {"protocol": {"ramsey_time_s": 1e-320}}, "protocol.ramsey_time_s"),
         ("simulate", {"run": {"delta_omega_rad_s": 1e308}}, "run.delta_omega_rad_s"),
+        # The product of the list lengths, before any point is built.
+        ("sweep", {"sweep": {"run.seed": [0] * (SWEEP_MAX_POINTS + 1)}}, "sweep"),
+        ("sweep", {"sweep": {"lattice.delta": [0.25] * 1000, "protocol.n_atoms": [10] * 1000}},
+         "sweep"),
     ], ids=["simulate-bound+1", "scan-bound+1", "points-bound+1", "points-1e8",
             "optimize-points-bound+1", "scan-span-overflow", "scan-grid-overflow",
-            "simulate-probe-overflow", "simulate-phase-overflow"])
+            "simulate-probe-overflow", "simulate-phase-overflow", "sweep-bound+1",
+            "sweep-1000x1000"])
     def test_beyond_budget_exits_before_building(self, tmp_path, refuse_build, run_cli,
                                                  command, document, field):
         cfg = _write_config(tmp_path, document)
@@ -1004,8 +1089,10 @@ class TestMemoryBudgets:
         ("scan", {"protocol": {"n_atoms": MAX_ATOMS},
                   "run": {"detuning_points": SCAN_MAX_POINTS}}),
         ("optimize", {"optimize": {"n_points": OPTIMIZE_MAX_POINTS}}),
+        ("sweep", {"sweep": {"run.seed": [0] * SWEEP_MAX_POINTS}}),
     ], ids=["simulate-at-bound", "scan-at-bound", "simulate-1e8", "points-at-bound",
-            "dense-is-capped-elsewhere", "atoms-and-points-at-bound", "optimize-points-at-bound"])
+            "dense-is-capped-elsewhere", "atoms-and-points-at-bound", "optimize-points-at-bound",
+            "sweep-at-bound"])
     def test_within_budget_goes_on_to_build(self, tmp_path, refuse_build, run_cli, command, document):
         cfg = _write_config(tmp_path, document)
         result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), command])

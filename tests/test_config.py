@@ -22,6 +22,8 @@ from screwclock.config import (
     serialized_hash,
 )
 
+from conftest import reference_apply_override
+
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "config.example.json"
 
 
@@ -287,3 +289,37 @@ class TestLeafTable:
             parse_config({"species": species})
         assert excinfo.value.path == "species[0]"
         assert "mass_amu" in str(excinfo.value)
+
+
+# Bases whose cross-checked pairs sit at both kinds of value: an explicit
+# detuning range and a narrow optimize range, beside the defaults.
+OVERRIDE_BASES = [DEFAULT, parse_config({
+    "lattice": {"intensity_kW_cm2": 30.0},
+    "run": {"detuning_min_rad_s": -5.0, "detuning_max_rad_s": 5.0},
+    "optimize": {"n_min": 10, "n_max": 20},
+    "sweep": {"protocol.n_atoms": [2, 4]},
+})]
+OVERRIDE_VALUES = (st.none() | st.booleans() | st.integers(-3, 30) | st.integers()
+                   | st.floats() | st.floats(-1.0, 2.0) | st.sampled_from(BACKENDS)
+                   | st.text(max_size=2) | st.lists(st.integers(), max_size=1))
+
+
+class TestOverrideAgainstSectionReparse:
+    """``apply_override`` parses only the replaced leaf; the whole-section
+    re-parse it replaced is the reference, for every leaf it can reach."""
+
+    @pytest.mark.parametrize("key", [f"{name}.{leaf.name}" for name, cls in SECTIONS.items()
+                                     for leaf in fields(cls)]
+                             + ["lattice.bogus", "bogus.delta", "lattice", ""])
+    @settings(max_examples=60, deadline=None)
+    @given(base=st.sampled_from(OVERRIDE_BASES), value=OVERRIDE_VALUES)
+    def test_same_config_or_same_error(self, key, base, value):
+        try:
+            want = reference_apply_override(base, key, value)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as excinfo:
+                apply_override(base, key, value)
+            assert (excinfo.value.path, str(excinfo.value)) == (exc.path, str(exc))
+        else:
+            got = apply_override(base, key, value)
+            assert got == want and repr(got) == repr(want)  # repr tells -0.0 from 0.0

@@ -1,5 +1,6 @@
 """The CLI needs numpy only: scipy is the tests' oracle, and neither scipy nor click is ever imported."""
 
+import ast
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from screwclock.cli import COMMANDS, OPTIMIZE_MAX_POINTS, SCHEDULE_MAX_ATOMS
+from screwclock.cli import COMMANDS, OPTIMIZE_MAX_POINTS, SCHEDULE_MAX_ATOMS, SWEEP_MAX_POINTS
 from screwclock.config import MAX_ATOMS
 
 from conftest import run_python
@@ -31,6 +32,27 @@ def test_cli_import_leaves_scipy_unloaded():
     assert "click" not in modules and "argparse" not in modules  # argparse loads in main only
     # Loaded while the CLI is imported, not during the first command.
     assert "numpy.random" in modules and "numpy.fft" in modules
+
+
+def test_config_imports_neither_the_register_nor_numpy():
+    """config.py, and the package modules it imports in turn, import no register
+    and no numpy: every command parses a config, and only some simulate."""
+    package = ROOT / "src" / "screwclock"
+    seen, todo, outside = set(), ["config"], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                todo.append(node.module or "__init__")
+            elif isinstance(node, ast.ImportFrom):
+                outside.add(node.module.split(".")[0])
+            elif isinstance(node, ast.Import):
+                outside.update(alias.name.split(".")[0] for alias in node.names)
+    assert seen == {"config", "lattice", "constants", "errors"}
+    assert "numpy" not in outside
 
 
 def test_every_command_runs_with_scipy_blocked(tmp_path):
@@ -133,6 +155,25 @@ def test_ci_smoke_runs_the_branch_register_at_its_bound():
             '--trajectories 1000000 scan\n') in script
 
 
+SWEEP_ORDER_SMOKE = (
+    """echo '{"sweep": {"protocol.n_atoms": [10, 1000], "lattice.delta": [0.2, 0.25, 0.2]}}' """
+    """> "$RUNNER_TEMP/sweep-order.json"\n"""
+    """screwclock --config "$RUNNER_TEMP/sweep-order.json" --out "$RUNNER_TEMP/smoke" sweep\n"""
+)
+
+
+def test_ci_smoke_runs_a_sweep_keyed_n_first(tmp_path):
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    steps = [step for step in workflow["jobs"]["tier1"]["steps"]
+             if step.get("name", "").startswith("Smoke test")]
+    assert len(steps) == 1
+    assert SWEEP_ORDER_SMOKE in steps[0]["run"]
+    result = _run_ci_lines(SWEEP_ORDER_SMOKE, tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "swept 6 points over ['protocol.n_atoms', 'lattice.delta']\n"
+
+
 def test_ci_smoke_runs_the_schedule_at_its_bound():
     # In the numpy-only job too, so the largest table is also written without scipy.
     yaml = pytest.importorskip("yaml")
@@ -207,6 +248,10 @@ def test_ci_error_contract_names_each_rejected_leaf():
     assert ("""echo '{"protocol": {"ramsey_time_s": 1e-320}}' > "$RUNNER_TEMP/error.json"\n"""
             "expect_config_error protocol.ramsey_time_s simulate\n") in script
     assert 'test "$status" -eq 2' in script
+    sweep_points = f"[0] * {SWEEP_MAX_POINTS + 1}"
+    assert (f"""python -c "import json; print(json.dumps({{'sweep': {{'run.seed': {sweep_points}}}}}))" """
+            """> "$RUNNER_TEMP/error.json"\n"""
+            "expect_config_error sweep sweep\n") in script
 
 
 @pytest.mark.parametrize("field,wrong", [(None, None), ("optimize.n_points", "optimize.n_max"),
