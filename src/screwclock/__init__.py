@@ -51,7 +51,6 @@ from .register import (
     final_reference,
     init_register,
     protocol_references,
-    run_protocol,
     state_fidelity,
     state_overlap,
 )

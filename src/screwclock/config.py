@@ -188,11 +188,12 @@ _SECTIONS = {
     "optimize": OptimizeSection,
 }
 
+# Every section leaf, as (section name, field), by its dotted path.
+_LEAVES = {f"{name}.{leaf.name}": (name, leaf) for name, cls in _SECTIONS.items() for leaf in fields(cls)}
+
 # Leaves a sweep may vary: the physics sections, the seed and the trajectory count.
-_SWEEPABLE = {
-    f"{name}.{leaf.name}" for name in ("lattice", "protocol", "noise")
-    for leaf in fields(_SECTIONS[name])
-} | {"run.seed", "run.trajectories"}
+_SWEEPABLE = {key for key, (name, _) in _LEAVES.items()
+              if name in ("lattice", "protocol", "noise")} | {"run.seed", "run.trajectories"}
 
 
 def _check_keys(mapping: dict, allowed, path: str):
@@ -240,6 +241,8 @@ def _parse_species(items, path: str) -> tuple[SpeciesEntry, ...]:
 
 
 def _parse_sweep(data: dict, path: str) -> dict[str, tuple]:
+    """The sweep's arrays: every key and array checked, then each value by its leaf alone,
+    key by key. No sweepable section has a cross-check that one value can trip."""
     _require(isinstance(data, dict), path, "must be an object mapping parameter paths to arrays")
     sweep: dict[str, tuple] = {}
     for key, values in data.items():
@@ -247,6 +250,9 @@ def _parse_sweep(data: dict, path: str) -> dict[str, tuple]:
         _require(key in _SWEEPABLE, p, f"not a sweepable parameter (choose from {sorted(_SWEEPABLE)})")
         _require(isinstance(values, list) and len(values) > 0, p, "must be a non-empty array")
         sweep[key] = tuple(values)
+    for key, values in sweep.items():
+        for value in values:
+            _parse_leaf(_LEAVES[key][1], value, key)
     return sweep
 
 
@@ -281,13 +287,8 @@ def parse_config(source: str | Path | dict | None = None) -> RunConfig:
                if "species" in data else _default_species())
     sections = {name: _parse_section(cls, data.get(name, {}), name)
                 for name, cls in _SECTIONS.items()}
-    cfg = RunConfig(species=species, **sections,
-                    sweep=_parse_sweep(data.get("sweep", {}), "sweep"))
-    # Re-validate each sweep value by applying it to the base config.
-    for key, values in cfg.sweep.items():
-        for value in values:
-            apply_override(cfg, key, value)
-    return cfg
+    return RunConfig(species=species, **sections,
+                     sweep=_parse_sweep(data.get("sweep", {}), "sweep"))
 
 
 def serialize_config(cfg: RunConfig) -> dict:
@@ -311,10 +312,8 @@ def apply_override(cfg: RunConfig, dotted_key: str, value) -> RunConfig:
     Only the new value is parsed and range-checked; replacing it reruns the
     section's cross-checks.
     """
-    section, _, name = dotted_key.partition(".")
-    cls = _SECTIONS.get(section)
-    leaf = None if cls is None else cls.__dataclass_fields__.get(name)
-    if leaf is None:
+    if dotted_key not in _LEAVES:
         raise ConfigError(dotted_key, "unknown parameter path")
+    section, leaf = _LEAVES[dotted_key]
     parsed = _parse_leaf(leaf, value, dotted_key)
-    return replace(cfg, **{section: replace(getattr(cfg, section), **{name: parsed})})
+    return replace(cfg, **{section: replace(getattr(cfg, section), **{leaf.name: parsed})})

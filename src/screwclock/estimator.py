@@ -70,7 +70,7 @@ def fringe_scan(
     The GHZ state does not depend on the detuning, so
     :func:`~screwclock.register.prepare_ghz` runs once per scan, and the
     state's ``fringe_readout`` gives the whole fringe from it in closed form:
-    the ``p_up`` of ``run_protocol`` at each point, to within
+    the ``p_up`` read after ``evolve_and_disentangle`` at each point, to within
     2 eps (N + |N dw T| + |dw' T|), the rounding of the Ramsey phase chi.
 
     ``trajectories`` 0 gives the exact per-point probability and ignores

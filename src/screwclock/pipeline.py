@@ -175,8 +175,9 @@ def resolve_physics(cfg: RunConfig, table: ConstantsTable = CODATA, *,
     """The config's physics: its trap half, then its schedule half.
 
     ``traps``, a dict the caller owns, shares the trap half between calls
-    whose trap inputs are equal, as a sweep's points often are; a call that
-    raises stores nothing.
+    whose trap inputs are equal, as a sweep's points often are; a trap half
+    that raises stores nothing. A total duration beyond the float range is a
+    config error of the leaf of its largest term.
     """
     protocol = cfg.protocol
     inputs = (tuple(map(cfg.species_by_role, ROLES)), cfg.lattice, cfg.noise,
@@ -194,6 +195,12 @@ def resolve_physics(cfg: RunConfig, table: ConstantsTable = CODATA, *,
         protocol.n_atoms, gate_time, protocol.transport_time_us * 1e-6,
         protocol.ramsey_time_s, protocol.pulse_time_us * 1e-6,
     )
+    if not math.isfinite(schedule.total_duration):  # 7 t_pulse, at most 1.3e303 s, is never the largest term
+        terms = {"protocol.transport_time_us": 2 * protocol.n_atoms * schedule.transport_time,
+                 "protocol.gate_time_us": 2 * protocol.n_atoms * schedule.gate_time,
+                 "protocol.ramsey_time_s": schedule.ramsey_time}
+        raise ConfigError(max(terms, key=terms.get),
+                          "the schedule's total duration overflows the float range")
 
     return PhysicsBundle(
         table=table,

@@ -25,12 +25,12 @@ Both backends offer the same five gates (``apply_clock_rotation``,
 protocol applies them in two halves: :func:`prepare_ghz`, then
 :func:`evolve_and_disentangle`. The controlled flip equals H on all clocks,
 the phase pass and H on all clocks again (H Z H = X at every site): it
-flips every clock bit of the head-up part, exactly. Each half hands the
-state itself to an optional ``checkpoint(label, state)`` callback as it
-passes each checkpoint, so a caller checks the state in passing, with no
-copy. A dense state's overlap with a branch state is contracted one block
-of DENSE_BLOCK_BITS clock sites per product, against the Kronecker power
-of each branch's clock factor, without expanding the branches.
+flips every clock bit of the head-up part, exactly. The two halves are the
+one protocol driver: each hands the state itself to an optional
+``checkpoint(label, state)`` callback at each checkpoint, where a caller
+checks it with no ``copy``. A dense state's overlap with a branch state is
+contracted DENSE_BLOCK_BITS clock sites per product against the Kronecker
+power of each branch's clock factor, without expanding the branches.
 
 Every gate of the second half is diagonal or a fixed permutation, so both
 backends also read a whole fringe in closed form: ``fringe_readout`` gives
@@ -43,7 +43,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,11 +167,6 @@ class DenseState:
         self.amplitudes = np.zeros(2 ** (n_atoms + 1), dtype=complex)
         self.amplitudes[0] = 1.0
 
-    def copy(self) -> "DenseState":
-        new = object.__new__(DenseState)
-        new.n_atoms, new.amplitudes = self.n_atoms, self.amplitudes.copy()
-        return new
-
     def apply_clock_rotation(self, matrix) -> "DenseState":
         """Rotate every clock qubit, up to DENSE_BLOCK_BITS at a time.
 
@@ -252,9 +246,6 @@ class DenseState:
         p_up = float(np.sum(np.abs(self.amplitudes[half:]) ** 2))
         return p_down, p_up
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def _overlap_power(z, sine, n_atoms: int) -> np.ndarray:
     """z^N for the overlap z = <u|w> of two clock 2-vectors whose sine is |det[u, w]|.
@@ -294,7 +285,7 @@ class BranchState:
 
     Branch i is ``clock[i]`` on every one of the N clock sites times
     ``head[i]`` on the head: ``clock`` is (r, 2) and unit-norm, ``head`` is
-    (r, 2) and carries the branch's amplitude. Readout, norm and overlap all
+    (r, 2) and carries the branch's amplitude. Readout, fringe and overlap all
     read :func:`_head_overlaps`. After a phase pass splits branches, those
     with colinear clock factors merge, whatever their heads.
     """
@@ -311,11 +302,6 @@ class BranchState:
     @property
     def rank(self) -> int:
         return self.head.shape[0]
-
-    def copy(self) -> "BranchState":
-        new = object.__new__(BranchState)
-        new.n_atoms, new.clock, new.head = self.n_atoms, self.clock.copy(), self.head.copy()
-        return new
 
     def apply_clock_rotation(self, matrix) -> "BranchState":
         self.clock = self.clock @ _check_unitary(matrix).T
@@ -428,9 +414,6 @@ class BranchState:
         p_down, p_up = _as_probabilities(*_head_overlaps(self, self).real)
         return float(p_down), float(p_up)
 
-    def norm(self) -> float:
-        return math.sqrt(max(float(_head_overlaps(self, self).real.sum()), 0.0))
-
 
 RegisterState = DenseState | BranchState
 
@@ -481,34 +464,6 @@ def evolve_and_disentangle(state: RegisterState, delta_omega: float, delta_omega
     state.apply_controlled_flip()
     checkpoint("final", state.apply_head_rotation(HADAMARD))
     return state
-
-
-@dataclass
-class ProtocolResult:
-    final: RegisterState
-    checkpoints: dict[str, RegisterState]   # copies, in protocol order
-
-    @property
-    def p_up(self) -> float:
-        return self.final.head_readout()[1]
-
-
-def run_protocol(
-    n_atoms: int,
-    backend: str = "dense",
-    delta_omega: float = 0.0,
-    delta_omega_head: float = 0.0,
-    ramsey_time: float = 0.0,
-) -> ProtocolResult:
-    """Run the noiseless protocol end to end, keeping a copy of the state at each checkpoint."""
-    copies: dict[str, RegisterState] = {}
-
-    def keep(label: str, state: RegisterState) -> None:
-        copies[label] = state.copy()
-
-    state = prepare_ghz(init_register(n_atoms, backend), keep)
-    evolve_and_disentangle(state, delta_omega, delta_omega_head, ramsey_time, keep)
-    return ProtocolResult(state, copies)
 
 
 def ghz_reference(n_atoms: int) -> BranchState:

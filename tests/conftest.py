@@ -1,6 +1,8 @@
 """Shared fixtures: the hypothesis ``ci`` profile, the Sr/Al parameter set
 used across the suite, the random-gate-sequence helpers behind the backend
-differential tests, the rounding bound of the Ramsey phase chi that two
+differential tests, the protocol run end to end with a copy of the state at
+each checkpoint (``run_protocol``, on ``copy_state``) and the norm of a
+state of either backend, the rounding bound of the Ramsey phase chi that two
 evaluations of p_up share, the expansion of any register state to a dense
 vector and a dense copy of a (branch) reference state, and the slow
 reference paths the fast ones are tested against: the protocol gate by
@@ -23,7 +25,7 @@ import subprocess
 import sys
 import warnings
 from collections.abc import Iterator
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,14 +35,14 @@ from scipy.optimize import OptimizeWarning, curve_fit
 
 import screwclock
 from screwclock import (
-    CODATA, CapacityError, ConfigError, ConstantsTable, DenseState, LatticeConfig, ParameterError,
-    SpeciesOptics, init_register, sublattice_depths,
+    CODATA, BranchState, CapacityError, ConfigError, ConstantsTable, DenseState, LatticeConfig,
+    ParameterError, SpeciesOptics, init_register, sublattice_depths,
 )
 from screwclock.config import _SECTIONS, _parse_section
 from screwclock.estimator import _initial_frequency
 from screwclock.register import (
     BRANCH_COLINEAR_TOL, BRANCH_MERGE_MAX_RANK, BRANCH_PRUNE_TOL, DENSE_BLOCK_BITS, HADAMARD,
-    _check_unitary,
+    RegisterState, _check_unitary, _head_overlaps, evolve_and_disentangle, prepare_ghz,
 )
 
 # With CI set, as CI services do, a failing example also prints the blob that
@@ -149,6 +151,58 @@ def protocol_sequence(delta_omega: float, delta_omega_head: float, ramsey_time: 
     head_h = methodcaller("apply_head_rotation", HADAMARD)
     evolve = methodcaller("apply_free_evolution", delta_omega, delta_omega_head, ramsey_time)
     return [clock_h, head_h, PHASE_PASS, clock_h, evolve, clock_h, PHASE_PASS, clock_h, head_h]
+
+
+def copy_state(state: RegisterState) -> RegisterState:
+    """A new register state equal to ``state``, of either backend; it shares no array."""
+    if isinstance(state, DenseState):
+        new = DenseState(state.n_atoms)
+        new.amplitudes = state.amplitudes.copy()
+        return new
+    new = BranchState(state.n_atoms)
+    new.clock, new.head = state.clock.copy(), state.head.copy()
+    return new
+
+
+def state_norm(state: RegisterState) -> float:
+    """||state||, of either backend: a branch state's from its own overlaps per head component."""
+    if isinstance(state, DenseState):
+        return float(np.linalg.norm(state.amplitudes))
+    return math.sqrt(max(float(_head_overlaps(state, state).real.sum()), 0.0))
+
+
+@dataclass
+class ProtocolResult:
+    final: RegisterState
+    checkpoints: dict[str, RegisterState]   # copies, in protocol order
+
+    @property
+    def p_up(self) -> float:
+        return self.final.head_readout()[1]
+
+
+def run_protocol(
+    n_atoms: int,
+    backend: str = "dense",
+    delta_omega: float = 0.0,
+    delta_omega_head: float = 0.0,
+    ramsey_time: float = 0.0,
+) -> ProtocolResult:
+    """The noiseless protocol end to end, keeping a copy of the state at each checkpoint.
+
+    The two halves, ``register.prepare_ghz`` then
+    ``register.evolve_and_disentangle``, with a callback that copies the
+    state it is handed: the reference the commands' in-passing checks and
+    the closed-form fringe are tested against.
+    """
+    copies: dict[str, RegisterState] = {}
+
+    def keep(label: str, state: RegisterState) -> None:
+        copies[label] = copy_state(state)
+
+    state = prepare_ghz(init_register(n_atoms, backend), keep)
+    evolve_and_disentangle(state, delta_omega, delta_omega_head, ramsey_time, keep)
+    return ProtocolResult(state, copies)
 
 
 def chi_rounding(n_atoms, delta_omega, delta_omega_head, ramsey_time):

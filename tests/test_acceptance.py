@@ -26,7 +26,6 @@ from screwclock import (
     phase_gate_duration,
     phase_sensitivity,
     photon_scattering_time,
-    run_protocol,
     sample_scatter_count,
     scatter_probability,
     sql_baseline,
@@ -52,6 +51,7 @@ from conftest import (
     dense_copy,
     optical_potential_curve,
     read_table,
+    run_protocol,
     well_depth,
 )
 

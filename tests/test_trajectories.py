@@ -8,13 +8,12 @@ from screwclock import (
     ParameterError,
     ProtocolSchedule,
     fringe_scan,
-    run_protocol,
     sample_scatter_count,
     scatter_probability,
     survival_probability,
 )
 
-from conftest import chi_rounding, reference_trajectory_batch
+from conftest import chi_rounding, reference_trajectory_batch, run_protocol
 
 
 def _schedule(n, ramsey=0.01):
