@@ -22,12 +22,14 @@ from .trajectories import sample_scatter_count
 
 _FLAT_TOL = 1e-12
 # Levenberg-Marquardt steps before the fit gives up. Most fits take under 50;
-# on a noisy fringe of a few points the Gauss-Newton steps overshoot and close
-# in by as little as 10 % a step, which has taken up to 174.
+# a noisy fringe of a few points, where undamped Gauss-Newton steps overshoot
+# and close in by as little as 0.4 % a step, has taken 76.
 _FIT_MAX_ITERATIONS = 1000
 _FIT_XTOL = 1e-10          # converged once a step moves the scaled parameters this little
 _DAMPING_START = 1e-3      # Marquardt damping, relative to the normal-matrix diagonal
 _DAMPING_MAX = 1e16        # no step lowers the cost even at this damping: a float-level minimum
+_DAMPING_MIN = 1e-300      # the damping's floor: at 0, raising it tenfold would never reach _DAMPING_MAX
+_GAIN_LOW = 0.25           # a step that gains less of its predicted cost drop raises the damping
 
 
 @dataclass(frozen=True)
@@ -124,10 +126,17 @@ def _fit_sinusoid(x: np.ndarray, y: np.ndarray, omega0: float) -> np.ndarray | N
     (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973): linear least
     squares at ``omega0`` starts Levenberg-Marquardt on all four parameters
     (Marquardt, SIAM J. Appl. Math. 11, 431, 1963), with the analytic
-    Jacobian [1, cos, sin, x (b cos - a sin)]. Iterates until a step moves
-    the scaled parameters by less than _FIT_XTOL, or until no step lowers
-    the residual sum of squares. Returns None on singular normal equations
-    or after _FIT_MAX_ITERATIONS steps without converging.
+    Jacobian [1, cos, sin, x (b cos - a sin)]. After a step that lowers the
+    residual sum of squares the damping drops tenfold, unless the step
+    gained less than a quarter of what the linear model predicts: then it
+    rises tenfold, so steps that overshoot the minimum to its far side get
+    shorter (the gain ratio of Moré, Lecture Notes in Math. 630, 105, 1978).
+    The damping never drops below _DAMPING_MIN, so a run of steps that fail
+    after many that succeeded still raises it to _DAMPING_MAX.
+    Iterates until a step moves the scaled parameters by less than
+    _FIT_XTOL, or until no step lowers the residual sum of squares. Returns
+    None on singular normal equations or after _FIT_MAX_ITERATIONS steps
+    without converging.
     """
     ones = np.ones_like(x)
 
@@ -163,8 +172,11 @@ def _fit_sinusoid(x: np.ndarray, y: np.ndarray, omega0: float) -> np.ndarray | N
             damping *= 10.0
             if damping > _DAMPING_MAX:
                 return params
+        # the linear model's cost drop: step . (gradient + damping * scale * step)
+        predicted = step @ gradient + damping * (step @ (scale * step))
+        gain = (cost - trial_cost) / predicted
         params, basis, residual, cost = trial, trial_basis, trial_residual, trial_cost
-        damping /= 10.0
+        damping = damping * 10.0 if gain < _GAIN_LOW else max(damping / 10.0, _DAMPING_MIN)
         weights = np.sqrt(scale)
         if np.linalg.norm(weights * step) <= _FIT_XTOL * np.linalg.norm(weights * params):
             return params
@@ -178,22 +190,33 @@ def analyze_fringe(scan: FringeScan) -> FringeFit:
     period (undefined), as does a fit that fails (see :func:`_fit_sinusoid`).
     The scan should span at least one full period for the frequency to be
     identifiable.
+
+    The fit runs on the detunings centred and scaled to [-1, 1], so it reads
+    the same fringe whatever the grid's units: at a Ramsey time T of 1e-300 s
+    the detunings are near 1e300 rad/s and at 1e300 s near 1e-300, where the
+    normal equations would overflow or underflow. The fitted angular
+    frequency is divided by the half span to give the period in rad/s.
     """
     x = np.asarray(scan.detunings)
     y = np.asarray(scan.p_up)
     if x.size < 4 or float(np.ptp(y)) < _FLAT_TOL:
         return FringeFit(contrast=0.0, period=math.nan)
+    lo, hi = float(x.min()), float(x.max())
+    centre, half_span = lo / 2.0 + hi / 2.0, hi / 2.0 - lo / 2.0
+    if not half_span > 0.0:  # every point at one detuning: no period to read
+        return FringeFit(contrast=0.0, period=math.nan)
+    u = (x - centre) / half_span
 
-    omega0 = _initial_frequency(x, y)
+    omega0 = _initial_frequency(u, y)
     if omega0 <= 0.0:
         return FringeFit(contrast=0.0, period=math.nan)
 
-    params = _fit_sinusoid(x, y, omega0)
+    params = _fit_sinusoid(u, y, omega0)
     if params is None or params[3] == 0.0:
         return FringeFit(contrast=0.0, period=math.nan)
     _, a, b, omega = (float(v) for v in params)
     contrast = min(2.0 * math.hypot(a, b), 1.0)
-    return FringeFit(contrast=max(contrast, 0.0), period=2.0 * math.pi / abs(omega))
+    return FringeFit(contrast=max(contrast, 0.0), period=2.0 * math.pi / (abs(omega) / half_span))
 
 
 def phase_sensitivity(contrast: float, n_atoms: int, ramsey_time: float) -> float:
@@ -243,7 +266,9 @@ def optimize_atom_number(
     """Maximize the contrast-weighted Heisenberg gain C(N) * N over N.
 
     C(N) is the no-scattering survival of the full schedule at N atoms.
-    Returns the arg max (smallest N on ties) and the whole curve.
+    Returns the arg max (smallest N on ties) and the whole curve. A grid N
+    whose duration times rate overflows the float range has survival 0, as
+    its limit, and no warning.
     """
     ns = sorted({int(n) for n in n_values})
     if not ns:
@@ -252,10 +277,11 @@ def optimize_atom_number(
     ProtocolSchedule(ns[0], gate_time, transport_time, ramsey_time, pulse_time)
 
     n = np.array(ns)
-    survival = np.exp(
-        -schedule_duration(n, gate_time, transport_time, ramsey_time, pulse_time)
-        * params.total_rate(n)
-    )
+    with np.errstate(over="ignore"):  # an overflow to inf gives survival exp(-inf) = 0
+        survival = np.exp(
+            -schedule_duration(n, gate_time, transport_time, ramsey_time, pulse_time)
+            * params.total_rate(n)
+        )
     foms = survival * n
     best = int(np.argmax(foms))
     curve = AtomNumberCurve(

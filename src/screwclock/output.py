@@ -88,20 +88,23 @@ def _column_text(rows: dict) -> TableText:
 def write_table(rows: dict | TableText, path, *, metadata: dict | None = None) -> Path:
     """Write a table, as columns (name -> sequence of values) or as TableText, plus a sidecar.
 
-    The mapping's order is the column order. Columns of unequal length, and
-    a table without rows, are rejected. The directory is made only then.
+    The mapping's order is the column order. Columns of unequal length, a
+    table without rows, and metadata that is not strict JSON (a non-finite
+    float) are rejected. The directory is made only then, so a rejected
+    table leaves nothing behind.
     """
     table = rows if isinstance(rows, TableText) else _column_text(rows)
     if not table.n_rows:
         raise ParameterError("cannot write a table without rows")
+    sidecar = None
+    if metadata is not None:
+        meta = {"rows": table.n_rows, "columns": list(table.columns), **metadata}
+        sidecar = json.dumps(meta, indent=2, sort_keys=True, allow_nan=False) + "\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as handle:
         handle.write(",".join(_quote(list(map(str, table.columns)), len(table) == 1)) + "\n")
         handle.writelines(table.chunks)
-
-    if metadata is not None:
-        meta = {"rows": table.n_rows, "columns": list(table.columns), **metadata}
-        text = json.dumps(meta, indent=2, sort_keys=True, allow_nan=False)
-        path.with_name(path.stem + ".meta.json").write_text(text + "\n")
+    if sidecar is not None:
+        path.with_name(path.stem + ".meta.json").write_text(sidecar)
     return path

@@ -8,16 +8,20 @@ Two interchangeable backends:
   head qubit. Exact, but capped at small N.
 
 * :class:`BranchState` stores a sum of product states ("branches") as two
-  (r, 2) arrays: ``clock``, one unit-norm clock 2-vector per branch that
-  stands for all N clock sites (every public gate acts alike on them), and
-  ``head``, the head 2-vector, which carries the branch's amplitude. One
-  form gives every overlap, per head component k:
-  <a|b>_k = sum_ij conj(a.head[i, k]) <a.clock[i]|b.clock[j]>^N b.head[j, k].
+  lists of Python complex pairs, one pair per branch: ``clock[i] = (c0, c1)``,
+  one unit-norm clock 2-vector that stands for all N clock sites (every
+  public gate acts alike on them), and ``head[i] = (h0, h1)``, the head
+  2-vector, which carries the branch's amplitude. One form gives every
+  overlap, per head component k:
+  <a|b>_k = sum_ij conj(a.head[i][k]) <a.clock[i]|b.clock[j]>^N b.head[j][k].
   A phase pass splits superposed heads; branches whose clock factors are
   colinear at each site, up to rounding, then merge into one, whatever
   their heads. The entangling protocol only ever needs two branches, so a
   full run costs O(1) in N at fixed rank, and its rounding does not grow
-  with N either (:func:`_overlap_power`).
+  with N either (:func:`_overlap_power`). At so few numbers, numpy's cost
+  per call would outweigh the arithmetic, so gates, merges, overlaps and
+  the head readout run in plain scalar arithmetic; only a fringe over a
+  detuning grid and the contraction against a dense state use arrays.
 
 Both backends offer the same five gates (``apply_clock_rotation``,
 ``apply_head_rotation``, ``apply_phase_pass``, ``apply_controlled_flip``,
@@ -56,53 +60,56 @@ BRANCH_MERGE_MAX_RANK = 64  # skip O(rank^2) merging above this rank
 BRANCH_COLINEAR_TOL = 4 * np.finfo(float).eps  # unit clock factors this close to colinear merge
 READOUT_TOL = 1e-9         # head probabilities may miss [0, 1] and sum 1 by this
 _UNITARY_TOL = 1e-12
-UNITARY_CACHE_SIZE = 32    # distinct rotation matrices kept checked
 
-# Read-only; checked, like every matrix, by the first rotation that uses it. A check
-# at import would be the first matrix product, whose BLAS set-up costs about 0.5 MB
-# of resident memory in commands that never use the register.
+# Read-only; checked, like every matrix, by each rotation that uses it.
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 HADAMARD.flags.writeable = False
 
 
-def _check_unitary(matrix) -> np.ndarray:
-    """The checked 2x2 unitary m, as the cache's own read-only copy.
+def _check_unitary(matrix) -> tuple[complex, complex, complex, complex]:
+    """The entries (a, b, c, d) of a 2x2 unitary [[a, b], [c, d]], read once as Python complexes.
 
-    Every call checks the caller's matrix, through a cache keyed on its
-    bytes: a matrix seen before costs one lookup, and a matrix changed in
-    place since is a new key. The array returned is never the caller's.
+    Unitary means m^H m = 1 within _UNITARY_TOL in each entry: unit columns,
+    |a|^2 + |c|^2 = |b|^2 + |d|^2 = 1, that are orthogonal, conj(a) b +
+    conj(c) d = 0. A NaN entry fails. Every call checks the caller's matrix,
+    so one changed in place since an earlier call is checked again.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (2, 2):
         raise ParameterError(f"expected a 2x2 matrix, got shape {m.shape}")
-    return _checked_matrix(m.tobytes())
+    (a, b), (c, d) = m.tolist()
+    defects = (abs(a.conjugate() * b + c.conjugate() * d),
+               abs(abs(a) ** 2 + abs(c) ** 2 - 1.0), abs(abs(b) ** 2 + abs(d) ** 2 - 1.0))
+    if not all(defect <= _UNITARY_TOL for defect in defects):
+        raise ParameterError(f"matrix is not unitary (defect {max(defects):.3e})")
+    return a, b, c, d
 
 
-@functools.lru_cache(maxsize=UNITARY_CACHE_SIZE)
-def _checked_matrix(key: bytes) -> np.ndarray:
-    """The 2x2 complex matrix with these bytes, once it is checked unitary."""
-    m = np.frombuffer(key, dtype=complex).reshape(2, 2)  # read-only: it views the key
-    defect = np.abs(m.conj().T @ m - np.eye(2)).max()
-    if defect > _UNITARY_TOL:
-        raise ParameterError(f"matrix is not unitary (defect {defect:.3e})")
-    return m
+def _unitary_array(matrix) -> np.ndarray:
+    """The checked 2x2 unitary as a new complex array, for the dense backend."""
+    return np.reshape(_check_unitary(matrix), (2, 2))
 
 
-def _as_probabilities(p_down, p_up) -> tuple[np.ndarray, np.ndarray]:
-    """Head readouts (p_down, p_up), scalars or arrays, clamped to [0, 1].
+def _probability_pair(p_down: float, p_up: float) -> tuple[float, float]:
+    """A head readout (p_down, p_up), clamped to [0, 1].
 
     Rounding may leave a probability just below 0 or a pair that sums just
     off 1; a pair more than READOUT_TOL away from a probability distribution
     means the register's norm drifted, and raises.
     """
-    p_down, p_up = np.asarray(p_down), np.asarray(p_up)
-    drift = np.maximum(np.maximum(-p_down, -p_up), np.abs(p_down + p_up - 1.0))
+    drift = max(abs(p_down + p_up - 1.0), -p_down, -p_up)  # the sum first: a NaN stays the max
+    if not drift <= READOUT_TOL:
+        raise ClockSimError(f"register norm drifted: head readout p_down={p_down!r}, p_up={p_up!r} "
+                            f"is {drift:.3e} away from a probability distribution")
+    return min(max(p_down, 0.0), 1.0), min(max(p_up, 0.0), 1.0)
+
+
+def _fringe_probabilities(p_down: np.ndarray, p_up: np.ndarray) -> np.ndarray:
+    """p_up at each point of a fringe, checked and clamped as :func:`_probability_pair` does."""
+    drift = np.maximum(np.abs(p_down + p_up - 1.0), np.maximum(-p_down, -p_up))
     worst = np.argmax(drift)  # a NaN counts as the largest
-    if not drift.flat[worst] <= READOUT_TOL:
-        raise ClockSimError(f"register norm drifted: head readout p_down={float(p_down.flat[worst])!r}, "
-                            f"p_up={float(p_up.flat[worst])!r} is {float(drift.flat[worst]):.3e} "
-                            "away from a probability distribution")
-    return np.clip(p_down, 0.0, 1.0), np.clip(p_up, 0.0, 1.0)
+    _probability_pair(float(p_down.flat[worst]), float(p_up.flat[worst]))
+    return np.clip(p_up, 0.0, 1.0)
 
 
 def _ramsey_phases(delta_omegas, delta_omega_head: float, ramsey_time: float) -> tuple[np.ndarray, float]:
@@ -175,7 +182,7 @@ class DenseState:
         product; once all N clock bits have cycled, the head bit is lowest
         and one transpose puts it back.
         """
-        blocks = _kron_powers(_check_unitary(matrix))
+        blocks = _kron_powers(_unitary_array(matrix))
         amplitudes = self.amplitudes
         for low in range(0, self.n_atoms, DENSE_BLOCK_BITS):
             k = min(DENSE_BLOCK_BITS, self.n_atoms - low)
@@ -184,7 +191,7 @@ class DenseState:
         return self
 
     def apply_head_rotation(self, matrix) -> "DenseState":
-        self.amplitudes = (_check_unitary(matrix) @ self.amplitudes.reshape(2, -1)).ravel()
+        self.amplitudes = (_unitary_array(matrix) @ self.amplitudes.reshape(2, -1)).ravel()
         return self
 
     def apply_phase_pass(self) -> "DenseState":
@@ -238,7 +245,7 @@ class DenseState:
             total = total * step + d_k
         cross = (np.exp(1j * (phi - self.n_atoms * theta)) * total).real
         half_norm = np.vdot(self.amplitudes, self.amplitudes).real / 2.0
-        return _as_probabilities(half_norm + cross, half_norm - cross)[1]
+        return _fringe_probabilities(half_norm + cross, half_norm - cross)
 
     def head_readout(self) -> tuple[float, float]:
         half = 2 ** self.n_atoms
@@ -247,47 +254,79 @@ class DenseState:
         return p_down, p_up
 
 
-def _overlap_power(z, sine, n_atoms: int) -> np.ndarray:
+def _overlap_power(z: complex, sine: float, n_atoms: int) -> complex:
     """z^N for the overlap z = <u|w> of two clock 2-vectors whose sine is |det[u, w]|.
 
     The modulus comes from the Lagrange identity |z|^2 + det^2 = |u|^2 |w|^2, as
     log(|z| / (|u| |w|)) = -log1p(det^2 / |z|^2) / 2, and the phase as the angle
     N arg z: colinear factors give exactly 1 at any N, orthogonal ones exactly
-    0, and no rounded norm is raised to the N-th power.
+    0, and no rounded norm is raised to the N-th power. :func:`_overlap_power_array`
+    is the same formula over arrays.
     """
+    z2 = abs(z) ** 2
+    ratio = sine * sine / z2 if z2 > 0.0 else math.inf
+    return _polar(math.exp(math.log1p(ratio) * (-0.5 * n_atoms)), math.atan2(z.imag, z.real) * n_atoms)
+
+
+def _overlap_power_array(z: np.ndarray, sine: np.ndarray, n_atoms: int) -> np.ndarray:
+    """:func:`_overlap_power` at each point of a grid: the same formula in numpy."""
     z2 = np.abs(z) ** 2
-    ratio = np.divide(sine * sine, z2, out=np.full_like(z2, np.inf), where=z2 > 0.0)
+    with np.errstate(over="ignore"):  # a ratio past the float range is inf, as in the scalar form
+        ratio = np.divide(sine * sine, z2, out=np.full_like(z2, np.inf), where=z2 > 0.0)
     return np.exp(np.log1p(ratio) * (-0.5 * n_atoms) + np.arctan2(z.imag, z.real) * (1j * n_atoms))
 
 
-def _clock_gram(a: "BranchState", b: "BranchState") -> tuple[np.ndarray, np.ndarray]:
-    """(G, S): G[i, j] = <a.clock[i]|b.clock[j]>^N over the N clock sites, S[i, j] their sine.
+def _polar(modulus: float, angle: float) -> complex:
+    """modulus e^{i angle}, rounded as cmath.exp rounds it, without cmath: a module to load at start-up."""
+    return complex(modulus * math.cos(angle), modulus * math.sin(angle))
 
-    Each product a_k b_l is Re(a_k) b_l + (i Im a_k) b_l, rounded once per part,
-    so with a_i = b_j the parts pair off into exact zeros, Im <a_i|a_i> = det = 0,
-    and a state's own gram has its diagonal exactly 1. numpy's complex product may
-    fuse a multiply-add, leaving Im <a_i|a_i> off zero, which N turns into a phase.
+
+Pair = tuple[complex, complex]
+
+
+def _pair_overlap(u: Pair, w: Pair, n_atoms: int) -> tuple[complex, float]:
+    """(<u|w>^N, |det[u, w]|): the overlap of two clock factors over the N sites, and their sine.
+
+    CPython's complex product rounds each real product once and fuses no
+    multiply-add, so with u = w the imaginary part of each conj(u_k) u_k and the
+    determinant u_0 u_1 - u_1 u_0 are exact zeros: a factor's overlap with
+    itself is exactly 1 at any N.
     """
-    left, right = a.clock[:, None, :, None], b.clock[None, :, None, :]
-    real_part, imag_part = left.real * right, (1j * left.imag) * right
-    bra_ket, ket_ket = real_part - imag_part, real_part + imag_part   # conj(a_k) b_l and a_k b_l
-    sine = np.abs(ket_ket[..., 0, 1] - ket_ket[..., 1, 0])
-    return _overlap_power(bra_ket[..., 0, 0] + bra_ket[..., 1, 1], sine, a.n_atoms), sine
+    (u0, u1), (w0, w1) = u, w
+    sine = abs(u0 * w1 - u1 * w0)
+    return _overlap_power(u0.conjugate() * w0 + u1.conjugate() * w1, sine, n_atoms), sine
 
 
-def _head_overlaps(a: "BranchState", b: "BranchState") -> np.ndarray:
+def _head_overlaps(a: "BranchState", b: "BranchState") -> tuple[complex, complex]:
     """<a|b> restricted to each head component: (head down, head up)."""
-    return (a.head.conj() * (_clock_gram(a, b)[0] @ b.head)).sum(axis=0)
+    down = up = 0j
+    for u, (g0, g1) in zip(a.clock, a.head):
+        row0 = row1 = 0j
+        for w, (h0, h1) in zip(b.clock, b.head):
+            z = _pair_overlap(u, w, a.n_atoms)[0]
+            row0 += z * h0
+            row1 += z * h1
+        down += g0.conjugate() * row0
+        up += g1.conjugate() * row1
+    return down, up
+
+
+def _rotated(pairs: list[Pair], matrix) -> list[Pair]:
+    """Each 2-vector of ``pairs`` times the checked 2x2 unitary ``matrix``."""
+    a, b, c, d = _check_unitary(matrix)
+    return [(a * x0 + b * x1, c * x0 + d * x1) for x0, x1 in pairs]
 
 
 class BranchState:
     """Rank-bounded branch-product state; O(1) cost and memory in N at fixed rank.
 
     Branch i is ``clock[i]`` on every one of the N clock sites times
-    ``head[i]`` on the head: ``clock`` is (r, 2) and unit-norm, ``head`` is
-    (r, 2) and carries the branch's amplitude. Readout, fringe and overlap all
-    read :func:`_head_overlaps`. After a phase pass splits branches, those
-    with colinear clock factors merge, whatever their heads.
+    ``head[i]`` on the head. Both are lists of pairs of Python complexes, one
+    pair per branch: ``clock[i] = (c0, c1)`` is unit-norm, and ``head[i] =
+    (h0, h1)`` carries the branch's amplitude. Gates bind new lists. Readout,
+    fringe and overlap all read :func:`_head_overlaps`. After a phase pass
+    splits branches, those with colinear clock factors merge, whatever their
+    heads.
     """
 
     backend = "branch"
@@ -296,67 +335,67 @@ class BranchState:
         if n_atoms < 1:
             raise ParameterError(f"n_atoms must be >= 1, got {n_atoms}")
         self.n_atoms = n_atoms
-        self.clock = np.array([[1.0, 0.0]], dtype=complex)
-        self.head = self.clock.copy()
+        self.clock: list[Pair] = [(1 + 0j, 0j)]
+        self.head: list[Pair] = [(1 + 0j, 0j)]
 
     @property
     def rank(self) -> int:
-        return self.head.shape[0]
+        return len(self.head)
 
     def apply_clock_rotation(self, matrix) -> "BranchState":
-        self.clock = self.clock @ _check_unitary(matrix).T
+        self.clock = _rotated(self.clock, matrix)
         return self
 
     def apply_head_rotation(self, matrix) -> "BranchState":
-        self.head = self.head @ _check_unitary(matrix).T
+        self.head = _rotated(self.head, matrix)
         return self
 
-    def _split_heads(self) -> tuple[np.ndarray, bool]:
-        """Split superposed heads for a head-controlled gate: (head-up rows, whether any split).
+    def _head_controlled(self, on_up: Callable[[Pair], Pair]) -> "BranchState":
+        """A gate from the head onto every clock site: ``on_up`` maps the clock factor of a head-up branch.
 
-        A branch whose head has both components splits once into its
+        A branch whose head has both components splits first into its
         head-down part and its head-up part, in branch order with the down
         part first; each part keeps one head component, and parts at or
-        below BRANCH_PRUNE_TOL drop out. After a split the caller merges.
+        below BRANCH_PRUNE_TOL drop out. After a split, branches merge.
         """
-        present = np.abs(self.head) > BRANCH_PRUNE_TOL
-        if not present.all(axis=1).any():
-            return present[:, 1], False
-        rows, up = np.nonzero(present)
-        self.clock, self.head = self.clock[rows], self.head[rows]
-        self.head[np.arange(rows.size), 1 - up] = 0.0
-        return up == 1, True
+        present = [(abs(h0) > BRANCH_PRUNE_TOL, abs(h1) > BRANCH_PRUNE_TOL) for h0, h1 in self.head]
+        if not any(down and up for down, up in present):
+            self.clock = [on_up(c) if up else c for c, (_, up) in zip(self.clock, present)]
+            return self
+        clock, head = [], []
+        for c, (h0, h1), (down, up) in zip(self.clock, self.head, present):
+            if down:
+                clock.append(c)
+                head.append((h0, 0j))
+            if up:
+                clock.append(on_up(c))
+                head.append((0j, h1))
+        self.clock, self.head = clock, head
+        self._merge()
+        return self
 
     def apply_phase_pass(self) -> "BranchState":
         """Phase gates from the head onto every clock site, as one operation.
 
-        Superposed heads split (:meth:`_split_heads`); every head-up branch
-        then negates the |1> component of its clock factor, which every
-        site shares.
+        Every head-up branch negates the |1> component of its clock factor,
+        which every site shares (see :meth:`_head_controlled`).
         """
-        up, split = self._split_heads()
-        self.clock[up, 1] *= -1.0
-        if split:
-            self._merge()
-        return self
+        return self._head_controlled(lambda c: (c[0], -c[1]))
 
     def apply_controlled_flip(self) -> "BranchState":
         """A CNOT from the head onto every clock site, as one operation.
 
-        Superposed heads split as for the phase pass; every head-up branch
-        then swaps the two components of its clock factor.
+        Every head-up branch swaps the two components of its clock factor
+        (see :meth:`_head_controlled`).
         """
-        up, split = self._split_heads()
-        self.clock[up] = self.clock[up, ::-1]
-        if split:
-            self._merge()
-        return self
+        return self._head_controlled(lambda c: (c[1], c[0]))
 
     def apply_free_evolution(self, delta_omega: float, delta_omega_head: float, t: float) -> "BranchState":
         if t < 0.0:
             raise ParameterError("evolution time must be >= 0")
-        self.clock[:, 1] *= np.exp(1j * delta_omega * t)
-        self.head[:, 1] *= np.exp(1j * delta_omega_head * t)
+        clock_phase, head_phase = _polar(1.0, delta_omega * t), _polar(1.0, delta_omega_head * t)
+        self.clock = [(c0, c1 * clock_phase) for c0, c1 in self.clock]
+        self.head = [(h0, h1 * head_phase) for h0, h1 in self.head]
         return self
 
     def _merge(self):
@@ -365,25 +404,30 @@ class BranchState:
         c^⊗N ⊗ h_i + c^⊗N ⊗ h_j = c^⊗N ⊗ (h_i + h_j), so branch j joins
         branch i as head_i += (z / |z|) head_j with z = <c_i|c_j>^N: colinear
         unit factors differ by a phase alone. Colinear is judged per site,
-        up to rounding: the sine |det[c_i, c_j]| that :func:`_clock_gram`
-        gives with the overlaps, at most BRANCH_COLINEAR_TOL. Over all N
+        up to rounding: the sine |det[c_i, c_j]| that :func:`_pair_overlap`
+        gives with the overlap, at most BRANCH_COLINEAR_TOL. Over all N
         sites, factors an angle theta apart overlap by cos(theta)^N, which is
         near 1 for a small theta, yet they differ by the phase N theta.
         """
         if not 1 < self.rank <= BRANCH_MERGE_MAX_RANK:
             return
-        gram, sines = _clock_gram(self, self)
-        alive = np.ones(self.rank, dtype=bool)
-        for i in range(self.rank):
+        clock, head = self.clock, list(self.head)
+        alive = [True] * len(clock)
+        for i, u in enumerate(clock):
             if not alive[i]:
                 continue
-            for j in range(i + 1, self.rank):
-                if alive[j] and sines[i, j] <= BRANCH_COLINEAR_TOL:
-                    z = gram[i, j]
-                    self.head[i] += z / abs(z) * self.head[j]
+            for j in range(i + 1, len(clock)):
+                if not alive[j]:
+                    continue
+                z, sine = _pair_overlap(u, clock[j], self.n_atoms)
+                if sine <= BRANCH_COLINEAR_TOL:
+                    phase = z / abs(z)
+                    (a0, a1), (b0, b1) = head[i], head[j]
+                    head[i] = (a0 + phase * b0, a1 + phase * b1)
                     alive[j] = False
-        if not alive.all():
-            self.clock, self.head = self.clock[alive], self.head[alive]
+        if not all(alive):
+            self.clock = [c for c, keep in zip(clock, alive) if keep]
+            self.head = [h for h, keep in zip(head, alive) if keep]
 
     def fringe_readout(self, delta_omegas, delta_omega_head: float, ramsey_time: float) -> np.ndarray:
         """p_up after :func:`evolve_and_disentangle` at each detuning; the state is not changed.
@@ -391,28 +435,31 @@ class BranchState:
         Free evolution and the flip leave the head-down part of branch i on
         c_i' = (c_i0, c_i1 e^{i theta}) and the head-up part of branch j on
         (c_j1 e^{i theta}, c_j0), so H on the head reads
-        p_up = ||psi||^2 / 2 - Re[e^{i phi} sum_ij conj(head[i, 0]) head[j, 1]
+        p_up = ||psi||^2 / 2 - Re[e^{i phi} sum_ij conj(head[i][0]) head[j][1]
         (conj(c_i0) c_j1 e^{i theta} + conj(c_i1) c_j0 e^{-i theta})^N], one
         term per pair of branches whose head product is not zero. The factor is
         e^{i theta} <c_i|(c_j1, c_j0 e^{-2i theta})>: the detuning enters as N theta.
+        The grid is one numpy expression per term; the norm is the scalar one.
         """
         theta, phi = _ramsey_phases(delta_omegas, delta_omega_head, ramsey_time)
         back = np.exp(-2j * theta)
-        heads = np.outer(self.head[:, 0].conj(), self.head[:, 1])
         total = np.zeros(theta.shape, dtype=complex)
-        for i, j in zip(*np.nonzero(heads)):
-            (u0, u1), (c0, c1) = self.clock[i], self.clock[j]
-            z = u0.conjugate() * c1 + u1.conjugate() * c0 * back
-            sine = np.abs(u0 * c0 * back - u1 * c1)
-            total += heads[i, j] * _overlap_power(z, sine, self.n_atoms)
+        for (u0, u1), (g0, _) in zip(self.clock, self.head):
+            for (c0, c1), (_, h1) in zip(self.clock, self.head):
+                heads = g0.conjugate() * h1
+                if heads:
+                    z = u0.conjugate() * c1 + u1.conjugate() * c0 * back
+                    sine = np.abs(u0 * c0 * back - u1 * c1)
+                    total += heads * _overlap_power_array(z, sine, self.n_atoms)
         cross = (np.exp(1j * (phi + self.n_atoms * theta)) * total).real
-        half_norm = _head_overlaps(self, self).real.sum() / 2.0
-        return _as_probabilities(half_norm + cross, half_norm - cross)[1]
+        p_down, p_up = _head_overlaps(self, self)
+        half_norm = (p_down + p_up).real / 2.0
+        return _fringe_probabilities(half_norm + cross, half_norm - cross)
 
     def head_readout(self) -> tuple[float, float]:
         """(p_down, p_up); rounding within READOUT_TOL is clamped, more raises."""
-        p_down, p_up = _as_probabilities(*_head_overlaps(self, self).real)
-        return float(p_down), float(p_up)
+        p_down, p_up = _head_overlaps(self, self)
+        return _probability_pair(p_down.real, p_up.real)
 
 
 RegisterState = DenseState | BranchState
@@ -468,16 +515,17 @@ def evolve_and_disentangle(state: RegisterState, delta_omega: float, delta_omega
 
 def ghz_reference(n_atoms: int) -> BranchState:
     """(|0...0>|down> + |1...1>|up>) / sqrt(2)."""
+    inv = 1.0 / math.sqrt(2.0)
     state = BranchState(n_atoms)
-    state.clock = np.eye(2, dtype=complex)
-    state.head = 1.0 / math.sqrt(2.0) * np.eye(2, dtype=complex)
+    state.clock = [(1 + 0j, 0j), (0j, 1 + 0j)]
+    state.head = [(inv + 0j, 0j), (0j, inv + 0j)]
     return state
 
 
 def final_reference(n_atoms: int, chi: float) -> BranchState:
     """|0...0>{cos(chi/2)|down> - i sin(chi/2)|up>}, the ideal output."""
     state = BranchState(n_atoms)
-    state.head = np.array([[math.cos(chi / 2.0), -1j * math.sin(chi / 2.0)]], dtype=complex)
+    state.head = [(complex(math.cos(chi / 2.0)), -1j * math.sin(chi / 2.0))]
     return state
 
 
@@ -493,18 +541,17 @@ def protocol_references(
     expanding it, so these serve as references for either backend: at
     dense-capable sizes for the dense one, and at any size for the branch one.
     """
-    inv = 1.0 / math.sqrt(2.0)
+    inv = 1.0 / math.sqrt(2.0) + 0j
     chi = (n_atoms * delta_omega + delta_omega_head) * ramsey_time
 
     superposition = BranchState(n_atoms)
-    superposition.clock[:] = inv
-    superposition.head[:] = inv
+    superposition.clock, superposition.head = [(inv, inv)], [(inv, inv)]
 
     entangled = ghz_reference(n_atoms)
-    entangled.clock = np.array([[inv, inv], [inv, -inv]], dtype=complex)
+    entangled.clock = [(inv, inv), (inv, -inv)]
 
     evolved = ghz_reference(n_atoms)
-    evolved.head[1, 1] *= np.exp(1j * chi)
+    evolved.head[1] = (0j, inv * _polar(1.0, chi))
 
     return {
         "superposition": superposition,
@@ -518,14 +565,16 @@ def protocol_references(
 def _branch_dense_overlap(branch: BranchState, dense: DenseState) -> complex:
     """<branch|dense>, contracted factor by factor instead of expanding the branches.
 
-    Per branch, the Kronecker power of the conjugated clock factor contracts
-    up to DENSE_BLOCK_BITS clock bits per product, lowest bits first, each
-    product dividing the partial tensor by 2^k; every site carries the same
-    factor, so the order of the bits in a block does not matter. The
-    conjugated head factor then contracts the two numbers left.
+    The branch's pairs become arrays here. Per branch, the Kronecker power of
+    the conjugated clock factor contracts up to DENSE_BLOCK_BITS clock bits
+    per product, lowest bits first, each product dividing the partial tensor
+    by 2^k; every site carries the same factor, so the order of the bits in a
+    block does not matter. The conjugated head factor then contracts the two
+    numbers left.
     """
     total = 0j
-    for head, factor in zip(branch.head.conj(), branch.clock.conj()):
+    for head, factor in zip(np.array(branch.head, dtype=complex).conj(),
+                            np.array(branch.clock, dtype=complex).conj()):
         blocks = _kron_powers(factor[None, :])
         partial = dense.amplitudes
         for low in range(0, dense.n_atoms, DENSE_BLOCK_BITS):
@@ -542,7 +591,8 @@ def state_overlap(a: RegisterState, b: RegisterState) -> complex:
     if isinstance(a, DenseState) and isinstance(b, DenseState):
         return complex(np.vdot(a.amplitudes, b.amplitudes))
     if isinstance(a, BranchState) and isinstance(b, BranchState):
-        return complex(_head_overlaps(a, b).sum())
+        down, up = _head_overlaps(a, b)
+        return down + up
     if isinstance(a, BranchState):
         return _branch_dense_overlap(a, b)
     return _branch_dense_overlap(b, a).conjugate()

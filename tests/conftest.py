@@ -42,7 +42,7 @@ from screwclock.config import _SECTIONS, _parse_section
 from screwclock.estimator import _initial_frequency
 from screwclock.register import (
     BRANCH_COLINEAR_TOL, BRANCH_MERGE_MAX_RANK, BRANCH_PRUNE_TOL, DENSE_BLOCK_BITS, HADAMARD,
-    RegisterState, _check_unitary, _head_overlaps, evolve_and_disentangle, prepare_ghz,
+    RegisterState, _head_overlaps, _unitary_array, evolve_and_disentangle, prepare_ghz,
 )
 
 # With CI set, as CI services do, a failing example also prints the blob that
@@ -154,13 +154,13 @@ def protocol_sequence(delta_omega: float, delta_omega_head: float, ramsey_time: 
 
 
 def copy_state(state: RegisterState) -> RegisterState:
-    """A new register state equal to ``state``, of either backend; it shares no array."""
+    """A new register state equal to ``state``, of either backend; it shares no array or list."""
     if isinstance(state, DenseState):
         new = DenseState(state.n_atoms)
         new.amplitudes = state.amplitudes.copy()
         return new
     new = BranchState(state.n_atoms)
-    new.clock, new.head = state.clock.copy(), state.head.copy()
+    new.clock, new.head = list(state.clock), list(state.head)
     return new
 
 
@@ -168,7 +168,8 @@ def state_norm(state: RegisterState) -> float:
     """||state||, of either backend: a branch state's from its own overlaps per head component."""
     if isinstance(state, DenseState):
         return float(np.linalg.norm(state.amplitudes))
-    return math.sqrt(max(float(_head_overlaps(state, state).real.sum()), 0.0))
+    p_down, p_up = _head_overlaps(state, state)
+    return math.sqrt(max((p_down + p_up).real, 0.0))
 
 
 @dataclass
@@ -262,11 +263,13 @@ def to_vector(state) -> np.ndarray:
     n, rank = state.n_atoms, state.rank
     if n > EXPAND_MAX_ATOMS:
         raise CapacityError(f"refusing to expand a {n}-atom branch state (limit {EXPAND_MAX_ATOMS})")
-    clock = state.clock if state.clock.ndim == 3 else np.broadcast_to(state.clock[:, None], (rank, n, 2))
+    clock = np.asarray(state.clock, dtype=complex)
+    if clock.ndim == 2:
+        clock = np.broadcast_to(clock[:, None], (rank, n, 2))
     vec = np.ones((rank, 1), dtype=complex)
     for j in range(n - 1, -1, -1):  # most significant clock bit first
         vec = (vec[:, :, None] * clock[:, j, None, :]).reshape(rank, -1)
-    return (state.head.T @ vec).ravel()
+    return (np.asarray(state.head, dtype=complex).T @ vec).ravel()
 
 
 def dense_copy(state) -> DenseState:
@@ -279,12 +282,13 @@ def dense_copy(state) -> DenseState:
 class ReferenceBranchState:
     """Branch-product state that stores a clock factor for every site: (r, N, 2).
 
-    The differential reference for ``BranchState``, which keeps one (r, 2)
-    clock factor per branch because every public gate acts alike on all N
-    sites. Same rules: the head carries the branch's amplitude, a head
-    component at or below BRANCH_PRUNE_TOL is absent, and branches whose
-    clock factors are colinear merge whatever their heads. Readout, norm and
-    overlap are computed over the N per-site factors.
+    The differential reference for ``BranchState``, which keeps one clock
+    pair (c0, c1) per branch because every public gate acts alike on all N
+    sites, in scalar arithmetic where this reference uses numpy. Same rules:
+    the head carries the branch's amplitude, a head component at or below
+    BRANCH_PRUNE_TOL is absent, and branches whose clock factors are
+    colinear merge whatever their heads. Readout, norm and overlap are
+    computed over the N per-site factors.
     """
 
     backend = "branch"
@@ -305,11 +309,11 @@ class ReferenceBranchState:
         return new
 
     def apply_clock_rotation(self, matrix):
-        self.clock = self.clock @ _check_unitary(matrix).T
+        self.clock = self.clock @ _unitary_array(matrix).T
         return self
 
     def apply_head_rotation(self, matrix):
-        self.head = self.head @ _check_unitary(matrix).T
+        self.head = self.head @ _unitary_array(matrix).T
         return self
 
     def apply_phase_pass(self):
@@ -371,7 +375,8 @@ def reference_branch_dense_overlap(branch, dense: DenseState) -> complex:
     """
     halves = dense.amplitudes.reshape(2, -1)  # (head, clock index)
     total = 0j
-    for head, factor in zip(branch.head.conj(), branch.clock.conj()):
+    for head, factor in zip(np.asarray(branch.head, dtype=complex).conj(),
+                            np.asarray(branch.clock, dtype=complex).conj()):
         partial = head @ halves
         for _ in range(dense.n_atoms):
             partial = partial.reshape(-1, 2) @ factor
@@ -468,7 +473,7 @@ def reference_dense_clock_rotation(state, matrix):
     blocks m, m⊗m and m⊗m⊗m by broadcasting: the same blocks and the same
     products in the same order, so the amplitudes must agree bit for bit.
     """
-    m = _check_unitary(matrix)
+    m = _unitary_array(matrix)
     blocks = [m]
     while len(blocks) < min(DENSE_BLOCK_BITS, state.n_atoms):
         blocks.append(np.kron(blocks[-1], m))
@@ -482,7 +487,7 @@ def reference_dense_clock_rotation(state, matrix):
 
 def reference_dense_head_rotation(state, matrix):
     """Head rotation as one product; the reference for ``DenseState.apply_head_rotation``."""
-    state.amplitudes = (_check_unitary(matrix) @ state.amplitudes.reshape(2, -1)).reshape(-1)
+    state.amplitudes = (_unitary_array(matrix) @ state.amplitudes.reshape(2, -1)).reshape(-1)
     return state
 
 

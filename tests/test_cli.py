@@ -469,6 +469,19 @@ class TestOptimizeCommand:
         ns = [int(r["n_atoms"]) for r in rows]
         assert ns[foms.index(max(foms))] == meta["n_opt"]
 
+    @pytest.mark.filterwarnings("error")
+    def test_grid_durations_that_overflow_survive_nothing_and_warn_nothing(self, tmp_path, run_cli):
+        # The config's own N = 100 has a finite duration, 2e304 s, but from about N = 9e5 on the
+        # grid's 2N t_transport overflows to inf: survival 0, the limit, with no numpy warning.
+        cfg = _write_config(tmp_path, {"protocol": {"transport_time_us": 1e308},
+                                       "optimize": {"n_max": 2**53}})
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "optimize"])
+        assert result.exit_code == 0 and result.stderr == ""
+        rows = read_table(tmp_path / "o" / "optimize.csv")
+        overflowing = [r for r in rows if 2 * int(r["n_atoms"]) * 1e302 == math.inf]
+        assert overflowing and int(rows[-1]["n_atoms"]) == 2**53
+        assert all(float(r["survival"]) == 0.0 for r in rows)
+
 
 # Values for each sweepable leaf that enters the physics, with repeats, so that
 # a sweep meets each trap input again, and signed zeros, which compare equal
@@ -1217,7 +1230,7 @@ class TestFrontDoor:
 _LEAVES = {
     ("protocol", "n_atoms"): st.one_of(st.integers(-1, 12), st.sampled_from([30, 10**20, "3", 2.5])),
     ("protocol", "ramsey_time_s"): st.sampled_from([0.0, 0.01, 0.5, -1.0, math.nan, math.inf]),
-    ("protocol", "a_scatt_au"): st.sampled_from([0.0, 50.0]),
+    ("protocol", "a_scatt_au"): st.sampled_from([0.0, 50.0, 1e300, -1e300]),
     ("lattice", "delta"): st.sampled_from([0.0, 0.25, 0.9]),
     ("run", "backend"): st.sampled_from(["dense", "branch", "foo"]),
     ("run", "trajectories"): st.sampled_from([0, 10, 10**6, -1]),
@@ -1252,6 +1265,17 @@ _OPTIONS = st.one_of(
 
 
 class TestErrorContract:
+    @pytest.mark.parametrize("a_scatt", [1e300, -1e300])
+    def test_a_sidecar_that_is_not_json_leaves_no_out_directory(self, tmp_path, run_cli, a_scatt):
+        # The scattering length scales the interaction energy in feasibility's sidecar, which
+        # overflows to +-inf. The sidecar's text is made before the directory, so the command
+        # fails with nothing written.
+        cfg = _write_config(tmp_path, {"protocol": {"a_scatt_au": a_scatt}})
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "feasibility"])
+        assert result.exit_code == 1
+        assert "not JSON compliant" in _assert_error_blob(result, _readme_exit_codes())["message"]
+        assert not (tmp_path / "o").exists()
+
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(document=_DOCUMENTS, options=st.lists(_OPTIONS, max_size=3),
            command=st.sampled_from([*COMMANDS, "explode", None]),
@@ -1271,6 +1295,7 @@ class TestErrorContract:
             assert "Traceback" not in result.stderr
             if result.exit_code:
                 _assert_error_blob(result, exit_codes)
+                assert not (Path(tmp) / "o").exists()  # a failed command leaves no output behind
                 return
             written = sorted((Path(tmp) / "o").glob("*"))
             if {"--help", "--version"}.isdisjoint(argv):

@@ -174,6 +174,36 @@ class TestAnalyzeFringe:
         assert fit.contrast == pytest.approx(1.0, abs=1e-6)
         assert fit.period == pytest.approx(2 * math.pi / (n * t), rel=1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("backend,n", [("branch", 1), ("branch", 100), ("branch", 10**9),
+                                           ("branch", 2**53), ("dense", 1), ("dense", 5), ("dense", 12)])
+    def test_noiseless_fit_reads_the_closed_form_at_any_ramsey_time(self, backend, n):
+        # The fit scales the grid to [-1, 1]. Unscaled, T <= 1e-155 s read contrast 0.9696
+        # with an overflow in the normal equations, and T >= 1e170 s read no fringe at all.
+        # Contrast 1 within 4 eps on the branch backend (measured 2 eps); the dense GHZ state
+        # rounds its own norm, by up to 1.6 N eps at any T, so 4 N eps there. The period
+        # 2 pi / (N T) within 4 eps (measured 1.5 eps).
+        eps = np.finfo(float).eps
+        contrast_tol = 4 * eps * (1 if backend == "branch" else n)
+        read = 0
+        for exponent in range(-300, 301, 20):
+            t = 10.0 ** exponent
+            if 4 * math.pi / (n * t) < 1e-290:  # the grid would be subnormal, with few bits
+                continue
+            fit = analyze_fringe(fringe_scan(n, t, _grid(n, t, points=101), backend=backend))
+            assert abs(fit.contrast - 1.0) <= contrast_tol, t
+            assert abs(fit.period / (2 * math.pi / (n * t)) - 1.0) <= 4 * eps, t
+            read += 1
+        assert read >= 26
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [1e-300, 1e-155, 1e170, 1e300])
+    def test_cli_scan_reads_the_fringe_at_extreme_ramsey_times(self, tmp_path, t):
+        run_command("scan", parse_config({"protocol": {"ramsey_time_s": t}}), tmp_path)
+        meta = json.loads((tmp_path / "scan.meta.json").read_text())
+        assert meta["contrast"] == pytest.approx(1.0, abs=1e-15)
+        assert meta["fringe_period_rad_s"] == pytest.approx(2 * math.pi / (100 * t), rel=1e-15)
+
     def test_flat_scan_is_degenerate(self):
         scan = FringeScan(tuple(np.linspace(0, 1, 30)), (0.5,) * 30, 2, 0.1, 0)
         fit = analyze_fringe(scan)
@@ -282,8 +312,12 @@ class TestFitAgainstCurveFit:
     @settings(max_examples=150, deadline=None)
     @given(_fringes(), st.integers(0, 2**32 - 1))
     # Noisy, 8 points over one period: Gauss-Newton steps overshoot the minimum
-    # and close in on it by about 10 % per step, 140 steps in all.
+    # and close in on it by about 10 % per step, 140 steps in all, or 67 when
+    # the damping rises after a step that gains too little of its prediction.
     @example(_fringe(1, 0.0625, 0.375, 1.0, 8, 0.0), 615)
+    # Likewise, but undamped steps close in by 0.4 % each: 1710 steps, beyond
+    # the iteration cap, where the gain rule takes 76.
+    @example(_fringe(1, 0.04823399694795969, 1 / 3, 1.0, 8, 1 / 3), 982)
     def test_noisy_fit_reaches_curve_fit_minimum(self, fringe, seed):
         x, y, omega = fringe
         y = np.clip(y + 0.05 * np.random.default_rng(seed).normal(size=y.size), 0.0, 1.0)
@@ -329,10 +363,11 @@ class TestFitFallbacks:
         assert fit.contrast == 0.0 and math.isnan(fit.period)
 
     def test_singular_normal_equations(self, monkeypatch):
-        # At omega = 1 on the grid 2 pi k, cos is exactly 1: the offset and
-        # cosine columns coincide and the normal matrix is singular.
+        # The fit runs on the grid scaled to [-1, 1]: 2 pi k for k < 8 becomes
+        # (2k - 7) / 7, where omega = 7 pi puts every cosine at exactly -1. The
+        # offset and cosine columns are opposite and the normal matrix is singular.
         x = 2.0 * math.pi * np.arange(8)
-        monkeypatch.setattr(estimator, "_initial_frequency", lambda x, y: 1.0)
+        monkeypatch.setattr(estimator, "_initial_frequency", lambda x, y: 7.0 * math.pi)
         fit = analyze_fringe(FringeScan(tuple(x), (0.0, 1.0) * 4, 1, 1.0, 0))
         assert fit.contrast == 0.0 and math.isnan(fit.period)
 
@@ -342,6 +377,29 @@ class TestFitFallbacks:
         monkeypatch.setattr(estimator, "_FIT_MAX_ITERATIONS", 1)
         fit = analyze_fringe(scan)
         assert fit.contrast == 0.0 and math.isnan(fit.period)
+
+    def test_damping_floor_ends_a_fit_whose_steps_fail_late(self, monkeypatch):
+        # Noisy, 8 points over one period. Without the gain rule (plain Marquardt) over 300
+        # steps lower the cost, each cutting the damping tenfold, before one fails. Unfloored,
+        # the damping had underflowed to 0 by then, never rose again, and the fit looped forever.
+        x = 14.361566416410483 * np.arange(8)
+        y = (0.3767678305731873, 0.3871861318748216, 0.5797344155869905, 0.6320424520280956,
+             0.781684880961433, 0.5995797678586388, 0.3951048678329306, 0.15681296702193592)
+        scan = FringeScan(tuple(x), y, 1, 1.0, 0)
+        expected = analyze_fringe(scan)
+        monkeypatch.setattr(estimator, "_GAIN_LOW", -math.inf)
+        solve, calls = np.linalg.solve, []
+
+        def counted_solve(a, b):
+            calls.append(None)
+            if len(calls) > 10_000:
+                raise AssertionError("the fit does not stop")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        fit = analyze_fringe(scan)
+        assert fit.contrast == pytest.approx(expected.contrast, rel=1e-6)
+        assert fit.period == pytest.approx(expected.period, rel=1e-6)
 
 
 class TestSensitivities:

@@ -255,16 +255,24 @@ def test_ci_error_contract_names_each_rejected_leaf():
     assert (f"""python -c "import json; print(json.dumps({{'sweep': {{'run.seed': {sweep_points}}}}}))" """
             """> "$RUNNER_TEMP/error.json"\n"""
             "expect_config_error sweep sweep\n") in script
+    assert ("""echo '{"protocol": {"a_scatt_au": 1e300}}' > "$RUNNER_TEMP/error.json"\n"""
+            "expect_failure feasibility\n") in script
+    assert 'test "$status" -ne 0' in script
 
 
-@pytest.mark.parametrize("field,wrong", [(None, None), ("optimize.n_points", "optimize.n_max"),
-                                         ("run.detuning_max_rad_s", "run.detuning_min_rad_s")],
-                         ids=["as-written", "wrong-field-fails", "wrong-overflow-field-fails"])
-def test_error_contract_lines_run(tmp_path, field, wrong):
-    """The step's lines, through bash; with one expected field renamed, the step must fail."""
+@pytest.mark.parametrize("line,wrong", [
+    (None, None),
+    ("expect_config_error optimize.n_points ", "expect_config_error optimize.n_max "),
+    ("expect_config_error run.detuning_max_rad_s ", "expect_config_error run.detuning_min_rad_s "),
+    ("expect_failure feasibility", "expect_failure schedule"),
+], ids=["as-written", "wrong-field-fails", "wrong-overflow-field-fails", "command-that-succeeds-fails"])
+def test_error_contract_lines_run(tmp_path, line, wrong):
+    """The step's lines, through bash; with one expectation made wrong, the step must fail."""
     script = _error_contract_step()["run"]
-    if field is not None:
-        script = script.replace(f"expect_config_error {field} ", f"expect_config_error {wrong} ")
+    if line is not None:
+        assert line in script
+        script = script.replace(line, wrong)
     result = _run_ci_lines(script, tmp_path)
-    assert (result.returncode == 0) == (field is None), result.stderr
-    assert not (tmp_path / "errors").exists()
+    assert (result.returncode == 0) == (line is None), result.stderr
+    # Only a command that succeeds writes its output directory.
+    assert (tmp_path / "errors").exists() == (wrong == "expect_failure schedule")

@@ -1,4 +1,6 @@
+import cmath
 import math
+import sys
 import timeit
 from operator import methodcaller
 
@@ -20,9 +22,9 @@ from screwclock import (
     state_overlap,
 )
 from screwclock.register import (
-    BACKENDS, DENSE_ATOM_CAP, HADAMARD, UNITARY_CACHE_SIZE,
-    _branch_dense_overlap, _check_unitary, _checked_matrix, _clock_gram, _clock_weights, _head_overlaps,
-    _overlap_power, evolve_and_disentangle, prepare_ghz,
+    BACKENDS, DENSE_ATOM_CAP, HADAMARD,
+    _branch_dense_overlap, _check_unitary, _clock_weights, _head_overlaps, _overlap_power,
+    _overlap_power_array, _pair_overlap, evolve_and_disentangle, prepare_ghz,
 )
 
 from conftest import (
@@ -35,6 +37,17 @@ from conftest import (
 
 def _superposed(n, backend):
     return init_register(n, backend).apply_clock_rotation(HADAMARD).apply_head_rotation(HADAMARD)
+
+
+def _pairs(array) -> list[tuple[complex, complex]]:
+    """The rows of an (r, 2) array as a branch state's list of Python complex pairs."""
+    return [(complex(x0), complex(x1)) for x0, x1 in np.asarray(array, dtype=complex)]
+
+
+def _head_probabilities(state) -> tuple[float, float]:
+    """(p_down, p_up) of a branch state from its own overlaps, before any clamping."""
+    p_down, p_up = _head_overlaps(state, state)
+    return p_down.real, p_up.real
 
 
 def _random_dense(n, rng):
@@ -120,8 +133,8 @@ class TestClockRotation:
         expected = np.einsum("ab,rnb->rna", m, reference.clock)
         state.apply_clock_rotation(m)
         assert state.rank == reference.rank == 2
-        assert state.clock.shape == (2, 2)
-        assert np.abs(state.clock[:, None, :] - expected).max() <= 1e-12
+        assert all(type(x) is complex for pair in state.clock for x in pair)
+        assert np.abs(np.array(state.clock)[:, None, :] - expected).max() <= 1e-12
 
 
 class TestHeadRotation:
@@ -215,7 +228,7 @@ class TestDenseWeightTable:
 
 
 class TestGateCaches:
-    """Matrices are checked, and weight tables built, once per distinct input."""
+    """Every rotation checks its matrix; weight tables are built once per N."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("method", ["apply_clock_rotation", "apply_head_rotation"])
@@ -234,7 +247,7 @@ class TestGateCaches:
             getattr(state, method)(matrix)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_nonunitary_rejected_after_hadamard_is_cached(self, backend):
+    def test_nonunitary_rejected_after_hadamard(self, backend):
         state = _superposed(3, backend)
         for matrix in (HADAMARD * 1.0001, np.array([[1.0, 1.0], [1.0, -1.0]])):
             with pytest.raises(ParameterError, match="not unitary"):
@@ -245,16 +258,25 @@ class TestGateCaches:
     def test_hadamard_is_a_read_only_unitary(self):
         np.testing.assert_array_equal(HADAMARD, np.array([[1, 1], [1, -1]]) / math.sqrt(2.0))
         assert not HADAMARD.flags.writeable
-        assert np.array_equal(_check_unitary(HADAMARD), HADAMARD)
+        assert np.array_equal(np.reshape(_check_unitary(HADAMARD), (2, 2)), HADAMARD)
 
-    def test_cached_arrays_are_read_only_copies(self):
+    def test_check_reads_the_entries_as_python_complexes(self):
         matrix = haar_unitary(np.random.default_rng(3))
-        checked = _check_unitary(matrix)
-        np.testing.assert_array_equal(checked, matrix)
-        assert not np.shares_memory(checked, matrix)
-        assert _check_unitary(matrix.copy()) is checked
-        cached = [HADAMARD, checked, _clock_weights(5)]
-        for array in cached:
+        entries = _check_unitary(matrix)
+        assert all(type(x) is complex for x in entries)
+        assert list(entries) == matrix.ravel().tolist()
+        assert _check_unitary(matrix.tolist()) == entries
+        for wrong in (np.eye(3), np.eye(2)[:1]):
+            with pytest.raises(ParameterError, match="2x2"):
+                _check_unitary(wrong)
+        for entry in (math.nan, math.inf):  # a non-finite entry is no unitary's
+            broken = matrix.copy()
+            broken[1, 0] = entry
+            with pytest.raises(ParameterError, match="not unitary"):
+                _check_unitary(broken)
+
+    def test_cached_arrays_are_read_only(self):
+        for array in (HADAMARD, _clock_weights(5)):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 0.0
@@ -265,10 +287,8 @@ class TestGateCaches:
         for _ in range(1000):
             state.apply_clock_rotation(haar_unitary(rng))
             state.apply_phase_pass()
-        for cache, bound in ((_checked_matrix, UNITARY_CACHE_SIZE),
-                             (_clock_weights, DENSE_ATOM_CAP)):
-            info = cache.cache_info()
-            assert info.maxsize == bound and info.currsize <= bound
+        info = _clock_weights.cache_info()
+        assert info.maxsize == DENSE_ATOM_CAP and info.currsize <= DENSE_ATOM_CAP
         assert state_norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -381,11 +401,12 @@ def _random_branch(n, rank, rng):
     z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     pool = np.vstack([[[inv, inv], [inv, -inv]], z / np.linalg.norm(z, axis=1, keepdims=True)])
     state = init_register(n, "branch")
-    state.clock = pool[rng.integers(0, len(pool), rank)].astype(complex)
-    state.head = rng.normal(size=(rank, 2)) + 1j * rng.normal(size=(rank, 2))
+    state.clock = _pairs(pool[rng.integers(0, len(pool), rank)])
+    head = rng.normal(size=(rank, 2)) + 1j * rng.normal(size=(rank, 2))
     single = np.nonzero(rng.random(rank) < 0.3)[0]
-    state.head[single, rng.integers(0, 2, single.size)] = 0.0
-    state.head /= state_norm(state)
+    head[single, rng.integers(0, 2, single.size)] = 0.0
+    state.head = _pairs(head)
+    state.head = _pairs(head / state_norm(state))
     return state
 
 
@@ -412,10 +433,10 @@ class TestControlledFlip:
         inv = 1.0 / math.sqrt(2.0)
         head = np.array([[0.6, 0.8j]])
         plus = init_register(n, "branch")  # |+...+> is flipped onto itself: its parts merge
-        plus.clock, plus.head = np.array([[inv, inv]], dtype=complex), head.copy()
+        plus.clock, plus.head = _pairs([[inv, inv]]), _pairs(head)
         assert copy_state(plus).apply_controlled_flip().rank == 1
         zeros = init_register(n, "branch")  # |0...0> splits into |0...0>|down> + |1...1>|up>
-        zeros.head = head.copy()
+        zeros.head = _pairs(head)
         flipped = zeros.apply_controlled_flip()
         assert flipped.rank == 2
         assert np.array_equal(flipped.clock, np.eye(2)) and np.array_equal(flipped.head, np.diag(head[0]))
@@ -562,7 +583,7 @@ class TestStateOverlap:
 
         branch = init_register(n, "branch")
         amps = rng.normal(size=rank) + 1j * rng.normal(size=rank)
-        branch.clock, branch.head = unit_factors(rank), amps[:, None] * unit_factors(rank)
+        branch.clock, branch.head = _pairs(unit_factors(rank)), _pairs(amps[:, None] * unit_factors(rank))
         dense = _random_dense(n, rng)
         expected = np.vdot(to_vector(dense), to_vector(branch))
         forward = state_overlap(dense, branch)
@@ -591,47 +612,82 @@ class TestStateOverlap:
                 assert abs(blocked - reference_branch_dense_overlap(branch, dense)) <= bound, (rank, near)
 
 
+def _unit_pairs(rng, count):
+    """``count`` random unit clock factors, as pairs of Python complexes."""
+    z = rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
+    return _pairs(z / np.linalg.norm(z, axis=1, keepdims=True))
+
+
 @pytest.mark.filterwarnings("error")
 class TestOverlapPower:
-    """<u|w>^N of two clock 2-vectors, through the clock gram of two branch states."""
+    """<u|w>^N of two clock 2-vectors: the scalar pair overlap, and the array form a fringe uses."""
 
-    @staticmethod
-    def _with_clocks(n, clock):
-        state = init_register(n, "branch")
-        state.clock, state.head = clock, np.ones((len(clock), 2), dtype=complex)
-        return state
-
-    @staticmethod
-    def _unit_factors(rng, count):
-        z = rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
-        return z / np.linalg.norm(z, axis=1, keepdims=True)
+    @settings(max_examples=300, deadline=None)
+    @given(parts=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+               lambda parts: math.hypot(*parts) > 1e-3),
+           n=st.integers(1, 2**53))
+    @example(parts=[1.0, 0.0, 0.0, 0.0], n=2**53)
+    @example(parts=[0.6, 0.0, 0.0, -0.8], n=2**53)
+    def test_a_factors_own_overlap_is_exactly_one(self, parts, n):
+        norm = math.hypot(*parts)
+        u = (complex(parts[0], parts[1]) / norm, complex(parts[2], parts[3]) / norm)
+        assert _pair_overlap(u, u, n) == (1.0, 0.0)
 
     @pytest.mark.parametrize("n", [1, 10**3, 2**53])
     def test_identical_factors_give_exactly_one(self, n):
-        state = self._with_clocks(n, self._unit_factors(np.random.default_rng(n), 300))
-        gram, sine = _clock_gram(state, state)
-        assert (np.diag(gram) == 1.0).all() and (np.diag(sine) == 0.0).all()
+        # Through a state: its own overlap, and each head component of it, read exactly.
+        for u in _unit_pairs(np.random.default_rng(n), 300):
+            assert _pair_overlap(u, u, n) == (1.0, 0.0)
+        state = init_register(n, "branch")
+        state.clock = _unit_pairs(np.random.default_rng(n), 1)
+        assert state_overlap(state, state) == 1.0 and state.head_readout() == (1.0, 0.0)
 
     @pytest.mark.parametrize("n", [1, 10**3, 2**53])
     def test_orthogonal_factors_give_exactly_zero(self, n):
         # The GHZ state's two factors, and random factors on one component each: z = 0.
-        u = self._unit_factors(np.random.default_rng(n), 300)
-        for a, b in ((np.eye(2, dtype=complex), np.eye(2, dtype=complex)[::-1]), (u * [1, 0], u * [0, 1])):
-            gram, _ = _clock_gram(self._with_clocks(n, a), self._with_clocks(n, b))
-            assert (np.diag(gram) == 0.0).all()
-        assert _overlap_power(np.zeros(3, dtype=complex), np.ones(3), n).tolist() == [0, 0, 0]
+        assert _pair_overlap((1 + 0j, 0j), (0j, 1 + 0j), n)[0] == 0.0
+        for u0, u1 in _unit_pairs(np.random.default_rng(n), 300):
+            assert _pair_overlap((u0, 0j), (0j, u1), n)[0] == 0.0
+        assert _overlap_power(0j, 1.0, n) == 0.0
+        assert _overlap_power_array(np.zeros(3, dtype=complex), np.ones(3), n).tolist() == [0, 0, 0]
 
     def test_one_atom_gives_the_plain_overlap(self):
         # Near-orthogonal pairs too, where a modulus taken as sqrt(1 - sine^2) cancels.
         # Both round their sums by a few eps: measured at most 3.05 eps over 1.8 million pairs.
+        eps = np.finfo(float).eps
         rng = np.random.default_rng(1)
-        u, w = self._unit_factors(rng, 300), self._unit_factors(rng, 300)
-        near = np.stack([-u[:, 1].conj(), u[:, 0].conj()], axis=1) + 1e-9 * w
-        for v in (w, near / np.linalg.norm(near, axis=1, keepdims=True)):
-            gram, sine = _clock_gram(self._with_clocks(1, u), self._with_clocks(1, v))
-            assert np.abs(gram - u.conj() @ v.T).max() <= 4 * np.finfo(float).eps
-            det = np.outer(u[:, 0], v[:, 1]) - np.outer(u[:, 1], v[:, 0])
-            assert np.abs(sine - np.abs(det)).max() <= 4 * np.finfo(float).eps
+        u, w = _unit_pairs(rng, 300), _unit_pairs(rng, 300)
+        near = [(-u1.conjugate() + 1e-9 * w0, u0.conjugate() + 1e-9 * w1) for (u0, u1), (w0, w1) in zip(u, w)]
+        for v in (w, _pairs(np.array(near) / np.linalg.norm(near, axis=1, keepdims=True))):
+            for a0, a1 in u:
+                for b0, b1 in v:
+                    z, sine = _pair_overlap((a0, a1), (b0, b1), 1)
+                    assert abs(z - (a0.conjugate() * b0 + a1.conjugate() * b1)) <= 4 * eps
+                    assert abs(sine - abs(a0 * b1 - a1 * b0)) <= 4 * eps
+
+    @settings(max_examples=500, deadline=None)
+    @given(z=st.complex_numbers(max_magnitude=1.0), sine=st.floats(0.0, 1.0), n=st.integers(1, 2**53))
+    @example(z=1 - 1e-16j, sine=1e-16, n=2**53)
+    @example(z=-1 + 0j, sine=0.0, n=3)
+    @example(z=1e-200 + 0j, sine=1.0, n=1)
+    @example(z=2.1e-161 + 0j, sine=1.0, n=1)  # sine^2 / |z|^2 overflows to inf
+    def test_scalar_and_array_forms_agree(self, z, sine, n):
+        # Both take exp(A + iB), A = -N log1p(sine^2 / |z|^2) / 2 and B = N arg z, from
+        # libm's log1p and atan2 or numpy's, which differ by up to 1 ulp; that ulp is then
+        # N times larger. So they agree within 4 ulp of each of A and B (measured at most
+        # 2.1 over 200000 random draws), and within the smallest normal float where z^N
+        # underflows.
+        eps = np.finfo(float).eps
+        scalar = _overlap_power(z, sine, n)
+        array = _overlap_power_array(np.array([z]), np.array([sine]), n)[0]
+        z2 = abs(z) ** 2
+        a = n * math.log1p(sine * sine / z2 if z2 > 0 else math.inf) / 2
+        if a == math.inf:  # |z|^2 underflows, or the ratio overflows: the modulus is 0
+            assert scalar == array == 0
+            return
+        b = n * abs(cmath.phase(z))
+        bound = 4 * eps * max(abs(scalar), abs(array)) * (1 + a + b) + sys.float_info.min
+        assert abs(scalar - array) <= bound
 
 
 class TestPerSiteReference:
@@ -711,7 +767,7 @@ class TestHeadReadout:
                              ids=["init_register", "ghz_reference"])
     def test_norm_drift_raises(self, make):
         state = make(3)
-        state.head = state.head * 1.1
+        state.head = [(h0 * 1.1, h1 * 1.1) for h0, h1 in state.head]
         with pytest.raises(ClockSimError, match="drifted"):
             state.head_readout()
         with pytest.raises(ClockSimError, match="drifted"):
@@ -724,7 +780,7 @@ class TestHeadReadout:
         t = 0.01
         for chi in np.linspace(0.0, 2 * math.pi, 17):
             state = run_protocol(n, "branch", chi / (n * t), 0.0, t).final
-            p_down, p_up = _head_overlaps(state, state).real
+            p_down, p_up = _head_probabilities(state)
             assert abs(p_down + p_up - 1.0) <= 1e-15, chi
 
     def test_parts_of_a_rounded_factor_merge_into_a_probability(self):
@@ -733,7 +789,7 @@ class TestHeadReadout:
         state = init_register(10**5, "branch").apply_clock_rotation(HADAMARD).apply_clock_rotation(HADAMARD)
         state.apply_head_rotation(HADAMARD).apply_phase_pass()
         assert state.rank == 1
-        p_down, p_up = _head_overlaps(state, state).real
+        p_down, p_up = _head_probabilities(state)
         assert abs(p_down + p_up - 1.0) <= 1e-15
 
     def test_fringe_law_holds_to_rounding_at_any_atom_number(self):
