@@ -229,15 +229,12 @@ def _cmd_optimize(cfg: RunConfig) -> tuple[dict, dict, str]:
     _bound(opt.n_points, OPTIMIZE_MAX_POINTS, "optimize.n_points", "grid points")
     bundle = resolve_physics(cfg)
     schedule = bundle.schedule
-    grid = sorted(
-        {int(round(n)) for n in np.geomspace(opt.n_min, opt.n_max, opt.n_points)}
-    )
     n_opt, curve = optimize_atom_number(
         bundle.decoherence,
         schedule.gate_time,
         schedule.transport_time,
         schedule.ramsey_time,
-        grid,
+        map(round, np.geomspace(opt.n_min, opt.n_max, opt.n_points).tolist()),
         pulse_time=schedule.pulse_time,
     )
     columns = {

@@ -107,14 +107,14 @@ def fringe_scan(
 
 def _initial_frequency(x: np.ndarray, y: np.ndarray) -> float:
     # Coarse angular frequency from a zero-padded periodogram on the
-    # (assumed near-uniform) grid.
+    # (assumed near-uniform) grid, ascending or descending.
     n = x.size
     detrended = y - y.mean()
     padded = np.zeros(8 * n)
     padded[:n] = detrended
     spectrum = np.abs(rfft(padded))
     spectrum[0] = 0.0
-    dx = (x[-1] - x[0]) / (n - 1)
+    dx = abs(x[-1] - x[0]) / (n - 1)
     freqs = 2.0 * math.pi * rfftfreq(padded.size, d=dx)
     return float(freqs[int(np.argmax(spectrum))])
 

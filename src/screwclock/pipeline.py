@@ -245,12 +245,13 @@ def detuning_grid(cfg: RunConfig) -> list[float]:
 def probe_detuning(cfg: RunConfig) -> float:
     """Detuning for single-shot simulation; default is the half-fringe point.
 
-    A probe whose Ramsey phase chi = (N dw + dw') T overflows the float range
-    is a config error: of an explicit detuning, or of the Ramsey time that
-    places the default one.
+    A probe whose clock phase dw T, head phase dw' T or Ramsey phase
+    chi = (N dw + dw') T overflows the float range, checked in that order, is
+    a config error of dw' for the head phase and else of dw: of an explicit
+    detuning, or of the Ramsey time that places the default one.
     """
     run, protocol = cfg.run, cfg.protocol
-    t = protocol.ramsey_time_s
+    t, dwh = protocol.ramsey_time_s, run.delta_omega_head_rad_s
     if run.delta_omega_rad_s is not None:
         delta_omega, field = run.delta_omega_rad_s, "run.delta_omega_rad_s"
     else:
@@ -258,10 +259,12 @@ def probe_detuning(cfg: RunConfig) -> float:
             raise ParameterError(
                 "protocol.ramsey_time_s must be positive to place the default probe detuning"
             )
-        chi_target = math.pi / 2.0
-        delta_omega = (chi_target / t - run.delta_omega_head_rad_s) / protocol.n_atoms
+        delta_omega = (math.pi / 2.0 / t - dwh) / protocol.n_atoms  # chi = pi / 2
         field = "protocol.ramsey_time_s"
-    if not math.isfinite((protocol.n_atoms * delta_omega + run.delta_omega_head_rad_s) * t):
-        raise ConfigError(field, f"the Ramsey phase of the probe detuning {delta_omega!r} rad/s "
-                                 "overflows the float range")
+    phases = {"clock": (field, delta_omega * t), "head": ("run.delta_omega_head_rad_s", dwh * t),
+              "Ramsey": (field, (protocol.n_atoms * delta_omega + dwh) * t)}
+    for name, (leaf, phase) in phases.items():
+        if not math.isfinite(phase):
+            raise ConfigError(leaf, f"the {name} phase of the probe detunings (dw, dw') = "
+                                    f"({delta_omega!r}, {dwh!r}) rad/s overflows the float range")
     return delta_omega

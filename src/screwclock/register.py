@@ -14,14 +14,14 @@ Two interchangeable backends:
   2-vector, which carries the branch's amplitude. One form gives every
   overlap, per head component k:
   <a|b>_k = sum_ij conj(a.head[i][k]) <a.clock[i]|b.clock[j]>^N b.head[j][k].
-  A phase pass splits superposed heads; branches whose clock factors are
-  colinear at each site, up to rounding, then merge into one, whatever
-  their heads. The entangling protocol only ever needs two branches, so a
-  full run costs O(1) in N at fixed rank, and its rounding does not grow
-  with N either (:func:`_overlap_power`). At so few numbers, numpy's cost
-  per call would outweigh the arithmetic, so gates, merges, overlaps and
-  the head readout run in plain scalar arithmetic; only a fringe over a
-  detuning grid and the contraction against a dense state use arrays.
+  A phase pass or controlled flip splits a branch whose head is superposed
+  into its head-down and head-up parts, and branches never merge: the rank
+  doubles at most at each such gate. The protocol splits once, at its
+  entangling pass, so it holds two branches at any N and a full run costs
+  O(1) in N; its rounding does not grow with N either (:func:`_overlap_power`).
+  At so few numbers, numpy's cost per call would outweigh the arithmetic, so
+  gates, overlaps and the head readout run in plain scalar arithmetic; only a
+  fringe over a detuning grid and the contraction against a dense state use arrays.
 
 Both backends offer the same five gates (``apply_clock_rotation``,
 ``apply_head_rotation``, ``apply_phase_pass``, ``apply_controlled_flip``,
@@ -56,8 +56,6 @@ from .errors import CapacityError, ClockSimError, ParameterError
 DENSE_ATOM_CAP = 14        # 2^15 amplitudes
 DENSE_BLOCK_BITS = 3       # clock qubits per matrix product in a dense rotation
 BRANCH_PRUNE_TOL = 1e-14   # a head component this small is absent: no branch part is made of it
-BRANCH_MERGE_MAX_RANK = 64  # skip O(rank^2) merging above this rank
-BRANCH_COLINEAR_TOL = 4 * np.finfo(float).eps  # unit clock factors this close to colinear merge
 READOUT_TOL = 1e-9         # head probabilities may miss [0, 1] and sum 1 by this
 _UNITARY_TOL = 1e-12
 
@@ -248,10 +246,11 @@ class DenseState:
         return _fringe_probabilities(half_norm + cross, half_norm - cross)
 
     def head_readout(self) -> tuple[float, float]:
+        """(p_down, p_up); rounding within READOUT_TOL is clamped, more raises."""
         half = 2 ** self.n_atoms
         p_down = float(np.sum(np.abs(self.amplitudes[:half]) ** 2))
         p_up = float(np.sum(np.abs(self.amplitudes[half:]) ** 2))
-        return p_down, p_up
+        return _probability_pair(p_down, p_up)
 
 
 def _overlap_power(z: complex, sine: float, n_atoms: int) -> complex:
@@ -284,8 +283,8 @@ def _polar(modulus: float, angle: float) -> complex:
 Pair = tuple[complex, complex]
 
 
-def _pair_overlap(u: Pair, w: Pair, n_atoms: int) -> tuple[complex, float]:
-    """(<u|w>^N, |det[u, w]|): the overlap of two clock factors over the N sites, and their sine.
+def _pair_overlap(u: Pair, w: Pair, n_atoms: int) -> complex:
+    """<u|w>^N: the overlap of two clock factors over the N sites.
 
     CPython's complex product rounds each real product once and fuses no
     multiply-add, so with u = w the imaginary part of each conj(u_k) u_k and the
@@ -293,8 +292,7 @@ def _pair_overlap(u: Pair, w: Pair, n_atoms: int) -> tuple[complex, float]:
     itself is exactly 1 at any N.
     """
     (u0, u1), (w0, w1) = u, w
-    sine = abs(u0 * w1 - u1 * w0)
-    return _overlap_power(u0.conjugate() * w0 + u1.conjugate() * w1, sine, n_atoms), sine
+    return _overlap_power(u0.conjugate() * w0 + u1.conjugate() * w1, abs(u0 * w1 - u1 * w0), n_atoms)
 
 
 def _head_overlaps(a: "BranchState", b: "BranchState") -> tuple[complex, complex]:
@@ -303,7 +301,7 @@ def _head_overlaps(a: "BranchState", b: "BranchState") -> tuple[complex, complex
     for u, (g0, g1) in zip(a.clock, a.head):
         row0 = row1 = 0j
         for w, (h0, h1) in zip(b.clock, b.head):
-            z = _pair_overlap(u, w, a.n_atoms)[0]
+            z = _pair_overlap(u, w, a.n_atoms)
             row0 += z * h0
             row1 += z * h1
         down += g0.conjugate() * row0
@@ -318,15 +316,16 @@ def _rotated(pairs: list[Pair], matrix) -> list[Pair]:
 
 
 class BranchState:
-    """Rank-bounded branch-product state; O(1) cost and memory in N at fixed rank.
+    """Branch-product state; O(1) cost and memory in N at fixed rank.
 
     Branch i is ``clock[i]`` on every one of the N clock sites times
     ``head[i]`` on the head. Both are lists of pairs of Python complexes, one
     pair per branch: ``clock[i] = (c0, c1)`` is unit-norm, and ``head[i] =
     (h0, h1)`` carries the branch's amplitude. Gates bind new lists. Readout,
-    fringe and overlap all read :func:`_head_overlaps`. After a phase pass
-    splits branches, those with colinear clock factors merge, whatever their
-    heads.
+    fringe and overlap all read :func:`_head_overlaps`. Branches never merge:
+    the rank doubles at most at each phase pass or controlled flip that meets
+    a superposed head, and the protocol holds rank 2 from its entangling pass
+    on.
     """
 
     backend = "branch"
@@ -351,27 +350,22 @@ class BranchState:
         return self
 
     def _head_controlled(self, on_up: Callable[[Pair], Pair]) -> "BranchState":
-        """A gate from the head onto every clock site: ``on_up`` maps the clock factor of a head-up branch.
+        """A gate from the head onto every clock site: ``on_up`` maps the clock factor of a head-up part.
 
-        A branch whose head has both components splits first into its
-        head-down part and its head-up part, in branch order with the down
-        part first; each part keeps one head component, and parts at or
-        below BRANCH_PRUNE_TOL drop out. After a split, branches merge.
+        Each branch gives its head-down part, then its head-up part, in branch
+        order; each part keeps one head component, and a part whose component
+        is at or below BRANCH_PRUNE_TOL is not made. A branch with a
+        superposed head thus splits in two.
         """
-        present = [(abs(h0) > BRANCH_PRUNE_TOL, abs(h1) > BRANCH_PRUNE_TOL) for h0, h1 in self.head]
-        if not any(down and up for down, up in present):
-            self.clock = [on_up(c) if up else c for c, (_, up) in zip(self.clock, present)]
-            return self
         clock, head = [], []
-        for c, (h0, h1), (down, up) in zip(self.clock, self.head, present):
-            if down:
+        for c, (h0, h1) in zip(self.clock, self.head):
+            if abs(h0) > BRANCH_PRUNE_TOL:
                 clock.append(c)
                 head.append((h0, 0j))
-            if up:
+            if abs(h1) > BRANCH_PRUNE_TOL:
                 clock.append(on_up(c))
                 head.append((0j, h1))
         self.clock, self.head = clock, head
-        self._merge()
         return self
 
     def apply_phase_pass(self) -> "BranchState":
@@ -397,37 +391,6 @@ class BranchState:
         self.clock = [(c0, c1 * clock_phase) for c0, c1 in self.clock]
         self.head = [(h0, h1 * head_phase) for h0, h1 in self.head]
         return self
-
-    def _merge(self):
-        """Fold branches with colinear clock factors, whatever their heads.
-
-        c^⊗N ⊗ h_i + c^⊗N ⊗ h_j = c^⊗N ⊗ (h_i + h_j), so branch j joins
-        branch i as head_i += (z / |z|) head_j with z = <c_i|c_j>^N: colinear
-        unit factors differ by a phase alone. Colinear is judged per site,
-        up to rounding: the sine |det[c_i, c_j]| that :func:`_pair_overlap`
-        gives with the overlap, at most BRANCH_COLINEAR_TOL. Over all N
-        sites, factors an angle theta apart overlap by cos(theta)^N, which is
-        near 1 for a small theta, yet they differ by the phase N theta.
-        """
-        if not 1 < self.rank <= BRANCH_MERGE_MAX_RANK:
-            return
-        clock, head = self.clock, list(self.head)
-        alive = [True] * len(clock)
-        for i, u in enumerate(clock):
-            if not alive[i]:
-                continue
-            for j in range(i + 1, len(clock)):
-                if not alive[j]:
-                    continue
-                z, sine = _pair_overlap(u, clock[j], self.n_atoms)
-                if sine <= BRANCH_COLINEAR_TOL:
-                    phase = z / abs(z)
-                    (a0, a1), (b0, b1) = head[i], head[j]
-                    head[i] = (a0 + phase * b0, a1 + phase * b1)
-                    alive[j] = False
-        if not all(alive):
-            self.clock = [c for c, keep in zip(clock, alive) if keep]
-            self.head = [h for h, keep in zip(head, alive) if keep]
 
     def fringe_readout(self, delta_omegas, delta_omega_head: float, ramsey_time: float) -> np.ndarray:
         """p_up after :func:`evolve_and_disentangle` at each detuning; the state is not changed.

@@ -41,8 +41,8 @@ from screwclock import (
 from screwclock.config import _SECTIONS, _parse_section
 from screwclock.estimator import _initial_frequency
 from screwclock.register import (
-    BRANCH_COLINEAR_TOL, BRANCH_MERGE_MAX_RANK, BRANCH_PRUNE_TOL, DENSE_BLOCK_BITS, HADAMARD,
-    RegisterState, _head_overlaps, _unitary_array, evolve_and_disentangle, prepare_ghz,
+    BRANCH_PRUNE_TOL, DENSE_BLOCK_BITS, HADAMARD, RegisterState, _head_overlaps, _unitary_array,
+    evolve_and_disentangle, prepare_ghz,
 )
 
 # With CI set, as CI services do, a failing example also prints the blob that
@@ -286,9 +286,9 @@ class ReferenceBranchState:
     pair (c0, c1) per branch because every public gate acts alike on all N
     sites, in scalar arithmetic where this reference uses numpy. Same rules:
     the head carries the branch's amplitude, a head component at or below
-    BRANCH_PRUNE_TOL is absent, and branches whose clock factors are
-    colinear merge whatever their heads. Readout, norm and overlap are
-    computed over the N per-site factors.
+    BRANCH_PRUNE_TOL is absent, and branches never merge, so both hold the
+    same rank: it doubles at most at each pass that meets a superposed head.
+    Readout, norm and overlap are computed over the N per-site factors.
     """
 
     backend = "branch"
@@ -317,11 +317,9 @@ class ReferenceBranchState:
         return self
 
     def apply_phase_pass(self):
-        # Splits happen at the first site that meets a superposed head; as in BranchState,
-        # colinear clocks merge once, after the whole pass.
-        split = [reference_phase_gate(self, site) for site in range(self.n_atoms)]
-        if any(split):
-            self._merge()
+        # Splits happen at the first site that meets a superposed head.
+        for site in range(self.n_atoms):
+            reference_phase_gate(self, site)
         return self
 
     def apply_free_evolution(self, delta_omega, delta_omega_head, t):
@@ -333,22 +331,6 @@ class ReferenceBranchState:
 
     def _clock_gram(self, other) -> np.ndarray:
         return np.einsum("inc,jnc->ijn", self.clock.conj(), other.clock).prod(axis=2)
-
-    def _merge(self):
-        # Colinear means colinear at every site, up to rounding: the largest per-site
-        # |det[c_i, c_j]| at most BRANCH_COLINEAR_TOL.
-        if not 1 < self.rank <= BRANCH_MERGE_MAX_RANK:
-            return
-        gram = self._clock_gram(self)
-        c0, c1 = self.clock[..., 0], self.clock[..., 1]
-        sines = np.abs(c0[:, None] * c1[None] - c1[:, None] * c0[None]).max(axis=2)
-        alive = np.ones(self.rank, dtype=bool)
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                if alive[i] and alive[j] and sines[i, j] <= BRANCH_COLINEAR_TOL:
-                    self.head[i] = self.head[i] + gram[i, j] * self.head[j]
-                    alive[j] = False
-        self.clock, self.head = self.clock[alive], self.head[alive]
 
     def _overlaps(self, other) -> np.ndarray:
         # <self|other> per head component: sum_ij conj(h_ik) G_ij h'_jk, for k = down, up.
@@ -385,37 +367,27 @@ def reference_branch_dense_overlap(branch, dense: DenseState) -> complex:
 
 
 def reference_phase_gate(state: ReferenceBranchState, site: int):
-    """One phase gate P_site on a per-site branch state, a branch at a time; True if it split.
+    """One phase gate P_site on a per-site branch state, a branch at a time.
 
-    The per-site reference for ``BranchState.apply_phase_pass``: a branch
-    whose head has both components (each above BRANCH_PRUNE_TOL) splits
-    into its head-down part and its head-up part (in that order), each
-    keeping one head component; absent parts are dropped; head-up branches
-    negate the |1> component of ``site``.
+    The per-site reference for ``BranchState.apply_phase_pass``: each branch
+    gives its head-down part, then its head-up part, each keeping one head
+    component; a part whose component is at or below BRANCH_PRUNE_TOL is not
+    made; head-up parts negate the |1> component of ``site``.
     """
     if not 0 <= site < state.n_atoms:
         raise ParameterError(f"site {site} out of range for {state.n_atoms} atoms")
-    has_down = np.abs(state.head[:, 0]) > BRANCH_PRUNE_TOL
-    has_up = np.abs(state.head[:, 1]) > BRANCH_PRUNE_TOL
-    if not np.any(has_down & has_up):
-        # No head superposition anywhere: apply Z in place, no splits.
-        state.clock[has_up, site, 1] *= -1.0
-        return False
-
     new_clock, new_head = [], []
-    for i in range(state.rank):
-        if has_down[i]:
-            new_clock.append(state.clock[i])
-            new_head.append([state.head[i, 0], 0.0])
-        if has_up[i]:
-            clock = state.clock[i].copy()
+    for clock, (h0, h1) in zip(state.clock, state.head):
+        if abs(h0) > BRANCH_PRUNE_TOL:
+            new_clock.append(clock)
+            new_head.append([h0, 0.0])
+        if abs(h1) > BRANCH_PRUNE_TOL:
+            clock = clock.copy()
             clock[site, 1] *= -1.0
             new_clock.append(clock)
-            new_head.append([0.0, state.head[i, 1]])
-
-    state.clock = np.array(new_clock, dtype=complex)
-    state.head = np.array(new_head, dtype=complex)
-    return True
+            new_head.append([0.0, h1])
+    state.clock = np.array(new_clock, dtype=complex).reshape(-1, state.n_atoms, 2)
+    state.head = np.array(new_head, dtype=complex).reshape(-1, 2)
 
 
 def _dense_tensor(state) -> np.ndarray:

@@ -1091,19 +1091,27 @@ class TestMemoryBudgets:
         ("scan", {"run": {"detuning_points": 10**8}}, "run.detuning_points"),
         ("optimize", {"optimize": {"n_points": OPTIMIZE_MAX_POINTS + 1}}, "optimize.n_points"),
         # A derived detuning beyond the float range: the grid's span, the default grid's
-        # and probe's 1 / T, and an explicit probe's Ramsey phase N dw T.
+        # and probe's 1 / T, and an explicit probe's Ramsey phase N dw T. With chi finite
+        # (here 0), a per-site phase dw T or dw' T that overflows names its detuning, dw's first.
         ("scan", {"run": {"detuning_min_rad_s": -1e308, "detuning_max_rad_s": 1e308}},
          "run.detuning_max_rad_s"),
         ("scan", {"protocol": {"ramsey_time_s": 1e-320}}, "protocol.ramsey_time_s"),
         ("simulate", {"protocol": {"ramsey_time_s": 1e-320}}, "protocol.ramsey_time_s"),
         ("simulate", {"run": {"delta_omega_rad_s": 1e308}}, "run.delta_omega_rad_s"),
+        ("simulate", {"run": {"delta_omega_rad_s": 1e300, "delta_omega_head_rad_s": -1e302,
+                              "backend": "branch"}, "protocol": {"ramsey_time_s": 1e10}},
+         "run.delta_omega_rad_s"),
+        ("simulate", {"run": {"delta_omega_rad_s": -1e298, "delta_omega_head_rad_s": 1e300,
+                              "backend": "branch"}, "protocol": {"ramsey_time_s": 1e10}},
+         "run.delta_omega_head_rad_s"),
         # The product of the list lengths, before any point is built.
         ("sweep", {"sweep": {"run.seed": [0] * (SWEEP_MAX_POINTS + 1)}}, "sweep"),
         ("sweep", {"sweep": {"lattice.delta": [0.25] * 1000, "protocol.n_atoms": [10] * 1000}},
          "sweep"),
     ], ids=["simulate-bound+1", "scan-bound+1", "points-bound+1", "points-1e8",
             "optimize-points-bound+1", "scan-span-overflow", "scan-grid-overflow",
-            "simulate-probe-overflow", "simulate-phase-overflow", "sweep-bound+1",
+            "simulate-probe-overflow", "simulate-phase-overflow", "simulate-clock-phase-overflow",
+            "simulate-head-phase-overflow", "sweep-bound+1",
             "sweep-1000x1000"])
     def test_beyond_budget_exits_before_building(self, tmp_path, refuse_build, run_cli,
                                                  command, document, field):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -33,6 +34,38 @@ from conftest import chi_rounding, reference_fringe_fit, run_protocol
 
 def _grid(n, t, periods=2.0, points=81):
     return np.linspace(0.0, periods * 2 * math.pi / (n * t), points)
+
+
+def _synthetic_scan(seed):
+    """(scan, contrast, omega): three periods of a random sinusoidal fringe in 120 points."""
+    rng = np.random.default_rng(seed)
+    omega = rng.uniform(2.0, 20.0)
+    contrast = rng.uniform(0.2, 1.0)
+    phase = rng.uniform(0, 2 * math.pi)
+    x = np.linspace(0, 3 * 2 * math.pi / omega, 120)
+    y = 0.5 - 0.5 * contrast * np.cos(omega * x + phase)
+    return FringeScan(tuple(x), tuple(y), 3, 0.5, 0), contrast, omega
+
+
+def _noisy_scan(n, t, points, trajectories, seed):
+    """A dense Monte Carlo scan over two periods, scattering as loss rates (1, 2) /s give."""
+    q = scatter_probability(ProtocolSchedule(n, 0.0, 0.0, t), DecoherenceParams(1.0, 2.0))
+    return fringe_scan(n, t, _grid(n, t, points=points), backend="dense", trajectories=trajectories,
+                       scatter_probability=q, seed=seed)
+
+
+# The scans the fits below read, at one Ramsey time each for the closed form.
+_FIT_CASES = {
+    "clean": lambda: fringe_scan(4, 0.7, _grid(4, 0.7, points=101), backend="dense"),
+    **{f"synthetic-{seed}": lambda seed=seed: _synthetic_scan(seed)[0] for seed in range(5)},
+    **{f"noisy-{seed}": lambda seed=seed: _noisy_scan(5, 0.1, 41, 850, seed) for seed in range(12)},
+    **{f"spread-{trajectories}": lambda trajectories=trajectories: _noisy_scan(4, 0.1, 25, trajectories, 100)
+       for trajectories in (60, 960)},
+    **{f"closed-form-{backend}-{n}": lambda backend=backend, n=n: fringe_scan(
+           n, 1e-20, _grid(n, 1e-20, points=101), backend=backend)
+       for backend, n in (("branch", 1), ("branch", 100), ("branch", 10**9), ("branch", 2**53),
+                          ("dense", 1), ("dense", 5), ("dense", 12))},
+}
 
 
 class TestFringeScan:
@@ -212,31 +245,27 @@ class TestAnalyzeFringe:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_synthetic_sinusoid_recovery(self, seed):
-        rng = np.random.default_rng(seed)
-        omega = rng.uniform(2.0, 20.0)
-        contrast = rng.uniform(0.2, 1.0)
-        phase = rng.uniform(0, 2 * math.pi)
-        x = np.linspace(0, 3 * 2 * math.pi / omega, 120)
-        y = 0.5 - 0.5 * contrast * np.cos(omega * x + phase)
-        scan = FringeScan(tuple(x), tuple(y), 3, 0.5, 0)
+        scan, contrast, omega = _synthetic_scan(seed)
         fit = analyze_fringe(scan)
         assert fit.contrast == pytest.approx(contrast, abs=1e-6)
         assert fit.period == pytest.approx(2 * math.pi / omega, rel=1e-6)
+
+    @pytest.mark.parametrize("case", _FIT_CASES)
+    def test_a_descending_grid_reads_the_same_fringe(self, case):
+        # The fit centres and scales the grid, and the periodogram's step is |dx|, so the
+        # points in reverse order read the same contrast and period, bit for bit.
+        scan = _FIT_CASES[case]()
+        backward = dataclasses.replace(scan, detunings=scan.detunings[::-1], p_up=scan.p_up[::-1])
+        forward = analyze_fringe(scan)
+        assert forward.contrast > 0.0
+        assert analyze_fringe(backward) == forward
 
     def test_monte_carlo_contrast_approaches_survival(self):
         # Pessimistic-noise fringe: mixture s * sin^2 + (1 - s) / 2, so the
         # fitted contrast estimates the survival s.
         n, t = 5, 0.1
-        params = DecoherenceParams(1.0, 2.0)
-        schedule = ProtocolSchedule(n, 0.0, 0.0, t)
-        s = survival_probability(schedule, params)
-        q = scatter_probability(schedule, params)
-        grid = _grid(n, t, points=41)
-        estimates = []
-        for seed in range(12):
-            scan = fringe_scan(n, t, grid, backend="dense", trajectories=850,
-                               scatter_probability=q, seed=seed)
-            estimates.append(analyze_fringe(scan).contrast)
+        s = survival_probability(ProtocolSchedule(n, 0.0, 0.0, t), DecoherenceParams(1.0, 2.0))
+        estimates = [analyze_fringe(_noisy_scan(n, t, 41, 850, seed)).contrast for seed in range(12)]
         mean = float(np.mean(estimates))
         sem = float(np.std(estimates, ddof=1)) / math.sqrt(len(estimates))
         assert abs(mean - s) < 3 * sem
@@ -245,19 +274,9 @@ class TestAnalyzeFringe:
         # Statistical error of the fitted contrast falls like
         # 1/sqrt(trajectories); 16x the samples should shrink the spread
         # by roughly 4 (a loose band guards against flaky ratios).
-        n, t = 4, 0.1
-        params = DecoherenceParams(1.0, 2.0)
-        q = scatter_probability(ProtocolSchedule(n, 0.0, 0.0, t), params)
-        grid = _grid(n, t, points=25)
-
         def spread(trajectories, base_seed):
-            values = [
-                analyze_fringe(
-                    fringe_scan(n, t, grid, backend="dense", trajectories=trajectories,
-                                scatter_probability=q, seed=base_seed + k)
-                ).contrast
-                for k in range(16)
-            ]
+            values = [analyze_fringe(_noisy_scan(4, 0.1, 25, trajectories, base_seed + k)).contrast
+                      for k in range(16)]
             return float(np.std(values, ddof=1))
 
         sd_small = spread(60, base_seed=100)
