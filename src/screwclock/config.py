@@ -71,6 +71,10 @@ def _at_least(low):
     return (lambda x: x >= low, f"must be >= {low}")
 
 
+def _within(low, high):
+    return (lambda x: low <= x <= high, f"must lie in [{low:g}, {high:g}], got {{}}")
+
+
 def _one_of(choices):
     return (lambda x: x in choices, f"must be one of {choices}")
 
@@ -78,19 +82,27 @@ def _one_of(choices):
 _POSITIVE = (lambda x: x > 0.0, "must be positive")
 _AT_MOST_MAX_ATOMS = (lambda n: n <= MAX_ATOMS, f"must be <= 2^53 = {MAX_ATOMS}, got {{}}")
 
+# Far wider than any atom, molecule or optical lattice, and narrow enough that every
+# recoil energy, trap frequency and scattering rate they give stays a finite nonzero
+# float: far beyond them a mass underflows the recoil energy to 0, and a wavelength or
+# a polarizability overflows a power.
+MASS_AMU_RANGE = (1e-6, 1e12)
+ALPHA_AU_RANGE = (-1e12, 1e12)
+LAMBDA_NM_RANGE = (1e-3, 1e9)   # 1 pm to 1 m
+
 
 @dataclass(frozen=True)
 class SpeciesEntry:
     name: str = _leaf(_as_str)
-    mass_amu: float = _leaf(_as_number, _POSITIVE)
-    alpha_scalar_au: float = _leaf(_as_number)
+    mass_amu: float = _leaf(_as_number, _within(*MASS_AMU_RANGE))
+    alpha_scalar_au: float = _leaf(_as_number, _within(*ALPHA_AU_RANGE))
     rho: float = _leaf(_as_number)
     role: str = _leaf(_as_str, _one_of(ROLES))
 
 
 @dataclass(frozen=True)
 class LatticeSection:
-    lambda_m_nm: float = _leaf(_as_number, _POSITIVE, default=389.9)
+    lambda_m_nm: float = _leaf(_as_number, _within(*LAMBDA_NM_RANGE), default=389.9)
     # None: use the computed minimum
     intensity_kW_cm2: float | None = _leaf(_as_optional_number, _POSITIVE, default=None)
     # 0 < delta <= 1: the transport criteria are defined for a positive misbalance only.

@@ -215,16 +215,34 @@ def resolve_physics(cfg: RunConfig, table: ConstantsTable = CODATA, *,
     )
 
 
+def _check_phases(cfg: RunConfig, delta_omega: float, field: str, what: str) -> None:
+    """Reject a detuning whose Ramsey phase overflows the float range.
+
+    The clock phase dw T, the head phase dw' T and chi = (N dw + dw') T are
+    checked in that order; an overflow is a config error of dw' for the head
+    phase and else of ``field``, the leaf that sets dw.
+    """
+    t, dwh = cfg.protocol.ramsey_time_s, cfg.run.delta_omega_head_rad_s
+    phases = {"clock": (field, delta_omega * t), "head": ("run.delta_omega_head_rad_s", dwh * t),
+              "Ramsey": (field, (cfg.protocol.n_atoms * delta_omega + dwh) * t)}
+    for name, (leaf, phase) in phases.items():
+        if not math.isfinite(phase):
+            raise ConfigError(leaf, f"the {name} phase of the {what} detunings (dw, dw') = "
+                                    f"({delta_omega!r}, {dwh!r}) rad/s overflows the float range")
+
+
 def detuning_grid(cfg: RunConfig) -> list[float]:
     """Detuning grid for scans; defaults to two fringe periods from zero.
 
-    A grid that overflows the float range is a config error: of the upper
-    end of an explicit range, or of the Ramsey time of the default grid.
+    A grid that overflows the float range, or whose Ramsey phases do at
+    either end, is a config error: of the end of an explicit range with the
+    larger magnitude, or of the Ramsey time of the default grid (of dw' for
+    the head phase).
     """
     run = cfg.run
     if run.detuning_min_rad_s is not None and run.detuning_max_rad_s is not None:
         lo, hi = run.detuning_min_rad_s, run.detuning_max_rad_s
-        field = "run.detuning_max_rad_s"
+        field = "run.detuning_max_rad_s" if abs(hi) >= abs(lo) else "run.detuning_min_rad_s"
     else:
         t = cfg.protocol.ramsey_time_s
         if not t > 0.0:
@@ -239,16 +257,17 @@ def detuning_grid(cfg: RunConfig) -> list[float]:
     grid = [lo + i * step for i in range(n)]
     if not all(map(math.isfinite, grid)):
         raise ConfigError(field, f"the detuning grid from {lo!r} to {hi!r} rad/s overflows the float range")
+    for end in (grid[0], grid[-1]):  # each phase is monotone in dw, so the ends bound the grid
+        _check_phases(cfg, end, field, "scan")
     return grid
 
 
 def probe_detuning(cfg: RunConfig) -> float:
     """Detuning for single-shot simulation; default is the half-fringe point.
 
-    A probe whose clock phase dw T, head phase dw' T or Ramsey phase
-    chi = (N dw + dw') T overflows the float range, checked in that order, is
-    a config error of dw' for the head phase and else of dw: of an explicit
-    detuning, or of the Ramsey time that places the default one.
+    A probe whose Ramsey phases overflow the float range is a config error
+    (see :func:`_check_phases`) of dw' for the head phase and else of dw: of
+    an explicit detuning, or of the Ramsey time that places the default one.
     """
     run, protocol = cfg.run, cfg.protocol
     t, dwh = protocol.ramsey_time_s, run.delta_omega_head_rad_s
@@ -261,10 +280,5 @@ def probe_detuning(cfg: RunConfig) -> float:
             )
         delta_omega = (math.pi / 2.0 / t - dwh) / protocol.n_atoms  # chi = pi / 2
         field = "protocol.ramsey_time_s"
-    phases = {"clock": (field, delta_omega * t), "head": ("run.delta_omega_head_rad_s", dwh * t),
-              "Ramsey": (field, (protocol.n_atoms * delta_omega + dwh) * t)}
-    for name, (leaf, phase) in phases.items():
-        if not math.isfinite(phase):
-            raise ConfigError(leaf, f"the {name} phase of the probe detunings (dw, dw') = "
-                                    f"({delta_omega!r}, {dwh!r}) rad/s overflows the float range")
+    _check_phases(cfg, delta_omega, field, "probe")
     return delta_omega

@@ -34,15 +34,15 @@ from hypothesis import settings
 from scipy.optimize import OptimizeWarning, curve_fit
 
 import screwclock
-from screwclock import (
-    CODATA, BranchState, CapacityError, ConfigError, ConstantsTable, DenseState, LatticeConfig,
-    ParameterError, SpeciesOptics, init_register, sublattice_depths,
-)
 from screwclock.config import _SECTIONS, _parse_section
+from screwclock.constants import CODATA, ConstantsTable
+from screwclock.errors import CapacityError, ConfigError, ParameterError
 from screwclock.estimator import _initial_frequency
+from screwclock.lattice import LatticeConfig, SpeciesOptics, sublattice_depths
+from screwclock.rates import schedule_rows
 from screwclock.register import (
-    BRANCH_PRUNE_TOL, DENSE_BLOCK_BITS, HADAMARD, RegisterState, _head_overlaps, _unitary_array,
-    evolve_and_disentangle, prepare_ghz,
+    BRANCH_PRUNE_TOL, DENSE_BLOCK_BITS, HADAMARD, BranchState, DenseState, RegisterState,
+    _head_overlaps, _unitary_array, evolve_and_disentangle, init_register, prepare_ghz,
 )
 
 # With CI set, as CI services do, a failing example also prints the blob that
@@ -606,7 +606,7 @@ def streamed_schedule_steps(schedule) -> list[tuple]:
     Each row's ``step_index`` must be its position.
     """
     steps = []
-    for index, row in enumerate("".join(screwclock.schedule_rows(schedule)).splitlines()):
+    for index, row in enumerate("".join(schedule_rows(schedule)).splitlines()):
         step_index, kind, duration, site = row.split(",")
         assert int(step_index) == index, row
         steps.append((kind, float(duration), int(site) if site else None))

@@ -12,30 +12,20 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from screwclock import (
-    CODATA,
-    DecoherenceParams,
-    ProtocolSchedule,
-    analyze_fringe,
-    fringe_scan,
-    ghz_reference,
-    interaction_energy,
-    min_required_intensity,
-    overlap_depth,
-    parse_config,
-    phase_gate_duration,
-    phase_sensitivity,
-    photon_scattering_time,
-    sample_scatter_count,
-    scatter_probability,
-    sql_baseline,
-    state_fidelity,
-    survival_probability,
-    trap_frequencies,
-    well_depth_closed_form,
-)
 from screwclock.cli import run_command
-from screwclock.lattice import LatticeConfig, SpeciesOptics, sublattice_depths
+from screwclock.config import parse_config
+from screwclock.constants import CODATA
+from screwclock.estimator import analyze_fringe, fringe_scan, phase_sensitivity, sql_baseline
+from screwclock.lattice import (
+    LatticeConfig, SpeciesOptics, min_required_intensity, overlap_depth, sublattice_depths,
+    trap_frequencies, well_depth_closed_form,
+)
+from screwclock.rates import (
+    DecoherenceParams, ProtocolSchedule, interaction_energy, phase_gate_duration,
+    photon_scattering_time, scatter_probability, survival_probability,
+)
+from screwclock.register import ghz_reference, state_fidelity
+from screwclock.trajectories import sample_scatter_count
 
 from conftest import (
     AL_MASS_AMU,

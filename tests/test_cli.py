@@ -15,22 +15,25 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from screwclock import (
-    BranchState, DenseState, ParameterError, __version__, cli, fringe_scan, parse_config, pipeline,
-    register, resolve_physics, survival_probability,
-)
+from screwclock import __version__, cli, pipeline, register
 from screwclock.cli import (
     COMMANDS, MEMORY_BUDGET_BYTES, OPTIMIZE_MAX_POINTS, OPTIMIZE_POINT_BYTES,
     SCAN_MAX_POINTS, SCAN_POINT_BYTES, SCHEDULE_MAX_ATOMS, SCHEDULE_MAX_BYTES, SWEEP_MAX_POINTS,
     SWEEP_POINT_BYTES, main, run_command,
 )
 from screwclock.config import (
-    _SECTIONS, _SWEEPABLE, MAX_ATOMS, SpeciesEntry, serialize_config, serialized_hash,
+    _SECTIONS, _SWEEPABLE, MAX_ATOMS, SpeciesEntry, parse_config, serialize_config,
+    serialized_hash,
 )
+from screwclock.errors import ClockSimError, ParameterError
+from screwclock.estimator import fringe_scan
 from screwclock.output import TableText, write_table
+from screwclock.pipeline import resolve_physics
 from screwclock.rates import (
     _SITE_MARK, _STEP_MARK, SCHEDULE_COLUMNS, ProtocolSchedule, schedule_rows, schedule_table_bytes,
+    survival_probability,
 )
+from screwclock.register import BranchState, DenseState
 
 from conftest import (
     read_table, reference_apply_override, reference_schedule_rows, reference_schedule_steps,
@@ -57,7 +60,7 @@ def _peak_growth(tmp_path, command, small, large) -> int:
     """
     code = (
         "import json, sys\n"
-        "from screwclock import parse_config\n"
+        "from screwclock.config import parse_config\n"
         "from screwclock.cli import run_command\n"
         "def peak(document):\n"
         "    run_command(sys.argv[1], parse_config(json.loads(document)), sys.argv[2])\n"
@@ -646,7 +649,7 @@ class TestDeterminismAndErrors:
         # another with a different hash seed. Outputs depend on (config, seed) alone.
         code = (
             "import json, sys\n"
-            "from screwclock import parse_config\n"
+            "from screwclock.config import parse_config\n"
             "from screwclock.cli import run_command\n"
             "for out in sys.argv[2:]:\n"
             "    for command, document in json.loads(sys.argv[1]):\n"
@@ -851,7 +854,6 @@ class TestDeterminismAndErrors:
 
 class TestRunCommandLibrary:
     def test_unknown_command_rejected(self, tmp_path):
-        from screwclock import ClockSimError
         with pytest.raises(ClockSimError):
             run_command("explode", parse_config(None), tmp_path)
 
@@ -1104,6 +1106,24 @@ class TestMemoryBudgets:
         ("simulate", {"run": {"delta_omega_rad_s": -1e298, "delta_omega_head_rad_s": 1e300,
                               "backend": "branch"}, "protocol": {"ramsey_time_s": 1e10}},
          "run.delta_omega_head_rad_s"),
+        # A scan's Ramsey phases, checked as the probe's at both ends of its grid: of the
+        # end with the larger magnitude, of dw' for the head phase.
+        ("scan", {"run": {"detuning_min_rad_s": 0, "detuning_max_rad_s": 1e300},
+                  "protocol": {"ramsey_time_s": 1e10}}, "run.detuning_max_rad_s"),
+        ("scan", {"run": {"detuning_min_rad_s": -1e300, "detuning_max_rad_s": 1.0},
+                  "protocol": {"ramsey_time_s": 1e10}}, "run.detuning_min_rad_s"),
+        ("scan", {"run": {"delta_omega_head_rad_s": 1e300}, "protocol": {"ramsey_time_s": 1e10}},
+         "run.delta_omega_head_rad_s"),
+        ("scan", {"protocol": {"n_atoms": MAX_ATOMS, "ramsey_time_s": 1},
+                  "run": {"detuning_min_rad_s": 0, "detuning_max_rad_s": 1e300, "backend": "branch"}},
+         "run.detuning_max_rad_s"),
+        # A leaf outside its declared range, at parse time. Each once exited 1: the mass
+        # underflowed the recoil energy to 0, so the scattering rate divided by zero; the
+        # wavelength overflowed the recoil energy's square; the polarizability overflowed
+        # the square in feasibility's scattering time.
+        *((command, _species({0: {"mass_amu": 1e300}}), "species[0].mass_amu") for command in COMMANDS),
+        *((command, {"lattice": {"lambda_m_nm": 1e-300}}, "lattice.lambda_m_nm") for command in COMMANDS),
+        ("feasibility", _species({2: {"alpha_scalar_au": 1e300}}), "species[2].alpha_scalar_au"),
         # The product of the list lengths, before any point is built.
         ("sweep", {"sweep": {"run.seed": [0] * (SWEEP_MAX_POINTS + 1)}}, "sweep"),
         ("sweep", {"sweep": {"lattice.delta": [0.25] * 1000, "protocol.n_atoms": [10] * 1000}},
@@ -1111,7 +1131,11 @@ class TestMemoryBudgets:
     ], ids=["simulate-bound+1", "scan-bound+1", "points-bound+1", "points-1e8",
             "optimize-points-bound+1", "scan-span-overflow", "scan-grid-overflow",
             "simulate-probe-overflow", "simulate-phase-overflow", "simulate-clock-phase-overflow",
-            "simulate-head-phase-overflow", "sweep-bound+1",
+            "simulate-head-phase-overflow", "scan-clock-phase-overflow",
+            "scan-lower-end-phase-overflow", "scan-head-phase-overflow", "scan-ramsey-phase-overflow",
+            *(f"{command}-mass-range" for command in COMMANDS),
+            *(f"{command}-wavelength-range" for command in COMMANDS), "feasibility-alpha-range",
+            "sweep-bound+1",
             "sweep-1000x1000"])
     def test_beyond_budget_exits_before_building(self, tmp_path, refuse_build, run_cli,
                                                  command, document, field):

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from screwclock import ConfigError, parse_config, serialize_config
 from screwclock.config import (
+    ALPHA_AU_RANGE,
     BACKENDS,
+    LAMBDA_NM_RANGE,
+    MASS_AMU_RANGE,
     MAX_ATOMS,
     MAX_TRAJECTORIES,
     LatticeSection,
@@ -20,8 +22,11 @@ from screwclock.config import (
     SpeciesEntry,
     _SWEEPABLE,
     apply_override,
+    parse_config,
+    serialize_config,
     serialized_hash,
 )
+from screwclock.errors import ConfigError
 
 from conftest import reference_apply_override
 
@@ -61,6 +66,29 @@ class TestValidation:
         with pytest.raises(ConfigError) as excinfo:
             parse_config({"lattice": {"delta": 1.5}})
         assert excinfo.value.path == "lattice.delta"
+
+    @pytest.mark.parametrize("path,bounds", [
+        ("species[1].mass_amu", MASS_AMU_RANGE),
+        ("species[2].alpha_scalar_au", ALPHA_AU_RANGE),
+        ("lattice.lambda_m_nm", LAMBDA_NM_RANGE),
+    ])
+    def test_species_and_wavelength_ranges_are_closed(self, path, bounds):
+        def document(value):
+            data = serialize_config(parse_config(None))
+            section, key = path.split(".")
+            if section.startswith("species"):
+                data["species"][int(section[8])][key] = value
+            else:
+                data[section][key] = value
+            return data
+
+        for bound in bounds:
+            parse_config(document(bound))
+        for beyond in (math.nextafter(bounds[0], -math.inf), math.nextafter(bounds[1], math.inf),
+                       -1e300, 1e300):
+            with pytest.raises(ConfigError) as excinfo:
+                parse_config(document(beyond))
+            assert excinfo.value.path == path
 
     def test_unknown_key_rejected_with_path(self):
         with pytest.raises(ConfigError) as excinfo:

@@ -4,7 +4,8 @@ import math
 import pytest
 from scipy import constants as sc
 
-from screwclock import CODATA, ConstantsTable, ParameterError, au_to_si_polarizability
+from screwclock.constants import CODATA, ConstantsTable, au_to_si_polarizability
+from screwclock.errors import ParameterError
 from screwclock.lattice import LatticeConfig, SpeciesOptics, recoil_energy
 
 from conftest import well_depth

@@ -4,20 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from screwclock import (
-    CODATA,
-    InfeasibleTransportError,
-    LatticeConfig,
-    ParameterError,
-    SpeciesOptics,
-    UntrappedError,
-    min_required_intensity,
-    overlap_depth,
-    recoil_energy,
-    sublattice_depths,
-    transport_feasibility,
-    trap_frequencies,
-    well_depth_closed_form,
+from screwclock.constants import CODATA
+from screwclock.errors import InfeasibleTransportError, ParameterError, UntrappedError
+from screwclock.lattice import (
+    LatticeConfig, SpeciesOptics, min_required_intensity, overlap_depth, recoil_energy,
+    sublattice_depths, transport_feasibility, trap_frequencies, well_depth_closed_form,
 )
 
 from conftest import (

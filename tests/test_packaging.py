@@ -55,6 +55,22 @@ def test_config_imports_neither_the_register_nor_numpy():
     assert "numpy" not in outside
 
 
+def test_numpy_free_layers_import_without_numpy():
+    """The package re-exports nothing, so importing the layers that do no array
+    work loads no numpy: the package ``__init__`` pulls in no other module."""
+    code = (
+        "import json, sys\n"
+        "import screwclock.config, screwclock.constants, screwclock.errors, screwclock.lattice\n"
+        "import screwclock.rates, screwclock.pipeline, screwclock.output\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    result = run_python(["-c", code], timeout=60)
+    assert result.returncode == 0, result.stderr
+    modules = json.loads(result.stdout)
+    assert [m for m in modules if m == "numpy" or m.startswith("numpy.")] == []
+    assert {"screwclock.register", "screwclock.estimator", "screwclock.trajectories"}.isdisjoint(modules)
+
+
 def test_every_command_runs_with_scipy_blocked(tmp_path):
     code = (
         "import json, sys\n"
@@ -255,6 +271,21 @@ def test_ci_error_contract_names_each_rejected_leaf():
     assert (f"""python -c "import json; print(json.dumps({{'sweep': {{'run.seed': {sweep_points}}}}}))" """
             """> "$RUNNER_TEMP/error.json"\n"""
             "expect_config_error sweep sweep\n") in script
+    scan_phases = [
+        ('{"run": {"detuning_min_rad_s": 0, "detuning_max_rad_s": 1e300}, '
+         '"protocol": {"ramsey_time_s": 1e10}}', "run.detuning_max_rad_s"),
+        ('{"run": {"delta_omega_head_rad_s": 1e300}, "protocol": {"ramsey_time_s": 1e10}}',
+         "run.delta_omega_head_rad_s"),
+        (f'{{"protocol": {{"n_atoms": {MAX_ATOMS}, "ramsey_time_s": 1}}, "run": {{"detuning_min_rad_s": 0, '
+         '"detuning_max_rad_s": 1e300, "backend": "branch"}}', "run.detuning_max_rad_s"),
+    ]
+    for document, field in scan_phases:
+        assert (f"""echo '{document}' > "$RUNNER_TEMP/error.json"\n"""
+                f"expect_config_error {field} scan\n") in script
+    assert "expect_config_error 'species[0].mass_amu' schedule\n" in script
+    assert ("""echo '{"lattice": {"lambda_m_nm": 1e-300}}' > "$RUNNER_TEMP/error.json"\n"""
+            "expect_config_error lattice.lambda_m_nm simulate\n") in script
+    assert "expect_config_error 'species[2].alpha_scalar_au' feasibility\n" in script
     assert ("""echo '{"protocol": {"a_scatt_au": 1e300}}' > "$RUNNER_TEMP/error.json"\n"""
             "expect_failure feasibility\n") in script
     assert 'test "$status" -ne 0' in script

@@ -6,24 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from screwclock import (
-    CODATA,
-    DecoherenceParams,
-    NoInteractionError,
-    ParameterError,
-    ProtocolSchedule,
-    UntrappedError,
-    interaction_energy,
-    overlap_depth,
-    phase_gate_duration,
-    photon_scattering_time,
-    schedule_duration,
-    schedule_rows,
-    scatter_probability,
-    survival_probability,
-    trap_frequencies,
-)
 from screwclock.cli import SCHEDULE_MAX_ATOMS
+from screwclock.constants import CODATA
+from screwclock.errors import NoInteractionError, ParameterError, UntrappedError
+from screwclock.lattice import overlap_depth, trap_frequencies
+from screwclock.rates import (
+    DecoherenceParams, ProtocolSchedule, interaction_energy, phase_gate_duration,
+    photon_scattering_time, scatter_probability, schedule_duration, schedule_rows,
+    survival_probability,
+)
 
 from conftest import (
     LAMBDA_M, reference_schedule_rows, reference_schedule_steps, streamed_schedule_steps,

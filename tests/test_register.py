@@ -9,22 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from screwclock import (
-    CapacityError,
-    ClockSimError,
-    ParameterError,
-    final_reference,
-    fringe_scan,
-    ghz_reference,
-    init_register,
-    protocol_references,
-    state_fidelity,
-    state_overlap,
-)
+from screwclock.errors import CapacityError, ClockSimError, ParameterError
+from screwclock.estimator import fringe_scan
 from screwclock.register import (
     BACKENDS, DENSE_ATOM_CAP, HADAMARD,
     _branch_dense_overlap, _check_unitary, _clock_weights, _head_overlaps, _overlap_power,
-    _overlap_power_array, _pair_overlap, evolve_and_disentangle, prepare_ghz,
+    _overlap_power_array, _pair_overlap, evolve_and_disentangle, final_reference, ghz_reference,
+    init_register, prepare_ghz, protocol_references, state_fidelity, state_overlap,
 )
 
 from conftest import (

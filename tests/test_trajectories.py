@@ -3,15 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from screwclock import (
-    DecoherenceParams,
-    ParameterError,
-    ProtocolSchedule,
-    fringe_scan,
-    sample_scatter_count,
-    scatter_probability,
-    survival_probability,
+from screwclock.errors import ParameterError
+from screwclock.estimator import fringe_scan
+from screwclock.rates import (
+    DecoherenceParams, ProtocolSchedule, scatter_probability, survival_probability,
 )
+from screwclock.trajectories import sample_scatter_count
 
 from conftest import chi_rounding, reference_trajectory_batch, run_protocol
 
