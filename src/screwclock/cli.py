@@ -67,9 +67,9 @@ SCHEDULE_MAX_ATOMS = bisect.bisect_right(range(1, 2**53), SCHEDULE_MAX_BYTES, ke
 SCAN_POINT_BYTES = 364
 SCAN_MAX_POINTS = MEMORY_BUDGET_BYTES // SCAN_POINT_BYTES
 
-# `optimize` keeps the geometric grid, its rounded set, the curve's arrays and
-# tuples, and the table's text per point: 150-190 B per point at n_max = 2^53
-# (every point a distinct N), measured between 10^5 and 4 * 10^5 points.
+# `optimize` keeps the geometric grid, its rounded set, the curve's lists and
+# tuples, and the table's text per point: 141-158 B per point at n_max = 2^53
+# (every point a distinct N), measured at 10^5, 4 * 10^5 and 706409 points.
 OPTIMIZE_POINT_BYTES = 190
 OPTIMIZE_MAX_POINTS = MEMORY_BUDGET_BYTES // OPTIMIZE_POINT_BYTES
 
@@ -107,7 +107,7 @@ def _species_columns(bundle: PhysicsBundle) -> dict[str, list]:
             photon_scattering_time(s, lattice.intensity, d, lattice.lambda_m, table)
             for s, d in zip(species, depth_overlap)
         ],
-        "required_intensity_w_m2": [bundle.requirement.per_species.get(s.name) for s in species],
+        "required_intensity_w_m2": list(bundle.requirement.per_species),  # in the order of species
     }
 
 
@@ -206,7 +206,9 @@ def _cmd_scan(cfg: RunConfig) -> tuple[dict, dict, str]:
     fit = analyze_fringe(scan)
     sigma = sql = None
     if fit.contrast > 0.0 and not math.isnan(fit.period):
-        sigma, sql = phase_sensitivity(fit.contrast, n, t), sql_baseline(n, t)
+        # Null, as for a flat fringe, where a figure overflows to inf or underflows to 0.
+        sigma, sql = (v if 0.0 < v < math.inf else None
+                      for v in (phase_sensitivity(fit.contrast, n, t), sql_baseline(n, t)))
     meta = {
         "n_atoms": n,
         "backend": cfg.run.backend,
@@ -216,7 +218,7 @@ def _cmd_scan(cfg: RunConfig) -> tuple[dict, dict, str]:
         "fringe_period_rad_s": None if math.isnan(fit.period) else fit.period,
         "sigma_delta_omega_per_shot": sigma,
         "sql_sigma_per_shot": sql,
-        "gain_over_sql": None if sigma is None else sql / sigma,
+        "gain_over_sql": None if sigma is None or sql is None else sql / sigma,
     }
     summary = (f"{len(scan.detunings)} points, contrast {fit.contrast:.4f}, "
                f"period {meta['fringe_period_rad_s']}")
@@ -229,14 +231,8 @@ def _cmd_optimize(cfg: RunConfig) -> tuple[dict, dict, str]:
     _bound(opt.n_points, OPTIMIZE_MAX_POINTS, "optimize.n_points", "grid points")
     bundle = resolve_physics(cfg)
     schedule = bundle.schedule
-    n_opt, curve = optimize_atom_number(
-        bundle.decoherence,
-        schedule.gate_time,
-        schedule.transport_time,
-        schedule.ramsey_time,
-        map(round, np.geomspace(opt.n_min, opt.n_max, opt.n_points).tolist()),
-        pulse_time=schedule.pulse_time,
-    )
+    grid = map(round, np.geomspace(opt.n_min, opt.n_max, opt.n_points).tolist())
+    n_opt, curve = optimize_atom_number(schedule, bundle.decoherence, grid)
     columns = {
         "n_atoms": curve.n_atoms,
         "survival": curve.survival,

@@ -223,7 +223,7 @@ def phase_sensitivity(contrast: float, n_atoms: int, ramsey_time: float) -> floa
     """Detuning uncertainty of one shot at the half-fringe point.
 
     Binomial projection noise of a single head-qubit readout, N-enhanced by
-    the entangled phase: sigma = 1 / (C N T).
+    the entangled phase: sigma = 1 / (C N T), inf where C N T underflows to 0.
     """
     if not 0.0 < contrast <= 1.0:
         raise DegenerateFringeError(
@@ -233,7 +233,8 @@ def phase_sensitivity(contrast: float, n_atoms: int, ramsey_time: float) -> floa
         raise ParameterError("n_atoms must be >= 1")
     if not ramsey_time > 0.0:
         raise ParameterError("ramsey_time must be positive")
-    return 1.0 / (contrast * n_atoms * ramsey_time)
+    product = contrast * n_atoms * ramsey_time
+    return 1.0 / product if product else math.inf
 
 
 def sql_baseline(n_atoms: int, ramsey_time: float) -> float:
@@ -256,38 +257,30 @@ class AtomNumberCurve:
 
 
 def optimize_atom_number(
-    params: DecoherenceParams,
-    gate_time: float,
-    transport_time: float,
-    ramsey_time: float,
-    n_values,
-    pulse_time: float = 0.0,
+    schedule: ProtocolSchedule, params: DecoherenceParams, n_values
 ) -> tuple[int, AtomNumberCurve]:
     """Maximize the contrast-weighted Heisenberg gain C(N) * N over N.
 
-    C(N) is the no-scattering survival of the full schedule at N atoms.
-    Returns the arg max (smallest N on ties) and the whole curve. A grid N
-    whose duration times rate overflows the float range has survival 0, as
-    its limit, and no warning.
+    C(N) is the no-scattering survival of ``schedule``'s step times run at N
+    atoms: :func:`~screwclock.rates.survival_probability` of that schedule,
+    bit for bit. Returns the arg max (smallest N on ties) and the whole
+    curve. A grid N whose mean event count overflows the float range has
+    survival 0, as its limit, and no warning.
     """
-    ns = sorted({int(n) for n in n_values})
+    ns = sorted(dict.fromkeys(int(n) for n in n_values))  # in order, so an ascending grid sorts in O(n)
     if not ns:
         raise ParameterError("n_values must be non-empty")
-    # One schedule validates the step times and N >= 1 for the whole grid.
-    ProtocolSchedule(ns[0], gate_time, transport_time, ramsey_time, pulse_time)
-
-    n = np.array(ns)
-    with np.errstate(over="ignore"):  # an overflow to inf gives survival exp(-inf) = 0
-        survival = np.exp(
-            -schedule_duration(n, gate_time, transport_time, ramsey_time, pulse_time)
-            * params.total_rate(n)
-        )
-    foms = survival * n
-    best = int(np.argmax(foms))
+    if ns[0] < 1:
+        raise ParameterError(f"n_atoms must be >= 1, got {ns[0]}")
+    gate, transport, ramsey, pulse = (
+        schedule.gate_time, schedule.transport_time, schedule.ramsey_time, schedule.pulse_time)
+    survival = [math.exp(-params.mean_events(n, schedule_duration(n, gate, transport, ramsey, pulse)))
+                for n in ns]
+    foms = [s * n for s, n in zip(survival, ns)]
     curve = AtomNumberCurve(
         n_atoms=tuple(ns),
-        survival=tuple(survival.tolist()),
-        figure_of_merit=tuple(foms.tolist()),
-        gain_over_sql=tuple((survival * np.sqrt(n)).tolist()),
+        survival=tuple(survival),
+        figure_of_merit=tuple(foms),
+        gain_over_sql=tuple([s * math.sqrt(n) for s, n in zip(survival, ns)]),
     )
-    return ns[best], curve
+    return ns[foms.index(max(foms))], curve

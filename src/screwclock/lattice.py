@@ -24,7 +24,7 @@ sigma- sublattice, which is what enables state-selective transport.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .constants import CODATA, ConstantsTable, au_to_si_polarizability
 from .errors import InfeasibleTransportError, ParameterError, UntrappedError
@@ -101,7 +101,7 @@ class IntensityRequirement:
 
     intensity: float                     # W / m^2
     binding_species: str | None
-    per_species: dict[str, float] = field(default_factory=dict)
+    per_species: tuple[float, ...] = ()  # W / m^2, in the order of the species list
     feasibility: FeasibilityReport | None = None
 
 
@@ -230,10 +230,10 @@ def min_required_intensity(
                 report=report,
             )
 
-    per_species: dict[str, float] = {}
+    per_species = []
     for species in species_list:
         if depth_factor == 0.0:
-            per_species[species.name] = 0.0
+            per_species.append(0.0)
             continue
         coeff = worst_case_depth(replace(config, intensity=1.0), species, table)
         if coeff <= 0.0:
@@ -242,14 +242,14 @@ def min_required_intensity(
                 "worst-case phase; no intensity can satisfy the depth criterion"
             )
         target = depth_factor * recoil_energy(species.mass, config.lambda_m, table)
-        per_species[species.name] = target / coeff
+        per_species.append(target / coeff)
 
-    binding = max(per_species, key=per_species.get) if depth_factor > 0.0 else None
-    intensity = per_species[binding] if binding is not None else 0.0
+    intensity = max(per_species)
+    binding = species_list[per_species.index(intensity)].name if depth_factor > 0.0 else None
     return IntensityRequirement(
         intensity=intensity,
         binding_species=binding,
-        per_species=per_species,
+        per_species=tuple(per_species),
         feasibility=report,
     )
 

@@ -219,12 +219,18 @@ def _check_phases(cfg: RunConfig, delta_omega: float, field: str, what: str) -> 
     """Reject a detuning whose Ramsey phase overflows the float range.
 
     The clock phase dw T, the head phase dw' T and chi = (N dw + dw') T are
-    checked in that order; an overflow is a config error of dw' for the head
-    phase and else of ``field``, the leaf that sets dw.
+    checked in that order, then for a scan the phases its fringe readout forms,
+    2 dw T and the dense one's dw' T - N dw T; an overflow is a config error
+    of dw' for the head phase and else of ``field``, the leaf that sets dw.
     """
-    t, dwh = cfg.protocol.ramsey_time_s, cfg.run.delta_omega_head_rad_s
-    phases = {"clock": (field, delta_omega * t), "head": ("run.delta_omega_head_rad_s", dwh * t),
-              "Ramsey": (field, (cfg.protocol.n_atoms * delta_omega + dwh) * t)}
+    n, t, dwh = cfg.protocol.n_atoms, cfg.protocol.ramsey_time_s, cfg.run.delta_omega_head_rad_s
+    theta = delta_omega * t
+    phases = {"clock": (field, theta), "head": ("run.delta_omega_head_rad_s", dwh * t),
+              "Ramsey": (field, (n * delta_omega + dwh) * t)}
+    if what == "scan":
+        phases["doubled clock"] = (field, 2.0 * theta)
+        if cfg.run.backend == "dense":
+            phases["dense readout"] = (field, dwh * t - n * theta)
     for name, (leaf, phase) in phases.items():
         if not math.isfinite(phase):
             raise ConfigError(leaf, f"the {name} phase of the {what} detunings (dw, dw') = "
@@ -246,9 +252,7 @@ def detuning_grid(cfg: RunConfig) -> list[float]:
     else:
         t = cfg.protocol.ramsey_time_s
         if not t > 0.0:
-            raise ParameterError(
-                "protocol.ramsey_time_s must be positive for an automatic detuning grid"
-            )
+            raise ConfigError("protocol.ramsey_time_s", "must be positive for an automatic detuning grid")
         hi = 2.0 * (2.0 * math.pi) / (cfg.protocol.n_atoms * t)
         lo = 0.0
         field = "protocol.ramsey_time_s"
@@ -275,9 +279,7 @@ def probe_detuning(cfg: RunConfig) -> float:
         delta_omega, field = run.delta_omega_rad_s, "run.delta_omega_rad_s"
     else:
         if not t > 0.0:
-            raise ParameterError(
-                "protocol.ramsey_time_s must be positive to place the default probe detuning"
-            )
+            raise ConfigError("protocol.ramsey_time_s", "must be positive to place the default probe")
         delta_omega = (math.pi / 2.0 / t - dwh) / protocol.n_atoms  # chi = pi / 2
         field = "protocol.ramsey_time_s"
     _check_phases(cfg, delta_omega, field, "probe")

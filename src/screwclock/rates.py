@@ -44,6 +44,14 @@ class DecoherenceParams:
             + self.extra_loss_rate
         )
 
+    def mean_events(self, n_atoms: int, duration: float) -> float:
+        """Mean event count duration * total_rate(n_atoms), the survival's exponent.
+
+        No time or no rate, no event: 0 where either factor is 0, not 0 * inf = nan.
+        """
+        rate = self.total_rate(n_atoms)
+        return duration * rate if duration and rate else 0.0
+
 
 def schedule_duration(n_atoms, gate_time, transport_time, ramsey_time, pulse_time=0.0):
     """Total duration of one interrogation: 2N (t_transport + t_gate) + T + 7 t_pulse.
@@ -263,15 +271,16 @@ def survival_probability(schedule: ProtocolSchedule, params: DecoherenceParams) 
 
     Pessimistic model: a single event anywhere (any of the schedule's N
     clock atoms or the head) during the whole schedule destroys the fringe,
-    so survival is exp(-duration * total_rate).
+    so survival is exp(-x), x the schedule's mean event count
+    (:meth:`DecoherenceParams.mean_events`).
     """
-    return math.exp(-schedule.total_duration * params.total_rate(schedule.n_atoms))
+    return math.exp(-params.mean_events(schedule.n_atoms, schedule.total_duration))
 
 
 def scatter_probability(schedule: ProtocolSchedule, params: DecoherenceParams) -> float:
     """Probability of at least one event during the schedule: 1 - survival.
 
-    Computed as -expm1(-duration * total_rate), which keeps its relative
-    precision where the exponent is far below one ulp of 1.
+    Computed as -expm1(-x), which keeps its relative precision where the
+    mean event count x is far below one ulp of 1.
     """
-    return -math.expm1(-schedule.total_duration * params.total_rate(schedule.n_atoms))
+    return -math.expm1(-params.mean_events(schedule.n_atoms, schedule.total_duration))

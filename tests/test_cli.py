@@ -30,8 +30,8 @@ from screwclock.estimator import fringe_scan
 from screwclock.output import TableText, write_table
 from screwclock.pipeline import resolve_physics
 from screwclock.rates import (
-    _SITE_MARK, _STEP_MARK, SCHEDULE_COLUMNS, ProtocolSchedule, schedule_rows, schedule_table_bytes,
-    survival_probability,
+    _SITE_MARK, _STEP_MARK, SCHEDULE_COLUMNS, ProtocolSchedule, scatter_probability, schedule_rows,
+    schedule_table_bytes, survival_probability,
 )
 from screwclock.register import BranchState, DenseState
 
@@ -252,6 +252,19 @@ class TestFeasibilityCommand:
         row = next(r for r in read_table(tmp_path / "o" / "feasibility.csv") if r["species"] == binding)
         assert float(row["depth_worst_over_recoil"]) == pytest.approx(depth_factor, rel=1e-12)
 
+    def test_head_states_of_one_name_keep_their_own_requirement(self, tmp_path, run_cli):
+        # Requirements are kept per species entry: with both head states named "Al",
+        # head_down's requirement once overwrote head_up's and the lattice came out too shallow.
+        def feasibility(name, document):
+            cfg = _write_config(tmp_path, document)
+            assert run_cli(["--config", str(cfg), "--out", str(tmp_path / name), "feasibility"]).exit_code == 0
+            meta = json.loads((tmp_path / name / "feasibility.meta.json").read_text())
+            rows = read_table(tmp_path / name / "feasibility.csv")
+            return meta["intensity_w_m2"], [row["required_intensity_w_m2"] for row in rows]
+
+        assert feasibility("one-name", _species({1: {"name": "Al"}, 2: {"name": "Al"}})) == \
+            feasibility("distinct", {})
+
     def test_infeasible_transport_exit_code(self, tmp_path, run_cli):
         cfg = _write_config(tmp_path, {"species": [
             {"name": "Sr", "mass_amu": 87.9, "alpha_scalar_au": -470.0, "rho": 0.0,
@@ -291,6 +304,32 @@ class TestScanCommand:
         meta = json.loads((tmp_path / "o" / "scan.meta.json").read_text())
         assert meta["contrast"] == pytest.approx(1.0, abs=1e-6)
         assert meta["gain_over_sql"] == pytest.approx(2.0, rel=1e-6)
+
+    def test_branch_scan_runs_where_the_dense_readout_phase_overflows(self, tmp_path, run_cli):
+        # dw' T - N dw T overflows at the grid's top end, but only the dense readout forms it.
+        cfg = _write_config(tmp_path, {
+            "run": {"backend": "branch", "detuning_min_rad_s": 0, "detuning_max_rad_s": 1e307,
+                    "delta_omega_head_rad_s": -1.2e308},
+            "protocol": {"ramsey_time_s": 1.0, "n_atoms": 12},
+        })
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "scan"])
+        assert result.exit_code == 0 and result.stderr == ""
+
+    @pytest.mark.parametrize("points", [101, 11])
+    def test_sensitivity_beyond_the_float_range_is_null(self, tmp_path, run_cli, points):
+        # At T = 5e-324 the noisy fringe still fits a contrast, but C N T underflows to 0
+        # (101 points: a division by zero) or 1 / (C N T) and 1 / (sqrt(N) T) overflow
+        # (11 points: a gain of inf / inf = nan).
+        cfg = _write_config(tmp_path, {
+            "run": {"detuning_min_rad_s": 1.0, "detuning_max_rad_s": 1e150, "trajectories": 1000,
+                    "detuning_points": points},
+            "protocol": {"ramsey_time_s": 5e-324},
+        })
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "scan"])
+        assert result.exit_code == 0 and result.stderr == ""
+        meta = _strict_json((tmp_path / "o" / "scan.meta.json").read_text())
+        assert meta["contrast"] > 0.0
+        assert meta["sigma_delta_omega_per_shot"] is meta["sql_sigma_per_shot"] is meta["gain_over_sql"] is None
 
 
 class TestSimulateCommand:
@@ -484,6 +523,39 @@ class TestOptimizeCommand:
         overflowing = [r for r in rows if 2 * int(r["n_atoms"]) * 1e302 == math.inf]
         assert overflowing and int(rows[-1]["n_atoms"]) == 2**53
         assert all(float(r["survival"]) == 0.0 for r in rows)
+
+
+# All step times 0, so the schedule lasts 0 s, while N / tau_clock overflows the rate to inf.
+ZERO_DURATION = {"protocol": {"ramsey_time_s": 0, "transport_time_us": 0, "gate_time_us": 0},
+                 "noise": {"tau_scatter_clock_s": 5e-324}}
+
+
+class TestZeroDurationSchedule:
+    """No time, no event: a schedule of zero duration survives at any rate (it once read 0 * inf = nan)."""
+
+    @pytest.mark.parametrize("command", ["schedule", "sweep", "optimize"])
+    def test_survives_with_probability_one(self, tmp_path, run_cli, command):
+        cfg = _write_config(tmp_path, ZERO_DURATION)
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+        assert result.exit_code == 0 and result.stderr == ""
+        table = (tmp_path / "o" / f"{command}.csv").read_text()
+        meta = _strict_json((tmp_path / "o" / f"{command}.meta.json").read_text())
+        assert "nan" not in table
+        if command == "schedule":
+            assert meta["survival"] == 1.0
+        else:
+            assert {row["survival"] for row in read_table(tmp_path / "o" / f"{command}.csv")} == {"1.0"}
+
+    def test_noisy_scan_scatters_nothing(self, tmp_path, run_cli):
+        document = _merge(ZERO_DURATION, {"run": {"detuning_min_rad_s": 0.0, "detuning_max_rad_s": 12.0}})
+        cfg = _write_config(tmp_path, document)
+        bundle = resolve_physics(parse_config(document))
+        assert scatter_probability(bundle.schedule, bundle.decoherence) == 0.0
+        for trajectories in ("0", "1000"):
+            result = run_cli(["--config", str(cfg), "--out", str(tmp_path / trajectories),
+                              "--trajectories", trajectories, "scan"])
+            assert result.exit_code == 0 and result.stderr == ""
+        assert (tmp_path / "1000" / "scan.csv").read_bytes() == (tmp_path / "0" / "scan.csv").read_bytes()
 
 
 # Values for each sweepable leaf that enters the physics, with repeats, so that
@@ -1117,6 +1189,16 @@ class TestMemoryBudgets:
         ("scan", {"protocol": {"n_atoms": MAX_ATOMS, "ramsey_time_s": 1},
                   "run": {"detuning_min_rad_s": 0, "detuning_max_rad_s": 1e300, "backend": "branch"}},
          "run.detuning_max_rad_s"),
+        # The fringe readouts' own phases at the grid's ends: the doubled clock phase 2 dw T,
+        # and the dense readout's dw' T - N dw T, here at chi = 0.
+        ("scan", {"run": {"detuning_min_rad_s": -1e300, "detuning_max_rad_s": 1.797e308},
+                  "protocol": {"ramsey_time_s": 1.0, "n_atoms": 1}}, "run.detuning_max_rad_s"),
+        ("scan", {"run": {"backend": "dense", "detuning_min_rad_s": 0, "detuning_max_rad_s": 1e307,
+                          "delta_omega_head_rad_s": -1.2e308},
+                  "protocol": {"ramsey_time_s": 1.0, "n_atoms": 12}}, "run.detuning_max_rad_s"),
+        # No Ramsey time to place the default grid or probe by.
+        ("scan", {"protocol": {"ramsey_time_s": 0}}, "protocol.ramsey_time_s"),
+        ("simulate", {"protocol": {"ramsey_time_s": 0}}, "protocol.ramsey_time_s"),
         # A leaf outside its declared range, at parse time. Each once exited 1: the mass
         # underflowed the recoil energy to 0, so the scattering rate divided by zero; the
         # wavelength overflowed the recoil energy's square; the polarizability overflowed
@@ -1133,6 +1215,8 @@ class TestMemoryBudgets:
             "simulate-probe-overflow", "simulate-phase-overflow", "simulate-clock-phase-overflow",
             "simulate-head-phase-overflow", "scan-clock-phase-overflow",
             "scan-lower-end-phase-overflow", "scan-head-phase-overflow", "scan-ramsey-phase-overflow",
+            "scan-doubled-clock-phase-overflow", "scan-dense-readout-phase-overflow",
+            "scan-zero-ramsey-time", "simulate-zero-ramsey-time",
             *(f"{command}-mass-range" for command in COMMANDS),
             *(f"{command}-wavelength-range" for command in COMMANDS), "feasibility-alpha-range",
             "sweep-bound+1",

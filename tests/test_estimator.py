@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -486,14 +487,15 @@ def _grid_neighbours(grid, x):
 class TestOptimizeAtomNumber:
     def test_no_decoherence_prefers_largest_register(self):
         params = DecoherenceParams(math.inf, math.inf)
-        n_opt, curve = optimize_atom_number(params, 2e-5, 1e-5, 0.01, range(1, 200, 7))
+        n_opt, curve = optimize_atom_number(ProtocolSchedule(1, 2e-5, 1e-5, 0.01), params,
+                                            range(1, 200, 7))
         assert n_opt == max(curve.n_atoms)
         assert all(s == 1.0 for s in curve.survival)
 
     def test_reference_rates_peak_between_hundred_and_few_thousand(self):
         params = DecoherenceParams(9.586, 7.157)
         grid = sorted({int(round(x)) for x in np.geomspace(1, 10000, 80)})
-        n_opt, curve = optimize_atom_number(params, 17.58e-6, 10e-6, 0.01, grid)
+        n_opt, curve = optimize_atom_number(ProtocolSchedule(1, 17.58e-6, 10e-6, 0.01), params, grid)
         assert 100 <= n_opt <= 1000
         imax = curve.figure_of_merit.index(max(curve.figure_of_merit))
         assert curve.n_atoms[imax] == n_opt
@@ -502,25 +504,62 @@ class TestOptimizeAtomNumber:
         # Zero per-atom step times and no scattering: only the fixed extra
         # loss acts, so survival is N-independent.
         params = DecoherenceParams(math.inf, math.inf, extra_loss_rate=3.0)
-        n_opt, curve = optimize_atom_number(params, 0.0, 0.0, 0.05, range(1, 300, 11))
+        n_opt, curve = optimize_atom_number(ProtocolSchedule(1, 0.0, 0.0, 0.05), params,
+                                            range(1, 300, 11))
         assert len(set(curve.survival)) == 1
         assert n_opt == max(curve.n_atoms)
 
     def test_argmax_invariant_under_joint_time_rate_rescaling(self):
         params = DecoherenceParams(3.0, 5.0, 0.7)
         grid = range(1, 500, 13)
-        n_opt_a, curve_a = optimize_atom_number(params, 2e-5, 1e-5, 0.02, grid, pulse_time=1e-6)
+        n_opt_a, curve_a = optimize_atom_number(ProtocolSchedule(1, 2e-5, 1e-5, 0.02, 1e-6), params, grid)
         kappa = 37.0
         scaled = DecoherenceParams(3.0 * kappa, 5.0 * kappa, 0.7 / kappa)
         n_opt_b, curve_b = optimize_atom_number(
-            scaled, 2e-5 * kappa, 1e-5 * kappa, 0.02 * kappa, grid, pulse_time=1e-6 * kappa
+            ProtocolSchedule(1, 2e-5 * kappa, 1e-5 * kappa, 0.02 * kappa, 1e-6 * kappa), scaled, grid
         )
         assert n_opt_a == n_opt_b
         np.testing.assert_allclose(curve_a.survival, curve_b.survival, rtol=1e-12)
 
     def test_empty_range_rejected(self):
         with pytest.raises(ParameterError):
-            optimize_atom_number(DecoherenceParams(1.0, 1.0), 0.0, 0.0, 0.1, [])
+            optimize_atom_number(ProtocolSchedule(1, 0.0, 0.0, 0.1), DecoherenceParams(1.0, 1.0), [])
+
+    def test_grid_below_one_atom_rejected(self):
+        with pytest.raises(ParameterError):
+            optimize_atom_number(ProtocolSchedule(1, 0.0, 0.0, 0.1), DecoherenceParams(1.0, 1.0), [0, 5])
+
+    def test_runs_without_numpy(self, monkeypatch):
+        monkeypatch.setattr(estimator, "np", None)
+        n_opt, curve = optimize_atom_number(ProtocolSchedule(1, 2e-5, 1e-5, 0.01),
+                                            DecoherenceParams(9.586, 7.157), range(1, 2001, 10))
+        assert 100 <= n_opt <= 1000
+        assert {type(v) for v in curve.survival + curve.figure_of_merit + curve.gain_over_sql} == {float}
+
+    _TIME = st.one_of(st.just(0.0), st.floats(5e-324, 1e300))
+    _TAU = st.floats(5e-324, 1e300)
+
+    @settings(max_examples=200, deadline=None)
+    @given(times=st.tuples(_TIME, _TIME, _TIME, _TIME), tau_clock=_TAU, tau_head=_TAU,
+           extra=st.floats(0.0, 1e300), grid=st.lists(st.integers(1, 2**53), min_size=1, max_size=20))
+    # A zero duration at an overflowing rate (survival 1); durations past the float range from
+    # N = 2^52 on, survival 0 throughout, so the smallest N wins the tie; a finite duration whose
+    # product with the rate overflows.
+    @example(times=(0.0, 0.0, 0.0, 0.0), tau_clock=5e-324, tau_head=1.0, extra=0.0, grid=[1, 7, 2**53])
+    @example(times=(1e300, 0.0, 0.1, 0.0), tau_clock=1.0, tau_head=1.0, extra=0.0, grid=[2**53, 1, 2**52])
+    @example(times=(1e-5, 1e-5, 1e300, 0.0), tau_clock=1e-300, tau_head=1.0, extra=0.0, grid=[1, 2**53])
+    def test_survival_is_the_schedules_bit_for_bit(self, times, tau_clock, tau_head, extra, grid):
+        params = DecoherenceParams(tau_clock, tau_head, extra)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            n_opt, curve = optimize_atom_number(ProtocolSchedule(1, *times), params, grid)
+        assert curve.n_atoms == tuple(sorted(set(grid)))
+        for n, survival, fom, gain in zip(curve.n_atoms, curve.survival, curve.figure_of_merit,
+                                          curve.gain_over_sql):
+            assert survival.hex() == survival_probability(ProtocolSchedule(n, *times), params).hex()
+            assert (fom, gain) == (survival * n, survival * math.sqrt(n))
+        best = max(curve.figure_of_merit)
+        assert n_opt == min(n for n, fom in zip(curve.n_atoms, curve.figure_of_merit) if fom == best)
 
     @settings(max_examples=100, deadline=None)
     @given(gate=st.floats(1e-7, 1e-3), transport=st.floats(1e-7, 1e-3),
@@ -531,7 +570,7 @@ class TestOptimizeAtomNumber:
                                                          tau_clock, tau_head, extra, n_max, points):
         params = DecoherenceParams(tau_clock, tau_head, extra)
         grid = sorted({int(round(n)) for n in np.geomspace(1, n_max, points)})
-        n_opt, _ = optimize_atom_number(params, gate, transport, ramsey, grid, pulse_time=pulse)
+        n_opt, _ = optimize_atom_number(ProtocolSchedule(1, gate, transport, ramsey, pulse), params, grid)
         lower, upper = _grid_neighbours(grid, _continuous_optimum(params, gate, transport, ramsey, pulse))
         assert lower <= n_opt <= upper
 
@@ -541,10 +580,7 @@ class TestOptimizeAtomNumber:
         root = _continuous_optimum(bundle.decoherence, s.gate_time, s.transport_time,
                                    s.ramsey_time, s.pulse_time)
         assert root == pytest.approx(252.6, abs=0.05)
-        n_opt, _ = optimize_atom_number(
-            bundle.decoherence, s.gate_time, s.transport_time, s.ramsey_time,
-            range(1, 2001), pulse_time=s.pulse_time,
-        )
+        n_opt, _ = optimize_atom_number(s, bundle.decoherence, range(1, 2001))
         assert abs(n_opt - root) <= 1.0
 
         run_command("optimize", parse_config(None), tmp_path)

@@ -190,6 +190,29 @@ def test_ci_smoke_runs_a_sweep_keyed_n_first(tmp_path):
     assert result.stdout == "swept 6 points over ['protocol.n_atoms', 'lattice.delta']\n"
 
 
+ZERO_DURATION_SMOKE = (
+    """echo '{"protocol": {"ramsey_time_s": 0, "transport_time_us": 0, "gate_time_us": 0}, """
+    """"noise": {"tau_scatter_clock_s": 5e-324}}' > "$RUNNER_TEMP/zero-duration.json"\n"""
+    "for command in schedule sweep optimize; do\n"
+    """  screwclock --config "$RUNNER_TEMP/zero-duration.json" --out "$RUNNER_TEMP/smoke" "$command" """
+    """2> "$RUNNER_TEMP/stderr.txt"\n"""
+    """  test ! -s "$RUNNER_TEMP/stderr.txt"\n"""
+    "done\n"
+)
+
+
+def test_ci_smoke_runs_a_schedule_of_zero_duration(tmp_path):
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    steps = [step for step in workflow["jobs"]["tier1"]["steps"]
+             if step.get("name", "").startswith("Smoke test")]
+    assert len(steps) == 1
+    assert ZERO_DURATION_SMOKE in steps[0]["run"]
+    result = _run_ci_lines(ZERO_DURATION_SMOKE, tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert "survival 1\n" in result.stdout and "optimal atom number 10000 " in result.stdout
+
+
 def test_ci_smoke_runs_the_schedule_at_its_bound():
     # In the numpy-only job too, so the largest table is also written without scipy.
     yaml = pytest.importorskip("yaml")
@@ -278,6 +301,15 @@ def test_ci_error_contract_names_each_rejected_leaf():
          "run.delta_omega_head_rad_s"),
         (f'{{"protocol": {{"n_atoms": {MAX_ATOMS}, "ramsey_time_s": 1}}, "run": {{"detuning_min_rad_s": 0, '
          '"detuning_max_rad_s": 1e300, "backend": "branch"}}', "run.detuning_max_rad_s"),
+    ]
+    scan_phases += [
+        # the readouts' doubled clock phase and the dense readout's phase
+        ('{"run": {"detuning_min_rad_s": -1e300, "detuning_max_rad_s": 1.797e308}, '
+         '"protocol": {"ramsey_time_s": 1.0, "n_atoms": 1}}', "run.detuning_max_rad_s"),
+        ('{"run": {"backend": "dense", "detuning_min_rad_s": 0, "detuning_max_rad_s": 1e307, '
+         '"delta_omega_head_rad_s": -1.2e308}, "protocol": {"ramsey_time_s": 1.0, "n_atoms": 12}}',
+         "run.detuning_max_rad_s"),
+        ('{"protocol": {"ramsey_time_s": 0}}', "protocol.ramsey_time_s"),
     ]
     for document, field in scan_phases:
         assert (f"""echo '{document}' > "$RUNNER_TEMP/error.json"\n"""

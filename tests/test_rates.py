@@ -226,6 +226,19 @@ class TestSurvivalProbability:
         schedule = ProtocolSchedule(3, 0.0, 0.0, 0.0, 0.0)
         assert survival_probability(schedule, self._params()) == 1.0
 
+    @pytest.mark.parametrize("params", [DecoherenceParams(5e-324, 1.0), DecoherenceParams(math.inf, math.inf)])
+    def test_zero_duration_or_rate_has_no_event(self, params):
+        # No time or no rate, no event: the mean count is 0 where the other factor is inf
+        # (N / 5e-324 overflows) or the duration at N = 2^53 overflows, not 0 * inf = nan.
+        assert params.mean_events(10, 0.0) == 0.0
+        schedule = ProtocolSchedule(10, 0.0, 0.0, 0.0)
+        assert survival_probability(schedule, params) == 1.0
+        assert scatter_probability(schedule, params) == 0.0
+        overflowing = ProtocolSchedule(2**53, 1e300, 0.0, 0.0)
+        assert overflowing.total_duration == math.inf
+        expected = 0.0 if params.total_rate(2**53) else 1.0
+        assert survival_probability(overflowing, params) == expected
+
     def test_log_two_exponent_gives_half(self):
         # One atom, rates tuned so duration * rate = ln 2.
         schedule = ProtocolSchedule(1, 0.0, 0.0, math.log(2.0), 0.0)
