@@ -54,10 +54,11 @@ from .output import TableText, write_table
 # exit 2 and their field path before anything is built.
 MEMORY_BUDGET_BYTES = 128 * 2**20
 
-# `schedule` streams its 4N + 8 rows from the pattern a block of sites at a
-# time, so its memory does not grow with N; its file does. The bound is the
-# largest N whose table fits a 22.61 MB file by the closed-form byte count,
-# even with every duration at the longest float text: N = 119408.
+# `schedule` streams its 4N + 8 rows from the pattern as bytes, a block of
+# at least 64 KiB of whole runs at a time, so its memory does not grow with
+# N; its file does. The bound is the largest N whose table fits a 22.61 MB
+# file by the closed-form byte count, even with every duration at the
+# longest float text: N = 119408.
 SCHEDULE_MAX_BYTES = 22_610_000
 SCHEDULE_MAX_ATOMS = bisect.bisect_right(range(1, 2**53), SCHEDULE_MAX_BYTES, key=schedule_table_bytes)
 

@@ -7,12 +7,13 @@ its value (shortest round-trip for floats, numpy scalars included), except
 Quoting is CSV's minimal quoting: a field holding ``,``, ``"`` or a newline
 is quoted with inner quotes doubled, and a row of one empty field is
 written as ``""``. Every cell goes through one formatter, ``_text``, and
-each column is quoted a chunk of rows at a time. A table whose cells need
-no quoting may instead arrive as its row text (:class:`TableText`, as the
-schedule streams it); columns become the same TableText, so the header,
-the chunked write and the sidecar are one code path for both. Metadata sidecars carry the config
-hash, seed, and tool version; they contain no timestamps so that identical
-runs produce identical bytes.
+each column is quoted and encoded as UTF-8 a chunk of rows at a time. A
+table whose cells need no quoting may instead arrive as its rows' bytes
+(:class:`TableText`, as the schedule streams them); columns become the
+same TableText, so the header, the binary write and the sidecar are one
+code path for both. Metadata sidecars carry the config hash, seed, and
+tool version; they contain no timestamps so that identical runs produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from pathlib import Path
 
 from .errors import ParameterError
 
-# Rows of a column table joined and written at a time, which bounds the
-# memory of long tables.
+# Rows of a column table joined, encoded and written at a time, which
+# bounds the memory of long tables.
 _CHUNK_ROWS = 1024
 
 
@@ -51,16 +52,16 @@ def _quote(texts: list[str], single_column: bool) -> list[str]:
 
 
 class TableText:
-    """A table handed over as its CSV text: column names, row count and rows.
+    """A table handed over as its CSV rows: column names, row count and row bytes.
 
-    ``chunks`` yields whole rows, each ending in a newline, whose cells need
-    no quoting; it is read once. ``len()`` is the number of columns, as for
-    the column mapping.
+    ``chunks`` yields ``bytes`` of whole UTF-8 rows, each ending in a
+    newline, whose cells need no quoting; it is read once. ``len()`` is the
+    number of columns, as for the column mapping.
     """
 
     __slots__ = ("columns", "n_rows", "chunks")
 
-    def __init__(self, columns: Iterable, n_rows: int, chunks: Iterable[str]):
+    def __init__(self, columns: Iterable, n_rows: int, chunks: Iterable[bytes]):
         self.columns, self.n_rows, self.chunks = tuple(columns), n_rows, chunks
 
     def __len__(self) -> int:
@@ -68,7 +69,7 @@ class TableText:
 
 
 def _column_text(rows: dict) -> TableText:
-    """Columns as TableText, formatted and quoted a chunk of rows at a time."""
+    """Columns as TableText, formatted, quoted and encoded a chunk of rows at a time."""
     columns = list(rows.values())
     n_rows = len(columns[0]) if columns else 0
     lengths = {name: len(column) for name, column in rows.items()}
@@ -80,7 +81,7 @@ def _column_text(rows: dict) -> TableText:
         for start in range(0, n_rows, _CHUNK_ROWS):
             texts = (_quote(list(map(_text, column[start:start + _CHUNK_ROWS])), single)
                      for column in columns)
-            yield "\n".join(map(",".join, zip(*texts))) + "\n"
+            yield ("\n".join(map(",".join, zip(*texts))) + "\n").encode()
 
     return TableText(rows, n_rows, chunks())
 
@@ -102,8 +103,8 @@ def write_table(rows: dict | TableText, path, *, metadata: dict | None = None) -
         sidecar = json.dumps(meta, indent=2, sort_keys=True, allow_nan=False) + "\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(_quote(list(map(str, table.columns)), len(table) == 1)) + "\n")
+    with open(path, "wb") as handle:
+        handle.write((",".join(_quote(list(map(str, table.columns)), len(table) == 1)) + "\n").encode())
         handle.writelines(table.chunks)
     if sidecar is not None:
         path.with_name(path.stem + ".meta.json").write_text(sidecar)

@@ -6,13 +6,14 @@ lifetimes, null gate time) are filled in from the lattice physics, and
 where the protocol schedule is assembled.
 
 :func:`resolve_physics` works in two halves. The trap half reads the
-species, the ``lattice`` and ``noise`` sections, ``protocol.a_scatt_au``,
-``protocol.gate_time_us``, ``protocol.depth_factor`` and the constants
-table, and yields the species optics, the intensity requirement, the
-resolved lattice, the interaction energy, the gate time and the
-lifetimes. The schedule half adds N and the transport, Ramsey and pulse
-times. A sweep passes one dict in which points with equal trap inputs
-share one trap half; only this module knows which leaves form that key.
+species optics, the ``lattice`` and ``noise`` sections,
+``protocol.a_scatt_au``, ``protocol.gate_time_us``,
+``protocol.depth_factor`` and the constants table, and yields the
+intensity requirement, the resolved lattice, the interaction energy, the
+gate time and the lifetimes. The schedule half adds N and the transport,
+Ramsey and pulse times. A sweep passes one dict in which its points share
+one set of species optics, and points with equal trap inputs one trap
+half; only this module knows which leaves form those keys.
 """
 
 from __future__ import annotations
@@ -78,16 +79,19 @@ class PhysicsBundle:
         return self.schedule.gate_time
 
 
-def _trap_physics(species, lattice_section, noise, a_scatt_au, gate_time_us, depth_factor,
+def _trap_physics(optics, lattice_section, noise, a_scatt_au, gate_time_us, depth_factor,
                   table) -> tuple:
     """The trap half: everything the schedule half does not fix, from exactly these inputs.
 
-    ``species`` holds the clock, head_up and head_down entries, in that
-    order. Returns (clock, head_up, head_down, lattice, requirement,
-    interaction, gate_time, decoherence) with the species as optics. N and
-    the transport, Ramsey and pulse times enter none of it.
+    ``optics`` holds the clock, head_up and head_down optics, in that
+    order. Returns (lattice, requirement, interaction, gate_time,
+    decoherence). N and the transport, Ramsey and pulse times enter none of
+    it. Beyond the float range, a minimum intensity is a config error of
+    ``protocol.depth_factor``, a trap frequency of the leaf that sets its
+    intensity (``protocol.depth_factor`` for the computed minimum), and an
+    interaction energy of ``protocol.a_scatt_au``.
     """
-    clock, head_up, head_down = (species_optics(entry, table) for entry in species)
+    clock, head_up, _ = optics
 
     lambda_m = lattice_section.lambda_m_nm * 1e-9
     probe = LatticeConfig(
@@ -97,13 +101,18 @@ def _trap_physics(species, lattice_section, noise, a_scatt_au, gate_time_us, dep
         transverse_intensity=0.0,
     )
     requirement = min_required_intensity(
-        [clock, head_up, head_down], probe, depth_factor=depth_factor, table=table
+        list(optics), probe, depth_factor=depth_factor, table=table
     )
+    if not math.isfinite(requirement.intensity):
+        raise ConfigError("protocol.depth_factor", f"the minimum intensity {requirement.intensity!r} "
+                                                   "W/m^2 overflows the float range")
 
     if lattice_section.intensity_kW_cm2 is not None:
         intensity = lattice_section.intensity_kW_cm2 * KW_CM2_TO_W_M2
+        intensity_leaf = "lattice.intensity_kW_cm2"
     else:
         intensity = requirement.intensity
+        intensity_leaf = "protocol.depth_factor"
         if not intensity > 0.0:
             raise ParameterError(
                 "lattice.intensity_kW_cm2 is null and the computed minimum is zero; "
@@ -111,8 +120,9 @@ def _trap_physics(species, lattice_section, noise, a_scatt_au, gate_time_us, dep
             )
     if lattice_section.transverse_intensity_kW_cm2 is not None:
         transverse = lattice_section.transverse_intensity_kW_cm2 * KW_CM2_TO_W_M2
+        transverse_leaf = "lattice.transverse_intensity_kW_cm2"
     else:
-        transverse = intensity
+        transverse, transverse_leaf = intensity, intensity_leaf
 
     lattice = LatticeConfig(
         lambda_m=lambda_m,
@@ -126,10 +136,17 @@ def _trap_physics(species, lattice_section, noise, a_scatt_au, gate_time_us, dep
     # evaluated there.
     clock_freqs = trap_frequencies(lattice, clock, table)
     head_freqs = trap_frequencies(lattice, head_up, table)
+    for leaf, omegas in ((intensity_leaf, clock_freqs[:1] + head_freqs[:1]),
+                         (transverse_leaf, clock_freqs[1:] + head_freqs[1:])):
+        if not all(map(math.isfinite, omegas)):
+            raise ConfigError(leaf, f"the trap frequencies {omegas!r} rad/s overflow the float range")
     a_scatt = au_to_si_length(a_scatt_au, table)
     delta_e = interaction_energy(
         a_scatt, head_up.mass, clock.mass, head_freqs, clock_freqs, table
     )
+    if not math.isfinite(delta_e):
+        raise ConfigError("protocol.a_scatt_au",
+                          f"the interaction energy {delta_e!r} J overflows the float range")
 
     if gate_time_us is not None:
         gate_time = gate_time_us * 1e-6
@@ -153,20 +170,16 @@ def _trap_physics(species, lattice_section, noise, a_scatt_au, gate_time_us, dep
         tau_scatter_head=tau_head,
         extra_loss_rate=noise.extra_loss_rate_per_s,
     )
-    return clock, head_up, head_down, lattice, requirement, delta_e, gate_time, decoherence
+    return lattice, requirement, delta_e, gate_time, decoherence
 
 
-def _zero_signs(inputs: tuple) -> tuple:
-    """The sign of every zero among the trap inputs' numbers.
+def _zero_signs(*parts) -> tuple:
+    """The sign of every zero among these numbers and these dataclasses' fields.
 
     0.0 == -0.0, yet a gate time of -0.0 us writes apart from 0.0: two
     inputs share a trap only if their zeros carry the same signs.
     """
-    species, lattice_section, noise, *scalars, table = inputs
-    values = [*scalars, *vars(lattice_section).values(), *vars(noise).values(),
-              *vars(table).values()]
-    for entry in species:
-        values.extend(vars(entry).values())
+    values = [v for part in parts for v in (vars(part).values() if hasattr(part, "__dict__") else (part,))]
     return tuple(math.copysign(1.0, v) for v in values if v == 0.0)
 
 
@@ -174,22 +187,28 @@ def resolve_physics(cfg: RunConfig, table: ConstantsTable = CODATA, *,
                     traps: dict | None = None) -> PhysicsBundle:
     """The config's physics: its trap half, then its schedule half.
 
-    ``traps``, a dict the caller owns, shares the trap half between calls
-    whose trap inputs are equal, as a sweep's points often are; a trap half
-    that raises stores nothing. A total duration beyond the float range is a
-    config error of the leaf of its largest term.
+    ``traps``, a dict the caller owns, shares the species optics between
+    calls with equal species and constants, as all of a sweep's points
+    have, and the trap half between those whose other trap inputs are equal
+    too, as a sweep's points often are; a trap half that raises stores
+    nothing. A total duration beyond the float range is a config error of
+    the leaf of its largest term.
     """
     protocol = cfg.protocol
-    inputs = (tuple(map(cfg.species_by_role, ROLES)), cfg.lattice, cfg.noise,
-              protocol.a_scatt_au, protocol.gate_time_us, protocol.depth_factor, table)
-    if traps is None:
-        trap = _trap_physics(*inputs)
+    species = tuple(map(cfg.species_by_role, ROLES))
+    inputs = (cfg.lattice, cfg.noise, protocol.a_scatt_au, protocol.gate_time_us, protocol.depth_factor)
+    if traps is None:  # a single call hashes no keys
+        optics = tuple(species_optics(entry, table) for entry in species)
+        trap = _trap_physics(optics, *inputs, table)
     else:
-        key = (inputs, _zero_signs(inputs))
-        trap = traps.get(key)
+        group = (species, table, _zero_signs(*species, table))
+        optics, halves = traps.get(group) or (tuple(species_optics(entry, table) for entry in species), {})
+        key = (inputs, _zero_signs(*inputs))
+        trap = halves.get(key)
         if trap is None:
-            trap = traps[key] = _trap_physics(*inputs)
-    clock, head_up, head_down, lattice, requirement, delta_e, gate_time, decoherence = trap
+            trap = halves[key] = _trap_physics(optics, *inputs, table)
+            traps[group] = optics, halves
+    lattice, requirement, delta_e, gate_time, decoherence = trap
 
     schedule = ProtocolSchedule(
         protocol.n_atoms, gate_time, protocol.transport_time_us * 1e-6,
@@ -202,6 +221,7 @@ def resolve_physics(cfg: RunConfig, table: ConstantsTable = CODATA, *,
         raise ConfigError(max(terms, key=terms.get),
                           "the schedule's total duration overflows the float range")
 
+    clock, head_up, head_down = optics
     return PhysicsBundle(
         table=table,
         clock=clock,

@@ -69,7 +69,7 @@ class ProtocolSchedule:
 
     Pulse and readout slots default to zero time, negligible against the
     ms-scale transport stages. The steps are never held as objects:
-    :func:`schedule_rows` writes them from the pattern as table text.
+    :func:`schedule_rows` writes them from the pattern as table bytes.
     """
 
     n_atoms: int
@@ -98,35 +98,55 @@ class ProtocolSchedule:
         )
 
 
-# Columns of the schedule table, and the characters that stand for the
-# hundreds of a step and of a site in a row template. Neither occurs in a
-# kind or in ``str`` of a non-negative float.
+# Columns of the schedule table, and the bytes that stand for the hundreds
+# of a step and of a site in a row template. Neither occurs in a kind or in
+# ``str`` of a non-negative float.
 SCHEDULE_COLUMNS = ("step_index", "kind", "duration_s", "site")
-_STEP_MARK, _SITE_MARK = "#", "@"
+_STEP_MARK, _SITE_MARK = b"#", b"@"
+# Whole runs are joined into blocks of at least this many bytes before they
+# are yielded: one write per block, and memory bounded by a block and a run.
+SCHEDULE_BLOCK_BYTES = 64 * 1024
 
 
-def schedule_rows(schedule: ProtocolSchedule) -> Iterator[str]:
-    """The schedule table's 4N + 8 rows as CSV text, one chunk of whole rows per run.
+def schedule_rows(schedule: ProtocolSchedule) -> Iterator[bytes]:
+    """The schedule table's 4N + 8 rows as CSV bytes, in blocks of whole runs.
 
     The pattern :func:`schedule_duration` sums: clock and head pulses, a
     transport/phase-gate pass over sites 0..N-1, clock pulse, free
     evolution, clock pulse, the same pass, clock pulse, head pulse, readout.
     Each duration is ``str`` of its value, formatted once; the pulse,
     readout and free-evolution rows leave ``site`` empty. No cell needs CSV
-    quoting: the kinds are fixed words, and ``str`` of an int or of a
-    non-negative float holds no comma, quote or newline.
+    quoting, and every byte is ASCII: the kinds are fixed words, and
+    ``str`` of an int or of a non-negative float holds no comma, quote or
+    newline.
 
     A pass is written in runs of at most 50 sites: site s, its transport
     step k and its gate step k + 1 each keep their hundreds within a run.
     Runs from site 100 on are written from a template, kept per (k mod 100,
     s mod 100, length) for this call only, whose marks take the hundreds
     of k and of s. The other runs, and each site whose gate step starts a
-    new hundred, are formatted row by row.
+    new hundred, are formatted row by row. Runs are yielded joined, each
+    block at least :data:`SCHEDULE_BLOCK_BYTES` long but the last, and
+    shorter than that plus one run.
     """
+    block, size = [], 0
+    for run in _schedule_runs(schedule):
+        block.append(run)
+        size += len(run)
+        if size >= SCHEDULE_BLOCK_BYTES:
+            yield b"".join(block)
+            block, size = [], 0
+    if block:
+        yield b"".join(block)
+
+
+def _schedule_runs(schedule: ProtocolSchedule) -> Iterator[bytes]:
+    """The rows of :func:`schedule_rows`, one run of sites (or of fixed slots) at a time."""
     n = schedule.n_atoms
-    pulse, ramsey = str(schedule.pulse_time), str(schedule.ramsey_time)
-    transport = ",transport," + str(schedule.transport_time) + ","
-    gate = ",phase_gate," + str(schedule.gate_time) + ","
+    pulse, ramsey = str(schedule.pulse_time).encode(), str(schedule.ramsey_time).encode()
+    transport = b",transport,%s," % str(schedule.transport_time).encode()
+    gate = b",phase_gate,%s," % str(schedule.gate_time).encode()
+    marked = b"%s%02d%s%s%02d\n"  # a row of a template: step mark, step, kind and duration, site mark, site
     templates = {}
 
     def gate_pass(first):  # rows first .. first + 2N - 1
@@ -139,25 +159,27 @@ def schedule_rows(schedule: ProtocolSchedule) -> Iterator[str]:
             length = min(n - start, 100 - site, max(1, (100 - step) // 2))
             if start < 100 or step == 99:
                 steps = range(first + 2 * start, first + 2 * (start + length), 2)
-                yield "".join([f"{k}{transport}{s}\n{k + 1}{gate}{s}\n"
-                               for s, k in zip(range(start, start + length), steps)])
+                yield b"".join([b"%d%s%d\n%d%s%d\n" % (k, transport, s, k + 1, gate, s)
+                                for s, k in zip(range(start, start + length), steps)])
             else:
                 key = (step, site, length)
                 if key not in templates:
-                    templates[key] = "".join([
-                        f"{_STEP_MARK}{k:02}{transport}{_SITE_MARK}{s:02}\n"
-                        f"{_STEP_MARK}{k + 1:02}{gate}{_SITE_MARK}{s:02}\n"
+                    templates[key] = b"".join([
+                        marked % (_STEP_MARK, k, transport, _SITE_MARK, s)
+                        + marked % (_STEP_MARK, k + 1, gate, _SITE_MARK, s)
                         for s, k in zip(range(site, site + length), range(step, 100, 2))])
-                yield templates[key].replace(_STEP_MARK, str(hundreds)).replace(_SITE_MARK, str(start // 100))
+                yield templates[key].replace(_STEP_MARK, b"%d" % hundreds).replace(
+                    _SITE_MARK, b"%d" % (start // 100))
             start += length
 
-    yield f"0,hadamard_all,{pulse},\n1,head_pulse,{pulse},\n"
+    yield b"0,hadamard_all,%s,\n1,head_pulse,%s,\n" % (pulse, pulse)
     yield from gate_pass(2)
     k = 2 * n + 2
-    yield f"{k},hadamard_all,{pulse},\n{k + 1},free_evolution,{ramsey},\n{k + 2},hadamard_all,{pulse},\n"
+    yield b"%d,hadamard_all,%s,\n%d,free_evolution,%s,\n%d,hadamard_all,%s,\n" % (
+        k, pulse, k + 1, ramsey, k + 2, pulse)
     yield from gate_pass(k + 3)
     k += 2 * n + 3
-    yield f"{k},hadamard_all,{pulse},\n{k + 1},head_pulse,{pulse},\n{k + 2},readout,{pulse},\n"
+    yield b"%d,hadamard_all,%s,\n%d,head_pulse,%s,\n%d,readout,%s,\n" % (k, pulse, k + 1, pulse, k + 2, pulse)
 
 
 def _digits_below(m: int) -> int:
@@ -197,7 +219,8 @@ def photon_scattering_time(
 
         1 / tau = eta * omega^3 * alpha^2 * I / (6 pi eps0^2 hbar c^4)
 
-    Returns inf for vanishing polarizability.
+    Returns inf for vanishing polarizability, and where the rate underflows
+    to 0.
     """
     if not depth > 0.0:
         raise UntrappedError(f"scattering suppression undefined for depth {depth} <= 0")
@@ -222,7 +245,7 @@ def photon_scattering_time(
             * table.speed_of_light**4
         )
     )
-    return 1.0 / rate
+    return 1.0 / rate if rate else math.inf
 
 
 def interaction_energy(

@@ -606,7 +606,7 @@ def streamed_schedule_steps(schedule) -> list[tuple]:
     Each row's ``step_index`` must be its position.
     """
     steps = []
-    for index, row in enumerate("".join(schedule_rows(schedule)).splitlines()):
+    for index, row in enumerate(b"".join(schedule_rows(schedule)).decode().splitlines()):
         step_index, kind, duration, site = row.split(",")
         assert int(step_index) == index, row
         steps.append((kind, float(duration), int(site) if site else None))

@@ -30,8 +30,8 @@ from screwclock.estimator import fringe_scan
 from screwclock.output import TableText, write_table
 from screwclock.pipeline import resolve_physics
 from screwclock.rates import (
-    _SITE_MARK, _STEP_MARK, SCHEDULE_COLUMNS, ProtocolSchedule, scatter_probability, schedule_rows,
-    schedule_table_bytes, survival_probability,
+    _SITE_MARK, _STEP_MARK, SCHEDULE_BLOCK_BYTES, SCHEDULE_COLUMNS, ProtocolSchedule,
+    scatter_probability, schedule_rows, schedule_table_bytes, survival_probability,
 )
 from screwclock.register import BranchState, DenseState
 
@@ -95,7 +95,7 @@ class TestWriteTable:
 
     def test_table_text_writes_like_its_columns(self, tmp_path):
         columns = {"a": [1, 2], "b": ["x", None]}
-        text = TableText(columns, 2, iter(["1,x\n", "2,\n"]))
+        text = TableText(columns, 2, iter([b"1,x\n", b"2,\n"]))
         assert len(text) == len(columns)  # as the benchmark's tracer reads it
         got = write_table(text, tmp_path / "got.csv", metadata={"seed": 7})
         want = write_table(columns, tmp_path / "want.csv", metadata={"seed": 7})
@@ -152,14 +152,22 @@ class TestWriteTable:
             write_table({"a": [1], "b": [2, 3]}, tmp_path / "t.csv")
 
     def test_non_finite_metadata_rejected(self, tmp_path):
+        # The sidecar's text is made before the directory, so nothing is written.
         with pytest.raises(ValueError):
-            write_table({"a": [1]}, tmp_path / "t.csv", metadata={"x": math.inf})
+            write_table({"a": [1]}, tmp_path / "new" / "t.csv", metadata={"x": math.inf})
+        assert not (tmp_path / "new").exists()
 
     def test_metadata_sidecar_written(self, tmp_path):
         write_table({"a": [1]}, tmp_path / "t.csv", metadata={"seed": 7})
         meta = json.loads((tmp_path / "t.meta.json").read_text())
         assert meta["seed"] == 7
         assert meta["rows"] == 1
+
+    def test_non_ascii_cells_write_as_utf8(self, tmp_path):
+        # Whatever the locale's encoding, as the schedule's bytes are.
+        path = write_table({"species": ["Sr", "\u00b9\u2077\u00b9Yb", "a,\u00b5"], "n": [1, 2, 3]},
+                           tmp_path / "t.csv")
+        assert path.read_bytes() == 'species,n\nSr,1\n\u00b9\u2077\u00b9Yb,2\n"a,\u00b5",3\n'.encode("utf-8")
 
     def test_carriage_return_and_leading_space_unquoted(self, tmp_path):
         # The bytes csv.writer(lineterminator="\n") writes on CPython 3.11.
@@ -453,23 +461,26 @@ class TestScheduleCommand:
         # non-negative float holds no comma, quote or newline, nor either mark
         # of a row template, and takes at most the 23 characters the byte
         # bound assumes.
-        marks = {_STEP_MARK, _SITE_MARK}
+        marks = {_STEP_MARK.decode(), _SITE_MARK.decode()}
         assert all(len(str(t)) <= 23 and not set(str(t)) & (set(',"\n\r') | marks) for t in times)
-        chunks = list(schedule_rows(ProtocolSchedule(260, *times)))
-        text = "".join(chunks)
+        text = b"".join(schedule_rows(ProtocolSchedule(260, *times))).decode("ascii")
         assert '"' not in text and "\r" not in text and not set(text) & marks
         assert all(row.count(",") == 3 for row in text.splitlines())
-        # Each chunk is whole rows of one run at most, so memory stays flat in
-        # N: the fixed slots, or at most 50 sites of one hundred, whose steps
-        # share a hundred unless the chunk holds a single site.
-        for chunk in chunks:
-            assert chunk.endswith("\n")
-            rows = [row.split(",") for row in chunk.splitlines()]
-            sites = {int(site) for *_, site in rows if site}
-            if sites:
-                assert len(rows) == 2 * len(sites) <= 100
-                assert len({site // 100 for site in sites}) == 1
-                assert len(sites) == 1 or len({int(step) // 100 for step, *_ in rows}) == 1
+
+    @pytest.mark.parametrize("n", [1, 260, 3000, SCHEDULE_MAX_ATOMS])
+    def test_blocks_are_whole_rows_bounded_apart_from_n(self, n):
+        # Each block is whole rows of whole runs, at least SCHEDULE_BLOCK_BYTES
+        # long but the last, and under that plus its last run: a run is at most
+        # 50 sites, 100 rows, so memory stays flat in N. At N <= 119408 no row
+        # is longer than 49 bytes: six-digit step and site, 23-character duration.
+        times = (1.2345678901234567e-100, 0.00012345678901234567, 0.01, 5e-324)
+        blocks = list(schedule_rows(ProtocolSchedule(n, *times)))
+        for index, block in enumerate(blocks):
+            rows = block.splitlines(keepends=True)
+            assert block.endswith(b"\n") and all(len(row) <= 49 for row in rows)
+            assert index == len(blocks) - 1 or len(block) >= SCHEDULE_BLOCK_BYTES
+            assert len(block) - len(b"".join(rows[-100:])) < SCHEDULE_BLOCK_BYTES
+            assert len(block) < SCHEDULE_BLOCK_BYTES + 100 * 49
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 3000),
@@ -1381,15 +1392,28 @@ _OPTIONS = st.one_of(
 
 
 class TestErrorContract:
-    @pytest.mark.parametrize("a_scatt", [1e300, -1e300])
-    def test_a_sidecar_that_is_not_json_leaves_no_out_directory(self, tmp_path, run_cli, a_scatt):
-        # The scattering length scales the interaction energy in feasibility's sidecar, which
-        # overflows to +-inf. The sidecar's text is made before the directory, so the command
-        # fails with nothing written.
-        cfg = _write_config(tmp_path, {"protocol": {"a_scatt_au": a_scatt}})
-        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "feasibility"])
-        assert result.exit_code == 1
-        assert "not JSON compliant" in _assert_error_blob(result, _readme_exit_codes())["message"]
+    # Trap physics beyond the float range. Each once exited 1: the scattering length
+    # overflowed feasibility's interaction energy in its sidecar; the transverse intensity
+    # overflowed in W/m^2, so the energy was nan; the depth factor's intensity overflowed
+    # the depth, so the scattering rate underflowed to 0 and was divided by; and beside an
+    # explicit intensity, the depth factor overflowed feasibility's minimum intensity.
+    @pytest.mark.parametrize("document,field", [
+        ({"protocol": {"a_scatt_au": 1e300}}, "protocol.a_scatt_au"),
+        ({"protocol": {"a_scatt_au": -1e300}}, "protocol.a_scatt_au"),
+        ({"lattice": {"transverse_intensity_kW_cm2": 1.797e308, "lambda_m_nm": 1},
+          "protocol": {"gate_time_us": 1e300}}, "lattice.transverse_intensity_kW_cm2"),
+        ({"lattice": {"lambda_m_nm": 1e6}, "protocol": {"depth_factor": 1e300}}, "protocol.depth_factor"),
+        ({"lattice": {"intensity_kW_cm2": 22.0}, "protocol": {"depth_factor": 1e305}},
+         "protocol.depth_factor"),
+    ], ids=["a_scatt", "negative-a_scatt", "transverse-intensity", "depth-factor", "minimum-intensity"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_trap_physics_beyond_the_float_range_names_its_leaf(self, tmp_path, run_cli, command,
+                                                                 document, field):
+        cfg = _write_config(tmp_path, document)
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+        assert result.exit_code == 2
+        blob = _assert_error_blob(result, _readme_exit_codes())
+        assert blob["field"] == field and "overflow" in blob["message"]
         assert not (tmp_path / "o").exists()
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

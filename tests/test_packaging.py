@@ -318,16 +318,24 @@ def test_ci_error_contract_names_each_rejected_leaf():
     assert ("""echo '{"lattice": {"lambda_m_nm": 1e-300}}' > "$RUNNER_TEMP/error.json"\n"""
             "expect_config_error lattice.lambda_m_nm simulate\n") in script
     assert "expect_config_error 'species[2].alpha_scalar_au' feasibility\n" in script
-    assert ("""echo '{"protocol": {"a_scatt_au": 1e300}}' > "$RUNNER_TEMP/error.json"\n"""
-            "expect_failure feasibility\n") in script
-    assert 'test "$status" -ne 0' in script
+    trap_physics = [
+        ('{"protocol": {"a_scatt_au": 1e300}}', "protocol.a_scatt_au feasibility"),
+        ('{"lattice": {"lambda_m_nm": 1e6}, "protocol": {"depth_factor": 1e300}}',
+         "protocol.depth_factor schedule"),
+        ('{"lattice": {"transverse_intensity_kW_cm2": 1.797e308, "lambda_m_nm": 1}, '
+         '"protocol": {"gate_time_us": 1e300}}', "lattice.transverse_intensity_kW_cm2 feasibility"),
+    ]
+    for document, expectation in trap_physics:
+        assert (f"""echo '{document}' > "$RUNNER_TEMP/error.json"\n"""
+                f"expect_config_error {expectation}\n") in script
+    assert "expect_failure" not in script
 
 
 @pytest.mark.parametrize("line,wrong", [
     (None, None),
     ("expect_config_error optimize.n_points ", "expect_config_error optimize.n_max "),
     ("expect_config_error run.detuning_max_rad_s ", "expect_config_error run.detuning_min_rad_s "),
-    ("expect_failure feasibility", "expect_failure schedule"),
+    ("expect_config_error protocol.n_atoms schedule\n", "expect_config_error protocol.n_atoms feasibility\n"),
 ], ids=["as-written", "wrong-field-fails", "wrong-overflow-field-fails", "command-that-succeeds-fails"])
 def test_error_contract_lines_run(tmp_path, line, wrong):
     """The step's lines, through bash; with one expectation made wrong, the step must fail."""
@@ -338,4 +346,4 @@ def test_error_contract_lines_run(tmp_path, line, wrong):
     result = _run_ci_lines(script, tmp_path)
     assert (result.returncode == 0) == (line is None), result.stderr
     # Only a command that succeeds writes its output directory.
-    assert (tmp_path / "errors").exists() == (wrong == "expect_failure schedule")
+    assert (tmp_path / "errors").exists() == (wrong == "expect_config_error protocol.n_atoms feasibility\n")

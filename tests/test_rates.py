@@ -49,6 +49,10 @@ class TestPhotonScatteringTime:
         tau = photon_scattering_time(ghost, reference_lattice.intensity, 1e-28, LAMBDA_M)
         assert tau == math.inf
 
+    def test_rate_that_underflows_never_scatters(self, sr, reference_lattice):
+        # An infinite depth suppresses the rate to 0 through eta = sqrt(E_R / depth) / 2.
+        assert photon_scattering_time(sr, reference_lattice.intensity, math.inf, LAMBDA_M) == math.inf
+
     def test_nonpositive_depth_rejected(self, sr, reference_lattice):
         with pytest.raises(UntrappedError):
             photon_scattering_time(sr, reference_lattice.intensity, 0.0, LAMBDA_M)
@@ -174,7 +178,7 @@ def _assert_rows_match_reference(n):
     schedule = ProtocolSchedule(n, 6.283185307179586e-05, 1e-05, 0.01, 2.5e-07)
     expected = reference_schedule_rows(schedule)
     for chunk in schedule_rows(schedule):
-        assert chunk == "".join(islice(expected, chunk.count("\n"))), n
+        assert chunk == "".join(islice(expected, chunk.count(b"\n"))).encode(), n
     assert next(expected, None) is None, n
 
 
