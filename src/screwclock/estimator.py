@@ -18,7 +18,7 @@ from numpy.fft import rfft, rfftfreq
 from .errors import DegenerateFringeError, ParameterError
 from .rates import DecoherenceParams, ProtocolSchedule, schedule_duration
 from .register import init_register, prepare_ghz
-from .trajectories import sample_scatter_count
+from .trajectories import scatter_counts
 
 _FLAT_TOL = 1e-12
 # Levenberg-Marquardt steps before the fit gives up. Most fits take under 50;
@@ -79,8 +79,9 @@ def fringe_scan(
     ``scatter_probability``. Otherwise each point is the mean over
     ``trajectories`` Monte Carlo trajectories, each of which scatters, and
     reads 1/2, with probability ``scatter_probability`` (see
-    :func:`~screwclock.rates.scatter_probability`): one scatter count drawn
-    on a per-point substream of ``seed``.
+    :func:`~screwclock.rates.scatter_probability`): point i's scatter count
+    is the draw of ``default_rng([seed, i])``, and one call to
+    :func:`~screwclock.trajectories.scatter_counts` draws them all.
     """
     grid = np.asarray(detunings, dtype=float)
     if grid.size == 0:
@@ -93,9 +94,8 @@ def fringe_scan(
     values = prepare_ghz(init_register(n_atoms, backend)).fringe_readout(grid, delta_omega_head, ramsey_time)
     if trajectories:
         # Mean of K halves and (n - K) noiseless values, K drawn per point.
-        fractions = [sample_scatter_count(scatter_probability, trajectories, seed=[seed, i]) / trajectories
-                     for i in range(grid.size)]
-        values = values + (0.5 - values) * np.array(fractions)
+        counts = scatter_counts(scatter_probability, trajectories, seed, grid.size)
+        values = values + (0.5 - values) * np.array([k / trajectories for k in counts])
     return FringeScan(
         detunings=tuple(grid.tolist()),
         p_up=tuple(values.tolist()),

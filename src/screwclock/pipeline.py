@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .config import KW_CM2_TO_W_M2, RunConfig, SpeciesEntry
 from .constants import CODATA, ConstantsTable, au_to_si_length
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, UntrappedError
 from .lattice import (
     ROLES,
     IntensityRequirement,
@@ -31,6 +31,7 @@ from .lattice import (
     SpeciesOptics,
     min_required_intensity,
     overlap_depth,
+    sublattice_depths,
     trap_frequencies,
 )
 from .rates import (
@@ -87,9 +88,9 @@ def _trap_physics(optics, lattice_section, noise, a_scatt_au, gate_time_us, dept
     order. Returns (lattice, requirement, interaction, gate_time,
     decoherence). N and the transport, Ramsey and pulse times enter none of
     it. Beyond the float range, a minimum intensity is a config error of
-    ``protocol.depth_factor``, a trap frequency of the leaf that sets its
-    intensity (``protocol.depth_factor`` for the computed minimum), and an
-    interaction energy of ``protocol.a_scatt_au``.
+    ``protocol.depth_factor``, a trap frequency or sublattice depth of the
+    leaf that sets its intensity (``protocol.depth_factor`` for the computed
+    minimum), and an interaction energy of ``protocol.a_scatt_au``.
     """
     clock, head_up, _ = optics
 
@@ -133,9 +134,17 @@ def _trap_physics(optics, lattice_section, noise, a_scatt_au, gate_time_us, dept
 
     # The lattice sits at the maximum-overlap phase (phi = 0), where the two
     # atoms share a well: trap frequencies and the collisional energy are
-    # evaluated there.
-    clock_freqs = trap_frequencies(lattice, clock, table)
-    head_freqs = trap_frequencies(lattice, head_up, table)
+    # evaluated there. An intensity whose depths overflow reads as untrapped,
+    # an infinite depth being no larger than its infinite scale.
+    try:
+        clock_freqs = trap_frequencies(lattice, clock, table)
+        head_freqs = trap_frequencies(lattice, head_up, table)
+    except UntrappedError:
+        depths = sublattice_depths(lattice, clock, table) + sublattice_depths(lattice, head_up, table)
+        if all(map(math.isfinite, depths)):
+            raise
+        raise ConfigError(intensity_leaf,
+                          f"the sublattice depths {depths!r} J overflow the float range") from None
     for leaf, omegas in ((intensity_leaf, clock_freqs[:1] + head_freqs[:1]),
                          (transverse_leaf, clock_freqs[1:] + head_freqs[1:])):
         if not all(map(math.isfinite, omegas)):

@@ -150,12 +150,15 @@ def _kron_powers(m: np.ndarray) -> list[np.ndarray]:
 class DenseState:
     """Full state vector of N clock qubits and the head qubit.
 
-    Rotations bind ``amplitudes`` to the new array their matrix products
-    return; keep ``amplitudes.copy()``, not a reference to ``amplitudes``.
-    The two diagonal gates read the cached table of clock-index Hamming
-    weights (:func:`_clock_weights`, 16 KiB at the cap): a phase pass takes
-    its signs from the weight parity and free evolution its phases from
-    the weight.
+    A rotation writes each matrix product into the amplitudes or a spare
+    array of the same size, whichever the step before did not, and binds
+    ``amplitudes`` to the last one written: keep ``amplitudes.copy()``, not
+    a reference to ``amplitudes``, which a later gate may overwrite. It
+    first copies amplitudes bound from outside that are strided or not
+    complex, which it could not write. The two diagonal gates read the
+    cached table of clock-index Hamming weights (:func:`_clock_weights`,
+    16 KiB at the cap): a phase pass takes its signs from the weight parity
+    and free evolution its phases from the weight.
     """
 
     backend = "dense"
@@ -171,6 +174,7 @@ class DenseState:
         self.n_atoms = n_atoms
         self.amplitudes = np.zeros(2 ** (n_atoms + 1), dtype=complex)
         self.amplitudes[0] = 1.0
+        self._spare = np.empty_like(self.amplitudes)
 
     def apply_clock_rotation(self, matrix) -> "DenseState":
         """Rotate every clock qubit, up to DENSE_BLOCK_BITS at a time.
@@ -178,18 +182,23 @@ class DenseState:
         Each step applies the k-fold Kronecker power of m to the k lowest
         index bits and cycles them to the top of the index, in one matrix
         product; once all N clock bits have cycled, the head bit is lowest
-        and one transpose puts it back.
+        and one transposed copy puts it back. Each product and the copy
+        write the array the step before did not.
         """
         blocks = _kron_powers(_unitary_array(matrix))
-        amplitudes = self.amplitudes
+        source, target = np.ascontiguousarray(self.amplitudes, dtype=complex), self._spare
         for low in range(0, self.n_atoms, DENSE_BLOCK_BITS):
             k = min(DENSE_BLOCK_BITS, self.n_atoms - low)
-            amplitudes = blocks[k - 1] @ amplitudes.reshape(-1, 2 ** k).T
-        self.amplitudes = amplitudes.reshape(-1, 2).T.ravel()
+            np.matmul(blocks[k - 1], source.reshape(-1, 2 ** k).T, out=target.reshape(2 ** k, -1))
+            source, target = target, source
+        np.copyto(target.reshape(2, -1), source.reshape(-1, 2).T)
+        self.amplitudes, self._spare = target, source
         return self
 
     def apply_head_rotation(self, matrix) -> "DenseState":
-        self.amplitudes = (_unitary_array(matrix) @ self.amplitudes.reshape(2, -1)).ravel()
+        source = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        np.matmul(_unitary_array(matrix), source.reshape(2, -1), out=self._spare.reshape(2, -1))
+        self.amplitudes, self._spare = self._spare, source
         return self
 
     def apply_phase_pass(self) -> "DenseState":

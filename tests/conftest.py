@@ -9,7 +9,8 @@ reference paths the fast ones are tested against: the protocol gate by
 gate, the branch state with one clock factor per site and its per-site
 phase gate, the dense/branch overlap contracted one site per product, the
 per-axis and the allocating dense rotations, the XOR-loop dense phase pass
-and the per-axis dense free evolution, the per-trajectory sampler, scipy's
+and the per-axis dense free evolution, the per-trajectory sampler and the
+one-generator-per-point scatter count, scipy's
 curve_fit fringe fit, the numeric well depth, the schedule steps and
 rows expanded one at a time, the row-dict CSV writer and a CSV reader,
 the config override as a whole-section re-parse;
@@ -496,10 +497,21 @@ def reference_fringe_fit(x, y, *, tol=None):
     return params
 
 
+def sample_scatter_count(scatter_probability, n_trajectories, seed) -> int:
+    """One Binomial(n_trajectories, scatter_probability) draw from its own ``default_rng(seed)``.
+
+    The reference for ``scatter_counts``, whose count i must equal this draw
+    at ``seed=[seed, i]`` bit for bit.
+    """
+    if n_trajectories < 1:
+        raise ParameterError("n_trajectories must be >= 1")
+    return int(np.random.default_rng(seed).binomial(n_trajectories, scatter_probability))
+
+
 def reference_trajectory_batch(n_atoms, schedule, params, n_trajectories, seed, p_up_noiseless):
     """Per-trajectory Monte Carlo batch: (p_up array, scattered bool array).
 
-    The reference for ``sample_scatter_count``: a trajectory scatters when
+    The reference for the binomial scatter count: a trajectory scatters when
     the first arrival of the total Poisson event process, one exponential
     draw per trajectory, falls inside the schedule.
     """

@@ -25,7 +25,7 @@ from screwclock.rates import (
     photon_scattering_time, scatter_probability, survival_probability,
 )
 from screwclock.register import ghz_reference, state_fidelity
-from screwclock.trajectories import sample_scatter_count
+from screwclock.trajectories import scatter_counts
 
 from conftest import (
     AL_MASS_AMU,
@@ -153,7 +153,7 @@ def test_criterion_07_decoherence_consistency():
             schedule = ProtocolSchedule(n, 17.58e-6, 10e-6, ramsey)
             expected = 1.0 - survival_probability(schedule, params)
             q = scatter_probability(schedule, params)
-            observed = sample_scatter_count(q, n_traj, seed=[2718, n]) / n_traj
+            observed = scatter_counts(q, n_traj, 2718, n + 1)[n] / n_traj  # the draw of default_rng([2718, n])
             sigma = math.sqrt(expected * (1 - expected) / n_traj)
             assert abs(observed - expected) < 3 * sigma, (
                 f"N={n}: {observed:.5f} vs {expected:.5f} (sigma {sigma:.1e})"

@@ -1395,8 +1395,9 @@ class TestErrorContract:
     # Trap physics beyond the float range. Each once exited 1: the scattering length
     # overflowed feasibility's interaction energy in its sidecar; the transverse intensity
     # overflowed in W/m^2, so the energy was nan; the depth factor's intensity overflowed
-    # the depth, so the scattering rate underflowed to 0 and was divided by; and beside an
+    # the depth, so the scattering rate underflowed to 0 and was divided by; beside an
     # explicit intensity, the depth factor overflowed feasibility's minimum intensity.
+    # Exited 5 instead: an intensity that overflows the sublattice depths read as untrapped.
     @pytest.mark.parametrize("document,field", [
         ({"protocol": {"a_scatt_au": 1e300}}, "protocol.a_scatt_au"),
         ({"protocol": {"a_scatt_au": -1e300}}, "protocol.a_scatt_au"),
@@ -1405,7 +1406,9 @@ class TestErrorContract:
         ({"lattice": {"lambda_m_nm": 1e6}, "protocol": {"depth_factor": 1e300}}, "protocol.depth_factor"),
         ({"lattice": {"intensity_kW_cm2": 22.0}, "protocol": {"depth_factor": 1e305}},
          "protocol.depth_factor"),
-    ], ids=["a_scatt", "negative-a_scatt", "transverse-intensity", "depth-factor", "minimum-intensity"])
+        ({"lattice": {"intensity_kW_cm2": 1e300}}, "lattice.intensity_kW_cm2"),
+    ], ids=["a_scatt", "negative-a_scatt", "transverse-intensity", "depth-factor", "minimum-intensity",
+            "intensity"])
     @pytest.mark.parametrize("command", COMMANDS)
     def test_trap_physics_beyond_the_float_range_names_its_leaf(self, tmp_path, run_cli, command,
                                                                  document, field):

@@ -21,9 +21,8 @@ from screwclock.rates import (
     DecoherenceParams, ProtocolSchedule, scatter_probability, survival_probability,
 )
 from screwclock.register import DenseState
-from screwclock.trajectories import sample_scatter_count
 
-from conftest import chi_rounding, reference_fringe_fit, run_protocol
+from conftest import chi_rounding, reference_fringe_fit, run_protocol, sample_scatter_count
 
 
 def _grid(n, t, periods=2.0, points=81):

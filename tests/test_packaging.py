@@ -145,15 +145,41 @@ DENSE_SMOKE = (
     """--backend dense --trajectories 1000000 scan\n"""
 )
 
+# tier1 then scans at a seed of three 32-bit words.
+NOISY_SEED_SMOKE = (
+    """screwclock --config "$RUNNER_TEMP/dense12.json" --out "$RUNNER_TEMP/smoke" """
+    """--backend dense --trajectories 1000000 --seed 18446744073709551617 scan\n"""
+)
 
-@pytest.mark.parametrize("job", ["tier1", "runtime"])
-def test_ci_smoke_runs_the_dense_register_at_the_cap(job):
+
+@pytest.mark.parametrize("job,tail", [("tier1", DENSE_SMOKE + NOISY_SEED_SMOKE), ("runtime", DENSE_SMOKE)])
+def test_ci_smoke_runs_the_dense_register_at_the_cap(job, tail):
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
     steps = [step for step in workflow["jobs"][job]["steps"]
              if step.get("name", "").startswith("Smoke test")]
     assert len(steps) == 1
-    assert steps[0]["run"].endswith(DENSE_SMOKE)
+    assert steps[0]["run"].endswith(tail)
+
+
+NUMPY_SEEDING_CHECK = (
+    """python -c "from numpy.random import default_rng; from screwclock.trajectories import scatter_counts; """
+    """assert all(scatter_counts(0.3, 10**6, s, 101) == [int(default_rng([s, i]).binomial(10**6, 0.3)) """
+    """for i in range(101)] for s in (0, 12345, 2**64 + 1))"\n"""
+)
+
+
+def test_ci_runtime_checks_the_scatter_counts_against_its_numpy(tmp_path):
+    # The numpy-only job installs the latest numpy: a numpy whose seeding changed fails there.
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    steps = [step for step in workflow["jobs"]["runtime"]["steps"]
+             if step.get("name", "").startswith("Smoke test")]
+    assert len(steps) == 1
+    assert NUMPY_SEEDING_CHECK in steps[0]["run"]
+    result = _run_ci_lines(f"export PYTHONPATH={shlex.quote(str(ROOT / 'src'))}\n" + NUMPY_SEEDING_CHECK,
+                           tmp_path)
+    assert result.returncode == 0, result.stderr
 
 
 def test_ci_smoke_runs_the_branch_register_at_its_bound():
@@ -254,9 +280,11 @@ def _run_ci_lines(script: str, tmp_path) -> subprocess.CompletedProcess:
 
 def test_dense_smoke_lines_run(tmp_path):
     """The lines above, through bash."""
-    result = _run_ci_lines(DENSE_SMOKE, tmp_path)
+    result = _run_ci_lines(DENSE_SMOKE + NOISY_SEED_SMOKE, tmp_path)
     assert result.returncode == 0, result.stderr
     assert sorted(p.name for p in (tmp_path / "smoke").glob("*.csv")) == ["scan.csv", "simulate.csv"]
+    meta = json.loads((tmp_path / "smoke" / "scan.meta.json").read_text())
+    assert meta["config"]["run"]["seed"] == 2**64 + 1
 
 
 def _error_contract_step() -> dict:
@@ -324,6 +352,7 @@ def test_ci_error_contract_names_each_rejected_leaf():
          "protocol.depth_factor schedule"),
         ('{"lattice": {"transverse_intensity_kW_cm2": 1.797e308, "lambda_m_nm": 1}, '
          '"protocol": {"gate_time_us": 1e300}}', "lattice.transverse_intensity_kW_cm2 feasibility"),
+        ('{"lattice": {"intensity_kW_cm2": 1e300}}', "lattice.intensity_kW_cm2 feasibility"),
     ]
     for document, expectation in trap_physics:
         assert (f"""echo '{document}' > "$RUNNER_TEMP/error.json"\n"""

@@ -156,7 +156,7 @@ class TestHeadRotation:
 
 
 class TestDenseBuffers:
-    """A dense state is one array; each rotation binds the new array its products return."""
+    """Each dense product writes the amplitudes or the spare, whichever the step before did not."""
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_rotations_match_allocating_reference_bit_for_bit(self, n):
@@ -172,7 +172,25 @@ class TestDenseBuffers:
             reference_dense_head_rotation(reference, head)
             assert np.array_equal(state.amplitudes, reference.amplitudes)
             assert state.amplitudes.flags.c_contiguous
+            assert not np.shares_memory(state.amplitudes, state._spare)
         assert np.array_equal(snapshot.amplitudes, original)  # a copy shares no array
+
+    @pytest.mark.parametrize("n", [1, 4, 14])
+    def test_amplitudes_bound_to_a_strided_or_real_array_rotate_alike(self, n):
+        # Such an array is read, never written: a product into it would be lost or rejected.
+        rng = np.random.default_rng(n)
+        vector = _random_dense(n, rng).amplitudes
+        gates = [("apply_clock_rotation", reference_dense_clock_rotation),
+                 ("apply_head_rotation", reference_dense_head_rotation)]
+        for bound in (np.concatenate([vector, vector])[::2], np.abs(vector)):
+            for first in gates:  # each rotation meets the bound array first once
+                state, reference = init_register(n, "dense"), init_register(n, "dense")
+                state.amplitudes, reference.amplitudes = bound, bound.astype(complex)
+                for method, reference_gate in [first, *gates]:
+                    matrix = haar_unitary(rng)
+                    getattr(state, method)(matrix)
+                    reference_gate(reference, matrix)
+                    assert np.array_equal(state.amplitudes, reference.amplitudes)
 
 
 class TestDenseWeightTable:
@@ -865,7 +883,9 @@ class TestFringeReadout:
         # few eps (measured 3 eps at N = 1 over 20000 states; a GHZ state stays within chi's).
         tol = chi_rounding(state.n_atoms, grid, dwh, t) + 4 * np.finfo(float).eps
         assert (np.abs(p_up - expected) <= tol).all()
-        assert all(np.array_equal(value, vars(before)[key]) for key, value in vars(state).items())
+        # Every attribute but the dense spare, whose contents are scratch.
+        assert all(np.array_equal(value, vars(before)[key])
+                   for key, value in vars(state).items() if key != "_spare")
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_rejects_what_free_evolution_rejects(self, backend):
