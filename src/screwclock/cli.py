@@ -13,8 +13,16 @@ import bisect
 import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
+
+# The dense gates' small matrix products stall on a BLAS thread pool whenever
+# another process holds a core: one thread each, unless the caller set its own,
+# capped before numpy is imported, which reads them.
+for _threads in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ.setdefault(_threads, "1")
 
 import numpy as np
 

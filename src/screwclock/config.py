@@ -82,54 +82,61 @@ def _one_of(choices):
 _POSITIVE = (lambda x: x > 0.0, "must be positive")
 _AT_MOST_MAX_ATOMS = (lambda n: n <= MAX_ATOMS, f"must be <= 2^53 = {MAX_ATOMS}, got {{}}")
 
-# Far wider than any atom, molecule or optical lattice, and narrow enough that every
-# recoil energy, trap frequency and scattering rate they give stays a finite nonzero
-# float: far beyond them a mass underflows the recoil energy to 0, and a wavelength or
-# a polarizability overflows a power.
-MASS_AMU_RANGE = (1e-6, 1e12)
-ALPHA_AU_RANGE = (-1e12, 1e12)
-LAMBDA_NM_RANGE = (1e-3, 1e9)   # 1 pm to 1 m
+# Every float leaf lies in a declared range: far wider than any atom, molecule, optical
+# lattice or clock protocol, and narrow enough that every quantity the pipeline derives
+# from values inside it (recoil energies, depths, trap frequencies, the interaction
+# energy and gate time, scattering rates, detuning grids, Ramsey phases and schedule
+# durations) stays a finite float. The one exception is the computed minimum intensity,
+# which the pipeline holds to the upper end of the intensity leaf's own range.
+INTENSITY_KW_CM2_RANGE = (1e-12, 1e12)
+_STEP_TIME_US = _within(0.0, 1e12)
+_DETUNING_RAD_S = _within(-1e12, 1e12)
+_LIFETIME_S = _within(1e-12, 1e30)
+# 0, the instantaneous protocol, or 1 ps to 11.6 days
+_RAMSEY_TIME_S = (lambda t: t == 0.0 or 1e-12 <= t <= 1e6, "must be 0 or lie in [1e-12, 1e+06], got {}")
 
 
 @dataclass(frozen=True)
 class SpeciesEntry:
     name: str = _leaf(_as_str)
-    mass_amu: float = _leaf(_as_number, _within(*MASS_AMU_RANGE))
-    alpha_scalar_au: float = _leaf(_as_number, _within(*ALPHA_AU_RANGE))
-    rho: float = _leaf(_as_number)
+    mass_amu: float = _leaf(_as_number, _within(1e-6, 1e12))
+    alpha_scalar_au: float = _leaf(_as_number, _within(-1e12, 1e12))
+    rho: float = _leaf(_as_number, _within(-1e6, 1e6))
     role: str = _leaf(_as_str, _one_of(ROLES))
 
 
 @dataclass(frozen=True)
 class LatticeSection:
-    lambda_m_nm: float = _leaf(_as_number, _within(*LAMBDA_NM_RANGE), default=389.9)
+    lambda_m_nm: float = _leaf(_as_number, _within(1e-3, 1e9), default=389.9)  # 1 pm to 1 m
     # None: use the computed minimum
-    intensity_kW_cm2: float | None = _leaf(_as_optional_number, _POSITIVE, default=None)
+    intensity_kW_cm2: float | None = _leaf(_as_optional_number, _within(*INTENSITY_KW_CM2_RANGE),
+                                           default=None)
     # 0 < delta <= 1: the transport criteria are defined for a positive misbalance only.
     delta: float = _leaf(_as_number, (lambda d: abs(d) <= 1.0, "|delta| <= 1 required"),
                          _POSITIVE, default=0.25)
     # None: same as transport lattice
-    transverse_intensity_kW_cm2: float | None = _leaf(_as_optional_number, _POSITIVE, default=None)
+    transverse_intensity_kW_cm2: float | None = _leaf(
+        _as_optional_number, _within(*INTENSITY_KW_CM2_RANGE), default=None)
 
 
 @dataclass(frozen=True)
 class ProtocolSection:
     n_atoms: int = _leaf(_as_int, _at_least(1), _AT_MOST_MAX_ATOMS, default=100)
-    ramsey_time_s: float = _leaf(_as_number, _at_least(0), default=0.01)
-    a_scatt_au: float = _leaf(_as_number, default=100.0)
-    transport_time_us: float = _leaf(_as_number, _at_least(0), default=10.0)
+    ramsey_time_s: float = _leaf(_as_number, _RAMSEY_TIME_S, default=0.01)
+    a_scatt_au: float = _leaf(_as_number, _within(-1e6, 1e6), default=100.0)
+    transport_time_us: float = _leaf(_as_number, _STEP_TIME_US, default=10.0)
     # None: pi hbar / dE from the trap physics
-    gate_time_us: float | None = _leaf(_as_optional_number, _at_least(0), default=None)
-    pulse_time_us: float = _leaf(_as_number, _at_least(0), default=0.0)
-    depth_factor: float = _leaf(_as_number, _at_least(0), default=5.0)
+    gate_time_us: float | None = _leaf(_as_optional_number, _STEP_TIME_US, default=None)
+    pulse_time_us: float = _leaf(_as_number, _STEP_TIME_US, default=0.0)
+    depth_factor: float = _leaf(_as_number, _within(0.0, 1e6), default=5.0)
 
 
 @dataclass(frozen=True)
 class NoiseSection:
     # None: computed from photon scattering
-    tau_scatter_clock_s: float | None = _leaf(_as_optional_number, _POSITIVE, default=None)
-    tau_scatter_head_s: float | None = _leaf(_as_optional_number, _POSITIVE, default=None)
-    extra_loss_rate_per_s: float = _leaf(_as_number, _at_least(0), default=0.0)
+    tau_scatter_clock_s: float | None = _leaf(_as_optional_number, _LIFETIME_S, default=None)
+    tau_scatter_head_s: float | None = _leaf(_as_optional_number, _LIFETIME_S, default=None)
+    extra_loss_rate_per_s: float = _leaf(_as_number, _within(0.0, 1e12), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -141,12 +148,12 @@ class RunSection:
     ), default=0)
     seed: int = _leaf(_as_int, _at_least(0), default=12345)
     # None: auto grid over two fringes
-    detuning_min_rad_s: float | None = _leaf(_as_optional_number, default=None)
-    detuning_max_rad_s: float | None = _leaf(_as_optional_number, default=None)
+    detuning_min_rad_s: float | None = _leaf(_as_optional_number, _DETUNING_RAD_S, default=None)
+    detuning_max_rad_s: float | None = _leaf(_as_optional_number, _DETUNING_RAD_S, default=None)
     detuning_points: int = _leaf(_as_int, _at_least(2), default=101)
     # None: half-fringe point (chi = pi/2)
-    delta_omega_rad_s: float | None = _leaf(_as_optional_number, default=None)
-    delta_omega_head_rad_s: float = _leaf(_as_number, default=0.0)
+    delta_omega_rad_s: float | None = _leaf(_as_optional_number, _DETUNING_RAD_S, default=None)
+    delta_omega_head_rad_s: float = _leaf(_as_number, _DETUNING_RAD_S, default=0.0)
 
     def __post_init__(self):
         dmin, dmax = self.detuning_min_rad_s, self.detuning_max_rad_s

@@ -67,6 +67,37 @@ RHO_DOWN = 0.84
 # frozen from an independent constant evaluation (see test_lattice).
 MIN_INTENSITY = 2.2198089925017097e8  # W/m^2
 
+# Every float leaf's declared range, both ends accepted; a species field under
+# "species.<field>". A new float leaf must be added here.
+FLOAT_RANGES = {
+    "species.mass_amu": (1e-6, 1e12),
+    "species.alpha_scalar_au": (-1e12, 1e12),
+    "species.rho": (-1e6, 1e6),
+    "lattice.lambda_m_nm": (1e-3, 1e9),
+    "lattice.intensity_kW_cm2": (1e-12, 1e12),
+    "lattice.delta": (5e-324, 1.0),  # (0, 1]: its lower end is the smallest positive float
+    "lattice.transverse_intensity_kW_cm2": (1e-12, 1e12),
+    "protocol.ramsey_time_s": (1e-12, 1e6),  # or exactly 0
+    "protocol.a_scatt_au": (-1e6, 1e6),
+    "protocol.transport_time_us": (0.0, 1e12),
+    "protocol.gate_time_us": (0.0, 1e12),
+    "protocol.pulse_time_us": (0.0, 1e12),
+    "protocol.depth_factor": (0.0, 1e6),
+    "noise.tau_scatter_clock_s": (1e-12, 1e30),
+    "noise.tau_scatter_head_s": (1e-12, 1e30),
+    "noise.extra_loss_rate_per_s": (0.0, 1e12),
+    "run.detuning_min_rad_s": (-1e12, 1e12),
+    "run.detuning_max_rad_s": (-1e12, 1e12),
+    "run.delta_omega_rad_s": (-1e12, 1e12),
+    "run.delta_omega_head_rad_s": (-1e12, 1e12),
+}
+
+
+def range_edges(leaf: str) -> tuple[float, float, float, float]:
+    """A float leaf's two ends, then the float just past each."""
+    low, high = FLOAT_RANGES[leaf]
+    return low, high, math.nextafter(low, -math.inf), math.nextafter(high, math.inf)
+
 
 @pytest.fixture
 def sr():

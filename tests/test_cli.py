@@ -25,7 +25,7 @@ from screwclock.config import (
     _SECTIONS, _SWEEPABLE, MAX_ATOMS, SpeciesEntry, parse_config, serialize_config,
     serialized_hash,
 )
-from screwclock.errors import ClockSimError, ParameterError
+from screwclock.errors import ClockSimError, ConfigError, ParameterError
 from screwclock.estimator import fringe_scan
 from screwclock.output import TableText, write_table
 from screwclock.pipeline import resolve_physics
@@ -36,8 +36,8 @@ from screwclock.rates import (
 from screwclock.register import BranchState, DenseState
 
 from conftest import (
-    read_table, reference_apply_override, reference_schedule_rows, reference_schedule_steps,
-    reference_write_table, run_protocol, run_python,
+    FLOAT_RANGES, range_edges, read_table, reference_apply_override, reference_schedule_rows,
+    reference_schedule_steps, reference_write_table, run_protocol, run_python,
 )
 
 
@@ -313,31 +313,32 @@ class TestScanCommand:
         assert meta["contrast"] == pytest.approx(1.0, abs=1e-6)
         assert meta["gain_over_sql"] == pytest.approx(2.0, rel=1e-6)
 
-    def test_branch_scan_runs_where_the_dense_readout_phase_overflows(self, tmp_path, run_cli):
-        # dw' T - N dw T overflows at the grid's top end, but only the dense readout forms it.
+    def test_branch_scan_beyond_the_detuning_range_exits_2(self, tmp_path, run_cli):
+        # Once ran, with a dense readout phase dw' T - N dw T that overflowed at the grid's
+        # top end; both detunings now lie outside their range, the grid's end first.
         cfg = _write_config(tmp_path, {
             "run": {"backend": "branch", "detuning_min_rad_s": 0, "detuning_max_rad_s": 1e307,
                     "delta_omega_head_rad_s": -1.2e308},
             "protocol": {"ramsey_time_s": 1.0, "n_atoms": 12},
         })
         result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "scan"])
-        assert result.exit_code == 0 and result.stderr == ""
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["field"] == "run.detuning_max_rad_s"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("points", [101, 11])
-    def test_sensitivity_beyond_the_float_range_is_null(self, tmp_path, run_cli, points):
-        # At T = 5e-324 the noisy fringe still fits a contrast, but C N T underflows to 0
-        # (101 points: a division by zero) or 1 / (C N T) and 1 / (sqrt(N) T) overflow
-        # (11 points: a gain of inf / inf = nan).
+    def test_ramsey_time_below_its_range_exits_2(self, tmp_path, run_cli, points):
+        # At T = 5e-324 the noisy fringe once fitted a contrast whose sensitivity and gain
+        # left the float range, and read null; that T now lies below its range.
         cfg = _write_config(tmp_path, {
             "run": {"detuning_min_rad_s": 1.0, "detuning_max_rad_s": 1e150, "trajectories": 1000,
                     "detuning_points": points},
             "protocol": {"ramsey_time_s": 5e-324},
         })
         result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "scan"])
-        assert result.exit_code == 0 and result.stderr == ""
-        meta = _strict_json((tmp_path / "o" / "scan.meta.json").read_text())
-        assert meta["contrast"] > 0.0
-        assert meta["sigma_delta_omega_per_shot"] is meta["sql_sigma_per_shot"] is meta["gain_over_sql"] is None
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["field"] == "protocol.ramsey_time_s"
+        assert not (tmp_path / "o").exists()
 
 
 class TestSimulateCommand:
@@ -429,7 +430,7 @@ def _streamed_schedule(schedule) -> TableText:
 class TestScheduleCommand:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 3000), _TIMES_US, _TIMES_US, _TIMES_US,
-           st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False))
+           st.just(0.0) | st.floats(min_value=1e-12, max_value=1.0))
     @example(3000, 1.5, 10.0, 0.25, 0.01)
     def test_table_matches_reference_expansion(self, n, gate_us, transport_us, pulse_us, ramsey):
         cfg = parse_config({"protocol": {
@@ -522,27 +523,24 @@ class TestOptimizeCommand:
         ns = [int(r["n_atoms"]) for r in rows]
         assert ns[foms.index(max(foms))] == meta["n_opt"]
 
-    @pytest.mark.filterwarnings("error")
-    def test_grid_durations_that_overflow_survive_nothing_and_warn_nothing(self, tmp_path, run_cli):
-        # The config's own N = 100 has a finite duration, 2e304 s, but from about N = 9e5 on the
-        # grid's 2N t_transport overflows to inf: survival 0, the limit, with no numpy warning.
+    def test_transport_time_beyond_its_range_exits_2(self, tmp_path, run_cli):
+        # Once ran, with grid durations 2N t_transport that overflowed to inf from about
+        # N = 9e5 on; that transport time now lies above its range.
         cfg = _write_config(tmp_path, {"protocol": {"transport_time_us": 1e308},
                                        "optimize": {"n_max": 2**53}})
         result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "optimize"])
-        assert result.exit_code == 0 and result.stderr == ""
-        rows = read_table(tmp_path / "o" / "optimize.csv")
-        overflowing = [r for r in rows if 2 * int(r["n_atoms"]) * 1e302 == math.inf]
-        assert overflowing and int(rows[-1]["n_atoms"]) == 2**53
-        assert all(float(r["survival"]) == 0.0 for r in rows)
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["field"] == "protocol.transport_time_us"
+        assert not (tmp_path / "o").exists()
 
 
-# All step times 0, so the schedule lasts 0 s, while N / tau_clock overflows the rate to inf.
+# All step times 0, so the schedule lasts 0 s, at the largest scattering rate the ranges allow.
 ZERO_DURATION = {"protocol": {"ramsey_time_s": 0, "transport_time_us": 0, "gate_time_us": 0},
-                 "noise": {"tau_scatter_clock_s": 5e-324}}
+                 "noise": {"tau_scatter_clock_s": 1e-12}}
 
 
 class TestZeroDurationSchedule:
-    """No time, no event: a schedule of zero duration survives at any rate (it once read 0 * inf = nan)."""
+    """No time, no event: a schedule of zero duration survives at any rate."""
 
     @pytest.mark.parametrize("command", ["schedule", "sweep", "optimize"])
     def test_survives_with_probability_one(self, tmp_path, run_cli, command):
@@ -658,18 +656,21 @@ class TestSweepCommand:
     def test_a_point_that_raises_stores_nothing(self, tmp_path, run_cli):
         traps = {}
         cfg = parse_config({"protocol": {"depth_factor": 0.0}})
-        with pytest.raises(ParameterError, match="computed minimum is zero"):
+        with pytest.raises(ConfigError, match="computed minimum intensity is zero") as excinfo:
             resolve_physics(cfg, traps=traps)
+        assert excinfo.value.path == "protocol.depth_factor"
         assert traps == {}
         doc = _write_config(tmp_path, {"sweep": {"protocol.depth_factor": [5.0, 0.0]}})
         result = run_cli(["--config", str(doc), "--out", str(tmp_path / "o"), "sweep"])
-        assert result.exit_code == 3
-        assert "computed minimum is zero" in json.loads(result.stderr)["message"]
+        assert result.exit_code == 2
+        blob = json.loads(result.stderr)
+        assert blob["field"] == "protocol.depth_factor"
+        assert "computed minimum intensity is zero" in blob["message"]
         assert not (tmp_path / "o").exists()
 
-    # 2N (t_transport + t_gate) + T + 7 t_pulse beyond the float range names the leaf
-    # of its largest term. The pulse term, at most 7 * 1.8e302 s, cannot be that leaf:
-    # an overflowing sum has a larger term.
+    # Each once ran into a total duration 2N (t_transport + t_gate) + T + 7 t_pulse beyond
+    # the float range; each now holds a step time above its range, in the document or in
+    # the sweep, which is parsed before any point runs.
     @pytest.mark.parametrize("command,document,field", [
         ("schedule", {"protocol": {"ramsey_time_s": 1.7976e308, "transport_time_us": 1e308}},
          "protocol.ramsey_time_s"),
@@ -682,16 +683,19 @@ class TestSweepCommand:
         ("sweep", {"protocol": {"transport_time_us": 1e308},
                    "sweep": {"protocol.n_atoms": [10, MAX_ATOMS, 20]}},
          "protocol.transport_time_us"),
+        ("sweep", {"sweep": {"protocol.n_atoms": [10, MAX_ATOMS],
+                             "protocol.ramsey_time_s": [0.01, 1.7976e308]}},
+         "protocol.ramsey_time_s"),
     ], ids=["schedule-ramsey", "sweep-ramsey", "feasibility-transport", "optimize-gate",
-            "sweep-point-transport"])
-    def test_overflowing_total_duration_names_its_largest_term(self, tmp_path, run_cli,
-                                                               command, document, field):
+            "sweep-point-transport", "sweep-value-ramsey"])
+    def test_step_times_beyond_their_ranges_exit_before_any_point(self, tmp_path, run_cli,
+                                                                  command, document, field):
         cfg = _write_config(tmp_path, document)
         result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
         assert result.exit_code == 2
         blob = json.loads(result.stderr)
         assert (blob["error"], blob["field"]) == ("config", field)
-        assert "overflows the float range" in blob["message"]
+        assert "must" in blob["message"] and "lie in [" in blob["message"]
         assert not (tmp_path / "o").exists()
 
 
@@ -1175,35 +1179,36 @@ class TestMemoryBudgets:
         ("scan", {"run": {"detuning_points": SCAN_MAX_POINTS + 1}}, "run.detuning_points"),
         ("scan", {"run": {"detuning_points": 10**8}}, "run.detuning_points"),
         ("optimize", {"optimize": {"n_points": OPTIMIZE_MAX_POINTS + 1}}, "optimize.n_points"),
-        # A derived detuning beyond the float range: the grid's span, the default grid's
-        # and probe's 1 / T, and an explicit probe's Ramsey phase N dw T. With chi finite
-        # (here 0), a per-site phase dw T or dw' T that overflows names its detuning, dw's first.
+        # Configs whose derived detunings once overflowed the float range: the grid's span,
+        # the default grid's and probe's 1 / T, an explicit probe's Ramsey phase N dw T, and
+        # with chi finite (here 0), a per-site phase dw T or dw' T. Each now holds a leaf
+        # outside its range, and the parser names the first: sections in document order
+        # (protocol before run), leaves in declared order.
         ("scan", {"run": {"detuning_min_rad_s": -1e308, "detuning_max_rad_s": 1e308}},
-         "run.detuning_max_rad_s"),
+         "run.detuning_min_rad_s"),
         ("scan", {"protocol": {"ramsey_time_s": 1e-320}}, "protocol.ramsey_time_s"),
         ("simulate", {"protocol": {"ramsey_time_s": 1e-320}}, "protocol.ramsey_time_s"),
         ("simulate", {"run": {"delta_omega_rad_s": 1e308}}, "run.delta_omega_rad_s"),
         ("simulate", {"run": {"delta_omega_rad_s": 1e300, "delta_omega_head_rad_s": -1e302,
                               "backend": "branch"}, "protocol": {"ramsey_time_s": 1e10}},
-         "run.delta_omega_rad_s"),
+         "protocol.ramsey_time_s"),
         ("simulate", {"run": {"delta_omega_rad_s": -1e298, "delta_omega_head_rad_s": 1e300,
                               "backend": "branch"}, "protocol": {"ramsey_time_s": 1e10}},
-         "run.delta_omega_head_rad_s"),
-        # A scan's Ramsey phases, checked as the probe's at both ends of its grid: of the
-        # end with the larger magnitude, of dw' for the head phase.
+         "protocol.ramsey_time_s"),
+        # A scan's Ramsey phases at the ends of its grid.
         ("scan", {"run": {"detuning_min_rad_s": 0, "detuning_max_rad_s": 1e300},
-                  "protocol": {"ramsey_time_s": 1e10}}, "run.detuning_max_rad_s"),
+                  "protocol": {"ramsey_time_s": 1e10}}, "protocol.ramsey_time_s"),
         ("scan", {"run": {"detuning_min_rad_s": -1e300, "detuning_max_rad_s": 1.0},
-                  "protocol": {"ramsey_time_s": 1e10}}, "run.detuning_min_rad_s"),
+                  "protocol": {"ramsey_time_s": 1e10}}, "protocol.ramsey_time_s"),
         ("scan", {"run": {"delta_omega_head_rad_s": 1e300}, "protocol": {"ramsey_time_s": 1e10}},
-         "run.delta_omega_head_rad_s"),
+         "protocol.ramsey_time_s"),
         ("scan", {"protocol": {"n_atoms": MAX_ATOMS, "ramsey_time_s": 1},
                   "run": {"detuning_min_rad_s": 0, "detuning_max_rad_s": 1e300, "backend": "branch"}},
          "run.detuning_max_rad_s"),
         # The fringe readouts' own phases at the grid's ends: the doubled clock phase 2 dw T,
         # and the dense readout's dw' T - N dw T, here at chi = 0.
         ("scan", {"run": {"detuning_min_rad_s": -1e300, "detuning_max_rad_s": 1.797e308},
-                  "protocol": {"ramsey_time_s": 1.0, "n_atoms": 1}}, "run.detuning_max_rad_s"),
+                  "protocol": {"ramsey_time_s": 1.0, "n_atoms": 1}}, "run.detuning_min_rad_s"),
         ("scan", {"run": {"backend": "dense", "detuning_min_rad_s": 0, "detuning_max_rad_s": 1e307,
                           "delta_omega_head_rad_s": -1.2e308},
                   "protocol": {"ramsey_time_s": 1.0, "n_atoms": 12}}, "run.detuning_max_rad_s"),
@@ -1353,12 +1358,24 @@ class TestFrontDoor:
         }
 
 
-# Config leaves with values that pass and values that fail; each run stays small.
+# Each species' own float fields, as (entry, field): the clock's rho is exactly 0.
+_SPECIES_FIELDS = [(i, key) for key in ("mass_amu", "alpha_scalar_au") for i in range(3)]
+_SPECIES_FIELDS += [(1, "rho"), (2, "rho")]
+
+# Config leaves with values that pass and values that fail; each run stays small. Every
+# float leaf's range is drawn at its ends and one float past each, a species field on its
+# entry in the whole species list.
 _LEAVES = {
+    **{tuple(leaf.split(".")): st.sampled_from(range_edges(leaf)) for leaf in FLOAT_RANGES
+       if not leaf.startswith("species.")},
+    ("species", None): st.sampled_from([_species({i: {key: value}})["species"] for i, key in _SPECIES_FIELDS
+                                        for value in range_edges(f"species.{key}")]),
     ("protocol", "n_atoms"): st.one_of(st.integers(-1, 12), st.sampled_from([30, 10**20, "3", 2.5])),
-    ("protocol", "ramsey_time_s"): st.sampled_from([0.0, 0.01, 0.5, -1.0, math.nan, math.inf]),
-    ("protocol", "a_scatt_au"): st.sampled_from([0.0, 50.0, 1e300, -1e300]),
-    ("lattice", "delta"): st.sampled_from([0.0, 0.25, 0.9]),
+    ("protocol", "ramsey_time_s"): st.sampled_from([0.0, 0.01, 0.5, -1.0, math.nan, math.inf,
+                                                    *range_edges("protocol.ramsey_time_s")]),
+    ("protocol", "a_scatt_au"): st.sampled_from([0.0, 50.0, 1e300, -1e300,
+                                                 *range_edges("protocol.a_scatt_au")]),
+    ("lattice", "delta"): st.sampled_from([0.25, 0.9, *range_edges("lattice.delta")]),
     ("run", "backend"): st.sampled_from(["dense", "branch", "foo"]),
     ("run", "trajectories"): st.sampled_from([0, 10, 10**6, -1]),
     ("run", "detuning_points"): st.integers(0, 30),
@@ -1372,7 +1389,10 @@ _LEAVES = {
 def _nest(leaves: dict) -> dict:
     document: dict = {}
     for (section, key), value in leaves.items():
-        document.setdefault(section, {})[key] = value
+        if key is None:
+            document[section] = value
+        else:
+            document.setdefault(section, {})[key] = value
     return document
 
 
@@ -1392,12 +1412,13 @@ _OPTIONS = st.one_of(
 
 
 class TestErrorContract:
-    # Trap physics beyond the float range. Each once exited 1: the scattering length
-    # overflowed feasibility's interaction energy in its sidecar; the transverse intensity
+    # Trap inputs whose physics once left the float range. Each once exited 1: the scattering
+    # length overflowed feasibility's interaction energy in its sidecar; the transverse intensity
     # overflowed in W/m^2, so the energy was nan; the depth factor's intensity overflowed
     # the depth, so the scattering rate underflowed to 0 and was divided by; beside an
     # explicit intensity, the depth factor overflowed feasibility's minimum intensity.
     # Exited 5 instead: an intensity that overflows the sublattice depths read as untrapped.
+    # Each now holds a leaf outside its range.
     @pytest.mark.parametrize("document,field", [
         ({"protocol": {"a_scatt_au": 1e300}}, "protocol.a_scatt_au"),
         ({"protocol": {"a_scatt_au": -1e300}}, "protocol.a_scatt_au"),
@@ -1410,13 +1431,30 @@ class TestErrorContract:
     ], ids=["a_scatt", "negative-a_scatt", "transverse-intensity", "depth-factor", "minimum-intensity",
             "intensity"])
     @pytest.mark.parametrize("command", COMMANDS)
-    def test_trap_physics_beyond_the_float_range_names_its_leaf(self, tmp_path, run_cli, command,
-                                                                 document, field):
+    def test_trap_inputs_beyond_their_ranges_name_their_leaf(self, tmp_path, run_cli, command,
+                                                             document, field):
         cfg = _write_config(tmp_path, document)
         result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
         assert result.exit_code == 2
         blob = _assert_error_blob(result, _readme_exit_codes())
-        assert blob["field"] == field and "overflow" in blob["message"]
+        assert blob["field"] == field and "must lie in [" in blob["message"]
+        assert not (tmp_path / "o").exists()
+
+    # Inside the box the computed minimum intensity can still pass the intensity leaf's upper
+    # end: a 1 pm lattice raises the recoil energy, and so the minimum, (389.9 nm / 1 pm)^2
+    # = 1.5e11-fold, to 3.4e19 W/m^2. It names the depth factor, beside an explicit intensity too.
+    @pytest.mark.parametrize("lattice", [{"lambda_m_nm": 1e-3},
+                                         {"lambda_m_nm": 1e-3, "intensity_kW_cm2": 22.0}],
+                             ids=["computed", "explicit"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_minimum_intensity_above_the_intensity_range_names_depth_factor(self, tmp_path, run_cli,
+                                                                            command, lattice):
+        cfg = _write_config(tmp_path, {"lattice": lattice})
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+        assert result.exit_code == 2
+        blob = _assert_error_blob(result, _readme_exit_codes())
+        assert blob["field"] == "protocol.depth_factor"
+        assert "lies above lattice.intensity_kW_cm2's range" in blob["message"]
         assert not (tmp_path / "o").exists()
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1451,3 +1489,78 @@ class TestErrorContract:
                 else:
                     assert path.name.endswith(".meta.json")
                     assert isinstance(_strict_json(text), dict)
+
+
+_DETUNING_PARTNERS = {"run.detuning_min_rad_s": ("run.detuning_max_rad_s", 1e12),
+                      "run.detuning_max_rad_s": ("run.detuning_min_rad_s", -1e12)}
+
+
+def _box_edges() -> list[tuple]:
+    """(field, value, inside, document): every float leaf, and each species' own fields, alone
+    at each end of its range (inside) and one float past each; an explicit detuning range's
+    end beside the other end of its range."""
+    inside_of_edges = (True, True, False, False)  # the two ends, then the floats past them
+    edges = [(f"species[{i}].{key}", value, inside, _species({i: {key: value}}))
+             for i, key in _SPECIES_FIELDS
+             for value, inside in zip(range_edges(f"species.{key}"), inside_of_edges)]
+    for leaf in FLOAT_RANGES:
+        if leaf.startswith("species."):
+            continue
+        section, key = leaf.split(".")
+        for value, inside in zip(range_edges(leaf), inside_of_edges):
+            document = {section: {key: value}}
+            if leaf in _DETUNING_PARTNERS:
+                partner, end = _DETUNING_PARTNERS[leaf]
+                document[section][partner.split(".")[1]] = end
+            edges.append((leaf, value, inside, document))
+    return sorted(edges, key=lambda edge: edge[:2])
+
+
+_BOX_EDGES = _box_edges()
+
+
+class TestTheBox:
+    """The declared ranges bound every derived quantity: at their ends, every command runs or
+    exits with a physics code, and one float past them, exits 2 naming the leaf."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field,value,inside,document", _BOX_EDGES,
+                             ids=[f"{field}={value!r}" for field, value, _, _ in _BOX_EDGES])
+    def test_every_command_at_the_edges_of_the_box(self, tmp_path, run_cli, field, value, inside, document):
+        cfg = _write_config(tmp_path, document)
+        for command in COMMANDS:
+            out = tmp_path / command
+            result = run_cli(["--config", str(cfg), "--out", str(out), command])
+            assert result.exit_code in (0, 2, 4, 5, 6, 7, 8), (command, result.stderr)
+            if not inside:
+                assert result.exit_code == 2 and json.loads(result.stderr)["field"] == field, command
+            elif result.exit_code == 0:
+                assert result.stderr == "", command
+            elif result.exit_code == 2:
+                # A detuning range's end that no other end can pair with, or the computed
+                # minimum intensity above the intensity leaf's range.
+                pair = {field, _DETUNING_PARTNERS[field][0]} if field in _DETUNING_PARTNERS else set()
+                assert json.loads(result.stderr)["field"] in (pair or {"protocol.depth_factor"}), command
+            if result.exit_code:
+                assert not out.exists(), command
+
+    @pytest.mark.filterwarnings("error")
+    def test_every_command_in_the_deepest_trap(self, tmp_path, run_cli):
+        # The lightest, most polarizable species at the largest |rho|, made transportable by
+        # a misbalance of 1e-7, in the most intense lattice, with the largest scattering
+        # length: the trap frequencies, which once overflowed with rho unbounded, and the
+        # interaction energy stay finite.
+        species = {i: {"mass_amu": 1e-6, "alpha_scalar_au": -1e12} for i in range(3)}
+        species[1]["rho"], species[2]["rho"] = -1e6, 1e6
+        cfg = _write_config(tmp_path, {
+            **_species(species), "protocol": {"a_scatt_au": 1e6},
+            "lattice": {"delta": 1e-7, "intensity_kW_cm2": 1e12, "transverse_intensity_kW_cm2": 1e12},
+        })
+        for command in COMMANDS:
+            result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+            assert (result.exit_code, result.stderr) == (0, ""), command
+        meta = _strict_json((tmp_path / "o" / "feasibility.meta.json").read_text())
+        assert meta["feasible"]
+        assert all(0.0 < meta[key] < math.inf for key in ("interaction_energy_j", "gate_time_s"))
+        for row in read_table(tmp_path / "o" / "feasibility.csv"):
+            assert all(0.0 < float(row[key]) < math.inf for key in ("omega_axial_rad_s", "omega_radial_rad_s"))

@@ -8,10 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from screwclock.config import (
-    ALPHA_AU_RANGE,
     BACKENDS,
-    LAMBDA_NM_RANGE,
-    MASS_AMU_RANGE,
     MAX_ATOMS,
     MAX_TRAJECTORIES,
     LatticeSection,
@@ -20,7 +17,10 @@ from screwclock.config import (
     ProtocolSection,
     RunSection,
     SpeciesEntry,
+    _SECTIONS,
     _SWEEPABLE,
+    _as_number,
+    _as_optional_number,
     apply_override,
     parse_config,
     serialize_config,
@@ -28,7 +28,7 @@ from screwclock.config import (
 )
 from screwclock.errors import ConfigError
 
-from conftest import reference_apply_override
+from conftest import FLOAT_RANGES, range_edges, reference_apply_override
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "config.example.json"
 
@@ -67,28 +67,45 @@ class TestValidation:
             parse_config({"lattice": {"delta": 1.5}})
         assert excinfo.value.path == "lattice.delta"
 
-    @pytest.mark.parametrize("path,bounds", [
-        ("species[1].mass_amu", MASS_AMU_RANGE),
-        ("species[2].alpha_scalar_au", ALPHA_AU_RANGE),
-        ("lattice.lambda_m_nm", LAMBDA_NM_RANGE),
-    ])
-    def test_species_and_wavelength_ranges_are_closed(self, path, bounds):
+    def test_every_float_leaf_declares_a_range(self):
+        floats = {f"{name}.{leaf.name}" for name, cls in _SECTIONS.items() for leaf in fields(cls)
+                  if leaf.metadata["parse"] in (_as_number, _as_optional_number)}
+        floats |= {f"species.{leaf.name}" for leaf in fields(SpeciesEntry)
+                   if leaf.metadata["parse"] is _as_number}
+        assert floats == set(FLOAT_RANGES)
+
+    @pytest.mark.parametrize("leaf", sorted(FLOAT_RANGES))
+    def test_every_float_range_is_closed(self, leaf):
+        # A head state's entry for the species fields: the clock's rho must be exactly 0.
+        path = leaf.replace("species.", "species[1].")
+
         def document(value):
             data = serialize_config(parse_config(None))
             section, key = path.split(".")
             if section.startswith("species"):
-                data["species"][int(section[8])][key] = value
+                data["species"][1][key] = value
             else:
+                if key.startswith("detuning_"):  # the explicit range's other end
+                    data["run"]["detuning_min_rad_s"], data["run"]["detuning_max_rad_s"] = low, high
                 data[section][key] = value
             return data
 
-        for bound in bounds:
-            parse_config(document(bound))
-        for beyond in (math.nextafter(bounds[0], -math.inf), math.nextafter(bounds[1], math.inf),
-                       -1e300, 1e300):
+        low, high, below, above = range_edges(leaf)
+        # Only an explicit detuning range's lower end can be its minimum, and its upper end its maximum.
+        ends = {"run.detuning_min_rad_s": [low], "run.detuning_max_rad_s": [high]}.get(leaf, [low, high])
+        for end in ends:
+            parse_config(document(end))
+        for beyond in (below, above, -1e300, 1e300):
             with pytest.raises(ConfigError) as excinfo:
                 parse_config(document(beyond))
             assert excinfo.value.path == path
+            if leaf in _SWEEPABLE:
+                with pytest.raises(ConfigError) as excinfo:
+                    parse_config({"sweep": {leaf: [high, beyond]}})
+                assert excinfo.value.path == leaf
+
+    def test_ramsey_time_may_be_zero(self):
+        assert parse_config({"protocol": {"ramsey_time_s": 0}}).protocol.ramsey_time_s == 0.0
 
     def test_unknown_key_rejected_with_path(self):
         with pytest.raises(ConfigError) as excinfo:
@@ -209,7 +226,7 @@ class TestRoundTrip:
     @settings(max_examples=100, deadline=None)
     @given(
         n_atoms=st.integers(1, 10**9),
-        intensity=st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        intensity=st.none() | st.floats(*FLOAT_RANGES["lattice.intensity_kW_cm2"]),
         delta=st.floats(0.0, 1.0, exclude_min=True),
         backend=st.sampled_from(BACKENDS),
         seed=st.integers(0, 2**64),

@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 from screwclock.cli import COMMANDS, OPTIMIZE_MAX_POINTS, SCHEDULE_MAX_ATOMS, SWEEP_MAX_POINTS
-from screwclock.config import MAX_ATOMS
+from screwclock.config import MAX_ATOMS, parse_config, serialize_config
 
-from conftest import run_python
+from conftest import range_edges, run_python
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,6 +32,28 @@ def test_cli_import_leaves_scipy_unloaded():
     assert "click" not in modules and "argparse" not in modules  # argparse loads in main only
     # Loaded while the CLI is imported, not during the first command.
     assert "numpy.random" in modules and "numpy.fft" in modules
+
+
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "3"}], ids=["unset", "user-set"])
+def test_cli_import_caps_the_blas_threads_unless_set(preset):
+    """The dense gates' small products stall on an uncapped BLAS pool when another process
+    holds a core: importing the CLI caps each pool at one thread, unless its variable is set."""
+    code = (
+        "import json, os, sys\n"
+        "names = json.loads(sys.argv[2])\n"
+        "for name in names:\n"
+        "    os.environ.pop(name, None)\n"
+        "os.environ.update(json.loads(sys.argv[1]))\n"
+        "import screwclock.cli\n"
+        "print(json.dumps({name: os.environ.get(name) for name in names}))\n"
+    )
+    result = run_python(["-c", code, json.dumps(preset), json.dumps(_THREAD_VARS)], timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {**dict.fromkeys(_THREAD_VARS, "1"), **preset}
 
 
 def test_config_imports_neither_the_register_nor_numpy():
@@ -218,7 +240,7 @@ def test_ci_smoke_runs_a_sweep_keyed_n_first(tmp_path):
 
 ZERO_DURATION_SMOKE = (
     """echo '{"protocol": {"ramsey_time_s": 0, "transport_time_us": 0, "gate_time_us": 0}, """
-    """"noise": {"tau_scatter_clock_s": 5e-324}}' > "$RUNNER_TEMP/zero-duration.json"\n"""
+    """"noise": {"tau_scatter_clock_s": 1e-12}}' > "$RUNNER_TEMP/zero-duration.json"\n"""
     "for command in schedule sweep optimize; do\n"
     """  screwclock --config "$RUNNER_TEMP/zero-duration.json" --out "$RUNNER_TEMP/smoke" "$command" """
     """2> "$RUNNER_TEMP/stderr.txt"\n"""
@@ -309,53 +331,45 @@ def test_ci_error_contract_names_each_rejected_leaf():
     assert 'test ! -e "$RUNNER_TEMP/errors"' in script
     assert """echo '{"lattice": {"delta": 0}}' > "$RUNNER_TEMP/error.json"\n""" in script
     assert "expect_config_error lattice.delta feasibility\n" in script
-    assert ("""echo '{"run": {"detuning_min_rad_s": -1e308, "detuning_max_rad_s": 1e308}}' """
-            """> "$RUNNER_TEMP/error.json"\n"""
-            "expect_config_error run.detuning_max_rad_s scan\n") in script
-    assert ("""echo '{"protocol": {"ramsey_time_s": 1e-320}}' > "$RUNNER_TEMP/error.json"\n"""
-            "expect_config_error protocol.ramsey_time_s simulate\n") in script
-    assert ("""echo '{"protocol": {"ramsey_time_s": 1.7976e308, "transport_time_us": 1e308}}' """
-            """> "$RUNNER_TEMP/error.json"\n"""
-            "expect_config_error protocol.ramsey_time_s schedule\n") in script
     assert 'test "$status" -eq 2' in script
     sweep_points = f"[0] * {SWEEP_MAX_POINTS + 1}"
     assert (f"""python -c "import json; print(json.dumps({{'sweep': {{'run.seed': {sweep_points}}}}}))" """
             """> "$RUNNER_TEMP/error.json"\n"""
             "expect_config_error sweep sweep\n") in script
-    scan_phases = [
-        ('{"run": {"detuning_min_rad_s": 0, "detuning_max_rad_s": 1e300}, '
-         '"protocol": {"ramsey_time_s": 1e10}}', "run.detuning_max_rad_s"),
-        ('{"run": {"delta_omega_head_rad_s": 1e300}, "protocol": {"ramsey_time_s": 1e10}}',
-         "run.delta_omega_head_rad_s"),
-        (f'{{"protocol": {{"n_atoms": {MAX_ATOMS}, "ramsey_time_s": 1}}, "run": {{"detuning_min_rad_s": 0, '
-         '"detuning_max_rad_s": 1e300, "backend": "branch"}}', "run.detuning_max_rad_s"),
-    ]
-    scan_phases += [
-        # the readouts' doubled clock phase and the dense readout's phase
-        ('{"run": {"detuning_min_rad_s": -1e300, "detuning_max_rad_s": 1.797e308}, '
-         '"protocol": {"ramsey_time_s": 1.0, "n_atoms": 1}}', "run.detuning_max_rad_s"),
-        ('{"run": {"backend": "dense", "detuning_min_rad_s": 0, "detuning_max_rad_s": 1e307, '
-         '"delta_omega_head_rad_s": -1.2e308}, "protocol": {"ramsey_time_s": 1.0, "n_atoms": 12}}',
-         "run.detuning_max_rad_s"),
-        ('{"protocol": {"ramsey_time_s": 0}}', "protocol.ramsey_time_s"),
-    ]
-    for document, field in scan_phases:
-        assert (f"""echo '{document}' > "$RUNNER_TEMP/error.json"\n"""
-                f"expect_config_error {field} scan\n") in script
+    assert ("""echo '{"protocol": {"ramsey_time_s": 0}}' > "$RUNNER_TEMP/error.json"\n"""
+            "expect_config_error protocol.ramsey_time_s scan\n") in script
     assert "expect_config_error 'species[0].mass_amu' schedule\n" in script
     assert ("""echo '{"lattice": {"lambda_m_nm": 1e-300}}' > "$RUNNER_TEMP/error.json"\n"""
             "expect_config_error lattice.lambda_m_nm simulate\n") in script
     assert "expect_config_error 'species[2].alpha_scalar_au' feasibility\n" in script
-    trap_physics = [
-        ('{"protocol": {"a_scatt_au": 1e300}}', "protocol.a_scatt_au feasibility"),
-        ('{"lattice": {"lambda_m_nm": 1e6}, "protocol": {"depth_factor": 1e300}}',
+    # One float past an end of each range that bounds a derived quantity, one leaf per group:
+    # (document, field and command), each past the lower end (index 2) or the upper (3).
+    below, above = 2, 3
+    past_a_range = [
+        ({"protocol": {"ramsey_time_s": range_edges("protocol.ramsey_time_s")[below]}},
+         "protocol.ramsey_time_s simulate"),
+        ({"protocol": {"transport_time_us": range_edges("protocol.transport_time_us")[above]}},
+         "protocol.transport_time_us schedule"),
+        ({"run": {"detuning_min_rad_s": 0,
+                  "detuning_max_rad_s": range_edges("run.detuning_max_rad_s")[above]}},
+         "run.detuning_max_rad_s scan"),
+        ({"lattice": {"transverse_intensity_kW_cm2":
+                      range_edges("lattice.transverse_intensity_kW_cm2")[above]}},
+         "lattice.transverse_intensity_kW_cm2 feasibility"),
+        ({"protocol": {"depth_factor": range_edges("protocol.depth_factor")[above]}},
          "protocol.depth_factor schedule"),
-        ('{"lattice": {"transverse_intensity_kW_cm2": 1.797e308, "lambda_m_nm": 1}, '
-         '"protocol": {"gate_time_us": 1e300}}', "lattice.transverse_intensity_kW_cm2 feasibility"),
-        ('{"lattice": {"intensity_kW_cm2": 1e300}}', "lattice.intensity_kW_cm2 feasibility"),
+        ({"protocol": {"a_scatt_au": range_edges("protocol.a_scatt_au")[below]}},
+         "protocol.a_scatt_au feasibility"),
+        ({"noise": {"tau_scatter_head_s": range_edges("noise.tau_scatter_head_s")[below]}},
+         "noise.tau_scatter_head_s schedule"),
+        ({"noise": {"extra_loss_rate_per_s": range_edges("noise.extra_loss_rate_per_s")[above]}},
+         "noise.extra_loss_rate_per_s optimize"),
     ]
-    for document, expectation in trap_physics:
-        assert (f"""echo '{document}' > "$RUNNER_TEMP/error.json"\n"""
+    species = serialize_config(parse_config(None))["species"]
+    species[1]["rho"] = range_edges("species.rho")[below]
+    past_a_range.append(({"species": species}, "'species[1].rho' feasibility"))
+    for document, expectation in past_a_range:
+        assert (f"""echo '{json.dumps(document)}' > "$RUNNER_TEMP/error.json"\n"""
                 f"expect_config_error {expectation}\n") in script
     assert "expect_failure" not in script
 
@@ -365,7 +379,7 @@ def test_ci_error_contract_names_each_rejected_leaf():
     ("expect_config_error optimize.n_points ", "expect_config_error optimize.n_max "),
     ("expect_config_error run.detuning_max_rad_s ", "expect_config_error run.detuning_min_rad_s "),
     ("expect_config_error protocol.n_atoms schedule\n", "expect_config_error protocol.n_atoms feasibility\n"),
-], ids=["as-written", "wrong-field-fails", "wrong-overflow-field-fails", "command-that-succeeds-fails"])
+], ids=["as-written", "wrong-field-fails", "wrong-range-field-fails", "command-that-succeeds-fails"])
 def test_error_contract_lines_run(tmp_path, line, wrong):
     """The step's lines, through bash; with one expectation made wrong, the step must fail."""
     script = _error_contract_step()["run"]
