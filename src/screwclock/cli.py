@@ -83,9 +83,10 @@ OPTIMIZE_POINT_BYTES = 190
 OPTIMIZE_MAX_POINTS = MEMORY_BUDGET_BYTES // OPTIMIZE_POINT_BYTES
 
 # `sweep` keeps each point's row and, once per distinct trap input, the trap
-# physics and its key: 1784-1813 B per point with every trap input distinct,
-# the worst case, measured from 1 to 10^4, 2 * 10^4 and 5 * 10^4 points, and
-# 1799 B at the bound itself.
+# physics and its key: 1435-1500 B per point with every trap input distinct,
+# the worst case, measured from 1 to 10^4, 2 * 10^4 and 5 * 10^4 points. The
+# bound keeps 1830 B, from 1784-1820 B measured while the key still held the
+# noise section and the gate time.
 SWEEP_POINT_BYTES = 1830
 SWEEP_MAX_POINTS = MEMORY_BUDGET_BYTES // SWEEP_POINT_BYTES
 

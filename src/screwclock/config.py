@@ -86,8 +86,9 @@ _AT_MOST_MAX_ATOMS = (lambda n: n <= MAX_ATOMS, f"must be <= 2^53 = {MAX_ATOMS},
 # lattice or clock protocol, and narrow enough that every quantity the pipeline derives
 # from values inside it (recoil energies, depths, trap frequencies, the interaction
 # energy and gate time, scattering rates, detuning grids, Ramsey phases and schedule
-# durations) stays a finite float. The one exception is the computed minimum intensity,
-# which the pipeline holds to the upper end of the intensity leaf's own range.
+# durations) stays a finite float. Two computed placeholders are held by the pipeline: the
+# minimum intensity, to the upper end of the intensity leaf's range where it sets the
+# intensity, and a scattering lifetime, whose rate can underflow to 0, to be finite.
 INTENSITY_KW_CM2_RANGE = (1e-12, 1e12)
 _STEP_TIME_US = _within(0.0, 1e12)
 _DETUNING_RAD_S = _within(-1e12, 1e12)

@@ -115,54 +115,53 @@ def recoil_energy(mass: float, lambda_m: float, table: ConstantsTable = CODATA) 
     return h_over_lambda**2 / (2.0 * mass)
 
 
-def field_amplitudes_squared(
-    config: LatticeConfig, table: ConstantsTable = CODATA
-) -> tuple[float, float]:
-    """(E+^2, E-^2) in SI (V/m)^2 from total intensity and misbalance."""
-    total = 2.0 * config.intensity / (table.vacuum_permittivity * table.speed_of_light)
-    return 0.5 * total * (1.0 + config.delta), 0.5 * total * (1.0 - config.delta)
-
-
 def sublattice_depths(
     config: LatticeConfig, species: SpeciesOptics, table: ConstantsTable = CODATA
 ) -> tuple[float, float]:
     """Potential amplitudes (U0+, U0-) in joules.
 
-    U0pm = -(E_pm/2)^2 alpha (1 +- rho). For rho = 0 the two amplitudes
-    differ only through the field misbalance.
+    U0pm = -(E_pm/2)^2 alpha (1 +- rho), with E_pm^2 = (1 +- delta) I_L / (eps0 c)
+    from the total intensity and the misbalance. For rho = 0 the two
+    amplitudes differ only through the field misbalance.
     """
-    e2p, e2m = field_amplitudes_squared(config, table)
+    e2 = config.intensity / (table.vacuum_permittivity * table.speed_of_light)
     alpha = au_to_si_polarizability(species.alpha_scalar, table)
-    u0p = -0.25 * e2p * alpha * (1.0 + species.rho)
-    u0m = -0.25 * e2m * alpha * (1.0 - species.rho)
+    u0p = -0.25 * (e2 * (1.0 + config.delta)) * alpha * (1.0 + species.rho)
+    u0m = -0.25 * (e2 * (1.0 - config.delta)) * alpha * (1.0 - species.rho)
     return u0p, u0m
 
 
-def well_depth_closed_form(
-    config: LatticeConfig,
-    species: SpeciesOptics,
-    phi: float | None = None,
-    table: ConstantsTable = CODATA,
-) -> float:
-    """Exact depth of the combined potential at displacement phase ``phi``.
+def _depth_sum_and_difference(
+    config: LatticeConfig, species: SpeciesOptics, table: ConstantsTable
+) -> tuple[float, float]:
+    """(U0+ + U0-, U0+ - U0-) in joules: -I_L alpha (1 + delta rho, delta + rho) / (2 eps0 c).
 
-    The sum of two equal-period cos^2 waves is a single sinusoid of
-    amplitude sqrt(a^2 + b^2 + 2 a b cos 2 phi), so the depth is that
-    amplitude. At the maximum-overlap phase (phi = 0) it reduces to
-    |U0+ + U0-| = I_L |alpha| (1 + delta rho) / (2 eps0 c).
+    Neither comes from the two rounded amplitudes, so the difference keeps its
+    digits where they nearly agree, as a pinned clock's do at small delta.
     """
-    if phi is None:
-        phi = config.phi
-    a, b = sublattice_depths(config, species, table)
-    r2 = a * a + b * b + 2.0 * a * b * math.cos(2.0 * phi)
-    return math.sqrt(max(r2, 0.0))
+    alpha = au_to_si_polarizability(species.alpha_scalar, table)
+    scale = -0.5 * alpha * config.intensity / (table.vacuum_permittivity * table.speed_of_light)
+    return scale * (1.0 + config.delta * species.rho), scale * (config.delta + species.rho)
+
+
+def well_depth_closed_form(
+    config: LatticeConfig, species: SpeciesOptics, table: ConstantsTable = CODATA
+) -> float:
+    """Exact depth of the combined potential at the lattice's displacement phase phi.
+
+    The sum of two equal-period cos^2 waves of amplitudes a and b is a
+    single sinusoid of amplitude hypot((a + b) cos phi, (a - b) sin phi),
+    so the depth is that amplitude.
+    """
+    total, difference = _depth_sum_and_difference(config, species, table)
+    return math.hypot(total * math.cos(config.phi), difference * math.sin(config.phi))
 
 
 def overlap_depth(
     config: LatticeConfig, species: SpeciesOptics, table: ConstantsTable = CODATA
 ) -> float:
-    """Closed-form depth at the maximum-overlap phase (phi = 0)."""
-    return well_depth_closed_form(config, species, phi=0.0, table=table)
+    """Depth at the maximum-overlap phase (phi = 0): |U0+ + U0-|."""
+    return abs(_depth_sum_and_difference(config, species, table)[0])
 
 
 def transport_feasibility(rho_up: float, rho_down: float, delta: float) -> FeasibilityReport:
@@ -196,11 +195,12 @@ def worst_case_depth(
     """Depth a species sees at its worst-case phase during transport.
 
     The head states matter at the maximum-overlap phase, where their depth
-    is weakest; the pinned clock atoms matter at phi = pi/2, where their
-    depth collapses to the misbalance fraction |delta| of the overlap value.
+    is weakest, |U0+ + U0-|; the pinned clock atoms matter at phi = pi/2,
+    where their depth collapses to |U0+ - U0-|, the misbalance fraction
+    |delta| of the overlap value.
     """
-    phi = math.pi / 2.0 if species.role == "clock" else 0.0
-    return well_depth_closed_form(config, species, phi=phi, table=table)
+    total, difference = _depth_sum_and_difference(config, species, table)
+    return abs(difference) if species.role == "clock" else abs(total)
 
 
 def min_required_intensity(

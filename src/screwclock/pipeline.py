@@ -6,18 +6,22 @@ lifetimes, null gate time) are filled in from the lattice physics, and
 where the protocol schedule is assembled.
 
 :func:`resolve_physics` works in two halves. The trap half reads the
-species optics, the ``lattice`` and ``noise`` sections,
-``protocol.a_scatt_au``, ``protocol.gate_time_us``,
-``protocol.depth_factor`` and the constants table, and yields the
-intensity requirement, the resolved lattice, the interaction energy, the
-gate time and the lifetimes. The schedule half adds N and the transport,
-Ramsey and pulse times. A sweep passes one dict in which its points share
-one set of species optics, and points with equal trap inputs one trap
-half; only this module knows which leaves form those keys.
+species optics, the ``lattice`` section, ``protocol.a_scatt_au``,
+``protocol.depth_factor``, whether each lifetime is null, and the
+constants table, and yields the intensity requirement, the resolved
+lattice, the interaction energy and the lifetimes it computes. Each point
+then applies its own gate time (given, or pi hbar / dE), given lifetimes
+and extra loss rate, and its schedule: N and the transport, Ramsey and
+pulse times. A sweep passes one dict in which its points share one set of
+species optics, and points with equal trap inputs one trap half; only
+this module knows which leaves form those keys. No leaf in a key changes
+an output through the sign of a zero, so 0.0 and -0.0 may share a trap.
 
 Every float leaf the config accepts lies in its declared range, inside
-which every quantity derived here is a finite float; the computed minimum
-intensity alone is held to the upper end of the intensity leaf's range.
+which every quantity derived here is a finite float but two. The computed
+minimum intensity is held to the upper end of the intensity leaf's range
+where it sets the intensity, and beside an explicit one is held to be
+finite; a computed scattering lifetime is held to be finite.
 """
 
 from __future__ import annotations
@@ -83,15 +87,18 @@ class PhysicsBundle:
         return self.schedule.gate_time
 
 
-def _trap_physics(optics, lattice_section, noise, a_scatt_au, gate_time_us, depth_factor,
+def _trap_physics(optics, lattice_section, a_scatt_au, depth_factor, clock_tau_null, head_tau_null,
                   table) -> tuple:
-    """The trap half: everything the schedule half does not fix, from exactly these inputs.
+    """The trap half: what the species, the lattice and the collision length fix.
 
     ``optics`` holds the clock, head_up and head_down optics, in that
-    order. Returns (lattice, requirement, interaction, gate_time,
-    decoherence). N and the transport, Ramsey and pulse times enter none of
-    it. A minimum intensity above the intensity leaf's range, or one of zero
-    where it sets the intensity, is a config error of ``protocol.depth_factor``.
+    order. Returns (lattice, requirement, interaction, tau_clock,
+    tau_head), where a lifetime is computed only if its flag says the
+    config leaves it null, and is None otherwise. Where the computed
+    minimum intensity sets the intensity, one above the intensity leaf's
+    range or of zero is a config error of ``protocol.depth_factor``; beside
+    an explicit intensity only a non-finite one is. An infinite computed
+    lifetime is a config error of its own leaf.
     """
     clock, head_up, _ = optics
 
@@ -105,12 +112,14 @@ def _trap_physics(optics, lattice_section, noise, a_scatt_au, gate_time_us, dept
     requirement = min_required_intensity(
         list(optics), probe, depth_factor=depth_factor, table=table
     )
-    if requirement.intensity > INTENSITY_KW_CM2_RANGE[1] * KW_CM2_TO_W_M2:
-        raise ConfigError("protocol.depth_factor", f"the minimum intensity {requirement.intensity!r} W/m^2 "
-                                                   "lies above lattice.intensity_kW_cm2's range")
-
     if lattice_section.intensity_kW_cm2 is not None:
         intensity = lattice_section.intensity_kW_cm2 * KW_CM2_TO_W_M2
+        if not math.isfinite(requirement.intensity):
+            raise ConfigError("protocol.depth_factor", "the computed minimum intensity overflows "
+                                                       "the float range")
+    elif requirement.intensity > INTENSITY_KW_CM2_RANGE[1] * KW_CM2_TO_W_M2:
+        raise ConfigError("protocol.depth_factor", f"the minimum intensity {requirement.intensity!r} W/m^2 "
+                                                   "lies above lattice.intensity_kW_cm2's range")
     elif requirement.intensity > 0.0:
         intensity = requirement.intensity
     else:
@@ -137,68 +146,49 @@ def _trap_physics(optics, lattice_section, noise, a_scatt_au, gate_time_us, dept
     delta_e = interaction_energy(
         a_scatt, head_up.mass, clock.mass, head_freqs, clock_freqs, table
     )
-
-    if gate_time_us is not None:
-        gate_time = gate_time_us * 1e-6
-    else:
-        gate_time = phase_gate_duration(delta_e, math.pi, table)
-
-    if noise.tau_scatter_clock_s is not None:
-        tau_clock = noise.tau_scatter_clock_s
-    else:
-        tau_clock = photon_scattering_time(
-            clock, intensity, overlap_depth(lattice, clock, table), lambda_m, table
-        )
-    if noise.tau_scatter_head_s is not None:
-        tau_head = noise.tau_scatter_head_s
-    else:
-        tau_head = photon_scattering_time(
-            head_up, intensity, overlap_depth(lattice, head_up, table), lambda_m, table
-        )
-    decoherence = DecoherenceParams(
-        tau_scatter_clock=tau_clock,
-        tau_scatter_head=tau_head,
-        extra_loss_rate=noise.extra_loss_rate_per_s,
-    )
-    return lattice, requirement, delta_e, gate_time, decoherence
-
-
-def _zero_signs(*parts) -> tuple:
-    """The sign of every zero among these numbers and these dataclasses' fields.
-
-    0.0 == -0.0, yet a gate time of -0.0 us writes apart from 0.0: two
-    inputs share a trap only if their zeros carry the same signs.
-    """
-    values = [v for part in parts for v in (vars(part).values() if hasattr(part, "__dict__") else (part,))]
-    return tuple(math.copysign(1.0, v) for v in values if v == 0.0)
+    lifetimes = [photon_scattering_time(s, intensity, overlap_depth(lattice, s, table), lambda_m, table)
+                 if null else None for s, null in ((clock, clock_tau_null), (head_up, head_tau_null))]
+    for tau, leaf in zip(lifetimes, ("noise.tau_scatter_clock_s", "noise.tau_scatter_head_s")):
+        if tau == math.inf:  # a scattering rate, as alpha^2, that underflows to 0
+            raise ConfigError(leaf, "the computed photon-scattering lifetime is infinite; set a lifetime")
+    return (lattice, requirement, delta_e, *lifetimes)
 
 
 def resolve_physics(cfg: RunConfig, table: ConstantsTable = CODATA, *,
                     traps: dict | None = None) -> PhysicsBundle:
-    """The config's physics: its trap half, then its schedule half.
+    """The config's physics: its trap half, then what each point sets itself.
 
     ``traps``, a dict the caller owns, shares the species optics between
     calls with equal species and constants, as all of a sweep's points
-    have, and the trap half between those whose other trap inputs are equal
-    too, as a sweep's points often are; a trap half that raises stores
-    nothing.
+    have, and the trap half between those whose trap inputs are equal too,
+    as a sweep's points often are; a trap half that raises stores nothing.
+    Without one, the call uses a dict of its own. Each point then applies
+    its own gate time, given or pi hbar / dE, its given lifetimes and its
+    extra loss rate, and builds its schedule.
     """
-    protocol = cfg.protocol
+    protocol, noise = cfg.protocol, cfg.noise
+    if traps is None:
+        traps = {}
     species = tuple(map(cfg.species_by_role, ROLES))
-    inputs = (cfg.lattice, cfg.noise, protocol.a_scatt_au, protocol.gate_time_us, protocol.depth_factor)
-    if traps is None:  # a single call hashes no keys
-        optics = tuple(species_optics(entry, table) for entry in species)
-        trap = _trap_physics(optics, *inputs, table)
-    else:
-        group = (species, table, _zero_signs(*species, table))
-        optics, halves = traps.get(group) or (tuple(species_optics(entry, table) for entry in species), {})
-        key = (inputs, _zero_signs(*inputs))
-        trap = halves.get(key)
-        if trap is None:
-            trap = halves[key] = _trap_physics(optics, *inputs, table)
-            traps[group] = optics, halves
-    lattice, requirement, delta_e, gate_time, decoherence = trap
+    group = (species, table)
+    optics, halves = traps.get(group) or (tuple(species_optics(entry, table) for entry in species), {})
+    key = (cfg.lattice, protocol.a_scatt_au, protocol.depth_factor,
+           noise.tau_scatter_clock_s is None, noise.tau_scatter_head_s is None)
+    trap = halves.get(key)
+    if trap is None:
+        trap = halves[key] = _trap_physics(optics, *key, table)
+        traps[group] = optics, halves
+    lattice, requirement, delta_e, tau_clock, tau_head = trap
 
+    if protocol.gate_time_us is not None:
+        gate_time = protocol.gate_time_us * 1e-6
+    else:
+        gate_time = phase_gate_duration(delta_e, math.pi, table)
+    decoherence = DecoherenceParams(
+        tau_scatter_clock=tau_clock if tau_clock is not None else noise.tau_scatter_clock_s,
+        tau_scatter_head=tau_head if tau_head is not None else noise.tau_scatter_head_s,
+        extra_loss_rate=noise.extra_loss_rate_per_s,
+    )
     schedule = ProtocolSchedule(
         protocol.n_atoms, gate_time, protocol.transport_time_us * 1e-6,
         protocol.ramsey_time_s, protocol.pulse_time_us * 1e-6,

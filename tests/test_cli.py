@@ -25,6 +25,7 @@ from screwclock.config import (
     _SECTIONS, _SWEEPABLE, MAX_ATOMS, SpeciesEntry, parse_config, serialize_config,
     serialized_hash,
 )
+from screwclock.constants import CODATA
 from screwclock.errors import ClockSimError, ConfigError, ParameterError
 from screwclock.estimator import fringe_scan
 from screwclock.output import TableText, write_table
@@ -286,6 +287,45 @@ class TestFeasibilityCommand:
         assert result.exit_code == 4
         blob = json.loads(result.stderr)
         assert blob["error"] == "infeasible_transport"
+
+    # The pinned clock's worst-case depth |U0+ - U0-| once lost its digits to cancellation: at
+    # delta = 1e-9 Sr's minimum read 4.41e8 kW/cm^2 (3.39e9 exact), and at 1e-10 every
+    # command exited 5, untrapped.
+    @pytest.mark.parametrize("delta", [1e-9, 1e-10])
+    def test_small_misbalance_binds_the_clock_at_its_exact_depth(self, tmp_path, run_cli, delta):
+        cfg = _write_config(tmp_path, {"lattice": {"delta": delta}})
+        for command in COMMANDS:
+            result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+            assert (result.exit_code, result.stderr) == (0, ""), command
+        meta = json.loads((tmp_path / "o" / "feasibility.meta.json").read_text())
+        assert meta["binding_species"] == "Sr"
+        assert meta["intensity_kw_cm2"] == pytest.approx(3.3886e9 * 1e-9 / delta, rel=1e-4)
+        sr = next(row for row in read_table(tmp_path / "o" / "feasibility.csv") if row["species"] == "Sr")
+        exact = (meta["intensity_w_m2"] * 470.0 * CODATA.polarizability_au_in_si * delta
+                 / (2.0 * CODATA.vacuum_permittivity * CODATA.speed_of_light))
+        assert float(sr["depth_worst_j"]) == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert float(sr["depth_worst_over_recoil"]) == pytest.approx(5.0, rel=1e-12)
+
+    # A clock polarizability of -1e-150 au beside an explicit intensity once exited 5: its
+    # depths squared underflowed. Its depth, about 1e-180 J, now traps it; its scattering
+    # rate, with alpha^2, underflows, so a null lifetime cannot be computed and names its leaf.
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_near_zero_clock_polarizability_names_its_lifetime(self, tmp_path, run_cli, command):
+        cfg = _write_config(tmp_path, {**_species({0: {"alpha_scalar_au": -1e-150}}),
+                                       "lattice": {"intensity_kW_cm2": 22.0}})
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+        assert result.exit_code == 2
+        blob = json.loads(result.stderr)
+        assert blob["field"] == "noise.tau_scatter_clock_s" and "infinite" in blob["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_a_near_zero_clock_polarizability_with_a_given_lifetime_runs(self, tmp_path, run_cli):
+        cfg = _write_config(tmp_path, {**_species({0: {"alpha_scalar_au": -1e-150}}),
+                                       "lattice": {"intensity_kW_cm2": 22.0},
+                                       "noise": {"tau_scatter_clock_s": 1.0}})
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), "schedule"])
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert json.loads((tmp_path / "o" / "schedule.meta.json").read_text())["tau_scatter_clock_s"] == 1.0
 
 
 class TestScanCommand:
@@ -569,7 +609,9 @@ class TestZeroDurationSchedule:
 
 # Values for each sweepable leaf that enters the physics, with repeats, so that
 # a sweep meets each trap input again, and signed zeros, which compare equal
-# yet write apart.
+# yet write apart. The lattice leaves, the scattering length and the depth
+# factor key the trap; the gate time, lifetimes and loss rate are applied per
+# point beside it, a lifetime keying the trap only by whether it is null.
 TRAP_LEAF_VALUES = {
     "lattice.lambda_m_nm": [389.9, 400.0, 389.9],
     "lattice.intensity_kW_cm2": [None, 50.0, None],
@@ -652,6 +694,34 @@ class TestSweepCommand:
                  ("protocol.n_atoms", [10, 100, 1000, 10000])]
         _, meta, _ = cli._cmd_sweep(parse_config({"sweep": dict(sweep[::order])}))
         assert meta["points"] == 20 and len(calls) == 5
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["gate-first", "delta-first"])
+    def test_gate_times_and_lifetimes_share_the_trap_of_their_delta(self, tmp_path, monkeypatch, order):
+        # The gate time, signed zeros included, and the given lifetimes and loss rate are
+        # applied per point: one trap per delta, and the bytes of per-point resolution.
+        calls = []
+        original = pipeline._trap_physics
+
+        def counted(*inputs):
+            calls.append(inputs)
+            return original(*inputs)
+
+        monkeypatch.setattr(pipeline, "_trap_physics", counted)
+        sweep = [("protocol.gate_time_us", [None, 0.0, -0.0, 20.0]),
+                 ("noise.tau_scatter_clock_s", [2.0, 3.0]),
+                 ("noise.extra_loss_rate_per_s", [0.0, -0.0, 0.5]),
+                 ("lattice.delta", [0.2, 0.25, 0.2, 0.3])]
+        cfg = parse_config({"sweep": dict(sweep[::order])})
+        run_command("sweep", cfg, tmp_path / "shared")
+        assert len(calls) == 3
+        monkeypatch.setattr("screwclock.cli.apply_override", reference_apply_override)
+        monkeypatch.setattr("screwclock.cli.resolve_physics", lambda cfg, **options: resolve_physics(cfg))
+        run_command("sweep", cfg, tmp_path / "per-point")
+        assert len(calls) == 3 + 96
+        for name in ("sweep.csv", "sweep.meta.json"):
+            assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "per-point" / name).read_bytes()
+        rows = read_table(tmp_path / "shared" / "sweep.csv")
+        assert {row["gate_time_s"] for row in rows if row["protocol.gate_time_us"] == "-0.0"} == {"-0.0"}
 
     def test_a_point_that_raises_stores_nothing(self, tmp_path, run_cli):
         traps = {}
@@ -1442,10 +1512,8 @@ class TestErrorContract:
 
     # Inside the box the computed minimum intensity can still pass the intensity leaf's upper
     # end: a 1 pm lattice raises the recoil energy, and so the minimum, (389.9 nm / 1 pm)^2
-    # = 1.5e11-fold, to 3.4e19 W/m^2. It names the depth factor, beside an explicit intensity too.
-    @pytest.mark.parametrize("lattice", [{"lambda_m_nm": 1e-3},
-                                         {"lambda_m_nm": 1e-3, "intensity_kW_cm2": 22.0}],
-                             ids=["computed", "explicit"])
+    # = 1.5e11-fold, to 3.4e19 W/m^2. Where it sets the intensity, it names the depth factor.
+    @pytest.mark.parametrize("lattice", [{"lambda_m_nm": 1e-3}], ids=["computed"])
     @pytest.mark.parametrize("command", COMMANDS)
     def test_minimum_intensity_above_the_intensity_range_names_depth_factor(self, tmp_path, run_cli,
                                                                             command, lattice):
@@ -1455,6 +1523,35 @@ class TestErrorContract:
         blob = _assert_error_blob(result, _readme_exit_codes())
         assert blob["field"] == "protocol.depth_factor"
         assert "lies above lattice.intensity_kW_cm2's range" in blob["message"]
+        assert not (tmp_path / "o").exists()
+
+    # Beside an explicit intensity the computed minimum sets nothing: it reaches only
+    # feasibility's sidecar and table, so the same 1 pm lattice runs.
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_minimum_intensity_above_the_range_beside_an_explicit_intensity_runs(self, tmp_path,
+                                                                                 run_cli, command):
+        cfg = _write_config(tmp_path, {"lattice": {"lambda_m_nm": 1e-3, "intensity_kW_cm2": 22.0}})
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+        assert (result.exit_code, result.stderr) == (0, "")
+        if command == "feasibility":
+            meta = _strict_json((tmp_path / "o" / "feasibility.meta.json").read_text())
+            assert meta["intensity_kw_cm2"] == 22.0
+            assert 1e19 < meta["min_intensity_w_m2"] < math.inf
+
+    # Beside an explicit intensity the minimum still has to be finite: a clock polarizability
+    # of 1e-282 au leaves a subnormal worst-case depth per W/m^2, which the largest depth
+    # factor's target, at a 1 pm lattice, overflows.
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_minimum_intensity_beyond_the_float_range_names_depth_factor(self, tmp_path, run_cli,
+                                                                         command):
+        cfg = _write_config(tmp_path, {**_species({0: {"alpha_scalar_au": -1e-282}}),
+                                       "protocol": {"depth_factor": 1e6},
+                                       "lattice": {"lambda_m_nm": 1e-3, "intensity_kW_cm2": 22.0}})
+        result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+        assert result.exit_code == 2
+        blob = _assert_error_blob(result, _readme_exit_codes())
+        assert blob["field"] == "protocol.depth_factor"
+        assert "overflows the float range" in blob["message"]
         assert not (tmp_path / "o").exists()
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from screwclock.errors import InfeasibleTransportError, ParameterError, Untrappe
 from screwclock.lattice import (
     LatticeConfig, SpeciesOptics, min_required_intensity, overlap_depth, recoil_energy,
     sublattice_depths, transport_feasibility, trap_frequencies, well_depth_closed_form,
+    worst_case_depth,
 )
 
 from conftest import (
@@ -148,6 +150,23 @@ class TestWellDepth:
             if closed < 1e-6 * sum(abs(u) for u in sublattice_depths(config, species)):
                 continue  # nearly degenerate well, relative comparison meaningless
             assert well_depth(config, species) == pytest.approx(closed, rel=1e-9)
+
+    @pytest.mark.parametrize("alpha_au", [-470.0, -1e-150])
+    @pytest.mark.parametrize("delta", [10.0 ** -k for k in range(1, 16)])
+    def test_depths_match_the_exact_sum_and_difference(self, alpha_au, delta):
+        # |U0+ +- U0-| = I |alpha| |1 + delta rho| / (2 eps0 c) and I |alpha| |delta + rho| / (2 eps0 c),
+        # in exact arithmetic on the same floats. The pinned clock's worst case, the
+        # difference, once cancelled at small delta and underflowed for |alpha| ~ 1e-150.
+        config = LatticeConfig(lambda_m=LAMBDA_M, intensity=2.2e8, delta=delta)
+        per_unit = (Fraction(config.intensity) * abs(Fraction(alpha_au * CODATA.polarizability_au_in_si))
+                    / (2 * Fraction(CODATA.vacuum_permittivity) * Fraction(CODATA.speed_of_light)))
+        for rho, role in ((0.0, "clock"), (-1.25, "head_up"), (0.84, "head_down")):
+            species = SpeciesOptics("x", mass=SR_MASS_AMU * AMU, alpha_scalar=alpha_au, rho=rho, role=role)
+            overlap = float(per_unit * abs(1 + Fraction(delta) * Fraction(rho)))
+            difference = float(per_unit * abs(Fraction(delta) + Fraction(rho)))
+            assert overlap_depth(config, species) == pytest.approx(overlap, rel=1e-12, abs=0.0)
+            worst = difference if role == "clock" else overlap
+            assert worst_case_depth(config, species) == pytest.approx(worst, rel=1e-12, abs=0.0)
 
     def test_depth_is_nonnegative(self, al_up, reference_lattice):
         for phi in np.linspace(0, 2 * math.pi, 25):

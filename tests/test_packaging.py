@@ -1,6 +1,7 @@
 """The CLI needs numpy only: scipy is the tests' oracle, and neither scipy nor click is ever imported."""
 
 import ast
+import csv
 import json
 import math
 import os
@@ -259,6 +260,44 @@ def test_ci_smoke_runs_a_schedule_of_zero_duration(tmp_path):
     result = _run_ci_lines(ZERO_DURATION_SMOKE, tmp_path)
     assert result.returncode == 0, result.stderr
     assert "survival 1\n" in result.stdout and "optimal atom number 10000 " in result.stdout
+
+
+SMALL_DELTA_SMOKE = (
+    """echo '{"lattice": {"delta": 1e-10}}' > "$RUNNER_TEMP/small-delta.json"\n"""
+    """screwclock --config "$RUNNER_TEMP/small-delta.json" --out "$RUNNER_TEMP/smoke" feasibility\n"""
+)
+PICOMETRE_SMOKE = (
+    """echo '{"lattice": {"lambda_m_nm": 0.001, "intensity_kW_cm2": 22.0}}' > "$RUNNER_TEMP/picometre.json"\n"""
+    "for command in feasibility schedule simulate scan optimize sweep; do\n"
+    """  screwclock --config "$RUNNER_TEMP/picometre.json" --out "$RUNNER_TEMP/smoke" "$command"\n"""
+    "done\n"
+)
+SIGNED_ZERO_SWEEP_SMOKE = (
+    """echo '{"sweep": {"protocol.gate_time_us": [null, 0.0, -0.0, 20.0], """
+    """"noise.tau_scatter_clock_s": [2.0, 3.0], "lattice.delta": [0.2, 0.25, 0.2]}}' """
+    """> "$RUNNER_TEMP/signed-zero-sweep.json"\n"""
+    """screwclock --config "$RUNNER_TEMP/signed-zero-sweep.json" --out "$RUNNER_TEMP/smoke" sweep\n"""
+)
+
+
+def test_ci_smoke_runs_the_trap_edges(tmp_path):
+    # A misbalance of 1e-10, where the pinned clock binds the intensity at its exact depth;
+    # a 1 pm lattice beside an explicit intensity; a sweep over signed-zero gate times.
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    steps = [step for step in workflow["jobs"]["tier1"]["steps"]
+             if step.get("name", "").startswith("Smoke test")]
+    assert len(steps) == 1
+    script = SMALL_DELTA_SMOKE + PICOMETRE_SMOKE + SIGNED_ZERO_SWEEP_SMOKE
+    assert script in steps[0]["run"]
+    result = _run_ci_lines(script, tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0].endswith("(binding: Sr)")
+    assert result.stdout.splitlines()[-1] == (
+        "swept 24 points over ['protocol.gate_time_us', 'noise.tau_scatter_clock_s', 'lattice.delta']")
+    with open(tmp_path / "smoke" / "sweep.csv", newline="") as handle:
+        gate_times = [row["gate_time_s"] for row in csv.DictReader(handle)]
+    assert gate_times[6:12] == ["0.0"] * 6 and gate_times[12:18] == ["-0.0"] * 6
 
 
 def test_ci_smoke_runs_the_schedule_at_its_bound():
